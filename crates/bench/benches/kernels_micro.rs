@@ -2,11 +2,11 @@
 //! blocked Floyd-Warshall, Near-Far SSSP and the k-way partitioner.
 
 use apsp_cpu::blocked_fw::blocked_floyd_warshall;
-use apsp_cpu::DistMatrix;
+use apsp_cpu::{DistMatrix, ExecBackend};
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
 use apsp_graph::generators::{gnp, random_geometric, WeightRange};
-use apsp_kernels::fw_block::fw_device;
-use apsp_kernels::minplus::minplus_product;
+use apsp_kernels::fw_block::fw_device_exec;
+use apsp_kernels::minplus::minplus_kernel_exec;
 use apsp_kernels::near_far_sssp;
 use apsp_kernels::DeviceMatrix;
 use apsp_partition::{kway_partition, PartitionConfig};
@@ -25,7 +25,7 @@ fn bench_minplus(c: &mut Criterion) {
             b.iter(|| {
                 let mut cm = DeviceMatrix::alloc_inf(&dev, n, n).unwrap();
                 let s = dev.default_stream();
-                minplus_product(&mut dev, s, &mut cm, &a, &bm);
+                minplus_kernel_exec(&mut dev, s, &mut cm, &a, &bm, ExecBackend::default());
                 black_box(cm.get(0, 0))
             })
         });
@@ -52,7 +52,7 @@ fn bench_fw(c: &mut Criterion) {
                 let host = DistMatrix::from_graph(g);
                 let mut m = DeviceMatrix::alloc(&dev, g.num_vertices(), g.num_vertices()).unwrap();
                 m.as_mut_slice().copy_from_slice(host.as_slice());
-                fw_device(&mut dev, s, &mut m);
+                fw_device_exec(&mut dev, s, &mut m, ExecBackend::default());
                 black_box(m.get(0, 0))
             })
         });

@@ -559,8 +559,8 @@ fn main() {
 /// same checkpoint, supervision, spill, telemetry, sampling, and
 /// verification plumbing as the single-device run.
 fn run_multi(graph: &CsrGraph, base_profile: &DeviceProfile, args: &Args) {
-    use apsp_core::{ooc_boundary_multi_checkpointed_supervised, ooc_boundary_multi_supervised};
-    use apsp_core::{parse_fleet, BoundaryOptions, Checkpoint, Supervisor, TileStore};
+    use apsp_core::{multi_gpu, parse_fleet, BoundaryOptions, Checkpoint, RunCtx};
+    use apsp_core::{Supervisor, TileStore};
 
     let profiles: Vec<DeviceProfile> = match &args.fleet {
         Some(spec) => {
@@ -652,7 +652,7 @@ fn run_multi(graph: &CsrGraph, base_profile: &DeviceProfile, args: &Args) {
         println!("sdc guard: {}", args.sdc_guard);
     }
 
-    let run = match &args.checkpoint_dir {
+    let ckpt = match &args.checkpoint_dir {
         Some(dir) => {
             println!(
                 "checkpointing to {} ({})",
@@ -676,13 +676,15 @@ fn run_multi(graph: &CsrGraph, base_profile: &DeviceProfile, args: &Args) {
                     std::process::exit(1);
                 }
             }
-            ooc_boundary_multi_checkpointed_supervised(
-                &mut devs, graph, &mut store, &opts, &ckpt, &sup,
-            )
+            Some(ckpt)
         }
-        None => ooc_boundary_multi_supervised(&mut devs, graph, &mut store, &opts, &sup),
+        None => None,
     };
-    let stats = match run {
+    let ctx = RunCtx {
+        supervisor: Some(&sup),
+        checkpoint: ckpt.as_ref(),
+    };
+    let stats = match multi_gpu::run(&mut devs, graph, &mut store, &opts, &ctx) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("apsp failed: {e}");

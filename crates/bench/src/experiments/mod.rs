@@ -12,7 +12,7 @@ pub mod tables;
 
 use crate::AnalogRun;
 use apsp_core::ooc_boundary::{ooc_boundary, BoundaryRunStats};
-use apsp_core::ooc_fw::{init_store_from_graph, ooc_floyd_warshall, FwRunStats};
+use apsp_core::ooc_fw::{ooc_floyd_warshall, FwRunStats};
 use apsp_core::ooc_johnson::{ooc_johnson, JohnsonRunStats};
 use apsp_core::options::{BoundaryOptions, FwOptions, JohnsonOptions};
 use apsp_core::{ApspError, StorageBackend, TileStore};
@@ -52,8 +52,7 @@ pub fn run_fw(
 ) -> Result<(f64, FwRunStats, SimReport), ApspError> {
     let mut dev = GpuDevice::new(profile.clone());
     let mut store = TileStore::new(g.num_vertices(), &StorageBackend::Memory)?;
-    init_store_from_graph(g, &mut store)?;
-    let stats = ooc_floyd_warshall(&mut dev, &mut store, opts)?;
+    let stats = ooc_floyd_warshall(&mut dev, g, &mut store, opts)?;
     Ok((stats.sim_seconds, stats, dev.report()))
 }
 

@@ -24,11 +24,9 @@
 
 use crate::corpus::{splitmix64, Case};
 use crate::runner::RunnerConfig;
-use apsp_core::ooc_boundary::ooc_boundary_checkpointed;
-use apsp_core::ooc_fw::ooc_floyd_warshall_checkpointed;
-use apsp_core::ooc_johnson::ooc_johnson_checkpointed;
 use apsp_core::options::{Algorithm, BoundaryOptions, FwOptions, JohnsonOptions};
-use apsp_core::{ApspErrorKind, Checkpoint, StorageBackend, TileStore};
+use apsp_core::{ooc_boundary, ooc_fw, ooc_johnson};
+use apsp_core::{ApspErrorKind, Checkpoint, RunCtx, StorageBackend, TileStore};
 use apsp_cpu::bgl_plus_apsp;
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
 
@@ -78,7 +76,7 @@ impl std::fmt::Display for CrashReport {
     }
 }
 
-fn run_checkpointed(
+fn run_durable(
     algorithm: Algorithm,
     dev: &mut GpuDevice,
     g: &apsp_graph::CsrGraph,
@@ -86,18 +84,15 @@ fn run_checkpointed(
     ckpt: &Checkpoint,
     cell: &CrashCellOptions,
 ) -> Result<(), apsp_core::ApspError> {
+    let ctx = RunCtx {
+        checkpoint: Some(ckpt),
+        ..Default::default()
+    };
     match algorithm {
-        Algorithm::FloydWarshall => {
-            ooc_floyd_warshall_checkpointed(dev, g, store, &cell.fw, ckpt)?;
-        }
-        Algorithm::Johnson => {
-            ooc_johnson_checkpointed(dev, g, store, &cell.johnson, ckpt)?;
-        }
-        Algorithm::Boundary => {
-            ooc_boundary_checkpointed(dev, g, store, &cell.boundary, ckpt)?;
-        }
+        Algorithm::FloydWarshall => ooc_fw::run(dev, g, store, &cell.fw, &ctx).map(drop),
+        Algorithm::Johnson => ooc_johnson::run(dev, g, store, &cell.johnson, &ctx).map(drop),
+        Algorithm::Boundary => ooc_boundary::run(dev, g, store, &cell.boundary, &ctx).map(drop),
     }
-    Ok(())
 }
 
 fn check_exact(
@@ -174,7 +169,7 @@ pub fn run_kill_resume(
     let mut dev = new_dev();
     let mut store = new_store()?;
     store.arm_crash(u64::MAX);
-    run_checkpointed(algorithm, &mut dev, g, &mut store, &ckpt, cell)
+    run_durable(algorithm, &mut dev, g, &mut store, &ckpt, cell)
         .map_err(|e| format!("uninterrupted checkpointed run failed: {e}"))?;
     let total_ops = store.crash_ops();
     store.disarm_crash();
@@ -199,7 +194,7 @@ pub fn run_kill_resume(
     let mut dev = new_dev();
     let mut store = new_store()?;
     store.arm_crash(crash_after);
-    let interrupted_kind = match run_checkpointed(algorithm, &mut dev, g, &mut store, &ckpt, cell) {
+    let interrupted_kind = match run_durable(algorithm, &mut dev, g, &mut store, &ckpt, cell) {
         Err(e) => e.kind(),
         Ok(()) => {
             return Err(format!(
@@ -216,7 +211,7 @@ pub fn run_kill_resume(
     // Step 3: the resume — fresh device, fresh store, same directory.
     let mut dev = new_dev();
     let mut store = new_store()?;
-    run_checkpointed(algorithm, &mut dev, g, &mut store, &ckpt, cell)
+    run_durable(algorithm, &mut dev, g, &mut store, &ckpt, cell)
         .map_err(|e| format!("resume after a kill at op {crash_after}/{total_ops} failed: {e}"))?;
     check_exact(
         &store,

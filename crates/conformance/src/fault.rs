@@ -16,7 +16,7 @@
 use crate::corpus::{splitmix64, Case};
 use crate::runner::RunnerConfig;
 use apsp_core::ooc_boundary::ooc_boundary;
-use apsp_core::ooc_fw::{init_store_from_graph, ooc_floyd_warshall};
+use apsp_core::ooc_fw::ooc_floyd_warshall;
 use apsp_core::ooc_johnson::ooc_johnson;
 use apsp_core::options::{Algorithm, BoundaryOptions, FwOptions, JohnsonOptions};
 use apsp_core::{ApspError, ApspErrorKind, DiskFault, DiskFaultPlan, StorageBackend, TileStore};
@@ -218,8 +218,7 @@ fn run_algorithm(
 ) -> Result<u32, ApspError> {
     match algorithm {
         Algorithm::FloydWarshall => {
-            init_store_from_graph(g, store)?;
-            Ok(ooc_floyd_warshall(dev, store, &FwOptions::default())?.retries)
+            Ok(ooc_floyd_warshall(dev, g, store, &FwOptions::default())?.retries)
         }
         Algorithm::Johnson => Ok(ooc_johnson(dev, g, store, &JohnsonOptions::default())?.retries),
         Algorithm::Boundary => {

@@ -17,10 +17,10 @@
 
 use crate::corpus::{splitmix64, Case};
 use crate::runner::RunnerConfig;
-use apsp_core::multi_gpu::{ooc_boundary_multi, ooc_boundary_multi_checkpointed};
+use apsp_core::multi_gpu::{self, ooc_boundary_multi};
 use apsp_core::ooc_boundary::ooc_boundary;
 use apsp_core::options::BoundaryOptions;
-use apsp_core::{ApspErrorKind, Checkpoint, StorageBackend, TileStore};
+use apsp_core::{ApspErrorKind, Checkpoint, RunCtx, StorageBackend, TileStore};
 use apsp_cpu::{bgl_plus_apsp, DistMatrix};
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
 
@@ -223,12 +223,16 @@ pub fn run_multi_kill_resume(
     let new_store = || TileStore::new(n, &backend).map_err(|e| format!("store: {e}"));
     let ckpt = Checkpoint::new(&ckpt_dir, g).map_err(|e| format!("checkpoint dir: {e}"))?;
     ckpt.clear().map_err(|e| format!("stale checkpoint: {e}"))?;
+    let durable = RunCtx {
+        checkpoint: Some(&ckpt),
+        ..Default::default()
+    };
 
     // Step 1: uninterrupted run — matrix A and the op budget.
     let mut devs = new_fleet(kill_devices);
     let mut store = new_store()?;
     store.arm_crash(u64::MAX);
-    ooc_boundary_multi_checkpointed(&mut devs, g, &mut store, &opts, &ckpt)
+    multi_gpu::run(&mut devs, g, &mut store, &opts, &durable)
         .map_err(|e| format!("uninterrupted multi run failed: {e}"))?;
     let total_ops = store.crash_ops();
     store.disarm_crash();
@@ -256,15 +260,14 @@ pub fn run_multi_kill_resume(
     let mut devs = new_fleet(kill_devices);
     let mut store = new_store()?;
     store.arm_crash(crash_after);
-    let interrupted_kind =
-        match ooc_boundary_multi_checkpointed(&mut devs, g, &mut store, &opts, &ckpt) {
-            Err(e) => e.kind(),
-            Ok(_) => {
-                return Err(format!(
-                    "armed crash after {crash_after}/{total_ops} ops never fired"
-                ))
-            }
-        };
+    let interrupted_kind = match multi_gpu::run(&mut devs, g, &mut store, &opts, &durable) {
+        Err(e) => e.kind(),
+        Ok(_) => {
+            return Err(format!(
+                "armed crash after {crash_after}/{total_ops} ops never fired"
+            ))
+        }
+    };
     if interrupted_kind != ApspErrorKind::Storage {
         return Err(format!(
             "kill surfaced as {interrupted_kind:?}, expected Storage"
@@ -276,7 +279,7 @@ pub fn run_multi_kill_resume(
     // Step 3: resume on a different fleet shape.
     let mut devs = new_fleet(resume_devices);
     let mut store = new_store()?;
-    ooc_boundary_multi_checkpointed(&mut devs, g, &mut store, &opts, &ckpt)
+    multi_gpu::run(&mut devs, g, &mut store, &opts, &durable)
         .map_err(|e| format!("resume on {resume_devices} devices failed: {e}"))?;
     let resumed = store
         .to_dist_matrix()

@@ -22,11 +22,10 @@
 
 use crate::corpus::Case;
 use crate::runner::RunnerConfig;
-use apsp_core::ooc_boundary::ooc_boundary_supervised;
-use apsp_core::ooc_fw::ooc_floyd_warshall_guarded;
-use apsp_core::ooc_johnson::ooc_johnson_supervised;
+use apsp_core::ooc_boundary::ooc_boundary;
+use apsp_core::ooc_fw::ooc_floyd_warshall;
+use apsp_core::ooc_johnson::ooc_johnson;
 use apsp_core::options::{Algorithm, BoundaryOptions, FwOptions, JohnsonOptions, SdcGuardMode};
-use apsp_core::supervisor::Supervisor;
 use apsp_core::{ApspErrorKind, StorageBackend, TileStore};
 use apsp_cpu::bgl_plus_apsp;
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
@@ -182,7 +181,6 @@ pub fn run_under_bit_flip(
         FlipSite::Device { transfer, bit } => dev.inject_bit_flip(transfer, bit),
     }
 
-    let sup = Supervisor::unarmed();
     // (panel, round) recovery counts, per driver.
     let run = match algorithm {
         Algorithm::FloydWarshall => {
@@ -190,7 +188,7 @@ pub fn run_under_bit_flip(
                 sdc_guard: mode,
                 ..Default::default()
             };
-            ooc_floyd_warshall_guarded(&mut dev, g, &mut store, &opts, &sup)
+            ooc_floyd_warshall(&mut dev, g, &mut store, &opts)
                 .map(|s| (s.sdc_panel_recoveries, s.sdc_round_recoveries))
         }
         Algorithm::Johnson => {
@@ -198,7 +196,7 @@ pub fn run_under_bit_flip(
                 sdc_guard: mode,
                 ..Default::default()
             };
-            ooc_johnson_supervised(&mut dev, g, &mut store, &opts, &sup)
+            ooc_johnson(&mut dev, g, &mut store, &opts)
                 .map(|s| (s.sdc_panel_recoveries, s.sdc_round_recoveries))
         }
         Algorithm::Boundary => {
@@ -208,8 +206,7 @@ pub fn run_under_bit_flip(
             };
             // Boundary never reads the store, so its one exact rung is a
             // full recomputation — there is no panel-scoped count.
-            ooc_boundary_supervised(&mut dev, g, &mut store, &opts, &sup)
-                .map(|s| (0, s.sdc_round_recoveries))
+            ooc_boundary(&mut dev, g, &mut store, &opts).map(|s| (0, s.sdc_round_recoveries))
         }
     };
     dev.clear_bit_flips();
@@ -256,7 +253,7 @@ mod tests {
     use crate::corpus::Family;
 
     #[test]
-    fn a_store_flip_on_a_guarded_run_is_detected_and_repaired() {
+    fn store_flip_under_an_armed_guard_is_detected_and_repaired() {
         let cfg = RunnerConfig::default();
         let case = Case::generate(Family::ErdosRenyi, 0x5DC1);
         let out = run_under_bit_flip(

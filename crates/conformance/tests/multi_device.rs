@@ -99,9 +99,7 @@ fn adding_devices_never_slows_the_simulated_makespan() {
 #[test]
 fn multi_device_telemetry_has_per_device_spans_and_validates_against_the_schema() {
     use apsp_core::telemetry::{parse_json, validate_jsonl, Telemetry};
-    use apsp_core::{
-        ooc_boundary_multi_supervised, StorageBackend, SupervisionOptions, Supervisor, TileStore,
-    };
+    use apsp_core::{multi_gpu, RunCtx, StorageBackend, SupervisionOptions, Supervisor, TileStore};
 
     let cfg = RunnerConfig::default();
     let case = Case::generate(Family::Grid, 0xF1EE5);
@@ -112,12 +110,16 @@ fn multi_device_telemetry_has_per_device_spans_and_validates_against_the_schema(
     let mut store = TileStore::new(case.graph.num_vertices(), &StorageBackend::Memory).unwrap();
     let telemetry = Telemetry::enabled();
     let sup = Supervisor::with_telemetry(&SupervisionOptions::default(), 0.0, telemetry.clone());
-    let stats = ooc_boundary_multi_supervised(
+    let ctx = RunCtx {
+        supervisor: Some(&sup),
+        ..Default::default()
+    };
+    let stats = multi_gpu::run(
         &mut devs,
         &case.graph,
         &mut store,
         &BoundaryOptions::default(),
-        &sup,
+        &ctx,
     )
     .unwrap();
     let report = telemetry

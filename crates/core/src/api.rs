@@ -3,16 +3,11 @@
 use crate::calibration::{CalibrationStore, RefitCoefficients};
 use crate::checkpoint::{Checkpoint, Progress};
 use crate::error::{ApspError, ApspErrorKind};
-use crate::ooc_boundary::{
-    ooc_boundary_checkpointed_supervised, ooc_boundary_supervised, BoundaryRunStats,
-};
-use crate::ooc_fw::{
-    ooc_floyd_warshall_checkpointed_supervised, ooc_floyd_warshall_guarded, FwRunStats,
-};
-use crate::ooc_johnson::{
-    ooc_johnson_checkpointed_supervised, ooc_johnson_supervised, JohnsonRunStats,
-};
+use crate::ooc_boundary::{self, BoundaryRunStats};
+use crate::ooc_fw::{self, FwRunStats};
+use crate::ooc_johnson::{self, JohnsonRunStats};
 use crate::options::{Algorithm, ApspOptions};
+use crate::run_ctx::RunCtx;
 use crate::selector::{CostModels, JohnsonModel, Selection};
 use crate::supervisor::{FallbackEvent, SupervisionEvent, Supervisor};
 use crate::telemetry::{CalibrationRecord, RunReport, Telemetry};
@@ -365,34 +360,21 @@ fn run_one(
     ckpt: Option<&Checkpoint>,
     sup: &Supervisor,
 ) -> Result<(f64, RunDetails), ApspError> {
-    Ok(match (algorithm, ckpt) {
-        (Algorithm::FloydWarshall, Some(c)) => {
-            let stats =
-                ooc_floyd_warshall_checkpointed_supervised(dev, g, store, &opts.fw, c, sup)?;
+    let ctx = RunCtx {
+        supervisor: Some(sup),
+        checkpoint: ckpt,
+    };
+    Ok(match algorithm {
+        Algorithm::FloydWarshall => {
+            let stats = ooc_fw::run(dev, g, store, &opts.fw, &ctx)?;
             (stats.sim_seconds, RunDetails::FloydWarshall(stats))
         }
-        (Algorithm::FloydWarshall, None) => {
-            // The guarded entry seeds the store itself and keeps the
-            // graph at hand, so a detected corruption can be repaired
-            // by the panel-scoped rung instead of only a full replay.
-            let stats = ooc_floyd_warshall_guarded(dev, g, store, &opts.fw, sup)?;
-            (stats.sim_seconds, RunDetails::FloydWarshall(stats))
-        }
-        (Algorithm::Johnson, Some(c)) => {
-            let stats = ooc_johnson_checkpointed_supervised(dev, g, store, &opts.johnson, c, sup)?;
+        Algorithm::Johnson => {
+            let stats = ooc_johnson::run(dev, g, store, &opts.johnson, &ctx)?;
             (stats.sim_seconds, RunDetails::Johnson(stats))
         }
-        (Algorithm::Johnson, None) => {
-            let stats = ooc_johnson_supervised(dev, g, store, &opts.johnson, sup)?;
-            (stats.sim_seconds, RunDetails::Johnson(stats))
-        }
-        (Algorithm::Boundary, Some(c)) => {
-            let stats =
-                ooc_boundary_checkpointed_supervised(dev, g, store, &opts.boundary, c, sup)?;
-            (stats.sim_seconds, RunDetails::Boundary(stats))
-        }
-        (Algorithm::Boundary, None) => {
-            let stats = ooc_boundary_supervised(dev, g, store, &opts.boundary, sup)?;
+        Algorithm::Boundary => {
+            let stats = ooc_boundary::run(dev, g, store, &opts.boundary, &ctx)?;
             (stats.sim_seconds, RunDetails::Boundary(stats))
         }
     })

@@ -239,15 +239,48 @@ impl Checkpoint {
         Ok(Some(manifest))
     }
 
+    /// The resume preamble every driver shares: load the manifest of
+    /// `ckpt`, check that `cursor` recognizes its progress as this
+    /// driver's (naming `algorithm` in the error when it does not), run
+    /// the caller's `validate` on the cursor, then restore the snapshot
+    /// into `store`. `Ok(None)` — a fresh start — when no checkpoint is
+    /// armed or none is committed.
+    pub(crate) fn resume<R>(
+        ckpt: Option<&Checkpoint>,
+        store: &mut TileStore,
+        algorithm: &str,
+        cursor: impl FnOnce(Progress) -> Option<R>,
+        validate: impl FnOnce(&R) -> Result<(), ApspError>,
+    ) -> Result<Option<R>, ApspError> {
+        let Some(ckpt) = ckpt else {
+            return Ok(None);
+        };
+        let Some(m) = ckpt.load()? else {
+            return Ok(None);
+        };
+        let Some(resume) = cursor(m.progress) else {
+            return Err(ApspError::InvalidInput(format!(
+                "checkpoint in {} belongs to the `{}` algorithm, not {algorithm} — \
+                 delete it to start over",
+                ckpt.dir.display(),
+                m.progress.algorithm_tag()
+            )));
+        };
+        validate(&resume)?;
+        ckpt.restore_into(&m, store)?;
+        Ok(Some(resume))
+    }
+
     /// Verify the snapshot named by `manifest` against its recorded
     /// checksums and copy it into `store`, row by row. Checksum or size
-    /// mismatch is [`ApspError::Corruption`].
+    /// mismatch is [`ApspError::Corruption`]; a store of the wrong
+    /// dimension is [`ApspError::InvalidInput`].
     pub fn restore_into(
         &self,
         manifest: &Manifest,
         store: &mut TileStore,
     ) -> Result<(), ApspError> {
-        assert_eq!(store.n(), manifest.n, "restore target dimension mismatch");
+        crate::run_ctx::check_store(store, manifest.n)?;
         let state_path = self.dir.join(&manifest.state_file);
         let snapshot = TileStore::open(&state_path, manifest.n).map_err(|e| {
             if matches!(
@@ -686,6 +719,25 @@ mod tests {
         let mut store = TileStore::new(30, &StorageBackend::Memory).unwrap();
         let err = ckpt.restore_into(&m, &mut store).unwrap_err();
         assert_eq!(err.kind(), crate::ApspErrorKind::Corruption, "{err}");
+    }
+
+    #[test]
+    fn restore_into_a_wrong_sized_store_is_invalid_input() {
+        let g = gnp(30, 0.1, WeightRange::default(), 14);
+        let dir = tmp("wrong_size");
+        let ckpt = Checkpoint::new(&dir, &g).unwrap();
+        ckpt.commit(
+            &seeded_store(30, 8),
+            &Progress::Johnson {
+                batch_size: 5,
+                next_row: 10,
+            },
+        )
+        .unwrap();
+        let m = ckpt.load().unwrap().unwrap();
+        let mut store = TileStore::new(31, &StorageBackend::Memory).unwrap();
+        let err = ckpt.restore_into(&m, &mut store).unwrap_err();
+        assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput, "{err}");
     }
 
     #[test]

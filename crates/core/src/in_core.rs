@@ -8,10 +8,10 @@
 //! can be demonstrated (`repro ablation-incore`).
 
 use crate::error::ApspError;
-use apsp_cpu::DistMatrix;
+use apsp_cpu::{DistMatrix, ExecBackend};
 use apsp_gpu_sim::{GpuDevice, Pinning};
 use apsp_graph::{CsrGraph, Dist, VertexId, INF};
-use apsp_kernels::fw_block::fw_device;
+use apsp_kernels::fw_block::fw_device_exec;
 use apsp_kernels::DeviceMatrix;
 
 /// Statistics from an in-core run.
@@ -54,7 +54,7 @@ pub fn in_core_fw(
     let mut m = DeviceMatrix::alloc_inf(dev, n, n)?;
     if n > 0 {
         m.upload_rows(dev, s, 0, host.as_slice(), Pinning::Pinned);
-        fw_device(dev, s, &mut m);
+        fw_device_exec(dev, s, &mut m, ExecBackend::default());
     }
     let mut out = vec![INF as Dist; n * n];
     if n > 0 {

@@ -15,6 +15,11 @@
 //!   `A(i,j) = C2B[i] ⊗ bound(i,j) ⊗ B2C[j]` (dist₄), with the paper's
 //!   transfer-batching and compute/transfer-overlap optimizations.
 //!
+//! Each driver module (and [`multi_gpu`], the fleet form of the boundary
+//! algorithm) exports one `run(…, &RunCtx)` — [`RunCtx`] arms an
+//! optional supervisor and checkpoint — plus one four-argument
+//! convenience form with neither.
+//!
 //! [`selector`] implements Section IV: the density filter plus the three
 //! cost models, able to pick the winning implementation without running
 //! the full computation. [`api::apsp`] is the unified front-end.
@@ -34,6 +39,7 @@ pub mod ooc_fw;
 pub mod ooc_johnson;
 pub mod options;
 pub mod paths;
+pub mod run_ctx;
 pub mod sdc;
 pub mod selector;
 pub mod service;
@@ -48,14 +54,11 @@ pub use calibration::{
 };
 pub use checkpoint::{graph_fingerprint, Checkpoint, Manifest, Progress};
 pub use error::{ApspError, ApspErrorKind};
-pub use multi_gpu::{
-    ooc_boundary_multi, ooc_boundary_multi_checkpointed,
-    ooc_boundary_multi_checkpointed_supervised, ooc_boundary_multi_supervised, parse_fleet,
-    MultiGpuStats,
-};
+pub use multi_gpu::{ooc_boundary_multi, parse_fleet, MultiGpuStats};
 pub use options::{
     Algorithm, ApspOptions, BoundaryOptions, CheckpointOptions, JohnsonOptions, SdcGuardMode,
 };
+pub use run_ctx::RunCtx;
 pub use sdc::SdcGuard;
 pub use selector::{Candidate, CostModels, Selection, SelectorConfig};
 pub use service::{

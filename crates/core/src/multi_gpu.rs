@@ -31,16 +31,18 @@
 use crate::checkpoint::{Checkpoint, Progress};
 use crate::error::ApspError;
 use crate::ooc_boundary::{
-    default_num_components, working_set_fits_bytes, BOUNDARY_KERNEL_EFFICIENCY_DIVISOR,
+    adjacency_block, boundary_graph, default_num_components, extract_block, resume_cursor,
+    upload_panel, working_set_fits, write_panel, BOUNDARY_KERNEL_EFFICIENCY_DIVISOR,
 };
 use crate::options::BoundaryOptions;
+use crate::run_ctx::{check_store, RunCtx};
 use crate::selector::placement::FleetPlan;
 use crate::supervisor::{RetryState, RetryStep, Supervisor};
 use crate::tile_store::TileStore;
 use apsp_gpu_sim::{DeviceProfile, GpuDevice, Pinning};
-use apsp_graph::{CsrGraph, Dist, VertexId, INF};
+use apsp_graph::{CsrGraph, Dist, INF};
 use apsp_kernels::fw_block::fw_device_exec;
-use apsp_kernels::minplus::minplus_product_exec;
+use apsp_kernels::minplus::minplus_kernel_exec;
 use apsp_kernels::DeviceMatrix;
 use apsp_partition::{kway_partition, PartitionConfig, PartitionLayout};
 
@@ -71,92 +73,45 @@ pub struct MultiGpuStats {
     pub sdc_round_recoveries: u32,
 }
 
-/// Run the boundary algorithm across a fleet of simulated devices.
-///
-/// Returns [`ApspError::InvalidInput`] for an empty fleet or a store
-/// whose dimension does not match the graph, and
-/// [`ApspError::DeviceTooSmall`] when no feasible partition fits the
-/// smallest device — never panics on bad input.
+/// [`run`] unsupervised and without a checkpoint.
 pub fn ooc_boundary_multi(
     devs: &mut [GpuDevice],
     g: &CsrGraph,
     store: &mut TileStore,
     opts: &BoundaryOptions,
 ) -> Result<MultiGpuStats, ApspError> {
-    multi_driver(devs, g, store, opts, None, None, &Supervisor::unarmed())
+    run(devs, g, store, opts, &RunCtx::default())
 }
 
-/// [`ooc_boundary_multi`] under a [`Supervisor`]: the deadline, progress
-/// watchdog, and cancellation token are checked at every phase barrier
-/// and panel-flush barrier, and retries follow the supervisor's policy.
-pub fn ooc_boundary_multi_supervised(
+/// Run the boundary algorithm across a fleet of simulated devices.
+///
+/// Returns [`ApspError::InvalidInput`] for an empty fleet or a store
+/// whose dimension does not match the graph, and
+/// [`ApspError::DeviceTooSmall`] when no feasible partition fits the
+/// smallest device — never panics on bad input.
+///
+/// `ctx.supervisor` is checked at every phase barrier and panel-flush
+/// barrier and sets the retry policy. `ctx.checkpoint` arms the same
+/// durability as the single-device [`crate::ooc_boundary::run`], with
+/// the same manifest shape, so a run killed on one fleet resumes on
+/// another (or on a single device) bit-exactly: the committed cursor
+/// counts flushed components in partition order, which is
+/// device-count-independent.
+pub fn run(
     devs: &mut [GpuDevice],
     g: &CsrGraph,
     store: &mut TileStore,
     opts: &BoundaryOptions,
-    sup: &Supervisor,
+    ctx: &RunCtx,
 ) -> Result<MultiGpuStats, ApspError> {
-    multi_driver(devs, g, store, opts, None, None, sup)
-}
-
-/// [`ooc_boundary_multi`] with crash-safe durability. The manifest shape
-/// is shared with the single-device boundary driver, so a run killed on
-/// one fleet resumes on another (or on a single device) bit-exactly:
-/// the committed cursor counts flushed components in partition order,
-/// which is device-count-independent.
-pub fn ooc_boundary_multi_checkpointed(
-    devs: &mut [GpuDevice],
-    g: &CsrGraph,
-    store: &mut TileStore,
-    opts: &BoundaryOptions,
-    ckpt: &Checkpoint,
-) -> Result<MultiGpuStats, ApspError> {
-    ooc_boundary_multi_checkpointed_supervised(devs, g, store, opts, ckpt, &Supervisor::unarmed())
-}
-
-/// [`ooc_boundary_multi_checkpointed`] under a [`Supervisor`]. A run
-/// interrupted by a deadline, stall, or cancellation leaves its last
-/// committed panel flush in `ckpt`, so a later call resumes instead of
-/// starting over.
-pub fn ooc_boundary_multi_checkpointed_supervised(
-    devs: &mut [GpuDevice],
-    g: &CsrGraph,
-    store: &mut TileStore,
-    opts: &BoundaryOptions,
-    ckpt: &Checkpoint,
-    sup: &Supervisor,
-) -> Result<MultiGpuStats, ApspError> {
-    let resume = match ckpt.load()? {
-        Some(m) => {
-            let Progress::Boundary {
-                components,
-                partition_seed,
-                next_component,
-            } = m.progress
-            else {
-                return Err(ApspError::InvalidInput(format!(
-                    "checkpoint in {} belongs to the `{}` algorithm, not the boundary \
-                     algorithm — delete it to start over",
-                    ckpt.dir().display(),
-                    m.progress.algorithm_tag()
-                )));
-            };
-            if partition_seed != opts.partition_seed {
-                return Err(ApspError::InvalidInput(format!(
-                    "checkpoint committed panels under partition seed {partition_seed}, but \
-                     seed {} is configured — the committed rows would describe the wrong \
-                     vertex sets; resume with the same seed, or delete the checkpoint",
-                    opts.partition_seed
-                )));
-            }
-            ckpt.restore_into(&m, store)?;
-            Some((components, next_component))
-        }
-        None => None,
-    };
-    let stats = multi_driver(devs, g, store, opts, resume, Some(ckpt), sup)?;
-    ckpt.clear()?;
-    Ok(stats)
+    if devs.is_empty() {
+        return Err(ApspError::InvalidInput(
+            "multi-device run needs at least one device, but the fleet is empty".into(),
+        ));
+    }
+    check_store(store, g.num_vertices())?;
+    let resume = resume_cursor(ctx, store, opts)?;
+    ctx.finish(multi_driver(devs, g, store, opts, resume, ctx))
 }
 
 /// Parse a fleet spec like `"v100,k80"` into device profiles — the
@@ -184,29 +139,18 @@ pub fn parse_fleet(spec: &str) -> Result<Vec<DeviceProfile>, String> {
     Ok(fleet)
 }
 
-/// The retry-then-halve driver shared by every entry point, mirroring
-/// the single-device `boundary_driver` contract.
+/// The retry-then-halve driver behind [`run`], mirroring the
+/// single-device `boundary_driver` contract.
 fn multi_driver(
     devs: &mut [GpuDevice],
     g: &CsrGraph,
     store: &mut TileStore,
     opts: &BoundaryOptions,
     mut resume: Option<(usize, usize)>,
-    ckpt: Option<&Checkpoint>,
-    sup: &Supervisor,
+    ctx: &RunCtx,
 ) -> Result<MultiGpuStats, ApspError> {
-    if devs.is_empty() {
-        return Err(ApspError::InvalidInput(
-            "multi-device run needs at least one device, but the fleet is empty".into(),
-        ));
-    }
+    let (sup, ckpt) = (&ctx.supervisor(), ctx.checkpoint);
     let n = g.num_vertices();
-    if store.n() != n {
-        return Err(ApspError::InvalidInput(format!(
-            "tile store holds a {0}×{0} matrix but the graph has {n} vertices",
-            store.n()
-        )));
-    }
     if n == 0 {
         return Ok(MultiGpuStats {
             num_devices: devs.len(),
@@ -289,24 +233,6 @@ fn multi_driver(
     }
 }
 
-/// Whether the resident working set fits *every* device in the fleet —
-/// each device holds the full boundary matrix during dist₄, so the
-/// smallest device bounds feasibility.
-fn fits_fleet(devs: &[GpuDevice], layout: &PartitionLayout) -> bool {
-    let nb_max = (0..layout.num_components())
-        .map(|i| layout.boundary_count(i))
-        .max()
-        .unwrap_or(0);
-    devs.iter().all(|d| {
-        working_set_fits_bytes(
-            d.free_memory(),
-            layout.total_boundary(),
-            layout.max_component_size(),
-            nb_max,
-        )
-    })
-}
-
 #[allow(clippy::too_many_arguments)]
 fn multi_inner(
     devs: &mut [GpuDevice],
@@ -323,6 +249,10 @@ fn multi_inner(
     let tel = sup.telemetry().clone();
 
     // ---- Step 1: partition (host CPU), resume-aware, shrink-to-fit.
+    // Each device holds the full boundary matrix during dist₄, so the
+    // working set must fit *every* device: the smallest bounds
+    // feasibility.
+    let fits_fleet = |layout: &PartitionLayout| devs.iter().all(|d| working_set_fits(d, layout));
     let pcfg = PartitionConfig {
         seed: opts.partition_seed,
         ..Default::default()
@@ -331,7 +261,7 @@ fn multi_inner(
     let mut resumed_layout = None;
     if let Some((rk, next)) = resume {
         let candidate = PartitionLayout::new(g, &kway_partition(g, rk.clamp(1, n), &pcfg));
-        if candidate.num_components() == rk && fits_fleet(devs, &candidate) {
+        if candidate.num_components() == rk && fits_fleet(&candidate) {
             start_component = next.min(rk);
             resumed_layout = Some(candidate);
         }
@@ -349,7 +279,7 @@ fn multi_inner(
             let mut k = requested_k;
             loop {
                 let layout = PartitionLayout::new(g, &kway_partition(g, k, &pcfg));
-                if fits_fleet(devs, &layout) || k <= 2 {
+                if fits_fleet(&layout) || k <= 2 {
                     break layout;
                 }
                 k = (k / 2).max(2);
@@ -359,7 +289,7 @@ fn multi_inner(
     let pg = layout.permute_graph(g);
     let k = layout.num_components();
     let nb_total = layout.total_boundary();
-    if !fits_fleet(devs, &layout) {
+    if !fits_fleet(&layout) {
         let smallest = devs.iter().map(|d| d.free_memory()).min().unwrap_or(0);
         return Err(ApspError::DeviceTooSmall {
             algorithm: "multi-device boundary",
@@ -408,49 +338,7 @@ fn multi_inner(
     // ---- Phase 2: boundary graph solved on the fastest device,
     // broadcast to the rest.
     let mut spans: Vec<_> = devs.iter().map(|d| tel.phase_start(d)).collect();
-    let bofs: Vec<usize> = {
-        let mut v = vec![0usize];
-        for i in 0..k {
-            v.push(v[i] + layout.boundary_count(i));
-        }
-        v
-    };
-    let mut bound_host = vec![INF; nb_total * nb_total];
-    for d in 0..nb_total {
-        bound_host[d * nb_total + d] = 0;
-    }
-    for i in 0..k {
-        let nb = layout.boundary_count(i);
-        let sz = layout.component_size(i);
-        for a in 0..nb {
-            for b in 0..nb {
-                let d = dist2[i][a * sz + b];
-                let cell = &mut bound_host[(bofs[i] + a) * nb_total + (bofs[i] + b)];
-                if d < *cell {
-                    *cell = d;
-                }
-            }
-        }
-    }
-    let comp_of = component_index(&layout);
-    for v in 0..n as VertexId {
-        let ci = comp_of[v as usize];
-        let local_v = v as usize - layout.component_range(ci).start;
-        if local_v >= layout.boundary_count(ci) {
-            continue;
-        }
-        for (u, wgt) in pg.edges_from(v) {
-            let cj = comp_of[u as usize];
-            if ci == cj {
-                continue;
-            }
-            let local_u = u as usize - layout.component_range(cj).start;
-            let cell = &mut bound_host[(bofs[ci] + local_v) * nb_total + (bofs[cj] + local_u)];
-            if wgt < *cell {
-                *cell = wgt;
-            }
-        }
-    }
+    let (bofs, mut bound_host) = boundary_graph(&layout, &pg, &dist2);
     if nb_total > 0 {
         // Solve on the fastest profile: every other device waits on this
         // serial phase, so it belongs on the strongest device.
@@ -472,7 +360,7 @@ fn multi_inner(
                 continue;
             }
             let s = dev.default_stream();
-            let copy = upload(dev, nb_total, nb_total, &bound_host, s)?;
+            let copy = upload_panel(dev, s, nb_total, nb_total, &bound_host)?;
             drop(copy);
         }
     }
@@ -502,8 +390,8 @@ fn multi_inner(
         let irange = layout.component_range(i);
         let sz_i = irange.len();
         let nb_i = layout.boundary_count(i);
-        let c2b_host = extract_cols(&dist2[i], sz_i, 0..nb_i);
-        let c2b = upload(dev, sz_i, nb_i, &c2b_host, s)?;
+        let c2b_host = extract_block(&dist2[i], sz_i, 0..sz_i, 0..nb_i);
+        let c2b = upload_panel(dev, s, sz_i, nb_i, &c2b_host)?;
         let mut panel = vec![INF; sz_i * n];
         for j in 0..k {
             let jrange = layout.component_range(j);
@@ -514,12 +402,12 @@ fn multi_inner(
                 bofs[i]..bofs[i] + nb_i,
                 bofs[j]..bofs[j] + nb_j,
             );
-            let bound_ij = upload(dev, nb_i, nb_j, &bound_ij, s)?;
-            let b2c = upload(dev, nb_j, sz_j, &dist2[j][..nb_j * sz_j], s)?;
+            let bound_ij = upload_panel(dev, s, nb_i, nb_j, &bound_ij)?;
+            let b2c = upload_panel(dev, s, nb_j, sz_j, &dist2[j][..nb_j * sz_j])?;
             let mut tmp1 = DeviceMatrix::alloc_inf(dev, sz_i, nb_j)?;
-            minplus_product_exec(dev, s, &mut tmp1, &c2b, &bound_ij, opts.exec);
+            minplus_kernel_exec(dev, s, &mut tmp1, &c2b, &bound_ij, opts.exec);
             let mut block = DeviceMatrix::alloc_inf(dev, sz_i, sz_j)?;
-            minplus_product_exec(dev, s, &mut block, &tmp1, &b2c, opts.exec);
+            minplus_kernel_exec(dev, s, &mut block, &tmp1, &b2c, opts.exec);
             for r in 0..sz_i {
                 for c in 0..sz_j {
                     let mut v = block.get(r, c);
@@ -536,14 +424,7 @@ fn multi_inner(
         staging.as_mut_slice().copy_from_slice(&panel);
         let mut host_panel = vec![0 as Dist; sz_i * n];
         staging.download_rows(dev, s, 0..sz_i, &mut host_panel, Pinning::Pinned);
-        for (r, new_row) in irange.enumerate() {
-            let old_row = layout.old_of(new_row as VertexId) as usize;
-            for new_col in 0..n {
-                scatter_row[layout.old_of(new_col as VertexId) as usize] =
-                    host_panel[r * n + new_col];
-            }
-            store.write_row(old_row, &scatter_row)?;
-        }
+        write_panel(store, &layout, i, &host_panel, &mut scatter_row)?;
         // Flushed panel = unit of progress: supervision check, then the
         // checkpoint cursor advances (never past the final flush —
         // completion clears the checkpoint instead).
@@ -603,75 +484,11 @@ fn max_elapsed(devs: &[GpuDevice]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-fn component_index(layout: &PartitionLayout) -> Vec<usize> {
-    let mut comp = vec![0usize; layout.num_vertices()];
-    for i in 0..layout.num_components() {
-        for v in layout.component_range(i) {
-            comp[v] = i;
-        }
-    }
-    comp
-}
-
-fn adjacency_block(pg: &CsrGraph, range: std::ops::Range<usize>) -> Vec<Dist> {
-    let sz = range.len();
-    let mut block = vec![INF; sz * sz];
-    for r in 0..sz {
-        block[r * sz + r] = 0;
-    }
-    for (r, v) in range.clone().enumerate() {
-        for (u, wgt) in pg.edges_from(v as VertexId) {
-            let u = u as usize;
-            if range.contains(&u) && u != v {
-                let cell = &mut block[r * sz + (u - range.start)];
-                if wgt < *cell {
-                    *cell = wgt;
-                }
-            }
-        }
-    }
-    block
-}
-
-fn extract_cols(block: &[Dist], side: usize, cols: std::ops::Range<usize>) -> Vec<Dist> {
-    let mut out = Vec::with_capacity(side * cols.len());
-    for r in 0..side {
-        out.extend_from_slice(&block[r * side + cols.start..r * side + cols.end]);
-    }
-    out
-}
-
-fn extract_block(
-    m: &[Dist],
-    stride: usize,
-    rows: std::ops::Range<usize>,
-    cols: std::ops::Range<usize>,
-) -> Vec<Dist> {
-    let mut out = Vec::with_capacity(rows.len() * cols.len());
-    for r in rows {
-        out.extend_from_slice(&m[r * stride + cols.start..r * stride + cols.end]);
-    }
-    out
-}
-
-fn upload(
-    dev: &mut GpuDevice,
-    rows: usize,
-    cols: usize,
-    host: &[Dist],
-    stream: apsp_gpu_sim::StreamId,
-) -> Result<DeviceMatrix, ApspError> {
-    let mut m = DeviceMatrix::alloc_inf(dev, rows, cols)?;
-    if !host.is_empty() {
-        m.upload_rows(dev, stream, 0, host, Pinning::Pinned);
-    }
-    Ok(m)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::checkpoint::Checkpoint;
+    use crate::run_ctx::durable;
     use crate::supervisor::{CancelToken, SupervisionOptions};
     use crate::tile_store::StorageBackend;
     use apsp_cpu::{bgl_plus_apsp, ExecBackend};
@@ -683,7 +500,7 @@ mod tests {
             .collect()
     }
 
-    fn run(g: &CsrGraph, count: usize) -> (apsp_cpu::DistMatrix, MultiGpuStats) {
+    fn solve(g: &CsrGraph, count: usize) -> (apsp_cpu::DistMatrix, MultiGpuStats) {
         let mut devs = devices(count);
         let mut store = TileStore::new(g.num_vertices(), &StorageBackend::Memory).unwrap();
         let stats =
@@ -696,7 +513,7 @@ mod tests {
         let g = grid_2d(10, 10, GridOptions::default(), WeightRange::default(), 3);
         let reference = bgl_plus_apsp(&g);
         for count in [1, 2, 3, 4] {
-            let (result, stats) = run(&g, count);
+            let (result, stats) = solve(&g, count);
             assert_eq!(result, reference, "{count} devices");
             assert_eq!(stats.num_devices, count);
             assert_eq!(stats.placement.len(), stats.num_components);
@@ -706,8 +523,8 @@ mod tests {
     #[test]
     fn more_devices_reduce_simulated_time() {
         let g = grid_2d(22, 22, GridOptions::default(), WeightRange::default(), 7);
-        let (_, one) = run(&g, 1);
-        let (_, four) = run(&g, 4);
+        let (_, one) = solve(&g, 1);
+        let (_, four) = solve(&g, 4);
         assert!(
             four.sim_seconds < one.sim_seconds,
             "4 devices {} vs 1 device {}",
@@ -725,9 +542,9 @@ mod tests {
         // The replicated dist₃ phase bounds the speedup (Amdahl); with 8
         // devices the win over 4 must be smaller than 4 over 1.
         let g = grid_2d(20, 20, GridOptions::default(), WeightRange::default(), 9);
-        let (_, s1) = run(&g, 1);
-        let (_, s4) = run(&g, 4);
-        let (_, s8) = run(&g, 8);
+        let (_, s1) = solve(&g, 1);
+        let (_, s4) = solve(&g, 4);
+        let (_, s8) = solve(&g, 8);
         let gain_4 = s1.sim_seconds / s4.sim_seconds;
         let gain_8 = s4.sim_seconds / s8.sim_seconds;
         assert!(gain_4 > gain_8, "{gain_4} vs {gain_8}");
@@ -833,14 +650,11 @@ mod tests {
             ..Default::default()
         };
         let sup = Supervisor::new(&opts, 0.0);
-        let err = ooc_boundary_multi_supervised(
-            &mut devs,
-            &g,
-            &mut store,
-            &BoundaryOptions::default(),
-            &sup,
-        )
-        .unwrap_err();
+        let ctx = RunCtx {
+            supervisor: Some(&sup),
+            ..Default::default()
+        };
+        let err = run(&mut devs, &g, &mut store, &BoundaryOptions::default(), &ctx).unwrap_err();
         assert_eq!(err.kind(), crate::error::ApspErrorKind::Cancelled);
     }
 
@@ -867,10 +681,11 @@ mod tests {
             ..Default::default()
         };
         let sup = Supervisor::new(&sup_opts, 0.0);
-        let err = ooc_boundary_multi_checkpointed_supervised(
-            &mut devs, &g, &mut store, &opts, &ckpt, &sup,
-        )
-        .unwrap_err();
+        let ctx = RunCtx {
+            supervisor: Some(&sup),
+            checkpoint: Some(&ckpt),
+        };
+        let err = run(&mut devs, &g, &mut store, &opts, &ctx).unwrap_err();
         assert_eq!(err.kind(), crate::error::ApspErrorKind::Cancelled);
         // Resume on a *different* fleet shape: the cursor is
         // device-count-independent.
@@ -879,8 +694,7 @@ mod tests {
         let manifest = ckpt.load().unwrap().expect("a commit must have landed");
         ckpt.restore_into(&manifest, &mut store2).unwrap();
         drop(manifest);
-        let stats =
-            ooc_boundary_multi_checkpointed(&mut devs, &g, &mut store2, &opts, &ckpt).unwrap();
+        let stats = run(&mut devs, &g, &mut store2, &opts, &durable(&ckpt)).unwrap();
         assert_eq!(store2.to_dist_matrix().unwrap(), reference);
         assert!(stats.num_components >= 1);
         // Completion cleared the checkpoint.

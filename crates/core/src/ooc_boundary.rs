@@ -19,13 +19,14 @@
 use crate::checkpoint::{Checkpoint, Progress};
 use crate::error::ApspError;
 use crate::options::BoundaryOptions;
+use crate::run_ctx::{check_store, RunCtx};
 use crate::sdc::{SdcGuard, SDC_SAMPLE_SEED};
 use crate::supervisor::{RetryState, RetryStep, Supervisor};
 use crate::tile_store::TileStore;
 use apsp_gpu_sim::{DeviceBuffer, GpuDevice, KernelCost, LaunchConfig, Pinning, StreamId};
-use apsp_graph::{dist_add, CsrGraph, Dist, VertexId, INF};
+use apsp_graph::{CsrGraph, Dist, VertexId, INF};
 use apsp_kernels::fw_block::fw_device_exec;
-use apsp_kernels::minplus::minplus_product_exec;
+use apsp_kernels::minplus::minplus_kernel_exec;
 use apsp_kernels::DeviceMatrix;
 use apsp_partition::{kway_partition, PartitionConfig, PartitionLayout};
 
@@ -72,7 +73,17 @@ pub fn default_num_components(n: usize) -> usize {
 /// transfer fractions of 70–84%.
 pub const BOUNDARY_KERNEL_EFFICIENCY_DIVISOR: f64 = 8.0;
 
-/// Run the out-of-core boundary algorithm into `store`.
+/// [`run`] unsupervised and without a checkpoint.
+pub fn ooc_boundary(
+    dev: &mut GpuDevice,
+    g: &CsrGraph,
+    store: &mut TileStore,
+    opts: &BoundaryOptions,
+) -> Result<BoundaryRunStats, ApspError> {
+    run(dev, g, store, opts, &RunCtx::default())
+}
+
+/// Run the out-of-core boundary algorithm for `g` into `store`.
 ///
 /// A mid-run device allocation failure degrades gracefully instead of
 /// aborting: the run restarts — once at the same component count (a
@@ -80,107 +91,80 @@ pub const BOUNDARY_KERNEL_EFFICIENCY_DIVISOR: f64 = 8.0;
 /// device shrank). Restarts are exact: the boundary algorithm never
 /// reads the store, so a retry simply recomputes and overwrites every
 /// row panel from the graph.
-pub fn ooc_boundary(
-    dev: &mut GpuDevice,
-    g: &CsrGraph,
-    store: &mut TileStore,
-    opts: &BoundaryOptions,
-) -> Result<BoundaryRunStats, ApspError> {
-    boundary_driver(dev, g, store, opts, None, None, &Supervisor::unarmed())
-}
-
-/// [`ooc_boundary`] under a [`Supervisor`]: the deadline, progress
-/// watchdog, and cancellation token are checked at every component
-/// flush barrier, and retries follow the supervisor's policy.
-pub fn ooc_boundary_supervised(
-    dev: &mut GpuDevice,
-    g: &CsrGraph,
-    store: &mut TileStore,
-    opts: &BoundaryOptions,
-    sup: &Supervisor,
-) -> Result<BoundaryRunStats, ApspError> {
-    boundary_driver(dev, g, store, opts, None, None, sup)
-}
-
-/// [`ooc_boundary`] with crash-safe durability: dist₄ progress commits
-/// to `ckpt` after every streamed panel group, and a checkpoint already
-/// present in `ckpt`'s directory (validated against `g` and the store
-/// checksums) is resumed — dist₂/dist₃ are recomputed (deterministic
-/// given the partition), then the streaming phase skips the committed
-/// components. The checkpoint is cleared on successful completion.
 ///
-/// The committed cursor only transfers to the identical partition: the
-/// manifest's seed must match `opts.partition_seed` (a mismatch is
-/// [`ApspError::InvalidInput`]), and if the committed component count no
-/// longer fits the device the run restarts from scratch instead — still
-/// exact, every panel is recomputed.
-pub fn ooc_boundary_checkpointed(
+/// `ctx.supervisor` is checked at every component flush barrier and
+/// sets the retry policy. With `ctx.checkpoint`, dist₄ progress commits
+/// after every streamed panel group, and a committed checkpoint
+/// (validated against `g` and the store checksums) is resumed — dist₂
+/// and dist₃ are recomputed (deterministic given the partition), then
+/// the streaming phase skips the committed components; the checkpoint
+/// is cleared on success. The committed cursor only transfers to the
+/// identical partition: a manifest committed under another
+/// `opts.partition_seed` is an [`ApspError::InvalidInput`], and if the
+/// committed component count no longer fits the device the run
+/// restarts from scratch instead — still exact, every panel is
+/// recomputed.
+pub fn run(
     dev: &mut GpuDevice,
     g: &CsrGraph,
     store: &mut TileStore,
     opts: &BoundaryOptions,
-    ckpt: &Checkpoint,
+    ctx: &RunCtx,
 ) -> Result<BoundaryRunStats, ApspError> {
-    ooc_boundary_checkpointed_supervised(dev, g, store, opts, ckpt, &Supervisor::unarmed())
+    check_store(store, g.num_vertices())?;
+    let resume = resume_cursor(ctx, store, opts)?;
+    ctx.finish(boundary_driver(dev, g, store, opts, resume, ctx))
 }
 
-/// [`ooc_boundary_checkpointed`] under a [`Supervisor`]. A run
-/// interrupted by a deadline, stall, or cancellation leaves its last
-/// committed component flush in `ckpt`, so a later call resumes instead
-/// of starting over.
-pub fn ooc_boundary_checkpointed_supervised(
-    dev: &mut GpuDevice,
-    g: &CsrGraph,
+/// The boundary resume preamble, shared with the multi-device driver
+/// (both commit the same manifest shape): `(components,
+/// next_component)` of a committed checkpoint, which must have been
+/// written under `opts.partition_seed` — another seed's panels would
+/// describe the wrong vertex sets.
+pub(crate) fn resume_cursor(
+    ctx: &RunCtx,
     store: &mut TileStore,
     opts: &BoundaryOptions,
-    ckpt: &Checkpoint,
-    sup: &Supervisor,
-) -> Result<BoundaryRunStats, ApspError> {
-    let resume = match ckpt.load()? {
-        Some(m) => {
-            let Progress::Boundary {
+) -> Result<Option<(usize, usize)>, ApspError> {
+    let resume = Checkpoint::resume(
+        ctx.checkpoint,
+        store,
+        "the boundary algorithm",
+        |p| match p {
+            Progress::Boundary {
                 components,
                 partition_seed,
                 next_component,
-            } = m.progress
-            else {
-                return Err(ApspError::InvalidInput(format!(
-                    "checkpoint in {} belongs to the `{}` algorithm, not the boundary \
-                     algorithm — delete it to start over",
-                    ckpt.dir().display(),
-                    m.progress.algorithm_tag()
-                )));
-            };
-            if partition_seed != opts.partition_seed {
-                return Err(ApspError::InvalidInput(format!(
-                    "checkpoint committed panels under partition seed {partition_seed}, but \
-                     seed {} is configured — the committed rows would describe the wrong \
-                     vertex sets; resume with the same seed, or delete the checkpoint",
-                    opts.partition_seed
-                )));
+            } => Some((components, partition_seed, next_component)),
+            _ => None,
+        },
+        |&(_, partition_seed, _)| {
+            if partition_seed == opts.partition_seed {
+                return Ok(());
             }
-            ckpt.restore_into(&m, store)?;
-            Some((components, next_component))
-        }
-        None => None,
-    };
-    let stats = boundary_driver(dev, g, store, opts, resume, Some(ckpt), sup)?;
-    ckpt.clear()?;
-    Ok(stats)
+            Err(ApspError::InvalidInput(format!(
+                "checkpoint committed panels under partition seed {partition_seed}, but \
+                 seed {} is configured — the committed rows would describe the wrong \
+                 vertex sets; resume with the same seed, or delete the checkpoint",
+                opts.partition_seed
+            )))
+        },
+    )?;
+    Ok(resume.map(|(components, _, next_component)| (components, next_component)))
 }
 
-/// The retry-then-halve driver shared by the plain and checkpointed
-/// entry points. `resume` carries `(components, next_component)` from a
-/// restored manifest; restarts drop the cursor and recompute everything.
+/// The retry-then-halve driver behind [`run`]. `resume` carries
+/// `(components, next_component)` from a restored manifest; restarts
+/// drop the cursor and recompute everything.
 fn boundary_driver(
     dev: &mut GpuDevice,
     g: &CsrGraph,
     store: &mut TileStore,
     opts: &BoundaryOptions,
     mut resume: Option<(usize, usize)>,
-    ckpt: Option<&Checkpoint>,
-    sup: &Supervisor,
+    ctx: &RunCtx,
 ) -> Result<BoundaryRunStats, ApspError> {
+    let (sup, ckpt) = (&ctx.supervisor(), ctx.checkpoint);
     let n = g.num_vertices();
     let mut opts_eff = *opts;
     let mut commits = 0u32;
@@ -279,7 +263,6 @@ fn ooc_boundary_inner(
     guard: &mut SdcGuard,
 ) -> Result<BoundaryRunStats, ApspError> {
     let n = g.num_vertices();
-    assert_eq!(store.n(), n);
     if n == 0 {
         return Ok(BoundaryRunStats {
             num_components: 0,
@@ -397,57 +380,7 @@ fn ooc_boundary_inner(
 
     // ---- Step 3: the boundary graph and dist₃.
     let ph = tel.phase_start(dev);
-    let bofs: Vec<usize> = {
-        let mut v = Vec::with_capacity(k + 1);
-        let mut acc = 0usize;
-        v.push(0);
-        for i in 0..k {
-            acc += layout.boundary_count(i);
-            v.push(acc);
-        }
-        v
-    };
-    let mut bound_host = vec![INF; nb_total * nb_total];
-    for d in 0..nb_total {
-        bound_host[d * nb_total + d] = 0;
-    }
-    // Virtual edges: dist₂ restricted to boundary × boundary of each
-    // component (boundary nodes occupy each block's first rows/cols).
-    for i in 0..k {
-        let nb = layout.boundary_count(i);
-        let sz = layout.component_size(i);
-        for a in 0..nb {
-            for b in 0..nb {
-                let d = dist2[i][a * sz + b];
-                let cell = &mut bound_host[(bofs[i] + a) * nb_total + (bofs[i] + b)];
-                if d < *cell {
-                    *cell = d;
-                }
-            }
-        }
-    }
-    // Original cross-component edges (both endpoints are boundary nodes
-    // by definition).
-    let comp_of = component_index(&layout);
-    for v in 0..n as VertexId {
-        let ci = comp_of[v as usize];
-        let local_v = v as usize - layout.component_range(ci).start;
-        if local_v >= layout.boundary_count(ci) {
-            continue; // interior vertex: no cross edges by definition
-        }
-        for (u, wgt) in pg.edges_from(v) {
-            let cj = comp_of[u as usize];
-            if ci == cj {
-                continue;
-            }
-            let local_u = u as usize - layout.component_range(cj).start;
-            debug_assert!(local_u < layout.boundary_count(cj));
-            let cell = &mut bound_host[(bofs[ci] + local_v) * nb_total + (bofs[cj] + local_u)];
-            if wgt < *cell {
-                *cell = wgt;
-            }
-        }
-    }
+    let (bofs, bound_host) = boundary_graph(&layout, &pg, &dist2);
     let mut bound = DeviceMatrix::alloc_inf(dev, nb_total, nb_total)?;
     if nb_total > 0 {
         bound.upload_rows(dev, s0, 0, &bound_host, Pinning::Pinned);
@@ -514,7 +447,7 @@ fn ooc_boundary_inner(
         let stream = pick_stream(opts, active, s0, s1);
         // C2B[i]: all rows × boundary columns of dist₂(i) (device-side
         // extraction; charged as a copy kernel).
-        let c2b_host = extract_cols(&dist2[i], sz_i, 0..nb_i);
+        let c2b_host = extract_block(&dist2[i], sz_i, 0..sz_i, 0..nb_i);
         let c2b = upload_panel(dev, stream, sz_i, nb_i, &c2b_host)?;
         charge_extract(dev, stream, sz_i * nb_i);
 
@@ -533,9 +466,9 @@ fn ooc_boundary_inner(
 
             // tmp₁ = C2B[i] ⊗ bound(i,j);  block = tmp₁ ⊗ B2C[j].
             let mut tmp1 = DeviceMatrix::alloc_inf(dev, sz_i, nb_j)?;
-            minplus_product_exec(dev, stream, &mut tmp1, &c2b, &bound_ij, opts.exec);
+            minplus_kernel_exec(dev, stream, &mut tmp1, &c2b, &bound_ij, opts.exec);
             let mut block = DeviceMatrix::alloc_inf(dev, sz_i, sz_j)?;
-            minplus_product_exec(dev, stream, &mut block, &tmp1, &b2c, opts.exec);
+            minplus_kernel_exec(dev, stream, &mut block, &tmp1, &b2c, opts.exec);
             if i == j {
                 // Same-component pairs also have the all-interior paths of
                 // dist₂; elementwise min (one fused kernel in the real
@@ -679,7 +612,7 @@ fn staging_fits(dev: &GpuDevice, opts: &BoundaryOptions, layout: &PartitionLayou
 }
 
 /// Quick feasibility estimate used while shrinking `k`.
-fn working_set_fits(dev: &GpuDevice, layout: &PartitionLayout) -> bool {
+pub(crate) fn working_set_fits(dev: &GpuDevice, layout: &PartitionLayout) -> bool {
     let nb_max = (0..layout.num_components())
         .map(|i| layout.boundary_count(i))
         .max()
@@ -722,6 +655,63 @@ fn working_set_bytes(
     bound_bytes + per_block
 }
 
+/// Assemble the boundary graph on the host as a dense `NB × NB` matrix
+/// (zero diagonal): the virtual edges — dist₂ restricted to each
+/// component's boundary × boundary, whose nodes occupy each block's
+/// first rows and columns — plus the original cross-component edges,
+/// both of whose endpoints are boundary nodes by definition. Returns
+/// each component's offset into it (`k + 1` entries) with the matrix.
+pub(crate) fn boundary_graph(
+    layout: &PartitionLayout,
+    pg: &CsrGraph,
+    dist2: &[Vec<Dist>],
+) -> (Vec<usize>, Vec<Dist>) {
+    let k = layout.num_components();
+    let nb_total = layout.total_boundary();
+    let mut bofs = vec![0usize];
+    for i in 0..k {
+        bofs.push(bofs[i] + layout.boundary_count(i));
+    }
+    let mut bound = vec![INF; nb_total * nb_total];
+    for d in 0..nb_total {
+        bound[d * nb_total + d] = 0;
+    }
+    for i in 0..k {
+        let nb = layout.boundary_count(i);
+        let sz = layout.component_size(i);
+        for a in 0..nb {
+            for b in 0..nb {
+                let d = dist2[i][a * sz + b];
+                let cell = &mut bound[(bofs[i] + a) * nb_total + (bofs[i] + b)];
+                if d < *cell {
+                    *cell = d;
+                }
+            }
+        }
+    }
+    let comp_of = component_index(layout);
+    for v in 0..layout.num_vertices() as VertexId {
+        let ci = comp_of[v as usize];
+        let local_v = v as usize - layout.component_range(ci).start;
+        if local_v >= layout.boundary_count(ci) {
+            continue; // interior vertex: no cross edges by definition
+        }
+        for (u, wgt) in pg.edges_from(v) {
+            let cj = comp_of[u as usize];
+            if ci == cj {
+                continue;
+            }
+            let local_u = u as usize - layout.component_range(cj).start;
+            debug_assert!(local_u < layout.boundary_count(cj));
+            let cell = &mut bound[(bofs[ci] + local_v) * nb_total + (bofs[cj] + local_u)];
+            if wgt < *cell {
+                *cell = wgt;
+            }
+        }
+    }
+    (bofs, bound)
+}
+
 /// Map each (permuted) vertex to its component index.
 fn component_index(layout: &PartitionLayout) -> Vec<usize> {
     let mut comp = vec![0usize; layout.num_vertices()];
@@ -734,7 +724,7 @@ fn component_index(layout: &PartitionLayout) -> Vec<usize> {
 }
 
 /// Dense adjacency block of `range × range` from the permuted graph.
-fn adjacency_block(pg: &CsrGraph, range: std::ops::Range<usize>) -> Vec<Dist> {
+pub(crate) fn adjacency_block(pg: &CsrGraph, range: std::ops::Range<usize>) -> Vec<Dist> {
     let sz = range.len();
     let mut block = vec![INF; sz * sz];
     for r in 0..sz {
@@ -754,17 +744,22 @@ fn adjacency_block(pg: &CsrGraph, range: std::ops::Range<usize>) -> Vec<Dist> {
     block
 }
 
-fn extract_cols(block: &[Dist], side: usize, cols: std::ops::Range<usize>) -> Vec<Dist> {
-    let width = cols.len();
-    let mut out = Vec::with_capacity(side * width);
-    for r in 0..side {
-        out.extend_from_slice(&block[r * side + cols.start..r * side + cols.end]);
+/// The `rows × cols` block of a row-major matrix with rows of `stride`.
+pub(crate) fn extract_block(
+    m: &[Dist],
+    stride: usize,
+    rows: std::ops::Range<usize>,
+    cols: std::ops::Range<usize>,
+) -> Vec<Dist> {
+    let mut out = Vec::with_capacity(rows.len() * cols.len());
+    for r in rows {
+        out.extend_from_slice(&m[r * stride + cols.start..r * stride + cols.end]);
     }
     out
 }
 
 /// Upload a host panel into a fresh device matrix, charging the H2D.
-fn upload_panel(
+pub(crate) fn upload_panel(
     dev: &mut GpuDevice,
     stream: StreamId,
     rows: usize,
@@ -848,7 +843,7 @@ fn flush_staging(
 
 /// Scatter component `comp`'s row panel (permuted order, width `n`) into
 /// the store under original vertex ids.
-fn write_panel(
+pub(crate) fn write_panel(
     store: &mut TileStore,
     layout: &PartitionLayout,
     comp: usize,
@@ -878,17 +873,10 @@ fn pick_stream(opts: &BoundaryOptions, active: usize, s0: StreamId, s1: StreamId
     }
 }
 
-// Unused-import guard: dist_add is used in debug assertions narrative
-// only; keep a reference so the import stays meaningful if assertions
-// change.
-#[allow(dead_code)]
-fn _type_check() -> Dist {
-    dist_add(0, 0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_ctx::durable;
     use crate::tile_store::StorageBackend;
     use apsp_cpu::bgl_plus_apsp;
     use apsp_gpu_sim::DeviceProfile;
@@ -1085,7 +1073,7 @@ mod tests {
             ..Default::default()
         };
         let ckpt = Checkpoint::new(ckpt_dir("clean"), &g).unwrap();
-        let stats = ooc_boundary_checkpointed(&mut dev, &g, &mut store, &opts, &ckpt).unwrap();
+        let stats = run(&mut dev, &g, &mut store, &opts, &durable(&ckpt)).unwrap();
         assert_eq!(stats.checkpoint_commits as usize, stats.num_components - 1);
         assert!(ckpt.load().unwrap().is_none(), "cleared on completion");
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
@@ -1106,7 +1094,7 @@ mod tests {
         // after a couple of components committed.
         store.arm_crash(300);
         let ckpt = Checkpoint::new(&dir, &g).unwrap();
-        let err = ooc_boundary_checkpointed(&mut dev, &g, &mut store, &opts, &ckpt).unwrap_err();
+        let err = run(&mut dev, &g, &mut store, &opts, &durable(&ckpt)).unwrap_err();
         assert_eq!(err.kind(), crate::ApspErrorKind::Storage);
         drop(store);
         let probe = Checkpoint::new(&dir, &g).unwrap();
@@ -1119,7 +1107,7 @@ mod tests {
         let mut dev = GpuDevice::new(DeviceProfile::v100());
         let mut store = TileStore::new(100, &StorageBackend::Memory).unwrap();
         let ckpt = Checkpoint::new(&dir, &g).unwrap();
-        ooc_boundary_checkpointed(&mut dev, &g, &mut store, &opts, &ckpt).unwrap();
+        run(&mut dev, &g, &mut store, &opts, &durable(&ckpt)).unwrap();
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
         assert!(ckpt.load().unwrap().is_none());
     }
@@ -1137,7 +1125,7 @@ mod tests {
         let mut store = TileStore::new(100, &StorageBackend::Memory).unwrap();
         store.arm_crash(300);
         let ckpt = Checkpoint::new(&dir, &g).unwrap();
-        ooc_boundary_checkpointed(&mut dev, &g, &mut store, &opts, &ckpt).unwrap_err();
+        run(&mut dev, &g, &mut store, &opts, &durable(&ckpt)).unwrap_err();
         drop(store);
         let mut dev = GpuDevice::new(DeviceProfile::v100());
         let mut store = TileStore::new(100, &StorageBackend::Memory).unwrap();
@@ -1146,8 +1134,7 @@ mod tests {
             partition_seed: opts.partition_seed + 1,
             ..opts
         };
-        let err =
-            ooc_boundary_checkpointed(&mut dev, &g, &mut store, &other_seed, &ckpt).unwrap_err();
+        let err = run(&mut dev, &g, &mut store, &other_seed, &durable(&ckpt)).unwrap_err();
         assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput, "{err}");
     }
 
@@ -1208,7 +1195,11 @@ mod tests {
             sdc_guard: SdcGuardMode::Checksum,
             ..Default::default()
         };
-        let err = ooc_boundary_supervised(&mut dev, &g, &mut store, &opts, &sup).unwrap_err();
+        let ctx = RunCtx {
+            supervisor: Some(&sup),
+            ..Default::default()
+        };
+        let err = run(&mut dev, &g, &mut store, &opts, &ctx).unwrap_err();
         assert_eq!(err.kind(), crate::ApspErrorKind::SilentCorruption, "{err}");
     }
 

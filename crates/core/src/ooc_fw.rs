@@ -9,6 +9,7 @@
 use crate::checkpoint::{Checkpoint, Progress};
 use crate::error::ApspError;
 use crate::options::FwOptions;
+use crate::run_ctx::{check_store, RunCtx};
 use crate::sdc::SdcGuard;
 use crate::supervisor::{RetryState, RetryStep, Supervisor};
 use crate::tile_store::{TileStore, SDC_PANEL_ROWS};
@@ -47,18 +48,26 @@ pub struct FwRunStats {
 
 /// Seed `store` with the adjacency of `g` (zero diagonal, weights, `INF`).
 pub fn init_store_from_graph(g: &CsrGraph, store: &mut TileStore) -> Result<(), ApspError> {
-    let n = g.num_vertices();
-    assert_eq!(store.n(), n);
-    let mut row = vec![INF; n];
-    for v in 0..n as VertexId {
+    check_store(store, g.num_vertices())?;
+    seed_rows(g, store, 0..g.num_vertices())
+}
+
+/// Write the adjacency initialization of `rows`, one store row each.
+fn seed_rows(
+    g: &CsrGraph,
+    store: &mut TileStore,
+    rows: std::ops::Range<usize>,
+) -> Result<(), ApspError> {
+    let mut row = vec![INF; g.num_vertices()];
+    for v in rows {
         row.fill(INF);
-        row[v as usize] = 0;
-        for (u, w) in g.edges_from(v) {
-            if u != v && w < row[u as usize] {
+        row[v] = 0;
+        for (u, w) in g.edges_from(v as VertexId) {
+            if u as usize != v && w < row[u as usize] {
                 row[u as usize] = w;
             }
         }
-        store.write_row(v as usize, &row)?;
+        store.write_row(v, &row)?;
     }
     Ok(())
 }
@@ -71,8 +80,19 @@ pub fn max_block_side(dev: &GpuDevice, buffers: usize) -> usize {
     (per_buffer as f64).sqrt().floor() as usize
 }
 
-/// Run out-of-core blocked Floyd-Warshall over `store` (which must hold
-/// the adjacency initialization; see [`init_store_from_graph`]).
+/// [`run`] unsupervised and without a checkpoint.
+pub fn ooc_floyd_warshall(
+    dev: &mut GpuDevice,
+    g: &CsrGraph,
+    store: &mut TileStore,
+    opts: &FwOptions,
+) -> Result<FwRunStats, ApspError> {
+    run(dev, g, store, opts, &RunCtx::default())
+}
+
+/// Run out-of-core blocked Floyd-Warshall for `g` into `store`, which
+/// the run seeds from `g` itself — the caller must *not* pre-initialize
+/// it.
 ///
 /// With automatic blocking (`opts.block_size == None`) a mid-run device
 /// allocation failure degrades gracefully instead of aborting: the run
@@ -84,136 +104,69 @@ pub fn max_block_side(dev: &GpuDevice, buffers: usize) -> usize {
 /// any such state converges to the same metric closure (min-plus
 /// relaxations are monotone and order-insensitive). A caller-forced
 /// block size propagates the failure instead.
-pub fn ooc_floyd_warshall(
-    dev: &mut GpuDevice,
-    store: &mut TileStore,
-    opts: &FwOptions,
-) -> Result<FwRunStats, ApspError> {
-    fw_driver(dev, store, opts, None, None, &Supervisor::unarmed(), None)
-}
-
-/// [`ooc_floyd_warshall`] under a [`Supervisor`]: the deadline, progress
-/// watchdog, and cancellation token are checked at every pivot-round
-/// barrier, and retries follow the supervisor's policy.
-pub fn ooc_floyd_warshall_supervised(
-    dev: &mut GpuDevice,
-    store: &mut TileStore,
-    opts: &FwOptions,
-    sup: &Supervisor,
-) -> Result<FwRunStats, ApspError> {
-    fw_driver(dev, store, opts, None, None, sup, None)
-}
-
-/// [`ooc_floyd_warshall_supervised`] with the graph in hand, which is
-/// what arms the silent-corruption recovery ladder: a guard detection
-/// localized to one panel resets just that panel's rows to their
-/// adjacency initialization and replays (exact, by min-plus
-/// monotonicity — see [`ooc_floyd_warshall`]'s restart argument), and
-/// an unlocalized detection reseeds the whole store from `g`. Seeds the
-/// store from `g` itself — the caller must *not* pre-initialize it.
-/// Without the graph (the plain entry points), a detection propagates
-/// as a typed [`ApspError::SilentCorruption`] once the checkpoint-less
-/// ladder is exhausted.
-pub fn ooc_floyd_warshall_guarded(
-    dev: &mut GpuDevice,
-    g: &CsrGraph,
-    store: &mut TileStore,
-    opts: &FwOptions,
-    sup: &Supervisor,
-) -> Result<FwRunStats, ApspError> {
-    assert_eq!(store.n(), g.num_vertices());
-    init_store_from_graph(g, store)?;
-    fw_driver(dev, store, opts, None, None, sup, Some(g))
-}
-
-/// [`ooc_floyd_warshall`] with crash-safe durability: progress commits to
-/// `ckpt` after every pivot round, and a checkpoint already present in
-/// `ckpt`'s directory (validated against `g` and the store checksums) is
-/// resumed instead of starting over. The checkpoint is cleared on
-/// successful completion. Seeds the store from `g` itself on a fresh
-/// start — the caller must *not* pre-initialize it.
 ///
-/// Rounds are only resumable at the blocking they committed under: a
-/// forced `opts.block_size` that disagrees with the manifest is an
-/// [`ApspError::InvalidInput`]; in auto mode an infeasible manifest
-/// block re-fits and replays all rounds on the restored snapshot (exact,
-/// by the same monotonicity argument as the OOM restarts).
-pub fn ooc_floyd_warshall_checkpointed(
+/// The graph arms the silent-corruption recovery ladder: a guard
+/// detection localized to one panel resets just that panel's rows to
+/// their adjacency initialization and replays (exact, by the same
+/// monotonicity argument), and an unlocalized one restores the last
+/// checkpoint snapshot or reseeds the whole store from `g`.
+///
+/// `ctx.supervisor` is checked at every pivot-round barrier and sets
+/// the retry policy. With `ctx.checkpoint`, progress commits after every
+/// pivot round, a committed checkpoint (validated against `g` and the
+/// store checksums) is resumed instead of starting over, and the
+/// checkpoint is cleared on success. Rounds are only resumable at the
+/// blocking they committed under: a forced `opts.block_size` that
+/// disagrees with the manifest is an [`ApspError::InvalidInput`]; in
+/// auto mode an infeasible manifest block re-fits and replays all
+/// rounds on the restored snapshot.
+pub fn run(
     dev: &mut GpuDevice,
     g: &CsrGraph,
     store: &mut TileStore,
     opts: &FwOptions,
-    ckpt: &Checkpoint,
-) -> Result<FwRunStats, ApspError> {
-    ooc_floyd_warshall_checkpointed_supervised(dev, g, store, opts, ckpt, &Supervisor::unarmed())
-}
-
-/// [`ooc_floyd_warshall_checkpointed`] under a [`Supervisor`]. A run
-/// interrupted by a deadline, stall, or cancellation leaves its last
-/// committed round in `ckpt`, so a later call resumes instead of
-/// starting over.
-pub fn ooc_floyd_warshall_checkpointed_supervised(
-    dev: &mut GpuDevice,
-    g: &CsrGraph,
-    store: &mut TileStore,
-    opts: &FwOptions,
-    ckpt: &Checkpoint,
-    sup: &Supervisor,
+    ctx: &RunCtx,
 ) -> Result<FwRunStats, ApspError> {
     let n = g.num_vertices();
-    assert_eq!(store.n(), n);
-    let resume = match ckpt.load()? {
-        Some(m) => {
-            let Progress::FloydWarshall { block, next_round } = m.progress else {
-                return Err(ApspError::InvalidInput(format!(
-                    "checkpoint in {} belongs to the `{}` algorithm, not Floyd-Warshall — \
-                     delete it to start over",
-                    ckpt.dir().display(),
-                    m.progress.algorithm_tag()
-                )));
-            };
-            if let Some(forced) = opts.block_size {
-                let forced = forced.min(n).max(1);
-                if forced != block {
-                    return Err(ApspError::InvalidInput(format!(
-                        "checkpoint committed rounds at block {block} but block {forced} was \
-                         forced — resume with the same block, or delete the checkpoint"
-                    )));
-                }
-            }
-            ckpt.restore_into(&m, store)?;
-            Some((block, next_round))
-        }
-        None => {
-            init_store_from_graph(g, store)?;
-            None
-        }
-    };
-    let stats = fw_driver(dev, store, opts, resume, Some(ckpt), sup, Some(g))?;
-    ckpt.clear()?;
-    Ok(stats)
+    check_store(store, n)?;
+    let resume = Checkpoint::resume(
+        ctx.checkpoint,
+        store,
+        "Floyd-Warshall",
+        |p| match p {
+            Progress::FloydWarshall { block, next_round } => Some((block, next_round)),
+            _ => None,
+        },
+        |&(block, _)| match opts.block_size.map(|b| b.min(n).max(1)) {
+            Some(forced) if forced != block => Err(ApspError::InvalidInput(format!(
+                "checkpoint committed rounds at block {block} but block {forced} was \
+                 forced — resume with the same block, or delete the checkpoint"
+            ))),
+            _ => Ok(()),
+        },
+    )?;
+    if resume.is_none() {
+        init_store_from_graph(g, store)?;
+    }
+    ctx.finish(fw_driver(dev, g, store, opts, resume, ctx))
 }
 
 /// Seed for the guard's deterministic triangle sampling — a constant,
 /// so reruns of the same case check the same pairs.
 use crate::sdc::SDC_SAMPLE_SEED;
 
-/// The retry-then-halve driver shared by the plain and checkpointed
-/// entry points. `resume` carries `(block, start_round)` from a restored
-/// manifest; restarts (OOM or re-fit) always replay from round 0.
-/// `graph` arms the panel-reset and reseed rungs of the
-/// silent-corruption recovery ladder (checkpoint restore works without
-/// it).
-#[allow(clippy::too_many_arguments)]
+/// The retry-then-halve driver behind [`run`]. `resume` carries
+/// `(block, start_round)` from a restored manifest; restarts (OOM or
+/// re-fit) always replay from round 0.
 fn fw_driver(
     dev: &mut GpuDevice,
+    g: &CsrGraph,
     store: &mut TileStore,
     opts: &FwOptions,
     resume: Option<(usize, usize)>,
-    ckpt: Option<&Checkpoint>,
-    sup: &Supervisor,
-    graph: Option<&CsrGraph>,
+    ctx: &RunCtx,
 ) -> Result<FwRunStats, ApspError> {
+    let (sup, ckpt) = (&ctx.supervisor(), ctx.checkpoint);
     let n = store.n();
     if n == 0 {
         return Ok(FwRunStats {
@@ -313,21 +266,24 @@ fn fw_driver(
                 let tel = sup.telemetry().clone();
                 tel.count_sdc(1, 0, 0);
                 if panel != usize::MAX && panel_budget > 0 {
-                    if let Some(g) = graph {
-                        panel_budget -= 1;
-                        panel_recoveries += 1;
-                        let ph = tel.phase_start(dev);
-                        reset_panel_from_graph(g, store, panel)?;
-                        tel.phase_end(dev, ph, "sdc.recover_panel");
-                        tel.count_sdc(0, 1, 0);
-                        guard.reset_baseline();
-                        start_round = 0;
-                        continue;
-                    }
+                    panel_budget -= 1;
+                    panel_recoveries += 1;
+                    let ph = tel.phase_start(dev);
+                    // Rewrite the damaged panel's rows with their
+                    // adjacency initialization.
+                    let n = g.num_vertices();
+                    let rows =
+                        (panel * SDC_PANEL_ROWS).min(n)..((panel + 1) * SDC_PANEL_ROWS).min(n);
+                    seed_rows(g, store, rows)?;
+                    tel.phase_end(dev, ph, "sdc.recover_panel");
+                    tel.count_sdc(0, 1, 0);
+                    guard.reset_baseline();
+                    start_round = 0;
+                    continue;
                 }
                 if round_budget > 0 {
                     let ph = tel.phase_start(dev);
-                    let mut recovered = false;
+                    let mut restored = false;
                     if let Some(ck) = ckpt {
                         if let Some(m) = ck.load()? {
                             if let Progress::FloydWarshall {
@@ -338,25 +294,20 @@ fn fw_driver(
                                 ck.restore_into(&m, store)?;
                                 block = cb;
                                 start_round = next_round;
-                                recovered = true;
+                                restored = true;
                             }
                         }
                     }
-                    if !recovered {
-                        if let Some(g) = graph {
-                            init_store_from_graph(g, store)?;
-                            start_round = 0;
-                            recovered = true;
-                        }
+                    if !restored {
+                        init_store_from_graph(g, store)?;
+                        start_round = 0;
                     }
-                    if recovered {
-                        round_budget -= 1;
-                        round_recoveries += 1;
-                        tel.phase_end(dev, ph, "sdc.recover_round");
-                        tel.count_sdc(0, 0, 1);
-                        guard.reset_baseline();
-                        continue;
-                    }
+                    round_budget -= 1;
+                    round_recoveries += 1;
+                    tel.phase_end(dev, ph, "sdc.recover_round");
+                    tel.count_sdc(0, 0, 1);
+                    guard.reset_baseline();
+                    continue;
                 }
                 return Err(ApspError::SilentCorruption {
                     panel,
@@ -521,33 +472,6 @@ fn fw_rounds(
     })
 }
 
-/// Rung-1 recovery: rewrite the damaged panel's rows with their
-/// adjacency initialization (the same state
-/// [`init_store_from_graph`] seeds). Every entry of the reset rows is
-/// again an upper bound on the true distance, so replaying all rounds
-/// converges to the exact metric closure.
-fn reset_panel_from_graph(
-    g: &CsrGraph,
-    store: &mut TileStore,
-    panel: usize,
-) -> Result<(), ApspError> {
-    let n = g.num_vertices();
-    let lo = (panel * SDC_PANEL_ROWS).min(n);
-    let hi = ((panel + 1) * SDC_PANEL_ROWS).min(n);
-    let mut row = vec![INF; n];
-    for v in lo..hi {
-        row.fill(INF);
-        row[v] = 0;
-        for (u, w) in g.edges_from(v as VertexId) {
-            if u as usize != v && w < row[u as usize] {
-                row[u as usize] = w;
-            }
-        }
-        store.write_row(v, &row)?;
-    }
-    Ok(())
-}
-
 fn upload_tile(
     dev: &mut GpuDevice,
     stream: StreamId,
@@ -578,6 +502,7 @@ fn download_tile(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_ctx::durable;
     use crate::tile_store::StorageBackend;
     use apsp_cpu::bgl_plus_apsp;
     use apsp_gpu_sim::DeviceProfile;
@@ -591,8 +516,7 @@ mod tests {
 
     fn run_fw(g: &CsrGraph, dev: &mut GpuDevice, opts: &FwOptions) -> apsp_cpu::DistMatrix {
         let mut store = TileStore::new(g.num_vertices(), &StorageBackend::Memory).unwrap();
-        init_store_from_graph(g, &mut store).unwrap();
-        ooc_floyd_warshall(dev, &mut store, opts).unwrap();
+        ooc_floyd_warshall(dev, g, &mut store, opts).unwrap();
         store.to_dist_matrix().unwrap()
     }
 
@@ -653,8 +577,7 @@ mod tests {
         let g = gnp(100, 0.05, WeightRange::default(), 9);
         let mut dev = small_device();
         let mut store = TileStore::new(100, &StorageBackend::Memory).unwrap();
-        init_store_from_graph(&g, &mut store).unwrap();
-        let stats = ooc_floyd_warshall(&mut dev, &mut store, &FwOptions::default()).unwrap();
+        let stats = ooc_floyd_warshall(&mut dev, &g, &mut store, &FwOptions::default()).unwrap();
         assert!(
             stats.n_d >= 2,
             "device sized to force blocking, n_d = {}",
@@ -671,8 +594,7 @@ mod tests {
         let _hog: apsp_gpu_sim::DeviceBuffer<u8> = dev.alloc((1 << 16) - 8).unwrap();
         let mut store = TileStore::new(64, &StorageBackend::Memory).unwrap();
         let g = gnp(64, 0.1, WeightRange::default(), 2);
-        init_store_from_graph(&g, &mut store).unwrap();
-        let err = ooc_floyd_warshall(&mut dev, &mut store, &FwOptions::default());
+        let err = ooc_floyd_warshall(&mut dev, &g, &mut store, &FwOptions::default());
         assert!(err.is_err());
     }
 
@@ -681,9 +603,8 @@ mod tests {
         let g = gnp(60, 0.1, WeightRange::default(), 5);
         let dir = std::env::temp_dir().join("apsp_ooc_fw_test");
         let mut store = TileStore::new(60, &StorageBackend::Disk(dir)).unwrap();
-        init_store_from_graph(&g, &mut store).unwrap();
         let mut dev = small_device();
-        ooc_floyd_warshall(&mut dev, &mut store, &FwOptions::default()).unwrap();
+        ooc_floyd_warshall(&mut dev, &g, &mut store, &FwOptions::default()).unwrap();
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
     }
 
@@ -692,11 +613,10 @@ mod tests {
         let g = gnp(90, 0.07, WeightRange::default(), 21);
         let mut dev = small_device();
         let mut store = TileStore::new(90, &StorageBackend::Memory).unwrap();
-        init_store_from_graph(&g, &mut store).unwrap();
         // Fail the 3rd device allocation (mid stage 2 of round 0): the run
         // restarts on the partially relaxed store and still converges.
         dev.inject_alloc_failure(3);
-        let stats = ooc_floyd_warshall(&mut dev, &mut store, &FwOptions::default()).unwrap();
+        let stats = ooc_floyd_warshall(&mut dev, &g, &mut store, &FwOptions::default()).unwrap();
         assert_eq!(stats.retries, 1);
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
     }
@@ -708,13 +628,12 @@ mod tests {
         let buffers = 5; // FwOptions::default() has overlap on
         let initial_block = max_block_side(&dev, buffers).min(90);
         let mut store = TileStore::new(90, &StorageBackend::Memory).unwrap();
-        init_store_from_graph(&g, &mut store).unwrap();
         // Two overlapping faults: the first kills attempt 1 at its 3rd
         // allocation, the second (countdown 10, so 7 left after attempt 1)
         // kills the same-block retry too, forcing a halved block.
         dev.inject_alloc_failure(3);
         dev.inject_alloc_failure(10);
-        let stats = ooc_floyd_warshall(&mut dev, &mut store, &FwOptions::default()).unwrap();
+        let stats = ooc_floyd_warshall(&mut dev, &g, &mut store, &FwOptions::default()).unwrap();
         assert_eq!(stats.retries, 2);
         assert_eq!(stats.block, initial_block / 2);
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
@@ -725,21 +644,21 @@ mod tests {
         let g = gnp(64, 0.1, WeightRange::default(), 23);
         let mut dev = small_device();
         let mut store = TileStore::new(64, &StorageBackend::Memory).unwrap();
-        init_store_from_graph(&g, &mut store).unwrap();
         dev.inject_alloc_failure(2);
         let opts = FwOptions {
             block_size: Some(32),
             ..Default::default()
         };
-        let err = ooc_floyd_warshall(&mut dev, &mut store, &opts).unwrap_err();
+        let err = ooc_floyd_warshall(&mut dev, &g, &mut store, &opts).unwrap_err();
         assert_eq!(err.kind(), crate::ApspErrorKind::OutOfDeviceMemory);
     }
 
     #[test]
     fn empty_graph() {
+        let g = apsp_graph::GraphBuilder::new(0).build();
         let mut dev = small_device();
         let mut store = TileStore::new(0, &StorageBackend::Memory).unwrap();
-        let stats = ooc_floyd_warshall(&mut dev, &mut store, &FwOptions::default()).unwrap();
+        let stats = ooc_floyd_warshall(&mut dev, &g, &mut store, &FwOptions::default()).unwrap();
         assert_eq!(stats.n_d, 0);
     }
 
@@ -763,9 +682,7 @@ mod tests {
                 sdc_guard: mode,
                 ..Default::default()
             };
-            let stats =
-                ooc_floyd_warshall_guarded(&mut dev, &g, &mut store, &opts, &Supervisor::unarmed())
-                    .unwrap();
+            let stats = ooc_floyd_warshall(&mut dev, &g, &mut store, &opts).unwrap();
             assert_eq!(stats.sdc_panel_recoveries + stats.sdc_round_recoveries, 0);
             assert_eq!(store.to_dist_matrix().unwrap(), reference, "{mode}");
         }
@@ -787,9 +704,8 @@ mod tests {
                 sdc_guard: SdcGuardMode::Checksum,
                 ..Default::default()
             };
-            let stats =
-                ooc_floyd_warshall_guarded(&mut dev, &g, &mut store, &opts, &Supervisor::unarmed())
-                    .unwrap_or_else(|e| panic!("flip at op {after_ops} not recovered: {e}"));
+            let stats = ooc_floyd_warshall(&mut dev, &g, &mut store, &opts)
+                .unwrap_or_else(|e| panic!("flip at op {after_ops} not recovered: {e}"));
             assert!(
                 stats.sdc_panel_recoveries + stats.sdc_round_recoveries >= 1,
                 "flip at op {after_ops} fired before the run ended but no recovery ran"
@@ -824,26 +740,11 @@ mod tests {
             sdc_guard: SdcGuardMode::Checksum,
             ..Default::default()
         };
-        let err = ooc_floyd_warshall_guarded(&mut dev, &g, &mut store, &opts, &sup).unwrap_err();
-        assert_eq!(err.kind(), crate::ApspErrorKind::SilentCorruption, "{err}");
-    }
-
-    #[test]
-    fn plain_entry_without_graph_propagates_sdc_typed() {
-        // Without the graph or a checkpoint the driver has nothing to
-        // recover from: the detection must surface typed, not panic or
-        // silently pass.
-        let g = gnp(64, 0.1, WeightRange::default(), 35);
-        let mut dev = small_device();
-        let mut store = TileStore::new(64, &StorageBackend::Memory).unwrap();
-        init_store_from_graph(&g, &mut store).unwrap();
-        store.set_sdc_guard(SdcGuardMode::Checksum).unwrap();
-        store.arm_bit_flip(200, 5);
-        let opts = FwOptions {
-            sdc_guard: SdcGuardMode::Checksum,
+        let ctx = RunCtx {
+            supervisor: Some(&sup),
             ..Default::default()
         };
-        let err = ooc_floyd_warshall(&mut dev, &mut store, &opts).unwrap_err();
+        let err = run(&mut dev, &g, &mut store, &opts, &ctx).unwrap_err();
         assert_eq!(err.kind(), crate::ApspErrorKind::SilentCorruption, "{err}");
     }
 
@@ -863,15 +764,7 @@ mod tests {
             sdc_guard: SdcGuardMode::Checksum,
             ..Default::default()
         };
-        ooc_floyd_warshall_checkpointed_supervised(
-            &mut dev,
-            &g,
-            &mut store,
-            &opts,
-            &ckpt,
-            &Supervisor::unarmed(),
-        )
-        .unwrap();
+        run(&mut dev, &g, &mut store, &opts, &durable(&ckpt)).unwrap();
         assert_eq!(store.to_dist_matrix().unwrap(), reference);
     }
 
@@ -881,9 +774,14 @@ mod tests {
         let mut dev = small_device();
         let mut store = TileStore::new(97, &StorageBackend::Memory).unwrap();
         let ckpt = Checkpoint::new(ckpt_dir("clean"), &g).unwrap();
-        let stats =
-            ooc_floyd_warshall_checkpointed(&mut dev, &g, &mut store, &FwOptions::default(), &ckpt)
-                .unwrap();
+        let stats = run(
+            &mut dev,
+            &g,
+            &mut store,
+            &Default::default(),
+            &durable(&ckpt),
+        )
+        .unwrap();
         assert_eq!(stats.checkpoint_commits as usize, stats.n_d - 1);
         assert!(ckpt.load().unwrap().is_none(), "cleared on completion");
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
@@ -898,17 +796,28 @@ mod tests {
         let mut store = TileStore::new(97, &StorageBackend::Memory).unwrap();
         store.arm_crash(400);
         let ckpt = Checkpoint::new(&dir, &g).unwrap();
-        let err =
-            ooc_floyd_warshall_checkpointed(&mut dev, &g, &mut store, &FwOptions::default(), &ckpt)
-                .unwrap_err();
+        let err = run(
+            &mut dev,
+            &g,
+            &mut store,
+            &Default::default(),
+            &durable(&ckpt),
+        )
+        .unwrap_err();
         assert_eq!(err.kind(), crate::ApspErrorKind::Storage);
         drop(store);
         // Resumed attempt on fresh everything.
         let mut dev = small_device();
         let mut store = TileStore::new(97, &StorageBackend::Memory).unwrap();
         let ckpt = Checkpoint::new(&dir, &g).unwrap();
-        ooc_floyd_warshall_checkpointed(&mut dev, &g, &mut store, &FwOptions::default(), &ckpt)
-            .unwrap();
+        run(
+            &mut dev,
+            &g,
+            &mut store,
+            &Default::default(),
+            &durable(&ckpt),
+        )
+        .unwrap();
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
     }
 
@@ -926,7 +835,7 @@ mod tests {
         // first round's commit has landed, but well before the run ends.
         store.arm_crash(1000);
         let ckpt = Checkpoint::new(&dir, &g).unwrap();
-        ooc_floyd_warshall_checkpointed(&mut dev, &g, &mut store, &opts16, &ckpt).unwrap_err();
+        run(&mut dev, &g, &mut store, &opts16, &durable(&ckpt)).unwrap_err();
         drop(store);
         let probe = Checkpoint::new(&dir, &g).unwrap();
         assert!(
@@ -940,11 +849,10 @@ mod tests {
             block_size: Some(32),
             ..Default::default()
         };
-        let err =
-            ooc_floyd_warshall_checkpointed(&mut dev, &g, &mut store, &opts32, &ckpt).unwrap_err();
+        let err = run(&mut dev, &g, &mut store, &opts32, &durable(&ckpt)).unwrap_err();
         assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput, "{err}");
         // Resuming with the committed block still works.
-        let err_free = ooc_floyd_warshall_checkpointed(&mut dev, &g, &mut store, &opts16, &ckpt);
+        let err_free = run(&mut dev, &g, &mut store, &opts16, &durable(&ckpt));
         assert!(err_free.is_ok(), "{err_free:?}");
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
     }

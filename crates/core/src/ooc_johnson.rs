@@ -9,6 +9,7 @@
 use crate::checkpoint::{Checkpoint, Progress};
 use crate::error::ApspError;
 use crate::options::{DynamicParallelism, JohnsonOptions};
+use crate::run_ctx::{check_store, RunCtx};
 use crate::sdc::{SdcGuard, SDC_SAMPLE_SEED};
 use crate::supervisor::{RetryState, RetryStep, Supervisor};
 use crate::tile_store::{TileStore, SDC_PANEL_ROWS};
@@ -76,91 +77,49 @@ pub fn batch_size(
     Ok(((available / per_instance) as usize).clamp(1, g.num_vertices().max(1)))
 }
 
-/// Run batched Johnson's APSP into `store`.
+/// [`run`] unsupervised and without a checkpoint.
 pub fn ooc_johnson(
     dev: &mut GpuDevice,
     g: &CsrGraph,
     store: &mut TileStore,
     opts: &JohnsonOptions,
 ) -> Result<JohnsonRunStats, ApspError> {
-    ooc_johnson_impl(
-        dev,
-        g,
-        store,
-        None,
-        opts,
-        None,
-        None,
-        &Supervisor::unarmed(),
-    )
+    run(dev, g, store, opts, &RunCtx::default())
 }
 
-/// [`ooc_johnson`] under a [`Supervisor`]: the deadline, progress
-/// watchdog, and cancellation token are checked at every batch barrier,
-/// and retries follow the supervisor's policy.
-pub fn ooc_johnson_supervised(
-    dev: &mut GpuDevice,
-    g: &CsrGraph,
-    store: &mut TileStore,
-    opts: &JohnsonOptions,
-    sup: &Supervisor,
-) -> Result<JohnsonRunStats, ApspError> {
-    ooc_johnson_impl(dev, g, store, None, opts, None, None, sup)
-}
-
-/// [`ooc_johnson`] with crash-safe durability: progress commits to
-/// `ckpt` after every batch, and a checkpoint already present in
-/// `ckpt`'s directory (validated against `g` and the store checksums) is
-/// resumed — only the source rows at or above the committed cursor are
-/// recomputed. The checkpoint is cleared on successful completion.
+/// Run batched Johnson's APSP for `g` into `store`.
+///
+/// `ctx.supervisor` is checked at every batch barrier and sets the retry
+/// policy. With `ctx.checkpoint`, progress commits after every batch, a
+/// committed checkpoint (validated against `g` and the store checksums)
+/// is resumed — only the source rows at or above the committed cursor
+/// are recomputed — and the checkpoint is cleared on success.
 ///
 /// Unlike Floyd-Warshall, resume is geometry-free: every batch writes
 /// complete rows recomputed from the graph, so the remaining rows may be
 /// re-batched at whatever size fits the device today.
-pub fn ooc_johnson_checkpointed(
+pub fn run(
     dev: &mut GpuDevice,
     g: &CsrGraph,
     store: &mut TileStore,
     opts: &JohnsonOptions,
-    ckpt: &Checkpoint,
+    ctx: &RunCtx,
 ) -> Result<JohnsonRunStats, ApspError> {
-    ooc_johnson_checkpointed_supervised(dev, g, store, opts, ckpt, &Supervisor::unarmed())
-}
-
-/// [`ooc_johnson_checkpointed`] under a [`Supervisor`]. A run
-/// interrupted by a deadline, stall, or cancellation leaves its last
-/// committed batch in `ckpt`, so a later call resumes instead of
-/// starting over.
-pub fn ooc_johnson_checkpointed_supervised(
-    dev: &mut GpuDevice,
-    g: &CsrGraph,
-    store: &mut TileStore,
-    opts: &JohnsonOptions,
-    ckpt: &Checkpoint,
-    sup: &Supervisor,
-) -> Result<JohnsonRunStats, ApspError> {
-    let resume = match ckpt.load()? {
-        Some(m) => {
-            let Progress::Johnson {
+    check_store(store, g.num_vertices())?;
+    let resume = Checkpoint::resume(
+        ctx.checkpoint,
+        store,
+        "Johnson's",
+        |p| match p {
+            Progress::Johnson {
                 batch_size,
                 next_row,
-            } = m.progress
-            else {
-                return Err(ApspError::InvalidInput(format!(
-                    "checkpoint in {} belongs to the `{}` algorithm, not Johnson's — \
-                     delete it to start over",
-                    ckpt.dir().display(),
-                    m.progress.algorithm_tag()
-                )));
-            };
-            ckpt.restore_into(&m, store)?;
-            Some((batch_size, next_row))
-        }
-        None => None,
-    };
-    let stats = ooc_johnson_impl(dev, g, store, None, opts, resume, Some(ckpt), sup)?;
-    ckpt.clear()?;
-    Ok(stats)
+            } => Some((batch_size, next_row)),
+            _ => None,
+        },
+        |_| Ok(()),
+    )?;
+    ctx.finish(ooc_johnson_impl(dev, g, store, None, opts, resume, ctx))
 }
 
 /// [`ooc_johnson`] that additionally streams the full n×n *predecessor*
@@ -175,16 +134,10 @@ pub fn ooc_johnson_with_parents(
     parent_store: &mut TileStore,
     opts: &JohnsonOptions,
 ) -> Result<JohnsonRunStats, ApspError> {
-    ooc_johnson_impl(
-        dev,
-        g,
-        store,
-        Some(parent_store),
-        opts,
-        None,
-        None,
-        &Supervisor::unarmed(),
-    )
+    check_store(store, g.num_vertices())?;
+    check_store(parent_store, g.num_vertices())?;
+    let ctx = RunCtx::default();
+    ooc_johnson_impl(dev, g, store, Some(parent_store), opts, None, &ctx)
 }
 
 /// Batched MSSP over an explicit source list — the k-source partial
@@ -334,7 +287,6 @@ fn johnson_source_batches(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn ooc_johnson_impl(
     dev: &mut GpuDevice,
     g: &CsrGraph,
@@ -342,14 +294,10 @@ fn ooc_johnson_impl(
     mut parent_store: Option<&mut TileStore>,
     opts: &JohnsonOptions,
     resume: Option<(usize, usize)>,
-    ckpt: Option<&Checkpoint>,
-    sup: &Supervisor,
+    ctx: &RunCtx,
 ) -> Result<JohnsonRunStats, ApspError> {
+    let (sup, ckpt) = (&ctx.supervisor(), ctx.checkpoint);
     let n = g.num_vertices();
-    assert_eq!(store.n(), n);
-    if let Some(ps) = parent_store.as_deref() {
-        assert_eq!(ps.n(), n, "parent store dimension mismatch");
-    }
     if n == 0 {
         return Ok(JohnsonRunStats {
             batch_size: 0,
@@ -614,6 +562,7 @@ fn johnson_batches(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_ctx::durable;
     use crate::tile_store::StorageBackend;
     use apsp_cpu::bgl_plus_apsp;
     use apsp_gpu_sim::DeviceProfile;
@@ -799,9 +748,14 @@ mod tests {
         let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(512 << 10));
         let mut store = TileStore::new(150, &StorageBackend::Memory).unwrap();
         let ckpt = Checkpoint::new(ckpt_dir("clean"), &g).unwrap();
-        let stats =
-            ooc_johnson_checkpointed(&mut dev, &g, &mut store, &JohnsonOptions::default(), &ckpt)
-                .unwrap();
+        let stats = run(
+            &mut dev,
+            &g,
+            &mut store,
+            &Default::default(),
+            &durable(&ckpt),
+        )
+        .unwrap();
         assert!(stats.num_batches >= 2, "want a multi-batch run");
         assert_eq!(stats.checkpoint_commits as usize, stats.num_batches - 1);
         assert!(ckpt.load().unwrap().is_none(), "cleared on completion");
@@ -819,9 +773,14 @@ mod tests {
         // the second commit, after the first one is durable.
         store.arm_crash(200);
         let ckpt = Checkpoint::new(&dir, &g).unwrap();
-        let err =
-            ooc_johnson_checkpointed(&mut dev, &g, &mut store, &JohnsonOptions::default(), &ckpt)
-                .unwrap_err();
+        let err = run(
+            &mut dev,
+            &g,
+            &mut store,
+            &Default::default(),
+            &durable(&ckpt),
+        )
+        .unwrap_err();
         assert_eq!(err.kind(), crate::ApspErrorKind::Storage);
         drop(store);
         let probe = Checkpoint::new(&dir, &g).unwrap();
@@ -834,9 +793,14 @@ mod tests {
         let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(256 << 10));
         let mut store = TileStore::new(150, &StorageBackend::Memory).unwrap();
         let ckpt = Checkpoint::new(&dir, &g).unwrap();
-        let stats =
-            ooc_johnson_checkpointed(&mut dev, &g, &mut store, &JohnsonOptions::default(), &ckpt)
-                .unwrap();
+        let stats = run(
+            &mut dev,
+            &g,
+            &mut store,
+            &Default::default(),
+            &durable(&ckpt),
+        )
+        .unwrap();
         // The resumed run only recomputed the uncommitted tail.
         assert!(stats.num_batches < 150usize.div_ceil(stats.batch_size) + 1);
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
@@ -896,7 +860,11 @@ mod tests {
             sdc_guard: SdcGuardMode::Checksum,
             ..Default::default()
         };
-        let err = ooc_johnson_supervised(&mut dev, &g, &mut store, &opts, &sup).unwrap_err();
+        let ctx = RunCtx {
+            supervisor: Some(&sup),
+            ..Default::default()
+        };
+        let err = run(&mut dev, &g, &mut store, &opts, &ctx).unwrap_err();
         assert_eq!(err.kind(), crate::ApspErrorKind::SilentCorruption, "{err}");
     }
 

@@ -6,7 +6,7 @@
 //! follow the paper's `n_d · W · (3b² + n²) / TH` expression.
 
 use crate::calibration::{CoeffKey, EstimateParts};
-use crate::ooc_fw::{init_store_from_graph, max_block_side, ooc_floyd_warshall};
+use crate::ooc_fw::{max_block_side, ooc_floyd_warshall};
 use crate::options::FwOptions;
 use crate::selector::CostModels;
 use crate::tile_store::{StorageBackend, TileStore};
@@ -42,8 +42,7 @@ impl FwModel {
         let g = gnp(TRAIN_N, 0.05, WeightRange::default(), 0xF0);
         let mut store =
             TileStore::new(TRAIN_N, &StorageBackend::Memory).expect("memory store cannot fail");
-        init_store_from_graph(&g, &mut store).expect("memory store cannot fail");
-        ooc_floyd_warshall(&mut dev, &mut store, &FwOptions::default())
+        ooc_floyd_warshall(&mut dev, &g, &mut store, &FwOptions::default())
             .expect("training run must fit by construction");
         let report = dev.report();
         FwModel {
@@ -116,8 +115,7 @@ mod tests {
         let g = gnp(n, 0.05, WeightRange::default(), 0xAB);
         let mut dev = GpuDevice::new(profile);
         let mut store = TileStore::new(n, &StorageBackend::Memory).unwrap();
-        init_store_from_graph(&g, &mut store).unwrap();
-        let stats = ooc_floyd_warshall(&mut dev, &mut store, &FwOptions::default()).unwrap();
+        let stats = ooc_floyd_warshall(&mut dev, &g, &mut store, &FwOptions::default()).unwrap();
         let predicted = models.fw.estimate_seconds(&models, &g);
         let actual = stats.sim_seconds;
         let ratio = predicted / actual;

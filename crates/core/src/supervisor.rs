@@ -420,7 +420,7 @@ impl Supervisor {
     }
 
     /// A supervisor with no budgets and no token: every check passes.
-    /// The plain (un-supervised) driver entry points run under one of
+    /// A driver `run` whose `RunCtx` has no supervisor runs under one of
     /// these, so there is a single code path.
     pub fn unarmed() -> Supervisor {
         Supervisor::new(&SupervisionOptions::default(), 0.0)

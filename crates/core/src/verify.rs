@@ -115,9 +115,8 @@ mod tests {
     fn catches_a_corrupted_cell() {
         let g = gnp(60, 0.08, WeightRange::default(), 7);
         let mut store = TileStore::new(60, &StorageBackend::Memory).unwrap();
-        crate::ooc_fw::init_store_from_graph(&g, &mut store).unwrap();
         let mut dev = GpuDevice::new(DeviceProfile::v100());
-        crate::ooc_fw::ooc_floyd_warshall(&mut dev, &mut store, &Default::default()).unwrap();
+        crate::ooc_fw::ooc_floyd_warshall(&mut dev, &g, &mut store, &Default::default()).unwrap();
         // Corrupt one cell on a row the sampler will visit (sample = n
         // covers all rows).
         let mut row = store.read_row(30).unwrap();

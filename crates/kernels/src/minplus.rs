@@ -36,25 +36,15 @@ pub fn minplus_launch(rows: usize, cols: usize) -> LaunchConfig {
     LaunchConfig::new((tiles as u32).max(1), THREADS_PER_BLOCK)
 }
 
-/// `C = min(C, A ⊗ B)` between three distinct device matrices, under the
-/// default execution backend.
+/// `C = min(C, A ⊗ B)` between three distinct device matrices, under an
+/// explicit execution backend. Because the operands are distinct
+/// allocations, the parallel backend bands output rows freely; results
+/// are bit-identical across backends. A pure product `C = A ⊗ B` is this
+/// kernel on an all-`INF` C.
 ///
 /// # Panics
 ///
 /// Panics on dimension mismatch.
-pub fn minplus_kernel(
-    dev: &mut GpuDevice,
-    stream: StreamId,
-    c: &mut DeviceMatrix,
-    a: &DeviceMatrix,
-    b: &DeviceMatrix,
-) {
-    minplus_kernel_exec(dev, stream, c, a, b, ExecBackend::default());
-}
-
-/// [`minplus_kernel`] under an explicit execution backend. The three
-/// matrices are distinct device allocations, so the parallel backend
-/// bands output rows freely; results are bit-identical across backends.
 pub fn minplus_kernel_exec(
     dev: &mut GpuDevice,
     stream: StreamId,
@@ -88,22 +78,12 @@ pub fn minplus_kernel_exec(
 }
 
 /// In-place pivot-row update `C = min(C, A ⊗ C)` where `A` is square with
-/// side `C.rows()`. The (i, k, j) loop may read entries already improved
-/// this call — the standard (and provably safe) in-place behaviour the
-/// blocked Floyd-Warshall stage 2 relies on.
-pub fn minplus_left_inplace(
-    dev: &mut GpuDevice,
-    stream: StreamId,
-    c: &mut DeviceMatrix,
-    a: &DeviceMatrix,
-) {
-    minplus_left_inplace_exec(dev, stream, c, a, ExecBackend::default());
-}
-
-/// [`minplus_left_inplace`] under an explicit execution backend. The
-/// update chains through rows of C (row i reads rows k that earlier
-/// iterations improved), so even the parallel backend keeps the row loop
-/// sequential — only the inner relaxation goes branchless.
+/// side `C.rows()`, under an explicit execution backend. The (i, k, j)
+/// loop may read entries already improved this call — the standard (and
+/// provably safe) in-place behaviour the blocked Floyd-Warshall stage 2
+/// relies on. The update chains through rows of C (row i reads rows k
+/// that earlier iterations improved), so even the parallel backend keeps
+/// the row loop sequential — only the inner relaxation goes branchless.
 pub fn minplus_left_inplace_exec(
     dev: &mut GpuDevice,
     stream: StreamId,
@@ -124,18 +104,8 @@ pub fn minplus_left_inplace_exec(
 }
 
 /// In-place pivot-column update `C = min(C, C ⊗ B)` where `B` is square
-/// with side `C.cols()`.
-pub fn minplus_right_inplace(
-    dev: &mut GpuDevice,
-    stream: StreamId,
-    c: &mut DeviceMatrix,
-    b: &DeviceMatrix,
-) {
-    minplus_right_inplace_exec(dev, stream, c, b, ExecBackend::default());
-}
-
-/// [`minplus_right_inplace`] under an explicit execution backend. Each
-/// row of C reads only itself plus the (read-only) pivot operand, so the
+/// with side `C.cols()`, under an explicit execution backend. Each row
+/// of C reads only itself plus the (read-only) pivot operand, so the
 /// parallel backend bands rows across threads — bit-identical to scalar
 /// because the per-row k order is unchanged.
 pub fn minplus_right_inplace_exec(
@@ -250,30 +220,6 @@ fn inplace_update(
     }
 }
 
-/// `C = A ⊗ B` (C pre-filled with `INF` semantics handled by min-update:
-/// callers that want a pure product should pass an all-`INF` C).
-pub fn minplus_product(
-    dev: &mut GpuDevice,
-    stream: StreamId,
-    c: &mut DeviceMatrix,
-    a: &DeviceMatrix,
-    b: &DeviceMatrix,
-) {
-    minplus_kernel(dev, stream, c, a, b);
-}
-
-/// [`minplus_product`] under an explicit execution backend.
-pub fn minplus_product_exec(
-    dev: &mut GpuDevice,
-    stream: StreamId,
-    c: &mut DeviceMatrix,
-    a: &DeviceMatrix,
-    b: &DeviceMatrix,
-    exec: ExecBackend,
-) {
-    minplus_kernel_exec(dev, stream, c, a, b, exec);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,7 +243,7 @@ mod tests {
         let a = mat(&d, 2, 2, &[1, INF, INF, 1]);
         let b = mat(&d, 2, 2, &[5, 6, 7, 8]);
         let mut c = DeviceMatrix::alloc_inf(&d, 2, 2).unwrap();
-        minplus_product(&mut d, s, &mut c, &a, &b);
+        minplus_kernel_exec(&mut d, s, &mut c, &a, &b, ExecBackend::default());
         assert_eq!(c.as_slice(), &[6, 7, 8, 9]);
     }
 
@@ -308,7 +254,7 @@ mod tests {
         let a = mat(&d, 1, 1, &[10]);
         let b = mat(&d, 1, 1, &[10]);
         let mut c = mat(&d, 1, 1, &[3]);
-        minplus_kernel(&mut d, s, &mut c, &a, &b);
+        minplus_kernel_exec(&mut d, s, &mut c, &a, &b, ExecBackend::default());
         assert_eq!(c.get(0, 0), 3);
     }
 
@@ -320,7 +266,7 @@ mod tests {
         let a = mat(&d, 1, 2, &[1, 2]);
         let b = mat(&d, 2, 3, &[10, 20, 30, 100, 200, 300]);
         let mut c = DeviceMatrix::alloc_inf(&d, 1, 3).unwrap();
-        minplus_product(&mut d, s, &mut c, &a, &b);
+        minplus_kernel_exec(&mut d, s, &mut c, &a, &b, ExecBackend::default());
         assert_eq!(c.as_slice(), &[11, 21, 31]);
     }
 
@@ -331,7 +277,7 @@ mod tests {
         let a = mat(&d, 1, 1, &[INF]);
         let b = mat(&d, 1, 1, &[1]);
         let mut c = DeviceMatrix::alloc_inf(&d, 1, 1).unwrap();
-        minplus_product(&mut d, s, &mut c, &a, &b);
+        minplus_kernel_exec(&mut d, s, &mut c, &a, &b, ExecBackend::default());
         assert_eq!(c.get(0, 0), INF);
     }
 
@@ -343,7 +289,7 @@ mod tests {
             let a = DeviceMatrix::alloc(&d, n, n).unwrap();
             let b = DeviceMatrix::alloc(&d, n, n).unwrap();
             let mut c = DeviceMatrix::alloc_inf(&d, n, n).unwrap();
-            minplus_product(&mut d, s, &mut c, &a, &b);
+            minplus_kernel_exec(&mut d, s, &mut c, &a, &b, ExecBackend::default());
             d.synchronize().seconds()
         };
         // Sizes chosen so both launches saturate the device (tile grids
@@ -367,7 +313,7 @@ mod tests {
         let p = mat(&d, 4, 4, &pivot_vals);
         let mut c = mat(&d, 4, 3, &c_vals);
         let mut expect = c_vals.clone();
-        minplus_left_inplace(&mut d, s, &mut c, &p);
+        minplus_left_inplace_exec(&mut d, s, &mut c, &p, ExecBackend::default());
         // The in-place result must dominate the one-shot product and be
         // dominated by the original.
         let mut one_shot = c_vals.clone();
@@ -387,9 +333,9 @@ mod tests {
         let s = d.default_stream();
         let p = mat(&d, 2, 2, &[0, 1, 1, 0]);
         let mut c = mat(&d, 2, 2, &[9, 9, 2, 9]);
-        minplus_left_inplace(&mut d, s, &mut c, &p);
+        minplus_left_inplace_exec(&mut d, s, &mut c, &p, ExecBackend::default());
         let after_one: Vec<u32> = c.as_slice().to_vec();
-        minplus_left_inplace(&mut d, s, &mut c, &p);
+        minplus_left_inplace_exec(&mut d, s, &mut c, &p, ExecBackend::default());
         assert_eq!(c.as_slice(), &after_one[..], "second pass changed data");
         // Row 0 must have picked up row 1's cheap entry through P[0][1]=1.
         assert_eq!(c.get(0, 0), 3);
@@ -467,6 +413,6 @@ mod tests {
         let a = DeviceMatrix::alloc(&d, 2, 3).unwrap();
         let b = DeviceMatrix::alloc(&d, 2, 2).unwrap();
         let mut c = DeviceMatrix::alloc_inf(&d, 2, 2).unwrap();
-        minplus_kernel(&mut d, s, &mut c, &a, &b);
+        minplus_kernel_exec(&mut d, s, &mut c, &a, &b, ExecBackend::default());
     }
 }

@@ -1,6 +1,6 @@
 //! Out-of-core behaviour under memory pressure and disk spill.
 
-use apsp::core::ooc_fw::{init_store_from_graph, ooc_floyd_warshall};
+use apsp::core::ooc_fw::ooc_floyd_warshall;
 use apsp::core::ooc_johnson::ooc_johnson;
 use apsp::core::options::{Algorithm, ApspOptions, FwOptions, JohnsonOptions};
 use apsp::core::{apsp, StorageBackend, TileStore};
@@ -17,8 +17,7 @@ fn shrinking_device_changes_blocking_not_results() {
     for mem_kib in [1024u64, 256, 96] {
         let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(mem_kib << 10));
         let mut store = TileStore::new(120, &StorageBackend::Memory).unwrap();
-        init_store_from_graph(&g, &mut store).unwrap();
-        let stats = ooc_floyd_warshall(&mut dev, &mut store, &FwOptions::default()).unwrap();
+        let stats = ooc_floyd_warshall(&mut dev, &g, &mut store, &FwOptions::default()).unwrap();
         assert_eq!(
             store.to_dist_matrix().unwrap(),
             reference,
@@ -83,8 +82,7 @@ fn simulated_time_increases_under_memory_pressure() {
     let time = |mem: u64| {
         let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(mem));
         let mut store = TileStore::new(150, &StorageBackend::Memory).unwrap();
-        init_store_from_graph(&g, &mut store).unwrap();
-        ooc_floyd_warshall(&mut dev, &mut store, &FwOptions::default())
+        ooc_floyd_warshall(&mut dev, &g, &mut store, &FwOptions::default())
             .unwrap()
             .sim_seconds
     };
