@@ -950,7 +950,8 @@ fn serve_fail(kind: apsp_core::ServiceErrorKind, detail: &str, error_json: bool)
 
 /// `apsp-run serve`: replay a seeded job trace — full and k-source
 /// partial queries over a hot-graph pool, with faults, tight deadlines,
-/// queue overload, and queued cancellations — against [`ApspService`].
+/// queue overload, and queued cancellations — against
+/// [`ApspService`](apsp_core::service::ApspService).
 fn serve_main() {
     use apsp_core::service::trace::{self, TraceConfig};
     use apsp_core::{ApspService, JobState, ServiceConfig, ServiceErrorKind};

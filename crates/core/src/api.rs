@@ -490,6 +490,21 @@ mod tests {
     }
 
     #[test]
+    fn zero_delta_is_invalid_input_whether_forced_or_selected() {
+        let g = gnp(64, 0.1, WeightRange::default(), 1);
+        for algorithm in [Some(Algorithm::Johnson), None] {
+            let mut opts = ApspOptions {
+                algorithm,
+                ..Default::default()
+            };
+            opts.johnson.delta = Some(0);
+            let mut dev = GpuDevice::new(DeviceProfile::v100());
+            let err = apsp(&g, &mut dev, &opts).expect_err("delta 0 must be rejected");
+            assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput, "{err}");
+        }
+    }
+
+    #[test]
     fn checkpointed_apsp_resumes_through_the_front_end() {
         use crate::options::CheckpointOptions;
         let g = gnp(120, 0.04, WeightRange::default(), 61);

@@ -1,6 +1,6 @@
 //! In-core GPU APSP — the prior-work baseline the paper scales past.
 //!
-//! Harish & Narayanan [16] and the blocked-FW GPU line [20], [35] all
+//! Harish & Narayanan \[16\] and the blocked-FW GPU line \[20\], \[35\] all
 //! assume the whole n×n matrix fits in device memory; the paper's point
 //! of departure is that this caps n at ~√(device bytes / 4) (≈ 65K on a
 //! 16 GB V100 — before working space). This module implements that

@@ -77,6 +77,18 @@ pub fn batch_size(
     Ok(((available / per_instance) as usize).clamp(1, g.num_vertices().max(1)))
 }
 
+/// Near-Far needs buckets at least one weight unit wide, so
+/// `delta = Some(0)` is bad input — a typed [`ApspError::InvalidInput`]
+/// at every Johnson entry point, never a panic inside the kernel.
+pub(crate) fn check_options(opts: &JohnsonOptions) -> Result<(), ApspError> {
+    if opts.delta == Some(0) {
+        return Err(ApspError::InvalidInput(
+            "Johnson's Near-Far bucket width `delta` must be at least 1".into(),
+        ));
+    }
+    Ok(())
+}
+
 /// [`run`] unsupervised and without a checkpoint.
 pub fn ooc_johnson(
     dev: &mut GpuDevice,
@@ -105,6 +117,7 @@ pub fn run(
     opts: &JohnsonOptions,
     ctx: &RunCtx,
 ) -> Result<JohnsonRunStats, ApspError> {
+    check_options(opts)?;
     check_store(store, g.num_vertices())?;
     let resume = Checkpoint::resume(
         ctx.checkpoint,
@@ -134,6 +147,7 @@ pub fn ooc_johnson_with_parents(
     parent_store: &mut TileStore,
     opts: &JohnsonOptions,
 ) -> Result<JohnsonRunStats, ApspError> {
+    check_options(opts)?;
     check_store(store, g.num_vertices())?;
     check_store(parent_store, g.num_vertices())?;
     let ctx = RunCtx::default();
@@ -159,6 +173,7 @@ pub fn ooc_johnson_sources(
     opts: &JohnsonOptions,
     sup: &Supervisor,
 ) -> Result<(Vec<Dist>, JohnsonRunStats), ApspError> {
+    check_options(opts)?;
     let n = g.num_vertices();
     for &s in sources {
         if (s as usize) >= n {
@@ -945,6 +960,42 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput);
+    }
+
+    fn zero_delta() -> JohnsonOptions {
+        JohnsonOptions {
+            delta: Some(0),
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn zero_delta_run_is_invalid_input() {
+        let g = gnp(64, 0.1, WeightRange::default(), 1);
+        let mut dev = GpuDevice::new(DeviceProfile::v100());
+        let mut store = TileStore::new(64, &StorageBackend::Memory).unwrap();
+        let err = run(&mut dev, &g, &mut store, &zero_delta(), &RunCtx::default()).unwrap_err();
+        assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput, "{err}");
+    }
+
+    #[test]
+    fn zero_delta_with_parents_is_invalid_input() {
+        let g = gnp(64, 0.1, WeightRange::default(), 1);
+        let mut dev = GpuDevice::new(DeviceProfile::v100());
+        let mut store = TileStore::new(64, &StorageBackend::Memory).unwrap();
+        let mut parents = TileStore::new(64, &StorageBackend::Memory).unwrap();
+        let err = ooc_johnson_with_parents(&mut dev, &g, &mut store, &mut parents, &zero_delta())
+            .unwrap_err();
+        assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput, "{err}");
+    }
+
+    #[test]
+    fn partial_sources_reject_zero_delta() {
+        let g = gnp(64, 0.1, WeightRange::default(), 1);
+        let mut dev = GpuDevice::new(DeviceProfile::v100());
+        let err = ooc_johnson_sources(&mut dev, &g, &[3], &zero_delta(), &Supervisor::unarmed())
+            .unwrap_err();
+        assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput, "{err}");
     }
 
     #[test]

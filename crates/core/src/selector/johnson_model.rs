@@ -8,7 +8,7 @@
 
 use crate::calibration::{CoeffKey, EstimateParts};
 use crate::error::ApspError;
-use crate::ooc_johnson::batch_size;
+use crate::ooc_johnson::{batch_size, check_options};
 use crate::options::{DynamicParallelism, JohnsonOptions};
 use crate::selector::{CostModels, SelectorConfig};
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
@@ -46,6 +46,7 @@ impl JohnsonModel {
         cfg: &SelectorConfig,
         opts: &JohnsonOptions,
     ) -> Result<Self, ApspError> {
+        check_options(opts)?;
         let mut dev = GpuDevice::new(profile.clone());
         let n = g.num_vertices();
         if n == 0 {
@@ -198,5 +199,22 @@ mod tests {
             &JohnsonOptions::default(),
         );
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn zero_delta_is_invalid_input() {
+        let g = gnp(64, 0.1, WeightRange::default(), 1);
+        let opts = JohnsonOptions {
+            delta: Some(0),
+            ..Default::default()
+        };
+        let err = JohnsonModel::probe(
+            &DeviceProfile::v100(),
+            &g,
+            &SelectorConfig::default(),
+            &opts,
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput, "{err}");
     }
 }

@@ -7,7 +7,7 @@
 //! primitives behind one trait, so kernels, the three out-of-core
 //! drivers, the tile store's staging copies, and the service layer all
 //! select an execution strategy through a single seam — instead of
-//! matching on [`ExecBackend`](crate::parallel::ExecBackend) at every
+//! matching on [`ExecBackend`] at every
 //! call site. A future real-GPU backend (SPIR-V/Vulkan in the style of
 //! `krnl`) implements this trait and plugs in without touching a
 //! driver.

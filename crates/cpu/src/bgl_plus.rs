@@ -3,37 +3,44 @@
 //! "This implementation uses OpenMP to parallelize among different SSSP
 //! instances, which are themselves using Dijkstra's algorithm
 //! implementation from the popular Boost Graph Library." The Rust
-//! equivalent parallelizes sources with rayon over the binary-heap
-//! Dijkstra of [`crate::dijkstra`].
+//! equivalent runs the binary-heap Dijkstra of [`crate::dijkstra`] once
+//! per source, with host workers claiming sources through
+//! [`par_claim`].
 
 use crate::dense::DistMatrix;
 use crate::dijkstra::dijkstra_sssp_into;
-use apsp_graph::{CsrGraph, VertexId};
-use rayon::prelude::*;
+use crate::parallel::{par_claim, sssp_work, ExecBackend};
+use apsp_graph::{CsrGraph, Dist, VertexId};
 
 /// Full APSP by one Dijkstra per source, sources in parallel.
 pub fn bgl_plus_apsp(g: &CsrGraph) -> DistMatrix {
     let n = g.num_vertices();
     let mut m = DistMatrix::new(n);
-    // Each source owns one row: disjoint mutable chunks parallelize
-    // without synchronization, mirroring the OpenMP loop of the original.
-    m.as_mut_slice()
-        .par_chunks_mut(n.max(1))
-        .enumerate()
-        .for_each(|(source, row)| {
+    // Each source owns one row: disjoint rows parallelize without
+    // synchronization, mirroring the OpenMP loop of the original.
+    let mut rows: Vec<&mut [Dist]> = m.as_mut_slice().chunks_mut(n.max(1)).collect();
+    let threads = ExecBackend::parallel().resolved_threads();
+    par_claim(&mut rows, threads, sssp_work(n, g.num_edges()), |claims| {
+        for (source, row) in claims {
             dijkstra_sssp_into(g, source as VertexId, row);
-        });
+        }
+    });
     m
 }
 
 /// APSP restricted to the given sources; returns one row per source in
 /// input order. Used by the selector's batch-sampling cost model and by
 /// tests that spot-check huge matrices.
-pub fn bgl_plus_rows(g: &CsrGraph, sources: &[VertexId]) -> Vec<Vec<apsp_graph::Dist>> {
-    sources
-        .par_iter()
-        .map(|&s| crate::dijkstra::dijkstra_sssp(g, s))
-        .collect()
+pub fn bgl_plus_rows(g: &CsrGraph, sources: &[VertexId]) -> Vec<Vec<Dist>> {
+    let mut rows = vec![Vec::new(); sources.len()];
+    let threads = ExecBackend::parallel().resolved_threads();
+    let work = sssp_work(g.num_vertices(), g.num_edges());
+    par_claim(&mut rows, threads, work, |claims| {
+        for (i, row) in claims {
+            *row = crate::dijkstra::dijkstra_sssp(g, sources[i]);
+        }
+    });
+    rows
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //! algorithm, and the parent of the Near-Far scheme the GPU kernels use.
 
 use crate::dense::DistMatrix;
+use crate::parallel::{par_claim, sssp_work, ExecBackend};
 use apsp_graph::{dist_add, CsrGraph, Dist, VertexId, INF};
-use rayon::prelude::*;
 
 /// Delta-stepping from `source` with bucket width `delta`.
 ///
@@ -92,13 +92,13 @@ fn push_bucket(buckets: &mut Vec<Vec<VertexId>>, b: usize, v: VertexId) {
 pub fn galois_apsp(g: &CsrGraph, delta: Dist) -> DistMatrix {
     let n = g.num_vertices();
     let mut m = DistMatrix::new(n);
-    m.as_mut_slice()
-        .par_chunks_mut(n.max(1))
-        .enumerate()
-        .for_each(|(source, row)| {
-            let d = delta_stepping_sssp(g, source as VertexId, delta);
-            row.copy_from_slice(&d);
-        });
+    let mut rows: Vec<&mut [Dist]> = m.as_mut_slice().chunks_mut(n.max(1)).collect();
+    let threads = ExecBackend::parallel().resolved_threads();
+    par_claim(&mut rows, threads, sssp_work(n, g.num_edges()), |claims| {
+        for (source, row) in claims {
+            row.copy_from_slice(&delta_stepping_sssp(g, source as VertexId, delta));
+        }
+    });
     m
 }
 

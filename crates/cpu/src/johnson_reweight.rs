@@ -1,7 +1,7 @@
 //! Classic Johnson's reweighting: APSP with *negative* edge weights.
 //!
 //! The paper's system assumes non-negative integer weights (CUDA
-//! `atomicMin` over `int`). The textbook Johnson's algorithm [10] is more
+//! `atomicMin` over `int`). The textbook Johnson's algorithm \[10\] is more
 //! general: add a virtual source connected to every vertex with weight 0,
 //! run Bellman-Ford to get potentials `h`, reweight every edge to
 //! `w'(u,v) = w(u,v) + h(u) − h(v) ≥ 0`, run any non-negative SSSP, and

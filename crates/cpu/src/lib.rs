@@ -4,7 +4,7 @@
 //!
 //! * **BGL-Plus** — OpenMP-parallel Dijkstra per source using the Boost
 //!   Graph Library; reproduced here as [`bgl_plus::bgl_plus_apsp`]
-//!   (binary-heap Dijkstra, sources parallelized with rayon),
+//!   (binary-heap Dijkstra, sources claimed by host workers),
 //! * **SuperFW** — an optimized multicore blocked Floyd-Warshall
 //!   (numbers reported from the literature); reproduced as
 //!   [`blocked_fw::blocked_floyd_warshall`],

@@ -8,7 +8,10 @@
 //! for the duration of one round, so splitting rows into contiguous
 //! bands across threads is deterministic — not merely "correct up to
 //! floating-point", but **bit-identical** to the scalar loops (the
-//! min-plus semiring over `u32` has no rounding to reorder).
+//! min-plus semiring over `u32` has no rounding to reorder). Per-source
+//! SSSP loops, whose items vary in cost, use [`par_claim`] instead:
+//! workers claim items one at a time, each still writing only its own
+//! rows.
 //!
 //! The branchless inner loops exploit the same fixed order: the scalar
 //! reference guards every relaxation with `if via < c[j]` (an
@@ -28,6 +31,8 @@
 
 use crate::dense::DistMatrix;
 use apsp_graph::{Dist, INF};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Minimum rows a band must carry before another thread is worth its
 /// spawn cost; below this the scheduler runs inline.
@@ -231,6 +236,104 @@ pub fn par_bands_weighted<F>(
 {
     let floor = min_per_band.max(MIN_WORK_PER_DISPATCH.div_ceil(work_per_item.max(1)));
     par_bands(items, threads, floor, f);
+}
+
+/// Elementary-operation weight of one single-source shortest-path run
+/// over a graph of `n` vertices and `m` edges, in the unit of
+/// [`MIN_WORK_PER_DISPATCH`]. A Near-Far SSSP costs about 11–14 ns per
+/// `(n + m)` element single-threaded, against about 0.7 ns per
+/// branchless min-plus op, hence 18 ops per element rather than 1
+/// (DESIGN.md §10 has the measurements). Dijkstra and delta-stepping cost more per
+/// element, so for them the weight errs toward running inline.
+pub fn sssp_work(n: usize, m: usize) -> usize {
+    18 * (n + m)
+}
+
+/// Workers [`par_claim`] runs `items` items of `work_per_item`
+/// elementary operations on: at most `threads`, and few enough that
+/// each carries about [`MIN_WORK_PER_DISPATCH`] operations. `1` means
+/// inline on the calling thread.
+pub fn claim_workers(items: usize, threads: usize, work_per_item: usize) -> usize {
+    let min_per_worker = MIN_WORK_PER_DISPATCH.div_ceil(work_per_item.max(1));
+    threads.clamp(1, items.div_ceil(min_per_worker).max(1))
+}
+
+/// Run `f` once on each of [`claim_workers`] workers (the first on the
+/// calling thread); each worker's [`Claims`] pulls the next unclaimed
+/// element of `items` from a shared cursor until none is left. Unlike
+/// [`par_bands`]' fixed ranges, items of uneven cost balance themselves
+/// across workers, and per-worker setup inside `f` still runs once per
+/// worker.
+///
+/// Every element is handed out exactly once, as a `&mut` to that
+/// element alone, so workers that write only through their claims are
+/// race-free and the result does not depend on which worker ran which
+/// item.
+pub fn par_claim<T, F>(items: &mut [T], threads: usize, work_per_item: usize, f: F)
+where
+    T: Send,
+    F: Fn(Claims<'_, T>) + Sync,
+{
+    let (base, len) = (items.as_mut_ptr(), items.len());
+    let workers = claim_workers(len, threads, work_per_item);
+    let cursor = AtomicUsize::new(0);
+    // `items` stays mutably borrowed, and untouched, for the whole call.
+    let claims = || Claims {
+        items: base,
+        len,
+        cursor: &cursor,
+        _items: PhantomData,
+    };
+    if workers <= 1 {
+        f(claims());
+        return;
+    }
+    std::thread::scope(|scope| {
+        let f = &f;
+        for _ in 1..workers {
+            let mine = claims();
+            scope.spawn(move || f(mine));
+        }
+        f(claims());
+    });
+}
+
+/// One worker's share of a [`par_claim`] call: an iterator over
+/// `(index, &mut item)` pairs, each claimed from the cursor it shares
+/// with the call's other workers.
+pub struct Claims<'a, T> {
+    items: *mut T,
+    len: usize,
+    cursor: &'a AtomicUsize,
+    _items: PhantomData<&'a mut [T]>,
+}
+
+// SAFETY: `items` points into the slice `par_claim` holds mutably
+// borrowed for its whole call, which outlives `'a`, and `next` turns it
+// only into `&mut T`s to elements no other claimer receives; moving a
+// `Claims` to another thread therefore moves `&mut T`s, which is sound
+// for `T: Send`. `len` is plain data and `cursor` is a shared reference
+// to a `Sync` atomic.
+unsafe impl<T: Send> Send for Claims<'_, T> {}
+
+impl<'a, T> Iterator for Claims<'a, T> {
+    type Item = (usize, &'a mut T);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        // Relaxed: the cursor publishes no other data. Each `fetch_add`
+        // is one read-modify-write of the same atomic, so every index
+        // is returned to exactly one claimer; what a worker writes
+        // reaches the caller through the scope's join.
+        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= self.len {
+            return None;
+        }
+        // SAFETY: `i < len` lies inside the slice, which stays borrowed
+        // for longer than `'a`, and the cursor only grows (wrapping would
+        // take 2⁶⁴ claims), so no other claimer ever holds a reference to
+        // element `i`.
+        Some((i, unsafe { &mut *self.items.add(i) }))
+    }
 }
 
 /// A `Send + Sync` wrapper around a raw mutable slice, for band-parallel
@@ -464,6 +567,40 @@ mod tests {
                 assert_eq!(h.load(Ordering::Relaxed), 1, "item {i}");
             }
         }
+    }
+
+    #[test]
+    fn par_claim_claims_every_index_exactly_once() {
+        use std::sync::Mutex;
+        let caller = std::thread::current().id();
+        // One item alone meets the floor, so the worker count is
+        // min(threads, items): covers items < threads and items = 0.
+        for (items, threads) in [(0, 4), (1, 4), (3, 8), (7, 3), (100, 4), (100, 1), (33, 64)] {
+            let mut claimed: Vec<Option<usize>> = vec![None; items];
+            let workers = Mutex::new(Vec::new());
+            par_claim(&mut claimed, threads, MIN_WORK_PER_DISPATCH, |claims| {
+                workers.lock().unwrap().push(std::thread::current().id());
+                for (i, slot) in claims {
+                    assert_eq!(slot.replace(i), None, "index {i} claimed twice");
+                }
+            });
+            for (i, slot) in claimed.iter().enumerate() {
+                assert_eq!(*slot, Some(i), "{items} items on {threads} threads");
+            }
+            let workers = workers.into_inner().unwrap();
+            assert_eq!(workers.len(), threads.min(items).max(1));
+            assert!(workers.contains(&caller), "first worker runs inline");
+        }
+    }
+
+    #[test]
+    fn claim_workers_keeps_small_dispatches_inline() {
+        assert_eq!(claim_workers(0, 4, 1), 1);
+        assert_eq!(claim_workers(100, 4, 1000), 1);
+        let half = MIN_WORK_PER_DISPATCH / 2;
+        assert_eq!(claim_workers(2, 4, half), 1);
+        assert_eq!(claim_workers(3, 4, half), 2);
+        assert_eq!(claim_workers(64, 4, half), 4);
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //! * a **saturation-free inner loop**: packed entries are clamped to
 //!   `INF` up front, after which `(a + b).min(INF)` over `u32` cannot
 //!   wrap (`2·INF < 2³²`) and is *provably equal* to
-//!   [`apsp_graph::dist_add`] for every input pair (see
-//!   [`clamped_add_equals_dist_add`] below) — the inner loop is exactly
-//!   one add and two unsigned mins per lane;
+//!   [`apsp_graph::dist_add`] for every input pair (see the
+//!   `clamped_add_equals_dist_add` test below) — the inner loop is
+//!   exactly one add and two unsigned mins per lane;
 //! * a **scalar-equivalent tail**: rows beyond the last full `MR` panel
 //!   and columns beyond the last full 16-wide panel run through the
 //!   branchless row kernel ([`crate::parallel::relax_row_branchless`]),

@@ -3,19 +3,20 @@
 //! The paper evaluates on SuiteSparse matrices plus R-MAT graphs. Every
 //! family it needs is generated here:
 //!
-//! * [`rmat`] — recursive-matrix scale-free graphs (Chakrabarti et al.),
+//! * [`mod@rmat`] — recursive-matrix scale-free graphs (Chakrabarti et al.),
 //!   the paper's synthetic workload for Table V / Table VI,
-//! * [`gnp`] — Erdős–Rényi G(n, p) for controlled-density sweeps,
+//! * [`mod@gnp`] — Erdős–Rényi G(n, p) for controlled-density sweeps,
 //! * [`grid`] — 2-D lattices: planar, the canonical small-separator case,
 //! * [`geometric`] — random geometric graphs: road-network analogs
 //!   (small separator, low density),
-//! * [`banded`] — banded matrices with random fill: FEM/stiffness-matrix
+//! * [`mod@banded`] — banded matrices with random fill: FEM/stiffness-matrix
 //!   analogs (moderate density, no small separator),
-//! * [`star`] — hub-and-spoke graphs with a few extreme-degree vertices,
+//! * [`mod@star`] — hub-and-spoke graphs with a few extreme-degree vertices,
 //!   the adversarial input for dynamic parallelism and partitioning.
 //!
-//! All generators take an explicit seed, produce canonical [`CsrGraph`]s
-//! via [`crate::GraphBuilder`], and draw weights from a [`WeightRange`].
+//! All generators take an explicit seed, produce canonical
+//! [`crate::CsrGraph`]s via [`crate::GraphBuilder`], and draw weights from
+//! a [`WeightRange`].
 
 pub mod banded;
 pub mod geometric;

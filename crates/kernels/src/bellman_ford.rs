@@ -1,7 +1,7 @@
 //! Device Bellman-Ford SSSP — the related-work baseline.
 //!
-//! Many earlier GPU APSP efforts build on Bellman-Ford ([5], [6], [16],
-//! [34] in the paper): maximal parallelism (every edge relaxes
+//! Many earlier GPU APSP efforts build on Bellman-Ford (\[5\], \[6\], \[16\],
+//! \[34\] in the paper): maximal parallelism (every edge relaxes
 //! independently each round) but redundant work, since vertices are
 //! processed in arbitrary order. This kernel exists to quantify that
 //! trade-off against the Near-Far kernel the paper adopts

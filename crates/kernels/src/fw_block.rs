@@ -8,7 +8,7 @@
 //! The computation executes on the host via the shared blocked kernel of
 //! `apsp-cpu` (bit-exact with the CPU reference); the device is charged
 //! the per-stage kernel launches and roofline costs of the tiled GPU
-//! implementation [20].
+//! implementation \[20\].
 
 use crate::minplus::{minplus_cost, minplus_launch};
 use crate::model::THREADS_PER_BLOCK;

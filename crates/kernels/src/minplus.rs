@@ -3,7 +3,7 @@
 //! `C = min(C, A ⊗ B)` where `(A ⊗ B)[i][j] = min_k A[i][k] + B[k][j]` —
 //! the paper's Stage 2/3 update and the boundary algorithm's two chained
 //! multiplications. The modeled cost follows the classic shared-memory
-//! tiling [14]: every operand tile is staged through shared memory once
+//! tiling \[14\]: every operand tile is staged through shared memory once
 //! per use, giving DRAM traffic `≈ 4 bytes · (r·i + i·c) · ⌈other/T⌉ +
 //! 8 bytes · r·c` for tile side `T`.
 

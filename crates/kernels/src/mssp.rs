@@ -13,7 +13,7 @@ use crate::model::{
     BYTES_PER_RELAXATION, FRONTIER_IRREGULARITY, OPS_PER_RELAXATION, THREADS_PER_BLOCK,
 };
 use crate::nearfar::{near_far_sssp, NearFarStats};
-use apsp_cpu::parallel::{par_bands_weighted, ExecBackend, SharedSliceMut};
+use apsp_cpu::parallel::{par_claim, sssp_work, ExecBackend};
 use apsp_gpu_sim::{GpuDevice, KernelCost, LaunchConfig, StreamId};
 use apsp_graph::{CsrGraph, Dist, VertexId};
 
@@ -133,58 +133,46 @@ fn mssp_kernel_impl(
             }
         }
     } else {
-        // The SSSP instances are independent: band sources across
-        // threads, each writing its own row of `out`/`parents` and its
-        // own per-source stats slot, then merge the stats in source
-        // order so the aggregate matches the sequential loop exactly.
-        let mut per_source = vec![NearFarStats::default(); bat];
-        {
-            let out_shared = SharedSliceMut::new(out.as_mut_slice());
-            let parents_shared = parents
-                .as_deref_mut()
-                .map(|p| SharedSliceMut::new(p.as_mut_slice()));
-            let stats_shared = SharedSliceMut::new(&mut per_source);
-            // One SSSP traverses ~n + m elements; weight bands by that so
-            // tiny batches on tiny graphs run inline (no thread spawns).
-            // Do not be tempted to scale this up to reflect the higher
-            // per-element cost of bucket-queue traversal: threading
-            // Near-Far instances was measured slower than inline on the
-            // bench host even at multi-millisecond bands (irregular
-            // access patterns contend for shared cache), so the floor
-            // errs toward inline on purpose.
-            let work_per_source = n + g.num_edges();
-            par_bands_weighted(bat, threads, 1, work_per_source, |band| {
-                // SAFETY: bands own disjoint source indices, hence
-                // disjoint output rows and stats slots.
-                let out = unsafe { out_shared.slice() };
-                let per = unsafe { stats_shared.slice() };
-                // One scratch per band: the reference backend allocates
-                // per source, the optimized backends amortize the six
-                // working buffers across the whole band (identical
-                // traversal, bit-identical distances — see
-                // [`crate::nearfar::NearFarScratch`]).
-                let mut scratch = crate::nearfar::NearFarScratch::new(n);
-                let track_parents = parents_shared.is_some();
-                for i in band {
-                    let src = sources[i];
-                    let s = crate::nearfar::near_far_sssp_scratch(
-                        g,
-                        src,
-                        opts.delta,
-                        heavy_threshold,
-                        &mut scratch,
-                        track_parents,
-                    );
-                    per[i] = s;
-                    out[i * n..(i + 1) * n].copy_from_slice(scratch.dist());
-                    if let Some(ps) = parents_shared {
-                        let pm = unsafe { ps.slice() };
-                        pm[i * n..(i + 1) * n].copy_from_slice(scratch.parents());
-                    }
+        // The SSSP instances are independent and uneven in cost, so
+        // workers claim sources one at a time. Each writes only its own
+        // rows of `out`/`parents` and its own stats slot, and the stats
+        // merge in source order below, so the aggregate matches the
+        // sequential loop exactly.
+        let track_parents = parents.is_some();
+        let mut parent_rows = parents
+            .as_deref_mut()
+            .map(|p| p.as_mut_slice().chunks_mut(n));
+        let mut slots: Vec<_> = out
+            .as_mut_slice()
+            .chunks_mut(n)
+            .map(|row| {
+                let par = parent_rows.as_mut().and_then(Iterator::next);
+                (row, par, NearFarStats::default())
+            })
+            .collect();
+        par_claim(&mut slots, threads, sssp_work(n, g.num_edges()), |claims| {
+            // One scratch per worker: the reference backend allocates
+            // per source, the optimized backends amortize the six
+            // working buffers across the worker's sources (identical
+            // traversal, bit-identical distances — see
+            // [`crate::nearfar::NearFarScratch`]).
+            let mut scratch = crate::nearfar::NearFarScratch::new(n);
+            for (i, (row, par, s)) in claims {
+                *s = crate::nearfar::near_far_sssp_scratch(
+                    g,
+                    sources[i],
+                    opts.delta,
+                    heavy_threshold,
+                    &mut scratch,
+                    track_parents,
+                );
+                row.copy_from_slice(scratch.dist());
+                if let Some(par) = par {
+                    par.copy_from_slice(scratch.parents());
                 }
-            });
-        }
-        for s in &per_source {
+            }
+        });
+        for (_, _, s) in &slots {
             max_iterations = max_iterations.max(s.near_iterations);
             stats.merge(s);
         }
@@ -375,37 +363,86 @@ mod tests {
 
     #[test]
     fn exec_backends_bit_identical_with_parents() {
-        let g = gnp(150, 0.05, WeightRange::default(), 13);
-        let sources: Vec<u32> = vec![0, 7, 77, 149];
-        let run = |exec: ExecBackend| {
-            let mut d = dev();
-            let s = d.default_stream();
-            let mut out = DeviceMatrix::alloc_inf(&d, 4, 150).unwrap();
-            let mut parents = DeviceMatrix::alloc_inf(&d, 4, 150).unwrap();
-            let opts = MsspOptions {
-                exec,
-                ..MsspOptions::new(25)
-            };
-            let outcome =
-                mssp_kernel_with_parents(&mut d, s, &g, &sources, &mut out, &mut parents, opts);
-            (
-                out.as_slice().to_vec(),
-                parents.as_slice().to_vec(),
-                outcome.stats.total_relaxations(),
-                d.synchronize().seconds(),
-            )
-        };
-        let scalar = run(ExecBackend::Scalar);
-        for threads in [1usize, 3] {
-            let fast = run(ExecBackend::Parallel {
-                threads: Some(threads),
-            });
-            assert_eq!(fast, scalar, "parallel, {threads} threads");
-            let simd = run(ExecBackend::Simd {
-                threads: Some(threads),
-            });
-            assert_eq!(simd, scalar, "simd, {threads} threads");
+        let small = gnp(150, 0.05, WeightRange::default(), 13);
+        // 64 sources of rmat(512, 4096) clear the dispatch floor for 3
+        // workers, so the threaded cases really run on 2 and 3 threads.
+        let large = rmat(
+            512,
+            4096,
+            RmatParams::scale_free(),
+            WeightRange::default(),
+            17,
+        );
+        let work = sssp_work(512, large.num_edges());
+        assert_eq!(apsp_cpu::parallel::claim_workers(64, 3, work), 3);
+        let cases: [(&CsrGraph, Vec<u32>); 2] =
+            [(&small, vec![0, 7, 77, 149]), (&large, (0..64).collect())];
+        for (g, sources) in &cases {
+            let n = g.num_vertices();
+            let k = sources.len();
+            for with_parents in [false, true] {
+                for dynamic_parallelism in [false, true] {
+                    let run = |exec: ExecBackend| {
+                        let mut d = dev();
+                        let s = d.default_stream();
+                        let mut out = DeviceMatrix::alloc_inf(&d, k, n).unwrap();
+                        let mut parents = DeviceMatrix::alloc_inf(&d, k, n).unwrap();
+                        let opts = MsspOptions {
+                            exec,
+                            dynamic_parallelism,
+                            heavy_degree_threshold: 16,
+                            ..MsspOptions::new(25)
+                        };
+                        let outcome = if with_parents {
+                            mssp_kernel_with_parents(
+                                &mut d,
+                                s,
+                                g,
+                                sources,
+                                &mut out,
+                                &mut parents,
+                                opts,
+                            )
+                        } else {
+                            mssp_kernel(&mut d, s, g, sources, &mut out, opts)
+                        };
+                        (
+                            out.as_slice().to_vec(),
+                            parents.as_slice().to_vec(),
+                            outcome.stats,
+                            outcome.child_launches,
+                            d.synchronize().seconds(),
+                        )
+                    };
+                    let scalar = run(ExecBackend::Scalar);
+                    assert_eq!(scalar.3 > 0, dynamic_parallelism);
+                    for threads in [1usize, 2, 3] {
+                        let at = format!(
+                            "n {n}, {threads} threads, parents {with_parents}, dynpar {dynamic_parallelism}"
+                        );
+                        let fast = run(ExecBackend::Parallel {
+                            threads: Some(threads),
+                        });
+                        assert!(fast == scalar, "parallel: {at}");
+                        let simd = run(ExecBackend::Simd {
+                            threads: Some(threads),
+                        });
+                        assert!(simd == scalar, "simd: {at}");
+                    }
+                }
+            }
         }
+    }
+
+    #[test]
+    fn bench_sized_batches_dispatch_and_tiny_ones_stay_inline() {
+        use apsp_cpu::parallel::claim_workers;
+        // A batch of 55 sources on rmat(2048, 16384) and one of 90 on a
+        // 48 × 48 grid each fill two workers.
+        assert_eq!(claim_workers(55, 2, sssp_work(2048, 16384)), 2);
+        assert_eq!(claim_workers(90, 2, sssp_work(2304, 9024)), 2);
+        let tiny = gnp(10, 0.2, WeightRange::default(), 1);
+        assert_eq!(claim_workers(10, 2, sssp_work(10, tiny.num_edges())), 1);
     }
 
     #[test]

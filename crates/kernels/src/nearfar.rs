@@ -1,4 +1,4 @@
-//! Near-Far SSSP (Davidson et al. [11]) with work accounting.
+//! Near-Far SSSP (Davidson et al. \[11\]) with work accounting.
 //!
 //! The simplification of delta-stepping the paper adopts for its GPU SSSP:
 //! two queues. Vertices whose tentative distance falls below the current
