@@ -71,10 +71,13 @@ fn optimized_backends_agree_bitwise_across_the_matrix() {
         Case::generate(Family::Grid, 0xBACC),
         Case::generate(Family::Disconnected, 0xBACC),
     ];
-    // Auto-sized, single-threaded, and an odd explicit count: the band
-    // boundaries land differently in each, so a band-placement bug
-    // cannot hide behind one lucky split. The simd backend additionally
-    // shifts every register-tile boundary as n varies across families.
+    // Auto-sized, single-threaded, and an odd explicit count. At corpus
+    // sizes (n of 90 to 96) every kernel call stays under the 2²¹-op
+    // dispatch floor and runs inline whatever the count, so these runs
+    // check the optimized loops, not band splits; the unit parity tests
+    // of `parallel`, `blocked_fw`, `minplus` and `tile_store` pin shapes
+    // that really split across 2 and 3 workers. The simd backend shifts
+    // every register-tile boundary as n varies across families.
     let optimized_execs = [
         ExecBackend::parallel(),
         ExecBackend::Parallel { threads: Some(1) },

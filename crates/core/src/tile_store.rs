@@ -15,7 +15,7 @@
 use crate::error::{CorruptionMark, SdcMark};
 use crate::options::SdcGuardMode;
 use crate::supervisor::Supervisor;
-use apsp_cpu::parallel::{par_bands_weighted, ExecBackend, SharedSliceMut};
+use apsp_cpu::parallel::{par_claim, par_row_bands, ExecBackend};
 use apsp_graph::{Dist, INF};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
@@ -288,10 +288,6 @@ pub struct TileStore {
     open_verify: Option<OpenVerify>,
 }
 
-/// Minimum rows per band for the store's staging copies — below this a
-/// band is cheaper to run inline than to hand to a thread.
-const STORE_MIN_ROWS_PER_BAND: usize = 64;
-
 impl std::fmt::Debug for TileStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let kind = match &self.backing {
@@ -448,6 +444,11 @@ impl TileStore {
             Some(sup) => sup.io_tick(ops),
             None => Ok(()),
         }
+    }
+
+    /// Whether `r` is a forward range of row or column indices.
+    fn in_range(&self, r: &std::ops::Range<usize>) -> bool {
+        r.start <= r.end && r.end <= self.n
     }
 
     /// Telemetry row accounting, reached through the attached
@@ -935,8 +936,8 @@ impl TileStore {
 
     /// Overwrite full row `i`.
     pub fn write_row(&mut self, i: usize, row: &[Dist]) -> io::Result<()> {
-        assert_eq!(row.len(), self.n, "row width mismatch");
-        assert!(i < self.n, "row index out of range");
+        check_input(row.len() == self.n, "row width mismatch")?;
+        check_input(i < self.n, "row index out of range")?;
         self.crash_tick(1)?;
         self.supervision_tick(1)?;
         self.count_rows(0, 1);
@@ -971,9 +972,14 @@ impl TileStore {
 
     /// Overwrite `rows.len() / n` consecutive rows starting at `row_start`.
     pub fn write_rows(&mut self, row_start: usize, rows: &[Dist]) -> io::Result<()> {
-        assert_eq!(rows.len() % self.n, 0, "partial rows in write_rows");
-        let count = rows.len() / self.n;
-        assert!(row_start + count <= self.n, "rows out of range");
+        let count = rows.len().checked_div(self.n).unwrap_or(0);
+        check_input(count * self.n == rows.len(), "partial rows in write_rows")?;
+        check_input(
+            row_start
+                .checked_add(count)
+                .is_some_and(|end| end <= self.n),
+            "rows out of range",
+        )?;
         self.crash_tick(1)?; // one contiguous positional write
         self.supervision_tick(count as u64)?; // but cancellation stays row-granular
         self.count_rows(0, count as u64);
@@ -1005,9 +1011,12 @@ impl TileStore {
         col_range: std::ops::Range<usize>,
         data: &[Dist],
     ) -> io::Result<()> {
-        assert!(row_range.end <= self.n && col_range.end <= self.n);
+        check_input(
+            self.in_range(&row_range) && self.in_range(&col_range),
+            "block out of range",
+        )?;
         let width = col_range.len();
-        assert_eq!(data.len(), row_range.len() * width, "block size mismatch");
+        check_input(data.len() == row_range.len() * width, "block size mismatch")?;
         self.crash_tick(row_range.len() as u64)?;
         self.supervision_tick(row_range.len() as u64)?;
         self.count_rows(0, row_range.len() as u64);
@@ -1021,16 +1030,12 @@ impl TileStore {
         let threads = self.exec.resolved_threads();
         match &mut self.backing {
             Backing::Memory(buf) => {
-                let rows = row_range.len();
-                let row_start = row_range.start;
                 let col_start = col_range.start;
-                let shared = SharedSliceMut::new(buf.as_mut_slice());
-                par_bands_weighted(rows, threads, STORE_MIN_ROWS_PER_BAND, width, |band| {
-                    // SAFETY: bands write disjoint row ranges of the backing.
-                    let buf = unsafe { shared.slice() };
-                    for r in band {
-                        let dst = (row_start + r) * n + col_start;
-                        buf[dst..dst + width].copy_from_slice(&data[r * width..(r + 1) * width]);
+                let dst = &mut buf[row_range.start * n..row_range.end * n];
+                par_row_bands(dst, n, row_range.len(), threads, width, |band, dst| {
+                    for (r, row) in band.zip(dst.chunks_mut(n)) {
+                        let src = &data[r * width..(r + 1) * width];
+                        row[col_start..col_start + width].copy_from_slice(src);
                     }
                 });
             }
@@ -1065,7 +1070,10 @@ impl TileStore {
         row_range: std::ops::Range<usize>,
         col_range: std::ops::Range<usize>,
     ) -> io::Result<Vec<Dist>> {
-        assert!(row_range.end <= self.n && col_range.end <= self.n);
+        check_input(
+            self.in_range(&row_range) && self.in_range(&col_range),
+            "block out of range",
+        )?;
         let width = col_range.len();
         self.crash_tick(row_range.len() as u64)?;
         self.supervision_tick(row_range.len() as u64)?;
@@ -1079,13 +1087,11 @@ impl TileStore {
                 let row_start = row_range.start;
                 let col_start = col_range.start;
                 let threads = self.exec.resolved_threads();
-                let shared = SharedSliceMut::new(out.as_mut_slice());
-                par_bands_weighted(rows, threads, STORE_MIN_ROWS_PER_BAND, width, |band| {
-                    // SAFETY: bands write disjoint row ranges of `out`.
-                    let out = unsafe { shared.slice() };
-                    for r in band {
+                par_row_bands(&mut out, width, rows, threads, width, |band, out| {
+                    for r in band.clone() {
                         let src = (row_start + r) * n + col_start;
-                        out[r * width..(r + 1) * width].copy_from_slice(&data[src..src + width]);
+                        let dst = (r - band.start) * width;
+                        out[dst..dst + width].copy_from_slice(&data[src..src + width]);
                     }
                 });
             }
@@ -1117,7 +1123,7 @@ impl TileStore {
 
     /// Read full row `i`.
     pub fn read_row(&self, i: usize) -> io::Result<Vec<Dist>> {
-        assert!(i < self.n);
+        check_input(i < self.n, "row index out of range")?;
         self.crash_tick(1)?;
         self.supervision_tick(1)?;
         self.count_rows(1, 0);
@@ -1145,7 +1151,7 @@ impl TileStore {
     /// Read one element — convenience for spot checks; row-granular I/O
     /// for bulk access.
     pub fn get(&self, i: usize, j: usize) -> io::Result<Dist> {
-        assert!(i < self.n && j < self.n);
+        check_input(i < self.n && j < self.n, "cell out of range")?;
         self.crash_tick(1)?;
         self.supervision_tick(1)?;
         self.count_rows(1, 0);
@@ -1271,7 +1277,7 @@ impl TileStore {
     /// read back from the file, so the checksums attest to what is
     /// actually on disk, not what was last handed to `write_*`.
     pub fn panel_checksums(&self, panel_rows: usize) -> io::Result<Vec<u64>> {
-        assert!(panel_rows >= 1, "panel_rows must be positive");
+        check_input(panel_rows >= 1, "panel_rows must be positive")?;
         // Each panel's FNV chain starts fresh from the offset basis, so
         // the panels are independent and can be hashed in parallel on
         // the memory backing. Crash/supervision ticks are charged in
@@ -1284,15 +1290,12 @@ impl TileStore {
                 self.supervision_tick(n as u64)?;
                 let num_panels = n.div_ceil(panel_rows);
                 let mut out = vec![0u64; num_panels];
-                let shared = SharedSliceMut::new(&mut out);
-                par_bands_weighted(num_panels, threads, 1, panel_rows * n, |band| {
-                    // SAFETY: each band writes a disjoint range of `out`.
-                    let out = unsafe { shared.slice() };
-                    for p in band {
+                par_claim(&mut out, threads, panel_rows * n, |claims| {
+                    for (p, hash) in claims {
                         let lo = p * panel_rows;
                         let hi = ((p + 1) * panel_rows).min(n);
                         // A memory-backed panel is one contiguous slice.
-                        out[p] = fnv1a(cast_bytes(&data[lo * n..hi * n]), FNV_OFFSET_BASIS);
+                        *hash = fnv1a(cast_bytes(&data[lo * n..hi * n]), FNV_OFFSET_BASIS);
                     }
                 });
                 return Ok(out);
@@ -1560,6 +1563,16 @@ fn read_at(
     disk.read_exact_at(buf, offset)
 }
 
+/// `InvalidInput` unless `ok`. Callers check their arguments before
+/// charging any tick, so a rejected call moves no fault ordinal.
+fn check_input(ok: bool, msg: &str) -> io::Result<()> {
+    if ok {
+        Ok(())
+    } else {
+        Err(io::Error::new(io::ErrorKind::InvalidInput, msg))
+    }
+}
+
 fn cast_bytes(d: &[Dist]) -> &[u8] {
     // SAFETY: u32 has no padding or invalid bit patterns.
     unsafe { std::slice::from_raw_parts(d.as_ptr() as *const u8, std::mem::size_of_val(d)) }
@@ -1766,11 +1779,126 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// A store that counts ticks without ever crashing.
+    fn counting_store(n: usize) -> TileStore {
+        let mut s = TileStore::new(n, &StorageBackend::Memory).unwrap();
+        s.arm_crash(u64::MAX);
+        s
+    }
+
+    /// `r` is a typed `InvalidInput`, and the call charged no tick, so
+    /// seeded fault ordinals stay where they were.
+    fn assert_rejected<T: std::fmt::Debug>(s: &TileStore, r: io::Result<T>) {
+        assert_eq!(r.unwrap_err().kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(s.crash_ops(), 0, "a rejected call charged a tick");
+    }
+
     #[test]
-    #[should_panic(expected = "row width mismatch")]
     fn rejects_bad_row_width() {
-        let mut s = TileStore::new(3, &StorageBackend::Memory).unwrap();
-        s.write_row(0, &[1, 2]).unwrap();
+        let mut s = counting_store(3);
+        let r = s.write_row(0, &[1, 2]);
+        assert_rejected(&s, r);
+        let r = s.write_row(3, &[1, 2, 3]);
+        assert_rejected(&s, r);
+    }
+
+    #[test]
+    fn write_rows_rejects_partial_and_out_of_range_rows() {
+        let mut s = counting_store(3);
+        let r = s.write_rows(0, &[1, 2]);
+        assert_rejected(&s, r);
+        let r = s.write_rows(2, &[0; 6]);
+        assert_rejected(&s, r);
+        let r = s.write_rows(usize::MAX, &[0; 3]);
+        assert_rejected(&s, r);
+    }
+
+    #[test]
+    fn write_block_rejects_bad_ranges_and_sizes() {
+        let mut s = counting_store(3);
+        let r = s.write_block(0..4, 0..1, &[0; 4]);
+        assert_rejected(&s, r);
+        let r = s.write_block(0..1, 2..4, &[0; 2]);
+        assert_rejected(&s, r);
+        #[allow(clippy::reversed_empty_ranges)]
+        let r = s.write_block(2..1, 0..1, &[]);
+        assert_rejected(&s, r);
+        let r = s.write_block(0..2, 0..2, &[0; 3]);
+        assert_rejected(&s, r);
+    }
+
+    #[test]
+    fn read_block_rejects_bad_ranges() {
+        let s = counting_store(3);
+        assert_rejected(&s, s.read_block(0..4, 0..3));
+        assert_rejected(&s, s.read_block(0..3, 1..4));
+        #[allow(clippy::reversed_empty_ranges)]
+        let reversed = 2..1;
+        assert_rejected(&s, s.read_block(0..3, reversed));
+    }
+
+    #[test]
+    fn read_row_rejects_row_out_of_range() {
+        let s = counting_store(3);
+        assert_rejected(&s, s.read_row(3));
+    }
+
+    #[test]
+    fn get_rejects_cell_out_of_range() {
+        let s = counting_store(3);
+        assert_rejected(&s, s.get(3, 0));
+        assert_rejected(&s, s.get(0, 3));
+    }
+
+    #[test]
+    fn panel_checksums_rejects_zero_panel_rows() {
+        let mut s = counting_store(3);
+        assert_rejected(&s, s.panel_checksums(0));
+        s.set_exec_backend(ExecBackend::Parallel { threads: Some(2) });
+        assert_rejected(&s, s.panel_checksums(0));
+    }
+
+    /// At n = 2048 the `Memory` copies and checksums split across 2 and
+    /// 3 workers; each must match a 1-thread store.
+    #[test]
+    fn memory_bands_match_a_one_thread_store() {
+        use apsp_cpu::parallel::claim_workers;
+        let n = 2048;
+        assert!(claim_workers(n, 2, n) > 1);
+        assert!(claim_workers(n / 64, 2, 64 * n) > 1);
+        let data: Vec<Dist> = (0..n * n)
+            .map(|x| (x as u32).wrapping_mul(2654435761) % 100_000)
+            .collect();
+        let (rows, cols) = (100..1900, 3..2000);
+        let block: Vec<Dist> = (0..rows.len() * cols.len()).map(|x| x as Dist).collect();
+        let run = |exec: ExecBackend| {
+            let mut s = TileStore::new(n, &StorageBackend::Memory).unwrap();
+            s.set_exec_backend(exec);
+            s.write_block(0..n, 0..n, &data).unwrap();
+            let full = s.read_block(0..n, 0..n).unwrap();
+            s.write_block(rows.clone(), cols.clone(), &block).unwrap();
+            let part = s.read_block(rows.clone(), cols.clone()).unwrap();
+            (
+                full,
+                part,
+                s.panel_checksums(64).unwrap(),
+                s.read_block(0..n, 0..n).unwrap(),
+            )
+        };
+        let one = run(ExecBackend::Parallel { threads: Some(1) });
+        assert!(one.0 == data && one.1 == block);
+        for threads in [2, 3] {
+            for exec in [
+                ExecBackend::Parallel {
+                    threads: Some(threads),
+                },
+                ExecBackend::Simd {
+                    threads: Some(threads),
+                },
+            ] {
+                assert!(run(exec) == one, "{exec}");
+            }
+        }
     }
 
     #[test]

@@ -2,11 +2,8 @@
 //! reference the out-of-core variants are checked against.
 
 use crate::dense::DistMatrix;
-use crate::parallel::{
-    branchless_add, par_bands_weighted, relax_row_branchless, ExecBackend, SharedSliceMut,
-};
-use apsp_graph::{dist_add, Dist};
-use rayon::prelude::*;
+use crate::parallel::{branchless_add, par_claim, relax_row_branchless, ExecBackend};
+use apsp_graph::{dist_add, Dist, INF};
 
 /// Textbook Floyd-Warshall, `O(n³)`, in place.
 pub fn floyd_warshall(m: &mut DistMatrix) {
@@ -94,8 +91,10 @@ pub fn blocked_floyd_warshall(m: &mut DistMatrix, block: usize) {
 
 /// [`blocked_floyd_warshall`] under an explicit execution backend.
 ///
-/// The Parallel backend bands stage 2 and stage 3 across threads with
-/// branchless inner loops; both are bit-identical to the scalar stages
+/// Scalar runs the reference loops one tile at a time. Parallel and
+/// Simd share one loop nest that claims stage-2 tile pairs and stage-3
+/// block-rows across threads, with branchless rows in stages 1 and 2
+/// and the backend's tile in stage 3. Both are bit-identical to scalar
 /// because with a fixed pivot order each stage-2 tile depends only on
 /// itself plus the (finalized, unwritten) diagonal tile, and each
 /// stage-3 tile depends only on itself plus the stage-2 pivot row and
@@ -106,13 +105,18 @@ pub fn blocked_floyd_warshall_exec(m: &mut DistMatrix, block: usize, exec: ExecB
         return;
     }
     let block = block.max(1).min(n);
-    let num_b = n.div_ceil(block);
-    if num_b == 1 {
+    if n.div_ceil(block) == 1 {
         crate::parallel::floyd_warshall_exec(m, exec);
-        return;
+    } else if exec.is_scalar() {
+        blocked_scalar(m.as_mut_slice(), n, block);
+    } else {
+        blocked_rows(m.as_mut_slice(), n, block, exec);
     }
-    let backend = exec.resolve();
-    let threads = backend.threads();
+}
+
+/// The scalar reference rounds, sequential.
+fn blocked_scalar(data: &mut [Dist], n: usize, block: usize) {
+    let num_b = n.div_ceil(block);
     let extent = |b_idx: usize| -> (usize, usize) {
         let start = b_idx * block;
         (start, (start + block).min(n) - start)
@@ -120,145 +124,166 @@ pub fn blocked_floyd_warshall_exec(m: &mut DistMatrix, block: usize, exec: ExecB
     for kb in 0..num_b {
         let (ks, kl) = extent(kb);
         // Stage 1: diagonal tile — plain FW restricted to the tile.
-        if exec.is_scalar() {
-            fw_tile(m.as_mut_slice(), n, ks, kl);
-        } else {
-            fw_tile_branchless(m.as_mut_slice(), n, ks, kl);
+        fw_tile(data, n, ks, kl);
+        // Stage 2: pivot row and pivot column tiles, in place.
+        for ib in (0..num_b).filter(|&ib| ib != kb) {
+            let (is, il) = extent(ib);
+            // A(k, i) = min(A(k, i), A(k, k) ⊗ A(k, i)) — in-place on the
+            // B operand, the standard blocked-FW idiom.
+            minplus_tile_raw(data, n, ks * n + is, ks * n + ks, ks * n + is, kl, kl, il);
+            // A(i, k) = min(A(i, k), A(i, k) ⊗ A(k, k)) — in-place on A.
+            minplus_tile_raw(data, n, is * n + ks, is * n + ks, ks * n + ks, il, kl, kl);
         }
-        // Stage 2: pivot row and pivot column tiles. Each `ib` updates
-        // tiles (kb, ib) and (ib, kb) in place, reading only those tiles
-        // and the diagonal tile (which stage 2 never writes), so distinct
-        // `ib` are independent and can band across threads.
-        if exec.is_scalar() || threads <= 1 {
-            for ib in 0..num_b {
-                if ib == kb {
-                    continue;
+        // Stage 3: remainder tiles, which read only the pivot panels.
+        for ib in (0..num_b).filter(|&ib| ib != kb) {
+            let (is, il) = extent(ib);
+            for jb in (0..num_b).filter(|&jb| jb != kb) {
+                let (js, jl) = extent(jb);
+                minplus_tile_raw(data, n, is * n + js, is * n + ks, ks * n + js, il, kl, jl);
+            }
+        }
+    }
+}
+
+/// The Parallel/Simd rounds. Each round splits the matrix around the
+/// pivot block-row; every stage hands workers `&mut` row segments.
+fn blocked_rows(data: &mut [Dist], n: usize, block: usize, exec: ExecBackend) {
+    let num_b = n.div_ceil(block);
+    let threads = exec.resolved_threads();
+    for kb in 0..num_b {
+        let ks = kb * block;
+        let kl = block.min(n - ks);
+        let (above, rest) = data.split_at_mut(ks * n);
+        let (pivot, below) = rest.split_at_mut(kl * n);
+        // The pivot block-row as one list of row segments per tile.
+        let mut tiles: Vec<Vec<&mut [Dist]>> = (0..num_b).map(|_| Vec::with_capacity(kl)).collect();
+        for row in pivot.chunks_mut(n) {
+            for (jb, seg) in row.chunks_mut(block).enumerate() {
+                tiles[jb].push(seg);
+            }
+        }
+        // Stage 1: the diagonal tile.
+        let mut diag = std::mem::take(&mut tiles[kb]);
+        fw_rows(&mut diag);
+        let diag = &diag[..];
+        // Stage 2: item `ib` pairs pivot-row tile (kb, ib) with
+        // pivot-column tile (ib, kb); item `kb` stays empty, so the
+        // worker count matches one item per block-row.
+        let mut pairs: Vec<_> = tiles.into_iter().map(|t| (t, Vec::new())).collect();
+        let block_rows = above
+            .chunks_mut(block * n)
+            .chain(below.chunks_mut(block * n));
+        for (ib, rows) in (0..num_b).filter(|&ib| ib != kb).zip(block_rows) {
+            pairs[ib].1 = rows.chunks_mut(n).map(|r| &mut r[ks..ks + kl]).collect();
+        }
+        par_claim(&mut pairs, threads, 2 * kl * kl * block, |claims| {
+            for (_, (row_tile, col_tile)) in claims {
+                left_update(row_tile, diag);
+                right_update(col_tile, diag);
+            }
+        });
+        // Stage 3: claim block-rows; the pivot block-row is a no-op
+        // item, as in stage 2.
+        let pivot = &*pivot;
+        let mut rows: Vec<Option<&mut [Dist]>> = above.chunks_mut(block * n).map(Some).collect();
+        rows.push(None);
+        rows.extend(below.chunks_mut(block * n).map(Some));
+        let work = (num_b - 1) * block * kl * block;
+        par_claim(&mut rows, threads, work, |claims| {
+            let mut a = Vec::new();
+            for (_, band) in claims {
+                let Some(band) = band else { continue };
+                // A(ib, kb) is read by every tile of the block-row and
+                // written by none, so copy it out of the rows C lives in.
+                a.clear();
+                for row in band.chunks(n) {
+                    a.extend_from_slice(&row[ks..ks + kl]);
                 }
-                let (is, il) = extent(ib);
-                let data = m.as_mut_slice();
-                if exec.is_scalar() {
-                    // A(k, i) = min(A(k, i), A(k, k) ⊗ A(k, i)) — in-place
-                    // on the B operand, the standard blocked-FW idiom.
-                    minplus_tile_raw(data, n, ks * n + is, ks * n + ks, ks * n + is, kl, kl, il);
-                    // A(i, k) = min(A(i, k), A(i, k) ⊗ A(k, k)) — in-place on A.
-                    minplus_tile_raw(data, n, is * n + ks, is * n + ks, ks * n + ks, il, kl, kl);
-                } else {
-                    minplus_tile_raw_branchless(
-                        data,
-                        n,
-                        ks * n + is,
-                        ks * n + ks,
-                        ks * n + is,
-                        kl,
-                        kl,
-                        il,
-                    );
-                    minplus_tile_raw_branchless(
-                        data,
-                        n,
-                        is * n + ks,
-                        is * n + ks,
-                        ks * n + ks,
-                        il,
-                        kl,
-                        kl,
-                    );
+                let il = band.len() / n;
+                for jb in (0..num_b).filter(|&jb| jb != kb) {
+                    let js = jb * block;
+                    let jl = block.min(n - js);
+                    let (c, b) = (&mut band[js..], &pivot[js..]);
+                    exec.minplus_tile(c, n, &a, kl, b, n, il, kl, jl);
                 }
             }
-        } else {
-            let shared = SharedSliceMut::new(m.as_mut_slice());
-            par_bands_weighted(num_b, threads, 1, 2 * kl * kl * block, |band| {
-                for ib in band {
-                    if ib == kb {
-                        continue;
-                    }
-                    let (is, il) = extent(ib);
-                    // SAFETY: tile pair (kb, ib)/(ib, kb) is written only
-                    // by the band owning `ib`; shared reads touch only the
-                    // diagonal tile, which no stage-2 writer modifies.
-                    let data = unsafe { shared.slice() };
-                    minplus_tile_raw_branchless(
-                        data,
-                        n,
-                        ks * n + is,
-                        ks * n + ks,
-                        ks * n + is,
-                        kl,
-                        kl,
-                        il,
-                    );
-                    minplus_tile_raw_branchless(
-                        data,
-                        n,
-                        is * n + ks,
-                        is * n + ks,
-                        ks * n + ks,
-                        il,
-                        kl,
-                        kl,
-                    );
-                }
-            });
+        });
+    }
+}
+
+/// `rows[i]` mutably and `rows[k]` shared, for `i != k`.
+fn row_pair<'a>(rows: &'a mut [&mut [Dist]], i: usize, k: usize) -> (&'a mut [Dist], &'a [Dist]) {
+    if i < k {
+        let (lo, hi) = rows.split_at_mut(k);
+        (&mut *lo[i], &*hi[0])
+    } else {
+        let (lo, hi) = rows.split_at_mut(i);
+        (&mut *hi[0], &*lo[k])
+    }
+}
+
+/// Branchless [`fw_tile`] over the tile's row segments: for a fixed
+/// pivot `k`, row `k` is invariant (`i == k` skipped), so rows `i != k`
+/// relax against it with the vectorizable row kernel.
+fn fw_rows(rows: &mut [&mut [Dist]]) {
+    for k in 0..rows.len() {
+        for i in 0..rows.len() {
+            if i == k {
+                continue;
+            }
+            let dik = rows[i][k];
+            if dik >= INF {
+                continue;
+            }
+            let (row_i, row_k) = row_pair(rows, i, k);
+            relax_row_branchless(row_i, row_k, dik);
         }
-        // Stage 3: remainder tiles — each (i, j) tile touches disjoint
-        // output; reads go to the pivot row/column panels stage 2
-        // finalized and stage 3 never writes (ib != kb, jb != kb).
-        if exec.is_scalar() {
-            let data_ptr = SendPtr(m.as_mut_slice().as_mut_ptr());
-            (0..num_b)
-                .into_par_iter()
-                .filter(|&ib| ib != kb)
-                .for_each(|ib| {
-                    let (is, il) = extent(ib);
-                    for jb in 0..num_b {
-                        if jb == kb {
-                            continue;
-                        }
-                        let (js, jl) = extent(jb);
-                        // SAFETY: tiles (ib, jb) for distinct ib write
-                        // disjoint row ranges; reads touch the pivot
-                        // row/column tiles, which stage 2 finalized and
-                        // stage 3 never writes (ib != kb, jb != kb).
-                        let data = unsafe { std::slice::from_raw_parts_mut(data_ptr.get(), n * n) };
-                        let (a_base, b_base, c_base) = (is * n + ks, ks * n + js, is * n + js);
-                        minplus_tile_raw(data, n, c_base, a_base, b_base, il, kl, jl);
-                    }
-                });
-        } else {
-            let shared = SharedSliceMut::new(m.as_mut_slice());
-            let backend = &*backend;
-            let work = num_b.saturating_sub(1) * block * kl * block;
-            par_bands_weighted(num_b, threads, 1, work, |band| {
-                for ib in band {
-                    if ib == kb {
-                        continue;
-                    }
-                    let (is, il) = extent(ib);
-                    // SAFETY: as in the scalar stage 3 — distinct ib bands
-                    // write disjoint row ranges, shared reads are to the
-                    // pivot panels stage 3 never writes (C tile disjoint
-                    // from A and B because ib != kb and jb != kb).
-                    let data = unsafe { shared.slice() };
-                    for jb in 0..num_b {
-                        if jb == kb {
-                            continue;
-                        }
-                        let (js, jl) = extent(jb);
-                        let (a_base, b_base, c_base) = (is * n + ks, ks * n + js, is * n + js);
-                        unsafe {
-                            backend.minplus_tile_raw_st(data, n, c_base, a_base, b_base, il, kl, jl)
-                        };
-                    }
+    }
+}
+
+/// Stage 2's pivot-row tile `C = min(C, D ⊗ C)`, the branchless twin of
+/// the scalar in-place [`minplus_tile_raw`]: same rows, same order. The
+/// `k == i` step relaxes a row against itself. For cells ≤ `INF` it
+/// changes nothing, but it clamps a cell above `INF` back to `INF`, as
+/// the scalar loop does.
+fn left_update(c: &mut [&mut [Dist]], diag: &[&mut [Dist]]) {
+    for i in 0..c.len() {
+        for (k, &dik) in diag[i].iter().enumerate() {
+            if dik >= INF {
+                continue;
+            }
+            if i == k {
+                for cj in c[i].iter_mut() {
+                    *cj = (*cj).min(branchless_add(dik, *cj));
                 }
-            });
+            } else {
+                let (row_i, row_k) = row_pair(c, i, k);
+                relax_row_branchless(row_i, row_k, dik);
+            }
+        }
+    }
+}
+
+/// Stage 2's pivot-column tile `C = min(C, C ⊗ D)`: each row reads its
+/// own cell `k` just before relaxing against diagonal row `k`, as the
+/// scalar in-place [`minplus_tile_raw`] does.
+fn right_update(c: &mut [&mut [Dist]], diag: &[&mut [Dist]]) {
+    for row in c.iter_mut() {
+        for (k, diag_k) in diag.iter().enumerate() {
+            let cik = row[k];
+            if cik >= INF {
+                continue;
+            }
+            relax_row_branchless(row, diag_k, cik);
         }
     }
 }
 
 /// Like [`minplus_tile`] but all three operands live in one row-major
-/// buffer (base offsets + shared stride), with C disjoint from A and B.
+/// buffer (base offsets + shared stride). C may alias A or B in place,
+/// as stage 2 does.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn minplus_tile_raw(
+fn minplus_tile_raw(
     data: &mut [Dist],
     stride: usize,
     c_base: usize,
@@ -284,111 +309,6 @@ pub(crate) fn minplus_tile_raw(
         }
     }
 }
-
-/// Branchless variant of [`minplus_tile_raw`], element-wise identical
-/// (same read/write order, [`branchless_add`] == `dist_add`, `min` ==
-/// the guarded store), so it tolerates the same in-place aliasing the
-/// stage-2 idiom relies on.
-#[allow(clippy::too_many_arguments)]
-fn minplus_tile_raw_branchless(
-    data: &mut [Dist],
-    stride: usize,
-    c_base: usize,
-    a_base: usize,
-    b_base: usize,
-    rows: usize,
-    inner: usize,
-    cols: usize,
-) {
-    for i in 0..rows {
-        for k in 0..inner {
-            let aik = data[a_base + i * stride + k];
-            if aik >= apsp_graph::INF {
-                continue;
-            }
-            for j in 0..cols {
-                let via = branchless_add(aik, data[b_base + k * stride + j]);
-                let c = &mut data[c_base + i * stride + j];
-                *c = (*c).min(via);
-            }
-        }
-    }
-}
-
-/// Branchless [`minplus_tile_raw`] for the stage-3 shape, where the C
-/// tile is disjoint from A and B: rows materialize as split slices so
-/// the inner loop vectorizes without the compiler having to prove
-/// non-aliasing through one shared buffer.
-///
-/// Callers must guarantee the C tile overlaps neither the A nor the B
-/// tile (stage 3 has `ib != kb` and `jb != kb`, which does exactly that).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn minplus_tile_raw_disjoint(
-    data: &mut [Dist],
-    stride: usize,
-    c_base: usize,
-    a_base: usize,
-    b_base: usize,
-    rows: usize,
-    inner: usize,
-    cols: usize,
-) {
-    let ptr = data.as_mut_ptr();
-    for i in 0..rows {
-        // SAFETY: the caller guarantees C is disjoint from A and B, so
-        // this row never overlaps the element/row reads below.
-        let c_row = unsafe { std::slice::from_raw_parts_mut(ptr.add(c_base + i * stride), cols) };
-        for k in 0..inner {
-            let aik = unsafe { *ptr.add(a_base + i * stride + k) };
-            if aik >= apsp_graph::INF {
-                continue;
-            }
-            let b_row = unsafe { std::slice::from_raw_parts(ptr.add(b_base + k * stride), cols) };
-            relax_row_branchless(c_row, b_row, aik);
-        }
-    }
-}
-
-/// Branchless [`fw_tile`]: for a fixed pivot `k`, row `k` of the tile is
-/// invariant (`i == k` skipped), so rows `i != k` relax against it with
-/// the vectorizable row kernel — bit-identical to the scalar tile.
-fn fw_tile_branchless(data: &mut [Dist], stride: usize, start: usize, len: usize) {
-    let ptr = data.as_mut_ptr();
-    for k in 0..len {
-        for i in 0..len {
-            if i == k {
-                continue;
-            }
-            let dik = unsafe { *ptr.add((start + i) * stride + start + k) };
-            if dik >= apsp_graph::INF {
-                continue;
-            }
-            // SAFETY: rows i and k are distinct rows of the tile, so the
-            // mutable and shared row views never overlap.
-            let c_row = unsafe {
-                std::slice::from_raw_parts_mut(ptr.add((start + i) * stride + start), len)
-            };
-            let b_row =
-                unsafe { std::slice::from_raw_parts(ptr.add((start + k) * stride + start), len) };
-            relax_row_branchless(c_row, b_row, dik);
-        }
-    }
-}
-
-#[derive(Clone, Copy)]
-struct SendPtr(*mut Dist);
-
-impl SendPtr {
-    /// Accessor (rather than direct field use) so closures capture the
-    /// whole `Send + Sync` wrapper, not the raw pointer field.
-    fn get(self) -> *mut Dist {
-        self.0
-    }
-}
-// SAFETY: stage-3 tiles write disjoint regions (distinct ib ⇒ disjoint
-// row ranges) and all shared reads are to tiles finalized in stage 2.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
 
 /// Floyd-Warshall restricted to the square tile at `(start, start)` of
 /// side `len` within a row-major `stride × stride` buffer.
@@ -417,8 +337,9 @@ fn fw_tile(data: &mut [Dist], stride: usize, start: usize, len: usize) {
 mod tests {
     use super::*;
     use crate::bgl_plus::bgl_plus_apsp;
+    use crate::parallel::claim_workers;
     use apsp_graph::generators::{gnp, grid_2d, GridOptions, WeightRange};
-    use apsp_graph::{GraphBuilder, INF};
+    use apsp_graph::GraphBuilder;
 
     #[test]
     fn plain_fw_matches_dijkstra() {
@@ -487,6 +408,92 @@ mod tests {
                 blocked_floyd_warshall_exec(&mut fast, block, exec);
                 assert_eq!(fast, scalar, "block {block}, {exec}");
             }
+        }
+    }
+
+    /// 5 and 10 blocks of 64 (`fw_device_exec`'s tile): stages 2 and 3
+    /// split across 2 and 3 workers.
+    #[test]
+    fn blocked_exec_dispatched_matches_scalar_bitwise() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for n in [320usize, 600] {
+            let num_b = n.div_ceil(64);
+            assert!(claim_workers(num_b, 2, 2 * 64 * 64 * 64) > 1);
+            assert!(claim_workers(num_b, 2, (num_b - 1) * 64 * 64 * 64) > 1);
+            let g = gnp(n, 8.0 / n as f64, WeightRange::default(), n as u64);
+            let cells = (0..n * n)
+                .map(|_| match next() % 8 {
+                    0 => INF,
+                    1 => INF + (next() % 1000) as Dist,
+                    2 => u32::MAX,
+                    _ => (next() % 5000) as Dist,
+                })
+                .collect();
+            for input in [DistMatrix::from_graph(&g), DistMatrix::from_raw(n, cells)] {
+                let mut scalar = input.clone();
+                blocked_floyd_warshall_exec(&mut scalar, 64, ExecBackend::Scalar);
+                for threads in [2, 3] {
+                    for exec in [
+                        ExecBackend::Parallel {
+                            threads: Some(threads),
+                        },
+                        ExecBackend::Simd {
+                            threads: Some(threads),
+                        },
+                    ] {
+                        let mut fast = input.clone();
+                        blocked_floyd_warshall_exec(&mut fast, 64, exec);
+                        assert!(fast == scalar, "n = {n}, {exec}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Cell (0, 2), above `INF`, sits in round 0's pivot-row tile. Row 0
+    /// reaches it only through the left update's `k == i` step (its
+    /// diagonal cell (0, 1) is `INF`), which clamps it to `INF`; every
+    /// later step that reads it sees `INF` or skips it.
+    #[test]
+    fn left_update_clamps_pivot_row_cells_above_inf() {
+        let input = vec![
+            0,
+            INF,
+            INF + 5,
+            INF, //
+            3,
+            0,
+            7,
+            2, //
+            INF,
+            1,
+            0,
+            4, //
+            6,
+            INF,
+            2,
+            0,
+        ];
+        let expected = vec![
+            0, INF, INF, INF, //
+            3, 0, 4, 2, //
+            4, 1, 0, 3, //
+            6, 3, 2, 0,
+        ];
+        for exec in [
+            ExecBackend::Scalar,
+            ExecBackend::Parallel { threads: Some(1) },
+            ExecBackend::Simd { threads: Some(2) },
+        ] {
+            let mut m = DistMatrix::from_raw(4, input.clone());
+            blocked_floyd_warshall_exec(&mut m, 2, exec);
+            assert_eq!(m.as_slice(), &expected[..], "{exec}");
         }
     }
 

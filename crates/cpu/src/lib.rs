@@ -19,8 +19,13 @@
 //! [`cost::CpuCostModel`] models the paper's 28-thread Xeon so that the
 //! benchmark harness can report GPU-vs-CPU speedup *shapes* at paper
 //! scale; see DESIGN.md for the calibration rationale.
+//!
+//! `unsafe` is denied crate-wide. Only [`parallel`] (the item cursor
+//! that hands workers disjoint `&mut`s) and [`simd`] (the AVX2
+//! micro-kernel) may use it.
 
-pub mod backend;
+#![deny(unsafe_code)]
+
 pub mod bellman_ford;
 pub mod bgl_plus;
 pub mod blocked_fw;
@@ -29,10 +34,11 @@ pub mod delta_stepping;
 pub mod dense;
 pub mod dijkstra;
 pub mod johnson_reweight;
+#[allow(unsafe_code)]
 pub mod parallel;
+#[allow(unsafe_code)]
 pub mod simd;
 
-pub use backend::{MinPlusBackend, ParallelBackend, ScalarBackend, SimdBackend};
 pub use bgl_plus::bgl_plus_apsp;
 pub use blocked_fw::{blocked_floyd_warshall, blocked_floyd_warshall_exec};
 pub use dense::DistMatrix;

@@ -1,17 +1,24 @@
-//! Execution backends: scalar reference loops vs. the band-parallel,
-//! branchless backend.
+//! Execution backends and the one place host kernels reach threads.
 //!
 //! Every hot kernel of the suite (min-plus tile multiply, Floyd-Warshall,
 //! the per-source Near-Far relaxations) is embarrassingly parallel over
 //! its output rows once the reduction order is pinned: with a fixed
 //! pivot/k order, each output row depends only on *read-only* operands
-//! for the duration of one round, so splitting rows into contiguous
-//! bands across threads is deterministic — not merely "correct up to
-//! floating-point", but **bit-identical** to the scalar loops (the
-//! min-plus semiring over `u32` has no rounding to reorder). Per-source
-//! SSSP loops, whose items vary in cost, use [`par_claim`] instead:
-//! workers claim items one at a time, each still writing only its own
-//! rows.
+//! for the duration of one round, so splitting rows across threads is
+//! deterministic — not merely "correct up to floating-point", but
+//! **bit-identical** to the scalar loops (the min-plus semiring over
+//! `u32` has no rounding to reorder).
+//!
+//! [`par_claim`] is the only function in the workspace that starts
+//! threads. Each worker pulls the next unclaimed item from a shared
+//! cursor and receives it as a `&mut` to that item alone, so callers
+//! hand out their output as disjoint sub-slices (`chunks_mut`,
+//! `split_at_mut`) and need no `unsafe`. Per-source SSSP loops, whose
+//! items vary in cost, claim one source at a time; row-major kernels go
+//! through [`par_row_bands`], which cuts the output into one contiguous
+//! band of rows per worker (two threads writing neighbouring rows would
+//! share cache lines, and the SIMD tile packs its B operand once per
+//! band).
 //!
 //! The branchless inner loops exploit the same fixed order: the scalar
 //! reference guards every relaxation with `if via < c[j]` (an
@@ -22,21 +29,16 @@
 //! [`apsp_graph::dist_add`] for **all** `u32` inputs (property-tested at
 //! the `INF` boundaries), so the lowering cannot diverge.
 //!
-//! The vendored `rayon` shim in this workspace is sequential by design
-//! (no crates.io access), so real parallelism comes from
-//! `std::thread::scope` here. Thread counts resolve, in order, from an
-//! explicit [`ExecBackend::Parallel`] setting, the `RAYON_NUM_THREADS`
-//! environment variable (the knob CI pins for reproducibility), and
-//! `std::thread::available_parallelism`.
+//! Threads come from `std::thread::scope` (the vendored `rayon` shim in
+//! this workspace is sequential and no longer used). Thread counts
+//! resolve, in order, from an explicit [`ExecBackend::Parallel`]
+//! setting, the `RAYON_NUM_THREADS` environment variable (the knob CI
+//! pins for reproducibility), and `std::thread::available_parallelism`.
 
 use crate::dense::DistMatrix;
 use apsp_graph::{Dist, INF};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Minimum rows a band must carry before another thread is worth its
-/// spawn cost; below this the scheduler runs inline.
-const MIN_ROWS_PER_BAND: usize = 16;
 
 /// How the kernels execute on the host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,13 +46,13 @@ pub enum ExecBackend {
     /// The original single-threaded reference loops, kept verbatim as
     /// the differential baseline.
     Scalar,
-    /// Band-parallel branchless loops. `threads: None` resolves from
-    /// `RAYON_NUM_THREADS`, then `available_parallelism`.
+    /// Row-band threading with branchless loops. `threads: None`
+    /// resolves from `RAYON_NUM_THREADS`, then `available_parallelism`.
     Parallel {
         /// Worker thread count; `None` auto-detects.
         threads: Option<usize>,
     },
-    /// Band-parallel register-tiled SIMD micro-kernels
+    /// Row-band threading with register-tiled SIMD micro-kernels
     /// ([`crate::simd`]); threads resolve like `Parallel`.
     Simd {
         /// Worker thread count; `None` auto-detects.
@@ -120,6 +122,35 @@ impl ExecBackend {
             }
         }
     }
+
+    /// Single-threaded min-plus tile
+    /// `C[i][j] = min(C[i][j], min_k A[i][k] ⊕ B[k][j])`, operands
+    /// row-major with per-operand strides as in
+    /// [`crate::blocked_fw::minplus_tile`]; `c` must not alias `a` or
+    /// `b`. Scalar runs the guarded reference loops, Parallel the
+    /// branchless rows, Simd the register-tiled micro-kernel — all
+    /// bit-identical. Threaded callers split rows first and call this
+    /// once per band, so backend threading never nests.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn minplus_tile(
+        &self,
+        c: &mut [Dist],
+        c_stride: usize,
+        a: &[Dist],
+        a_stride: usize,
+        b: &[Dist],
+        b_stride: usize,
+        rows: usize,
+        inner: usize,
+        cols: usize,
+    ) {
+        let tile = match self {
+            ExecBackend::Scalar => crate::blocked_fw::minplus_tile,
+            ExecBackend::Parallel { .. } => minplus_rows_branchless,
+            ExecBackend::Simd { .. } => crate::simd::minplus_tile_simd,
+        };
+        tile(c, c_stride, a, a_stride, b, b_stride, rows, inner, cols);
+    }
 }
 
 /// Default worker-thread count, resolved once per process.
@@ -170,73 +201,17 @@ pub fn relax_row_branchless(c: &mut [Dist], b: &[Dist], aik: Dist) {
     }
 }
 
-/// Split `0..items` into up to `threads` contiguous bands of at least
-/// `min_per_band` items and run `f` on each band, one band per thread
-/// (the first band runs on the calling thread). With one effective
-/// thread the call is inline and spawns nothing.
-///
-/// Bands partition the range exactly, so writers that own disjoint rows
-/// per item are race-free by construction.
-pub fn par_bands<F>(items: usize, threads: usize, min_per_band: usize, f: F)
-where
-    F: Fn(std::ops::Range<usize>) + Sync,
-{
-    if items == 0 {
-        return;
-    }
-    let max_bands = items.div_ceil(min_per_band.max(1));
-    let bands = threads.clamp(1, max_bands);
-    if bands <= 1 {
-        f(0..items);
-        return;
-    }
-    let per_band = items.div_ceil(bands);
-    std::thread::scope(|scope| {
-        let f = &f;
-        for t in 1..bands {
-            let lo = t * per_band;
-            if lo >= items {
-                break;
-            }
-            let hi = ((t + 1) * per_band).min(items);
-            scope.spawn(move || f(lo..hi));
-        }
-        f(0..per_band.min(items));
-    });
-}
-
 /// Minimum elementary operations a dispatch must carry before spawning
 /// threads is worth the scoped-spawn overhead (there is no persistent
-/// pool — the vendored rayon shim is sequential, so every parallel
-/// dispatch pays thread creation, typically a few hundred µs on a
-/// loaded small-core box). Below this, [`par_bands_weighted`] runs the
-/// whole range inline: on small shapes the spawn cost had been *losing*
-/// to scalar (fw-disk 0.985×, johnson-memory 0.935× in the PR 4 bench;
-/// far worse once spawns actually fire), and an inline fallback
+/// pool, so every parallel dispatch pays thread creation, typically a
+/// few hundred µs on a loaded small-core box). Below this, [`par_claim`]
+/// runs the whole call inline: on small shapes the spawn cost had been
+/// *losing* to scalar (fw-disk 0.985×, johnson-memory 0.935× in the PR 4
+/// bench; far worse once spawns actually fire), and an inline fallback
 /// restores those to ≥1.0× while leaving large shapes untouched. 2²¹
 /// u32 relaxations ≈ 1–2 ms of inner-loop time — the break-even point
 /// against one scoped spawn, measured on the bench host.
 pub const MIN_WORK_PER_DISPATCH: usize = 1 << 21;
-
-/// [`par_bands`] with a work-aware band floor: `work_per_item` is the
-/// approximate elementary-operation cost of one item, and the effective
-/// minimum band size is raised so each spawned thread carries at least
-/// [`MIN_WORK_PER_DISPATCH`] operations. Dispatches too small to
-/// amortize a spawn therefore run inline — same partition semantics,
-/// bit-identical results (banding never reorders the per-row
-/// reductions).
-pub fn par_bands_weighted<F>(
-    items: usize,
-    threads: usize,
-    min_per_band: usize,
-    work_per_item: usize,
-    f: F,
-) where
-    F: Fn(std::ops::Range<usize>) + Sync,
-{
-    let floor = min_per_band.max(MIN_WORK_PER_DISPATCH.div_ceil(work_per_item.max(1)));
-    par_bands(items, threads, floor, f);
-}
 
 /// Elementary-operation weight of one single-source shortest-path run
 /// over a graph of `n` vertices and `m` edges, in the unit of
@@ -260,10 +235,9 @@ pub fn claim_workers(items: usize, threads: usize, work_per_item: usize) -> usiz
 
 /// Run `f` once on each of [`claim_workers`] workers (the first on the
 /// calling thread); each worker's [`Claims`] pulls the next unclaimed
-/// element of `items` from a shared cursor until none is left. Unlike
-/// [`par_bands`]' fixed ranges, items of uneven cost balance themselves
-/// across workers, and per-worker setup inside `f` still runs once per
-/// worker.
+/// element of `items` from a shared cursor until none is left. Items of
+/// uneven cost balance themselves across workers, and per-worker setup
+/// inside `f` still runs once per worker.
 ///
 /// Every element is handed out exactly once, as a `&mut` to that
 /// element alone, so workers that write only through their claims are
@@ -336,60 +310,61 @@ impl<'a, T> Iterator for Claims<'a, T> {
     }
 }
 
-/// A `Send + Sync` wrapper around a raw mutable slice, for band-parallel
-/// writers whose disjointness the call site proves.
-#[derive(Clone, Copy)]
-pub struct SharedSliceMut<T> {
-    ptr: *mut T,
-    len: usize,
-}
-
-// SAFETY: the wrapper only hands out the slice through an `unsafe`
-// accessor; every call site is responsible for touching disjoint
-// elements across threads (bands own disjoint row ranges).
-unsafe impl<T: Send> Send for SharedSliceMut<T> {}
-unsafe impl<T: Send> Sync for SharedSliceMut<T> {}
-
-impl<T> SharedSliceMut<T> {
-    /// Wrap `slice` for cross-thread banded access.
-    pub fn new(slice: &mut [T]) -> Self {
-        SharedSliceMut {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
+/// Cut the first `rows` rows of the row-major `buf` (row stride
+/// `stride`; the last row may be short) into one contiguous band per
+/// [`claim_workers`] worker and run `f(band_rows, band)` on each through
+/// [`par_claim`]; `band` starts at row `band_rows.start`. With one
+/// worker `f` sees every row inline, at no allocation. Does nothing when
+/// `rows` is 0.
+pub fn par_row_bands<T, F>(
+    buf: &mut [T],
+    stride: usize,
+    rows: usize,
+    threads: usize,
+    work_per_row: usize,
+    f: F,
+) where
+    T: Send,
+    F: Fn(std::ops::Range<usize>, &mut [T]) + Sync,
+{
+    if rows == 0 {
+        return;
+    }
+    let workers = claim_workers(rows, threads, work_per_row);
+    if workers <= 1 {
+        f(0..rows, buf);
+        return;
+    }
+    let per_band = rows.div_ceil(workers);
+    let mut bands: Vec<_> = (0..rows)
+        .step_by(per_band)
+        .zip(buf.chunks_mut((per_band * stride).max(1)))
+        .map(|(lo, band)| (lo..rows.min(lo + per_band), band))
+        .collect();
+    // Each band alone clears the floor, so every band gets its worker.
+    par_claim(&mut bands, workers, MIN_WORK_PER_DISPATCH, |claims| {
+        for (_, (band_rows, band)) in claims {
+            f(band_rows.clone(), band);
         }
-    }
-
-    /// The whole underlying slice.
-    ///
-    /// # Safety
-    ///
-    /// Callers must ensure no two threads touch the same element and
-    /// that the original borrow outlives every returned slice.
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn slice<'a>(&self) -> &'a mut [T] {
-        std::slice::from_raw_parts_mut(self.ptr, self.len)
-    }
+    });
 }
 
-/// Branchless min-plus tile update over a row range:
-/// `C[i][j] = min(C[i][j], A[i][k] ⊕ B[k][j])` for `i` in `rows`, with
-/// operands addressed exactly as in
-/// [`crate::blocked_fw::minplus_tile`]. `c` must not alias `a` or `b`
-/// (the scalar variant tolerates blocked-FW in-place aliasing; this one
-/// is for the disjoint stage-3 / product shapes).
+/// Branchless min-plus rows: `C[i][j] = min(C[i][j], A[i][k] ⊕ B[k][j])`
+/// for `i < rows`, with operands addressed exactly as in
+/// [`crate::blocked_fw::minplus_tile`]. `c` must not alias `a` or `b`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn minplus_rows_branchless(
+fn minplus_rows_branchless(
     c: &mut [Dist],
     c_stride: usize,
     a: &[Dist],
     a_stride: usize,
     b: &[Dist],
     b_stride: usize,
-    rows: std::ops::Range<usize>,
+    rows: usize,
     inner: usize,
     cols: usize,
 ) {
-    for i in rows {
+    for i in 0..rows {
         let c_row = &mut c[i * c_stride..i * c_stride + cols];
         for k in 0..inner {
             let aik = a[i * a_stride + k];
@@ -404,15 +379,10 @@ pub(crate) fn minplus_rows_branchless(
     }
 }
 
-/// [`crate::blocked_fw::minplus_tile`] under an execution backend.
-/// Scalar delegates to the reference loops (including their in-place
-/// aliasing tolerance); Parallel and Simd require `c` disjoint from `a`
-/// and `b` and split output rows into bands. Bit-identical to scalar
-/// for disjoint operands.
-///
-/// Compatibility wrapper over
-/// [`MinPlusBackend::minplus_tile`](crate::backend::MinPlusBackend::minplus_tile);
-/// hot callers resolve once and hold the `&dyn` backend instead.
+/// [`crate::blocked_fw::minplus_tile`] under an execution backend:
+/// output rows split into [`par_row_bands`], each band run through the
+/// backend's single-threaded tile. `c` must not alias `a` or `b`.
+/// Bit-identical across backends.
 #[allow(clippy::too_many_arguments)]
 pub fn minplus_tile_exec(
     c: &mut [Dist],
@@ -426,54 +396,43 @@ pub fn minplus_tile_exec(
     cols: usize,
     exec: ExecBackend,
 ) {
-    exec.resolve()
-        .minplus_tile(c, c_stride, a, a_stride, b, b_stride, rows, inner, cols);
+    let (threads, work) = (exec.resolved_threads(), inner.saturating_mul(cols));
+    par_row_bands(c, c_stride, rows, threads, work, |band, c| {
+        let (a, rows) = (&a[band.start * a_stride..], band.len());
+        exec.minplus_tile(c, c_stride, a, a_stride, b, b_stride, rows, inner, cols);
+    });
 }
 
 /// [`crate::blocked_fw::floyd_warshall`] under an execution backend.
 ///
-/// Parallel splits each pivot round's rows into bands. Determinism: for
-/// a fixed pivot `k`, row `k` is never written during round `k` (the
-/// `i == k` update is skipped as a no-op), so every band reads the same
-/// pivot row the scalar loop reads, and each band writes only its own
-/// rows — the result is bit-identical to scalar.
-///
-/// Compatibility wrapper over
-/// [`MinPlusBackend::floyd_warshall`](crate::backend::MinPlusBackend::floyd_warshall).
+/// Parallel and Simd split each pivot round's rows into bands (FW's
+/// pivot round is a rank-1 update — no `k` loop to register-tile, so
+/// the branchless banded sweep is the kernel for both). Determinism:
+/// for a fixed pivot `k`, row `k` is never written during round `k`
+/// (the `i == k` update is skipped as a no-op), so a per-round copy of
+/// it equals the row the scalar loop reads, and each band writes only
+/// its own rows — the result is bit-identical to scalar.
 pub fn floyd_warshall_exec(m: &mut DistMatrix, exec: ExecBackend) {
-    exec.resolve().floyd_warshall(m);
-}
-
-/// The band-parallel FW sweep shared by the Parallel and Simd backends
-/// (FW's pivot round is a rank-1 update — no `k` loop to register-tile,
-/// so the branchless banded sweep is the kernel for both).
-pub(crate) fn floyd_warshall_banded(m: &mut DistMatrix, threads: usize) {
-    let n = m.n();
-    if n == 0 {
+    if exec.is_scalar() {
+        crate::blocked_fw::floyd_warshall(m);
         return;
     }
+    let n = m.n();
+    let threads = exec.resolved_threads();
     let data = m.as_mut_slice();
-    // Per-round snapshot of the pivot row. Row k is invariant during
-    // round k, so the snapshot equals the live row; copying it once
-    // keeps every band's reads off the written buffer.
     let mut pivot = vec![0 as Dist; n];
     for k in 0..n {
         pivot.copy_from_slice(&data[k * n..(k + 1) * n]);
-        let shared = SharedSliceMut::new(data);
-        let pivot_ref = &pivot;
-        par_bands_weighted(n, threads, MIN_ROWS_PER_BAND, n, |band| {
-            // SAFETY: bands own disjoint row ranges and row k is only
-            // read through the snapshot.
-            let data = unsafe { shared.slice() };
-            for i in band {
+        par_row_bands(data, n, n, threads, n, |band, rows| {
+            for (i, row) in band.zip(rows.chunks_mut(n)) {
                 if i == k {
                     continue;
                 }
-                let dik = data[i * n + k];
+                let dik = row[k];
                 if dik >= INF {
                     continue;
                 }
-                relax_row_branchless(&mut data[i * n..i * n + n], pivot_ref, dik);
+                relax_row_branchless(row, &pivot, dik);
             }
         });
     }
@@ -490,8 +449,11 @@ mod tests {
     fn backends() -> Vec<ExecBackend> {
         vec![
             ExecBackend::Parallel { threads: Some(1) },
+            ExecBackend::Parallel { threads: Some(2) },
             ExecBackend::Parallel { threads: Some(3) },
             ExecBackend::parallel(),
+            ExecBackend::Simd { threads: Some(2) },
+            ExecBackend::Simd { threads: Some(3) },
         ]
     }
 
@@ -550,21 +512,51 @@ mod tests {
             ExecBackend::Parallel { threads: Some(7) }.resolved_threads(),
             7
         );
+        assert_eq!(ExecBackend::Simd { threads: Some(2) }.resolved_threads(), 2);
         assert!(ExecBackend::parallel().resolved_threads() >= 1);
+        let names = [
+            ExecBackend::Scalar,
+            ExecBackend::parallel(),
+            ExecBackend::simd(),
+        ]
+        .map(|e| (e.name(), e.is_scalar()));
+        assert_eq!(
+            names,
+            [("scalar", true), ("parallel", false), ("simd", false)]
+        );
     }
 
     #[test]
-    fn par_bands_covers_the_range_exactly_once() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        for (items, threads) in [(0, 4), (1, 4), (7, 3), (100, 4), (100, 1), (33, 64)] {
-            let hits: Vec<AtomicU32> = (0..items).map(|_| AtomicU32::new(0)).collect();
-            par_bands(items, threads, 1, |band| {
-                for i in band {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            for (i, h) in hits.iter().enumerate() {
-                assert_eq!(h.load(Ordering::Relaxed), 1, "item {i}");
+    fn par_row_bands_hands_every_row_to_one_band() {
+        use std::sync::Mutex;
+        let stride = 3usize;
+        // Each row alone clears the floor, so there are min(threads,
+        // rows) workers; (5, 4) leaves one idle. The last row is short.
+        for (rows, threads) in [(0, 4), (1, 4), (5, 4), (7, 3), (100, 4), (100, 1), (33, 64)] {
+            let mut buf = vec![0usize; (rows * stride).saturating_sub(1)];
+            let bands = Mutex::new(Vec::new());
+            par_row_bands(
+                &mut buf,
+                stride,
+                rows,
+                threads,
+                MIN_WORK_PER_DISPATCH,
+                |band, b| {
+                    for (i, row) in band.clone().zip(b.chunks_mut(stride)) {
+                        row.iter_mut().for_each(|x| *x += i + 1);
+                    }
+                    bands.lock().unwrap().push(band);
+                },
+            );
+            for (e, x) in buf.iter().enumerate() {
+                assert_eq!(*x, e / stride + 1, "{rows} rows on {threads} threads");
+            }
+            let mut bands = bands.into_inner().unwrap();
+            bands.sort_by_key(|b| b.start);
+            let per_band = rows.div_ceil(threads.min(rows).max(1)).max(1);
+            assert_eq!(bands.len(), rows.div_ceil(per_band));
+            for (b, band) in bands.iter().enumerate() {
+                assert_eq!(*band, b * per_band..((b + 1) * per_band).min(rows));
             }
         }
     }
@@ -606,7 +598,7 @@ mod tests {
     #[test]
     fn minplus_tile_exec_matches_scalar_bitwise() {
         // Random tiles at ragged sizes, including strides wider than the
-        // column count and INF-heavy operands.
+        // column count and INF-heavy operands with cells above INF.
         let mut state = 0x1234_5678_9abc_def0u64;
         let mut rng = move || {
             state ^= state << 13;
@@ -619,29 +611,44 @@ mod tests {
             (5, 7, 3),
             (33, 17, 29),
             (64, 64, 64),
+            // Splits into bands on 2 and 3 threads.
+            (256, 128, 136),
         ] {
-            let stride = cols + 3;
+            if rows == 256 {
+                assert!(claim_workers(rows, 2, inner * cols) > 1);
+            }
+            let (a_stride, b_stride, c_stride) = (inner + 1, cols + 5, cols + 3);
             let gen = |len: usize, rng: &mut dyn FnMut() -> u64| -> Vec<Dist> {
                 (0..len)
                     .map(|_| {
                         let v = rng();
-                        if v.is_multiple_of(5) {
-                            INF
-                        } else {
-                            (v % 1000) as Dist
+                        match v % 10 {
+                            0 | 1 => INF,
+                            2 => INF + (v % 64) as Dist,
+                            _ => (v % 1000) as Dist,
                         }
                     })
                     .collect()
             };
-            let a = gen(rows * inner, &mut rng);
-            let b = gen(inner * cols, &mut rng);
-            let c0 = gen(rows * stride, &mut rng);
+            let a = gen(rows * a_stride, &mut rng);
+            let b = gen(inner * b_stride, &mut rng);
+            let c0 = gen(rows * c_stride, &mut rng);
             let mut scalar = c0.clone();
-            minplus_tile(&mut scalar, stride, &a, inner, &b, cols, rows, inner, cols);
+            minplus_tile(
+                &mut scalar,
+                c_stride,
+                &a,
+                a_stride,
+                &b,
+                b_stride,
+                rows,
+                inner,
+                cols,
+            );
             for exec in backends() {
                 let mut fast = c0.clone();
                 minplus_tile_exec(
-                    &mut fast, stride, &a, inner, &b, cols, rows, inner, cols, exec,
+                    &mut fast, c_stride, &a, a_stride, &b, b_stride, rows, inner, cols, exec,
                 );
                 assert_eq!(fast, scalar, "{exec} at {rows}x{inner}x{cols}");
             }

@@ -109,10 +109,11 @@ pub fn minplus_tile_simd(
         "B slice too short"
     );
     assert!(c.len() >= (rows - 1) * c_stride + cols, "C slice too short");
-    // SAFETY: extents checked against slice lengths above; the caller
-    // guarantees C is disjoint from A and B.
+    // SAFETY: extents checked against slice lengths above; `c` is a
+    // `&mut` borrow, so it overlaps neither `a` nor `b`; `pick_isa`
+    // reports Avx2 only where the CPU supports it.
     unsafe {
-        dispatch(
+        engine(
             c.as_mut_ptr(),
             c_stride,
             a.as_ptr(),
@@ -122,44 +123,9 @@ pub fn minplus_tile_simd(
             rows,
             inner,
             cols,
+            pick_isa(),
         )
     }
-}
-
-/// [`minplus_tile_simd`] with all three operands in one row-major buffer
-/// (base offsets + shared stride) — the blocked-FW stage-3 shape.
-///
-/// # Safety
-///
-/// The C tile (`c_base`, `rows × cols`) must not overlap the A tile
-/// (`a_base`, `rows × inner`) or the B tile (`b_base`, `inner × cols`),
-/// and every addressed element must lie inside `data`.
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn minplus_tile_raw_simd(
-    data: &mut [Dist],
-    stride: usize,
-    c_base: usize,
-    a_base: usize,
-    b_base: usize,
-    rows: usize,
-    inner: usize,
-    cols: usize,
-) {
-    if rows == 0 || inner == 0 || cols == 0 {
-        return;
-    }
-    let ptr = data.as_mut_ptr();
-    dispatch(
-        ptr.add(c_base),
-        stride,
-        ptr.add(a_base) as *const Dist,
-        stride,
-        ptr.add(b_base) as *const Dist,
-        stride,
-        rows,
-        inner,
-        cols,
-    )
 }
 
 /// Micro-kernel instruction set, picked once per engine call.
@@ -193,37 +159,6 @@ pub fn active_isa() -> &'static str {
         Isa::Avx2 => "avx2",
         Isa::Portable => "portable",
     }
-}
-
-/// Entry point shared by both public wrappers.
-///
-/// # Safety
-///
-/// Same aliasing/extent contract as [`engine`].
-#[allow(clippy::too_many_arguments)]
-unsafe fn dispatch(
-    c: *mut Dist,
-    c_stride: usize,
-    a: *const Dist,
-    a_stride: usize,
-    b: *const Dist,
-    b_stride: usize,
-    rows: usize,
-    inner: usize,
-    cols: usize,
-) {
-    engine(
-        c,
-        c_stride,
-        a,
-        a_stride,
-        b,
-        b_stride,
-        rows,
-        inner,
-        cols,
-        pick_isa(),
-    )
 }
 
 /// One `MR × TILE_COLS` register tile in explicit AVX2 intrinsics:
@@ -592,46 +527,6 @@ mod tests {
                     assert_eq!(fast, scalar, "{rows}x{inner}x{cols}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn raw_variant_matches_slice_variant() {
-        // Three tiles of one shared buffer, stage-3 style.
-        let stride = 24usize;
-        let (rows, inner, cols) = (8usize, 8usize, 16usize);
-        let mut data: Vec<Dist> = (0..stride * stride)
-            .map(|x| {
-                let v = (x as u32).wrapping_mul(2654435761);
-                if v.is_multiple_of(7) {
-                    INF
-                } else {
-                    v % 997
-                }
-            })
-            .collect();
-        let (c_base, a_base, b_base) = (0usize, 16, 8 * stride);
-        let a: Vec<Dist> = (0..rows)
-            .flat_map(|i| data[a_base + i * stride..a_base + i * stride + inner].to_vec())
-            .collect();
-        let b: Vec<Dist> = (0..inner)
-            .flat_map(|k| data[b_base + k * stride..b_base + k * stride + cols].to_vec())
-            .collect();
-        let mut expect: Vec<Dist> = (0..rows)
-            .flat_map(|i| data[c_base + i * stride..c_base + i * stride + cols].to_vec())
-            .collect();
-        minplus_tile_simd(&mut expect, cols, &a, inner, &b, cols, rows, inner, cols);
-        // SAFETY: C rows [0,8) cols [0,16) vs A cols [16,24) and B rows
-        // [8,16) — disjoint tiles of the same buffer.
-        unsafe {
-            minplus_tile_raw_simd(&mut data, stride, c_base, a_base, b_base, rows, inner, cols);
-        }
-        for i in 0..rows {
-            assert_eq!(
-                &data[c_base + i * stride..c_base + i * stride + cols],
-                &expect[i * cols..(i + 1) * cols],
-                "row {i}"
-            );
         }
     }
 

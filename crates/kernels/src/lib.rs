@@ -19,6 +19,8 @@
 //!   Algorithm 2, one SSSP per thread block, with the optional
 //!   dynamic-parallelism path for high-out-degree vertices.
 
+#![forbid(unsafe_code)]
+
 pub mod bellman_ford;
 pub mod fw_block;
 pub mod matrix;

@@ -9,9 +9,7 @@
 
 use crate::matrix::DeviceMatrix;
 use crate::model::{MINPLUS_TILE, THREADS_PER_BLOCK};
-use apsp_cpu::parallel::{
-    minplus_tile_exec, par_bands_weighted, relax_row_branchless, ExecBackend, SharedSliceMut,
-};
+use apsp_cpu::parallel::{minplus_tile_exec, par_row_bands, relax_row_branchless, ExecBackend};
 use apsp_gpu_sim::{GpuDevice, KernelCost, LaunchConfig, StreamId};
 
 /// Modeled cost of one min-plus multiply of shape `rows × inner × cols`.
@@ -179,38 +177,36 @@ fn inplace_update(
     if left {
         // Order-dependent across rows (row i reads rows k that earlier i
         // iterations improved) — sequential rows, branchless relaxation.
-        // Rows i and k are distinct (i == k skipped), so the mutable and
-        // shared row views never overlap.
-        let ptr = c.as_mut_ptr();
         for i in 0..rows {
             for k in 0..rows {
                 let pik = p[i * rows + k];
                 if pik >= INF || i == k {
                     continue;
                 }
-                // SAFETY: i != k ⇒ disjoint rows of the same buffer.
-                let row_i = unsafe { std::slice::from_raw_parts_mut(ptr.add(i * cols), cols) };
-                let row_k = unsafe { std::slice::from_raw_parts(ptr.add(k * cols), cols) };
+                let (row_i, row_k) = if i < k {
+                    let (lo, hi) = c.split_at_mut(k * cols);
+                    (&mut lo[i * cols..(i + 1) * cols], &hi[..cols])
+                } else {
+                    let (lo, hi) = c.split_at_mut(i * cols);
+                    (&mut hi[..cols], &lo[k * cols..(k + 1) * cols])
+                };
                 relax_row_branchless(row_i, row_k, pik);
             }
         }
     } else {
         // Each row depends only on itself and the read-only pivot:
-        // band-parallel over rows, with the scalar `j == k` skip kept by
+        // row bands across threads, with the scalar `j == k` skip kept by
         // splitting the relaxation around column k. Weighted banding so
         // small updates stay inline instead of paying thread spawns.
         let threads = exec.resolved_threads();
-        let shared = SharedSliceMut::new(c);
-        par_bands_weighted(rows, threads, 4, cols * cols, |band| {
-            // SAFETY: bands own disjoint rows; `p` is a separate buffer.
-            let c = unsafe { shared.slice() };
-            for i in band {
+        par_row_bands(c, cols, rows, threads, cols * cols, |band, c| {
+            for r in 0..band.len() {
+                let row = &mut c[r * cols..(r + 1) * cols];
                 for k in 0..cols {
-                    let cik = c[i * cols + k];
+                    let cik = row[k];
                     if cik >= INF {
                         continue;
                     }
-                    let row = &mut c[i * cols..(i + 1) * cols];
                     let (head, tail) = row.split_at_mut(k);
                     relax_row_branchless(head, &p[k * cols..k * cols + k], cik);
                     relax_row_branchless(&mut tail[1..], &p[k * cols + k + 1..(k + 1) * cols], cik);
@@ -223,6 +219,7 @@ fn inplace_update(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apsp_cpu::parallel::claim_workers;
     use apsp_gpu_sim::DeviceProfile;
     use apsp_graph::INF;
 
@@ -343,65 +340,74 @@ mod tests {
 
     #[test]
     fn exec_backends_bit_identical_all_variants() {
-        // Random-ish operands with INF sprinkled in, ragged shapes.
+        // Random-ish operands with INF and cells above it sprinkled in.
         let vals = |len: usize, salt: u32| -> Vec<u32> {
             (0..len as u32)
                 .map(|x| {
                     let v = x.wrapping_mul(2654435761).wrapping_add(salt);
-                    if v % 6 == 0 {
-                        INF
-                    } else {
-                        v % 997
+                    match v % 6 {
+                        0 => INF,
+                        1 if v % 5 == 0 => INF + v % 64,
+                        _ => v % 997,
                     }
                 })
                 .collect()
         };
         let backends = [
             ExecBackend::Parallel { threads: Some(1) },
+            ExecBackend::Parallel { threads: Some(2) },
             ExecBackend::Parallel { threads: Some(3) },
             ExecBackend::Simd { threads: Some(1) },
+            ExecBackend::Simd { threads: Some(2) },
             ExecBackend::Simd { threads: Some(3) },
         ];
-        let (rows, inner, cols) = (19usize, 23usize, 17usize);
-        // Three-operand kernel.
-        let run_kernel = |exec: ExecBackend| {
-            let mut d = dev();
-            let s = d.default_stream();
-            let a = mat(&d, rows, inner, &vals(rows * inner, 1));
-            let b = mat(&d, inner, cols, &vals(inner * cols, 2));
-            let mut c = mat(&d, rows, cols, &vals(rows * cols, 3));
-            minplus_kernel_exec(&mut d, s, &mut c, &a, &b, exec);
-            (c.as_slice().to_vec(), d.synchronize().seconds())
-        };
-        let scalar = run_kernel(ExecBackend::Scalar);
-        for &e in &backends {
-            assert_eq!(run_kernel(e), scalar, "kernel {e}");
-        }
-        // Left in-place.
-        let run_left = |exec: ExecBackend| {
-            let mut d = dev();
-            let s = d.default_stream();
-            let p = mat(&d, rows, rows, &vals(rows * rows, 4));
-            let mut c = mat(&d, rows, cols, &vals(rows * cols, 5));
-            minplus_left_inplace_exec(&mut d, s, &mut c, &p, exec);
-            (c.as_slice().to_vec(), d.synchronize().seconds())
-        };
-        let scalar = run_left(ExecBackend::Scalar);
-        for &e in &backends {
-            assert_eq!(run_left(e), scalar, "left {e}");
-        }
-        // Right in-place.
-        let run_right = |exec: ExecBackend| {
-            let mut d = dev();
-            let s = d.default_stream();
-            let p = mat(&d, cols, cols, &vals(cols * cols, 6));
-            let mut c = mat(&d, rows, cols, &vals(rows * cols, 7));
-            minplus_right_inplace_exec(&mut d, s, &mut c, &p, exec);
-            (c.as_slice().to_vec(), d.synchronize().seconds())
-        };
-        let scalar = run_right(ExecBackend::Scalar);
-        for &e in &backends {
-            assert_eq!(run_right(e), scalar, "right {e}");
+        // A ragged shape, and one whose kernel and right panel split
+        // into row bands on 2 and 3 threads.
+        for (rows, inner, cols) in [(19usize, 23usize, 17usize), (256, 128, 128)] {
+            if rows == 256 {
+                assert!(claim_workers(rows, 2, inner * cols) > 1);
+                assert!(claim_workers(rows, 2, cols * cols) > 1);
+            }
+            // Three-operand kernel.
+            let run_kernel = |exec: ExecBackend| {
+                let mut d = dev();
+                let s = d.default_stream();
+                let a = mat(&d, rows, inner, &vals(rows * inner, 1));
+                let b = mat(&d, inner, cols, &vals(inner * cols, 2));
+                let mut c = mat(&d, rows, cols, &vals(rows * cols, 3));
+                minplus_kernel_exec(&mut d, s, &mut c, &a, &b, exec);
+                (c.as_slice().to_vec(), d.synchronize().seconds())
+            };
+            let scalar = run_kernel(ExecBackend::Scalar);
+            for &e in &backends {
+                assert_eq!(run_kernel(e), scalar, "kernel {e}");
+            }
+            // Left in-place.
+            let run_left = |exec: ExecBackend| {
+                let mut d = dev();
+                let s = d.default_stream();
+                let p = mat(&d, rows, rows, &vals(rows * rows, 4));
+                let mut c = mat(&d, rows, cols, &vals(rows * cols, 5));
+                minplus_left_inplace_exec(&mut d, s, &mut c, &p, exec);
+                (c.as_slice().to_vec(), d.synchronize().seconds())
+            };
+            let scalar = run_left(ExecBackend::Scalar);
+            for &e in &backends {
+                assert_eq!(run_left(e), scalar, "left {e}");
+            }
+            // Right in-place.
+            let run_right = |exec: ExecBackend| {
+                let mut d = dev();
+                let s = d.default_stream();
+                let p = mat(&d, cols, cols, &vals(cols * cols, 6));
+                let mut c = mat(&d, rows, cols, &vals(rows * cols, 7));
+                minplus_right_inplace_exec(&mut d, s, &mut c, &p, exec);
+                (c.as_slice().to_vec(), d.synchronize().seconds())
+            };
+            let scalar = run_right(ExecBackend::Scalar);
+            for &e in &backends {
+                assert_eq!(run_right(e), scalar, "right {e}");
+            }
         }
     }
 
