@@ -33,7 +33,9 @@
 //!                            stdout before the nonzero exit, so harnesses
 //!                            can distinguish SilentCorruption from, e.g.,
 //!                            DeadlineExceeded without scraping stderr
-//!   --backend scalar|parallel|simd   host execution backend  (default parallel)
+//!   --backend scalar|parallel|simd   host execution backend  (default:
+//!                            the library's, simd on AVX2 hosts and
+//!                            parallel elsewhere)
 //!   --threads <n>            thread count for the parallel/simd backends
 //!                            (default: RAYON_NUM_THREADS or all cores)
 //!   --sources <i,j,k>        partial query: compute only these source rows
@@ -107,7 +109,8 @@ struct Args {
     fallback: bool,
     sdc_guard: SdcGuardMode,
     error_json: bool,
-    backend: String,
+    /// `--backend`; `None` leaves the choice to `ExecBackend::default()`.
+    backend: Option<ExecBackend>,
     threads: Option<usize>,
     sources: Option<Vec<usize>>,
     sample: usize,
@@ -135,7 +138,7 @@ fn parse_args() -> Result<Args, String> {
         fallback: false,
         sdc_guard: SdcGuardMode::Off,
         error_json: false,
-        backend: "parallel".into(),
+        backend: None,
         threads: None,
         sources: None,
         sample: 3,
@@ -219,10 +222,14 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|_| "bad --sdc-guard (want off|checksum|full)")?
             }
             "--error-json" => args.error_json = true,
-            "--backend" => match it.next().ok_or("--backend needs a value")?.as_str() {
-                b @ ("scalar" | "parallel" | "simd") => args.backend = b.into(),
-                other => return Err(format!("unknown backend '{other}'")),
-            },
+            "--backend" => {
+                args.backend = Some(match it.next().ok_or("--backend needs a value")?.as_str() {
+                    "scalar" => ExecBackend::scalar(),
+                    "parallel" => ExecBackend::parallel(),
+                    "simd" => ExecBackend::simd(),
+                    other => return Err(format!("unknown backend '{other}'")),
+                })
+            }
             "--threads" => {
                 args.threads = Some(
                     it.next()
@@ -277,7 +284,7 @@ fn parse_args() -> Result<Args, String> {
     if args.resume && args.checkpoint_dir.is_none() {
         return Err("--resume needs --checkpoint-dir".into());
     }
-    if args.backend == "scalar" && args.threads.is_some() {
+    if args.backend == Some(ExecBackend::Scalar) && args.threads.is_some() {
         return Err("--threads only applies to --backend parallel|simd".into());
     }
     if args.calibration_report && args.calibration_dir.is_none() {
@@ -316,6 +323,19 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
+}
+
+impl Args {
+    /// The host execution backend: `--backend`, or the library default
+    /// without it, running on `--threads` workers when given.
+    fn exec(&self) -> ExecBackend {
+        let threads = self.threads;
+        match self.backend.unwrap_or_default() {
+            ExecBackend::Scalar => ExecBackend::Scalar,
+            ExecBackend::Parallel { .. } => ExecBackend::Parallel { threads },
+            ExecBackend::Simd { .. } => ExecBackend::Simd { threads },
+        }
+    }
 }
 
 fn json_escape(s: &str) -> String {
@@ -398,15 +418,7 @@ fn main() {
     if args.trace {
         dev.enable_trace();
     }
-    let exec = match args.backend.as_str() {
-        "scalar" => ExecBackend::scalar(),
-        "simd" => ExecBackend::Simd {
-            threads: args.threads,
-        },
-        _ => ExecBackend::Parallel {
-            threads: args.threads,
-        },
-    };
+    let exec = args.exec();
     let opts = ApspOptions {
         algorithm: args.algorithm,
         exec,
@@ -540,7 +552,7 @@ fn main() {
     }
     if args.calibration_report {
         let dir = args.calibration_dir.as_ref().unwrap();
-        match apsp_core::CalibrationStore::open(dir, dev.profile()) {
+        match apsp_core::CalibrationStore::open_for(dir, dev.profile(), exec.name()) {
             Ok(store) => print!("{}", store.report()),
             Err(e) => {
                 eprintln!("failed to read calibration store: {e}");
@@ -606,15 +618,7 @@ fn run_multi(graph: &CsrGraph, base_profile: &DeviceProfile, args: &Args) {
         }
     }
 
-    let exec = match args.backend.as_str() {
-        "scalar" => ExecBackend::scalar(),
-        "simd" => ExecBackend::Simd {
-            threads: args.threads,
-        },
-        _ => ExecBackend::Parallel {
-            threads: args.threads,
-        },
-    };
+    let exec = args.exec();
     let telemetry = if args.metrics_out.is_some() {
         apsp_core::telemetry::Telemetry::enabled()
     } else {

@@ -167,18 +167,17 @@ fn profiles_get_distinct_store_files() {
 fn calibration_is_inert_within_a_single_run_across_backends() {
     // The satellite neutrality gate: with a calibration store in play,
     // matrices, clocks, and selections must match the calibration-off
-    // run — for both host backends, which must also agree bit-for-bit
+    // run — for every host backend, which must also agree bit-for-bit
     // with each other (the backend-parity contract, now crossed with
     // calibration).
     let g = replay_graph();
     let [v100, _] = profiles();
     let mut matrices = Vec::new();
-    for scalar in [true, false] {
-        let exec = if scalar {
-            ExecBackend::scalar()
-        } else {
-            ExecBackend::Parallel { threads: Some(2) }
-        };
+    for exec in [
+        ExecBackend::Scalar,
+        ExecBackend::Parallel { threads: Some(2) },
+        ExecBackend::Simd { threads: Some(2) },
+    ] {
         let run = |calibration_dir: Option<PathBuf>| {
             let mut dev = GpuDevice::new(v100.clone());
             let opts = ApspOptions {
@@ -190,7 +189,7 @@ fn calibration_is_inert_within_a_single_run_across_backends() {
             apsp(&g, &mut dev, &opts).unwrap()
         };
         let off = run(None);
-        let tag = if scalar { "scalar" } else { "parallel" };
+        let tag = exec.name();
         let on = run(Some(scratch_dir(&format!("neutral-{tag}"))));
         assert_eq!(off.algorithm, on.algorithm, "{tag}: selection changed");
         assert_eq!(off.sim_seconds, on.sim_seconds, "{tag}: clock changed");
@@ -201,10 +200,9 @@ fn calibration_is_inert_within_a_single_run_across_backends() {
         assert_eq!(m_off, m_on, "{tag}: calibration perturbed the matrix");
         matrices.push(m_on);
     }
-    assert_eq!(
-        matrices[0], matrices[1],
-        "backends disagree with calibration on"
-    );
+    for m in &matrices[1..] {
+        assert_eq!(&matrices[0], m, "backends disagree with calibration on");
+    }
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! the tile store's write path (every algorithm × {Memory, Disk}
 //! storage) and in device uploads (Floyd-Warshall under the full
 //! semantic guard), plus the zero-false-positive side: the whole clean
-//! corpus, both exec backends, with the guard at `full` must neither
+//! corpus, every exec backend, with the guard at `full` must neither
 //! trip nor perturb a single bit of any result.
 //!
 //! Nightly CI sets `APSP_BITFLIP_POINTS` to widen the number of flip
@@ -22,6 +22,13 @@ const ALGORITHMS: [Algorithm; 3] = [
     Algorithm::FloydWarshall,
     Algorithm::Johnson,
     Algorithm::Boundary,
+];
+
+/// The reference backend and both fast ones, each on two threads.
+const EXEC_BACKENDS: [ExecBackend; 3] = [
+    ExecBackend::Scalar,
+    ExecBackend::Parallel { threads: Some(2) },
+    ExecBackend::Simd { threads: Some(2) },
 ];
 
 /// The fixed bit-flip-matrix seed; widened sites derive from it.
@@ -133,38 +140,37 @@ fn clean_corpus_never_trips_the_guard_on_any_backend() {
     // stress the invariants from different directions (`Disconnected`
     // is INF-heavy, `NearNegativeCycle` is zero-weight-heavy): a clean
     // run under the full guard must detect nothing, recover nothing, and
-    // produce the exact matrix on both exec backends.
+    // produce the exact matrix on every exec backend.
     let corpus = Corpus::standard(0x5DCC);
     for case in &corpus.cases {
         let reference = bgl_plus_apsp(&case.graph);
         for algorithm in ALGORITHMS {
-            for scalar in [true, false] {
+            for exec in EXEC_BACKENDS {
                 let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(256 << 10));
                 let opts = ApspOptions {
                     algorithm: Some(algorithm),
                     sdc_guard: SdcGuardMode::Full,
-                    exec: if scalar {
-                        ExecBackend::scalar()
-                    } else {
-                        ExecBackend::Parallel { threads: Some(2) }
-                    },
+                    exec,
                     telemetry: true,
                     ..Default::default()
                 };
                 let result = apsp(&case.graph, &mut dev, &opts).unwrap_or_else(|e| {
-                    panic!("{}/{algorithm:?}: guarded clean run failed: {e}", case.name)
+                    panic!(
+                        "{}/{algorithm:?}/{exec}: guarded clean run failed: {e}",
+                        case.name
+                    )
                 });
                 let report = result.telemetry.as_ref().unwrap();
                 assert_eq!(
                     report.sdc_detected, 0,
-                    "{}/{algorithm:?}: false positive on a clean run",
+                    "{}/{algorithm:?}/{exec}: false positive on a clean run",
                     case.name
                 );
                 assert_eq!(report.sdc_recovered_panel + report.sdc_recovered_round, 0);
                 assert_eq!(
                     result.store.to_dist_matrix().unwrap(),
                     reference,
-                    "{}/{algorithm:?}: guard perturbed the result",
+                    "{}/{algorithm:?}/{exec}: guard perturbed the result",
                     case.name
                 );
             }
@@ -178,21 +184,17 @@ fn guard_invariants_hold_at_inf_and_saturation_boundaries() {
     // `INF` via `dist_add`, so the store is full of values sitting
     // exactly on the ceiling the range invariant polices and the
     // triangle samples add in `u64`. None of that may read as
-    // corruption, on either backend.
+    // corruption, on any backend.
     let w = WeightRange::new(INF / 2, INF - 1);
     let g = gnp(64, 0.08, w, 0x5A7);
     let reference = bgl_plus_apsp(&g);
     for algorithm in ALGORITHMS {
-        for scalar in [true, false] {
+        for exec in EXEC_BACKENDS {
             let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(256 << 10));
             let opts = ApspOptions {
                 algorithm: Some(algorithm),
                 sdc_guard: SdcGuardMode::Full,
-                exec: if scalar {
-                    ExecBackend::scalar()
-                } else {
-                    ExecBackend::Parallel { threads: Some(2) }
-                },
+                exec,
                 telemetry: true,
                 ..Default::default()
             };
@@ -200,9 +202,9 @@ fn guard_invariants_hold_at_inf_and_saturation_boundaries() {
             let report = result.telemetry.as_ref().unwrap();
             assert_eq!(
                 report.sdc_detected, 0,
-                "{algorithm:?}: saturation clamping read as corruption"
+                "{algorithm:?}/{exec}: saturation clamping read as corruption"
             );
-            assert_eq!(result.store.to_dist_matrix().unwrap(), reference);
+            assert_eq!(result.store.to_dist_matrix().unwrap(), reference, "{exec}");
         }
     }
 }

@@ -36,6 +36,7 @@
 //! front-end falls back to the seed constants rather than trusting it.
 
 use crate::error::ApspError;
+use crate::options::ExecBackend;
 use crate::tile_store::{fnv1a, FNV_OFFSET_BASIS};
 use apsp_gpu_sim::DeviceProfile;
 use std::io;
@@ -43,10 +44,6 @@ use std::path::{Path, PathBuf};
 
 /// Store format version this build writes and understands.
 pub const CALIBRATION_VERSION: u32 = 1;
-
-/// Backend key [`CalibrationStore::open`] / [`CalibrationStore::fresh`]
-/// assume; its store file keeps the legacy unsuffixed name.
-pub const DEFAULT_BACKEND: &str = "parallel";
 
 /// Log-ratio clamp: one observation can move a coefficient by at most
 /// a factor of 1024 in either direction.
@@ -259,10 +256,11 @@ pub struct CalibrationStore {
 
 impl CalibrationStore {
     /// Open (or initialize) the store for `profile` under `dir`, keyed
-    /// to the default (`"parallel"`) execution backend. See
-    /// [`CalibrationStore::open_for`].
+    /// to the backend a run gets when it names none,
+    /// `ExecBackend::default()`: `"simd"` on AVX2 hosts, `"parallel"`
+    /// elsewhere. See [`CalibrationStore::open_for`].
     pub fn open<P: AsRef<Path>>(dir: P, profile: &DeviceProfile) -> Result<Self, ApspError> {
-        CalibrationStore::open_for(dir, profile, DEFAULT_BACKEND)
+        CalibrationStore::open_for(dir, profile, ExecBackend::default().name())
     }
 
     /// Open (or initialize) the store for `profile` under `dir`, keyed
@@ -295,20 +293,22 @@ impl CalibrationStore {
         Ok(store)
     }
 
-    /// A fresh (identity) store for `profile` under `dir` at the
-    /// default backend key; see [`CalibrationStore::fresh_for`].
+    /// A fresh (identity) store for `profile` under `dir`, keyed to
+    /// `ExecBackend::default()` as [`CalibrationStore::open`] is; see
+    /// [`CalibrationStore::fresh_for`].
     pub fn fresh<P: AsRef<Path>>(dir: P, profile: &DeviceProfile) -> Self {
-        CalibrationStore::fresh_for(dir, profile, DEFAULT_BACKEND)
+        CalibrationStore::fresh_for(dir, profile, ExecBackend::default().name())
     }
 
     /// A fresh (identity) store for `profile` under `dir` keyed to
     /// `backend`, ignoring any file already there. Nothing touches the
-    /// disk until [`CalibrationStore::commit`]. The default backend
-    /// keeps the legacy unsuffixed file name, so stores persisted
-    /// before backend keying existed keep loading.
+    /// disk until [`CalibrationStore::commit`]. The `"parallel"` key
+    /// keeps the legacy unsuffixed file name: stores persisted before
+    /// backend keying existed were learned under it and keep loading
+    /// for it, on every host.
     pub fn fresh_for<P: AsRef<Path>>(dir: P, profile: &DeviceProfile, backend: &str) -> Self {
         let fingerprint = profile_fingerprint(profile);
-        let file = if backend == DEFAULT_BACKEND {
+        let file = if backend == ExecBackend::parallel().name() {
             format!("profile-{fingerprint:016x}.cal")
         } else {
             format!("profile-{fingerprint:016x}-{backend}.cal")

@@ -60,9 +60,18 @@ pub enum ExecBackend {
     },
 }
 
+/// The backend a run gets when it names none: `Simd` where
+/// [`crate::simd::active_isa`] reports `"avx2"`, `Parallel` everywhere
+/// else (nobody has measured the portable micro-kernel against the
+/// branchless rows). Both auto-detect their thread count, and both are
+/// bit-identical to `Scalar`, so the host decides speed, never results.
 impl Default for ExecBackend {
     fn default() -> Self {
-        ExecBackend::Parallel { threads: None }
+        if crate::simd::active_isa() == "avx2" {
+            ExecBackend::simd()
+        } else {
+            ExecBackend::parallel()
+        }
     }
 }
 
@@ -524,6 +533,20 @@ mod tests {
             names,
             [("scalar", true), ("parallel", false), ("simd", false)]
         );
+    }
+
+    #[test]
+    fn default_follows_active_isa() {
+        let isa = crate::simd::active_isa();
+        if cfg!(not(feature = "simd")) {
+            assert_eq!(isa, "portable");
+        }
+        let want = if isa == "avx2" {
+            ExecBackend::simd()
+        } else {
+            ExecBackend::parallel()
+        };
+        assert_eq!(ExecBackend::default(), want, "isa {isa}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::matrix::DeviceMatrix;
 use crate::model::{MINPLUS_TILE, THREADS_PER_BLOCK};
-use apsp_cpu::parallel::{minplus_tile_exec, par_row_bands, relax_row_branchless, ExecBackend};
+use apsp_cpu::parallel::{minplus_tile_exec, ExecBackend};
 use apsp_gpu_sim::{GpuDevice, KernelCost, LaunchConfig, StreamId};
 
 /// Modeled cost of one min-plus multiply of shape `rows × inner × cols`.
@@ -76,12 +76,20 @@ pub fn minplus_kernel_exec(
 }
 
 /// In-place pivot-row update `C = min(C, A ⊗ C)` where `A` is square with
-/// side `C.rows()`, under an explicit execution backend. The (i, k, j)
-/// loop may read entries already improved this call — the standard (and
-/// provably safe) in-place behaviour the blocked Floyd-Warshall stage 2
-/// relies on. The update chains through rows of C (row i reads rows k
-/// that earlier iterations improved), so even the parallel backend keeps
-/// the row loop sequential — only the inner relaxation goes branchless.
+/// side `C.rows()`, under an explicit execution backend: blocked
+/// Floyd-Warshall's stage 2 for the pivot row.
+///
+/// **Precondition:** `A` is a Floyd-Warshall closure, as stage 1 leaves
+/// it (`A[i][k] ⊕ A[k][l] ≥ A[i][l]` for every finite `A[i][k]`).
+///
+/// Scalar runs the in-place `(i, k, j)` reference loop, whose row `i`
+/// reads rows `k` already improved in the same call. Parallel and Simd
+/// run the out-of-place product on a copy of C through
+/// [`minplus_tile_exec`], the register-tiled kernel stage 3 uses. An
+/// improved row the loop reads only adds a path through two pivot
+/// steps, `A[i][k] ⊕ A[k][l]`, which the closure makes no shorter than
+/// the one step `A[i][l]` the product already takes. So both reach the
+/// same minimum, bit for bit; for an arbitrary `A` they differ.
 pub fn minplus_left_inplace_exec(
     dev: &mut GpuDevice,
     stream: StreamId,
@@ -102,10 +110,14 @@ pub fn minplus_left_inplace_exec(
 }
 
 /// In-place pivot-column update `C = min(C, C ⊗ B)` where `B` is square
-/// with side `C.cols()`, under an explicit execution backend. Each row
-/// of C reads only itself plus the (read-only) pivot operand, so the
-/// parallel backend bands rows across threads — bit-identical to scalar
-/// because the per-row k order is unchanged.
+/// with side `C.cols()`, under an explicit execution backend: blocked
+/// Floyd-Warshall's stage 2 for the pivot column.
+///
+/// **Precondition:** `B` is a Floyd-Warshall closure, as stage 1 leaves
+/// it. Scalar runs the in-place reference loop, whose row `i` reads its
+/// own cells already improved in the same call; Parallel and Simd run
+/// the out-of-place product on a copy of C. They agree bit for bit under
+/// the precondition, for the reason [`minplus_left_inplace_exec`] gives.
 pub fn minplus_right_inplace_exec(
     dev: &mut GpuDevice,
     stream: StreamId,
@@ -128,6 +140,15 @@ pub fn minplus_right_inplace_exec(
 /// Shared host loop for the two in-place variants. `left` selects
 /// `C = min(C, P ⊗ C)` (P square of side `rows`); otherwise
 /// `C = min(C, C ⊗ P)` (P square of side `cols`).
+///
+/// P must be a Floyd-Warshall closure: only then does the Parallel and
+/// Simd product on a copy `c0` of C equal the scalar in-place loops.
+///
+/// - Left masks P's diagonal to `INF`, mirroring the loop's `k == i`
+///   skip: the `P[i][i] = 0` term would otherwise clamp a cell of C
+///   above `INF` that the loop leaves alone.
+/// - Right keeps P's diagonal: that term adds `P[k][k]` to `c0[i][k]`
+///   itself, so it never moves a cell.
 fn inplace_update(
     c: &mut [u32],
     p: &[u32],
@@ -174,57 +195,122 @@ fn inplace_update(
         }
         return;
     }
+    let c0 = c.to_vec();
     if left {
-        // Order-dependent across rows (row i reads rows k that earlier i
-        // iterations improved) — sequential rows, branchless relaxation.
-        for i in 0..rows {
-            for k in 0..rows {
-                let pik = p[i * rows + k];
-                if pik >= INF || i == k {
-                    continue;
-                }
-                let (row_i, row_k) = if i < k {
-                    let (lo, hi) = c.split_at_mut(k * cols);
-                    (&mut lo[i * cols..(i + 1) * cols], &hi[..cols])
-                } else {
-                    let (lo, hi) = c.split_at_mut(i * cols);
-                    (&mut hi[..cols], &lo[k * cols..(k + 1) * cols])
-                };
-                relax_row_branchless(row_i, row_k, pik);
-            }
-        }
+        let mut p_masked = p.to_vec();
+        p_masked.iter_mut().step_by(rows + 1).for_each(|d| *d = INF);
+        minplus_tile_exec(c, cols, &p_masked, rows, &c0, cols, rows, rows, cols, exec);
     } else {
-        // Each row depends only on itself and the read-only pivot:
-        // row bands across threads, with the scalar `j == k` skip kept by
-        // splitting the relaxation around column k. Weighted banding so
-        // small updates stay inline instead of paying thread spawns.
-        let threads = exec.resolved_threads();
-        par_row_bands(c, cols, rows, threads, cols * cols, |band, c| {
-            for r in 0..band.len() {
-                let row = &mut c[r * cols..(r + 1) * cols];
-                for k in 0..cols {
-                    let cik = row[k];
-                    if cik >= INF {
-                        continue;
-                    }
-                    let (head, tail) = row.split_at_mut(k);
-                    relax_row_branchless(head, &p[k * cols..k * cols + k], cik);
-                    relax_row_branchless(&mut tail[1..], &p[k * cols + k + 1..(k + 1) * cols], cik);
-                }
-            }
-        });
+        minplus_tile_exec(c, cols, &c0, cols, p, cols, rows, cols, cols, exec);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apsp_cpu::blocked_fw::floyd_warshall;
+    use apsp_cpu::dense::DistMatrix;
     use apsp_cpu::parallel::claim_workers;
     use apsp_gpu_sim::DeviceProfile;
     use apsp_graph::INF;
+    use proptest::prelude::*;
+
+    /// The backends that must match `Scalar` bit for bit.
+    const FAST: [ExecBackend; 6] = [
+        ExecBackend::Parallel { threads: Some(1) },
+        ExecBackend::Parallel { threads: Some(2) },
+        ExecBackend::Parallel { threads: Some(3) },
+        ExecBackend::Simd { threads: Some(1) },
+        ExecBackend::Simd { threads: Some(2) },
+        ExecBackend::Simd { threads: Some(3) },
+    ];
 
     fn dev() -> GpuDevice {
         GpuDevice::new(DeviceProfile::v100())
+    }
+
+    /// The `n × n` tile `p` closed by the scalar reference Floyd-Warshall.
+    fn fw_closed(n: usize, p: Vec<u32>) -> Vec<u32> {
+        let mut m = DistMatrix::from_raw(n, p);
+        floyd_warshall(&mut m);
+        m.into_inner()
+    }
+
+    /// One in-place panel update on a fresh device: the result and the
+    /// device clock it charged.
+    fn run_panel(
+        left: bool,
+        p: &[u32],
+        rows: usize,
+        cols: usize,
+        c: &[u32],
+        exec: ExecBackend,
+    ) -> (Vec<u32>, f64) {
+        let mut d = dev();
+        let s = d.default_stream();
+        let side = if left { rows } else { cols };
+        let p = mat(&d, side, side, p);
+        let mut c = mat(&d, rows, cols, c);
+        if left {
+            minplus_left_inplace_exec(&mut d, s, &mut c, &p, exec);
+        } else {
+            minplus_right_inplace_exec(&mut d, s, &mut c, &p, exec);
+        }
+        (c.as_slice().to_vec(), d.synchronize().seconds())
+    }
+
+    /// A cell at the `INF` boundary about half the time: `INF`,
+    /// `INF ± k`, `u32::MAX`, or else a small weight.
+    fn boundary_cell() -> impl Strategy<Value = u32> {
+        (0u32..8, 0u32..1000).prop_map(|(kind, v)| match kind {
+            0 => INF,
+            1 => INF - 1 - v % 64,
+            2 => INF + 1 + v % 64,
+            3 => u32::MAX - v % 2,
+            _ => v,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The fast panels equal the scalar in-place loops whenever the
+        /// pivot is a Floyd-Warshall closure, whatever the pivot started
+        /// as (about one diagonal in ten at `1 << 30`, above `INF`) and
+        /// whatever C holds: on a ragged shape, and on one that splits
+        /// into row bands on 2 and 3 threads.
+        #[test]
+        fn fast_panels_match_scalar_on_closed_pivots(
+            shape in (1usize..40, 1usize..40),
+            cells in proptest::collection::vec(boundary_cell(), 256 * 256 + 256 * 128),
+            corrupt in proptest::collection::vec(0u32..10, 256),
+        ) {
+            prop_assert!(claim_workers(256, 2, 256 * 128) > 1);
+            prop_assert!(claim_workers(256, 2, 128 * 128) > 1);
+            for (rows, cols) in [shape, (256, 128)] {
+                let c = &cells[cells.len() - rows * cols..];
+                for left in [true, false] {
+                    let side = if left { rows } else { cols };
+                    let mut p = cells[..side * side].to_vec();
+                    for d in (0..side).filter(|&d| corrupt[d] == 0) {
+                        p[d * side + d] = 1 << 30;
+                    }
+                    let p = fw_closed(side, p);
+                    let scalar = run_panel(left, &p, rows, cols, c, ExecBackend::Scalar);
+                    for exec in FAST {
+                        prop_assert_eq!(
+                            run_panel(left, &p, rows, cols, c, exec),
+                            scalar.clone(),
+                            "{} left={} at {}x{}",
+                            exec,
+                            left,
+                            rows,
+                            cols
+                        );
+                    }
+                }
+            }
+        }
     }
 
     fn mat(d: &GpuDevice, rows: usize, cols: usize, vals: &[u32]) -> DeviceMatrix {
@@ -353,19 +439,12 @@ mod tests {
                 })
                 .collect()
         };
-        let backends = [
-            ExecBackend::Parallel { threads: Some(1) },
-            ExecBackend::Parallel { threads: Some(2) },
-            ExecBackend::Parallel { threads: Some(3) },
-            ExecBackend::Simd { threads: Some(1) },
-            ExecBackend::Simd { threads: Some(2) },
-            ExecBackend::Simd { threads: Some(3) },
-        ];
-        // A ragged shape, and one whose kernel and right panel split
+        // A ragged shape, and one whose kernel and both panels split
         // into row bands on 2 and 3 threads.
         for (rows, inner, cols) in [(19usize, 23usize, 17usize), (256, 128, 128)] {
             if rows == 256 {
                 assert!(claim_workers(rows, 2, inner * cols) > 1);
+                assert!(claim_workers(rows, 2, rows * cols) > 1);
                 assert!(claim_workers(rows, 2, cols * cols) > 1);
             }
             // Three-operand kernel.
@@ -379,34 +458,22 @@ mod tests {
                 (c.as_slice().to_vec(), d.synchronize().seconds())
             };
             let scalar = run_kernel(ExecBackend::Scalar);
-            for &e in &backends {
+            for e in FAST {
                 assert_eq!(run_kernel(e), scalar, "kernel {e}");
             }
-            // Left in-place.
-            let run_left = |exec: ExecBackend| {
-                let mut d = dev();
-                let s = d.default_stream();
-                let p = mat(&d, rows, rows, &vals(rows * rows, 4));
-                let mut c = mat(&d, rows, cols, &vals(rows * cols, 5));
-                minplus_left_inplace_exec(&mut d, s, &mut c, &p, exec);
-                (c.as_slice().to_vec(), d.synchronize().seconds())
-            };
-            let scalar = run_left(ExecBackend::Scalar);
-            for &e in &backends {
-                assert_eq!(run_left(e), scalar, "left {e}");
+            // The panels' pivot is a Floyd-Warshall closure, as their
+            // documented precondition asks.
+            let p = fw_closed(rows, vals(rows * rows, 4));
+            let c = vals(rows * cols, 5);
+            let scalar = run_panel(true, &p, rows, cols, &c, ExecBackend::Scalar);
+            for e in FAST {
+                assert_eq!(run_panel(true, &p, rows, cols, &c, e), scalar, "left {e}");
             }
-            // Right in-place.
-            let run_right = |exec: ExecBackend| {
-                let mut d = dev();
-                let s = d.default_stream();
-                let p = mat(&d, cols, cols, &vals(cols * cols, 6));
-                let mut c = mat(&d, rows, cols, &vals(rows * cols, 7));
-                minplus_right_inplace_exec(&mut d, s, &mut c, &p, exec);
-                (c.as_slice().to_vec(), d.synchronize().seconds())
-            };
-            let scalar = run_right(ExecBackend::Scalar);
-            for &e in &backends {
-                assert_eq!(run_right(e), scalar, "right {e}");
+            let p = fw_closed(cols, vals(cols * cols, 6));
+            let c = vals(rows * cols, 7);
+            let scalar = run_panel(false, &p, rows, cols, &c, ExecBackend::Scalar);
+            for e in FAST {
+                assert_eq!(run_panel(false, &p, rows, cols, &c, e), scalar, "right {e}");
             }
         }
     }
