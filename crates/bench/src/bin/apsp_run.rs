@@ -645,7 +645,6 @@ fn run_multi(graph: &CsrGraph, base_profile: &DeviceProfile, args: &Args) {
             std::process::exit(1);
         }
     };
-    store.set_exec_backend(exec);
     store.set_supervision(sup.clone());
     let opts = BoundaryOptions {
         exec,

@@ -218,7 +218,6 @@ pub fn apsp(
         telemetry.clone(),
     );
     let mut store = TileStore::new(n, &opts.storage)?;
-    store.set_exec_backend(opts.exec);
     store.set_supervision(sup.clone());
     let mut algorithm = algorithm;
     let mut selection = selection;
@@ -283,7 +282,6 @@ pub fn apsp(
             c.clear()?;
         }
         store = TileStore::new(n, &opts.storage)?;
-        store.set_exec_backend(opts.exec);
         store.set_supervision(sup.clone());
         let now = dev.elapsed().seconds();
         sup.record_event(SupervisionEvent::Fallback {

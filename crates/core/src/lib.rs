@@ -28,6 +28,8 @@
 //! directory when even the host cannot hold the output (the paper's
 //! Table IV regime).
 
+#![deny(unsafe_code)]
+
 pub mod api;
 pub mod calibration;
 pub mod checkpoint;

@@ -50,7 +50,7 @@ use crate::error::{ApspError, ApspErrorKind};
 use crate::ooc_johnson::ooc_johnson_sources;
 use crate::options::{Algorithm, ApspOptions, CheckpointOptions};
 use crate::supervisor::{splitmix64, Supervisor};
-use crate::tile_store::{fnv1a, FNV_OFFSET_BASIS, SDC_PANEL_ROWS};
+use crate::tile_store::{fnv1a, PanelFnv, FNV_OFFSET_BASIS, SDC_PANEL_ROWS};
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
 use apsp_graph::{CsrGraph, Dist, VertexId};
 
@@ -372,22 +372,11 @@ impl ResultRows {
     }
 
     fn compute_checksums(n: usize, data: &[Dist]) -> Vec<u64> {
-        if n == 0 || data.is_empty() {
-            return Vec::new();
+        let mut sums = PanelFnv::new(SDC_PANEL_ROWS);
+        if n > 0 {
+            data.chunks_exact(n).for_each(|row| sums.push(row));
         }
-        let rows = data.len() / n;
-        let num_panels = rows.div_ceil(SDC_PANEL_ROWS);
-        let mut sums = Vec::with_capacity(num_panels);
-        for p in 0..num_panels {
-            let start = p * SDC_PANEL_ROWS * n;
-            let end = ((p + 1) * SDC_PANEL_ROWS * n).min(data.len());
-            let mut h = FNV_OFFSET_BASIS;
-            for v in &data[start..end] {
-                h = fnv1a(&v.to_le_bytes(), h);
-            }
-            sums.push(h);
-        }
-        sums
+        sums.finish()
     }
 
     /// Re-verify every panel checksum — the integrity gate a cache hit
@@ -1606,6 +1595,22 @@ mod tests {
             bad.data[i] ^= 1 << 3;
             assert!(!bad.verify(), "flip at {i} undetected");
         }
+    }
+
+    /// The cache's checksums are the store's panel checksums: 130 rows
+    /// make two full panels and a ragged 2-row one.
+    #[test]
+    fn result_rows_checksums_match_store_panel_checksums() {
+        use crate::tile_store::TileStore;
+        let n = 130;
+        let data: Vec<Dist> = (0..n * n)
+            .map(|x| (x as u32).wrapping_mul(2654435761) % 100_000)
+            .collect();
+        let mut store = TileStore::new(n, &StorageBackend::Memory).unwrap();
+        store.write_rows(0, &data).unwrap();
+        let want = store.panel_checksums(SDC_PANEL_ROWS).unwrap();
+        assert_eq!(want.len(), 3);
+        assert_eq!(ResultRows::new(n, None, data).checksums, want);
     }
 
     #[test]

@@ -11,24 +11,36 @@
 //! straddles two files, which keeps the hot row/panel paths one
 //! `pread`/`pwrite` each while letting paper-scale matrices escape the
 //! single-file sequential-I/O bottleneck.
+//!
+//! The store is three layers under one op path. `storage` knows where
+//! bytes live, `inject` holds the faults, crash point and bit flips a
+//! test arms, and `registry` holds the silent-corruption guard's
+//! per-row checksums. Every public op checks its input, makes one
+//! accounting call, does its storage I/O and then updates the registry.
 
-use crate::error::{CorruptionMark, SdcMark};
+mod inject;
+mod registry;
+mod storage;
+
+pub use inject::{DiskFault, DiskFaultPlan};
+
+use crate::error::CorruptionMark;
 use crate::options::SdcGuardMode;
 use crate::supervisor::Supervisor;
-use apsp_cpu::parallel::{par_claim, par_row_bands, ExecBackend};
-use apsp_graph::{Dist, INF};
+use apsp_cpu::ExecBackend;
+use apsp_graph::Dist;
+use inject::{Injection, Io};
 use parking_lot::Mutex;
+use registry::SdcRegistry;
 use std::fs::{File, OpenOptions};
-use std::io;
+use std::io::{self, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use storage::{cast_bytes, cast_bytes_mut, Backing};
 
 #[cfg(unix)]
 use std::os::unix::fs::FileExt;
-
-/// `ENOSPC` — the errno a full filesystem raises on write.
-const ENOSPC_ERRNO: i32 = 28;
 
 /// Magic tag opening every [`TileStore::persist`]ed file.
 const PERSIST_MAGIC: u64 = u64::from_le_bytes(*b"APSPTILE");
@@ -81,85 +93,6 @@ pub enum StorageBackend {
     },
 }
 
-/// One injectable disk-I/O fault (see [`DiskFaultPlan`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiskFault {
-    /// A positional write persists only the first half of its bytes,
-    /// then fails with `ErrorKind::WriteZero` — the dangerous case where
-    /// the store is already partially mutated when the error surfaces.
-    ShortWrite,
-    /// A positional read fills only the first half of its buffer, then
-    /// fails with `ErrorKind::UnexpectedEof`.
-    ShortRead,
-    /// A positional write fails up front with the OS `ENOSPC` error
-    /// (filesystem full); nothing is written.
-    Enospc,
-    /// The operation succeeds but stalls for this many microseconds
-    /// first — a degraded spindle/network mount, not a failure.
-    LatencyMicros(u64),
-    /// The operation succeeds but a *simulated* hang of this many
-    /// microseconds is charged to the attached [`Supervisor`]'s
-    /// disk-stall clock (see [`TileStore::set_supervision`]) — a disk
-    /// that goes slow instead of failing. Unlike
-    /// [`DiskFault::LatencyMicros`] no host thread actually sleeps, so
-    /// hangs of simulated minutes stay test-fast and deterministic;
-    /// without a supervisor attached the fault is unobservable by
-    /// design.
-    HangMicros(u64),
-}
-
-/// A deterministic schedule of disk faults, addressed by positional-I/O
-/// ordinal: the store counts every positional write and read it issues
-/// (a block write of `r` rows is `r` write ops) and fires the fault
-/// whose ordinal matches. Ordinals are 0-based from the moment the plan
-/// is armed. Plans only affect `Disk`-backed stores; arming one on a
-/// memory store is a no-op by construction.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DiskFaultPlan {
-    /// `(write-op ordinal, fault)` pairs. `ShortRead` entries here are
-    /// ignored (wrong direction); keep entries direction-appropriate.
-    pub write_faults: Vec<(u64, DiskFault)>,
-    /// `(read-op ordinal, fault)` pairs. `ShortWrite`/`Enospc` entries
-    /// here are ignored.
-    pub read_faults: Vec<(u64, DiskFault)>,
-}
-
-impl DiskFaultPlan {
-    fn write_fault_at(&self, op: u64) -> Option<DiskFault> {
-        self.write_faults
-            .iter()
-            .find(|(at, _)| *at == op)
-            .map(|(_, f)| *f)
-    }
-
-    fn read_fault_at(&self, op: u64) -> Option<DiskFault> {
-        self.read_faults
-            .iter()
-            .find(|(at, _)| *at == op)
-            .map(|(_, f)| *f)
-    }
-}
-
-#[derive(Debug)]
-struct FaultState {
-    plan: DiskFaultPlan,
-    write_ops: AtomicU64,
-    read_ops: AtomicU64,
-}
-
-/// An armed crash point (see [`TileStore::arm_crash`]): the store
-/// services `after_ops` row-granular operations, then every subsequent
-/// operation fails as if the owning process had died mid-run. Unlike
-/// [`DiskFaultPlan`], this counts logical row operations on *both*
-/// backings, so kill/resume behaviour is testable in the `Memory`
-/// regime too.
-#[derive(Debug)]
-struct CrashState {
-    after_ops: u64,
-    ticks: AtomicU64,
-    fired: AtomicBool,
-}
-
 /// FNV-1a over `bytes`, continuing from `hash` (seed with
 /// [`FNV_OFFSET_BASIS`]). Shared with the checkpoint manifest's
 /// self-checksum so one implementation guards both layers.
@@ -174,125 +107,98 @@ pub(crate) fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
 /// The FNV-1a 64-bit offset basis — the seed for [`fnv1a`].
 pub(crate) const FNV_OFFSET_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
 
-/// One spill file of a disk-backed store.
-struct DiskShard {
-    file: File,
-    /// Empty for files opened via [`TileStore::open`] (caller-owned;
-    /// drop removes nothing).
-    path: PathBuf,
+/// FNV-1a of one row: the checksum the SDC registry records.
+fn row_fnv(row: &[Dist]) -> u64 {
+    fnv1a(cast_bytes(row), FNV_OFFSET_BASIS)
 }
 
-/// The disk backing: consecutive row-aligned shard files presenting one
-/// flat logical payload. Shard `k` holds logical payload bytes
-/// `[k·cap, (k+1)·cap)`; because `cap` is a multiple of the row width, a
-/// single row is always one `pread`/`pwrite`, and only multi-row calls
-/// ever split across files.
-struct DiskBacking {
-    shards: Vec<DiskShard>,
-    /// Shard capacity in bytes (row-aligned; the last shard may hold
-    /// less). Never zero.
-    cap: u64,
-    /// Byte offset of logical payload offset 0 within shard 0: zero for
-    /// spill files, the header length for files opened via
-    /// [`TileStore::open`] (always single-shard).
-    base: u64,
+/// FNV-1a per panel of `panel_rows` consecutive rows, fed one row at a
+/// time; the last panel may be shorter. One chain per panel, so hashing
+/// rows one by one equals hashing the panel's bytes at once. The
+/// persisted footer, [`TileStore::panel_checksums`] and the service's
+/// result cache all checksum through it.
+pub(crate) struct PanelFnv {
+    panel_rows: usize,
+    rows: usize,
+    hash: u64,
+    sums: Vec<u64>,
 }
 
-impl DiskBacking {
-    /// Apply `f` to each `(file, file_offset, buf_range)` segment of the
-    /// logical payload range `offset..offset + len`.
-    fn for_each_segment<F>(&self, offset: u64, len: usize, mut f: F) -> io::Result<()>
-    where
-        F: FnMut(&File, u64, std::ops::Range<usize>) -> io::Result<()>,
-    {
-        let mut pos = 0usize;
-        while pos < len {
-            let o = offset + pos as u64;
-            let idx = (o / self.cap) as usize;
-            let local = o % self.cap;
-            let take = ((self.cap - local) as usize).min(len - pos);
-            let file_off = if idx == 0 { self.base + local } else { local };
-            f(&self.shards[idx].file, file_off, pos..pos + take)?;
-            pos += take;
+impl PanelFnv {
+    pub(crate) fn new(panel_rows: usize) -> PanelFnv {
+        PanelFnv {
+            panel_rows,
+            rows: 0,
+            hash: FNV_OFFSET_BASIS,
+            sums: Vec::new(),
         }
-        Ok(())
     }
 
-    /// Positional write of the logical payload range, splitting across
-    /// shard files as needed. No fault accounting — that lives in
-    /// [`write_at`], once per *logical* call regardless of segment count.
-    fn write_all_at(&self, buf: &[u8], offset: u64) -> io::Result<()> {
-        self.for_each_segment(offset, buf.len(), |file, off, range| {
-            file.write_all_at(&buf[range], off)
-        })
+    pub(crate) fn push(&mut self, row: &[Dist]) {
+        self.hash = fnv1a(cast_bytes(row), self.hash);
+        self.rows += 1;
+        if self.rows.is_multiple_of(self.panel_rows) {
+            self.sums.push(self.hash);
+            self.hash = FNV_OFFSET_BASIS;
+        }
     }
 
-    /// Positional read of the logical payload range (see
-    /// [`DiskBacking::write_all_at`]).
-    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> io::Result<()> {
-        self.for_each_segment(offset, buf.len(), |file, off, range| {
-            file.read_exact_at(&mut buf[range], off)
-        })
+    /// One checksum per panel, the ragged last one included.
+    pub(crate) fn finish(mut self) -> Vec<u64> {
+        if !self.rows.is_multiple_of(self.panel_rows) {
+            self.sums.push(self.hash);
+        }
+        self.sums
     }
 }
 
-enum Backing {
-    Memory(Vec<Dist>),
-    Disk(DiskBacking),
-}
-
-/// Live state of the silent-corruption guard (see
-/// [`TileStore::set_sdc_guard`]): one FNV checksum per row, plus a
-/// dirty flag for rows whose checksum is stale after a partial (block)
-/// write. Full-row writes re-hash eagerly from the data being written
-/// (no I/O amplification); partial writes only mark dirty, and the
-/// stale rows are re-hashed lazily at the next
-/// [`TileStore::verify_checksums`] barrier sweep.
-#[derive(Debug)]
-struct SdcState {
-    mode: SdcGuardMode,
-    rows: Vec<u64>,
-    dirty: Vec<bool>,
-    /// Whether the row was read (by accounted I/O) since its checksum
-    /// was last recorded. A mismatch on an unread row is *contained* —
-    /// the damage cannot have propagated into other rows — so the
-    /// recovery ladder may repair just that row's panel. A mismatch on
-    /// a consumed row reports unlocalized instead, forcing the
-    /// round-scoped rung that discards all derived state.
-    consumed: Vec<bool>,
-}
-
-/// First-read verification state for stores opened from a persisted
-/// file that carries a checksum footer: `pending[p]` holds panel `p`'s
-/// recorded checksum until the first read touching it verifies (then
-/// `None`). The first *write* through the store invalidates the whole
-/// footer — both here and on disk — since the persisted checksums no
-/// longer describe the content.
-#[derive(Debug)]
+/// First-read verification for a store opened from a persisted file
+/// that carries a checksum footer: `pending[p]` holds panel `p`'s
+/// recorded checksum until the first read touching it verifies it (then
+/// `None`). The first *write* through the store drops this state and
+/// zeroes the footer magic at `footer_at` in `file`, since the recorded
+/// checksums no longer describe the content.
 struct OpenVerify {
     pending: Mutex<Vec<Option<u64>>>,
-    invalidated: bool,
+    file: File,
+    footer_at: u64,
+}
+
+/// What one public op charges before it touches storage. Every kind
+/// ticks the supervisor once per row; they differ in crash ticks and in
+/// which telemetry row counter moves.
+#[derive(Clone, Copy)]
+enum Charge {
+    /// Rows read: a crash tick and a telemetry read each.
+    Read(usize),
+    /// Rows written one call per row: a crash tick and a telemetry
+    /// write each.
+    Write(usize),
+    /// Whole rows written in one contiguous call: one crash tick, and a
+    /// telemetry write per row.
+    WriteRows(usize),
+    /// A `Memory` pass over every row for [`TileStore::persist`]: a
+    /// crash tick per row, and no telemetry.
+    Bulk(usize),
 }
 
 /// An `n × n` row-major distance matrix in RAM or on disk.
 pub struct TileStore {
     n: usize,
-    backing: Backing,
-    faults: Option<FaultState>,
-    crash: Option<CrashState>,
+    storage: Backing,
+    inject: Injection,
     supervision: Option<Supervisor>,
-    exec: ExecBackend,
-    sdc: Option<Mutex<SdcState>>,
+    sdc: Option<Mutex<SdcRegistry>>,
     sdc_round: AtomicU64,
-    bit_flips: Vec<(u64, u64)>,
     open_verify: Option<OpenVerify>,
 }
 
 impl std::fmt::Debug for TileStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = match &self.backing {
-            Backing::Memory(_) => "memory",
-            Backing::Disk(..) => "disk",
+        let kind = if self.is_disk_backed() {
+            "disk"
+        } else {
+            "memory"
         };
         write!(f, "TileStore {{ n: {}, backing: {kind} }}", self.n)
     }
@@ -302,99 +208,19 @@ impl TileStore {
     /// Create a store for an `n × n` matrix, initialized to `INF` with a
     /// zero diagonal (the convention every algorithm writes over).
     pub fn new(n: usize, backend: &StorageBackend) -> io::Result<Self> {
-        match backend {
-            StorageBackend::Memory => {
-                let mut data = vec![INF; n * n];
-                for i in 0..n {
-                    data[i * n + i] = 0;
-                }
-                Ok(TileStore {
-                    n,
-                    backing: Backing::Memory(data),
-                    faults: None,
-                    crash: None,
-                    supervision: None,
-                    exec: ExecBackend::default(),
-                    sdc: None,
-                    sdc_round: AtomicU64::new(0),
-                    bit_flips: Vec::new(),
-                    open_verify: None,
-                })
-            }
-            StorageBackend::Disk(dir) => Self::new_disk(n, dir, DEFAULT_SHARD_BYTES),
-            StorageBackend::DiskSharded { dir, shard_bytes } => {
-                Self::new_disk(n, dir, *shard_bytes)
-            }
-        }
+        Ok(Self::with_storage(n, Backing::new(n, backend)?))
     }
 
-    /// Disk-backed construction: row-aligned spill shards of at most
-    /// `shard_bytes` each (minimum one row per shard).
-    fn new_disk(n: usize, dir: &Path, shard_bytes: u64) -> io::Result<Self> {
-        std::fs::create_dir_all(dir)?;
-        let row_bytes = n * std::mem::size_of::<Dist>();
-        let rows_per_shard = if row_bytes == 0 {
-            1
-        } else {
-            ((shard_bytes / row_bytes as u64) as usize).max(1)
-        };
-        let num_shards = n.div_ceil(rows_per_shard).max(1);
-        let first = unique_file(dir);
-        let mut shards: Vec<DiskShard> = Vec::with_capacity(num_shards);
-        let open_all = |shards: &mut Vec<DiskShard>| -> io::Result<()> {
-            for s in 0..num_shards {
-                let path = if s == 0 {
-                    first.clone()
-                } else {
-                    // Sibling shards append `.s<k>` to the spill name, so
-                    // one store's family is recognizable (and removable)
-                    // as a unit.
-                    PathBuf::from(format!("{}.s{s}", first.display()))
-                };
-                let file = OpenOptions::new()
-                    .read(true)
-                    .write(true)
-                    .create_new(true)
-                    .open(&path)?;
-                let rows_here = n.min((s + 1) * rows_per_shard) - s * rows_per_shard;
-                file.set_len((rows_here * row_bytes) as u64)?;
-                shards.push(DiskShard { file, path });
-            }
-            Ok(())
-        };
-        if let Err(e) = open_all(&mut shards) {
-            for shard in &shards {
-                let _ = std::fs::remove_file(&shard.path);
-            }
-            return Err(e);
-        }
-        let store = TileStore {
+    fn with_storage(n: usize, storage: Backing) -> TileStore {
+        TileStore {
             n,
-            backing: Backing::Disk(DiskBacking {
-                shards,
-                cap: ((rows_per_shard * row_bytes) as u64).max(1),
-                base: 0,
-            }),
-            faults: None,
-            crash: None,
+            storage,
+            inject: Injection::default(),
             supervision: None,
-            exec: ExecBackend::default(),
             sdc: None,
             sdc_round: AtomicU64::new(0),
-            bit_flips: Vec::new(),
             open_verify: None,
-        };
-        // Materialize the INF + zero-diagonal initialization one
-        // row at a time so even huge matrices never need n² RAM.
-        let mut row = vec![INF; n];
-        for i in 0..n {
-            if i > 0 {
-                row[i - 1] = INF;
-            }
-            row[i] = 0;
-            store.write_row_raw(i, &row)?;
         }
-        Ok(store)
     }
 
     /// Matrix dimension.
@@ -405,23 +231,21 @@ impl TileStore {
 
     /// Whether the store spills to disk.
     pub fn is_disk_backed(&self) -> bool {
-        matches!(self.backing, Backing::Disk(..))
+        self.storage.is_disk()
     }
 
     /// Arm a deterministic [`DiskFaultPlan`]. Positional-I/O ordinals
     /// restart at zero; any previously armed plan is replaced. Memory
-    /// backings issue no positional I/O, so the plan never fires there.
+    /// backings issue no positional I/O, so the plan is not armed there
+    /// and [`Self::io_ops`] stays `(0, 0)`.
     pub fn arm_faults(&mut self, plan: DiskFaultPlan) {
-        self.faults = Some(FaultState {
-            plan,
-            write_ops: AtomicU64::new(0),
-            read_ops: AtomicU64::new(0),
-        });
+        self.inject
+            .arm_faults(self.is_disk_backed().then_some(plan));
     }
 
     /// Remove an armed fault plan.
     pub fn disarm_faults(&mut self) {
-        self.faults = None;
+        self.inject.arm_faults(None);
     }
 
     /// Attach a [`Supervisor`]: every row-granular operation checks its
@@ -438,92 +262,62 @@ impl TileStore {
         self.supervision = None;
     }
 
-    /// Cancellation check shared by every row-granular operation.
-    fn supervision_tick(&self, ops: u64) -> io::Result<()> {
-        match &self.supervision {
-            Some(sup) => sup.io_tick(ops),
-            None => Ok(()),
-        }
-    }
-
     /// Whether `r` is a forward range of row or column indices.
-    fn in_range(&self, r: &std::ops::Range<usize>) -> bool {
+    fn in_range(&self, r: &Range<usize>) -> bool {
         r.start <= r.end && r.end <= self.n
     }
 
-    /// Telemetry row accounting, reached through the attached
-    /// [`Supervisor`]; a no-op when supervision or telemetry is off.
-    fn count_rows(&self, reads: u64, writes: u64) {
+    /// The one accounting call of every public op: crash ticks, then
+    /// the supervisor's cancellation check, then telemetry. A rejected
+    /// call never gets here, so it moves no ordinal.
+    fn account(&self, charge: Charge) -> io::Result<()> {
+        let (rows, ticks, reads, writes) = match charge {
+            Charge::Read(r) => (r, r, r, 0),
+            Charge::Write(r) => (r, r, 0, r),
+            Charge::WriteRows(r) => (r, 1, 0, r),
+            Charge::Bulk(r) => (r, r, 0, 0),
+        };
+        self.inject.crash_tick(ticks as u64)?;
         if let Some(sup) = &self.supervision {
-            sup.telemetry().count_store_rows(reads, writes);
+            sup.io_tick(rows as u64)?;
+            sup.telemetry()
+                .count_store_rows(reads as u64, writes as u64);
         }
+        Ok(())
     }
 
     /// Arm a crash point: the next `after_ops` row-granular operations
-    /// (a block access of `r` rows counts as `r`, matching the disk
-    /// backing's positional-I/O accounting) succeed, then every
-    /// subsequent operation fails with an "injected crash" I/O error —
-    /// the store behaves as if its process died mid-run. Works on both
-    /// backings; any previously armed crash point is replaced.
+    /// (a block access of `r` rows counts as `r`, a `write_rows` call as
+    /// one) succeed, then every subsequent operation fails with an
+    /// "injected crash" I/O error — the store behaves as if its process
+    /// died mid-run. Works on both backings; any previously armed crash
+    /// point is replaced.
     pub fn arm_crash(&mut self, after_ops: u64) {
-        self.crash = Some(CrashState {
-            after_ops,
-            ticks: AtomicU64::new(0),
-            fired: AtomicBool::new(false),
-        });
+        self.inject.arm_crash(Some(after_ops));
     }
 
     /// Remove an armed crash point, reviving a "dead" store.
     pub fn disarm_crash(&mut self) {
-        self.crash = None;
+        self.inject.arm_crash(None);
     }
 
     /// Row-granular operations serviced since [`Self::arm_crash`]; 0
     /// when none is armed. Arm with `u64::MAX` to count a full run
     /// without crashing it.
     pub fn crash_ops(&self) -> u64 {
-        self.crash
-            .as_ref()
-            .map(|c| c.ticks.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// Count `ops` operations against the armed crash point, failing
-    /// once the budget is exhausted (and forever after).
-    fn crash_tick(&self, ops: u64) -> io::Result<()> {
-        let Some(crash) = &self.crash else {
-            return Ok(());
-        };
-        let before = crash.ticks.fetch_add(ops, Ordering::Relaxed);
-        if crash.fired.load(Ordering::Relaxed) || before.saturating_add(ops) > crash.after_ops {
-            crash.fired.store(true, Ordering::Relaxed);
-            return Err(io::Error::other(format!(
-                "injected crash after {} store ops: process terminated",
-                crash.after_ops
-            )));
-        }
-        Ok(())
+        self.inject.crash_ops()
     }
 
     /// `(write, read)` positional-I/O ops issued since the plan was
     /// armed; `(0, 0)` when no plan is armed.
     pub fn io_ops(&self) -> (u64, u64) {
-        match &self.faults {
-            Some(f) => (
-                f.write_ops.load(Ordering::Relaxed),
-                f.read_ops.load(Ordering::Relaxed),
-            ),
-            None => (0, 0),
-        }
+        self.inject.io_ops()
     }
 
-    /// Choose the host execution backend for bulk staging copies and
-    /// checksum computation on the `Memory` backing. `Disk` I/O always
-    /// stays sequential: fault-injection ordinals and crash-tick
-    /// determinism depend on the positional-I/O order.
-    pub fn set_exec_backend(&mut self, exec: ExecBackend) {
-        self.exec = exec;
-    }
+    /// Has no effect. Every store op runs on the calling thread, in
+    /// order, so fault ordinals and crash ticks stay deterministic. The
+    /// method stays for callers that still pass their backend.
+    pub fn set_exec_backend(&mut self, _exec: ExecBackend) {}
 
     /// Enable (or disable, with [`SdcGuardMode::Off`]) the
     /// silent-corruption guard: a per-row FNV checksum registry seeded
@@ -539,28 +333,11 @@ impl TileStore {
             self.sdc = None;
             return Ok(());
         }
-        let n = self.n;
-        let mut rows = vec![0u64; n];
-        match &self.backing {
-            Backing::Memory(data) => {
-                for (i, sum) in rows.iter_mut().enumerate() {
-                    *sum = fnv1a(cast_bytes(&data[i * n..(i + 1) * n]), FNV_OFFSET_BASIS);
-                }
-            }
-            Backing::Disk(..) => {
-                let mut row = vec![0 as Dist; n];
-                for (i, sum) in rows.iter_mut().enumerate() {
-                    self.row_unaccounted_into(i, &mut row)?;
-                    *sum = fnv1a(cast_bytes(&row), FNV_OFFSET_BASIS);
-                }
-            }
-        }
-        self.sdc = Some(Mutex::new(SdcState {
-            mode,
-            rows,
-            dirty: vec![false; n],
-            consumed: vec![false; n],
-        }));
+        let mut buf = vec![0; self.n];
+        let hashes = (0..self.n)
+            .map(|i| self.row_hash(i, &mut buf))
+            .collect::<io::Result<_>>()?;
+        self.sdc = Some(Mutex::new(SdcRegistry::new(mode, hashes)));
         Ok(())
     }
 
@@ -568,8 +345,7 @@ impl TileStore {
     pub fn sdc_guard(&self) -> SdcGuardMode {
         self.sdc
             .as_ref()
-            .map(|s| s.lock().mode)
-            .unwrap_or(SdcGuardMode::Off)
+            .map_or(SdcGuardMode::Off, |s| s.lock().mode)
     }
 
     /// Tag subsequent guard detections with the driver's current round /
@@ -593,12 +369,12 @@ impl TileStore {
     /// off the flip is silent — the wrong-distances baseline the guard
     /// exists to close.
     pub fn arm_bit_flip(&mut self, after_ops: u64, bit: u64) {
-        self.bit_flips.push((after_ops, bit));
+        self.inject.flips.push((after_ops, bit));
     }
 
     /// Remove any armed (unfired) bit flips.
     pub fn clear_bit_flips(&mut self) {
-        self.bit_flips.clear();
+        self.inject.flips.clear();
     }
 
     /// Full-registry verification for barrier and run-end gates: rows
@@ -609,35 +385,13 @@ impl TileStore {
         let Some(sdc) = &self.sdc else {
             return Ok(());
         };
-        let n = self.n;
-        let mut state = sdc.lock();
-        let state = &mut *state;
-        match &self.backing {
-            Backing::Memory(data) => {
-                for i in 0..n {
-                    let hash = fnv1a(cast_bytes(&data[i * n..(i + 1) * n]), FNV_OFFSET_BASIS);
-                    if state.dirty[i] {
-                        state.rows[i] = hash;
-                        state.dirty[i] = false;
-                        state.consumed[i] = false;
-                    } else if hash != state.rows[i] {
-                        return Err(self.sdc_mismatch(i, state.consumed[i]));
-                    }
-                }
-            }
-            Backing::Disk(..) => {
-                let mut row = vec![0 as Dist; n];
-                for i in 0..n {
-                    self.row_unaccounted_into(i, &mut row)?;
-                    let hash = fnv1a(cast_bytes(&row), FNV_OFFSET_BASIS);
-                    if state.dirty[i] {
-                        state.rows[i] = hash;
-                        state.dirty[i] = false;
-                        state.consumed[i] = false;
-                    } else if hash != state.rows[i] {
-                        return Err(self.sdc_mismatch(i, state.consumed[i]));
-                    }
-                }
+        let mut buf = vec![0; self.n];
+        let reg = &mut *sdc.lock();
+        for i in 0..self.n {
+            let hash = self.row_hash(i, &mut buf)?;
+            reg.check(i, hash, self.sdc_round())?;
+            if reg.is_dirty(i) {
+                reg.set(i, hash);
             }
         }
         Ok(())
@@ -651,51 +405,16 @@ impl TileStore {
     /// intermediate barrier ahead of the rewrite reaching the corrupt
     /// row. Never call it on rows that will not be rewritten — that
     /// would absorb real corruption into the registry.
-    pub fn sdc_rebaseline(&self, rows: std::ops::Range<usize>) -> io::Result<()> {
+    pub fn sdc_rebaseline(&self, rows: Range<usize>) -> io::Result<()> {
         let Some(sdc) = &self.sdc else {
             return Ok(());
         };
-        let n = self.n;
-        let mut buf = vec![0 as Dist; n];
-        let mut state = sdc.lock();
+        let mut buf = vec![0; self.n];
+        let reg = &mut *sdc.lock();
         for i in rows {
-            let hash = match &self.backing {
-                Backing::Memory(data) => {
-                    fnv1a(cast_bytes(&data[i * n..(i + 1) * n]), FNV_OFFSET_BASIS)
-                }
-                Backing::Disk(..) => {
-                    self.row_unaccounted_into(i, &mut buf)?;
-                    fnv1a(cast_bytes(&buf), FNV_OFFSET_BASIS)
-                }
-            };
-            state.rows[i] = hash;
-            state.dirty[i] = false;
-            state.consumed[i] = false;
+            reg.set(i, self.row_hash(i, &mut buf)?);
         }
         Ok(())
-    }
-
-    /// The typed-SDC `io::Error` for a checksum mismatch on row `i`.
-    /// `consumed` rows report unlocalized (`usize::MAX`): the corrupt
-    /// content was already read, so panel-scoped repair cannot undo
-    /// what may have propagated.
-    fn sdc_mismatch(&self, i: usize, consumed: bool) -> io::Error {
-        io::Error::other(SdcMark {
-            panel: if consumed {
-                usize::MAX
-            } else {
-                i / SDC_PANEL_ROWS
-            },
-            round: self.sdc_round(),
-            detail: format!(
-                "row {i} no longer matches its recorded checksum{}",
-                if consumed {
-                    " (read since corruption; damage may have propagated)"
-                } else {
-                    ""
-                }
-            ),
-        })
     }
 
     /// Unaccounted full-row read for the semantic (ABFT) guards in
@@ -704,75 +423,34 @@ impl TileStore {
     /// invariant checks never perturb injected-fault ordinals or the
     /// simulated clock.
     pub(crate) fn guard_read_row(&self, i: usize) -> io::Result<Vec<Dist>> {
-        let mut row = vec![0 as Dist; self.n];
-        self.row_unaccounted_into(i, &mut row)?;
+        let mut row = vec![0; self.n];
+        self.storage.read(i * self.n, cast_bytes_mut(&mut row))?;
         Ok(row)
     }
 
-    /// Full-row read bypassing fault plans, crash points, supervision
-    /// ticks, and telemetry counters — the guard must observe the store
-    /// without perturbing injected-fault ordinals or the simulated
-    /// clock.
-    fn row_unaccounted_into(&self, i: usize, buf: &mut [Dist]) -> io::Result<()> {
-        match &self.backing {
-            Backing::Memory(data) => {
-                buf.copy_from_slice(&data[i * self.n..(i + 1) * self.n]);
-                Ok(())
-            }
-            Backing::Disk(d) => {
-                let offset = (i * self.n * std::mem::size_of::<Dist>()) as u64;
-                d.read_exact_at(cast_bytes_mut(buf), offset)
-            }
-        }
+    /// The checksum of row `i` as stored, read unaccounted into `buf`.
+    fn row_hash(&self, i: usize, buf: &mut [Dist]) -> io::Result<u64> {
+        self.storage.read(i * self.n, cast_bytes_mut(buf))?;
+        Ok(row_fnv(buf))
     }
 
-    /// Record fresh checksums for full rows just written from `rows`
-    /// (one or more consecutive `n`-wide rows starting at `row_start`).
-    fn sdc_record_rows(&mut self, row_start: usize, rows: &[Dist]) {
-        let n = self.n;
-        if let Some(sdc) = &mut self.sdc {
-            let state = &mut *sdc.lock();
-            for (k, chunk) in rows.chunks_exact(n).enumerate() {
-                state.rows[row_start + k] = fnv1a(cast_bytes(chunk), FNV_OFFSET_BASIS);
-                state.dirty[row_start + k] = false;
-                state.consumed[row_start + k] = false;
-            }
-        }
+    /// Storage write of `cells` from cell `cell`, as one positional op
+    /// of the armed fault plan.
+    fn put(&mut self, cell: usize, cells: &[Dist]) -> io::Result<()> {
+        let (storage, bytes) = (&mut self.storage, cast_bytes(cells));
+        let sup = self.supervision.as_ref();
+        self.inject.positional(Io::Write, bytes.len(), sup, |k| {
+            storage.write(cell, &bytes[..k])
+        })
     }
 
-    /// Mark rows stale after a partial (sub-row) write; they are
-    /// re-hashed at the next [`Self::verify_checksums`] sweep.
-    fn sdc_mark_dirty(&mut self, rows: std::ops::Range<usize>) {
-        if let Some(sdc) = &mut self.sdc {
-            let state = &mut *sdc.lock();
-            for i in rows {
-                state.dirty[i] = true;
-            }
-        }
-    }
-
-    /// Verify one full row's just-read data against the registry (skips
-    /// dirty rows — their recorded checksum is legitimately stale).
-    fn sdc_verify_row_data(&self, i: usize, data: &[Dist]) -> io::Result<()> {
-        if let Some(sdc) = &self.sdc {
-            let state = sdc.lock();
-            if !state.dirty[i] && fnv1a(cast_bytes(data), FNV_OFFSET_BASIS) != state.rows[i] {
-                return Err(self.sdc_mismatch(i, state.consumed[i]));
-            }
-        }
-        Ok(())
-    }
-
-    /// Mark rows as read by accounted I/O (see [`SdcState::consumed`]).
-    /// Called *after* any same-call verification, so the read that
-    /// detects a mismatch still reports the damage as contained.
-    fn sdc_mark_consumed(&self, rows: std::ops::Range<usize>) {
-        if let Some(sdc) = &self.sdc {
-            let state = &mut *sdc.lock();
-            for i in rows {
-                state.consumed[i] = true;
-            }
-        }
+    /// Storage read into `buf` (see [`Self::put`]).
+    fn fetch(&self, cell: usize, buf: &mut [Dist]) -> io::Result<()> {
+        let bytes = cast_bytes_mut(buf);
+        let sup = self.supervision.as_ref();
+        self.inject.positional(Io::Read, bytes.len(), sup, |k| {
+            self.storage.read(cell, &mut bytes[..k])
+        })
     }
 
     /// Before a partial write dirties a clean row, verify the row's
@@ -782,112 +460,53 @@ impl TileStore {
     /// corruption as a legitimate change. Costs one unaccounted
     /// full-row read per clean→dirty transition (at most one per row
     /// per barrier interval).
-    fn sdc_predirty_verify(&self, rows: std::ops::Range<usize>) -> io::Result<()> {
+    fn check_before_dirty(&self, rows: Range<usize>) -> io::Result<()> {
         let Some(sdc) = &self.sdc else {
             return Ok(());
         };
-        let mut buf = vec![0 as Dist; self.n];
-        for i in rows {
-            let expect = {
-                let state = sdc.lock();
-                if state.dirty[i] {
-                    None
-                } else {
-                    Some((state.rows[i], state.consumed[i]))
-                }
-            };
-            if let Some((hash, consumed)) = expect {
-                self.row_unaccounted_into(i, &mut buf)?;
-                if fnv1a(cast_bytes(&buf), FNV_OFFSET_BASIS) != hash {
-                    return Err(self.sdc_mismatch(i, consumed));
-                }
-            }
+        let mut buf = vec![0; self.n];
+        let reg = sdc.lock();
+        for i in rows.filter(|&i| !reg.is_dirty(i)) {
+            reg.check(i, self.row_hash(i, &mut buf)?, self.sdc_round())?;
         }
         Ok(())
     }
 
-    /// Fire any armed bit flips whose write-op budget this operation
-    /// exhausts. `count` is the operation's row-granular op count; a
-    /// fired flip lands on the written row its residual budget points
-    /// at. A flip landing on a dirty row finalizes that row's checksum
-    /// from the (clean) backing first, so the corruption is never
-    /// absorbed into the registry as a legitimate change.
-    fn sdc_apply_write_flips(&mut self, row_start: usize, count: u64) -> io::Result<()> {
-        if self.bit_flips.is_empty() || count == 0 {
-            return Ok(());
+    /// Everything after a successful write to `rows`. The first write
+    /// through an opened store invalidates its persisted footer. The
+    /// registry records `full`, the rows' new content, when the write
+    /// covered whole rows, and marks a partial write's rows dirty. Last,
+    /// any armed bit flip this write exhausts strikes its row, after the
+    /// registry recorded the clean data; a flip landing on a dirty row
+    /// first finalizes that row's checksum from the clean storage, so
+    /// the sweep can never absorb the flip as a legitimate change.
+    fn written(&mut self, rows: Range<usize>, full: Option<&[Dist]>) -> io::Result<()> {
+        if let Some(ov) = self.open_verify.take() {
+            ov.file.write_all_at(&[0u8; 8], ov.footer_at)?;
         }
-        let mut fired: Vec<(usize, u64)> = Vec::new();
-        self.bit_flips.retain_mut(|(remaining, bit)| {
-            if *remaining >= count {
-                *remaining -= count;
-                true
-            } else {
-                fired.push((row_start + *remaining as usize, *bit));
-                false
-            }
-        });
-        for (row, bit) in fired {
-            if self.sdc.is_some() {
-                let mut buf = vec![0 as Dist; self.n];
-                self.row_unaccounted_into(row, &mut buf)?;
-                let hash = fnv1a(cast_bytes(&buf), FNV_OFFSET_BASIS);
-                if let Some(sdc) = &mut self.sdc {
-                    let state = &mut *sdc.lock();
-                    state.rows[row] = hash;
-                    state.dirty[row] = false;
-                    state.consumed[row] = false;
+        if let Some(sdc) = &self.sdc {
+            let reg = &mut *sdc.lock();
+            match full {
+                Some(data) => {
+                    for (i, row) in rows.clone().zip(data.chunks_exact(self.n.max(1))) {
+                        reg.set(i, row_fnv(row));
+                    }
                 }
-            }
-            self.flip_stored_bit(row, bit)?;
-        }
-        Ok(())
-    }
-
-    /// XOR one bit of row `row`'s stored bytes, directly in the backing
-    /// (unaccounted — the fault is not an I/O operation the store
-    /// performed, it is damage that happened to it).
-    fn flip_stored_bit(&mut self, row: usize, bit: u64) -> io::Result<()> {
-        let row_bytes = self.n * std::mem::size_of::<Dist>();
-        if row_bytes == 0 {
-            return Ok(());
-        }
-        let b = (bit % (row_bytes as u64 * 8)) as usize;
-        match &mut self.backing {
-            Backing::Memory(data) => {
-                let n = self.n;
-                let elems = &mut data[row * n..(row + 1) * n];
-                cast_bytes_mut(elems)[b / 8] ^= 1 << (b % 8);
-                Ok(())
-            }
-            Backing::Disk(d) => {
-                let offset = (row * row_bytes) as u64 + (b / 8) as u64;
-                let mut one = [0u8; 1];
-                d.read_exact_at(&mut one, offset)?;
-                one[0] ^= 1 << (b % 8);
-                d.write_all_at(&one, offset)
+                None => reg.mark_dirty(rows.clone()),
             }
         }
-    }
-
-    /// On the first write through an opened store: the persisted footer
-    /// no longer describes the content, so drop the pending first-read
-    /// verifications and zero the on-disk footer magic (later opens then
-    /// skip verification instead of reporting false corruption).
-    fn open_note_write(&mut self) -> io::Result<()> {
-        let Some(ov) = &mut self.open_verify else {
-            return Ok(());
-        };
-        if ov.invalidated {
-            return Ok(());
-        }
-        ov.invalidated = true;
-        ov.pending.lock().clear();
-        if let Backing::Disk(d) = &self.backing {
-            // Only stores opened from a persisted file carry a footer,
-            // and those are always single-shard: the footer lives past
-            // the payload in shard 0's file.
-            let footer_off = d.base + (self.n * self.n * std::mem::size_of::<Dist>()) as u64;
-            d.shards[0].file.write_all_at(&[0u8; 8], footer_off)?;
+        let row_bits = (self.n * std::mem::size_of::<Dist>() * 8) as u64;
+        for (row, bit) in self.inject.fired_flips(rows) {
+            let mut buf = vec![0; self.n];
+            let hash = self.row_hash(row, &mut buf)?;
+            if let Some(sdc) = &self.sdc {
+                sdc.lock().set(row, hash);
+            }
+            if row_bits > 0 {
+                let b = (bit % row_bits) as usize;
+                cast_bytes_mut(&mut buf)[b / 8] ^= 1 << (b % 8);
+                self.storage.write(row * self.n, cast_bytes(&buf))?;
+            }
         }
         Ok(())
     }
@@ -896,32 +515,25 @@ impl TileStore {
     /// opened from a footer-carrying file: every not-yet-verified panel
     /// overlapping `rows` is hashed and checked, surfacing a typed
     /// [`crate::ApspError::Corruption`] on mismatch.
-    fn open_verify_panels(&self, rows: std::ops::Range<usize>) -> io::Result<()> {
+    fn open_verify_panels(&self, rows: Range<usize>) -> io::Result<()> {
         let Some(ov) = &self.open_verify else {
             return Ok(());
         };
         if rows.is_empty() {
             return Ok(());
         }
-        let lo = rows.start / SDC_PANEL_ROWS;
-        let hi = (rows.end - 1) / SDC_PANEL_ROWS;
-        let mut buf = vec![0 as Dist; self.n];
-        for p in lo..=hi {
-            let expect = {
-                let pending = ov.pending.lock();
-                match pending.get(p) {
-                    Some(&Some(h)) => h,
-                    _ => continue,
-                }
+        let mut buf = vec![0; self.n];
+        for p in rows.start / SDC_PANEL_ROWS..=(rows.end - 1) / SDC_PANEL_ROWS {
+            let Some(expect) = ov.pending.lock().get(p).copied().flatten() else {
+                continue;
             };
-            let start = p * SDC_PANEL_ROWS;
-            let end = ((p + 1) * SDC_PANEL_ROWS).min(self.n);
-            let mut hash = FNV_OFFSET_BASIS;
+            let (start, end) = (p * SDC_PANEL_ROWS, ((p + 1) * SDC_PANEL_ROWS).min(self.n));
+            let mut sum = PanelFnv::new(SDC_PANEL_ROWS);
             for i in start..end {
-                self.row_unaccounted_into(i, &mut buf)?;
-                hash = fnv1a(cast_bytes(&buf), hash);
+                self.storage.read(i * self.n, cast_bytes_mut(&mut buf))?;
+                sum.push(&buf);
             }
-            if hash != expect {
+            if sum.finish() != [expect] {
                 return Err(io::Error::other(CorruptionMark {
                     detail: format!(
                         "persisted matrix panel {p} (rows {start}..{end}) fails its recorded \
@@ -934,40 +546,40 @@ impl TileStore {
         Ok(())
     }
 
+    /// The read path behind [`Self::read_block`], [`Self::read_row`] and
+    /// [`Self::get`], once the op is checked and charged: first-read
+    /// verification, one positional read per row, a registry check of
+    /// full-width rows at zero extra I/O (the barrier sweep covers
+    /// partial reads), then the rows are marked consumed.
+    fn read_cells(&self, rows: Range<usize>, cols: Range<usize>) -> io::Result<Vec<Dist>> {
+        self.open_verify_panels(rows.clone())?;
+        let width = cols.len();
+        let mut out = vec![0; rows.len() * width];
+        for (r, i) in rows.clone().enumerate() {
+            self.fetch(
+                i * self.n + cols.start,
+                &mut out[r * width..(r + 1) * width],
+            )?;
+        }
+        if let Some(sdc) = &self.sdc {
+            let reg = &mut *sdc.lock();
+            if width == self.n {
+                for (i, row) in rows.clone().zip(out.chunks_exact(width.max(1))) {
+                    reg.check(i, row_fnv(row), self.sdc_round())?;
+                }
+            }
+            reg.mark_consumed(rows);
+        }
+        Ok(out)
+    }
+
     /// Overwrite full row `i`.
     pub fn write_row(&mut self, i: usize, row: &[Dist]) -> io::Result<()> {
         check_input(row.len() == self.n, "row width mismatch")?;
         check_input(i < self.n, "row index out of range")?;
-        self.crash_tick(1)?;
-        self.supervision_tick(1)?;
-        self.count_rows(0, 1);
-        let n = self.n;
-        if let Backing::Memory(data) = &mut self.backing {
-            data[i * n..(i + 1) * n].copy_from_slice(row);
-        } else {
-            self.write_row_raw(i, row)?;
-        }
-        self.open_note_write()?;
-        self.sdc_record_rows(i, row);
-        self.sdc_apply_write_flips(i, 1)
-    }
-
-    /// Positional row write available on the shared (`&self`) path — only
-    /// valid for the disk backing (used during initialization).
-    fn write_row_raw(&self, i: usize, row: &[Dist]) -> io::Result<()> {
-        match &self.backing {
-            Backing::Memory(_) => unreachable!("memory writes go through write_row"),
-            Backing::Disk(d) => {
-                let offset = (i * self.n * std::mem::size_of::<Dist>()) as u64;
-                write_at(
-                    d,
-                    self.faults.as_ref(),
-                    self.supervision.as_ref(),
-                    cast_bytes(row),
-                    offset,
-                )
-            }
-        }
+        self.account(Charge::Write(1))?;
+        self.put(i * self.n, row)?;
+        self.written(i..i + 1, Some(row))
     }
 
     /// Overwrite `rows.len() / n` consecutive rows starting at `row_start`.
@@ -980,35 +592,17 @@ impl TileStore {
                 .is_some_and(|end| end <= self.n),
             "rows out of range",
         )?;
-        self.crash_tick(1)?; // one contiguous positional write
-        self.supervision_tick(count as u64)?; // but cancellation stays row-granular
-        self.count_rows(0, count as u64);
-        match &mut self.backing {
-            Backing::Memory(data) => {
-                data[row_start * self.n..row_start * self.n + rows.len()].copy_from_slice(rows);
-            }
-            Backing::Disk(d) => {
-                let offset = (row_start * self.n * std::mem::size_of::<Dist>()) as u64;
-                write_at(
-                    d,
-                    self.faults.as_ref(),
-                    self.supervision.as_ref(),
-                    cast_bytes(rows),
-                    offset,
-                )?;
-            }
-        }
-        self.open_note_write()?;
-        self.sdc_record_rows(row_start, rows);
-        self.sdc_apply_write_flips(row_start, count as u64)
+        self.account(Charge::WriteRows(count))?;
+        self.put(row_start * self.n, rows)?;
+        self.written(row_start..row_start + count, Some(rows))
     }
 
     /// Overwrite the rectangular block `row_range × col_range` with
     /// `data` (row-major, dimensions matching the ranges).
     pub fn write_block(
         &mut self,
-        row_range: std::ops::Range<usize>,
-        col_range: std::ops::Range<usize>,
+        row_range: Range<usize>,
+        col_range: Range<usize>,
         data: &[Dist],
     ) -> io::Result<()> {
         check_input(
@@ -1017,161 +611,84 @@ impl TileStore {
         )?;
         let width = col_range.len();
         check_input(data.len() == row_range.len() * width, "block size mismatch")?;
-        self.crash_tick(row_range.len() as u64)?;
-        self.supervision_tick(row_range.len() as u64)?;
-        self.count_rows(0, row_range.len() as u64);
-        if width != self.n {
+        self.account(Charge::Write(row_range.len()))?;
+        let full = width == self.n;
+        if !full {
             // About to dirty these rows: any clean row must still match
             // its checksum, or at-rest damage would be absorbed by the
             // barrier re-hash of dirty rows.
-            self.sdc_predirty_verify(row_range.clone())?;
+            self.check_before_dirty(row_range.clone())?;
         }
-        let n = self.n;
-        let threads = self.exec.resolved_threads();
-        match &mut self.backing {
-            Backing::Memory(buf) => {
-                let col_start = col_range.start;
-                let dst = &mut buf[row_range.start * n..row_range.end * n];
-                par_row_bands(dst, n, row_range.len(), threads, width, |band, dst| {
-                    for (r, row) in band.zip(dst.chunks_mut(n)) {
-                        let src = &data[r * width..(r + 1) * width];
-                        row[col_start..col_start + width].copy_from_slice(src);
-                    }
-                });
-            }
-            Backing::Disk(d) => {
-                for (r, i) in row_range.clone().enumerate() {
-                    let offset =
-                        ((i * self.n + col_range.start) * std::mem::size_of::<Dist>()) as u64;
-                    write_at(
-                        d,
-                        self.faults.as_ref(),
-                        self.supervision.as_ref(),
-                        cast_bytes(&data[r * width..(r + 1) * width]),
-                        offset,
-                    )?;
-                }
-            }
+        for (r, i) in row_range.clone().enumerate() {
+            self.put(
+                i * self.n + col_range.start,
+                &data[r * width..(r + 1) * width],
+            )?;
         }
-        self.open_note_write()?;
-        if width == n {
-            // A full-width block is consecutive whole rows: hash the
-            // data in hand instead of re-reading the backing.
-            self.sdc_record_rows(row_range.start, data);
-        } else {
-            self.sdc_mark_dirty(row_range.clone());
-        }
-        self.sdc_apply_write_flips(row_range.start, row_range.len() as u64)
+        // A full-width block is consecutive whole rows: the registry
+        // hashes the data in hand instead of re-reading storage.
+        self.written(row_range, full.then_some(data))
     }
 
     /// Read the rectangular block `row_range × col_range` (row-major).
     pub fn read_block(
         &self,
-        row_range: std::ops::Range<usize>,
-        col_range: std::ops::Range<usize>,
+        row_range: Range<usize>,
+        col_range: Range<usize>,
     ) -> io::Result<Vec<Dist>> {
         check_input(
             self.in_range(&row_range) && self.in_range(&col_range),
             "block out of range",
         )?;
-        let width = col_range.len();
-        self.crash_tick(row_range.len() as u64)?;
-        self.supervision_tick(row_range.len() as u64)?;
-        self.count_rows(row_range.len() as u64, 0);
-        self.open_verify_panels(row_range.clone())?;
-        let rows = row_range.len();
-        let mut out = vec![0 as Dist; rows * width];
-        match &self.backing {
-            Backing::Memory(data) => {
-                let n = self.n;
-                let row_start = row_range.start;
-                let col_start = col_range.start;
-                let threads = self.exec.resolved_threads();
-                par_row_bands(&mut out, width, rows, threads, width, |band, out| {
-                    for r in band.clone() {
-                        let src = (row_start + r) * n + col_start;
-                        let dst = (r - band.start) * width;
-                        out[dst..dst + width].copy_from_slice(&data[src..src + width]);
-                    }
-                });
-            }
-            Backing::Disk(d) => {
-                for (r, i) in row_range.clone().enumerate() {
-                    let offset =
-                        ((i * self.n + col_range.start) * std::mem::size_of::<Dist>()) as u64;
-                    read_at(
-                        d,
-                        self.faults.as_ref(),
-                        self.supervision.as_ref(),
-                        cast_bytes_mut(&mut out[r * width..(r + 1) * width]),
-                        offset,
-                    )?;
-                }
-            }
-        }
-        if width == self.n && self.sdc.is_some() {
-            // Full-width reads carry whole rows: verify them against the
-            // registry at zero extra I/O. Partial reads are covered by
-            // the barrier-time `verify_checksums` sweep instead.
-            for (r, i) in row_range.clone().enumerate() {
-                self.sdc_verify_row_data(i, &out[r * width..(r + 1) * width])?;
-            }
-        }
-        self.sdc_mark_consumed(row_range);
-        Ok(out)
+        self.account(Charge::Read(row_range.len()))?;
+        self.read_cells(row_range, col_range)
     }
 
     /// Read full row `i`.
     pub fn read_row(&self, i: usize) -> io::Result<Vec<Dist>> {
         check_input(i < self.n, "row index out of range")?;
-        self.crash_tick(1)?;
-        self.supervision_tick(1)?;
-        self.count_rows(1, 0);
-        self.open_verify_panels(i..i + 1)?;
-        let row = match &self.backing {
-            Backing::Memory(data) => data[i * self.n..(i + 1) * self.n].to_vec(),
-            Backing::Disk(d) => {
-                let mut row = vec![0 as Dist; self.n];
-                let offset = (i * self.n * std::mem::size_of::<Dist>()) as u64;
-                read_at(
-                    d,
-                    self.faults.as_ref(),
-                    self.supervision.as_ref(),
-                    cast_bytes_mut(&mut row),
-                    offset,
-                )?;
-                row
-            }
-        };
-        self.sdc_verify_row_data(i, &row)?;
-        self.sdc_mark_consumed(i..i + 1);
-        Ok(row)
+        self.account(Charge::Read(1))?;
+        self.read_cells(i..i + 1, 0..self.n)
     }
 
     /// Read one element — convenience for spot checks; row-granular I/O
     /// for bulk access.
     pub fn get(&self, i: usize, j: usize) -> io::Result<Dist> {
         check_input(i < self.n && j < self.n, "cell out of range")?;
-        self.crash_tick(1)?;
-        self.supervision_tick(1)?;
-        self.count_rows(1, 0);
-        self.open_verify_panels(i..i + 1)?;
-        self.sdc_mark_consumed(i..i + 1);
-        match &self.backing {
-            Backing::Memory(data) => Ok(data[i * self.n + j]),
-            Backing::Disk(d) => {
-                let mut one = [0 as Dist; 1];
-                let offset = ((i * self.n + j) * std::mem::size_of::<Dist>()) as u64;
-                read_at(
-                    d,
-                    self.faults.as_ref(),
-                    self.supervision.as_ref(),
-                    cast_bytes_mut(&mut one),
-                    offset,
-                )?;
-                Ok(one[0])
+        self.account(Charge::Read(1))?;
+        Ok(self.read_cells(i..i + 1, j..j + 1)?[0])
+    }
+
+    /// Hand every row to `f` in order, for [`Self::persist`] and
+    /// [`Self::to_dist_matrix`]. This is the one place outside the
+    /// storage layer that matches on the backing, because the two
+    /// account differently here and `accounting_is_pinned_per_op` pins
+    /// both: a `Disk` store reads each row through [`Self::read_row`],
+    /// accounted and checked, while a `Memory` store copies its rows out
+    /// unaccounted, after one [`Charge::Bulk`] when `bulk` is set.
+    fn export_rows(
+        &self,
+        bulk: bool,
+        mut f: impl FnMut(&[Dist]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        match &self.storage {
+            Backing::Disk(_) => {
+                for i in 0..self.n {
+                    f(&self.read_row(i)?)?;
+                }
+            }
+            Backing::Memory(_) => {
+                if bulk {
+                    self.account(Charge::Bulk(self.n))?;
+                }
+                let mut buf = vec![0; self.n];
+                for i in 0..self.n {
+                    self.storage.read(i * self.n, cast_bytes_mut(&mut buf))?;
+                    f(&buf)?;
+                }
             }
         }
+        Ok(())
     }
 
     /// Persist the matrix to `path`: a 16-byte header (magic + the
@@ -1191,79 +708,53 @@ impl TileStore {
     /// to save.
     pub fn persist<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
         let path = path.as_ref();
-        if let Backing::Disk(d) = &self.backing {
-            let own = &d.shards[0].path;
-            if let Some(own_dir) = own.parent() {
-                if !own.as_os_str().is_empty() && same_dir(own_dir, parent_dir(path)) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!(
-                            "refusing to persist into the store's own spill directory {}",
-                            own_dir.display()
-                        ),
-                    ));
-                }
+        if let Some(own_dir) = self.storage.spill_dir() {
+            if same_dir(own_dir, parent_dir(path)) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "refusing to persist into the store's own spill directory {}",
+                        own_dir.display()
+                    ),
+                ));
             }
         }
-        let dir = parent_dir(path);
         let file_name = path.file_name().ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "persist target has no file name",
             )
         })?;
-        let tmp = dir.join(format!(
+        let tmp = parent_dir(path).join(format!(
             ".{}.tmp.{}",
             file_name.to_string_lossy(),
             std::process::id()
         ));
         let result = (|| -> io::Result<()> {
-            let mut out = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&tmp)?;
-            use std::io::Write;
+            let mut out = io::BufWriter::new(
+                OpenOptions::new()
+                    .write(true)
+                    .create(true)
+                    .truncate(true)
+                    .open(&tmp)?,
+            );
             out.write_all(&PERSIST_MAGIC.to_le_bytes())?;
             out.write_all(&(self.n as u64).to_le_bytes())?;
-            let num_panels = self.n.div_ceil(SDC_PANEL_ROWS);
-            let mut footer = Vec::with_capacity(num_panels);
-            match &self.backing {
-                Backing::Memory(data) => {
-                    self.crash_tick(self.n as u64)?; // parity with the disk backing's n row reads
-                    self.supervision_tick(self.n as u64)?;
-                    out.write_all(cast_bytes(data))?;
-                    for p in 0..num_panels {
-                        let lo = p * SDC_PANEL_ROWS * self.n;
-                        let hi = (((p + 1) * SDC_PANEL_ROWS) * self.n).min(data.len());
-                        footer.push(fnv1a(cast_bytes(&data[lo..hi]), FNV_OFFSET_BASIS));
-                    }
-                }
-                Backing::Disk(..) => {
-                    let mut hash = FNV_OFFSET_BASIS;
-                    for i in 0..self.n {
-                        let row = self.read_row(i)?;
-                        out.write_all(cast_bytes(&row))?;
-                        hash = fnv1a(cast_bytes(&row), hash);
-                        if (i + 1).is_multiple_of(SDC_PANEL_ROWS) {
-                            footer.push(hash);
-                            hash = FNV_OFFSET_BASIS;
-                        }
-                    }
-                    if !self.n.is_multiple_of(SDC_PANEL_ROWS) {
-                        footer.push(hash);
-                    }
-                }
-            }
             // Per-panel checksum footer: first reads through `open`
             // verify each panel against it, so at-rest damage to the
             // file surfaces typed instead of as wrong distances.
+            let mut footer = PanelFnv::new(SDC_PANEL_ROWS);
+            self.export_rows(true, |row| {
+                footer.push(row);
+                out.write_all(cast_bytes(row))
+            })?;
+            let footer = footer.finish();
             out.write_all(&FOOTER_MAGIC.to_le_bytes())?;
-            out.write_all(&(num_panels as u64).to_le_bytes())?;
+            out.write_all(&(footer.len() as u64).to_le_bytes())?;
             for h in &footer {
                 out.write_all(&h.to_le_bytes())?;
             }
-            out.sync_all()?;
+            out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
             std::fs::rename(&tmp, path)
         })();
         if result.is_err() {
@@ -1273,48 +764,17 @@ impl TileStore {
     }
 
     /// FNV-1a checksum of each consecutive panel of `panel_rows` rows
-    /// (the last panel may be shorter). On a `Disk` backing the rows are
-    /// read back from the file, so the checksums attest to what is
-    /// actually on disk, not what was last handed to `write_*`.
+    /// (the last panel may be shorter), read row by row through
+    /// [`Self::read_row`]. On a `Disk` backing the checksums therefore
+    /// attest to what is actually on disk, not what was last handed to
+    /// `write_*`.
     pub fn panel_checksums(&self, panel_rows: usize) -> io::Result<Vec<u64>> {
         check_input(panel_rows >= 1, "panel_rows must be positive")?;
-        // Each panel's FNV chain starts fresh from the offset basis, so
-        // the panels are independent and can be hashed in parallel on
-        // the memory backing. Crash/supervision ticks are charged in
-        // bulk up front (same totals as the row-at-a-time path).
-        let threads = self.exec.resolved_threads();
-        if threads > 1 {
-            if let Backing::Memory(data) = &self.backing {
-                let n = self.n;
-                self.crash_tick(n as u64)?;
-                self.supervision_tick(n as u64)?;
-                let num_panels = n.div_ceil(panel_rows);
-                let mut out = vec![0u64; num_panels];
-                par_claim(&mut out, threads, panel_rows * n, |claims| {
-                    for (p, hash) in claims {
-                        let lo = p * panel_rows;
-                        let hi = ((p + 1) * panel_rows).min(n);
-                        // A memory-backed panel is one contiguous slice.
-                        *hash = fnv1a(cast_bytes(&data[lo * n..hi * n]), FNV_OFFSET_BASIS);
-                    }
-                });
-                return Ok(out);
-            }
-        }
-        let mut out = Vec::with_capacity(self.n.div_ceil(panel_rows));
-        let mut hash = FNV_OFFSET_BASIS;
+        let mut sums = PanelFnv::new(panel_rows);
         for i in 0..self.n {
-            let row = self.read_row(i)?;
-            hash = fnv1a(cast_bytes(&row), hash);
-            if (i + 1) % panel_rows == 0 {
-                out.push(hash);
-                hash = FNV_OFFSET_BASIS;
-            }
+            sums.push(&self.read_row(i)?);
         }
-        if !self.n.is_multiple_of(panel_rows) {
-            out.push(hash);
-        }
-        Ok(out)
+        Ok(sums.finish())
     }
 
     /// Open a previously [`TileStore::persist`]ed matrix read-write in
@@ -1350,7 +810,8 @@ impl TileStore {
                 path.as_ref().display()
             )));
         }
-        let legacy = PERSIST_HEADER_BYTES + (n * n * std::mem::size_of::<Dist>()) as u64;
+        let payload = (n * n * std::mem::size_of::<Dist>()) as u64;
+        let legacy = PERSIST_HEADER_BYTES + payload;
         let num_panels = n.div_ceil(SDC_PANEL_ROWS);
         let with_footer = legacy + FOOTER_HEADER_BYTES + 8 * num_panels as u64;
         let pending: Vec<Option<u64>> = if actual == legacy {
@@ -1390,35 +851,18 @@ impl TileStore {
                 path.as_ref().display()
             )));
         };
-        let payload = (n * n * std::mem::size_of::<Dist>()) as u64;
-        Ok(TileStore {
-            n,
-            backing: Backing::Disk(DiskBacking {
-                shards: vec![DiskShard {
-                    file,
-                    path: PathBuf::new(), // empty ⇒ drop() removes nothing
-                }],
-                // A persisted matrix is one file: the single shard spans
-                // the whole payload.
-                cap: payload.max(1),
-                base: PERSIST_HEADER_BYTES,
-            }),
-            faults: None,
-            crash: None,
-            supervision: None,
-            exec: ExecBackend::default(),
-            sdc: None,
-            sdc_round: AtomicU64::new(0),
-            bit_flips: Vec::new(),
-            open_verify: if pending.iter().any(|p| p.is_some()) {
-                Some(OpenVerify {
-                    pending: Mutex::new(pending),
-                    invalidated: false,
-                })
-            } else {
-                None
-            },
-        })
+        let open_verify = if pending.iter().any(Option::is_some) {
+            Some(OpenVerify {
+                pending: Mutex::new(pending),
+                file: file.try_clone()?,
+                footer_at: legacy,
+            })
+        } else {
+            None
+        };
+        let mut store = Self::with_storage(n, Backing::opened(file, PERSIST_HEADER_BYTES, payload));
+        store.open_verify = open_verify;
+        Ok(store)
     }
 
     /// Materialize the whole matrix (tests and small-n tooling only).
@@ -1427,29 +871,11 @@ impl TileStore {
         // guard registry first so at-rest damage never leaves the store.
         self.verify_checksums()?;
         let mut data = Vec::with_capacity(self.n * self.n);
-        match &self.backing {
-            Backing::Memory(buf) => data.extend_from_slice(buf),
-            Backing::Disk(..) => {
-                for i in 0..self.n {
-                    data.extend_from_slice(&self.read_row(i)?);
-                }
-            }
-        }
+        self.export_rows(false, |row| {
+            data.extend_from_slice(row);
+            Ok(())
+        })?;
         Ok(apsp_cpu::DistMatrix::from_raw(self.n, data))
-    }
-}
-
-impl Drop for TileStore {
-    fn drop(&mut self) {
-        if let Backing::Disk(d) = &self.backing {
-            for shard in &d.shards {
-                // Stores opened from a user-owned file carry an empty
-                // path and must survive the drop.
-                if !shard.path.as_os_str().is_empty() {
-                    let _ = std::fs::remove_file(&shard.path);
-                }
-            }
-        }
     }
 }
 
@@ -1474,95 +900,6 @@ fn same_dir(a: &Path, b: &Path) -> bool {
     }
 }
 
-fn unique_file(dir: &Path) -> PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let id = COUNTER.fetch_add(1, Ordering::Relaxed);
-    dir.join(format!("apsp-tiles-{}-{}.bin", std::process::id(), id))
-}
-
-/// Positional write with fault application: counts the op against the
-/// armed plan and fires any scheduled write-direction fault. One fault
-/// ordinal per *logical* call — a write that straddles shard files is
-/// still one op, so fault plans replay identically at every shard
-/// threshold.
-///
-/// A [`DiskFault::HangMicros`] fault succeeds but charges its duration
-/// to the attached supervisor's io-stall clock (simulated time — the
-/// host thread never sleeps), so a hung disk is only observable when a
-/// supervisor is watching.
-fn write_at(
-    disk: &DiskBacking,
-    faults: Option<&FaultState>,
-    sup: Option<&Supervisor>,
-    buf: &[u8],
-    offset: u64,
-) -> io::Result<()> {
-    if let Some(state) = faults {
-        let op = state.write_ops.fetch_add(1, Ordering::Relaxed);
-        match state.plan.write_fault_at(op) {
-            Some(DiskFault::Enospc) => {
-                return Err(io::Error::from_raw_os_error(ENOSPC_ERRNO));
-            }
-            Some(DiskFault::ShortWrite) => {
-                // First half of the *logical* buffer persists, wherever
-                // its bytes land across shards.
-                let half = buf.len() / 2;
-                disk.write_all_at(&buf[..half], offset)?;
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    format!(
-                        "injected short write at op {op}: {half} of {} bytes persisted",
-                        buf.len()
-                    ),
-                ));
-            }
-            Some(DiskFault::LatencyMicros(us)) => std::thread::sleep(Duration::from_micros(us)),
-            Some(DiskFault::HangMicros(us)) => {
-                if let Some(sup) = sup {
-                    sup.charge_io_stall(us as f64 / 1e6);
-                }
-            }
-            Some(DiskFault::ShortRead) | None => {}
-        }
-    }
-    disk.write_all_at(buf, offset)
-}
-
-/// Positional read with fault application (see [`write_at`]).
-fn read_at(
-    disk: &DiskBacking,
-    faults: Option<&FaultState>,
-    sup: Option<&Supervisor>,
-    buf: &mut [u8],
-    offset: u64,
-) -> io::Result<()> {
-    if let Some(state) = faults {
-        let op = state.read_ops.fetch_add(1, Ordering::Relaxed);
-        match state.plan.read_fault_at(op) {
-            Some(DiskFault::ShortRead) => {
-                let half = buf.len() / 2;
-                disk.read_exact_at(&mut buf[..half], offset)?;
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    format!(
-                        "injected short read at op {op}: {half} of {} bytes filled",
-                        buf.len()
-                    ),
-                ));
-            }
-            Some(DiskFault::LatencyMicros(us)) => std::thread::sleep(Duration::from_micros(us)),
-            Some(DiskFault::HangMicros(us)) => {
-                if let Some(sup) = sup {
-                    sup.charge_io_stall(us as f64 / 1e6);
-                }
-            }
-            Some(DiskFault::ShortWrite) | Some(DiskFault::Enospc) | None => {}
-        }
-    }
-    disk.read_exact_at(buf, offset)
-}
-
 /// `InvalidInput` unless `ok`. Callers check their arguments before
 /// charging any tick, so a rejected call moves no fault ordinal.
 fn check_input(ok: bool, msg: &str) -> io::Result<()> {
@@ -1573,19 +910,10 @@ fn check_input(ok: bool, msg: &str) -> io::Result<()> {
     }
 }
 
-fn cast_bytes(d: &[Dist]) -> &[u8] {
-    // SAFETY: u32 has no padding or invalid bit patterns.
-    unsafe { std::slice::from_raw_parts(d.as_ptr() as *const u8, std::mem::size_of_val(d)) }
-}
-
-fn cast_bytes_mut(d: &mut [Dist]) -> &mut [u8] {
-    // SAFETY: as above; all byte patterns are valid u32s.
-    unsafe { std::slice::from_raw_parts_mut(d.as_mut_ptr() as *mut u8, std::mem::size_of_val(d)) }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apsp_graph::INF;
 
     fn tmp_dir() -> PathBuf {
         std::env::temp_dir().join("apsp_tile_store_tests")
@@ -1654,31 +982,46 @@ mod tests {
         }
     }
 
+    /// A killed process that had this pid left spill files behind. The
+    /// planted names cover far more counters than this test binary ever
+    /// draws, so concurrent tests cannot move the counter past them. Even
+    /// counters plant the first file of a family, odd ones its second
+    /// shard, so a one-file store skips the even names and a two-shard
+    /// store must undo half-built families until it passes them all.
     #[test]
-    fn disk_file_is_cleaned_up() {
-        let dir = tmp_dir();
-        let path_probe;
-        {
-            let s = TileStore::new(8, &StorageBackend::Disk(dir.clone())).unwrap();
-            assert!(s.is_disk_backed());
-            path_probe = std::fs::read_dir(&dir)
-                .unwrap()
-                .filter_map(|e| e.ok())
-                .map(|e| e.path())
-                .collect::<Vec<_>>();
-            assert!(!path_probe.is_empty());
+    fn stale_spill_files_are_skipped_and_left_alone() {
+        let dir = tmp_dir().join("stale_spill");
+        std::fs::create_dir_all(&dir).unwrap();
+        let pid = std::process::id();
+        let planted: Vec<PathBuf> = (0..4096u64)
+            .map(|c| {
+                let suffix = if c % 2 == 0 { "" } else { ".s1" };
+                dir.join(format!("apsp-tiles-{pid}-{c}.bin{suffix}"))
+            })
+            .collect();
+        for (c, p) in planted.iter().enumerate() {
+            std::fs::write(p, c.to_le_bytes()).unwrap();
         }
-        // After drop, no stale file with our pid remains among those seen.
-        for p in path_probe {
-            assert!(
-                !p.exists()
-                    || !p
-                        .to_string_lossy()
-                        .contains(&format!("-{}-", std::process::id()))
-                    || std::fs::metadata(&p).is_err()
-                    || !p.exists()
+        for backend in [
+            StorageBackend::Disk(dir.clone()),
+            sharded(dir.clone(), 3, 2),
+        ] {
+            let mut s = TileStore::new(3, &backend).unwrap();
+            s.write_row(2, &[1, 2, 3]).unwrap();
+            assert_eq!(s.read_row(2).unwrap(), vec![1, 2, 3]);
+            assert_eq!(s.get(0, 0).unwrap(), 0);
+        }
+        for (c, p) in planted.iter().enumerate() {
+            assert_eq!(
+                std::fs::read(p).unwrap(),
+                c.to_le_bytes(),
+                "{}",
+                p.display()
             );
         }
+        let left = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(left, planted.len(), "only the planted files remain");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1852,53 +1195,8 @@ mod tests {
 
     #[test]
     fn panel_checksums_rejects_zero_panel_rows() {
-        let mut s = counting_store(3);
+        let s = counting_store(3);
         assert_rejected(&s, s.panel_checksums(0));
-        s.set_exec_backend(ExecBackend::Parallel { threads: Some(2) });
-        assert_rejected(&s, s.panel_checksums(0));
-    }
-
-    /// At n = 2048 the `Memory` copies and checksums split across 2 and
-    /// 3 workers; each must match a 1-thread store.
-    #[test]
-    fn memory_bands_match_a_one_thread_store() {
-        use apsp_cpu::parallel::claim_workers;
-        let n = 2048;
-        assert!(claim_workers(n, 2, n) > 1);
-        assert!(claim_workers(n / 64, 2, 64 * n) > 1);
-        let data: Vec<Dist> = (0..n * n)
-            .map(|x| (x as u32).wrapping_mul(2654435761) % 100_000)
-            .collect();
-        let (rows, cols) = (100..1900, 3..2000);
-        let block: Vec<Dist> = (0..rows.len() * cols.len()).map(|x| x as Dist).collect();
-        let run = |exec: ExecBackend| {
-            let mut s = TileStore::new(n, &StorageBackend::Memory).unwrap();
-            s.set_exec_backend(exec);
-            s.write_block(0..n, 0..n, &data).unwrap();
-            let full = s.read_block(0..n, 0..n).unwrap();
-            s.write_block(rows.clone(), cols.clone(), &block).unwrap();
-            let part = s.read_block(rows.clone(), cols.clone()).unwrap();
-            (
-                full,
-                part,
-                s.panel_checksums(64).unwrap(),
-                s.read_block(0..n, 0..n).unwrap(),
-            )
-        };
-        let one = run(ExecBackend::Parallel { threads: Some(1) });
-        assert!(one.0 == data && one.1 == block);
-        for threads in [2, 3] {
-            for exec in [
-                ExecBackend::Parallel {
-                    threads: Some(threads),
-                },
-                ExecBackend::Simd {
-                    threads: Some(threads),
-                },
-            ] {
-                assert!(run(exec) == one, "{exec}");
-            }
-        }
     }
 
     #[test]
@@ -1980,7 +1278,7 @@ mod tests {
         });
         s.write_row(0, &[1, 2, 3]).unwrap(); // op 0: clean
         let err = s.write_row(1, &[4, 5, 6]).unwrap_err(); // op 1: ENOSPC
-        assert_eq!(err.raw_os_error(), Some(ENOSPC_ERRNO));
+        assert_eq!(err.raw_os_error(), Some(inject::ENOSPC_ERRNO));
         // Nothing from the failed write landed.
         assert_eq!(s.read_row(1).unwrap(), vec![INF, 0, INF]);
         // Subsequent ops are clean again.
@@ -2394,6 +1692,97 @@ mod tests {
         assert_eq!(s.io_ops().0, 1, "a spanning write is one ordinal");
         drop(s);
         std::fs::remove_dir(&dir).unwrap();
+    }
+
+    /// Every public op once, on every backing, with all three counters
+    /// and telemetry armed. Each row is `(op, memory, disk)`, and each
+    /// cell holds the totals after the op:
+    /// `(crash_ops, io_ops (write, read), telemetry rows (read, written))`.
+    /// The table pins the three counting rules. Fault-plan ordinals
+    /// count one positional op per logical Disk call. Crash ticks are
+    /// row-granular, but `write_rows` counts 1. Bit flips count
+    /// row-granular writes, the telemetry write column: the armed flip
+    /// must land on row 3, the second row of `write_rows`, which the
+    /// full-width block then overwrites unread. Counted like crash ticks,
+    /// it lands on row 0 of the partial block instead, and the guard's
+    /// sweep fails the test.
+    #[test]
+    fn accounting_is_pinned_per_op() {
+        use crate::supervisor::{SupervisionOptions, Supervisor};
+        use crate::telemetry::Telemetry;
+        type Counts = (u64, (u64, u64), (u64, u64));
+        #[rustfmt::skip]
+        let table: [(&str, Counts, Counts); 13] = [
+        //   op                      memory                   disk
+            ("write_row",            (1, (0, 0), (0, 1)),     (1, (1, 0), (0, 1))),
+            ("write_rows",           (2, (0, 0), (0, 3)),     (2, (2, 0), (0, 3))),
+            ("write_block partial",  (5, (0, 0), (0, 6)),     (5, (5, 0), (0, 6))),
+            ("write_block full",     (7, (0, 0), (0, 8)),     (7, (7, 0), (0, 8))),
+            ("read_block partial",   (10, (0, 0), (3, 8)),    (10, (7, 3), (3, 8))),
+            ("read_block full",      (12, (0, 0), (5, 8)),    (12, (7, 5), (5, 8))),
+            ("read_row",             (13, (0, 0), (6, 8)),    (13, (7, 6), (6, 8))),
+            ("get",                  (14, (0, 0), (7, 8)),    (14, (7, 7), (7, 8))),
+            ("verify_checksums",     (14, (0, 0), (7, 8)),    (14, (7, 7), (7, 8))),
+            ("sdc_rebaseline",       (14, (0, 0), (7, 8)),    (14, (7, 7), (7, 8))),
+            ("panel_checksums(2)",   (19, (0, 0), (12, 8)),   (19, (7, 12), (12, 8))),
+            ("persist",              (24, (0, 0), (12, 8)),   (24, (7, 17), (17, 8))),
+            ("to_dist_matrix",       (24, (0, 0), (12, 8)),   (29, (7, 22), (22, 8))),
+        ];
+        let n = 5;
+        let out = tmp_dir().join("pinned_accounting_out");
+        std::fs::create_dir_all(&out).unwrap();
+        let backings = [
+            ("memory", StorageBackend::Memory),
+            ("disk", StorageBackend::Disk(tmp_dir())),
+            (
+                "sharded",
+                sharded(tmp_dir().join("pinned_accounting_shards"), n, 1),
+            ),
+        ];
+        for (name, backend) in backings {
+            let mut s = TileStore::new(n, &backend).unwrap();
+            let tel = Telemetry::enabled();
+            s.arm_crash(u64::MAX);
+            s.arm_faults(DiskFaultPlan::default());
+            s.set_sdc_guard(SdcGuardMode::Checksum).unwrap();
+            s.set_supervision(Supervisor::with_telemetry(
+                &SupervisionOptions::default(),
+                0.0,
+                tel.clone(),
+            ));
+            s.set_exec_backend(apsp_cpu::ExecBackend::Parallel { threads: Some(1) });
+            s.arm_bit_flip(2, 0);
+            let target = out.join(format!("{name}.bin"));
+            for (op, memory, disk) in table {
+                match op {
+                    "write_row" => s.write_row(1, &[1; 5]).unwrap(),
+                    "write_rows" => s.write_rows(2, &[2; 10]).unwrap(),
+                    "write_block partial" => s.write_block(0..3, 1..4, &[3; 9]).unwrap(),
+                    "write_block full" => s.write_block(3..5, 0..5, &[4; 10]).unwrap(),
+                    "read_block partial" => drop(s.read_block(1..4, 0..2).unwrap()),
+                    "read_block full" => drop(s.read_block(0..2, 0..5).unwrap()),
+                    "read_row" => drop(s.read_row(4).unwrap()),
+                    "get" => drop(s.get(2, 3).unwrap()),
+                    "verify_checksums" => s.verify_checksums().unwrap(),
+                    "sdc_rebaseline" => s.sdc_rebaseline(0..n).unwrap(),
+                    "panel_checksums(2)" => drop(s.panel_checksums(2).unwrap()),
+                    "persist" => s.persist(&target).unwrap(),
+                    "to_dist_matrix" => drop(s.to_dist_matrix().unwrap()),
+                    _ => unreachable!("{op}"),
+                }
+                let report = tel
+                    .build_report("", "", 0.0, &Default::default(), &[], &[], 0, 0)
+                    .unwrap();
+                let got = (
+                    s.crash_ops(),
+                    s.io_ops(),
+                    (report.store_row_reads, report.store_row_writes),
+                );
+                let want = if name == "memory" { memory } else { disk };
+                assert_eq!(got, want, "{name} after {op}");
+            }
+            std::fs::remove_file(&target).unwrap();
+        }
     }
 
     #[test]
