@@ -9,7 +9,8 @@
 //! * `manifest` — a small versioned text file naming the live slot and
 //!   recording the run's identity (graph fingerprint, dimension), its
 //!   geometry + progress cursor, and per-row-panel FNV-1a checksums of
-//!   the snapshot *as read back from disk*. The manifest ends in a
+//!   the snapshot: the footer `persist` wrote, which the commit verified
+//!   against one read-back of the file. The manifest ends in a
 //!   self-checksum line and is itself written atomically — renaming it
 //!   into place is the commit point of the whole checkpoint.
 //!
@@ -29,7 +30,7 @@
 //! [`ApspError::Corruption`]. Wrong distances are never an outcome.
 
 use crate::error::ApspError;
-use crate::tile_store::{fnv1a, TileStore, FNV_OFFSET_BASIS};
+use crate::tile_store::{fnv1a, TileStore, FNV_OFFSET_BASIS, SDC_PANEL_ROWS};
 use apsp_graph::{CsrGraph, VertexId};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -41,6 +42,10 @@ pub const MANIFEST_VERSION: u32 = 1;
 /// a corrupt region is localized, large enough that the manifest stays
 /// tiny even for paper-scale matrices.
 pub const DEFAULT_PANEL_ROWS: usize = 64;
+
+// A commit records the footer `persist` wrote, whose panels are
+// `SDC_PANEL_ROWS` high.
+const _: () = assert!(DEFAULT_PANEL_ROWS == SDC_PANEL_ROWS);
 
 /// Where a run is, in units of its natural commit barrier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,7 +112,8 @@ pub struct Manifest {
     /// Rows per checksum panel.
     pub panel_rows: usize,
     /// FNV-1a checksum of each consecutive `panel_rows`-row panel of the
-    /// snapshot, as read back from disk at commit time.
+    /// snapshot: the footer [`TileStore::persist`] wrote, verified
+    /// against a read-back of the file before the manifest was written.
     pub checksums: Vec<u64>,
     /// The progress cursor.
     pub progress: Progress,
@@ -172,17 +178,15 @@ impl Checkpoint {
     }
 
     /// Durably commit `store` + `progress`. The snapshot lands in the
-    /// inactive slot, is re-opened and checksummed from disk, and only
-    /// then does the manifest rename make it the live checkpoint — a
-    /// crash anywhere in between leaves the previous checkpoint intact.
+    /// inactive slot, is re-opened once and checked against the footer
+    /// `persist` returned, and only then does the manifest rename make
+    /// it the live checkpoint — a crash anywhere in between leaves the
+    /// previous checkpoint intact.
     pub fn commit(&self, store: &TileStore, progress: &Progress) -> Result<(), ApspError> {
         let slot = self.next_slot.get();
         let state_path = self.dir.join(Self::slot_name(slot));
-        store.persist(&state_path)?;
-        // Checksum what is actually on disk, not what we think we wrote.
-        let snapshot = TileStore::open(&state_path, self.n)?;
-        let checksums = snapshot.panel_checksums(DEFAULT_PANEL_ROWS.min(self.n.max(1)))?;
-        drop(snapshot);
+        let checksums = store.persist(&state_path)?;
+        TileStore::open(&state_path, self.n)?.verify_persisted(&checksums)?;
         let manifest = Manifest {
             version: MANIFEST_VERSION,
             fingerprint: self.fingerprint,
@@ -319,13 +323,43 @@ impl Checkpoint {
 
     /// Delete the checkpoint. The manifest goes first, so a crash
     /// mid-clear degrades to "no checkpoint" rather than a manifest
-    /// pointing at a deleted snapshot.
+    /// pointing at a deleted snapshot. Then the slots go, and last any
+    /// temp file a killed commit left before its rename, whatever pid
+    /// wrote it.
     pub fn clear(&self) -> io::Result<()> {
         remove_if_present(&self.manifest_path())?;
         remove_if_present(&self.dir.join(Self::slot_name(0)))?;
         remove_if_present(&self.dir.join(Self::slot_name(1)))?;
+        let entries = match std::fs::read_dir(&self.dir) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+            entries => entries?,
+        };
+        for entry in entries {
+            let name = entry?.file_name();
+            if name.to_str().is_some_and(is_commit_temp) {
+                remove_if_present(&self.dir.join(name))?;
+            }
+        }
         Ok(())
     }
+}
+
+/// Whether `name` is a temp file of a commit: `.state-a.bin.tmp.<pid>`
+/// or `.state-b.bin.tmp.<pid>` from `persist`, or `.manifest.tmp.<pid>`
+/// from [`write_manifest_atomic`].
+fn is_commit_temp(name: &str) -> bool {
+    [
+        Checkpoint::slot_name(0),
+        Checkpoint::slot_name(1),
+        "manifest",
+    ]
+    .iter()
+    .any(|target| {
+        name.strip_prefix('.')
+            .and_then(|rest| rest.strip_prefix(target))
+            .and_then(|rest| rest.strip_prefix(".tmp."))
+            .is_some_and(|pid| !pid.is_empty() && pid.bytes().all(|b| b.is_ascii_digit()))
+    })
 }
 
 fn remove_if_present(path: &Path) -> io::Result<()> {
@@ -791,5 +825,125 @@ mod tests {
         let g2 = gnp(25, 0.15, WeightRange::new(1, 11), 13);
         assert_ne!(graph_fingerprint(&g1), graph_fingerprint(&g2));
         assert_eq!(graph_fingerprint(&g1), graph_fingerprint(&g1));
+    }
+
+    /// The store behind the format fixtures: the Floyd-Warshall closure
+    /// of `gnp(70, 0.1, default, 19)`, two checksum panels of which the
+    /// second is ragged.
+    fn fixture_store() -> (CsrGraph, TileStore) {
+        let g = gnp(70, 0.1, WeightRange::default(), 19);
+        let mut m = apsp_cpu::DistMatrix::from_graph(&g);
+        apsp_cpu::blocked_floyd_warshall(&mut m, 32);
+        let mut store = TileStore::new(70, &StorageBackend::Memory).unwrap();
+        store.write_rows(0, m.as_slice()).unwrap();
+        (g, store)
+    }
+
+    const FIXTURE_PROGRESS: Progress = Progress::FloydWarshall {
+        block: 32,
+        next_round: 2,
+    };
+
+    /// A version-1 manifest and slot file that an earlier build committed
+    /// from [`fixture_store`]. Every build must write the same bytes and
+    /// read these back.
+    const FIXTURE_MANIFEST: &[u8] = include_bytes!("../tests/fixtures/fw70.manifest");
+    const FIXTURE_STATE: &[u8] = include_bytes!("../tests/fixtures/fw70.state");
+
+    #[test]
+    fn commit_writes_the_pinned_format_and_restores_it() {
+        let (g, store) = fixture_store();
+        let dir = tmp("fixture_commit");
+        let ckpt = Checkpoint::new(&dir, &g).unwrap();
+        ckpt.commit(&store, &FIXTURE_PROGRESS).unwrap();
+        let manifest = std::fs::read(dir.join("manifest")).unwrap();
+        assert!(manifest == FIXTURE_MANIFEST, "manifest bytes changed");
+        let state = std::fs::read(dir.join("state-a.bin")).unwrap();
+        assert!(state == FIXTURE_STATE, "snapshot bytes changed");
+
+        let dir = tmp("fixture_restore");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("manifest"), FIXTURE_MANIFEST).unwrap();
+        std::fs::write(dir.join("state-a.bin"), FIXTURE_STATE).unwrap();
+        let ckpt = Checkpoint::new(&dir, &g).unwrap();
+        let m = ckpt.load().unwrap().expect("fixture manifest");
+        assert_eq!(m.progress, FIXTURE_PROGRESS);
+        let mut restored = TileStore::new(70, &StorageBackend::Memory).unwrap();
+        ckpt.restore_into(&m, &mut restored).unwrap();
+        assert_eq!(
+            restored.to_dist_matrix().unwrap(),
+            store.to_dist_matrix().unwrap()
+        );
+    }
+
+    /// n = 300 has five checksum panels: one full lane group and a
+    /// ragged fifth panel alone. A flipped byte in any of them fails the
+    /// commit's read-back, naming that panel.
+    #[test]
+    fn read_back_names_the_damaged_panel() {
+        let n = 300;
+        let dir = tmp("read_back_damage");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut store = TileStore::new(n, &StorageBackend::Memory).unwrap();
+        let cells: Vec<u32> = (0..(n * n) as u32).map(|c| c.wrapping_mul(31)).collect();
+        store.write_rows(0, &cells).unwrap();
+        let path = dir.join("state-a.bin");
+        let footer = store.persist(&path).unwrap();
+        assert_eq!(footer.len(), 5);
+        // The check `commit` runs between `persist` and the manifest.
+        let read_back = || TileStore::open(&path, n)?.verify_persisted(&footer);
+        read_back().unwrap();
+        let clean = std::fs::read(&path).unwrap();
+        for panel in 0..5 {
+            let row = panel * DEFAULT_PANEL_ROWS + 40;
+            let mut bytes = clean.clone();
+            bytes[16 + (row * n + 3) * 4] ^= 0x20;
+            std::fs::write(&path, &bytes).unwrap();
+            match ApspError::from(read_back().unwrap_err()) {
+                ApspError::Corruption { detail } => {
+                    assert!(detail.contains(&format!("panel {panel} (rows")), "{detail}")
+                }
+                other => panic!("panel {panel}: expected Corruption, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn clear_sweeps_temp_files_of_killed_commits() {
+        let g = gnp(20, 0.2, WeightRange::default(), 15);
+        let dir = tmp("clear_temps");
+        let ckpt = Checkpoint::new(&dir, &g).unwrap();
+        ckpt.commit(
+            &seeded_store(20, 9),
+            &Progress::Johnson {
+                batch_size: 4,
+                next_row: 4,
+            },
+        )
+        .unwrap();
+        let pid = std::process::id();
+        let temps = [
+            format!(".state-a.bin.tmp.{}", pid.wrapping_add(1)),
+            format!(".state-b.bin.tmp.{}", pid.wrapping_add(77)),
+            format!(".manifest.tmp.{}", pid.wrapping_add(2)),
+        ];
+        let kept = ["notes.txt", "state-a.bin.bak"];
+        for name in temps.iter().map(String::as_str).chain(kept) {
+            std::fs::write(dir.join(name), name.as_bytes()).unwrap();
+        }
+        ckpt.clear().unwrap();
+        assert!(ckpt.load().unwrap().is_none());
+        for name in &temps {
+            assert!(!dir.join(name).exists(), "{name} survived clear()");
+        }
+        let mut left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        assert_eq!(left, kept);
+        for name in kept {
+            assert_eq!(std::fs::read(dir.join(name)).unwrap(), name.as_bytes());
+        }
     }
 }

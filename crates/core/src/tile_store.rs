@@ -99,7 +99,7 @@ pub enum StorageBackend {
 pub(crate) fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
 }
@@ -107,9 +107,62 @@ pub(crate) fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
 /// The FNV-1a 64-bit offset basis — the seed for [`fnv1a`].
 pub(crate) const FNV_OFFSET_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
 
+/// The FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// FNV-1a chains [`fnv1a_lanes`] steps in lockstep. One chain waits a
+/// multiply's latency per byte; independent chains overlap those waits.
+const LANES: usize = 4;
+
+/// [`fnv1a`] of LANES byte strings at once: lane `l` continues from
+/// `hash[l]` over `bytes[l]`, with the same value `fnv1a` gives. The
+/// chains step in lockstep over the bytes every lane has, and a longer
+/// lane finishes alone. An empty lane keeps its hash; it runs on a busy
+/// lane's bytes only so the busy chains stay in lockstep.
+fn fnv1a_lanes(hash: [u64; LANES], bytes: [&[u8]; LANES]) -> [u64; LANES] {
+    let busy = bytes.iter().copied().find(|b| !b.is_empty()).unwrap_or(&[]);
+    let run = bytes.map(|b| if b.is_empty() { busy } else { b });
+    let len = run.iter().map(|b| b.len()).min().unwrap_or(0);
+    let heads = run.map(|b| &b[..len]);
+    let mut out = hash;
+    for k in 0..len {
+        for (h, lane) in out.iter_mut().zip(&heads) {
+            *h = (*h ^ lane[k] as u64).wrapping_mul(FNV_PRIME);
+        }
+    }
+    for l in 0..LANES {
+        out[l] = if bytes[l].is_empty() {
+            hash[l]
+        } else {
+            fnv1a(&run[l][len..], out[l])
+        };
+    }
+    out
+}
+
 /// FNV-1a of one row: the checksum the SDC registry records.
 fn row_fnv(row: &[Dist]) -> u64 {
     fnv1a(cast_bytes(row), FNV_OFFSET_BASIS)
+}
+
+/// [`row_fnv`] of each of the `count` equal-width rows in `cells`, in
+/// order, hashed LANES rows at a time.
+fn row_fnvs(cells: &[Dist], count: usize) -> Vec<u64> {
+    let width = cells.len().checked_div(count).unwrap_or(0);
+    let mut out = Vec::with_capacity(count);
+    for first in (0..count).step_by(LANES) {
+        let k = LANES.min(count - first);
+        let row = |l: usize| {
+            if l < k {
+                cast_bytes(&cells[(first + l) * width..(first + l + 1) * width])
+            } else {
+                &[]
+            }
+        };
+        let hashes = fnv1a_lanes([FNV_OFFSET_BASIS; LANES], std::array::from_fn(row));
+        out.extend_from_slice(&hashes[..k]);
+    }
+    out
 }
 
 /// FNV-1a per panel of `panel_rows` consecutive rows, fed one row at a
@@ -333,10 +386,11 @@ impl TileStore {
             self.sdc = None;
             return Ok(());
         }
-        let mut buf = vec![0; self.n];
-        let hashes = (0..self.n)
-            .map(|i| self.row_hash(i, &mut buf))
-            .collect::<io::Result<_>>()?;
+        let mut hashes = Vec::with_capacity(self.n);
+        self.stored_row_fnvs(0..self.n, |_, hash| {
+            hashes.push(hash);
+            Ok(())
+        })?;
         self.sdc = Some(Mutex::new(SdcRegistry::new(mode, hashes)));
         Ok(())
     }
@@ -385,16 +439,15 @@ impl TileStore {
         let Some(sdc) = &self.sdc else {
             return Ok(());
         };
-        let mut buf = vec![0; self.n];
         let reg = &mut *sdc.lock();
-        for i in 0..self.n {
-            let hash = self.row_hash(i, &mut buf)?;
-            reg.check(i, hash, self.sdc_round())?;
+        let round = self.sdc_round();
+        self.stored_row_fnvs(0..self.n, |i, hash| {
+            reg.check(i, hash, round)?;
             if reg.is_dirty(i) {
                 reg.set(i, hash);
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Re-seed the checksum registry for `rows` from their *current*
@@ -409,12 +462,11 @@ impl TileStore {
         let Some(sdc) = &self.sdc else {
             return Ok(());
         };
-        let mut buf = vec![0; self.n];
         let reg = &mut *sdc.lock();
-        for i in rows {
-            reg.set(i, self.row_hash(i, &mut buf)?);
-        }
-        Ok(())
+        self.stored_row_fnvs(rows, |i, hash| {
+            reg.set(i, hash);
+            Ok(())
+        })
     }
 
     /// Unaccounted full-row read for the semantic (ABFT) guards in
@@ -432,6 +484,56 @@ impl TileStore {
     fn row_hash(&self, i: usize, buf: &mut [Dist]) -> io::Result<u64> {
         self.storage.read(i * self.n, cast_bytes_mut(buf))?;
         Ok(row_fnv(buf))
+    }
+
+    /// Hand `f` the checksum of each row in `rows` as stored, in order.
+    /// Up to LANES consecutive rows are read unaccounted in one storage
+    /// read and hashed together.
+    fn stored_row_fnvs(
+        &self,
+        rows: impl IntoIterator<Item = usize>,
+        mut f: impl FnMut(usize, u64) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let mut buf = vec![0; LANES * self.n];
+        let mut rows = rows.into_iter().peekable();
+        while let Some(first) = rows.next() {
+            let mut k = 1;
+            while k < LANES && rows.next_if_eq(&(first + k)).is_some() {
+                k += 1;
+            }
+            let cells = &mut buf[..k * self.n];
+            self.storage.read(first * self.n, cast_bytes_mut(cells))?;
+            for (r, hash) in row_fnvs(cells, k).into_iter().enumerate() {
+                f(first + r, hash)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The FNV-1a of each of up to LANES checksum panels as stored, in
+    /// lockstep: each step reads the next row of every panel unaccounted
+    /// and feeds it to that panel's chain. A lane without a panel, or
+    /// past its ragged panel's last row, takes no bytes.
+    fn stored_panel_fnvs(&self, panels: &[usize]) -> io::Result<[u64; LANES]> {
+        let n = self.n;
+        let mut buf = vec![0; LANES * n];
+        let mut hash = [FNV_OFFSET_BASIS; LANES];
+        for r in 0..SDC_PANEL_ROWS {
+            let mut len = [0; LANES];
+            for (l, &p) in panels.iter().enumerate() {
+                let i = p * SDC_PANEL_ROWS + r;
+                if i < n {
+                    let lane = &mut buf[l * n..(l + 1) * n];
+                    self.storage.read(i * n, cast_bytes_mut(lane))?;
+                    len[l] = n;
+                }
+            }
+            hash = fnv1a_lanes(
+                hash,
+                std::array::from_fn(|l| cast_bytes(&buf[l * n..l * n + len[l]])),
+            );
+        }
+        Ok(hash)
     }
 
     /// Storage write of `cells` from cell `cell`, as one positional op
@@ -464,12 +566,11 @@ impl TileStore {
         let Some(sdc) = &self.sdc else {
             return Ok(());
         };
-        let mut buf = vec![0; self.n];
         let reg = sdc.lock();
-        for i in rows.filter(|&i| !reg.is_dirty(i)) {
-            reg.check(i, self.row_hash(i, &mut buf)?, self.sdc_round())?;
-        }
-        Ok(())
+        let round = self.sdc_round();
+        self.stored_row_fnvs(rows.filter(|&i| !reg.is_dirty(i)), |i, hash| {
+            reg.check(i, hash, round)
+        })
     }
 
     /// Everything after a successful write to `rows`. The first write
@@ -488,8 +589,8 @@ impl TileStore {
             let reg = &mut *sdc.lock();
             match full {
                 Some(data) => {
-                    for (i, row) in rows.clone().zip(data.chunks_exact(self.n.max(1))) {
-                        reg.set(i, row_fnv(row));
+                    for (i, hash) in rows.clone().zip(row_fnvs(data, rows.len())) {
+                        reg.set(i, hash);
                     }
                 }
                 None => reg.mark_dirty(rows.clone()),
@@ -513,7 +614,8 @@ impl TileStore {
 
     /// First-read verification of persisted panel checksums for stores
     /// opened from a footer-carrying file: every not-yet-verified panel
-    /// overlapping `rows` is hashed and checked, surfacing a typed
+    /// overlapping `rows` is hashed, LANES panels in lockstep, and
+    /// checked in panel order, surfacing a typed
     /// [`crate::ApspError::Corruption`] on mismatch.
     fn open_verify_panels(&self, rows: Range<usize>) -> io::Result<()> {
         let Some(ov) = &self.open_verify else {
@@ -522,26 +624,27 @@ impl TileStore {
         if rows.is_empty() {
             return Ok(());
         }
-        let mut buf = vec![0; self.n];
-        for p in rows.start / SDC_PANEL_ROWS..=(rows.end - 1) / SDC_PANEL_ROWS {
-            let Some(expect) = ov.pending.lock().get(p).copied().flatten() else {
-                continue;
-            };
-            let (start, end) = (p * SDC_PANEL_ROWS, ((p + 1) * SDC_PANEL_ROWS).min(self.n));
-            let mut sum = PanelFnv::new(SDC_PANEL_ROWS);
-            for i in start..end {
-                self.storage.read(i * self.n, cast_bytes_mut(&mut buf))?;
-                sum.push(&buf);
+        let todo: Vec<(usize, u64)> = {
+            let pending = ov.pending.lock();
+            (rows.start / SDC_PANEL_ROWS..=(rows.end - 1) / SDC_PANEL_ROWS)
+                .filter_map(|p| Some((p, pending.get(p).copied().flatten()?)))
+                .collect()
+        };
+        for group in todo.chunks(LANES) {
+            let panels: Vec<usize> = group.iter().map(|&(p, _)| p).collect();
+            let sums = self.stored_panel_fnvs(&panels)?;
+            for (&(p, expect), sum) in group.iter().zip(sums) {
+                if sum != expect {
+                    let (start, end) = (p * SDC_PANEL_ROWS, ((p + 1) * SDC_PANEL_ROWS).min(self.n));
+                    return Err(io::Error::other(CorruptionMark {
+                        detail: format!(
+                            "persisted matrix panel {p} (rows {start}..{end}) fails its recorded \
+                             checksum on first read"
+                        ),
+                    }));
+                }
+                ov.pending.lock()[p] = None;
             }
-            if sum.finish() != [expect] {
-                return Err(io::Error::other(CorruptionMark {
-                    detail: format!(
-                        "persisted matrix panel {p} (rows {start}..{end}) fails its recorded \
-                         checksum on first read"
-                    ),
-                }));
-            }
-            ov.pending.lock()[p] = None;
         }
         Ok(())
     }
@@ -564,8 +667,8 @@ impl TileStore {
         if let Some(sdc) = &self.sdc {
             let reg = &mut *sdc.lock();
             if width == self.n {
-                for (i, row) in rows.clone().zip(out.chunks_exact(width.max(1))) {
-                    reg.check(i, row_fnv(row), self.sdc_round())?;
+                for (i, hash) in rows.clone().zip(row_fnvs(&out, rows.len())) {
+                    reg.check(i, hash, self.sdc_round())?;
                 }
             }
             reg.mark_consumed(rows);
@@ -663,7 +766,7 @@ impl TileStore {
     /// [`Self::to_dist_matrix`]. This is the one place outside the
     /// storage layer that matches on the backing, because the two
     /// account differently here and `accounting_is_pinned_per_op` pins
-    /// both: a `Disk` store reads each row through [`Self::read_row`],
+    /// both: a `Disk` store reads LANES rows per [`Self::read_block`],
     /// accounted and checked, while a `Memory` store copies its rows out
     /// unaccounted, after one [`Charge::Bulk`] when `bulk` is set.
     fn export_rows(
@@ -673,8 +776,11 @@ impl TileStore {
     ) -> io::Result<()> {
         match &self.storage {
             Backing::Disk(_) => {
-                for i in 0..self.n {
-                    f(&self.read_row(i)?)?;
+                for first in (0..self.n).step_by(LANES) {
+                    let rows = first..(first + LANES).min(self.n);
+                    for row in self.read_block(rows, 0..self.n)?.chunks_exact(self.n) {
+                        f(row)?;
+                    }
                 }
             }
             Backing::Memory(_) => {
@@ -697,6 +803,10 @@ impl TileStore {
     /// outlives the store. Readable again with [`TileStore::open`],
     /// which checks the header before trusting the payload.
     ///
+    /// A footer follows the payload: one FNV-1a checksum per panel of
+    /// [`SDC_PANEL_ROWS`] rows, the last panel possibly shorter. The
+    /// call returns those checksums, the footer it wrote.
+    ///
     /// The write is **atomic**: data lands in a temporary sibling file,
     /// is `sync_all`ed, and only then renamed over `path` — a crash or
     /// `ENOSPC` mid-persist can never leave a torn file at `path`
@@ -706,7 +816,7 @@ impl TileStore {
     /// directory: the target could collide with (or be cleaned up
     /// alongside) live spill files, destroying the matrix it was meant
     /// to save.
-    pub fn persist<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
+    pub fn persist<P: AsRef<Path>>(&self, path: P) -> io::Result<Vec<u64>> {
         let path = path.as_ref();
         if let Some(own_dir) = self.storage.spill_dir() {
             if same_dir(own_dir, parent_dir(path)) {
@@ -730,7 +840,7 @@ impl TileStore {
             file_name.to_string_lossy(),
             std::process::id()
         ));
-        let result = (|| -> io::Result<()> {
+        let result = (|| -> io::Result<Vec<u64>> {
             let mut out = io::BufWriter::new(
                 OpenOptions::new()
                     .write(true)
@@ -755,12 +865,38 @@ impl TileStore {
                 out.write_all(&h.to_le_bytes())?;
             }
             out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-            std::fs::rename(&tmp, path)
+            std::fs::rename(&tmp, path)?;
+            Ok(footer)
         })();
         if result.is_err() {
             let _ = std::fs::remove_file(&tmp);
         }
         result
+    }
+
+    /// The read-back check of a checkpoint commit, on a store
+    /// [`Self::open`]ed from the file [`Self::persist`] just wrote:
+    /// the file must record `footer`, the checksums `persist` returned,
+    /// and every panel must hash to its entry. One pass over the payload
+    /// verifies LANES panels in lockstep; a mismatch is a typed
+    /// [`crate::ApspError::Corruption`] naming the first failing panel.
+    pub(crate) fn verify_persisted(&self, footer: &[u64]) -> io::Result<()> {
+        let recorded = self
+            .open_verify
+            .as_ref()
+            .map_or_else(Vec::new, |ov| ov.pending.lock().clone());
+        if !recorded
+            .iter()
+            .copied()
+            .eq(footer.iter().copied().map(Some))
+        {
+            return Err(io::Error::other(CorruptionMark {
+                detail: "persisted matrix does not record the checksum footer its writer \
+                         computed"
+                    .into(),
+            }));
+        }
+        self.open_verify_panels(0..self.n)
     }
 
     /// FNV-1a checksum of each consecutive panel of `panel_rows` rows
@@ -1766,7 +1902,7 @@ mod tests {
                     "verify_checksums" => s.verify_checksums().unwrap(),
                     "sdc_rebaseline" => s.sdc_rebaseline(0..n).unwrap(),
                     "panel_checksums(2)" => drop(s.panel_checksums(2).unwrap()),
-                    "persist" => s.persist(&target).unwrap(),
+                    "persist" => drop(s.persist(&target).unwrap()),
                     "to_dist_matrix" => drop(s.to_dist_matrix().unwrap()),
                     _ => unreachable!("{op}"),
                 }
@@ -1810,5 +1946,114 @@ mod tests {
         drop(reopened);
         std::fs::remove_file(&target).unwrap();
         std::fs::remove_dir(&dir).unwrap();
+    }
+
+    /// Deterministic bytes for hash tests: no two rows alike.
+    fn patterned(cells: usize, salt: u32) -> Vec<Dist> {
+        (0..cells as u32)
+            .map(|c| c.wrapping_mul(0x9E37_79B9) ^ salt)
+            .collect()
+    }
+
+    #[test]
+    fn lane_row_hashes_equal_the_serial_hash() {
+        for width in [0, 1, 5, 768] {
+            for count in 0..=9 {
+                let cells = patterned(width * count, width as u32);
+                let serial: Vec<u64> = (0..count)
+                    .map(|r| row_fnv(&cells[r * width..(r + 1) * width]))
+                    .collect();
+                assert_eq!(row_fnvs(&cells, count), serial, "{count} rows of {width}");
+            }
+        }
+        // Lanes of unequal length, empty ones included, each continue
+        // their own chain.
+        let bytes = patterned(64, 7);
+        let bytes = cast_bytes(&bytes);
+        let lanes = [&bytes[..0], &bytes[..9], &bytes[3..200], &bytes[..9]];
+        let seeds = [1, 2, 3, FNV_OFFSET_BASIS];
+        let want: Vec<u64> = (0..LANES).map(|l| fnv1a(lanes[l], seeds[l])).collect();
+        assert_eq!(fnv1a_lanes(seeds, lanes).to_vec(), want);
+    }
+
+    /// Every footer `PanelFnv` computes passes the read-back check: full
+    /// and partial lane groups, with and without a ragged last panel.
+    #[test]
+    fn read_back_accepts_the_panel_fnv_footer() {
+        let out = tmp_dir().join("read_back_sizes");
+        std::fs::create_dir_all(&out).unwrap();
+        let target = out.join("m.bin");
+        for n in [1, 63, 64, 65, 255, 256, 257, 300] {
+            let mut s = TileStore::new(n, &StorageBackend::Memory).unwrap();
+            let cells = patterned(n * n, n as u32);
+            s.write_rows(0, &cells).unwrap();
+            let mut want = PanelFnv::new(SDC_PANEL_ROWS);
+            cells.chunks_exact(n).for_each(|row| want.push(row));
+            let footer = s.persist(&target).unwrap();
+            assert_eq!(footer, want.finish(), "n = {n}");
+            let reopened = TileStore::open(&target, n).unwrap();
+            reopened.verify_persisted(&footer).unwrap();
+            // A footer other than the file's own is refused.
+            let mut other = footer.clone();
+            other[0] ^= 1;
+            let reopened = TileStore::open(&target, n).unwrap();
+            assert!(reopened.verify_persisted(&other).is_err(), "n = {n}");
+        }
+        std::fs::remove_file(&target).unwrap();
+    }
+
+    /// At n = 13 the guard hashes rows in groups 0–3, 4–7, 8–11 and a
+    /// short 12. A flip on each of rows 8–12 (every lane, and the short
+    /// group) is reported exactly as the serial hash reported it: panel
+    /// 0 while the row is unread, unlocalized once a partial read has
+    /// consumed it, by the sweep, the pre-dirty check of a partial write
+    /// and a full-width read alike.
+    #[test]
+    fn flip_is_caught_in_every_lane_position() {
+        let n = 13;
+        for backend in backends() {
+            for consumed in [false, true] {
+                for row in 8..n {
+                    let mut s = TileStore::new(n, &backend).unwrap();
+                    s.set_sdc_guard(SdcGuardMode::Checksum).unwrap();
+                    s.set_sdc_round(7);
+                    s.arm_bit_flip(0, 3);
+                    s.write_row(row, &patterned(n, row as u32)).unwrap();
+                    if consumed {
+                        s.read_block(0..n, 0..2).unwrap();
+                    }
+                    let (panel, suffix) = if consumed {
+                        (
+                            usize::MAX,
+                            " (read since corruption; damage may have propagated)",
+                        )
+                    } else {
+                        (0, "")
+                    };
+                    let want = format!("row {row} no longer matches its recorded checksum{suffix}");
+                    let errs = [
+                        ("verify_checksums", s.verify_checksums().unwrap_err()),
+                        (
+                            "write_block",
+                            s.write_block(0..n, 0..2, &[1; 26]).unwrap_err(),
+                        ),
+                        ("read_block", s.read_block(0..n, 0..n).unwrap_err()),
+                    ];
+                    for (op, err) in errs {
+                        let case = format!("{backend:?} row {row} consumed {consumed}: {op}");
+                        match crate::ApspError::from(err) {
+                            crate::ApspError::SilentCorruption {
+                                panel: got,
+                                round,
+                                detail,
+                            } => {
+                                assert_eq!((got, round, detail), (panel, 7, want.clone()), "{case}")
+                            }
+                            other => panic!("{case}: expected SilentCorruption, got {other:?}"),
+                        }
+                    }
+                }
+            }
+        }
     }
 }
