@@ -7,6 +7,7 @@
 //! shortest-path *trees* on demand via the same Near-Far kernel the
 //! Johnson implementation runs, plus reconstruction helpers.
 
+use crate::ApspError;
 use apsp_graph::{CsrGraph, Dist, VertexId, INF};
 use apsp_kernels::nearfar::near_far_sssp_with_parents;
 
@@ -22,35 +23,56 @@ pub struct ShortestPathTree {
     pub parents: Vec<VertexId>,
 }
 
+/// [`ApspError::InvalidInput`] unless `v` is a vertex of `g`.
+fn check_vertex(g: &CsrGraph, v: VertexId, role: &str) -> Result<(), ApspError> {
+    let n = g.num_vertices();
+    if (v as usize) < n {
+        Ok(())
+    } else {
+        Err(ApspError::InvalidInput(format!(
+            "{role} {v} is not a vertex of a {n}-vertex graph"
+        )))
+    }
+}
+
 impl ShortestPathTree {
     /// Compute the tree with the suite's Near-Far kernel.
-    pub fn compute(g: &CsrGraph, source: VertexId) -> Self {
+    /// [`ApspError::InvalidInput`] when `source` is not a vertex of `g`
+    /// (every vertex is out of range on an empty graph).
+    pub fn compute(g: &CsrGraph, source: VertexId) -> Result<Self, ApspError> {
+        check_vertex(g, source, "source")?;
         let delta = apsp_kernels::nearfar::default_delta(g);
         let (dist, parents, _) = near_far_sssp_with_parents(g, source, delta, usize::MAX);
-        ShortestPathTree {
+        Ok(ShortestPathTree {
             source,
             dist,
             parents,
-        }
+        })
     }
 
-    /// Distance to `target`.
+    /// Distance to `target` ([`INF`] when it is unreachable or not a
+    /// vertex of the tree's graph).
     pub fn distance(&self, target: VertexId) -> Dist {
-        self.dist[target as usize]
+        self.dist.get(target as usize).copied().unwrap_or(INF)
     }
 
     /// The vertices of a shortest path `source → target`, inclusive, or
-    /// `None` when unreachable.
+    /// `None` when `target` is unreachable or not a vertex of the tree's
+    /// graph. A parent chain that leaves the graph or runs longer than
+    /// the vertex count also yields `None`; [`Self::validate`] names the
+    /// vertex where such a tree breaks.
     pub fn path_to(&self, target: VertexId) -> Option<Vec<VertexId>> {
-        if self.dist[target as usize] >= INF {
+        if self.distance(target) >= INF {
             return None;
         }
         let mut path = vec![target];
         let mut v = target;
         while v != self.source {
-            v = self.parents[v as usize];
-            debug_assert!(v != VertexId::MAX, "reachable vertex with broken chain");
+            v = *self.parents.get(v as usize)?;
             path.push(v);
+            if path.len() > self.parents.len() {
+                return None;
+            }
         }
         path.reverse();
         Some(path)
@@ -58,17 +80,22 @@ impl ShortestPathTree {
 
     /// Verify the tree against the graph: every parent edge exists, is
     /// tight (`dist[v] = dist[parent] + w`), and the root has distance 0.
-    /// Returns the first violating vertex.
+    /// Returns the first violating vertex, or the root when the tree's
+    /// vectors do not have one entry per vertex of `g`.
     pub fn validate(&self, g: &CsrGraph) -> Result<(), VertexId> {
-        if self.dist[self.source as usize] != 0 {
+        let n = g.num_vertices();
+        if self.dist.len() != n
+            || self.parents.len() != n
+            || self.dist.get(self.source as usize) != Some(&0)
+        {
             return Err(self.source);
         }
-        for v in 0..g.num_vertices() as VertexId {
+        for v in 0..n as VertexId {
             if v == self.source || self.dist[v as usize] >= INF {
                 continue;
             }
             let p = self.parents[v as usize];
-            if p == VertexId::MAX {
+            if p as usize >= n {
                 return Err(v);
             }
             match g.edge_weight(p, v) {
@@ -82,8 +109,14 @@ impl ShortestPathTree {
 
 /// One shortest path `source → target`, or `None` when unreachable —
 /// convenience over [`ShortestPathTree::compute`] for one-off queries.
-pub fn shortest_path(g: &CsrGraph, source: VertexId, target: VertexId) -> Option<Vec<VertexId>> {
-    ShortestPathTree::compute(g, source).path_to(target)
+/// [`ApspError::InvalidInput`] when either end is not a vertex of `g`.
+pub fn shortest_path(
+    g: &CsrGraph,
+    source: VertexId,
+    target: VertexId,
+) -> Result<Option<Vec<VertexId>>, ApspError> {
+    check_vertex(g, target, "target")?;
+    Ok(ShortestPathTree::compute(g, source)?.path_to(target))
 }
 
 /// Reconstruct `source → target` from a full n×n predecessor matrix
@@ -94,10 +127,16 @@ pub fn path_from_parent_store(
     source: VertexId,
     target: VertexId,
 ) -> std::io::Result<Option<Vec<VertexId>>> {
+    let n = parents.n();
+    if source as usize >= n || target as usize >= n {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!("({source}, {target}) is not a pair of vertices of a {n}-vertex matrix"),
+        ));
+    }
     if source == target {
         return Ok(Some(vec![source]));
     }
-    let n = parents.n();
     let mut path = vec![target];
     let mut v = target;
     let mut steps = 0usize;
@@ -132,7 +171,7 @@ mod tests {
     #[test]
     fn path_distances_match_dijkstra() {
         let g = gnp(150, 0.04, WeightRange::new(1, 20), 3);
-        let tree = ShortestPathTree::compute(&g, 7);
+        let tree = ShortestPathTree::compute(&g, 7).unwrap();
         assert_eq!(tree.dist, dijkstra_sssp(&g, 7));
         tree.validate(&g).unwrap();
     }
@@ -140,7 +179,7 @@ mod tests {
     #[test]
     fn reconstructed_path_weights_sum_to_distance() {
         let g = grid_2d(8, 8, GridOptions::default(), WeightRange::new(1, 9), 5);
-        let tree = ShortestPathTree::compute(&g, 0);
+        let tree = ShortestPathTree::compute(&g, 0).unwrap();
         for target in [63u32, 7, 56, 35] {
             let path = tree.path_to(target).expect("grid is connected");
             assert_eq!(path.first(), Some(&0));
@@ -158,17 +197,17 @@ mod tests {
         let mut b = GraphBuilder::new(4);
         b.add_edge(0, 1, 1);
         let g = b.build();
-        let tree = ShortestPathTree::compute(&g, 0);
+        let tree = ShortestPathTree::compute(&g, 0).unwrap();
         assert!(tree.path_to(3).is_none());
         assert_eq!(tree.path_to(1), Some(vec![0, 1]));
-        assert_eq!(shortest_path(&g, 0, 1), Some(vec![0, 1]));
-        assert_eq!(shortest_path(&g, 1, 0), None);
+        assert_eq!(shortest_path(&g, 0, 1).unwrap(), Some(vec![0, 1]));
+        assert_eq!(shortest_path(&g, 1, 0).unwrap(), None);
     }
 
     #[test]
     fn source_path_is_trivial() {
         let g = gnp(20, 0.2, WeightRange::default(), 9);
-        let tree = ShortestPathTree::compute(&g, 4);
+        let tree = ShortestPathTree::compute(&g, 4).unwrap();
         assert_eq!(tree.path_to(4), Some(vec![4]));
         assert_eq!(tree.distance(4), 0);
     }
@@ -176,11 +215,64 @@ mod tests {
     #[test]
     fn validate_catches_corruption() {
         let g = gnp(30, 0.2, WeightRange::default(), 11);
-        let mut tree = ShortestPathTree::compute(&g, 0);
+        let mut tree = ShortestPathTree::compute(&g, 0).unwrap();
         tree.validate(&g).unwrap();
         // Corrupt one reachable vertex's parent.
         let victim = (1..30).find(|&v| tree.dist[v] < INF).unwrap();
         tree.parents[victim] = victim as u32; // self-parent is never tight
         assert!(tree.validate(&g).is_err());
+    }
+
+    #[test]
+    fn out_of_range_vertices_are_typed_errors() {
+        let g = gnp(20, 0.2, WeightRange::default(), 9);
+        let empty = GraphBuilder::new(0).build();
+        let errors = [
+            ShortestPathTree::compute(&g, 20).map(|_| ()),
+            ShortestPathTree::compute(&g, u32::MAX).map(|_| ()),
+            ShortestPathTree::compute(&empty, 0).map(|_| ()),
+            shortest_path(&g, 20, 0).map(|_| ()),
+            shortest_path(&g, 0, 20).map(|_| ()),
+            shortest_path(&g, 0, u32::MAX).map(|_| ()),
+            shortest_path(&empty, 0, 0).map(|_| ()),
+        ];
+        for err in errors {
+            let err = err.unwrap_err();
+            assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput, "{err}");
+        }
+    }
+
+    #[test]
+    fn tree_queries_take_any_vertex_id() {
+        let g = gnp(20, 0.2, WeightRange::default(), 9);
+        let mut tree = ShortestPathTree::compute(&g, 4).unwrap();
+        assert_eq!(tree.distance(20), INF);
+        assert_eq!(tree.path_to(u32::MAX), None);
+        // A parent outside the graph breaks the chain.
+        let victim = (0..20u32)
+            .find(|&v| v != 4 && tree.dist[v as usize] < INF)
+            .unwrap();
+        tree.parents[victim as usize] = 20;
+        assert_eq!(tree.path_to(victim), None);
+        assert_eq!(tree.validate(&g), Err(victim));
+        // So does a parent cycle, without looping forever.
+        tree.parents[victim as usize] = victim;
+        assert_eq!(tree.path_to(victim), None);
+        // A tree checked against a graph of another size, or whose root
+        // is not a vertex, fails at its root.
+        let smaller = gnp(10, 0.2, WeightRange::default(), 9);
+        assert_eq!(tree.validate(&smaller), Err(4));
+        tree.source = 99;
+        assert_eq!(tree.validate(&g), Err(99));
+    }
+
+    #[test]
+    fn parent_store_lookups_reject_out_of_range_vertices() {
+        use crate::tile_store::{StorageBackend, TileStore};
+        let store = TileStore::new(4, &StorageBackend::Memory).unwrap();
+        for (source, target) in [(4, 0), (0, 4), (4, 4), (u32::MAX, u32::MAX)] {
+            let err = path_from_parent_store(&store, source, target).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        }
     }
 }

@@ -224,11 +224,13 @@ pub const MIN_WORK_PER_DISPATCH: usize = 1 << 21;
 
 /// Elementary-operation weight of one single-source shortest-path run
 /// over a graph of `n` vertices and `m` edges, in the unit of
-/// [`MIN_WORK_PER_DISPATCH`]. A Near-Far SSSP costs about 11–14 ns per
-/// `(n + m)` element single-threaded, against about 0.7 ns per
-/// branchless min-plus op, hence 18 ops per element rather than 1
-/// (DESIGN.md §10 has the measurements). Dijkstra and delta-stepping cost more per
-/// element, so for them the weight errs toward running inline.
+/// [`MIN_WORK_PER_DISPATCH`]. A Near-Far SSSP costs 11–14 ns per
+/// `(n + m)` element single-threaded on a loaded host and 7–8 ns on a
+/// quiet one on R-MAT (4.5–5 ns on a grid), against about 0.7 ns per
+/// branchless min-plus op, hence 18 ops per element rather than 1; on a
+/// quiet host that errs toward dispatch (DESIGN.md §10 has the
+/// measurements). Dijkstra and delta-stepping cost more per element, so
+/// for them the weight errs toward running inline.
 pub fn sssp_work(n: usize, m: usize) -> usize {
     18 * (n + m)
 }

@@ -6,11 +6,21 @@
 //! in the *Far* queue. When Near drains, the threshold advances by Δ and
 //! Far is split against it.
 //!
-//! Every relaxation and queue operation is counted in [`NearFarStats`];
-//! the MSSP kernel converts those counts into modeled device time, so the
-//! simulated cost of Johnson's algorithm responds to the input graph's
-//! structure exactly the way the paper observes (per-batch times stable
-//! within ~2–13%).
+//! [`NearFarStats`] counts the relaxations (each processed vertex adds
+//! its out-degree, to the heavy or the normal tally), the Near drains,
+//! the Far splits and the heavy vertices. The MSSP kernel converts those
+//! counts into modeled device time, so the simulated cost of Johnson's
+//! algorithm responds to the input graph's structure exactly the way the
+//! paper observes (per-batch times stable within ~2–13%).
+//!
+//! The host loop keeps one state byte per vertex (in Near, in Far, heavy
+//! seen) and three fixed-capacity queues. On graphs of mean out-degree
+//! below 12 (`BRANCH_FREE_MAX_MEAN_DEGREE`) the distance-only relax has
+//! no data-dependent branch: it stores `min(nd, dist[u])`, computes both
+//! push decisions as 0/1 values, writes the next slot of each queue and
+//! advances each length by its decision. Denser graphs, where few
+//! relaxations improve, and runs that record parents take a loop of its
+//! own that branches on improvement.
 
 use apsp_graph::{dist_add, CsrGraph, Dist, VertexId, INF};
 
@@ -86,24 +96,73 @@ pub fn near_far_sssp_with_parents(
 
 /// Reusable working state for repeated Near-Far runs over one graph.
 ///
-/// A single SSSP instance needs six heap buffers (distances, parents,
-/// three membership-flag arrays, two queues). Allocating them fresh per
-/// source is fine for one-off calls, but a batched MSSP launch runs
-/// hundreds of instances back to back — there the per-source malloc/free
-/// churn is measurable against the ~tens-of-µs traversal itself, so the
-/// optimized backends hold one scratch per worker and reset it between
-/// sources. Resetting writes exactly the values fresh allocation would
-/// (`INF` / `VertexId::MAX` / `false` / empty queues), so a reused run
-/// is bit-identical to a fresh one by construction.
+/// A single SSSP instance needs six heap buffers: distances, parents, one
+/// state byte per vertex, and the Near, Far and frontier queues.
+/// Allocating them fresh per source is fine for one-off calls, but a
+/// batched MSSP launch runs hundreds of instances back to back — there
+/// the per-source malloc/free churn is measurable against the
+/// ~tens-of-µs traversal itself, so the optimized backends hold one
+/// scratch per worker and reset it between sources. Resetting writes
+/// exactly the values fresh allocation would (`INF` / `VertexId::MAX` /
+/// no state bits / empty queues), so a reused run is bit-identical to a
+/// fresh one by construction.
 pub struct NearFarScratch {
     dist: Vec<Dist>,
     parents: Vec<VertexId>,
-    heavy_seen: Vec<bool>,
-    in_near: Vec<bool>,
-    in_far: Vec<bool>,
-    near: Vec<VertexId>,
-    far: Vec<VertexId>,
-    frontier: Vec<VertexId>,
+    state: Vec<u8>,
+    near: Queue,
+    far: Queue,
+    frontier: Queue,
+}
+
+/// State bit: the vertex is queued in Near, or still pending in the
+/// frontier being drained.
+const IN_NEAR: u8 = 1;
+/// The vertex is queued in Far.
+const IN_FAR: u8 = 2;
+/// The vertex has already been counted in [`NearFarStats::heavy_vertices`].
+const HEAVY_SEEN: u8 = 4;
+
+/// Mean out-degree below which the distance-only relax runs branch-free.
+/// The sparser the graph, the larger the share of relaxations that
+/// improve their target (30% on the 48×48 grid, 15% on rmat(2048, 16384),
+/// 8% on gnp(320, 0.06)), and the more often a branch on improvement
+/// mispredicts. Measured single-threaded per source, the branch-free loop
+/// is 1.7× faster at mean degree 3.9 (the grid), about even at 12.2, and
+/// 20–23% slower at 15.4 and 19.4, where the branchy loop's predictable
+/// skip beats its unconditional stores.
+const BRANCH_FREE_MAX_MEAN_DEGREE: usize = 12;
+
+/// A vertex queue with one slot per vertex plus a spare. A state bit
+/// guards every push, so a vertex sits in each queue at most once, the
+/// length never exceeds `n`, and a push can always write the slot at the
+/// length and advance the length by its 0/1 decision.
+struct Queue {
+    slots: Vec<VertexId>,
+    len: usize,
+}
+
+impl Queue {
+    fn new(n: usize) -> Self {
+        Queue {
+            slots: vec![0; n + 1],
+            len: 0,
+        }
+    }
+
+    #[inline(always)]
+    fn push_if(&mut self, v: VertexId, keep: bool) {
+        self.slots[self.len] = v;
+        self.len += usize::from(keep);
+    }
+
+    fn queued(&self) -> &[VertexId] {
+        &self.slots[..self.len]
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
 }
 
 impl NearFarScratch {
@@ -112,12 +171,10 @@ impl NearFarScratch {
         NearFarScratch {
             dist: vec![INF; n],
             parents: vec![VertexId::MAX; n],
-            heavy_seen: vec![false; n],
-            in_near: vec![false; n],
-            in_far: vec![false; n],
-            near: Vec::new(),
-            far: Vec::new(),
-            frontier: Vec::new(),
+            state: vec![0; n],
+            near: Queue::new(n),
+            far: Queue::new(n),
+            frontier: Queue::new(n),
         }
     }
 
@@ -138,12 +195,10 @@ impl NearFarScratch {
         if track_parents {
             self.parents.fill(VertexId::MAX);
         }
-        self.heavy_seen.fill(false);
-        self.in_near.fill(false);
-        self.in_far.fill(false);
-        self.near.clear();
-        self.far.clear();
-        self.frontier.clear();
+        self.state.fill(0);
+        self.near.len = 0;
+        self.far.len = 0;
+        self.frontier.len = 0;
     }
 }
 
@@ -182,74 +237,69 @@ fn near_far_core(
     assert!(delta >= 1, "delta must be at least 1");
     assert_eq!(scratch.dist.len(), n, "scratch sized for a different graph");
     scratch.reset(track_parents);
+    let branch_free =
+        !track_parents && g.num_edges() < n.saturating_mul(BRANCH_FREE_MAX_MEAN_DEGREE);
     let NearFarScratch {
         dist,
         parents,
-        heavy_seen,
-        in_near,
-        in_far,
+        state,
         near,
         far,
         frontier,
     } = scratch;
-    let mut parents = track_parents.then_some(parents);
+    let mut parents = track_parents.then_some(&mut parents[..]);
     let mut stats = NearFarStats::default();
     dist[source as usize] = 0;
-    near.push(source);
-    let mut threshold: Dist = delta;
-    // Queue-membership flags: the GPU implementation dedups insertions
+    // Queue-membership bits: the GPU implementation dedups insertions
     // with per-vertex status words (an improved vertex already queued for
     // this pass is not enqueued again); without them every in-degree
     // improvement reprocesses the whole adjacency list and the work count
     // inflates several-fold on high-degree graphs.
-    in_near[source as usize] = true;
+    state[source as usize] = IN_NEAR;
+    near.push_if(source, true);
+    let mut threshold: Dist = delta;
 
     loop {
         // Drain the Near queue.
         while !near.is_empty() {
             stats.near_iterations += 1;
-            frontier.clear();
             std::mem::swap(near, frontier);
-            for &v in frontier.iter() {
-                in_near[v as usize] = false;
+            near.len = 0;
+            for &v in frontier.queued() {
+                let s = state[v as usize] & !IN_NEAR;
                 let dv = dist[v as usize];
                 // Stale entries (distance advanced past the threshold by
                 // the time we process them) are re-split into Far.
                 if dv >= threshold {
-                    if !in_far[v as usize] {
-                        in_far[v as usize] = true;
-                        far.push(v);
-                    }
+                    far.push_if(v, s & IN_FAR == 0);
+                    state[v as usize] = s | IN_FAR;
                     continue;
                 }
-                let deg = g.out_degree(v);
-                let heavy = deg > heavy_degree_threshold;
-                if heavy && !heavy_seen[v as usize] {
-                    heavy_seen[v as usize] = true;
-                    stats.heavy_vertices += 1;
+                let (targets, weights) = g.neighbors(v);
+                let deg = targets.len() as u64;
+                if targets.len() > heavy_degree_threshold {
+                    stats.heavy_vertices += u64::from(s & HEAVY_SEEN == 0);
+                    stats.heavy_relaxations += deg;
+                    state[v as usize] = s | HEAVY_SEEN;
+                } else {
+                    stats.relaxations += deg;
+                    state[v as usize] = s;
                 }
-                for (u, w) in g.edges_from(v) {
-                    if heavy {
-                        stats.heavy_relaxations += 1;
-                    } else {
-                        stats.relaxations += 1;
-                    }
-                    let nd = dist_add(dv, w);
-                    if nd < dist[u as usize] {
-                        dist[u as usize] = nd;
-                        if let Some(p) = parents.as_mut() {
-                            p[u as usize] = v;
-                        }
-                        if nd < threshold {
-                            if !in_near[u as usize] {
-                                in_near[u as usize] = true;
-                                near.push(u);
-                            }
-                        } else if !in_far[u as usize] {
-                            in_far[u as usize] = true;
-                            far.push(u);
-                        }
-                    }
+                if branch_free {
+                    relax(dv, targets, weights, threshold, dist, state, near, far);
+                } else {
+                    relax_branchy(
+                        v,
+                        dv,
+                        targets,
+                        weights,
+                        threshold,
+                        dist,
+                        parents.as_deref_mut(),
+                        state,
+                        near,
+                        far,
+                    );
                 }
             }
         }
@@ -259,26 +309,96 @@ fn near_far_core(
         // Advance the threshold and split Far.
         stats.far_splits += 1;
         threshold += delta;
-        frontier.clear();
         std::mem::swap(far, frontier);
-        for &v in frontier.iter() {
-            in_far[v as usize] = false;
+        far.len = 0;
+        for &v in frontier.queued() {
+            let s = state[v as usize] & !IN_FAR;
             let dv = dist[v as usize];
-            if dv < threshold {
-                if !in_near[v as usize] {
-                    in_near[v as usize] = true;
-                    near.push(v);
-                }
-            } else if dv < INF && !in_far[v as usize] {
-                in_far[v as usize] = true;
-                far.push(v);
-            }
+            let to_near = dv < threshold && s & IN_NEAR == 0;
+            // `v` just left Far, so only the distance decides re-queueing.
+            let to_far = dv >= threshold && dv < INF;
+            near.push_if(v, to_near);
+            far.push_if(v, to_far);
+            state[v as usize] = s | (u8::from(to_near) * IN_NEAR) | (u8::from(to_far) * IN_FAR);
         }
         if near.is_empty() && far.is_empty() {
             break;
         }
     }
     stats
+}
+
+/// Relax the out-edges `targets`/`weights` of a vertex at distance `dv`
+/// with no data-dependent branch: every edge stores `min(nd, dist[u])`
+/// and writes both queues' next slot, and the 0/1 push decisions advance
+/// the queue lengths and set the state bits.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn relax(
+    dv: Dist,
+    targets: &[VertexId],
+    weights: &[Dist],
+    threshold: Dist,
+    dist: &mut [Dist],
+    state: &mut [u8],
+    near: &mut Queue,
+    far: &mut Queue,
+) {
+    for (&u, &w) in targets.iter().zip(weights) {
+        let nd = dist_add(dv, w);
+        let cur = dist[u as usize];
+        dist[u as usize] = nd.min(cur);
+        let improved = nd < cur;
+        let near_side = nd < threshold;
+        let s = state[u as usize];
+        let to_near = improved & near_side & (s & IN_NEAR == 0);
+        let to_far = improved & !near_side & (s & IN_FAR == 0);
+        state[u as usize] = s | (u8::from(to_near) * IN_NEAR) | (u8::from(to_far) * IN_FAR);
+        near.push_if(u, to_near);
+        far.push_if(u, to_far);
+    }
+}
+
+/// [`relax`] with a branch on improvement, for graphs at or above
+/// [`BRANCH_FREE_MAX_MEAN_DEGREE`] and for runs that record parents:
+/// with `parents` set, `v` becomes the parent of every vertex it
+/// improves. It is a loop of its own because the parent store happens
+/// only on improvement: a variant that kept that store inside the
+/// branch-free loop behind a const-generic flag ran slower than the
+/// branchy loop on both the grid and R-MAT.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn relax_branchy(
+    v: VertexId,
+    dv: Dist,
+    targets: &[VertexId],
+    weights: &[Dist],
+    threshold: Dist,
+    dist: &mut [Dist],
+    mut parents: Option<&mut [VertexId]>,
+    state: &mut [u8],
+    near: &mut Queue,
+    far: &mut Queue,
+) {
+    for (&u, &w) in targets.iter().zip(weights) {
+        let nd = dist_add(dv, w);
+        if nd < dist[u as usize] {
+            dist[u as usize] = nd;
+            if let Some(p) = parents.as_deref_mut() {
+                p[u as usize] = v;
+            }
+            let s = state[u as usize];
+            if nd < threshold {
+                if s & IN_NEAR == 0 {
+                    state[u as usize] = s | IN_NEAR;
+                    near.push_if(u, true);
+                }
+            } else if s & IN_FAR == 0 {
+                state[u as usize] = s | IN_FAR;
+                far.push_if(u, true);
+            }
+        }
+    }
 }
 
 /// Default Δ for a graph: its mean edge weight (the heuristic the Near-Far
@@ -407,6 +527,195 @@ mod tests {
             v = p;
             steps += 1;
             assert!(steps <= 81, "parent chain cycles");
+        }
+    }
+
+    /// The graphs and settings of the pinned table, by name.
+    fn pinned_case(name: &str) -> (CsrGraph, Vec<VertexId>, Dist, usize) {
+        let rmat_graph = || {
+            rmat(
+                2048,
+                16384,
+                RmatParams::default(),
+                WeightRange::default(),
+                1,
+            )
+        };
+        let grid_graph = || grid_2d(48, 48, GridOptions::default(), WeightRange::default(), 1);
+        let gnp_graph = || gnp(150, 0.04, WeightRange::new(1, 40), 0);
+        let first_64: Vec<VertexId> = (0..64).collect();
+        match name {
+            "rmat" => {
+                let g = rmat_graph();
+                let delta = default_delta(&g);
+                (g, first_64, delta, usize::MAX)
+            }
+            "rmat-heavy32" => {
+                let g = rmat_graph();
+                let delta = default_delta(&g);
+                (g, first_64, delta, 32)
+            }
+            "grid" => {
+                let g = grid_graph();
+                let delta = default_delta(&g);
+                (g, first_64, delta, usize::MAX)
+            }
+            "gnp-delta1" | "gnp-delta10" | "gnp-delta100000" => {
+                let delta = name["gnp-delta".len()..].parse().unwrap();
+                (gnp_graph(), (0..150).collect(), delta, usize::MAX)
+            }
+            "gnp-dense" => {
+                let g = gnp(150, 0.2, WeightRange::new(1, 40), 0);
+                (g, (0..150).collect(), 10, 32)
+            }
+            "zero-weights-unreachable" => {
+                // 0..5 is one strongly connected part joined by zero-weight
+                // edges; 5..8 is a second one that 0..5 cannot reach.
+                let mut b = GraphBuilder::new(8);
+                for (u, v, w) in [
+                    (0, 1, 0),
+                    (1, 2, 0),
+                    (2, 0, 3),
+                    (1, 3, 5),
+                    (3, 2, 0),
+                    (3, 4, 0),
+                    (4, 0, 1),
+                    (0, 4, 7),
+                    (5, 6, 2),
+                    (6, 7, 0),
+                    (7, 5, 0),
+                    (6, 0, 4),
+                ] {
+                    b.add_edge(u, v, w);
+                }
+                (b.build(), (0..8).collect(), 2, 1)
+            }
+            _ => unreachable!("no pinned case {name}"),
+        }
+    }
+
+    /// FNV-1a over the little-endian bytes of `values`, continuing `hash`.
+    fn fnv1a(values: &[u32], mut hash: u64) -> u64 {
+        for byte in values.iter().flat_map(|v| v.to_le_bytes()) {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
+    }
+
+    /// Run every source of one pinned case on one reused scratch: the
+    /// summed counters, the FNV-1a of the distance rows in source order,
+    /// and that of the parents rows (0 when `track_parents` is off).
+    fn pinned_run(name: &str, track_parents: bool) -> ([u64; 5], u64, u64) {
+        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        let (g, sources, delta, heavy) = pinned_case(name);
+        let mut scratch = NearFarScratch::new(g.num_vertices());
+        let mut total = NearFarStats::default();
+        let mut dist_fnv = FNV_OFFSET;
+        let mut parents_fnv = if track_parents { FNV_OFFSET } else { 0 };
+        for &s in &sources {
+            let st = near_far_sssp_scratch(&g, s, delta, heavy, &mut scratch, track_parents);
+            total.merge(&st);
+            dist_fnv = fnv1a(scratch.dist(), dist_fnv);
+            if track_parents {
+                parents_fnv = fnv1a(scratch.parents(), parents_fnv);
+            }
+        }
+        let NearFarStats {
+            relaxations,
+            heavy_relaxations,
+            near_iterations,
+            far_splits,
+            heavy_vertices,
+        } = total;
+        (
+            [
+                relaxations,
+                heavy_relaxations,
+                near_iterations,
+                far_splits,
+                heavy_vertices,
+            ],
+            dist_fnv,
+            parents_fnv,
+        )
+    }
+
+    /// Summed [`NearFarStats`] (relaxations, heavy relaxations, near
+    /// iterations, far splits, heavy vertices), FNV-1a of the distance
+    /// rows and FNV-1a of the parents rows, recorded from the
+    /// branch-per-edge core that preceded the branch-free relax. Every
+    /// case runs with and without parents on one reused scratch.
+    const PINNED: [(&str, [u64; 5], u64, u64); 8] = [
+        (
+            "rmat",
+            [2042678, 0, 1100, 193, 0],
+            0x8b84bb03cd5c6769,
+            0x001a933475a4a404,
+        ),
+        (
+            "rmat-heavy32",
+            [1467001, 575677, 1100, 193, 4416],
+            0x8b84bb03cd5c6769,
+            0x001a933475a4a404,
+        ),
+        (
+            "grid",
+            [667815, 0, 10566, 2856, 0],
+            0xb22b2086ac2235b6,
+            0x276cfe2a881fc714,
+        ),
+        (
+            "gnp-delta1",
+            [138308, 0, 7332, 11914, 0],
+            0xc19be6e2484cd3eb,
+            0xe2483e6cc53a577c,
+        ),
+        (
+            "gnp-delta10",
+            [159178, 0, 2607, 1122, 0],
+            0xc19be6e2484cd3eb,
+            0xb316510431d8bb79,
+        ),
+        (
+            "gnp-delta100000",
+            [218610, 0, 1400, 0, 0],
+            0xc19be6e2484cd3eb,
+            0xc272d74166dcd64a,
+        ),
+        (
+            "gnp-dense",
+            [647744, 369008, 1535, 238, 6750],
+            0xb253697f5c486322,
+            0xa343f4da802c4c1b,
+        ),
+        (
+            "zero-weights-unreachable",
+            [28, 56, 55, 32, 27],
+            0x2f615533b4958b43,
+            0xc46a103ed3408916,
+        ),
+    ];
+
+    #[test]
+    fn counters_and_rows_match_the_pinned_table() {
+        // Every distance-only case but gnp-dense runs the branch-free
+        // relax; gnp-dense and every run with parents run the branchy one.
+        let (g, ..) = pinned_case("gnp-dense");
+        assert!(g.num_edges() >= BRANCH_FREE_MAX_MEAN_DEGREE * g.num_vertices());
+        let (g, ..) = pinned_case("rmat");
+        assert!(g.num_edges() < BRANCH_FREE_MAX_MEAN_DEGREE * g.num_vertices());
+        for (name, stats, dist_fnv, parents_fnv) in PINNED {
+            assert_eq!(
+                pinned_run(name, false),
+                (stats, dist_fnv, 0),
+                "{name} without parents"
+            );
+            assert_eq!(
+                pinned_run(name, true),
+                (stats, dist_fnv, parents_fnv),
+                "{name} with parents"
+            );
         }
     }
 }
