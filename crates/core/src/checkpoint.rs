@@ -3,9 +3,10 @@
 //! A checkpoint is a directory holding two things:
 //!
 //! * `state-{a,b}.bin` — a full snapshot of the [`TileStore`] matrix,
-//!   written with the store's atomic [`TileStore::persist`] (temp file +
-//!   `sync_all` + rename). Commits alternate between the two slots so the
-//!   snapshot named by the manifest is never the one being replaced.
+//!   in [`TileStore::persist`]'s format. Commits alternate between the
+//!   two slots and rewrite the one the manifest does not name in place
+//!   (`set_len`, positional writes, `sync_all`), so the snapshot named by
+//!   the manifest is never the one being replaced.
 //! * `manifest` — a small versioned text file naming the live slot and
 //!   recording the run's identity (graph fingerprint, dimension), its
 //!   geometry + progress cursor, and per-row-panel FNV-1a checksums of
@@ -177,15 +178,17 @@ impl Checkpoint {
         }
     }
 
-    /// Durably commit `store` + `progress`. The snapshot lands in the
-    /// inactive slot, is re-opened once and checked against the footer
-    /// `persist` returned, and only then does the manifest rename make
-    /// it the live checkpoint — a crash anywhere in between leaves the
-    /// previous checkpoint intact.
+    /// Durably commit `store` + `progress`. The snapshot overwrites the
+    /// slot the manifest does not name, in place (the file is created on
+    /// the first commit to that slot), is re-opened once and checked
+    /// against the footer the writer returned, and only then does the
+    /// manifest rename make it the live checkpoint. A crash anywhere in
+    /// between leaves the previous checkpoint intact: a torn idle slot
+    /// is never named.
     pub fn commit(&self, store: &TileStore, progress: &Progress) -> Result<(), ApspError> {
         let slot = self.next_slot.get();
         let state_path = self.dir.join(Self::slot_name(slot));
-        let checksums = store.persist(&state_path)?;
+        let checksums = store.overwrite(&state_path)?;
         TileStore::open(&state_path, self.n)?.verify_persisted(&checksums)?;
         let manifest = Manifest {
             version: MANIFEST_VERSION,
@@ -276,7 +279,8 @@ impl Checkpoint {
     }
 
     /// Verify the snapshot named by `manifest` against its recorded
-    /// checksums and copy it into `store`, row by row. Checksum or size
+    /// checksums and copy it into `store`, reading a checksum panel at a
+    /// time and writing row by row. Checksum or size
     /// mismatch is [`ApspError::Corruption`]; a store of the wrong
     /// dimension is [`ApspError::InvalidInput`].
     pub fn restore_into(
@@ -314,9 +318,12 @@ impl Checkpoint {
                 ),
             });
         }
-        for i in 0..manifest.n {
-            let row = snapshot.read_row(i)?;
-            store.write_row(i, &row)?;
+        let n = manifest.n;
+        for first in (0..n).step_by(SDC_PANEL_ROWS) {
+            let rows = snapshot.read_block(first..(first + SDC_PANEL_ROWS).min(n), 0..n)?;
+            for (i, row) in (first..).zip(rows.chunks_exact(n)) {
+                store.write_row(i, row)?;
+            }
         }
         Ok(())
     }
@@ -344,9 +351,10 @@ impl Checkpoint {
     }
 }
 
-/// Whether `name` is a temp file of a commit: `.state-a.bin.tmp.<pid>`
-/// or `.state-b.bin.tmp.<pid>` from `persist`, or `.manifest.tmp.<pid>`
-/// from [`write_manifest_atomic`].
+/// Whether `name` is a temp file of a commit: `.manifest.tmp.<pid>` from
+/// [`write_manifest_atomic`], or `.state-a.bin.tmp.<pid>` or
+/// `.state-b.bin.tmp.<pid>`, which commits that persisted their slot
+/// through a temp file left behind.
 fn is_commit_temp(name: &str) -> bool {
     [
         Checkpoint::slot_name(0),
@@ -370,7 +378,8 @@ fn remove_if_present(path: &Path) -> io::Result<()> {
 }
 
 /// Serialize `m` and rename it into place (temp sibling + `sync_all` +
-/// rename — same discipline as [`TileStore::persist`]).
+/// rename — same discipline as [`TileStore::persist`]). The rename is
+/// the commit point.
 fn write_manifest_atomic(path: &Path, m: &Manifest) -> io::Result<()> {
     let body = serialize_manifest(m);
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
@@ -945,5 +954,88 @@ mod tests {
         for name in kept {
             assert_eq!(std::fs::read(dir.join(name)).unwrap(), name.as_bytes());
         }
+    }
+
+    /// Names in `dir` that look like temp files.
+    fn temp_files(dir: &Path) -> Vec<String> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|f| f.contains(".tmp."))
+            .collect()
+    }
+
+    /// The third commit on a directory rewrites `state-a.bin` in place:
+    /// same inode, no temp file, and still the pinned bytes.
+    #[cfg(unix)]
+    #[test]
+    fn third_commit_overwrites_the_idle_slot_in_place() {
+        use std::os::unix::fs::MetadataExt;
+        let (g, store) = fixture_store();
+        let dir = tmp("in_place");
+        let ckpt = Checkpoint::new(&dir, &g).unwrap();
+        let inode = |name: &str| std::fs::metadata(dir.join(name)).unwrap().ino();
+        let mut inodes = Vec::new();
+        for commit in 0..3 {
+            ckpt.commit(&store, &FIXTURE_PROGRESS).unwrap();
+            assert_eq!(temp_files(&dir), Vec::<String>::new(), "commit {commit}");
+            inodes.push(inode("state-a.bin"));
+        }
+        assert_eq!(
+            inodes[2], inodes[0],
+            "state-a.bin was replaced, not overwritten"
+        );
+        let m = ckpt.load().unwrap().unwrap();
+        assert_eq!(m.state_file, "state-a.bin");
+        assert!(std::fs::read(dir.join("manifest")).unwrap() == FIXTURE_MANIFEST);
+        assert!(std::fs::read(dir.join("state-a.bin")).unwrap() == FIXTURE_STATE);
+        assert!(std::fs::read(dir.join("state-b.bin")).unwrap() == FIXTURE_STATE);
+    }
+
+    /// A crash inside the third commit's export leaves `state-a.bin`
+    /// torn, and the manifest still names the second commit's
+    /// `state-b.bin`, which loads and restores.
+    #[test]
+    fn crash_inside_an_in_place_commit_keeps_the_previous_one() {
+        let n = 300;
+        let g = gnp(n, 0.02, WeightRange::default(), 16);
+        let dir = tmp("in_place_crash");
+        let spill = std::env::temp_dir().join("apsp_checkpoint_tests_spill");
+        let mut store = TileStore::new(n, &StorageBackend::Disk(spill)).unwrap();
+        let ckpt = Checkpoint::new(&dir, &g).unwrap();
+        let progress = |next_row| Progress::Johnson {
+            batch_size: 100,
+            next_row,
+        };
+        let mut committed = Vec::new();
+        for batch in 0..2 {
+            let rows: Vec<u32> = (0..(100 * n) as u32).map(|c| c ^ (batch + 1)).collect();
+            store.write_rows(100 * batch as usize, &rows).unwrap();
+            ckpt.commit(&store, &progress(100 * (batch as usize + 1)))
+                .unwrap();
+            committed.push(store.to_dist_matrix().unwrap());
+        }
+        store.write_rows(200, &vec![9; 100 * n]).unwrap();
+        // The export reads 256 rows, then 44: the crash fires in the
+        // second read, after the first 256 rows reached the slot.
+        store.arm_crash(260);
+        let err = ckpt.commit(&store, &progress(300)).unwrap_err();
+        assert_eq!(err.kind(), crate::ApspErrorKind::Storage, "{err}");
+        store.disarm_crash();
+        // Rows 100..200 changed since the first commit and reached the
+        // slot; its footer is still the first commit's.
+        let torn = TileStore::open(dir.join("state-a.bin"), n).unwrap();
+        let err = ApspError::from(torn.read_row(150).unwrap_err());
+        assert_eq!(err.kind(), crate::ApspErrorKind::Corruption, "{err}");
+
+        let ckpt = Checkpoint::new(&dir, &g).unwrap();
+        let m = ckpt.load().unwrap().expect("second commit");
+        assert_eq!(
+            (m.state_file.as_str(), m.progress),
+            ("state-b.bin", progress(200))
+        );
+        let mut restored = TileStore::new(n, &StorageBackend::Memory).unwrap();
+        ckpt.restore_into(&m, &mut restored).unwrap();
+        assert_eq!(restored.to_dist_matrix().unwrap(), committed[1]);
     }
 }

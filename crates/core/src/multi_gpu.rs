@@ -304,7 +304,7 @@ fn multi_inner(
     // ---- Fleet plan: cost-model placement, not round-robin.
     let profiles: Vec<DeviceProfile> = devs.iter().map(|d| d.profile().clone()).collect();
     let profile_refs: Vec<&DeviceProfile> = profiles.iter().collect();
-    let plan = FleetPlan::new(&layout, &profile_refs);
+    let plan = FleetPlan::new(&layout, &profile_refs)?;
 
     for dev in devs.iter_mut() {
         dev.set_kernel_efficiency_divisor(BOUNDARY_KERNEL_EFFICIENCY_DIVISOR);
@@ -374,7 +374,7 @@ fn multi_inner(
     // the host in partition order (so checkpoint cursors stay contiguous
     // and the store write order matches the single-device run).
     let elapsed: Vec<f64> = devs.iter().map(|d| d.elapsed().seconds()).collect();
-    let dist4_owner = plan.dist4_owners(&profile_refs, &elapsed);
+    let dist4_owner = plan.dist4_owners(&profile_refs, &elapsed)?;
     let stolen_panels = dist4_owner
         .iter()
         .zip(plan.dist2_owner.iter())

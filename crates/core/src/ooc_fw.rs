@@ -340,6 +340,8 @@ fn fw_driver(
 
 /// The three-stage blocked-FW rounds `start_round..n_d` at a fixed
 /// block, committing to `ckpt` (when present) at each round barrier.
+/// The store is laid out in tiles of the block first, so every tile the
+/// rounds stream is one storage call on a spill.
 #[allow(clippy::too_many_arguments)]
 fn fw_rounds(
     dev: &mut GpuDevice,
@@ -355,6 +357,7 @@ fn fw_rounds(
     let n = store.n();
     let n_d = n.div_ceil(block);
     let extent = |t: usize| -> std::ops::Range<usize> { t * block..((t + 1) * block).min(n) };
+    store.set_tile_side(block)?;
 
     let start = dev.elapsed().seconds();
     let s0 = dev.default_stream();
@@ -660,6 +663,28 @@ mod tests {
         let mut store = TileStore::new(0, &StorageBackend::Memory).unwrap();
         let stats = ooc_floyd_warshall(&mut dev, &g, &mut store, &FwOptions::default()).unwrap();
         assert_eq!(stats.n_d, 0);
+    }
+
+    /// A durable, guarded FW run on a spill at n = 97 (block 57, two
+    /// rounds, one commit): storage calls from creating the store to the
+    /// final export. Laid out in tiles, each tile is one call; 194 of the
+    /// 258 are the per-row writes of `TileStore::new` and the seeding.
+    /// The row-major store before the tile layout made 1605, one per row
+    /// of every tile: 97 to create, 1386 for the run, 122 to export.
+    #[test]
+    fn disk_run_makes_the_pinned_number_of_storage_calls() {
+        let g = gnp(97, 0.07, WeightRange::default(), 41);
+        let dir = std::env::temp_dir().join("apsp_ooc_fw_calls");
+        let mut store = TileStore::new(97, &StorageBackend::Disk(dir)).unwrap();
+        let ckpt = Checkpoint::new(ckpt_dir("calls"), &g).unwrap();
+        let opts = FwOptions {
+            sdc_guard: SdcGuardMode::Checksum,
+            ..Default::default()
+        };
+        let stats = run(&mut small_device(), &g, &mut store, &opts, &durable(&ckpt)).unwrap();
+        assert_eq!((stats.block, stats.checkpoint_commits), (57, 1));
+        assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
+        assert_eq!(store.storage_calls(), 258);
     }
 
     fn ckpt_dir(name: &str) -> std::path::PathBuf {

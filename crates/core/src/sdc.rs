@@ -31,7 +31,9 @@
 //! on clean runs (a property the conformance corpus pins).
 //!
 //! **Determinism.** Guard reads go through
-//! `TileStore::guard_read_row`, which bypasses fault plans, crash
+//! `TileStore::guard_read_row` and, for the Full guard's row sweep, a
+//! checksum panel at a time through `guard_read_rows`; both bypass
+//! fault plans, crash
 //! points, supervision ticks, and telemetry counters. Enabling the
 //! guard never perturbs injected-fault ordinals or the simulated
 //! clock; a clean run computes bit-identical distances with the guard
@@ -168,8 +170,14 @@ impl SdcGuard {
     fn check_monotone_sums(&mut self, store: &TileStore, round: usize) -> Result<(), ApspError> {
         let n = store.n();
         let mut sums = Vec::with_capacity(n);
+        let mut panel = Vec::new();
         for i in 0..n {
-            let row = store.guard_read_row(i)?;
+            // One unaccounted read per checksum panel of rows.
+            let r = i % SDC_PANEL_ROWS;
+            if r == 0 {
+                panel = store.guard_read_rows(i..(i + SDC_PANEL_ROWS).min(n))?;
+            }
+            let row = &panel[r * n..(r + 1) * n];
             // Diagonal invariant: `d[i][i]` is exactly 0 from
             // initialization onward (no negative cycles), and it is the
             // one entry a round-0 corruption can *raise* without tripping

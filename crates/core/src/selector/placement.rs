@@ -20,6 +20,7 @@
 //! a run is exactly reproducible — and because the panel math itself is
 //! device-independent, any placement yields bit-identical output.
 
+use crate::error::ApspError;
 use apsp_gpu_sim::DeviceProfile;
 use apsp_partition::PartitionLayout;
 
@@ -74,10 +75,26 @@ pub fn device_speed(profile: &DeviceProfile) -> f64 {
 /// earliest finish time `load_d + cost / speed_d` (ties by lower device
 /// index). `initial_load` seeds each device's clock — zeros for an
 /// up-front placement, actual elapsed seconds for a phase-boundary
-/// re-plan. Returns the owner of every task.
-pub fn place_lpt(costs: &[f64], speeds: &[f64], initial_load: &[f64]) -> Vec<usize> {
-    assert!(!speeds.is_empty(), "placement needs at least one device");
-    assert_eq!(speeds.len(), initial_load.len());
+/// re-plan. Returns the owner of every task, or
+/// [`ApspError::InvalidInput`] for an empty fleet or an `initial_load`
+/// that does not give one clock per device.
+pub fn place_lpt(
+    costs: &[f64],
+    speeds: &[f64],
+    initial_load: &[f64],
+) -> Result<Vec<usize>, ApspError> {
+    if speeds.is_empty() {
+        return Err(ApspError::InvalidInput(
+            "placement needs at least one device".into(),
+        ));
+    }
+    if speeds.len() != initial_load.len() {
+        return Err(ApspError::InvalidInput(format!(
+            "placement got {} device speeds but {} initial loads",
+            speeds.len(),
+            initial_load.len()
+        )));
+    }
     let mut order: Vec<usize> = (0..costs.len()).collect();
     order.sort_by(|&a, &b| {
         costs[b]
@@ -100,7 +117,7 @@ pub fn place_lpt(costs: &[f64], speeds: &[f64], initial_load: &[f64]) -> Vec<usi
         owner[t] = best;
         load[best] += costs[t] / speeds[best].max(f64::MIN_POSITIVE);
     }
-    owner
+    Ok(owner)
 }
 
 /// The device that should solve the serial dist₃ phase: the fastest
@@ -132,21 +149,31 @@ pub struct FleetPlan {
 }
 
 impl FleetPlan {
-    /// Plan `layout`'s components across `profiles`.
-    pub fn new(layout: &PartitionLayout, profiles: &[&DeviceProfile]) -> FleetPlan {
+    /// Plan `layout`'s components across `profiles`; an empty fleet is
+    /// [`ApspError::InvalidInput`].
+    pub fn new(
+        layout: &PartitionLayout,
+        profiles: &[&DeviceProfile],
+    ) -> Result<FleetPlan, ApspError> {
         let costs = ShardCosts::of(layout);
         let speeds: Vec<f64> = profiles.iter().map(|p| device_speed(p)).collect();
         let zeros = vec![0.0; speeds.len()];
-        FleetPlan {
-            dist2_owner: place_lpt(&costs.dist2_ops, &speeds, &zeros),
+        Ok(FleetPlan {
+            dist2_owner: place_lpt(&costs.dist2_ops, &speeds, &zeros)?,
             dist3_solver: dist3_solver(profiles),
             costs,
-        }
+        })
     }
 
     /// Re-plan the dist₄ panels given each device's elapsed seconds at
-    /// the phase boundary — the work-stealing step.
-    pub fn dist4_owners(&self, profiles: &[&DeviceProfile], elapsed: &[f64]) -> Vec<usize> {
+    /// the phase boundary — the work-stealing step. `elapsed` must give
+    /// one clock per profile, or the call is
+    /// [`ApspError::InvalidInput`].
+    pub fn dist4_owners(
+        &self,
+        profiles: &[&DeviceProfile],
+        elapsed: &[f64],
+    ) -> Result<Vec<usize>, ApspError> {
         let speeds: Vec<f64> = profiles.iter().map(|p| device_speed(p)).collect();
         place_lpt(&self.costs.dist4_ops, &speeds, elapsed)
     }
@@ -170,7 +197,7 @@ mod tests {
         let costs = [8.0, 8.0, 8.0, 8.0, 2.0, 2.0, 2.0, 2.0];
         let speeds = [4.0, 1.0];
         let zeros = [0.0, 0.0];
-        let owner = place_lpt(&costs, &speeds, &zeros);
+        let owner = place_lpt(&costs, &speeds, &zeros).unwrap();
         let makespan = |owner: &[usize]| {
             let mut load = [0.0f64; 2];
             for (t, &d) in owner.iter().enumerate() {
@@ -195,8 +222,8 @@ mod tests {
         let costs = [1.0, 1.0, 1.0];
         let speeds = [1.0, 1.0, 1.0];
         let zeros = [0.0, 0.0, 0.0];
-        let a = place_lpt(&costs, &speeds, &zeros);
-        let b = place_lpt(&costs, &speeds, &zeros);
+        let a = place_lpt(&costs, &speeds, &zeros).unwrap();
+        let b = place_lpt(&costs, &speeds, &zeros).unwrap();
         assert_eq!(a, b);
         // Equal costs, equal speeds: tasks spread one per device in
         // index order.
@@ -207,7 +234,7 @@ mod tests {
     fn initial_load_steers_work_away_from_busy_devices() {
         // Device 0 is still busy from the previous phase; the single
         // task must be stolen by the idle device 1.
-        let owner = place_lpt(&[5.0], &[1.0, 1.0], &[100.0, 0.0]);
+        let owner = place_lpt(&[5.0], &[1.0, 1.0], &[100.0, 0.0]).unwrap();
         assert_eq!(owner, vec![1]);
     }
 
@@ -225,12 +252,32 @@ mod tests {
         let layout = layout(6);
         let v100 = DeviceProfile::v100();
         let k80 = DeviceProfile::k80();
-        let plan = FleetPlan::new(&layout, &[&v100, &k80]);
+        let plan = FleetPlan::new(&layout, &[&v100, &k80]).unwrap();
         assert_eq!(plan.dist2_owner.len(), layout.num_components());
         assert!(plan.dist2_owner.iter().all(|&d| d < 2));
         assert_eq!(plan.costs.dist2_ops.len(), layout.num_components());
         // Re-planning with device 0 very busy shifts panels to device 1.
-        let hot = plan.dist4_owners(&[&v100, &k80], &[1e9, 0.0]);
+        let hot = plan.dist4_owners(&[&v100, &k80], &[1e9, 0.0]).unwrap();
         assert!(hot.iter().all(|&d| d == 1));
+    }
+
+    /// An empty fleet, or loads that do not match the fleet, are typed
+    /// errors, not panics.
+    #[test]
+    fn misuse_is_invalid_input() {
+        let invalid = |r: Result<Vec<usize>, ApspError>| {
+            assert_eq!(r.unwrap_err().kind(), crate::ApspErrorKind::InvalidInput);
+        };
+        invalid(place_lpt(&[1.0, 2.0], &[], &[]));
+        invalid(place_lpt(&[], &[], &[]));
+        invalid(place_lpt(&[1.0], &[1.0, 2.0], &[0.0]));
+        invalid(place_lpt(&[1.0], &[1.0], &[0.0, 0.0]));
+        let layout = layout(4);
+        let err = FleetPlan::new(&layout, &[]).unwrap_err();
+        assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput);
+        let v100 = DeviceProfile::v100();
+        let plan = FleetPlan::new(&layout, &[&v100, &v100]).unwrap();
+        invalid(plan.dist4_owners(&[&v100, &v100], &[0.0]));
+        invalid(plan.dist4_owners(&[], &[]));
     }
 }

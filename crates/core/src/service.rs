@@ -50,7 +50,7 @@ use crate::error::{ApspError, ApspErrorKind};
 use crate::ooc_johnson::ooc_johnson_sources;
 use crate::options::{Algorithm, ApspOptions, CheckpointOptions};
 use crate::supervisor::{splitmix64, Supervisor};
-use crate::tile_store::{fnv1a, PanelFnv, FNV_OFFSET_BASIS, SDC_PANEL_ROWS};
+use crate::tile_store::{fnv1a, panel_fnvs, FNV_OFFSET_BASIS, SDC_PANEL_ROWS};
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
 use apsp_graph::{CsrGraph, Dist, VertexId};
 
@@ -372,11 +372,7 @@ impl ResultRows {
     }
 
     fn compute_checksums(n: usize, data: &[Dist]) -> Vec<u64> {
-        let mut sums = PanelFnv::new(SDC_PANEL_ROWS);
-        if n > 0 {
-            data.chunks_exact(n).for_each(|row| sums.push(row));
-        }
-        sums.finish()
+        panel_fnvs(data, n, SDC_PANEL_ROWS)
     }
 
     /// Re-verify every panel checksum — the integrity gate a cache hit
@@ -1017,8 +1013,9 @@ fn run_job(
             let result = apsp(graph, dev, opts)?;
             let n = graph.num_vertices();
             let mut data = Vec::with_capacity(n * n);
-            for i in 0..n {
-                data.extend_from_slice(&result.store.read_row(i)?);
+            for first in (0..n).step_by(SDC_PANEL_ROWS) {
+                let rows = first..(first + SDC_PANEL_ROWS).min(n);
+                data.extend_from_slice(&result.store.read_block(rows, 0..n)?);
             }
             Ok((ResultRows::new(n, None, data), Some(result.algorithm)))
         }

@@ -3,20 +3,25 @@
 //! The output distance matrix is orders of magnitude larger than the
 //! input; for the paper's Table III graphs it fits in host RAM, for the
 //! Table IV graphs it does not. [`TileStore`] abstracts both regimes:
-//! the `Memory` backend holds one flat `n × n` buffer, the `Disk` backend
-//! spills to one or more files addressed with positional I/O — the same
-//! row-major layout either way. Spill files split at a configurable
-//! byte threshold ([`DEFAULT_SHARD_BYTES`], 1 GiB, by default; see
-//! [`StorageBackend::DiskSharded`]), row-aligned so a single row never
-//! straddles two files, which keeps the hot row/panel paths one
-//! `pread`/`pwrite` each while letting paper-scale matrices escape the
-//! single-file sequential-I/O bottleneck.
+//! the `Memory` backend holds one flat row-major `n × n` buffer, and the
+//! `Disk` backend spills to one or more files addressed with positional
+//! I/O. A spill starts row-major; out-of-core Floyd-Warshall lays it
+//! out in tiles of its block side when an attempt starts, so each tile
+//! it streams moves in one `pread`/`pwrite` (blocked FW's unit, as in
+//! the Spark APSP paper's b × b block store). Spill files split at a
+//! configurable byte threshold ([`DEFAULT_SHARD_BYTES`], 1 GiB, by
+//! default; see [`StorageBackend::DiskSharded`]), a multiple of one tile
+//! row, which lets paper-scale matrices escape the single-file
+//! sequential-I/O bottleneck.
 //!
 //! The store is three layers under one op path. `storage` knows where
 //! bytes live, `inject` holds the faults, crash point and bit flips a
 //! test arms, and `registry` holds the silent-corruption guard's
 //! per-row checksums. Every public op checks its input, makes one
 //! accounting call, does its storage I/O and then updates the registry.
+//! Counting stays per row whatever the layout: a block op of `r` rows
+//! is `r` crash ticks and `r` fault ordinals, however few storage calls
+//! carry it.
 
 mod inject;
 mod registry;
@@ -33,11 +38,11 @@ use inject::{Injection, Io};
 use parking_lot::Mutex;
 use registry::SdcRegistry;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use storage::{cast_bytes, cast_bytes_mut, Backing};
+use storage::{cast_bytes, cast_bytes_mut, Backing, CELL};
 
 #[cfg(unix)]
 use std::os::unix::fs::FileExt;
@@ -70,8 +75,9 @@ pub const SDC_PANEL_ROWS: usize = 64;
 
 /// Spill-file split threshold for [`StorageBackend::Disk`]: shards roll
 /// over at 1 GiB, the split the reference `diskMatrix` implementations
-/// use. Row-aligned, so the effective shard size is the largest multiple
-/// of the row width at or under this (one full row minimum).
+/// use. The effective shard size is the largest multiple of one tile
+/// row (the row width, while the spill is row-major) at or under this,
+/// and at least one.
 pub const DEFAULT_SHARD_BYTES: u64 = 1 << 30;
 
 /// Where the result matrix lives.
@@ -84,7 +90,7 @@ pub enum StorageBackend {
     /// Spills split across multiple files at [`DEFAULT_SHARD_BYTES`].
     Disk(PathBuf),
     /// [`StorageBackend::Disk`] with an explicit spill-file split
-    /// threshold in bytes (row-aligned, minimum one row per file).
+    /// threshold in bytes (a multiple of one tile row, at least one).
     DiskSharded {
         /// Spill directory (created if missing).
         dir: PathBuf,
@@ -140,69 +146,48 @@ fn fnv1a_lanes(hash: [u64; LANES], bytes: [&[u8]; LANES]) -> [u64; LANES] {
     out
 }
 
-/// FNV-1a of one row: the checksum the SDC registry records.
-fn row_fnv(row: &[Dist]) -> u64 {
-    fnv1a(cast_bytes(row), FNV_OFFSET_BASIS)
-}
-
-/// [`row_fnv`] of each of the `count` equal-width rows in `cells`, in
-/// order, hashed LANES rows at a time.
-fn row_fnvs(cells: &[Dist], count: usize) -> Vec<u64> {
-    let width = cells.len().checked_div(count).unwrap_or(0);
-    let mut out = Vec::with_capacity(count);
-    for first in (0..count).step_by(LANES) {
-        let k = LANES.min(count - first);
-        let row = |l: usize| {
-            if l < k {
-                cast_bytes(&cells[(first + l) * width..(first + l + 1) * width])
-            } else {
-                &[]
+/// [`fnv1a`] from the offset basis of each byte string in `parts`, in
+/// order, LANES strings at a time in lockstep.
+fn fnv1a_each<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> Vec<u64> {
+    let mut parts = parts.into_iter().peekable();
+    let mut out = Vec::new();
+    while parts.peek().is_some() {
+        let mut k = 0;
+        let group = std::array::from_fn(|_| match parts.next() {
+            Some(part) => {
+                k += 1;
+                part
             }
-        };
-        let hashes = fnv1a_lanes([FNV_OFFSET_BASIS; LANES], std::array::from_fn(row));
-        out.extend_from_slice(&hashes[..k]);
+            None => &[],
+        });
+        out.extend_from_slice(&fnv1a_lanes([FNV_OFFSET_BASIS; LANES], group)[..k]);
     }
     out
 }
 
-/// FNV-1a per panel of `panel_rows` consecutive rows, fed one row at a
-/// time; the last panel may be shorter. One chain per panel, so hashing
-/// rows one by one equals hashing the panel's bytes at once. The
-/// persisted footer, [`TileStore::panel_checksums`] and the service's
-/// result cache all checksum through it.
-pub(crate) struct PanelFnv {
-    panel_rows: usize,
-    rows: usize,
-    hash: u64,
-    sums: Vec<u64>,
+/// FNV-1a of one row: the checksum the SDC registry records.
+#[cfg(test)]
+fn row_fnv(row: &[Dist]) -> u64 {
+    fnv1a(cast_bytes(row), FNV_OFFSET_BASIS)
 }
 
-impl PanelFnv {
-    pub(crate) fn new(panel_rows: usize) -> PanelFnv {
-        PanelFnv {
-            panel_rows,
-            rows: 0,
-            hash: FNV_OFFSET_BASIS,
-            sums: Vec::new(),
-        }
+/// The FNV-1a of each of the `count` equal-width rows in `cells`, in
+/// order, hashed LANES rows at a time.
+fn row_fnvs(cells: &[Dist], count: usize) -> Vec<u64> {
+    match cells.len().checked_div(count) {
+        Some(width) if width > 0 => fnv1a_each(cells.chunks_exact(width).map(cast_bytes)),
+        _ => vec![FNV_OFFSET_BASIS; count],
     }
+}
 
-    pub(crate) fn push(&mut self, row: &[Dist]) {
-        self.hash = fnv1a(cast_bytes(row), self.hash);
-        self.rows += 1;
-        if self.rows.is_multiple_of(self.panel_rows) {
-            self.sums.push(self.hash);
-            self.hash = FNV_OFFSET_BASIS;
-        }
-    }
-
-    /// One checksum per panel, the ragged last one included.
-    pub(crate) fn finish(mut self) -> Vec<u64> {
-        if !self.rows.is_multiple_of(self.panel_rows) {
-            self.sums.push(self.hash);
-        }
-        self.sums
-    }
+/// FNV-1a of each panel of `panel_rows` consecutive `row_len`-wide rows
+/// in `cells`, the last panel possibly shorter, LANES whole panels in
+/// lockstep. The persisted footer, [`TileStore::panel_checksums`], the
+/// read-back of a persisted file and the service's result cache all
+/// checksum through it.
+pub(crate) fn panel_fnvs(cells: &[Dist], row_len: usize, panel_rows: usize) -> Vec<u64> {
+    let panel = row_len.saturating_mul(panel_rows).max(1);
+    fnv1a_each(cells.chunks(panel).map(cast_bytes))
 }
 
 /// First-read verification for a store opened from a persisted file
@@ -219,7 +204,8 @@ struct OpenVerify {
 
 /// What one public op charges before it touches storage. Every kind
 /// ticks the supervisor once per row; they differ in crash ticks and in
-/// which telemetry row counter moves.
+/// which telemetry row counter moves. Fault ordinals are counted where
+/// the op does its I/O, one per row except for `write_rows`.
 #[derive(Clone, Copy)]
 enum Charge {
     /// Rows read: a crash tick and a telemetry read each.
@@ -230,12 +216,12 @@ enum Charge {
     /// Whole rows written in one contiguous call: one crash tick, and a
     /// telemetry write per row.
     WriteRows(usize),
-    /// A `Memory` pass over every row for [`TileStore::persist`]: a
-    /// crash tick per row, and no telemetry.
+    /// A `Memory` pass over every row for a persist: a crash tick per
+    /// row, and no telemetry.
     Bulk(usize),
 }
 
-/// An `n × n` row-major distance matrix in RAM or on disk.
+/// An `n × n` distance matrix in RAM or on disk.
 pub struct TileStore {
     n: usize,
     storage: Backing,
@@ -285,6 +271,18 @@ impl TileStore {
     /// Whether the store spills to disk.
     pub fn is_disk_backed(&self) -> bool {
         self.storage.is_disk()
+    }
+
+    /// Lay a spill out in square tiles of side `side` (clamped to
+    /// `1..=n`), so that a tile-aligned block moves in one storage call.
+    /// Out-of-core Floyd-Warshall calls it with its block when each
+    /// attempt starts. The matrix streams a tile-row at a time into a
+    /// fresh spill family, unaccounted, and then the old files go, so
+    /// for that moment the disk holds two copies of the matrix. A no-op
+    /// on `Memory`, on a file opened with [`Self::open`], and at the
+    /// current side.
+    pub(crate) fn set_tile_side(&mut self, side: usize) -> io::Result<()> {
+        self.storage.set_tile_side(side)
     }
 
     /// Arm a deterministic [`DiskFaultPlan`]. Positional-I/O ordinals
@@ -475,34 +473,37 @@ impl TileStore {
     /// invariant checks never perturb injected-fault ordinals or the
     /// simulated clock.
     pub(crate) fn guard_read_row(&self, i: usize) -> io::Result<Vec<Dist>> {
-        let mut row = vec![0; self.n];
-        self.storage.read(i * self.n, cast_bytes_mut(&mut row))?;
-        Ok(row)
+        self.guard_read_rows(i..i + 1)
     }
 
-    /// The checksum of row `i` as stored, read unaccounted into `buf`.
-    fn row_hash(&self, i: usize, buf: &mut [Dist]) -> io::Result<u64> {
-        self.storage.read(i * self.n, cast_bytes_mut(buf))?;
-        Ok(row_fnv(buf))
+    /// [`Self::guard_read_row`] of consecutive full rows, in one storage
+    /// read, concatenated.
+    pub(crate) fn guard_read_rows(&self, rows: Range<usize>) -> io::Result<Vec<Dist>> {
+        let mut cells = vec![0; rows.len() * self.n];
+        self.storage
+            .read(rows, 0..self.n, cast_bytes_mut(&mut cells))?;
+        Ok(cells)
     }
 
     /// Hand `f` the checksum of each row in `rows` as stored, in order.
-    /// Up to LANES consecutive rows are read unaccounted in one storage
-    /// read and hashed together.
+    /// Up to [`SDC_PANEL_ROWS`] consecutive rows are read unaccounted in
+    /// one storage read and hashed LANES at a time.
     fn stored_row_fnvs(
         &self,
         rows: impl IntoIterator<Item = usize>,
         mut f: impl FnMut(usize, u64) -> io::Result<()>,
     ) -> io::Result<()> {
-        let mut buf = vec![0; LANES * self.n];
+        let mut buf = Vec::new();
         let mut rows = rows.into_iter().peekable();
         while let Some(first) = rows.next() {
             let mut k = 1;
-            while k < LANES && rows.next_if_eq(&(first + k)).is_some() {
+            while k < SDC_PANEL_ROWS && rows.next_if_eq(&(first + k)).is_some() {
                 k += 1;
             }
+            buf.resize(buf.len().max(k * self.n), 0);
             let cells = &mut buf[..k * self.n];
-            self.storage.read(first * self.n, cast_bytes_mut(cells))?;
+            self.storage
+                .read(first..first + k, 0..self.n, cast_bytes_mut(cells))?;
             for (r, hash) in row_fnvs(cells, k).into_iter().enumerate() {
                 f(first + r, hash)?;
             }
@@ -510,49 +511,13 @@ impl TileStore {
         Ok(())
     }
 
-    /// The FNV-1a of each of up to LANES checksum panels as stored, in
-    /// lockstep: each step reads the next row of every panel unaccounted
-    /// and feeds it to that panel's chain. A lane without a panel, or
-    /// past its ragged panel's last row, takes no bytes.
-    fn stored_panel_fnvs(&self, panels: &[usize]) -> io::Result<[u64; LANES]> {
+    /// The FNV-1a of each of the consecutive checksum panels `panels`
+    /// as stored: their rows are read unaccounted in one storage read and
+    /// hashed whole panels in lockstep.
+    fn stored_panel_fnvs(&self, panels: Range<usize>) -> io::Result<Vec<u64>> {
         let n = self.n;
-        let mut buf = vec![0; LANES * n];
-        let mut hash = [FNV_OFFSET_BASIS; LANES];
-        for r in 0..SDC_PANEL_ROWS {
-            let mut len = [0; LANES];
-            for (l, &p) in panels.iter().enumerate() {
-                let i = p * SDC_PANEL_ROWS + r;
-                if i < n {
-                    let lane = &mut buf[l * n..(l + 1) * n];
-                    self.storage.read(i * n, cast_bytes_mut(lane))?;
-                    len[l] = n;
-                }
-            }
-            hash = fnv1a_lanes(
-                hash,
-                std::array::from_fn(|l| cast_bytes(&buf[l * n..l * n + len[l]])),
-            );
-        }
-        Ok(hash)
-    }
-
-    /// Storage write of `cells` from cell `cell`, as one positional op
-    /// of the armed fault plan.
-    fn put(&mut self, cell: usize, cells: &[Dist]) -> io::Result<()> {
-        let (storage, bytes) = (&mut self.storage, cast_bytes(cells));
-        let sup = self.supervision.as_ref();
-        self.inject.positional(Io::Write, bytes.len(), sup, |k| {
-            storage.write(cell, &bytes[..k])
-        })
-    }
-
-    /// Storage read into `buf` (see [`Self::put`]).
-    fn fetch(&self, cell: usize, buf: &mut [Dist]) -> io::Result<()> {
-        let bytes = cast_bytes_mut(buf);
-        let sup = self.supervision.as_ref();
-        self.inject.positional(Io::Read, bytes.len(), sup, |k| {
-            self.storage.read(cell, &mut bytes[..k])
-        })
+        let rows = (panels.start * SDC_PANEL_ROWS).min(n)..(panels.end * SDC_PANEL_ROWS).min(n);
+        Ok(panel_fnvs(&self.guard_read_rows(rows)?, n, SDC_PANEL_ROWS))
     }
 
     /// Before a partial write dirties a clean row, verify the row's
@@ -596,17 +561,17 @@ impl TileStore {
                 None => reg.mark_dirty(rows.clone()),
             }
         }
-        let row_bits = (self.n * std::mem::size_of::<Dist>() * 8) as u64;
+        let row_bits = (self.n * CELL * 8) as u64;
         for (row, bit) in self.inject.fired_flips(rows) {
-            let mut buf = vec![0; self.n];
-            let hash = self.row_hash(row, &mut buf)?;
+            let mut buf = self.guard_read_row(row)?;
             if let Some(sdc) = &self.sdc {
-                sdc.lock().set(row, hash);
+                sdc.lock().set(row, row_fnvs(&buf, 1)[0]);
             }
             if row_bits > 0 {
                 let b = (bit % row_bits) as usize;
                 cast_bytes_mut(&mut buf)[b / 8] ^= 1 << (b % 8);
-                self.storage.write(row * self.n, cast_bytes(&buf))?;
+                self.storage
+                    .write(row..row + 1, 0..self.n, cast_bytes(&buf))?;
             }
         }
         Ok(())
@@ -614,8 +579,8 @@ impl TileStore {
 
     /// First-read verification of persisted panel checksums for stores
     /// opened from a footer-carrying file: every not-yet-verified panel
-    /// overlapping `rows` is hashed, LANES panels in lockstep, and
-    /// checked in panel order, surfacing a typed
+    /// overlapping `rows` is checked in panel order, up to LANES
+    /// consecutive panels per read and lockstep hash, surfacing a typed
     /// [`crate::ApspError::Corruption`] on mismatch.
     fn open_verify_panels(&self, rows: Range<usize>) -> io::Result<()> {
         let Some(ov) = &self.open_verify else {
@@ -630,9 +595,9 @@ impl TileStore {
                 .filter_map(|p| Some((p, pending.get(p).copied().flatten()?)))
                 .collect()
         };
-        for group in todo.chunks(LANES) {
-            let panels: Vec<usize> = group.iter().map(|&(p, _)| p).collect();
-            let sums = self.stored_panel_fnvs(&panels)?;
+        let runs = todo.chunk_by(|a, b| b.0 == a.0 + 1);
+        for group in runs.flat_map(|run| run.chunks(LANES)) {
+            let sums = self.stored_panel_fnvs(group[0].0..group[0].0 + group.len())?;
             for (&(p, expect), sum) in group.iter().zip(sums) {
                 if sum != expect {
                     let (start, end) = (p * SDC_PANEL_ROWS, ((p + 1) * SDC_PANEL_ROWS).min(self.n));
@@ -649,31 +614,58 @@ impl TileStore {
         Ok(())
     }
 
-    /// The read path behind [`Self::read_block`], [`Self::read_row`] and
-    /// [`Self::get`], once the op is checked and charged: first-read
-    /// verification, one positional read per row, a registry check of
-    /// full-width rows at zero extra I/O (the barrier sweep covers
-    /// partial reads), then the rows are marked consumed.
-    fn read_cells(&self, rows: Range<usize>, cols: Range<usize>) -> io::Result<Vec<Dist>> {
+    /// The read path behind [`Self::read_block`], [`Self::read_row`],
+    /// [`Self::get`] and the `Disk` export, once the op is checked and
+    /// charged: first-read verification, the rows' positional reads
+    /// into `out` (one fault ordinal per row, coalesced into as few
+    /// storage calls as the layout and the armed plan allow), a registry
+    /// check of full-width rows at zero extra I/O (the barrier sweep
+    /// covers partial reads), then the rows are marked consumed.
+    fn read_cells_into(
+        &self,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        out: &mut [Dist],
+    ) -> io::Result<()> {
         self.open_verify_panels(rows.clone())?;
-        let width = cols.len();
-        let mut out = vec![0; rows.len() * width];
-        for (r, i) in rows.clone().enumerate() {
-            self.fetch(
-                i * self.n + cols.start,
-                &mut out[r * width..(r + 1) * width],
-            )?;
-        }
+        let row_len = cols.len() * CELL;
+        let bytes = cast_bytes_mut(out);
+        let sup = self.supervision.as_ref();
+        self.inject
+            .positional_rows(Io::Read, rows.len(), row_len, sup, |rr, len| {
+                let at = rr.start * row_len;
+                let block = rows.start + rr.start..rows.start + rr.end;
+                self.storage
+                    .read(block, cols.clone(), &mut bytes[at..at + len])
+            })?;
         if let Some(sdc) = &self.sdc {
             let reg = &mut *sdc.lock();
-            if width == self.n {
-                for (i, hash) in rows.clone().zip(row_fnvs(&out, rows.len())) {
+            if cols.len() == self.n {
+                for (i, hash) in rows.clone().zip(row_fnvs(out, rows.len())) {
                     reg.check(i, hash, self.sdc_round())?;
                 }
             }
             reg.mark_consumed(rows);
         }
+        Ok(())
+    }
+
+    /// [`Self::read_cells_into`] a fresh buffer.
+    fn read_cells(&self, rows: Range<usize>, cols: Range<usize>) -> io::Result<Vec<Dist>> {
+        let mut out = vec![0; rows.len() * cols.len()];
+        self.read_cells_into(rows, cols, &mut out)?;
         Ok(out)
+    }
+
+    /// Storage write of whole rows from `row_start`, as one positional
+    /// op of the armed fault plan.
+    fn put_rows(&mut self, row_start: usize, cells: &[Dist]) -> io::Result<()> {
+        let (storage, bytes) = (&mut self.storage, cast_bytes(cells));
+        let rows = row_start..row_start + cells.len() / self.n.max(1);
+        let (n, sup) = (self.n, self.supervision.as_ref());
+        self.inject.positional(Io::Write, bytes.len(), sup, |k| {
+            storage.write(rows, 0..n, &bytes[..k])
+        })
     }
 
     /// Overwrite full row `i`.
@@ -681,7 +673,7 @@ impl TileStore {
         check_input(row.len() == self.n, "row width mismatch")?;
         check_input(i < self.n, "row index out of range")?;
         self.account(Charge::Write(1))?;
-        self.put(i * self.n, row)?;
+        self.put_rows(i, row)?;
         self.written(i..i + 1, Some(row))
     }
 
@@ -696,7 +688,7 @@ impl TileStore {
             "rows out of range",
         )?;
         self.account(Charge::WriteRows(count))?;
-        self.put(row_start * self.n, rows)?;
+        self.put_rows(row_start, rows)?;
         self.written(row_start..row_start + count, Some(rows))
     }
 
@@ -722,12 +714,14 @@ impl TileStore {
             // barrier re-hash of dirty rows.
             self.check_before_dirty(row_range.clone())?;
         }
-        for (r, i) in row_range.clone().enumerate() {
-            self.put(
-                i * self.n + col_range.start,
-                &data[r * width..(r + 1) * width],
-            )?;
-        }
+        let (storage, bytes, row_len) = (&mut self.storage, cast_bytes(data), width * CELL);
+        let sup = self.supervision.as_ref();
+        self.inject
+            .positional_rows(Io::Write, row_range.len(), row_len, sup, |rr, len| {
+                let at = rr.start * row_len;
+                let block = row_range.start + rr.start..row_range.start + rr.end;
+                storage.write(block, col_range.clone(), &bytes[at..at + len])
+            })?;
         // A full-width block is consecutive whole rows: the registry
         // hashes the data in hand instead of re-reading storage.
         self.written(row_range, full.then_some(data))
@@ -762,36 +756,82 @@ impl TileStore {
         Ok(self.read_cells(i..i + 1, j..j + 1)?[0])
     }
 
-    /// Hand every row to `f` in order, for [`Self::persist`] and
-    /// [`Self::to_dist_matrix`]. This is the one place outside the
-    /// storage layer that matches on the backing, because the two
-    /// account differently here and `accounting_is_pinned_per_op` pins
-    /// both: a `Disk` store reads LANES rows per [`Self::read_block`],
-    /// accounted and checked, while a `Memory` store copies its rows out
-    /// unaccounted, after one [`Charge::Bulk`] when `bulk` is set.
-    fn export_rows(
-        &self,
-        bulk: bool,
-        mut f: impl FnMut(&[Dist]) -> io::Result<()>,
-    ) -> io::Result<()> {
-        match &self.storage {
-            Backing::Disk(_) => {
-                for first in (0..self.n).step_by(LANES) {
-                    let rows = first..(first + LANES).min(self.n);
-                    for row in self.read_block(rows, 0..self.n)?.chunks_exact(self.n) {
-                        f(row)?;
-                    }
-                }
-            }
-            Backing::Memory(_) => {
-                if bulk {
-                    self.account(Charge::Bulk(self.n))?;
-                }
-                let mut buf = vec![0; self.n];
-                for i in 0..self.n {
-                    self.storage.read(i * self.n, cast_bytes_mut(&mut buf))?;
-                    f(&buf)?;
-                }
+    /// Fill `out` with the full rows `rows`, the way [`Self::persist`]
+    /// and [`Self::to_dist_matrix`] read them. This is the one place
+    /// outside the storage layer that branches on the backing, because
+    /// the two account differently here and `accounting_is_pinned_per_op`
+    /// pins both: a `Disk` store reads them as one accounted, checked
+    /// block, like [`Self::read_block`], while a `Memory` store copies
+    /// them out unaccounted (a persist charges one [`Charge::Bulk`]
+    /// first).
+    fn export_rows(&self, rows: Range<usize>, out: &mut [Dist]) -> io::Result<()> {
+        if self.storage.is_disk() {
+            self.account(Charge::Read(rows.len()))?;
+            self.read_cells_into(rows, 0..self.n, out)
+        } else {
+            self.storage.read(rows, 0..self.n, cast_bytes_mut(out))
+        }
+    }
+
+    /// Bytes of the persisted form: header, payload and footer.
+    fn persisted_len(&self) -> u64 {
+        PERSIST_HEADER_BYTES
+            + (self.n * self.n * CELL) as u64
+            + FOOTER_HEADER_BYTES
+            + 8 * self.n.div_ceil(SDC_PANEL_ROWS) as u64
+    }
+
+    /// The writer behind [`Self::persist`] and [`Self::overwrite`]:
+    /// the persisted form into `file` from byte 0, with positional
+    /// writes, then `sync_all`. The rows go LANES checksum panels at a
+    /// time: one export read, one lockstep hash of those panels' footer
+    /// entries, one write. Returns the footer.
+    fn write_snapshot(&self, file: &File) -> io::Result<Vec<u64>> {
+        let n = self.n;
+        if !self.storage.is_disk() {
+            self.account(Charge::Bulk(n))?;
+        }
+        let mut header = PERSIST_MAGIC.to_le_bytes().to_vec();
+        header.extend_from_slice(&(n as u64).to_le_bytes());
+        file.write_all_at(&header, 0)?;
+        // Per-panel checksum footer: first reads through `open` verify
+        // each panel against it, so at-rest damage to the file surfaces
+        // typed instead of as wrong distances.
+        let group = LANES * SDC_PANEL_ROWS;
+        let mut buf = vec![0; group.min(n) * n];
+        let mut footer = Vec::with_capacity(n.div_ceil(SDC_PANEL_ROWS));
+        for first in (0..n).step_by(group) {
+            let rows = first..(first + group).min(n);
+            let cells = &mut buf[..rows.len() * n];
+            self.export_rows(rows, cells)?;
+            footer.extend(panel_fnvs(cells, n, SDC_PANEL_ROWS));
+            let at = PERSIST_HEADER_BYTES + (first * n * CELL) as u64;
+            file.write_all_at(cast_bytes(cells), at)?;
+        }
+        let mut tail = FOOTER_MAGIC.to_le_bytes().to_vec();
+        tail.extend_from_slice(&(footer.len() as u64).to_le_bytes());
+        for h in &footer {
+            tail.extend_from_slice(&h.to_le_bytes());
+        }
+        file.write_all_at(&tail, PERSIST_HEADER_BYTES + (n * n * CELL) as u64)?;
+        file.sync_all()?;
+        Ok(footer)
+    }
+
+    /// A `Disk`-backed store refuses to persist into its own spill
+    /// directory: the target could collide with (or be cleaned up
+    /// alongside) live spill files, destroying the matrix it was meant
+    /// to save.
+    fn check_persist_target(&self, path: &Path) -> io::Result<()> {
+        if let Some(own_dir) = self.storage.spill_dir() {
+            if same_dir(own_dir, parent_dir(path)) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!(
+                        "refusing to persist into the store's own spill directory {}",
+                        own_dir.display()
+                    ),
+                ));
             }
         }
         Ok(())
@@ -813,22 +853,10 @@ impl TileStore {
     /// (either the old content or the new content is there, whole).
     ///
     /// A `Disk`-backed store refuses to persist into its own spill
-    /// directory: the target could collide with (or be cleaned up
-    /// alongside) live spill files, destroying the matrix it was meant
-    /// to save.
+    /// directory.
     pub fn persist<P: AsRef<Path>>(&self, path: P) -> io::Result<Vec<u64>> {
         let path = path.as_ref();
-        if let Some(own_dir) = self.storage.spill_dir() {
-            if same_dir(own_dir, parent_dir(path)) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "refusing to persist into the store's own spill directory {}",
-                        own_dir.display()
-                    ),
-                ));
-            }
-        }
+        self.check_persist_target(path)?;
         let file_name = path.file_name().ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -841,30 +869,12 @@ impl TileStore {
             std::process::id()
         ));
         let result = (|| -> io::Result<Vec<u64>> {
-            let mut out = io::BufWriter::new(
-                OpenOptions::new()
-                    .write(true)
-                    .create(true)
-                    .truncate(true)
-                    .open(&tmp)?,
-            );
-            out.write_all(&PERSIST_MAGIC.to_le_bytes())?;
-            out.write_all(&(self.n as u64).to_le_bytes())?;
-            // Per-panel checksum footer: first reads through `open`
-            // verify each panel against it, so at-rest damage to the
-            // file surfaces typed instead of as wrong distances.
-            let mut footer = PanelFnv::new(SDC_PANEL_ROWS);
-            self.export_rows(true, |row| {
-                footer.push(row);
-                out.write_all(cast_bytes(row))
-            })?;
-            let footer = footer.finish();
-            out.write_all(&FOOTER_MAGIC.to_le_bytes())?;
-            out.write_all(&(footer.len() as u64).to_le_bytes())?;
-            for h in &footer {
-                out.write_all(&h.to_le_bytes())?;
-            }
-            out.into_inner().map_err(|e| e.into_error())?.sync_all()?;
+            let file = OpenOptions::new()
+                .write(true)
+                .create(true)
+                .truncate(true)
+                .open(&tmp)?;
+            let footer = self.write_snapshot(&file)?;
             std::fs::rename(&tmp, path)?;
             Ok(footer)
         })();
@@ -872,6 +882,22 @@ impl TileStore {
             let _ = std::fs::remove_file(&tmp);
         }
         result
+    }
+
+    /// [`Self::persist`] without the temp file: `path` is created if
+    /// missing, sized, and overwritten in place. A crash part-way leaves
+    /// it torn, so only a checkpoint commit calls it, on the slot its
+    /// manifest does not name; the manifest rename stays the commit
+    /// point.
+    pub(crate) fn overwrite(&self, path: &Path) -> io::Result<Vec<u64>> {
+        self.check_persist_target(path)?;
+        let file = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)?;
+        file.set_len(self.persisted_len())?;
+        self.write_snapshot(&file)
     }
 
     /// The read-back check of a checkpoint commit, on a store
@@ -900,17 +926,24 @@ impl TileStore {
     }
 
     /// FNV-1a checksum of each consecutive panel of `panel_rows` rows
-    /// (the last panel may be shorter), read row by row through
-    /// [`Self::read_row`]. On a `Disk` backing the checksums therefore
-    /// attest to what is actually on disk, not what was last handed to
-    /// `write_*`.
+    /// (the last panel may be shorter), read LANES panels at a time
+    /// through the accounted path of [`Self::read_block`]. On a `Disk`
+    /// backing the checksums therefore attest to what is actually on
+    /// disk, not what was last handed to `write_*`.
     pub fn panel_checksums(&self, panel_rows: usize) -> io::Result<Vec<u64>> {
         check_input(panel_rows >= 1, "panel_rows must be positive")?;
-        let mut sums = PanelFnv::new(panel_rows);
-        for i in 0..self.n {
-            sums.push(&self.read_row(i)?);
+        let n = self.n;
+        let group = panel_rows.saturating_mul(LANES).min(n);
+        let mut buf = vec![0; group * n];
+        let mut sums = Vec::with_capacity(n.div_ceil(panel_rows));
+        for first in (0..n).step_by(group.max(1)) {
+            let rows = first..(first + group).min(n);
+            let cells = &mut buf[..rows.len() * n];
+            self.account(Charge::Read(rows.len()))?;
+            self.read_cells_into(rows, 0..n, cells)?;
+            sums.extend(panel_fnvs(cells, n, panel_rows));
         }
-        Ok(sums.finish())
+        Ok(sums)
     }
 
     /// Open a previously [`TileStore::persist`]ed matrix read-write in
@@ -996,22 +1029,32 @@ impl TileStore {
         } else {
             None
         };
-        let mut store = Self::with_storage(n, Backing::opened(file, PERSIST_HEADER_BYTES, payload));
+        let mut store = Self::with_storage(n, Backing::opened(file, PERSIST_HEADER_BYTES, n));
         store.open_verify = open_verify;
         Ok(store)
     }
 
     /// Materialize the whole matrix (tests and small-n tooling only).
+    /// The rows are read [`SDC_PANEL_ROWS`] at a time straight into the
+    /// matrix returned, so no second buffer is held next to it.
     pub fn to_dist_matrix(&self) -> io::Result<apsp_cpu::DistMatrix> {
         // The materialized matrix is the run's final answer: sweep the
         // guard registry first so at-rest damage never leaves the store.
         self.verify_checksums()?;
-        let mut data = Vec::with_capacity(self.n * self.n);
-        self.export_rows(false, |row| {
-            data.extend_from_slice(row);
-            Ok(())
-        })?;
-        Ok(apsp_cpu::DistMatrix::from_raw(self.n, data))
+        let n = self.n;
+        let mut data = vec![0; n * n];
+        for (k, rows) in data.chunks_mut(SDC_PANEL_ROWS * n.max(1)).enumerate() {
+            let first = k * SDC_PANEL_ROWS;
+            self.export_rows(first..first + rows.len() / n, rows)?;
+        }
+        Ok(apsp_cpu::DistMatrix::from_raw(n, data))
+    }
+
+    /// Positional calls the store's disk backing has issued, for the
+    /// tests that pin them.
+    #[cfg(test)]
+    pub(crate) fn storage_calls(&self) -> u64 {
+        self.storage.calls()
     }
 }
 
@@ -1834,9 +1877,12 @@ mod tests {
     /// and telemetry armed. Each row is `(op, memory, disk)`, and each
     /// cell holds the totals after the op:
     /// `(crash_ops, io_ops (write, read), telemetry rows (read, written))`.
+    /// The `disk` column also holds for a spill of one row per shard and
+    /// for one laid out in tiles of side 2 (a ragged last tile at n = 5),
+    /// which issue other storage calls for the same ops.
     /// The table pins the three counting rules. Fault-plan ordinals
-    /// count one positional op per logical Disk call. Crash ticks are
-    /// row-granular, but `write_rows` counts 1. Bit flips count
+    /// count one op per row of a block access and one per other call.
+    /// Crash ticks are row-granular, but `write_rows` counts 1. Bit flips count
     /// row-granular writes, the telemetry write column: the armed flip
     /// must land on row 3, the second row of `write_rows`, which the
     /// full-width block then overwrites unread. Counted like crash ticks,
@@ -1874,9 +1920,13 @@ mod tests {
                 "sharded",
                 sharded(tmp_dir().join("pinned_accounting_shards"), n, 1),
             ),
+            ("tiled", StorageBackend::Disk(tmp_dir())),
         ];
         for (name, backend) in backings {
             let mut s = TileStore::new(n, &backend).unwrap();
+            if name == "tiled" {
+                s.set_tile_side(2).unwrap();
+            }
             let tel = Telemetry::enabled();
             s.arm_crash(u64::MAX);
             s.arm_faults(DiskFaultPlan::default());
@@ -1976,8 +2026,9 @@ mod tests {
         assert_eq!(fnv1a_lanes(seeds, lanes).to_vec(), want);
     }
 
-    /// Every footer `PanelFnv` computes passes the read-back check: full
-    /// and partial lane groups, with and without a ragged last panel.
+    /// The footer is the serial FNV-1a of each panel's bytes, and it
+    /// passes the read-back check: full and partial lane groups, with
+    /// and without a ragged last panel.
     #[test]
     fn read_back_accepts_the_panel_fnv_footer() {
         let out = tmp_dir().join("read_back_sizes");
@@ -1987,10 +2038,13 @@ mod tests {
             let mut s = TileStore::new(n, &StorageBackend::Memory).unwrap();
             let cells = patterned(n * n, n as u32);
             s.write_rows(0, &cells).unwrap();
-            let mut want = PanelFnv::new(SDC_PANEL_ROWS);
-            cells.chunks_exact(n).for_each(|row| want.push(row));
+            let want: Vec<u64> = cells
+                .chunks(SDC_PANEL_ROWS * n)
+                .map(|panel| fnv1a(cast_bytes(panel), FNV_OFFSET_BASIS))
+                .collect();
             let footer = s.persist(&target).unwrap();
-            assert_eq!(footer, want.finish(), "n = {n}");
+            assert_eq!(footer, want, "n = {n}");
+            assert_eq!(panel_fnvs(&cells, n, SDC_PANEL_ROWS), want, "n = {n}");
             let reopened = TileStore::open(&target, n).unwrap();
             reopened.verify_persisted(&footer).unwrap();
             // A footer other than the file's own is refused.
@@ -2053,6 +2107,282 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// Storage calls an op issues.
+    fn calls_of(s: &TileStore, op: impl FnOnce(&TileStore)) -> u64 {
+        let before = s.storage_calls();
+        op(s);
+        s.storage_calls() - before
+    }
+
+    #[test]
+    fn a_tile_is_one_call_and_a_row_band_one_per_tile_column() {
+        let n = 10;
+        let mut s = TileStore::new(n, &StorageBackend::Disk(tmp_dir())).unwrap();
+        // Row-major: full-width rows are one call, narrower blocks one
+        // call per row.
+        assert_eq!(calls_of(&s, |s| drop(s.read_block(1..7, 0..n).unwrap())), 1);
+        assert_eq!(calls_of(&s, |s| drop(s.read_block(0..4, 0..4).unwrap())), 4);
+        s.set_tile_side(4).unwrap();
+        for (rows, cols) in [(0..4, 0..4), (4..8, 8..10), (8..10, 4..8), (8..10, 8..10)] {
+            let read = calls_of(&s, |s| {
+                drop(s.read_block(rows.clone(), cols.clone()).unwrap())
+            });
+            assert_eq!(read, 1, "read of tile {rows:?} × {cols:?}");
+            let data = vec![7; rows.len() * cols.len()];
+            let before = s.storage_calls();
+            s.write_block(rows.clone(), cols.clone(), &data).unwrap();
+            assert_eq!(
+                s.storage_calls() - before,
+                1,
+                "write of tile {rows:?} × {cols:?}"
+            );
+        }
+        // k full-width rows inside one tile-row: one call per tile column.
+        assert_eq!(calls_of(&s, |s| drop(s.read_block(5..7, 0..n).unwrap())), 3);
+        let before = s.storage_calls();
+        s.write_rows(4, &[3; 4 * 10]).unwrap();
+        assert_eq!(s.storage_calls() - before, 3);
+        // Unaligned: one call per row segment.
+        assert_eq!(calls_of(&s, |s| drop(s.read_block(1..3, 1..6).unwrap())), 4);
+        // Back to row-major: the whole matrix is one call.
+        s.set_tile_side(n).unwrap();
+        assert_eq!(calls_of(&s, |s| drop(s.read_block(0..n, 0..n).unwrap())), 1);
+        assert_eq!(s.get(5, 9).unwrap(), 3);
+        assert_eq!(s.get(9, 9).unwrap(), 7);
+        assert_eq!(s.get(9, 0).unwrap(), INF);
+    }
+
+    #[test]
+    fn a_tile_straddling_two_shards_costs_one_more_call() {
+        let n = 6;
+        let dir = tmp_dir().join("tile_straddles_shards");
+        // 5 cells per shard rounds down to one tile row of 3: each 3 × 3
+        // tile spans three shard files.
+        let backend = StorageBackend::DiskSharded {
+            dir: dir.clone(),
+            shard_bytes: 5 * CELL as u64,
+        };
+        let mut s = TileStore::new(n, &backend).unwrap();
+        s.set_tile_side(3).unwrap();
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 12);
+        assert_eq!(calls_of(&s, |s| drop(s.read_block(3..6, 0..3).unwrap())), 3);
+        assert_eq!(
+            s.read_block(3..6, 3..6).unwrap(),
+            [0, INF, INF, INF, 0, INF, INF, INF, 0]
+        );
+        drop(s);
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            0,
+            "the re-layout left files"
+        );
+        std::fs::remove_dir(&dir).unwrap();
+    }
+
+    #[test]
+    fn set_tile_side_leaves_memory_and_opened_stores_alone() {
+        let mut mem = TileStore::new(3, &StorageBackend::Memory).unwrap();
+        mem.write_row(1, &[4, 0, 6]).unwrap();
+        mem.set_tile_side(2).unwrap();
+        assert_eq!(mem.read_row(1).unwrap(), vec![4, 0, 6]);
+        let out = tmp_dir().join("tile_side_opened");
+        std::fs::create_dir_all(&out).unwrap();
+        let path = out.join("m.bin");
+        mem.persist(&path).unwrap();
+        let mut opened = TileStore::open(&path, 3).unwrap();
+        opened.set_tile_side(1).unwrap();
+        assert_eq!(opened.read_row(1).unwrap(), vec![4, 0, 6]);
+        // Still row-major: the whole file is one call.
+        assert_eq!(
+            calls_of(&opened, |s| drop(s.read_block(0..3, 0..3).unwrap())),
+            1
+        );
+        drop(opened);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The stores the layout property compares: Memory, a row-major
+    /// spill, spills laid out at sides 1, 2, 3 and n, and a sharded spill
+    /// at side 3 whose shards are smaller than one tile.
+    fn layout_stores(n: usize, case: &str) -> Vec<(String, TileStore)> {
+        let mut stores = vec![
+            (
+                "memory".to_string(),
+                TileStore::new(n, &StorageBackend::Memory).unwrap(),
+            ),
+            (
+                "row-major".to_string(),
+                TileStore::new(n, &StorageBackend::Disk(tmp_dir())).unwrap(),
+            ),
+        ];
+        for side in [1, 2, 3, n] {
+            let mut s = TileStore::new(n, &StorageBackend::Disk(tmp_dir())).unwrap();
+            s.set_tile_side(side).unwrap();
+            stores.push((format!("side {side}"), s));
+        }
+        let dir = tmp_dir().join(format!("layout_property_{case}"));
+        let backend = StorageBackend::DiskSharded {
+            dir,
+            shard_bytes: 2 * CELL as u64,
+        };
+        let mut s = TileStore::new(n, &backend).unwrap();
+        s.set_tile_side(3).unwrap();
+        stores.push(("sharded".to_string(), s));
+        stores
+    }
+
+    /// Raw draws cut to a non-empty range inside `0..n`.
+    fn cut(n: usize, a: usize, b: usize) -> Range<usize> {
+        let start = a % n;
+        start..start + 1 + b % (n - start)
+    }
+
+    /// One drawn op on `s`, and what it returned.
+    fn layout_op(
+        s: &mut TileStore,
+        n: usize,
+        step: usize,
+        op: (u8, usize, usize, usize, usize),
+    ) -> String {
+        let (kind, a, b, c, d) = op;
+        let (rows, cols) = (cut(n, a, b), cut(n, c, d));
+        let data = |len: usize| patterned(len, step as u32 + 1);
+        let out: io::Result<Vec<Dist>> = match kind {
+            0 => s.write_row(a % n, &data(n)).map(|_| vec![]),
+            1 => s
+                .write_rows(rows.start, &data(rows.len() * n))
+                .map(|_| vec![]),
+            2 => s
+                .write_block(rows.clone(), cols.clone(), &data(rows.len() * cols.len()))
+                .map(|_| vec![]),
+            3 => s.read_block(rows, cols),
+            _ => s.get(a % n, c % n).map(|v| vec![v]),
+        };
+        format!("{:?}", out.map_err(|e| e.to_string()))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// Every layout gives the same reads, guard verdicts, counts and
+        /// persisted bytes for a random op sequence, with one re-layout
+        /// in the middle and one armed bit flip.
+        #[test]
+        fn every_layout_reads_guards_and_persists_alike(
+            n in 4usize..12,
+            ops in proptest::collection::vec((0u8..5, 0usize..64, 0usize..64, 0usize..64, 0usize..64), 4..24),
+            mid in 0usize..24,
+            flip in (0u64..60, 0u64..400),
+        ) {
+            let case = format!("{n}-{}-{mid}", ops.len());
+            let mut stores = layout_stores(n, &case);
+            for (_, s) in &mut stores {
+                s.set_sdc_guard(SdcGuardMode::Checksum).unwrap();
+                s.arm_crash(u64::MAX);
+                s.arm_faults(DiskFaultPlan::default());
+                s.arm_bit_flip(flip.0, flip.1);
+            }
+            let mut logs = vec![Vec::new(); stores.len()];
+            for (step, &op) in ops.iter().enumerate() {
+                for ((name, s), log) in stores.iter_mut().zip(&mut logs) {
+                    if step == mid && name != "memory" && name != "row-major" {
+                        s.set_tile_side(1 + (step + n) % n).unwrap();
+                    }
+                    let out = layout_op(s, n, step, op);
+                    let verdict = format!("{:?}", s.verify_checksums().map_err(|e| e.to_string()));
+                    log.push((out, verdict, s.crash_ops()));
+                }
+            }
+            let out = tmp_dir().join(format!("layout_property_out_{case}"));
+            std::fs::create_dir_all(&out).unwrap();
+            let mut bytes = Vec::new();
+            for (name, s) in &stores {
+                s.sdc_rebaseline(0..n).unwrap();
+                let path = out.join(format!("{}.bin", name.replace(' ', "-")));
+                s.persist(&path).unwrap();
+                bytes.push((std::fs::read(&path).unwrap(), s.panel_checksums(3).unwrap()));
+                std::fs::remove_file(&path).unwrap();
+            }
+            for (k, (name, s)) in stores.iter().enumerate() {
+                proptest::prop_assert_eq!(&logs[k], &logs[0], "{} diverged from memory", name);
+                proptest::prop_assert_eq!(&bytes[k], &bytes[0], "{} persisted other bytes", name);
+                if k > 1 {
+                    proptest::prop_assert_eq!(s.io_ops(), stores[1].1.io_ops(), "{}", name);
+                }
+            }
+        }
+
+        /// A fault plan fires on the same row, with the same bytes and the
+        /// same error, when block ops are coalesced as when each row is
+        /// its own call: every layout against a row-major spill that
+        /// splits every block op into one-row ops, which take
+        /// `Injection::positional` directly and never coalesce.
+        #[test]
+        fn coalesced_block_ops_fault_like_one_op_per_row(
+            n in 4usize..10,
+            ops in proptest::collection::vec((0u8..5, 0usize..64, 0usize..64, 0usize..64, 0usize..64), 4..20),
+            plan in proptest::collection::vec((0u64..48, 0u8..6, 0u8..2), 1..6),
+        ) {
+            let fault = |kind: u8| match kind {
+                0 => DiskFault::ShortWrite,
+                1 => DiskFault::ShortRead,
+                2 => DiskFault::Enospc,
+                3 => DiskFault::HangMicros(5),
+                4 => DiskFault::LatencyMicros(0),
+                _ => DiskFault::ShortWrite,
+            };
+            let plan = DiskFaultPlan {
+                write_faults: plan.iter().filter(|p| p.2 == 0).map(|p| (p.0, fault(p.1))).collect(),
+                read_faults: plan.iter().filter(|p| p.2 == 1).map(|p| (p.0, fault(p.1))).collect(),
+            };
+            let case = format!("faults-{n}-{}", ops.len());
+            let mut stores = layout_stores(n, &case);
+            stores.remove(0);
+            let mut oracle = TileStore::new(n, &StorageBackend::Disk(tmp_dir())).unwrap();
+            for s in stores.iter_mut().map(|(_, s)| s).chain([&mut oracle]) {
+                s.arm_crash(u64::MAX);
+                s.arm_faults(plan.clone());
+            }
+            for (step, &op) in ops.iter().enumerate() {
+                // The oracle: the same op, one row per call.
+                let (kind, a, b, c, d) = op;
+                let (rows, cols) = (cut(n, a, b), cut(n, c, d));
+                let want = match kind {
+                    2 | 3 => {
+                        let mut cells = Vec::new();
+                        let mut done = Ok(());
+                        for i in rows.clone() {
+                            let r = i - rows.start;
+                            let got = if kind == 2 {
+                                let all = patterned(rows.len() * cols.len(), step as u32 + 1);
+                                oracle.write_block(i..i + 1, cols.clone(), &all[r * cols.len()..(r + 1) * cols.len()])
+                            } else {
+                                oracle.read_block(i..i + 1, cols.clone()).map(|row| cells.extend(row))
+                            };
+                            if let Err(e) = got {
+                                done = Err(e);
+                                break;
+                            }
+                        }
+                        let out = done.map(|_| cells);
+                        format!("{:?}", out.map_err(|e| e.to_string()))
+                    }
+                    _ => layout_op(&mut oracle, n, step, op),
+                };
+                for (name, s) in &mut stores {
+                    let got = layout_op(s, n, step, op);
+                    proptest::prop_assert_eq!(&got, &want, "{} at step {}", name, step);
+                    proptest::prop_assert_eq!(s.io_ops(), oracle.io_ops(), "{} at step {}", name, step);
+                }
+            }
+            oracle.disarm_faults();
+            for (name, s) in &mut stores {
+                s.disarm_faults();
+                proptest::prop_assert_eq!(s.read_block(0..n, 0..n).unwrap(), oracle.read_block(0..n, 0..n).unwrap(), "{}", name);
             }
         }
     }

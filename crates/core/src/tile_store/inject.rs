@@ -3,14 +3,16 @@
 //! [`Injection`] holds a [`DiskFaultPlan`], a crash point and bit flips.
 //! Each keeps its own counting rule, and each is inert until armed:
 //!
-//! * fault-plan ordinals count one positional op per logical disk call,
-//!   however many shard files the call spans;
+//! * fault-plan ordinals count one op per row of a block access and one
+//!   per `write_row`, `write_rows` or `get` call, however many storage
+//!   calls the op becomes (see [`Injection::positional_rows`]);
 //! * crash ticks count row-granular ops, except that one contiguous
 //!   `write_rows` counts 1;
 //! * bit flips count row-granular writes.
 
 use crate::supervisor::Supervisor;
 use std::io;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -66,6 +68,16 @@ struct FaultState {
     plan: DiskFaultPlan,
     write_ops: AtomicU64,
     read_ops: AtomicU64,
+}
+
+impl FaultState {
+    /// The ordinal counter and the plan entries of `dir`.
+    fn direction(&self, dir: Io) -> (&AtomicU64, &[(u64, DiskFault)]) {
+        match dir {
+            Io::Write => (&self.write_ops, &self.plan.write_faults),
+            Io::Read => (&self.read_ops, &self.plan.read_faults),
+        }
+    }
 }
 
 /// The direction of one positional op.
@@ -152,6 +164,54 @@ impl Injection {
         fired
     }
 
+    /// `rows` positional ops of `row_len` bytes each, one ordinal per
+    /// row, coalesced into as few `run` calls as the armed plan allows:
+    /// `run(a..b, len)` performs the first `len` bytes of rows `a..b`
+    /// (relative to the op). Rows up to the next armed ordinal go in one
+    /// call, and the row an entry names runs alone through
+    /// [`Injection::positional`], so every fault fires on the row and
+    /// with the bytes it did when each row was its own call, and an
+    /// error stops the op with the ordinals of the rows after it
+    /// unspent. A real I/O error inside a coalesced call spends the
+    /// whole call's ordinals.
+    pub(super) fn positional_rows(
+        &self,
+        dir: Io,
+        rows: usize,
+        row_len: usize,
+        sup: Option<&Supervisor>,
+        mut run: impl FnMut(Range<usize>, usize) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let Some(state) = &self.faults else {
+            return run(0..rows, rows * row_len);
+        };
+        if rows == 1 {
+            return self.positional(dir, row_len, sup, |k| run(0..1, k));
+        }
+        let (ops, faults) = state.direction(dir);
+        let mut r = 0;
+        while r < rows {
+            let left = (rows - r) as u64;
+            let next = ops.load(Ordering::Relaxed);
+            let clean = faults
+                .iter()
+                .map(|&(at, _)| at.wrapping_sub(next))
+                .filter(|&d| d < left)
+                .min()
+                .unwrap_or(left) as usize;
+            if clean > 0 {
+                ops.fetch_add(clean as u64, Ordering::Relaxed);
+                run(r..r + clean, clean * row_len)?;
+                r += clean;
+            }
+            if r < rows {
+                self.positional(dir, row_len, sup, |k| run(r..r + 1, k))?;
+                r += 1;
+            }
+        }
+        Ok(())
+    }
+
     /// One positional op of `len` bytes, with the armed plan's fault for
     /// its ordinal applied; `run(k)` performs the op's first `k` bytes.
     /// A call spanning shard files is still one ordinal, so plans replay
@@ -170,10 +230,7 @@ impl Injection {
         let Some(state) = &self.faults else {
             return run(len);
         };
-        let (ops, faults) = match dir {
-            Io::Write => (&state.write_ops, &state.plan.write_faults),
-            Io::Read => (&state.read_ops, &state.plan.read_faults),
-        };
+        let (ops, faults) = state.direction(dir);
         let op = ops.fetch_add(1, Ordering::Relaxed);
         match (dir, faults.iter().find(|(at, _)| *at == op).map(|f| f.1)) {
             (Io::Write, Some(DiskFault::Enospc)) => Err(io::Error::from_raw_os_error(ENOSPC_ERRNO)),

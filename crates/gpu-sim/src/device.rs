@@ -5,7 +5,7 @@ use crate::kernel::{KernelCost, LaunchConfig};
 use crate::memory::{DeviceBuffer, MemoryPool, OutOfDeviceMemory, Pinning};
 use crate::profile::DeviceProfile;
 use crate::timeline::{Engine, Event, SimTime, StreamId, Timeline};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Accumulated statistics for one kernel name.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -19,8 +19,9 @@ pub struct KernelStats {
 /// Profiling snapshot of a device (the suite's `nvprof`).
 #[derive(Debug, Clone, Default)]
 pub struct SimReport {
-    /// Per-kernel totals.
-    pub kernels: HashMap<String, KernelStats>,
+    /// Per-kernel totals, in kernel-name order, so every sum over them
+    /// takes the same order in every process.
+    pub kernels: BTreeMap<String, KernelStats>,
     /// Bytes copied host→device.
     pub bytes_h2d: u64,
     /// Bytes copied device→host.
@@ -44,7 +45,8 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Total kernel seconds across all kernels.
+    /// Total kernel seconds across all kernels, summed in kernel-name
+    /// order.
     pub fn total_kernel_seconds(&self) -> f64 {
         self.kernels.values().map(|k| k.seconds).sum()
     }
@@ -110,7 +112,7 @@ pub struct GpuDevice {
     profile: DeviceProfile,
     pool: MemoryPool,
     timeline: Timeline,
-    kernels: HashMap<String, KernelStats>,
+    kernels: BTreeMap<String, KernelStats>,
     bytes_h2d: u64,
     bytes_d2h: u64,
     transfers_h2d: u64,
@@ -133,7 +135,7 @@ impl GpuDevice {
             profile,
             pool,
             timeline: Timeline::new(),
-            kernels: HashMap::new(),
+            kernels: BTreeMap::new(),
             bytes_h2d: 0,
             bytes_d2h: 0,
             transfers_h2d: 0,
@@ -496,6 +498,39 @@ mod tests {
 
     fn dev() -> GpuDevice {
         GpuDevice::new(DeviceProfile::v100())
+    }
+
+    /// Kernel seconds whose float sum depends on the order it is taken
+    /// in. Maps built in many insertion orders (and, for a hashed map,
+    /// with a fresh hasher each) must all give the bits of the sum in
+    /// kernel-name order.
+    #[test]
+    fn total_kernel_seconds_has_one_value_per_report() {
+        let seconds = [1.0, 1e-16, 1e-16, 1e-16, 0.1, 0.2, 0.3, 7e-17];
+        let forward: f64 = seconds.iter().sum();
+        let backward: f64 = seconds.iter().rev().sum();
+        assert_ne!(forward.to_bits(), backward.to_bits(), "order must matter");
+        let k = seconds.len();
+        for rotation in 0..64 {
+            let report = SimReport {
+                kernels: (0..k)
+                    .map(|i| (i * 3 + rotation) % k)
+                    .map(|i| {
+                        let stats = KernelStats {
+                            launches: 1,
+                            seconds: seconds[i],
+                        };
+                        (format!("kernel-{i}"), stats)
+                    })
+                    .collect(),
+                ..Default::default()
+            };
+            assert_eq!(
+                report.total_kernel_seconds().to_bits(),
+                forward.to_bits(),
+                "insertion order {rotation}"
+            );
+        }
     }
 
     #[test]

@@ -116,7 +116,7 @@ fn mssp_kernel_impl(
         usize::MAX
     };
     let threads = opts.exec.resolved_threads();
-    if opts.exec.is_scalar() || threads <= 1 || bat == 1 {
+    if opts.exec.is_scalar() {
         for (i, &src) in sources.iter().enumerate() {
             if let Some(pm) = parents.as_deref_mut() {
                 let (dist, par, s) =
@@ -137,7 +137,9 @@ fn mssp_kernel_impl(
         // workers claim sources one at a time. Each writes only its own
         // rows of `out`/`parents` and its own stats slot, and the stats
         // merge in source order below, so the aggregate matches the
-        // sequential loop exactly.
+        // sequential loop exactly. One worker (one thread, a one-source
+        // batch, or a batch under the dispatch floor) runs inline on one
+        // scratch.
         let track_parents = parents.is_some();
         let mut parent_rows = parents
             .as_deref_mut()
@@ -375,8 +377,12 @@ mod tests {
         );
         let work = sssp_work(512, large.num_edges());
         assert_eq!(apsp_cpu::parallel::claim_workers(64, 3, work), 3);
-        let cases: [(&CsrGraph, Vec<u32>); 2] =
-            [(&small, vec![0, 7, 77, 149]), (&large, (0..64).collect())];
+        // A one-source batch runs one worker on every backend.
+        let cases: [(&CsrGraph, Vec<u32>); 3] = [
+            (&small, vec![0, 7, 77, 149]),
+            (&small, vec![42]),
+            (&large, (0..64).collect()),
+        ];
         for (g, sources) in &cases {
             let n = g.num_vertices();
             let k = sources.len();
