@@ -13,7 +13,8 @@
 //!   the snapshot: the footer `persist` wrote, which the commit verified
 //!   against one read-back of the file. The manifest ends in a
 //!   self-checksum line and is itself written atomically — renaming it
-//!   into place is the commit point of the whole checkpoint.
+//!   into place, then syncing the directory, is the commit point of the
+//!   whole checkpoint.
 //!
 //! Recovery is exact, not approximate, because the three out-of-core
 //! algorithms only ever move store cells *downward* toward the metric
@@ -31,7 +32,7 @@
 //! [`ApspError::Corruption`]. Wrong distances are never an outcome.
 
 use crate::error::ApspError;
-use crate::tile_store::{fnv1a, TileStore, FNV_OFFSET_BASIS, SDC_PANEL_ROWS};
+use crate::tile_store::{fnv1a, write_atomic, TileStore, FNV_OFFSET_BASIS, SDC_PANEL_ROWS};
 use apsp_graph::{CsrGraph, VertexId};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -377,26 +378,12 @@ fn remove_if_present(path: &Path) -> io::Result<()> {
     }
 }
 
-/// Serialize `m` and rename it into place (temp sibling + `sync_all` +
-/// rename — same discipline as [`TileStore::persist`]). The rename is
-/// the commit point.
+/// Serialize `m` and write it into place with [`write_atomic`], the
+/// discipline [`TileStore::persist`] uses too. The rename is the commit
+/// point.
 fn write_manifest_atomic(path: &Path, m: &Manifest) -> io::Result<()> {
-    let body = serialize_manifest(m);
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let tmp = dir
-        .unwrap_or_else(|| Path::new("."))
-        .join(format!(".manifest.tmp.{}", std::process::id()));
-    let result = (|| -> io::Result<()> {
-        use std::io::Write;
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(body.as_bytes())?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, path)
-    })();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
+    use std::io::Write;
+    write_atomic(path, |mut f| f.write_all(serialize_manifest(m).as_bytes()))
 }
 
 /// Line-oriented text encoding; the final `end <hex>` line carries the
@@ -990,6 +977,29 @@ mod tests {
         assert!(std::fs::read(dir.join("manifest")).unwrap() == FIXTURE_MANIFEST);
         assert!(std::fs::read(dir.join("state-a.bin")).unwrap() == FIXTURE_STATE);
         assert!(std::fs::read(dir.join("state-b.bin")).unwrap() == FIXTURE_STATE);
+    }
+
+    /// Each commit and each persist syncs its directory once, after the
+    /// rename, so the rename and a newly created slot survive a power
+    /// loss; a write that fails syncs nothing.
+    #[test]
+    fn commits_and_persists_sync_their_directory_once() {
+        let syncs = || crate::tile_store::DIR_SYNCS.get();
+        let (g, store) = fixture_store();
+        let dir = tmp("dir_sync");
+        let ckpt = Checkpoint::new(&dir, &g).unwrap();
+        for commit in 1..=3 {
+            let before = syncs();
+            ckpt.commit(&store, &FIXTURE_PROGRESS).unwrap();
+            assert_eq!(syncs() - before, 1, "commit {commit}");
+        }
+        let before = syncs();
+        store.persist(dir.join("snapshot.bin")).unwrap();
+        assert_eq!(syncs() - before, 1);
+        store
+            .persist(dir.join("missing").join("snapshot.bin"))
+            .unwrap_err();
+        assert_eq!(syncs() - before, 1, "a failed persist synced");
     }
 
     /// A crash inside the third commit's export leaves `state-a.bin`

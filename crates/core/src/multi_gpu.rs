@@ -28,26 +28,27 @@
 //! single-device [`crate::ooc_boundary::ooc_boundary`] run for any fleet
 //! shape.
 
-use crate::checkpoint::{Checkpoint, Progress};
+use crate::checkpoint::Progress;
 use crate::error::ApspError;
 use crate::ooc_boundary::{
-    adjacency_block, boundary_graph, default_num_components, extract_block, resume_cursor,
-    upload_panel, working_set_fits, write_panel, BOUNDARY_KERNEL_EFFICIENCY_DIVISOR,
+    adjacency_block, boundary_graph, component_rows, extract_block, partition, run_boundary,
+    upload_panel, working_set_fits, write_panel, BoundaryRun, BOUNDARY_KERNEL_EFFICIENCY_DIVISOR,
 };
 use crate::options::BoundaryOptions;
-use crate::run_ctx::{check_store, RunCtx};
+use crate::run_ctx::RunCtx;
+use crate::sdc::SdcGuard;
 use crate::selector::placement::FleetPlan;
-use crate::supervisor::{RetryState, RetryStep, Supervisor};
+use crate::supervisor::Supervisor;
 use crate::tile_store::TileStore;
 use apsp_gpu_sim::{DeviceProfile, GpuDevice, Pinning};
 use apsp_graph::{CsrGraph, Dist, INF};
 use apsp_kernels::fw_block::fw_device_exec;
 use apsp_kernels::minplus::minplus_kernel_exec;
 use apsp_kernels::DeviceMatrix;
-use apsp_partition::{kway_partition, PartitionConfig, PartitionLayout};
+use apsp_partition::PartitionLayout;
 
 /// Statistics from a multi-device boundary run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MultiGpuStats {
     /// Devices in the fleet.
     pub num_devices: usize,
@@ -109,9 +110,15 @@ pub fn run(
             "multi-device run needs at least one device, but the fleet is empty".into(),
         ));
     }
-    check_store(store, g.num_vertices())?;
-    let resume = resume_cursor(ctx, store, opts)?;
-    ctx.finish(multi_driver(devs, g, store, opts, resume, ctx))
+    let num_devices = devs.len();
+    let (stats, c) = run_boundary(devs, g, store, opts, ctx, true, multi_inner)?;
+    ctx.finish(MultiGpuStats {
+        num_devices,
+        retries: c.retries,
+        checkpoint_commits: c.checkpoint_commits,
+        sdc_round_recoveries: c.sdc_round_recoveries,
+        ..stats
+    })
 }
 
 /// Parse a fleet spec like `"v100,k80"` into device profiles — the
@@ -139,153 +146,24 @@ pub fn parse_fleet(spec: &str) -> Result<Vec<DeviceProfile>, String> {
     Ok(fleet)
 }
 
-/// The retry-then-halve driver behind [`run`], mirroring the
-/// single-device `boundary_driver` contract.
-fn multi_driver(
-    devs: &mut [GpuDevice],
-    g: &CsrGraph,
-    store: &mut TileStore,
-    opts: &BoundaryOptions,
-    mut resume: Option<(usize, usize)>,
-    ctx: &RunCtx,
-) -> Result<MultiGpuStats, ApspError> {
-    let (sup, ckpt) = (&ctx.supervisor(), ctx.checkpoint);
-    let n = g.num_vertices();
-    if n == 0 {
-        return Ok(MultiGpuStats {
-            num_devices: devs.len(),
-            num_components: 0,
-            total_boundary: 0,
-            sim_seconds: 0.0,
-            phase_seconds: [0.0; 3],
-            placement: Vec::new(),
-            stolen_panels: 0,
-            retries: 0,
-            checkpoint_commits: 0,
-            sdc_round_recoveries: 0,
-        });
-    }
-    let mut opts_eff = *opts;
-    let mut commits = 0u32;
-    let mut retry = RetryState::new(sup.retry_policy(), "multi-device boundary");
-    if opts.sdc_guard.is_on() && store.sdc_guard() != opts.sdc_guard {
-        store.set_sdc_guard(opts.sdc_guard)?;
-    }
-    let mut round_budget = sup.retry_policy().sdc_round_retries;
-    let mut round_recoveries = 0u32;
-    loop {
-        let result = multi_inner(devs, g, store, &opts_eff, resume, ckpt, &mut commits, sup);
-        // Restore every device's efficiency context on every exit path.
-        for dev in devs.iter_mut() {
-            dev.set_kernel_efficiency_divisor(1.0);
-        }
-        match result {
-            Ok(mut stats) => {
-                stats.retries = retry.retries();
-                stats.checkpoint_commits = commits;
-                stats.sdc_round_recoveries = round_recoveries;
-                return Ok(stats);
-            }
-            Err(ApspError::SilentCorruption {
-                panel,
-                round,
-                detail,
-            }) => {
-                let tel = sup.telemetry().clone();
-                tel.count_sdc(1, 0, 0);
-                // Like the single-device driver: the boundary algorithm
-                // never reads the store, so recomputing every panel from
-                // the graph is the one (exact) recovery rung.
-                if round_budget > 0 {
-                    round_budget -= 1;
-                    round_recoveries += 1;
-                    store.sdc_rebaseline(0..n)?;
-                    resume = None;
-                    tel.count_sdc(0, 0, 1);
-                    continue;
-                }
-                return Err(ApspError::SilentCorruption {
-                    panel,
-                    round,
-                    detail,
-                });
-            }
-            Err(e) => {
-                let (step, oom) = retry.next_step(e, sup)?;
-                resume = None;
-                if step == RetryStep::Shrink {
-                    let cur = opts_eff
-                        .num_components
-                        .unwrap_or_else(|| default_num_components(n))
-                        .clamp(1, n.max(1));
-                    if cur <= 1 {
-                        return Err(ApspError::DeviceTooSmall {
-                            algorithm: "multi-device boundary",
-                            detail: format!(
-                                "allocation kept failing even at a single component: {oom}"
-                            ),
-                        });
-                    }
-                    opts_eff.num_components = Some(cur / 2);
-                }
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
 fn multi_inner(
-    devs: &mut [GpuDevice],
-    g: &CsrGraph,
-    store: &mut TileStore,
-    opts: &BoundaryOptions,
-    resume: Option<(usize, usize)>,
-    ckpt: Option<&Checkpoint>,
-    commits: &mut u32,
+    run: &mut BoundaryRun<MultiGpuStats>,
     sup: &Supervisor,
+    guard: &mut SdcGuard,
+    commits: &mut u32,
 ) -> Result<MultiGpuStats, ApspError> {
+    let (g, opts, ckpt) = (run.g, &run.opts, run.ckpt);
+    let (devs, store) = (&mut *run.devs, &mut *run.store);
     let n = g.num_vertices();
     let num_devs = devs.len();
     let tel = sup.telemetry().clone();
 
-    // ---- Step 1: partition (host CPU), resume-aware, shrink-to-fit.
-    // Each device holds the full boundary matrix during dist₄, so the
-    // working set must fit *every* device: the smallest bounds
-    // feasibility.
+    // ---- Step 1: partition, at least one component per device when
+    // the graph allows it. Each device holds the full boundary matrix
+    // during dist₄, so the working set must fit *every* device: the
+    // smallest bounds feasibility.
     let fits_fleet = |layout: &PartitionLayout| devs.iter().all(|d| working_set_fits(d, layout));
-    let pcfg = PartitionConfig {
-        seed: opts.partition_seed,
-        ..Default::default()
-    };
-    let mut start_component = 0usize;
-    let mut resumed_layout = None;
-    if let Some((rk, next)) = resume {
-        let candidate = PartitionLayout::new(g, &kway_partition(g, rk.clamp(1, n), &pcfg));
-        if candidate.num_components() == rk && fits_fleet(&candidate) {
-            start_component = next.min(rk);
-            resumed_layout = Some(candidate);
-        }
-    }
-    let layout = match resumed_layout {
-        Some(l) => l,
-        None => {
-            // At least one component per device when the graph allows it;
-            // shrink k until the working set fits the smallest device.
-            let requested_k = opts
-                .num_components
-                .unwrap_or_else(|| default_num_components(n))
-                .clamp(1, n)
-                .max(num_devs.min(n));
-            let mut k = requested_k;
-            loop {
-                let layout = PartitionLayout::new(g, &kway_partition(g, k, &pcfg));
-                if fits_fleet(&layout) || k <= 2 {
-                    break layout;
-                }
-                k = (k / 2).max(2);
-            }
-        }
-    };
+    let (layout, start_component) = partition(g, opts, run.resume, num_devs, fits_fleet);
     let pg = layout.permute_graph(g);
     let k = layout.num_components();
     let nb_total = layout.total_boundary();
@@ -330,7 +208,7 @@ fn multi_inner(
         dist2.push(block);
     }
     for (d, (dev, span)) in devs.iter().zip(spans.drain(..)).enumerate() {
-        tel.phase_end_on_device(dev, span, "multi.dist2", d);
+        tel.phase_end_on_device(dev, span, "multi.dist2", Some(d));
     }
     barrier(devs, &mut phase_start, &mut phase_seconds[0]);
     sup.check_barrier(max_elapsed(devs), "multi-device dist2 phase barrier")?;
@@ -365,7 +243,7 @@ fn multi_inner(
         }
     }
     for (d, (dev, span)) in devs.iter().zip(spans.drain(..)).enumerate() {
-        tel.phase_end_on_device(dev, span, "multi.dist3", d);
+        tel.phase_end_on_device(dev, span, "multi.dist3", Some(d));
     }
     barrier(devs, &mut phase_start, &mut phase_seconds[1]);
     sup.check_barrier(max_elapsed(devs), "multi-device dist3 phase barrier")?;
@@ -382,6 +260,11 @@ fn multi_inner(
         .count() as u32;
     let mut spans: Vec<_> = devs.iter().map(|d| tel.phase_start(d)).collect();
     let mut scatter_row = vec![0 as Dist; n];
+    // Store rows whose dist₄ panels are final, restored or flushed: the
+    // rows the guard checks at each flush barrier.
+    let mut guard_rows: Vec<usize> = (0..start_component)
+        .flat_map(|c| component_rows(&layout, c))
+        .collect();
     for i in start_component..k {
         store.set_sdc_round(i);
         let owner = dist4_owner[i];
@@ -425,13 +308,17 @@ fn multi_inner(
         let mut host_panel = vec![0 as Dist; sz_i * n];
         staging.download_rows(dev, s, 0..sz_i, &mut host_panel, Pinning::Pinned);
         write_panel(store, &layout, i, &host_panel, &mut scatter_row)?;
+        guard_rows.extend(component_rows(&layout, i));
         // Flushed panel = unit of progress: supervision check, then the
-        // checkpoint cursor advances (never past the final flush —
-        // completion clears the checkpoint instead).
+        // guard, then the checkpoint cursor advances (never past the
+        // final flush — completion clears the checkpoint instead). The
+        // guard runs BEFORE the commit, so a committed snapshot is never
+        // taken across undetected corruption.
         sup.check_barrier(
             max_elapsed(devs),
             &format!("multi-device component {i} flush barrier"),
         )?;
+        guard.check_completed_rows(store, i, &guard_rows)?;
         if let Some(ck) = ckpt {
             if i + 1 < k {
                 ck.commit(
@@ -447,7 +334,7 @@ fn multi_inner(
         }
     }
     for (d, (dev, span)) in devs.iter().zip(spans.drain(..)).enumerate() {
-        tel.phase_end_on_device(dev, span, "multi.dist4", d);
+        tel.phase_end_on_device(dev, span, "multi.dist4", Some(d));
     }
     barrier(devs, &mut phase_start, &mut phase_seconds[2]);
 
@@ -459,9 +346,7 @@ fn multi_inner(
         phase_seconds,
         placement: plan.dist2_owner,
         stolen_panels,
-        retries: 0,
-        checkpoint_commits: 0,
-        sdc_round_recoveries: 0,
+        ..Default::default()
     })
 }
 
@@ -551,16 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_graph_is_trivial() {
-        let g = apsp_graph::GraphBuilder::new(0).build();
-        let mut devs = devices(2);
-        let mut store = TileStore::new(0, &StorageBackend::Memory).unwrap();
-        let stats =
-            ooc_boundary_multi(&mut devs, &g, &mut store, &BoundaryOptions::default()).unwrap();
-        assert_eq!(stats.sim_seconds, 0.0);
-    }
-
-    #[test]
     fn bad_input_returns_typed_errors_not_panics() {
         let g = grid_2d(6, 6, GridOptions::default(), WeightRange::default(), 1);
         // Empty fleet.
@@ -569,13 +444,6 @@ mod tests {
             ooc_boundary_multi(&mut [], &g, &mut store, &BoundaryOptions::default()).unwrap_err();
         assert_eq!(err.kind(), crate::error::ApspErrorKind::InvalidInput);
         assert!(err.to_string().contains("empty"));
-        // Dimension mismatch.
-        let mut devs = devices(2);
-        let mut wrong = TileStore::new(35, &StorageBackend::Memory).unwrap();
-        let err =
-            ooc_boundary_multi(&mut devs, &g, &mut wrong, &BoundaryOptions::default()).unwrap_err();
-        assert_eq!(err.kind(), crate::error::ApspErrorKind::InvalidInput);
-        assert!(err.to_string().contains("36"));
         // Infeasible partition: a fleet whose smallest device cannot hold
         // even the minimum working set.
         let mut tiny = vec![
@@ -700,6 +568,45 @@ mod tests {
         // Completion cleared the checkpoint.
         assert!(ckpt.load().unwrap().is_none());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A store row flipped after its write is caught at the next flush
+    /// barrier and recovered by the round rung, on a fleet as on one
+    /// device, and the recovery is a span on device 0.
+    #[test]
+    fn store_flips_on_a_fleet_are_recovered_bit_identical() {
+        use crate::options::SdcGuardMode::Checksum;
+        use crate::telemetry::Telemetry;
+        let g = grid_2d(12, 12, GridOptions::default(), WeightRange::default(), 3);
+        let reference = bgl_plus_apsp(&g);
+        let opts = BoundaryOptions {
+            sdc_guard: Checksum,
+            ..Default::default()
+        };
+        for count in [1, 2] {
+            for (ordinal, bit) in [(11, 5), (30, 13), (45, 21), (67, 30)] {
+                let cell = format!("{count} device(s), flip at op {ordinal}, bit {bit}");
+                let mut devs = devices(count);
+                let mut store = TileStore::new(g.num_vertices(), &StorageBackend::Memory).unwrap();
+                store.set_sdc_guard(Checksum).unwrap();
+                store.arm_bit_flip(ordinal, bit);
+                let sup =
+                    Supervisor::with_telemetry(&Default::default(), 0.0, Telemetry::enabled());
+                let ctx = RunCtx {
+                    supervisor: Some(&sup),
+                    ..Default::default()
+                };
+                let stats = run(&mut devs, &g, &mut store, &opts, &ctx).unwrap();
+                assert_eq!(store.to_dist_matrix().unwrap(), reference, "{cell}");
+                assert_eq!(stats.sdc_round_recoveries, 1, "{cell}");
+                let tel = sup.telemetry();
+                let report = tel.build_report("", "", 0.0, &devs[0].report(), &[], &[], 0, 0);
+                let spans = report.unwrap().spans.into_iter();
+                let rungs: Vec<_> = spans.filter(|s| s.name.starts_with("sdc.")).collect();
+                let rungs: Vec<_> = rungs.into_iter().map(|s| (s.name, s.device)).collect();
+                assert_eq!(rungs, [("sdc.recover_round".into(), Some(0))], "{cell}");
+            }
+        }
     }
 
     #[test]

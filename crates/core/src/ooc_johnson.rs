@@ -9,18 +9,19 @@
 use crate::checkpoint::{Checkpoint, Progress};
 use crate::error::ApspError;
 use crate::options::{DynamicParallelism, JohnsonOptions};
-use crate::run_ctx::{check_store, RunCtx};
-use crate::sdc::{SdcGuard, SDC_SAMPLE_SEED};
-use crate::supervisor::{RetryState, RetryStep, Supervisor};
+use crate::run_ctx::{check_store, climb, RunCtx, Rungs};
+use crate::sdc::SdcGuard;
+use crate::supervisor::Supervisor;
 use crate::tile_store::{TileStore, SDC_PANEL_ROWS};
-use apsp_gpu_sim::{GpuDevice, Pinning};
+use apsp_gpu_sim::{GpuDevice, OutOfDeviceMemory, Pinning};
 use apsp_graph::{CsrGraph, Dist, VertexId};
-use apsp_kernels::mssp::{mssp_kernel, MsspOptions};
+use apsp_kernels::mssp::{mssp_kernel, mssp_kernel_with_parents, MsspOptions};
 use apsp_kernels::nearfar::NearFarStats;
 use apsp_kernels::DeviceMatrix;
+use std::borrow::Cow;
 
 /// Outcome statistics of one out-of-core Johnson run.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct JohnsonRunStats {
     /// Batch size used (`bat`).
     pub batch_size: usize,
@@ -132,7 +133,12 @@ pub fn run(
         },
         |_| Ok(()),
     )?;
-    ctx.finish(ooc_johnson_impl(dev, g, store, None, opts, resume, ctx))
+    let sink = Sink::Store {
+        store,
+        parents: None,
+        ckpt: ctx.checkpoint,
+    };
+    ctx.finish(run_batches(dev, g, opts, sink, resume, &ctx.supervisor())?)
 }
 
 /// [`ooc_johnson`] that additionally streams the full n×n *predecessor*
@@ -150,8 +156,12 @@ pub fn ooc_johnson_with_parents(
     check_options(opts)?;
     check_store(store, g.num_vertices())?;
     check_store(parent_store, g.num_vertices())?;
-    let ctx = RunCtx::default();
-    ooc_johnson_impl(dev, g, store, Some(parent_store), opts, None, &ctx)
+    let sink = Sink::Store {
+        store,
+        parents: Some(parent_store),
+        ckpt: None,
+    };
+    run_batches(dev, g, opts, sink, None, &Supervisor::unarmed())
 }
 
 /// Batched MSSP over an explicit source list — the k-source partial
@@ -182,402 +192,304 @@ pub fn ooc_johnson_sources(
             )));
         }
     }
-    let k = sources.len();
-    let mut out = vec![0 as Dist; k * n];
-    if n == 0 || k == 0 {
-        return Ok((
-            out,
-            JohnsonRunStats {
-                batch_size: 0,
-                num_batches: 0,
-                dynamic_parallelism: false,
-                work: NearFarStats::default(),
-                sim_seconds: 0.0,
-                retries: 0,
-                checkpoint_commits: 0,
-                sdc_panel_recoveries: 0,
-                sdc_round_recoveries: 0,
-            },
-        ));
-    }
-    let mut bat = batch_size(dev, g, opts.queue_words_per_edge)?.min(k);
-    let mut retry = RetryState::new(sup.retry_policy(), "out-of-core Johnson's (partial)");
-    loop {
-        match johnson_source_batches(dev, g, sources, &mut out, opts, bat, sup) {
-            Ok(mut stats) => {
-                stats.retries = retry.retries();
-                return Ok((out, stats));
-            }
-            Err(e) => {
-                let (step, oom) = retry.next_step(e, sup)?;
-                if step == RetryStep::Shrink {
-                    if bat <= 1 {
-                        return Err(ApspError::DeviceTooSmall {
-                            algorithm: "out-of-core Johnson's (partial)",
-                            detail: format!(
-                                "allocation kept failing at the minimum batch of 1: {oom}"
-                            ),
-                        });
-                    }
-                    bat = (bat / 2)
-                        .min(batch_size(dev, g, opts.queue_words_per_edge)?)
-                        .max(1);
-                }
-            }
-        }
-    }
+    let mut out = vec![0 as Dist; sources.len() * n];
+    let sink = Sink::Panel {
+        sources,
+        out: &mut out,
+    };
+    let stats = run_batches(dev, g, opts, sink, None, sup)?;
+    Ok((out, stats))
 }
 
-/// One pass over the requested source batches at a fixed `bat`, writing
-/// each panel straight into `out` (no tile store — the panel is the
-/// product).
-fn johnson_source_batches(
+/// Where the rows of each batch land.
+enum Sink<'a> {
+    /// The result store, at the rows of their sources, with the parents
+    /// store when predecessors stream too. The guard checks and the
+    /// checkpoint commits at every batch barrier.
+    Store {
+        store: &'a mut TileStore,
+        parents: Option<&'a mut TileStore>,
+        ckpt: Option<&'a Checkpoint>,
+    },
+    /// The caller's `k × n` panel for `sources`, in request order.
+    Panel {
+        sources: &'a [VertexId],
+        out: &'a mut [Dist],
+    },
+}
+
+/// The three entry points' batches under the recovery ladder. `resume`
+/// carries `(batch_size, next_row)` from a restored manifest.
+fn run_batches(
     dev: &mut GpuDevice,
     g: &CsrGraph,
-    sources: &[VertexId],
-    out: &mut [Dist],
     opts: &JohnsonOptions,
-    bat: usize,
+    sink: Sink,
+    resume: Option<(usize, usize)>,
     sup: &Supervisor,
 ) -> Result<JohnsonRunStats, ApspError> {
     let n = g.num_vertices();
-    let delta = opts
-        .delta
-        .unwrap_or_else(|| apsp_kernels::nearfar::default_delta(g));
-    let dynamic = match opts.dynamic_parallelism {
-        DynamicParallelism::On => true,
-        DynamicParallelism::Off => false,
-        DynamicParallelism::Auto => (bat as u32) < dev.profile().saturating_blocks,
+    let rows = match &sink {
+        Sink::Store { .. } => n,
+        Sink::Panel { sources, .. } => sources.len(),
     };
-    let mssp_opts = MsspOptions {
-        delta,
-        dynamic_parallelism: dynamic,
-        heavy_degree_threshold: opts.heavy_degree_threshold,
-        exec: opts.exec,
-    };
-    let graph_hold: apsp_gpu_sim::DeviceBuffer<u8> = dev.alloc(g.storage_bytes())?;
-    let start = dev.elapsed().seconds();
-    let s0 = dev.default_stream();
-    let s1 = if opts.overlap_transfers {
-        dev.create_stream()
-    } else {
-        s0
-    };
-    let tel = sup.telemetry().clone();
-    let mut work = NearFarStats::default();
-    let mut num_batches = 0usize;
-    let mut done = 0usize;
-    for (bi, chunk) in sources.chunks(bat).enumerate() {
-        num_batches += 1;
-        let ph = tel.phase_start(dev);
-        let stream = if opts.overlap_transfers && bi % 2 == 1 {
-            s1
-        } else {
-            s0
-        };
-        let mut panel = DeviceMatrix::alloc_inf(dev, chunk.len(), n)?;
-        let outcome = mssp_kernel(dev, stream, g, chunk, &mut panel, mssp_opts);
-        work.merge(&outcome.stats);
-        let host = &mut out[done * n..(done + chunk.len()) * n];
-        panel.download_rows(dev, stream, 0..chunk.len(), host, Pinning::Pinned);
-        done += chunk.len();
-        tel.phase_end(dev, ph, "johnson.sources_batch");
-        sup.check_barrier(
-            dev.elapsed().seconds(),
-            &format!("Johnson sources batch {bi} barrier"),
-        )?;
-    }
-    drop(graph_hold);
-    let sim_seconds = dev.synchronize().seconds() - start;
-    Ok(JohnsonRunStats {
-        batch_size: bat,
-        num_batches,
-        dynamic_parallelism: dynamic,
-        work,
-        sim_seconds,
-        retries: 0,
-        checkpoint_commits: 0,
-        sdc_panel_recoveries: 0,
-        sdc_round_recoveries: 0,
-    })
-}
-
-fn ooc_johnson_impl(
-    dev: &mut GpuDevice,
-    g: &CsrGraph,
-    store: &mut TileStore,
-    mut parent_store: Option<&mut TileStore>,
-    opts: &JohnsonOptions,
-    resume: Option<(usize, usize)>,
-    ctx: &RunCtx,
-) -> Result<JohnsonRunStats, ApspError> {
-    let (sup, ckpt) = (&ctx.supervisor(), ctx.checkpoint);
-    let n = g.num_vertices();
-    if n == 0 {
-        return Ok(JohnsonRunStats {
-            batch_size: 0,
-            num_batches: 0,
-            dynamic_parallelism: false,
-            work: NearFarStats::default(),
-            sim_seconds: 0.0,
-            retries: 0,
-            checkpoint_commits: 0,
-            sdc_panel_recoveries: 0,
-            sdc_round_recoveries: 0,
-        });
-    }
-    if opts.sdc_guard.is_on() && store.sdc_guard() != opts.sdc_guard {
-        store.set_sdc_guard(opts.sdc_guard)?;
-    }
-    let mut guard = SdcGuard::new(opts.sdc_guard, SDC_SAMPLE_SEED);
-    let mut panel_budget = sup.retry_policy().sdc_panel_retries;
-    let mut round_budget = sup.retry_policy().sdc_round_retries;
-    let mut panel_recoveries = 0u32;
-    let mut round_recoveries = 0u32;
     // A resumed run keeps the committed batch size (re-fitting happens
     // through the retry path if it no longer fits) and skips the rows
     // already final in the restored snapshot.
-    let (resume_bat, start_row) = match resume {
-        Some((b, r)) => (Some(b.clamp(1, n)), r.min(n)),
-        None => (None, 0),
+    let (bat, cursor) = resume.map_or((0, 0), |(b, r)| (b.min(n).max(1), r.min(n)));
+    let mut batches = Batches {
+        dev,
+        g,
+        opts,
+        sink,
+        bat,
+        cursor,
     };
-    let mut bat = match resume_bat {
-        Some(b) => b,
-        None => {
-            let mut b = batch_size(dev, g, opts.queue_words_per_edge)?;
-            if parent_store.is_some() {
-                // Two result panels (distances + parents) share the device.
-                b = (b / 2).max(1);
-            }
-            b
-        }
-    };
-    // A mid-run allocation failure degrades gracefully: restart once at
-    // the same batch size (a transient fault clears), then at halved
-    // batches. Restarts are exact — every batch writes complete rows
-    // recomputed from the graph, so a retry simply overwrites them.
-    let mut commits = 0u32;
-    let mut retry = RetryState::new(sup.retry_policy(), "out-of-core Johnson's");
-    let mut cur_start = start_row;
-    loop {
-        match johnson_batches(
-            dev,
-            g,
-            store,
-            parent_store.as_deref_mut(),
-            opts,
-            bat,
-            cur_start,
-            ckpt,
-            &mut commits,
-            sup,
-            &mut guard,
-        ) {
-            Ok(mut stats) => {
-                stats.retries = retry.retries();
-                stats.checkpoint_commits = commits;
-                stats.sdc_panel_recoveries = panel_recoveries;
-                stats.sdc_round_recoveries = round_recoveries;
-                return Ok(stats);
-            }
-            Err(ApspError::SilentCorruption {
-                panel,
-                round,
-                detail,
-            }) => {
-                let tel = sup.telemetry().clone();
-                tel.count_sdc(1, 0, 0);
-                // Johnson rows never feed each other — every source row
-                // is recomputed from the graph alone — so restarting the
-                // batch pass at the corrupt panel's first row is exact
-                // and leaves the rows below it untouched.
-                if panel != usize::MAX && panel_budget > 0 {
-                    panel_budget -= 1;
-                    panel_recoveries += 1;
-                    let ph = tel.phase_start(dev);
-                    cur_start = (panel * SDC_PANEL_ROWS).min(n);
-                    // The rewrite reaches the corrupt row batch by
-                    // batch; re-seed the registry for everything being
-                    // recomputed so the stale mismatch cannot re-fire
-                    // at an earlier batch barrier.
-                    store.sdc_rebaseline(cur_start..n)?;
-                    tel.phase_end(dev, ph, "sdc.recover_panel");
-                    tel.count_sdc(0, 1, 0);
-                    continue;
-                }
-                // Unlocalized (or panel budget spent): recompute every
-                // source. Still exact for the same reason.
-                if round_budget > 0 {
-                    round_budget -= 1;
-                    round_recoveries += 1;
-                    let ph = tel.phase_start(dev);
-                    cur_start = 0;
-                    store.sdc_rebaseline(0..n)?;
-                    tel.phase_end(dev, ph, "sdc.recover_round");
-                    tel.count_sdc(0, 0, 1);
-                    continue;
-                }
-                return Err(ApspError::SilentCorruption {
-                    panel,
-                    round,
-                    detail,
-                });
-            }
-            Err(e) => {
-                let (step, oom) = retry.next_step(e, sup)?;
-                if step == RetryStep::Shrink {
-                    if bat <= 1 {
-                        return Err(ApspError::DeviceTooSmall {
-                            algorithm: "out-of-core Johnson's",
-                            detail: format!(
-                                "allocation kept failing at the minimum batch of 1: {oom}"
-                            ),
-                        });
-                    }
-                    // Re-fit against current free memory too — the device
-                    // may have shrunk since the batch was first sized (and
-                    // batch_size re-checks that the graph still fits at
-                    // all).
-                    bat = (bat / 2).min(batch_size(dev, g, opts.queue_words_per_edge)?);
-                }
-            }
-        }
-    }
+    let (stats, c) = climb(&mut batches, rows, opts.sdc_guard, sup)?;
+    Ok(JohnsonRunStats {
+        retries: c.retries,
+        checkpoint_commits: c.checkpoint_commits,
+        sdc_panel_recoveries: c.sdc_panel_recoveries,
+        sdc_round_recoveries: c.sdc_round_recoveries,
+        ..stats
+    })
 }
 
-/// One pass over the source batches `start_row..n` at a fixed `bat`,
-/// committing to `ckpt` (when present) after each batch's rows land.
-#[allow(clippy::too_many_arguments)]
-fn johnson_batches(
-    dev: &mut GpuDevice,
-    g: &CsrGraph,
-    store: &mut TileStore,
-    mut parent_store: Option<&mut TileStore>,
-    opts: &JohnsonOptions,
+/// Johnson's batches under the recovery ladder. A mid-run allocation
+/// failure restarts once at the same batch size (a transient fault
+/// clears), then at halved batches. Restarts are exact — every batch
+/// writes complete rows recomputed from the graph, so a retry simply
+/// overwrites them.
+struct Batches<'a> {
+    dev: &'a mut GpuDevice,
+    g: &'a CsrGraph,
+    opts: &'a JohnsonOptions,
+    sink: Sink<'a>,
+    /// Sources per kernel launch (`bat`); 0 until the first attempt
+    /// sizes it against the device.
     bat: usize,
-    start_row: usize,
-    ckpt: Option<&Checkpoint>,
-    commits: &mut u32,
-    sup: &Supervisor,
-    guard: &mut SdcGuard,
-) -> Result<JohnsonRunStats, ApspError> {
-    let n = g.num_vertices();
-    let delta = opts
-        .delta
-        .unwrap_or_else(|| apsp_kernels::nearfar::default_delta(g));
-    let dynamic = match opts.dynamic_parallelism {
-        DynamicParallelism::On => true,
-        DynamicParallelism::Off => false,
-        // The paper's policy: engage child kernels only when the batch
-        // cannot saturate the device on its own.
-        DynamicParallelism::Auto => (bat as u32) < dev.profile().saturating_blocks,
-    };
-    let mssp_opts = MsspOptions {
-        delta,
-        dynamic_parallelism: dynamic,
-        heavy_degree_threshold: opts.heavy_degree_threshold,
-        exec: opts.exec,
-    };
+    /// The first store row not yet final. Every row below it is.
+    cursor: usize,
+}
 
-    // Graph occupies the device for the entire run (the `S` term).
-    let graph_hold: apsp_gpu_sim::DeviceBuffer<u8> = dev.alloc(g.storage_bytes())?;
+impl Rungs for Batches<'_> {
+    type Stats = JohnsonRunStats;
 
-    let start = dev.elapsed().seconds();
-    let s0 = dev.default_stream();
-    let s1 = if opts.overlap_transfers {
-        dev.create_stream()
-    } else {
-        s0
-    };
-    let tel = sup.telemetry().clone();
-    let mut work = NearFarStats::default();
-    let mut num_batches = 0usize;
-    let mut host_panel = vec![0 as Dist; bat * n];
-    let sources: Vec<VertexId> = (start_row as VertexId..n as VertexId).collect();
-    for (bi, chunk) in sources.chunks(bat).enumerate() {
-        num_batches += 1;
-        store.set_sdc_round(bi);
-        let ph = tel.phase_start(dev);
-        // Alternate streams so the previous panel's D2H overlaps this
-        // batch's kernel.
-        let stream = if opts.overlap_transfers && bi % 2 == 1 {
-            s1
+    fn algorithm(&self) -> &'static str {
+        match self.sink {
+            Sink::Store { .. } => "out-of-core Johnson's",
+            Sink::Panel { .. } => "out-of-core Johnson's (partial)",
+        }
+    }
+
+    fn store(&mut self) -> Option<&mut TileStore> {
+        match &mut self.sink {
+            Sink::Store { store, .. } => Some(store),
+            Sink::Panel { .. } => None,
+        }
+    }
+
+    fn span_device(&self) -> (&GpuDevice, Option<usize>) {
+        (self.dev, None)
+    }
+
+    /// One pass over the sources from the cursor at a fixed `bat`,
+    /// committing to the checkpoint (when present) after each batch's
+    /// rows land in the store.
+    fn attempt(
+        &mut self,
+        sup: &Supervisor,
+        guard: &mut SdcGuard,
+        commits: &mut u32,
+    ) -> Result<JohnsonRunStats, ApspError> {
+        let (dev, g, opts) = (&mut *self.dev, self.g, self.opts);
+        let n = g.num_vertices();
+        if self.bat == 0 {
+            let bat = batch_size(dev, g, opts.queue_words_per_edge)?;
+            self.bat = match &self.sink {
+                // Two result panels (distances + parents) share the device.
+                Sink::Store {
+                    parents: Some(_), ..
+                } => (bat / 2).max(1),
+                Sink::Store { .. } => bat,
+                Sink::Panel { sources, .. } => bat.min(sources.len()),
+            };
+        }
+        let bat = self.bat;
+        let (sources, span, barrier): (Cow<[VertexId]>, _, _) = match self.sink {
+            Sink::Store { .. } => (
+                (self.cursor as VertexId..n as VertexId).collect(),
+                "johnson.batch",
+                "Johnson batch",
+            ),
+            Sink::Panel { sources, .. } => (
+                sources.into(),
+                "johnson.sources_batch",
+                "Johnson sources batch",
+            ),
+        };
+        let delta = opts
+            .delta
+            .unwrap_or_else(|| apsp_kernels::nearfar::default_delta(g));
+        let dynamic = match opts.dynamic_parallelism {
+            DynamicParallelism::On => true,
+            DynamicParallelism::Off => false,
+            // The paper's policy: engage child kernels only when the batch
+            // cannot saturate the device on its own.
+            DynamicParallelism::Auto => (bat as u32) < dev.profile().saturating_blocks,
+        };
+        let mssp_opts = MsspOptions {
+            delta,
+            dynamic_parallelism: dynamic,
+            heavy_degree_threshold: opts.heavy_degree_threshold,
+            exec: opts.exec,
+        };
+
+        // Graph occupies the device for the entire run (the `S` term).
+        let graph_hold: apsp_gpu_sim::DeviceBuffer<u8> = dev.alloc(g.storage_bytes())?;
+
+        let start = dev.elapsed().seconds();
+        let s0 = dev.default_stream();
+        let s1 = if opts.overlap_transfers {
+            dev.create_stream()
         } else {
             s0
         };
-        let mut panel = DeviceMatrix::alloc_inf(dev, chunk.len(), n)?;
-        if let Some(ps) = parent_store.as_deref_mut() {
-            let mut parents_panel = DeviceMatrix::alloc_inf(dev, chunk.len(), n)?;
-            let outcome = apsp_kernels::mssp::mssp_kernel_with_parents(
-                dev,
-                stream,
-                g,
-                chunk,
-                &mut panel,
-                &mut parents_panel,
-                mssp_opts,
-            );
+        let tel = sup.telemetry();
+        let mut work = NearFarStats::default();
+        let mut host_panel = match self.sink {
+            Sink::Store { .. } => vec![0 as Dist; bat * n],
+            Sink::Panel { .. } => Vec::new(),
+        };
+        for (bi, chunk) in sources.chunks(bat).enumerate() {
+            let rows = chunk.len();
+            if let Sink::Store { store, .. } = &mut self.sink {
+                store.set_sdc_round(bi);
+            }
+            let ph = tel.phase_start(dev);
+            // Alternate streams so the previous panel's D2H overlaps this
+            // batch's kernel.
+            let stream = if opts.overlap_transfers && bi % 2 == 1 {
+                s1
+            } else {
+                s0
+            };
+            let mut panel = DeviceMatrix::alloc_inf(dev, rows, n)?;
+            let mut parents_panel = match self.sink {
+                Sink::Store {
+                    parents: Some(_), ..
+                } => Some(DeviceMatrix::alloc_inf(dev, rows, n)?),
+                _ => None,
+            };
+            let outcome = match &mut parents_panel {
+                Some(pp) => {
+                    mssp_kernel_with_parents(dev, stream, g, chunk, &mut panel, pp, mssp_opts)
+                }
+                None => mssp_kernel(dev, stream, g, chunk, &mut panel, mssp_opts),
+            };
             work.merge(&outcome.stats);
-            let host = &mut host_panel[..chunk.len() * n];
-            parents_panel.download_rows(dev, stream, 0..chunk.len(), host, Pinning::Pinned);
-            ps.write_rows(chunk[0] as usize, host)?;
-        } else {
-            let outcome = mssp_kernel(dev, stream, g, chunk, &mut panel, mssp_opts);
-            work.merge(&outcome.stats);
-        }
-        let host = &mut host_panel[..chunk.len() * n];
-        panel.download_rows(dev, stream, 0..chunk.len(), host, Pinning::Pinned);
-        store.write_rows(chunk[0] as usize, host)?;
-        tel.phase_end(dev, ph, "johnson.batch");
-        // Supervision check at the natural barrier: this batch's rows
-        // are down; everything committed so far stays resumable. Reads
-        // the makespan clock (`elapsed`), not `synchronize` — a real
-        // barrier would serialize the overlap streams.
-        sup.check_barrier(
-            dev.elapsed().seconds(),
-            &format!("Johnson batch {bi} barrier"),
-        )?;
-        // Natural commit point: every row below the cursor is final.
-        // The last batch is not committed — completion clears the
-        // checkpoint, and a crash after it replays one batch (exact:
-        // rows are recomputed from the graph).
-        let next_row = chunk[0] as usize + chunk.len();
-        // Invariant guard BEFORE the commit, so a committed snapshot is
-        // never taken across undetected corruption.
-        let completed: Vec<usize> = (0..next_row).collect();
-        guard.check_completed_rows(store, bi, &completed)?;
-        if let Some(ck) = ckpt {
-            if next_row < n {
-                ck.commit(
-                    store,
-                    &Progress::Johnson {
-                        batch_size: bat,
-                        next_row,
-                    },
-                )?;
-                *commits += 1;
+            match &mut self.sink {
+                Sink::Store { store, parents, .. } => {
+                    let host = &mut host_panel[..rows * n];
+                    if let (Some(ps), Some(pp)) = (parents, parents_panel) {
+                        pp.download_rows(dev, stream, 0..rows, host, Pinning::Pinned);
+                        ps.write_rows(chunk[0] as usize, host)?;
+                    }
+                    panel.download_rows(dev, stream, 0..rows, host, Pinning::Pinned);
+                    store.write_rows(chunk[0] as usize, host)?;
+                }
+                Sink::Panel { out, .. } => {
+                    let first = bi * bat;
+                    let host = &mut out[first * n..(first + rows) * n];
+                    panel.download_rows(dev, stream, 0..rows, host, Pinning::Pinned);
+                }
+            }
+            tel.phase_end(dev, ph, span);
+            // Supervision check at the natural barrier: this batch's rows
+            // are down; everything committed so far stays resumable. Reads
+            // the makespan clock (`elapsed`), not `synchronize` — a real
+            // barrier would serialize the overlap streams.
+            sup.check_barrier(dev.elapsed().seconds(), &format!("{barrier} {bi} barrier"))?;
+            let Sink::Store { store, ckpt, .. } = &mut self.sink else {
+                continue;
+            };
+            // Natural commit point: every row below the cursor is final.
+            // The last batch is not committed — completion clears the
+            // checkpoint, and a crash after it replays one batch (exact:
+            // rows are recomputed from the graph).
+            let next_row = chunk[0] as usize + rows;
+            // Invariant guard BEFORE the commit, so a committed snapshot is
+            // never taken across undetected corruption.
+            let completed: Vec<usize> = (0..next_row).collect();
+            guard.check_completed_rows(store, bi, &completed)?;
+            if let Some(ck) = ckpt {
+                if next_row < n {
+                    ck.commit(
+                        store,
+                        &Progress::Johnson {
+                            batch_size: bat,
+                            next_row,
+                        },
+                    )?;
+                    *commits += 1;
+                }
             }
         }
+        drop(graph_hold);
+        let sim_seconds = dev.synchronize().seconds() - start;
+        Ok(JohnsonRunStats {
+            batch_size: bat,
+            num_batches: sources.len().div_ceil(bat),
+            dynamic_parallelism: dynamic,
+            work,
+            sim_seconds,
+            ..Default::default()
+        })
     }
-    drop(graph_hold);
-    let sim_seconds = dev.synchronize().seconds() - start;
-    Ok(JohnsonRunStats {
-        batch_size: bat,
-        num_batches,
-        dynamic_parallelism: dynamic,
-        work,
-        sim_seconds,
-        retries: 0,
-        checkpoint_commits: 0,
-        sdc_panel_recoveries: 0,
-        sdc_round_recoveries: 0,
-    })
+
+    // Johnson rows never feed each other — every source row is
+    // recomputed from the graph alone — so restarting the batch pass at
+    // the corrupt panel's first row is exact and leaves the rows below
+    // it untouched.
+    fn recover_panel(&mut self, panel: usize) -> Result<(), ApspError> {
+        let n = self.g.num_vertices();
+        self.cursor = (panel * SDC_PANEL_ROWS).min(n);
+        // The rewrite reaches the corrupt row batch by batch; re-seed the
+        // registry for everything being recomputed so the stale mismatch
+        // cannot re-fire at an earlier batch barrier.
+        let rows = self.cursor..n;
+        if let Some(store) = self.store() {
+            store.sdc_rebaseline(rows)?;
+        }
+        Ok(())
+    }
+
+    // Unlocalized (or panel budget spent): recompute every source, from
+    // panel 0's first row. Still exact for the same reason.
+    fn recover_round(&mut self) -> Result<(), ApspError> {
+        self.recover_panel(0)
+    }
+
+    fn shrink(&mut self, oom: OutOfDeviceMemory) -> Result<(), ApspError> {
+        if self.bat <= 1 {
+            return Err(ApspError::DeviceTooSmall {
+                algorithm: self.algorithm(),
+                detail: format!("allocation kept failing at the minimum batch of 1: {oom}"),
+            });
+        }
+        // Re-fit against current free memory too — the device may have
+        // shrunk since the batch was first sized (and batch_size re-checks
+        // that the graph still fits at all).
+        let fit = batch_size(self.dev, self.g, self.opts.queue_words_per_edge)?;
+        self.bat = (self.bat / 2).min(fit);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_ctx::durable;
+    use crate::run_ctx::{durable, test_dir};
     use crate::tile_store::StorageBackend;
     use apsp_cpu::bgl_plus_apsp;
     use apsp_gpu_sim::DeviceProfile;
@@ -592,15 +504,6 @@ mod tests {
         let stats = ooc_johnson(dev, g, &mut store, opts).unwrap();
         assert!(stats.num_batches >= 1);
         store.to_dist_matrix().unwrap()
-    }
-
-    #[test]
-    fn matches_reference_multi_batch() {
-        let g = gnp(150, 0.04, WeightRange::default(), 19);
-        // Small device → several batches.
-        let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(512 << 10));
-        let result = run_johnson(&g, &mut dev, &JohnsonOptions::default());
-        assert_eq!(result, bgl_plus_apsp(&g));
     }
 
     #[test]
@@ -664,17 +567,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_expose_batching() {
-        let g = gnp(120, 0.05, WeightRange::default(), 12);
-        let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(256 << 10));
-        let mut store = TileStore::new(120, &StorageBackend::Memory).unwrap();
-        let stats = ooc_johnson(&mut dev, &g, &mut store, &JohnsonOptions::default()).unwrap();
-        assert_eq!(stats.num_batches, 120usize.div_ceil(stats.batch_size));
-        assert!(stats.work.total_relaxations() > 0);
-        assert!(stats.sim_seconds > 0.0);
-    }
-
-    #[test]
     fn parents_variant_streams_a_valid_predecessor_matrix() {
         use crate::paths::path_from_parent_store;
         let g = gnp(130, 0.05, WeightRange::new(1, 40), 31);
@@ -719,50 +611,11 @@ mod tests {
     }
 
     #[test]
-    fn transient_alloc_fault_recovers_exactly() {
-        let g = gnp(150, 0.04, WeightRange::default(), 19);
-        let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(512 << 10));
-        let mut store = TileStore::new(150, &StorageBackend::Memory).unwrap();
-        // Allocation 1 is the graph hold, allocation 2 the first result
-        // panel: fail the panel, expect one restart and an exact matrix.
-        dev.inject_alloc_failure(2);
-        let stats = ooc_johnson(&mut dev, &g, &mut store, &JohnsonOptions::default()).unwrap();
-        assert_eq!(stats.retries, 1);
-        assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
-    }
-
-    #[test]
-    fn repeated_alloc_faults_halve_batch_and_stay_exact() {
-        let g = gnp(150, 0.04, WeightRange::default(), 20);
-        let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(512 << 10));
-        let opts = JohnsonOptions::default();
-        let initial_bat = batch_size(&dev, &g, opts.queue_words_per_edge).unwrap();
-        let mut store = TileStore::new(150, &StorageBackend::Memory).unwrap();
-        // Attempt 1 dies at its 2nd allocation; the leftover countdown
-        // (4 − 2 = 2) kills the same-bat retry at its 2nd allocation too,
-        // forcing a halved batch.
-        dev.inject_alloc_failure(2);
-        dev.inject_alloc_failure(4);
-        let stats = ooc_johnson(&mut dev, &g, &mut store, &opts).unwrap();
-        assert_eq!(stats.retries, 2);
-        assert_eq!(stats.batch_size, initial_bat / 2);
-        assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
-    }
-
-    fn ckpt_dir(name: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir()
-            .join("apsp_ooc_johnson_ckpt")
-            .join(name);
-        let _ = std::fs::remove_dir_all(&d);
-        d
-    }
-
-    #[test]
     fn checkpointed_clean_run_commits_per_batch_and_clears() {
         let g = gnp(150, 0.04, WeightRange::default(), 19);
         let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(512 << 10));
         let mut store = TileStore::new(150, &StorageBackend::Memory).unwrap();
-        let ckpt = Checkpoint::new(ckpt_dir("clean"), &g).unwrap();
+        let ckpt = Checkpoint::new(test_dir("johnson_clean"), &g).unwrap();
         let stats = run(
             &mut dev,
             &g,
@@ -780,7 +633,7 @@ mod tests {
     #[test]
     fn interrupted_run_resumes_skipping_committed_rows() {
         let g = gnp(150, 0.04, WeightRange::default(), 25);
-        let dir = ckpt_dir("resume");
+        let dir = test_dir("johnson_resume");
         // 256 KiB → several batches of well under 150 sources.
         let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(256 << 10));
         let mut store = TileStore::new(150, &StorageBackend::Memory).unwrap();
@@ -820,67 +673,6 @@ mod tests {
         assert!(stats.num_batches < 150usize.div_ceil(stats.batch_size) + 1);
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
         assert!(ckpt.load().unwrap().is_none());
-    }
-
-    #[test]
-    fn injected_flips_recover_bit_identical() {
-        use crate::options::SdcGuardMode;
-        let g = gnp(150, 0.04, WeightRange::default(), 19);
-        let reference = bgl_plus_apsp(&g);
-        // Johnson writes exactly one op per source row (150 total), so
-        // these ordinals land in the first, middle, and final batches.
-        for (after_ops, bit) in [(30u64, 11u64), (90, 3), (145, 25)] {
-            let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(512 << 10));
-            let mut store = TileStore::new(150, &StorageBackend::Memory).unwrap();
-            store.set_sdc_guard(SdcGuardMode::Checksum).unwrap();
-            store.arm_bit_flip(after_ops, bit);
-            let opts = JohnsonOptions {
-                sdc_guard: SdcGuardMode::Checksum,
-                ..Default::default()
-            };
-            let stats = ooc_johnson(&mut dev, &g, &mut store, &opts).unwrap();
-            assert!(
-                stats.sdc_panel_recoveries + stats.sdc_round_recoveries >= 1,
-                "flip after {after_ops} ops went unnoticed"
-            );
-            assert_eq!(
-                store.to_dist_matrix().unwrap(),
-                reference,
-                "flip after {after_ops} ops"
-            );
-        }
-    }
-
-    #[test]
-    fn exhausted_recovery_budget_surfaces_typed() {
-        use crate::options::SdcGuardMode;
-        use crate::supervisor::{RetryPolicy, SupervisionOptions};
-        let g = gnp(150, 0.04, WeightRange::default(), 19);
-        let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(512 << 10));
-        let mut store = TileStore::new(150, &StorageBackend::Memory).unwrap();
-        store.set_sdc_guard(SdcGuardMode::Checksum).unwrap();
-        store.arm_bit_flip(60, 9);
-        let sup = Supervisor::new(
-            &SupervisionOptions {
-                retry: RetryPolicy {
-                    sdc_panel_retries: 0,
-                    sdc_round_retries: 0,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-            0.0,
-        );
-        let opts = JohnsonOptions {
-            sdc_guard: SdcGuardMode::Checksum,
-            ..Default::default()
-        };
-        let ctx = RunCtx {
-            supervisor: Some(&sup),
-            ..Default::default()
-        };
-        let err = run(&mut dev, &g, &mut store, &opts, &ctx).unwrap_err();
-        assert_eq!(err.kind(), crate::ApspErrorKind::SilentCorruption, "{err}");
     }
 
     #[test]
@@ -926,28 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn partial_sources_recover_from_transient_alloc_fault() {
-        let g = gnp(150, 0.04, WeightRange::default(), 19);
-        let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(512 << 10));
-        let sources: Vec<VertexId> = (0..40).collect();
-        // Allocation 1 is the graph hold, 2 the first panel.
-        dev.inject_alloc_failure(2);
-        let (rows, stats) = ooc_johnson_sources(
-            &mut dev,
-            &g,
-            &sources,
-            &JohnsonOptions::default(),
-            &Supervisor::unarmed(),
-        )
-        .unwrap();
-        assert_eq!(stats.retries, 1);
-        for (i, &s) in sources.iter().enumerate() {
-            let want = apsp_cpu::dijkstra_sssp(&g, s);
-            assert_eq!(&rows[i * 150..(i + 1) * 150], &want[..], "source {s}");
-        }
-    }
-
-    #[test]
     fn partial_sources_reject_out_of_range() {
         let g = gnp(50, 0.1, WeightRange::default(), 2);
         let mut dev = GpuDevice::new(DeviceProfile::v100());
@@ -962,56 +732,26 @@ mod tests {
         assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput);
     }
 
-    fn zero_delta() -> JohnsonOptions {
-        JohnsonOptions {
+    /// `delta = Some(0)` is a typed `InvalidInput` at all three entry
+    /// points, never a panic inside the kernel.
+    #[test]
+    fn zero_delta_is_invalid_input_at_every_entry_point() {
+        let g = gnp(64, 0.1, WeightRange::default(), 1);
+        let opts = JohnsonOptions {
             delta: Some(0),
             ..Default::default()
-        }
-    }
-
-    #[test]
-    fn zero_delta_run_is_invalid_input() {
-        let g = gnp(64, 0.1, WeightRange::default(), 1);
-        let mut dev = GpuDevice::new(DeviceProfile::v100());
-        let mut store = TileStore::new(64, &StorageBackend::Memory).unwrap();
-        let err = run(&mut dev, &g, &mut store, &zero_delta(), &RunCtx::default()).unwrap_err();
-        assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput, "{err}");
-    }
-
-    #[test]
-    fn zero_delta_with_parents_is_invalid_input() {
-        let g = gnp(64, 0.1, WeightRange::default(), 1);
+        };
         let mut dev = GpuDevice::new(DeviceProfile::v100());
         let mut store = TileStore::new(64, &StorageBackend::Memory).unwrap();
         let mut parents = TileStore::new(64, &StorageBackend::Memory).unwrap();
-        let err = ooc_johnson_with_parents(&mut dev, &g, &mut store, &mut parents, &zero_delta())
-            .unwrap_err();
-        assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput, "{err}");
-    }
-
-    #[test]
-    fn partial_sources_reject_zero_delta() {
-        let g = gnp(64, 0.1, WeightRange::default(), 1);
-        let mut dev = GpuDevice::new(DeviceProfile::v100());
-        let err = ooc_johnson_sources(&mut dev, &g, &[3], &zero_delta(), &Supervisor::unarmed())
-            .unwrap_err();
-        assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput, "{err}");
-    }
-
-    #[test]
-    fn partial_sources_empty_inputs() {
-        let g = gnp(30, 0.1, WeightRange::default(), 2);
-        let mut dev = GpuDevice::new(DeviceProfile::v100());
-        let (rows, stats) = ooc_johnson_sources(
-            &mut dev,
-            &g,
-            &[],
-            &JohnsonOptions::default(),
-            &Supervisor::unarmed(),
-        )
-        .unwrap();
-        assert!(rows.is_empty());
-        assert_eq!(stats.num_batches, 0);
+        let errs = [
+            run(&mut dev, &g, &mut store, &opts, &RunCtx::default()).unwrap_err(),
+            ooc_johnson_with_parents(&mut dev, &g, &mut store, &mut parents, &opts).unwrap_err(),
+            ooc_johnson_sources(&mut dev, &g, &[3], &opts, &Supervisor::unarmed()).unwrap_err(),
+        ];
+        for err in errs {
+            assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput, "{err}");
+        }
     }
 
     #[test]

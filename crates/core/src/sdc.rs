@@ -64,10 +64,11 @@ fn compose(d_ik: Dist, d_kj: Dist) -> u64 {
     (sat(d_ik) + sat(d_kj)).min(INF as u64)
 }
 
-/// Barrier-evaluated invariant guard. One lives in each supervised
-/// driver loop; the driver calls [`SdcGuard::check_round`] (FW) or
-/// [`SdcGuard::check_completed_rows`] (Johnson, boundary) right after
-/// each barrier it already synchronizes on.
+/// Barrier-evaluated invariant guard. One lives in the recovery ladder
+/// each driver run climbs; the driver's attempt calls
+/// [`SdcGuard::check_round`] (FW) or [`SdcGuard::check_completed_rows`]
+/// (Johnson, boundary on one device or a fleet) right after each
+/// barrier it already synchronizes on.
 #[derive(Debug)]
 pub struct SdcGuard {
     mode: SdcGuardMode,

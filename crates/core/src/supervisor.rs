@@ -17,8 +17,8 @@
 //!   when no barrier commits within the progress budget — the signal
 //!   the fallback chain in [`crate::api::apsp`] uses to re-enter the
 //!   selector with the failed algorithm masked;
-//! * a **[`RetryPolicy`]** shared by all three drivers, replacing their
-//!   copy-pasted retry-then-halve loops: bounded attempts, exponential
+//! * a **[`RetryPolicy`]** that the one recovery ladder every driver
+//!   runs under (`run_ctx::climb`) applies: bounded attempts, exponential
 //!   backoff with seeded jitter (recorded, never slept — the simulator
 //!   owns time), and transient-vs-fatal classification over
 //!   [`ApspErrorKind`].
@@ -193,16 +193,16 @@ pub(crate) fn splitmix64(state: &mut u64) -> u64 {
 
 /// What a driver should do with its geometry after a transient failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryStep {
+pub(crate) enum RetryStep {
     /// Re-run at the same geometry (one-shot faults may clear).
     SameGeometry,
     /// Halve the working-set geometry (tile side, batch, components).
     Shrink,
 }
 
-/// Per-run retry state: one lives in each driver loop.
+/// Per-run retry state: one lives in `run_ctx::climb`.
 #[derive(Debug)]
-pub struct RetryState {
+pub(crate) struct RetryState {
     policy: RetryPolicy,
     algorithm: &'static str,
     retries: u32,
@@ -212,7 +212,7 @@ pub struct RetryState {
 
 impl RetryState {
     /// Fresh state for one driver run.
-    pub fn new(policy: &RetryPolicy, algorithm: &'static str) -> RetryState {
+    pub(crate) fn new(policy: &RetryPolicy, algorithm: &'static str) -> RetryState {
         RetryState {
             policy: *policy,
             algorithm,
@@ -223,7 +223,7 @@ impl RetryState {
     }
 
     /// Transient failures absorbed so far (the drivers' `retries` stat).
-    pub fn retries(&self) -> u32 {
+    pub(crate) fn retries(&self) -> u32 {
         self.retries
     }
 
@@ -235,7 +235,7 @@ impl RetryState {
     /// failure (handed back so the driver's geometry-floor message can
     /// cite it), and record a [`SupervisionEvent::Retry`] with the
     /// jittered backoff.
-    pub fn next_step(
+    pub(crate) fn next_step(
         &mut self,
         err: ApspError,
         sup: &Supervisor,
@@ -666,36 +666,5 @@ mod tests {
             .next_step(ApspError::OutOfDeviceMemory(oom()), &sup)
             .unwrap_err();
         assert_eq!(exhausted.kind(), ApspErrorKind::OutOfDeviceMemory);
-    }
-
-    #[test]
-    fn retry_events_are_a_pure_function_of_the_seed() {
-        let oom = || OutOfDeviceMemory {
-            requested: 64,
-            available: 0,
-            capacity: 64,
-        };
-        let run = || {
-            let sup = Supervisor::unarmed();
-            let mut rs = RetryState::new(&RetryPolicy::default(), "test");
-            for _ in 0..5 {
-                rs.next_step(ApspError::OutOfDeviceMemory(oom()), &sup)
-                    .unwrap();
-            }
-            sup.events()
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 5);
-        // Backoffs grow (exponential base dominates the jitter).
-        let backs: Vec<u64> = a
-            .iter()
-            .map(|e| match e {
-                SupervisionEvent::Retry { backoff_ms, .. } => *backoff_ms,
-                other => panic!("unexpected event {other:?}"),
-            })
-            .collect();
-        assert!(backs.windows(2).all(|w| w[0] < w[1]), "{backs:?}");
     }
 }

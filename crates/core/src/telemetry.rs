@@ -162,23 +162,13 @@ impl Telemetry {
     /// under `name`. Returns the span's duration (for callers that need
     /// the realized time of a failed attempt), or `None` when disabled.
     pub fn phase_end(&self, dev: &GpuDevice, start: Option<PhaseStart>, name: &str) -> Option<f64> {
-        self.close_span(dev, start, name, None)
+        self.phase_end_on_device(dev, start, name, None)
     }
 
     /// [`Telemetry::phase_end`] for multi-device runs: tags the span with
-    /// the fleet device index it ran on, so the JSONL record carries a
-    /// `device` field.
+    /// the fleet device index it ran on, if any, so the JSONL record
+    /// carries a `device` field.
     pub fn phase_end_on_device(
-        &self,
-        dev: &GpuDevice,
-        start: Option<PhaseStart>,
-        name: &str,
-        device: usize,
-    ) -> Option<f64> {
-        self.close_span(dev, start, name, Some(device))
-    }
-
-    fn close_span(
         &self,
         dev: &GpuDevice,
         start: Option<PhaseStart>,

@@ -783,7 +783,7 @@ impl TileStore {
 
     /// The writer behind [`Self::persist`] and [`Self::overwrite`]:
     /// the persisted form into `file` from byte 0, with positional
-    /// writes, then `sync_all`. The rows go LANES checksum panels at a
+    /// writes, unsynced. The rows go LANES checksum panels at a
     /// time: one export read, one lockstep hash of those panels' footer
     /// entries, one write. Returns the footer.
     fn write_snapshot(&self, file: &File) -> io::Result<Vec<u64>> {
@@ -814,7 +814,6 @@ impl TileStore {
             tail.extend_from_slice(&h.to_le_bytes());
         }
         file.write_all_at(&tail, PERSIST_HEADER_BYTES + (n * n * CELL) as u64)?;
-        file.sync_all()?;
         Ok(footer)
     }
 
@@ -847,41 +846,18 @@ impl TileStore {
     /// [`SDC_PANEL_ROWS`] rows, the last panel possibly shorter. The
     /// call returns those checksums, the footer it wrote.
     ///
-    /// The write is **atomic**: data lands in a temporary sibling file,
-    /// is `sync_all`ed, and only then renamed over `path` — a crash or
-    /// `ENOSPC` mid-persist can never leave a torn file at `path`
-    /// (either the old content or the new content is there, whole).
+    /// The write is **atomic** and durable: data lands in a temporary
+    /// sibling file, is `sync_all`ed, renamed over `path`, and the
+    /// directory is synced — a crash or `ENOSPC` mid-persist can never
+    /// leave a torn file at `path` (either the old content or the new
+    /// content is there, whole).
     ///
     /// A `Disk`-backed store refuses to persist into its own spill
     /// directory.
     pub fn persist<P: AsRef<Path>>(&self, path: P) -> io::Result<Vec<u64>> {
         let path = path.as_ref();
         self.check_persist_target(path)?;
-        let file_name = path.file_name().ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "persist target has no file name",
-            )
-        })?;
-        let tmp = parent_dir(path).join(format!(
-            ".{}.tmp.{}",
-            file_name.to_string_lossy(),
-            std::process::id()
-        ));
-        let result = (|| -> io::Result<Vec<u64>> {
-            let file = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&tmp)?;
-            let footer = self.write_snapshot(&file)?;
-            std::fs::rename(&tmp, path)?;
-            Ok(footer)
-        })();
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        result
+        write_atomic(path, |file| self.write_snapshot(file))
     }
 
     /// [`Self::persist`] without the temp file: `path` is created if
@@ -897,7 +873,9 @@ impl TileStore {
             .truncate(false)
             .open(path)?;
         file.set_len(self.persisted_len())?;
-        self.write_snapshot(&file)
+        let footer = self.write_snapshot(&file)?;
+        file.sync_all()?;
+        Ok(footer)
     }
 
     /// The read-back check of a checkpoint commit, on a store
@@ -1065,6 +1043,50 @@ fn parent_dir(path: &Path) -> &Path {
         Some(p) if !p.as_os_str().is_empty() => p,
         _ => Path::new("."),
     }
+}
+
+/// Write `path` atomically and durably: `write` fills a temp sibling
+/// `.<name>.tmp.<pid>`, which is `sync_all`ed and renamed over `path`,
+/// and then the directory is `sync_all`ed too, so after a power loss the
+/// rename (and a file newly created beside it) is not lost. On error the
+/// temp file is removed and `path` keeps what it held.
+pub(crate) fn write_atomic<T>(
+    path: &Path,
+    write: impl FnOnce(&File) -> io::Result<T>,
+) -> io::Result<T> {
+    let file_name = path.file_name().ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "persist target has no file name",
+        )
+    })?;
+    let dir = parent_dir(path);
+    let tmp = dir.join(format!(
+        ".{}.tmp.{}",
+        file_name.to_string_lossy(),
+        std::process::id()
+    ));
+    let result = (|| {
+        let file = File::create(&tmp)?;
+        let out = write(&file)?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        #[cfg(test)]
+        DIR_SYNCS.set(DIR_SYNCS.get() + 1);
+        File::open(dir)?.sync_all()?;
+        Ok(out)
+    })();
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Directory syncs [`write_atomic`] issued on this thread, for the
+    /// tests that pin them.
+    pub(crate) static DIR_SYNCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Whether two directory paths name the same directory, resolving

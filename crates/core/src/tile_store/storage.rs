@@ -11,7 +11,7 @@
 //! they charge nothing: fault plans, crash points, supervision and the
 //! checksum registry all sit above them.
 
-use super::{StorageBackend, DEFAULT_SHARD_BYTES};
+use super::{StorageBackend, DEFAULT_SHARD_BYTES, SDC_PANEL_ROWS};
 use apsp_graph::{Dist, INF};
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -84,29 +84,32 @@ impl Backing {
     /// convention every algorithm writes over. A spill starts row-major
     /// and splits at `shard_bytes` (at least one row per file).
     pub(super) fn new(n: usize, backend: &StorageBackend) -> io::Result<Backing> {
-        let mut backing = match backend {
-            StorageBackend::Memory => Backing::Memory {
-                cells: vec![0; n * n],
-                n,
-            },
-            StorageBackend::Disk(dir) => Backing::Disk(DiskBacking::spill(
-                Layout::new(n, n),
-                dir,
-                DEFAULT_SHARD_BYTES,
-            )?),
+        let disk = match backend {
+            StorageBackend::Memory => {
+                let mut cells = vec![INF; n * n];
+                cells.iter_mut().step_by(n + 1).for_each(|d| *d = 0);
+                return Ok(Backing::Memory { cells, n });
+            }
+            StorageBackend::Disk(dir) => {
+                DiskBacking::spill(Layout::new(n, n), dir, DEFAULT_SHARD_BYTES)?
+            }
             StorageBackend::DiskSharded { dir, shard_bytes } => {
-                Backing::Disk(DiskBacking::spill(Layout::new(n, n), dir, *shard_bytes)?)
+                DiskBacking::spill(Layout::new(n, n), dir, *shard_bytes)?
             }
         };
-        // Every row is written once, a row at a time, so even a huge
-        // spill never needs n² RAM.
-        let mut row = vec![INF; n];
-        for i in 0..n {
-            row[i] = 0;
-            backing.write(i..i + 1, 0..n, cast_bytes(&row))?;
-            row[i] = INF;
+        // One write per panel of SDC_PANEL_ROWS rows from one reused
+        // buffer, so even a huge spill never needs n² RAM.
+        let mut panel = vec![INF; SDC_PANEL_ROWS.min(n) * n];
+        for first in (0..n).step_by(SDC_PANEL_ROWS) {
+            let rows = first..(first + SDC_PANEL_ROWS).min(n);
+            let cells = &mut panel[..rows.len() * n];
+            cells.fill(INF);
+            for (r, i) in rows.clone().enumerate() {
+                cells[r * n + i] = 0;
+            }
+            disk.write(rows, 0..n, cast_bytes(cells))?;
         }
-        Ok(backing)
+        Ok(Backing::Disk(disk))
     }
 
     /// A persisted row-major file opened in place: the `n × n` payload
