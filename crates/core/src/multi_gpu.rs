@@ -436,6 +436,16 @@ mod tests {
     }
 
     #[test]
+    fn empty_graph_is_trivial() {
+        let g = apsp_graph::GraphBuilder::new(0).build();
+        let mut devs = devices(2);
+        let mut store = TileStore::new(0, &StorageBackend::Memory).unwrap();
+        let stats =
+            ooc_boundary_multi(&mut devs, &g, &mut store, &BoundaryOptions::default()).unwrap();
+        assert_eq!(stats.sim_seconds, 0.0);
+    }
+
+    #[test]
     fn bad_input_returns_typed_errors_not_panics() {
         let g = grid_2d(6, 6, GridOptions::default(), WeightRange::default(), 1);
         // Empty fleet.
@@ -444,6 +454,13 @@ mod tests {
             ooc_boundary_multi(&mut [], &g, &mut store, &BoundaryOptions::default()).unwrap_err();
         assert_eq!(err.kind(), crate::error::ApspErrorKind::InvalidInput);
         assert!(err.to_string().contains("empty"));
+        // Dimension mismatch.
+        let mut devs = devices(2);
+        let mut wrong = TileStore::new(35, &StorageBackend::Memory).unwrap();
+        let err =
+            ooc_boundary_multi(&mut devs, &g, &mut wrong, &BoundaryOptions::default()).unwrap_err();
+        assert_eq!(err.kind(), crate::error::ApspErrorKind::InvalidInput);
+        assert!(err.to_string().contains("36"));
         // Infeasible partition: a fleet whose smallest device cannot hold
         // even the minimum working set.
         let mut tiny = vec![

@@ -286,13 +286,8 @@ pub(crate) fn partition(
     fits: impl Fn(&PartitionLayout) -> bool,
 ) -> (PartitionLayout, usize) {
     let n = g.num_vertices();
-    let pcfg = PartitionConfig {
-        seed: opts.partition_seed,
-        ..Default::default()
-    };
-    let layout = |k| PartitionLayout::new(g, &kway_partition(g, k, &pcfg));
     if let Some((rk, next)) = resume {
-        let candidate = layout(rk.clamp(1, n));
+        let candidate = kway_layout(g, opts, rk.clamp(1, n));
         if candidate.num_components() == rk && fits(&candidate) {
             return (candidate, next.min(rk));
         }
@@ -303,12 +298,21 @@ pub(crate) fn partition(
         .clamp(1, n)
         .max(min_k.min(n));
     loop {
-        let candidate = layout(k);
+        let candidate = kway_layout(g, opts, k);
         if fits(&candidate) || k <= 2 {
             return (candidate, 0);
         }
         k = (k / 2).max(2);
     }
+}
+
+/// The `k`-way partition of `g` under `opts.partition_seed`.
+fn kway_layout(g: &CsrGraph, opts: &BoundaryOptions, k: usize) -> PartitionLayout {
+    let pcfg = PartitionConfig {
+        seed: opts.partition_seed,
+        ..Default::default()
+    };
+    PartitionLayout::new(g, &kway_partition(g, k, &pcfg))
 }
 
 fn ooc_boundary_inner(
@@ -333,11 +337,7 @@ fn ooc_boundary_inner(
     if start_component == 0 && opts.batch_transfers && !staging_fits(dev, opts, &layout) {
         let k2 = (layout.num_components() * 2).min(n / 2).max(2);
         if k2 > layout.num_components() {
-            let pcfg = PartitionConfig {
-                seed: opts.partition_seed,
-                ..Default::default()
-            };
-            let candidate = PartitionLayout::new(g, &kway_partition(g, k2, &pcfg));
+            let candidate = kway_layout(g, opts, k2);
             if working_set_fits(dev, &candidate) && staging_fits(dev, opts, &candidate) {
                 layout = candidate;
             }
@@ -894,6 +894,20 @@ mod tests {
     }
 
     #[test]
+    fn matches_reference_on_grid() {
+        let g = grid_2d(9, 9, GridOptions::default(), WeightRange::default(), 3);
+        let mut dev = GpuDevice::new(DeviceProfile::v100());
+        let opts = BoundaryOptions {
+            num_components: Some(4),
+            ..Default::default()
+        };
+        let (result, stats) = run_boundary(&g, &mut dev, &opts);
+        assert_eq!(result, bgl_plus_apsp(&g));
+        assert_eq!(stats.num_components, 4);
+        assert!(stats.total_boundary > 0);
+    }
+
+    #[test]
     fn matches_reference_on_geometric() {
         let g = random_geometric(220, 0.09, WeightRange::default(), 11);
         let mut dev = GpuDevice::new(DeviceProfile::v100());
@@ -965,6 +979,21 @@ mod tests {
     }
 
     #[test]
+    fn stats_expose_partition_shape() {
+        let g = grid_2d(10, 10, GridOptions::default(), WeightRange::default(), 17);
+        let mut dev = GpuDevice::new(DeviceProfile::v100());
+        let opts = BoundaryOptions {
+            num_components: Some(6),
+            ..Default::default()
+        };
+        let (_, stats) = run_boundary(&g, &mut dev, &opts);
+        assert_eq!(stats.num_components, 6);
+        assert!(stats.max_component >= 100 / 6);
+        assert!(stats.n_row >= 1);
+        assert!(stats.sim_seconds > 0.0);
+    }
+
+    #[test]
     fn tiny_device_shrinks_k_or_errors() {
         let g = grid_2d(12, 12, GridOptions::default(), WeightRange::default(), 19);
         // Device that can hold some blocks but is tight.
@@ -989,6 +1018,41 @@ mod tests {
             Err(ApspError::DeviceTooSmall { .. }) | Err(ApspError::OutOfDeviceMemory(_)) => {}
             Err(e) => panic!("unexpected error {e}"),
         }
+    }
+
+    #[test]
+    fn transient_alloc_fault_recovers_exactly() {
+        let g = grid_2d(9, 9, GridOptions::default(), WeightRange::default(), 29);
+        let mut dev = GpuDevice::new(DeviceProfile::v100());
+        let mut store = TileStore::new(81, &StorageBackend::Memory).unwrap();
+        let opts = BoundaryOptions {
+            num_components: Some(4),
+            ..Default::default()
+        };
+        // Fail an allocation somewhere in dist₂/dist₃: the run restarts
+        // and still converges.
+        dev.inject_alloc_failure(3);
+        let stats = ooc_boundary(&mut dev, &g, &mut store, &opts).unwrap();
+        assert_eq!(stats.retries, 1);
+        assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
+    }
+
+    #[test]
+    fn repeated_alloc_faults_halve_components_and_stay_exact() {
+        let g = grid_2d(9, 9, GridOptions::default(), WeightRange::default(), 31);
+        let mut dev = GpuDevice::new(DeviceProfile::v100());
+        let mut store = TileStore::new(81, &StorageBackend::Memory).unwrap();
+        let opts = BoundaryOptions {
+            num_components: Some(8),
+            ..Default::default()
+        };
+        // Kill attempt 1 and the same-k retry, forcing halved components.
+        dev.inject_alloc_failure(3);
+        dev.inject_alloc_failure(6);
+        let stats = ooc_boundary(&mut dev, &g, &mut store, &opts).unwrap();
+        assert_eq!(stats.retries, 2);
+        assert_eq!(stats.num_components, 4);
+        assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
     }
 
     #[test]
@@ -1065,6 +1129,71 @@ mod tests {
         };
         let err = run(&mut dev, &g, &mut store, &other_seed, &durable(&ckpt)).unwrap_err();
         assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput, "{err}");
+    }
+
+    #[test]
+    fn injected_flips_recover_bit_identical() {
+        use crate::options::SdcGuardMode;
+        let g = grid_2d(10, 10, GridOptions::default(), WeightRange::default(), 41);
+        let reference = bgl_plus_apsp(&g);
+        // One write op per store row (100 total); cover early, middle,
+        // and late flush groups, and both transfer modes.
+        for batch in [false, true] {
+            for (after_ops, bit) in [(10u64, 11u64), (55, 3), (95, 25)] {
+                let mut dev = GpuDevice::new(DeviceProfile::v100());
+                let mut store = TileStore::new(100, &StorageBackend::Memory).unwrap();
+                store.set_sdc_guard(SdcGuardMode::Checksum).unwrap();
+                store.arm_bit_flip(after_ops, bit);
+                let opts = BoundaryOptions {
+                    num_components: Some(6),
+                    batch_transfers: batch,
+                    sdc_guard: SdcGuardMode::Checksum,
+                    ..Default::default()
+                };
+                let stats = ooc_boundary(&mut dev, &g, &mut store, &opts).unwrap();
+                assert_eq!(
+                    stats.sdc_round_recoveries, 1,
+                    "flip after {after_ops} ops (batch={batch}) went unnoticed"
+                );
+                assert_eq!(
+                    store.to_dist_matrix().unwrap(),
+                    reference,
+                    "flip after {after_ops} ops (batch={batch})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn exhausted_recovery_budget_surfaces_typed() {
+        use crate::options::SdcGuardMode;
+        use crate::supervisor::{RetryPolicy, SupervisionOptions};
+        let g = grid_2d(10, 10, GridOptions::default(), WeightRange::default(), 41);
+        let mut dev = GpuDevice::new(DeviceProfile::v100());
+        let mut store = TileStore::new(100, &StorageBackend::Memory).unwrap();
+        store.set_sdc_guard(SdcGuardMode::Checksum).unwrap();
+        store.arm_bit_flip(40, 9);
+        let sup = Supervisor::new(
+            &SupervisionOptions {
+                retry: RetryPolicy {
+                    sdc_round_retries: 0,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            0.0,
+        );
+        let opts = BoundaryOptions {
+            num_components: Some(6),
+            sdc_guard: SdcGuardMode::Checksum,
+            ..Default::default()
+        };
+        let ctx = RunCtx {
+            supervisor: Some(&sup),
+            ..Default::default()
+        };
+        let err = run(&mut dev, &g, &mut store, &opts, &ctx).unwrap_err();
+        assert_eq!(err.kind(), crate::ApspErrorKind::SilentCorruption, "{err}");
     }
 
     #[test]

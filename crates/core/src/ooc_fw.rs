@@ -462,6 +462,14 @@ mod tests {
     }
 
     #[test]
+    fn matches_reference_with_forced_blocking() {
+        let g = gnp(97, 0.07, WeightRange::default(), 41);
+        let mut dev = small_device();
+        let result = run_fw(&g, &mut dev, &FwOptions::default());
+        assert_eq!(result, bgl_plus_apsp(&g));
+    }
+
+    #[test]
     fn explicit_block_sizes_agree() {
         let g = gnp(64, 0.1, WeightRange::default(), 7);
         let reference = bgl_plus_apsp(&g);
@@ -506,6 +514,21 @@ mod tests {
     }
 
     #[test]
+    fn stats_report_blocking() {
+        let g = gnp(100, 0.05, WeightRange::default(), 9);
+        let mut dev = small_device();
+        let mut store = TileStore::new(100, &StorageBackend::Memory).unwrap();
+        let stats = ooc_floyd_warshall(&mut dev, &g, &mut store, &FwOptions::default()).unwrap();
+        assert!(
+            stats.n_d >= 2,
+            "device sized to force blocking, n_d = {}",
+            stats.n_d
+        );
+        assert_eq!(stats.n_d, 100usize.div_ceil(stats.block));
+        assert!(stats.sim_seconds > 0.0);
+    }
+
+    #[test]
     fn device_too_small_errors_cleanly() {
         let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(1 << 16));
         // Consume almost all memory so not even 1×1 tiles fit.
@@ -514,6 +537,70 @@ mod tests {
         let g = gnp(64, 0.1, WeightRange::default(), 2);
         let err = ooc_floyd_warshall(&mut dev, &g, &mut store, &FwOptions::default());
         assert!(err.is_err());
+    }
+
+    #[test]
+    fn disk_backed_store_works() {
+        let g = gnp(60, 0.1, WeightRange::default(), 5);
+        let dir = std::env::temp_dir().join("apsp_ooc_fw_test");
+        let mut store = TileStore::new(60, &StorageBackend::Disk(dir)).unwrap();
+        let mut dev = small_device();
+        ooc_floyd_warshall(&mut dev, &g, &mut store, &FwOptions::default()).unwrap();
+        assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
+    }
+
+    #[test]
+    fn transient_alloc_fault_recovers_exactly() {
+        let g = gnp(90, 0.07, WeightRange::default(), 21);
+        let mut dev = small_device();
+        let mut store = TileStore::new(90, &StorageBackend::Memory).unwrap();
+        // Fail the 3rd device allocation (mid stage 2 of round 0): the run
+        // restarts on the partially relaxed store and still converges.
+        dev.inject_alloc_failure(3);
+        let stats = ooc_floyd_warshall(&mut dev, &g, &mut store, &FwOptions::default()).unwrap();
+        assert_eq!(stats.retries, 1);
+        assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
+    }
+
+    #[test]
+    fn repeated_alloc_faults_halve_block_and_stay_exact() {
+        let g = gnp(90, 0.07, WeightRange::default(), 22);
+        let mut dev = small_device();
+        let buffers = 5; // FwOptions::default() has overlap on
+        let initial_block = max_block_side(&dev, buffers).min(90);
+        let mut store = TileStore::new(90, &StorageBackend::Memory).unwrap();
+        // Two overlapping faults: the first kills attempt 1 at its 3rd
+        // allocation, the second (countdown 10, so 7 left after attempt 1)
+        // kills the same-block retry too, forcing a halved block.
+        dev.inject_alloc_failure(3);
+        dev.inject_alloc_failure(10);
+        let stats = ooc_floyd_warshall(&mut dev, &g, &mut store, &FwOptions::default()).unwrap();
+        assert_eq!(stats.retries, 2);
+        assert_eq!(stats.block, initial_block / 2);
+        assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
+    }
+
+    #[test]
+    fn forced_block_size_propagates_alloc_fault() {
+        let g = gnp(64, 0.1, WeightRange::default(), 23);
+        let mut dev = small_device();
+        let mut store = TileStore::new(64, &StorageBackend::Memory).unwrap();
+        dev.inject_alloc_failure(2);
+        let opts = FwOptions {
+            block_size: Some(32),
+            ..Default::default()
+        };
+        let err = ooc_floyd_warshall(&mut dev, &g, &mut store, &opts).unwrap_err();
+        assert_eq!(err.kind(), crate::ApspErrorKind::OutOfDeviceMemory);
+    }
+
+    #[test]
+    fn empty_graph() {
+        let g = apsp_graph::GraphBuilder::new(0).build();
+        let mut dev = small_device();
+        let mut store = TileStore::new(0, &StorageBackend::Memory).unwrap();
+        let stats = ooc_floyd_warshall(&mut dev, &g, &mut store, &FwOptions::default()).unwrap();
+        assert_eq!(stats.n_d, 0);
     }
 
     /// A durable, guarded FW run on a spill at n = 97 (block 57, two
@@ -540,6 +627,7 @@ mod tests {
     }
 
     use crate::options::SdcGuardMode;
+    use crate::supervisor::{RetryPolicy, SupervisionOptions};
 
     #[test]
     fn guarded_clean_run_is_bit_identical_to_unguarded() {
@@ -556,6 +644,86 @@ mod tests {
             assert_eq!(stats.sdc_panel_recoveries + stats.sdc_round_recoveries, 0);
             assert_eq!(store.to_dist_matrix().unwrap(), reference, "{mode}");
         }
+    }
+
+    #[test]
+    fn injected_store_flips_are_recovered_bit_identical() {
+        let g = gnp(90, 0.07, WeightRange::default(), 33);
+        let reference = bgl_plus_apsp(&g);
+        // Flip sites spread across the run: early init, stage 2/3 tile
+        // writes, and late rounds. Each must be detected and recovered
+        // to the exact clean result.
+        for (after_ops, bit) in [(50u64, 7u64), (150, 13), (260, 31), (420, 3)] {
+            let mut dev = small_device();
+            let mut store = TileStore::new(90, &StorageBackend::Memory).unwrap();
+            store.set_sdc_guard(SdcGuardMode::Checksum).unwrap();
+            store.arm_bit_flip(after_ops, bit);
+            let opts = FwOptions {
+                sdc_guard: SdcGuardMode::Checksum,
+                ..Default::default()
+            };
+            let stats = ooc_floyd_warshall(&mut dev, &g, &mut store, &opts)
+                .unwrap_or_else(|e| panic!("flip at op {after_ops} not recovered: {e}"));
+            assert!(
+                stats.sdc_panel_recoveries + stats.sdc_round_recoveries >= 1,
+                "flip at op {after_ops} fired before the run ended but no recovery ran"
+            );
+            assert_eq!(
+                store.to_dist_matrix().unwrap(),
+                reference,
+                "flip at op {after_ops} recovered to a different matrix"
+            );
+        }
+    }
+
+    #[test]
+    fn exhausted_recovery_budget_surfaces_typed() {
+        let g = gnp(64, 0.1, WeightRange::default(), 34);
+        let mut dev = small_device();
+        let mut store = TileStore::new(64, &StorageBackend::Memory).unwrap();
+        store.set_sdc_guard(SdcGuardMode::Checksum).unwrap();
+        store.arm_bit_flip(200, 9);
+        let sup = Supervisor::new(
+            &SupervisionOptions {
+                retry: RetryPolicy {
+                    sdc_panel_retries: 0,
+                    sdc_round_retries: 0,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            0.0,
+        );
+        let opts = FwOptions {
+            sdc_guard: SdcGuardMode::Checksum,
+            ..Default::default()
+        };
+        let ctx = RunCtx {
+            supervisor: Some(&sup),
+            ..Default::default()
+        };
+        let err = run(&mut dev, &g, &mut store, &opts, &ctx).unwrap_err();
+        assert_eq!(err.kind(), crate::ApspErrorKind::SilentCorruption, "{err}");
+    }
+
+    #[test]
+    fn checkpointed_flip_recovers_via_snapshot_restore() {
+        let g = gnp(97, 0.07, WeightRange::default(), 36);
+        let reference = bgl_plus_apsp(&g);
+        let mut dev = small_device();
+        let mut store = TileStore::new(97, &StorageBackend::Memory).unwrap();
+        store.set_sdc_guard(SdcGuardMode::Checksum).unwrap();
+        // Fire after round 0's commit (~op 291 of 485), on a row that
+        // gets re-read, so the detection is unlocalized and the round
+        // rung restores the snapshot.
+        store.arm_bit_flip(380, 17);
+        let ckpt = Checkpoint::new(test_dir("fw_sdc_restore"), &g).unwrap();
+        let opts = FwOptions {
+            sdc_guard: SdcGuardMode::Checksum,
+            ..Default::default()
+        };
+        run(&mut dev, &g, &mut store, &opts, &durable(&ckpt)).unwrap();
+        assert_eq!(store.to_dist_matrix().unwrap(), reference);
     }
 
     #[test]

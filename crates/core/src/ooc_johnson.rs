@@ -507,6 +507,15 @@ mod tests {
     }
 
     #[test]
+    fn matches_reference_multi_batch() {
+        let g = gnp(150, 0.04, WeightRange::default(), 19);
+        // Small device → several batches.
+        let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(512 << 10));
+        let result = run_johnson(&g, &mut dev, &JohnsonOptions::default());
+        assert_eq!(result, bgl_plus_apsp(&g));
+    }
+
+    #[test]
     fn batch_size_formula_shrinks_with_edges() {
         let dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(4 << 20));
         let sparse = gnp(500, 0.01, WeightRange::default(), 1);
@@ -567,6 +576,17 @@ mod tests {
     }
 
     #[test]
+    fn stats_expose_batching() {
+        let g = gnp(120, 0.05, WeightRange::default(), 12);
+        let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(256 << 10));
+        let mut store = TileStore::new(120, &StorageBackend::Memory).unwrap();
+        let stats = ooc_johnson(&mut dev, &g, &mut store, &JohnsonOptions::default()).unwrap();
+        assert_eq!(stats.num_batches, 120usize.div_ceil(stats.batch_size));
+        assert!(stats.work.total_relaxations() > 0);
+        assert!(stats.sim_seconds > 0.0);
+    }
+
+    #[test]
     fn parents_variant_streams_a_valid_predecessor_matrix() {
         use crate::paths::path_from_parent_store;
         let g = gnp(130, 0.05, WeightRange::new(1, 40), 31);
@@ -608,6 +628,37 @@ mod tests {
         // The parents traffic doubles the D2H volume.
         let r = dev.report();
         assert!(r.bytes_d2h >= 2 * (130 * 130 * 4) as u64);
+    }
+
+    #[test]
+    fn transient_alloc_fault_recovers_exactly() {
+        let g = gnp(150, 0.04, WeightRange::default(), 19);
+        let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(512 << 10));
+        let mut store = TileStore::new(150, &StorageBackend::Memory).unwrap();
+        // Allocation 1 is the graph hold, allocation 2 the first result
+        // panel: fail the panel, expect one restart and an exact matrix.
+        dev.inject_alloc_failure(2);
+        let stats = ooc_johnson(&mut dev, &g, &mut store, &JohnsonOptions::default()).unwrap();
+        assert_eq!(stats.retries, 1);
+        assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
+    }
+
+    #[test]
+    fn repeated_alloc_faults_halve_batch_and_stay_exact() {
+        let g = gnp(150, 0.04, WeightRange::default(), 20);
+        let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(512 << 10));
+        let opts = JohnsonOptions::default();
+        let initial_bat = batch_size(&dev, &g, opts.queue_words_per_edge).unwrap();
+        let mut store = TileStore::new(150, &StorageBackend::Memory).unwrap();
+        // Attempt 1 dies at its 2nd allocation; the leftover countdown
+        // (4 − 2 = 2) kills the same-bat retry at its 2nd allocation too,
+        // forcing a halved batch.
+        dev.inject_alloc_failure(2);
+        dev.inject_alloc_failure(4);
+        let stats = ooc_johnson(&mut dev, &g, &mut store, &opts).unwrap();
+        assert_eq!(stats.retries, 2);
+        assert_eq!(stats.batch_size, initial_bat / 2);
+        assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
     }
 
     #[test]
@@ -676,6 +727,67 @@ mod tests {
     }
 
     #[test]
+    fn injected_flips_recover_bit_identical() {
+        use crate::options::SdcGuardMode;
+        let g = gnp(150, 0.04, WeightRange::default(), 19);
+        let reference = bgl_plus_apsp(&g);
+        // Johnson writes exactly one op per source row (150 total), so
+        // these ordinals land in the first, middle, and final batches.
+        for (after_ops, bit) in [(30u64, 11u64), (90, 3), (145, 25)] {
+            let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(512 << 10));
+            let mut store = TileStore::new(150, &StorageBackend::Memory).unwrap();
+            store.set_sdc_guard(SdcGuardMode::Checksum).unwrap();
+            store.arm_bit_flip(after_ops, bit);
+            let opts = JohnsonOptions {
+                sdc_guard: SdcGuardMode::Checksum,
+                ..Default::default()
+            };
+            let stats = ooc_johnson(&mut dev, &g, &mut store, &opts).unwrap();
+            assert!(
+                stats.sdc_panel_recoveries + stats.sdc_round_recoveries >= 1,
+                "flip after {after_ops} ops went unnoticed"
+            );
+            assert_eq!(
+                store.to_dist_matrix().unwrap(),
+                reference,
+                "flip after {after_ops} ops"
+            );
+        }
+    }
+
+    #[test]
+    fn exhausted_recovery_budget_surfaces_typed() {
+        use crate::options::SdcGuardMode;
+        use crate::supervisor::{RetryPolicy, SupervisionOptions};
+        let g = gnp(150, 0.04, WeightRange::default(), 19);
+        let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(512 << 10));
+        let mut store = TileStore::new(150, &StorageBackend::Memory).unwrap();
+        store.set_sdc_guard(SdcGuardMode::Checksum).unwrap();
+        store.arm_bit_flip(60, 9);
+        let sup = Supervisor::new(
+            &SupervisionOptions {
+                retry: RetryPolicy {
+                    sdc_panel_retries: 0,
+                    sdc_round_retries: 0,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            0.0,
+        );
+        let opts = JohnsonOptions {
+            sdc_guard: SdcGuardMode::Checksum,
+            ..Default::default()
+        };
+        let ctx = RunCtx {
+            supervisor: Some(&sup),
+            ..Default::default()
+        };
+        let err = run(&mut dev, &g, &mut store, &opts, &ctx).unwrap_err();
+        assert_eq!(err.kind(), crate::ApspErrorKind::SilentCorruption, "{err}");
+    }
+
+    #[test]
     fn partial_sources_match_dijkstra_rows() {
         let g = gnp(140, 0.05, WeightRange::default(), 23);
         let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(512 << 10));
@@ -718,6 +830,28 @@ mod tests {
     }
 
     #[test]
+    fn partial_sources_recover_from_transient_alloc_fault() {
+        let g = gnp(150, 0.04, WeightRange::default(), 19);
+        let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(512 << 10));
+        let sources: Vec<VertexId> = (0..40).collect();
+        // Allocation 1 is the graph hold, 2 the first panel.
+        dev.inject_alloc_failure(2);
+        let (rows, stats) = ooc_johnson_sources(
+            &mut dev,
+            &g,
+            &sources,
+            &JohnsonOptions::default(),
+            &Supervisor::unarmed(),
+        )
+        .unwrap();
+        assert_eq!(stats.retries, 1);
+        for (i, &s) in sources.iter().enumerate() {
+            let want = apsp_cpu::dijkstra_sssp(&g, s);
+            assert_eq!(&rows[i * 150..(i + 1) * 150], &want[..], "source {s}");
+        }
+    }
+
+    #[test]
     fn partial_sources_reject_out_of_range() {
         let g = gnp(50, 0.1, WeightRange::default(), 2);
         let mut dev = GpuDevice::new(DeviceProfile::v100());
@@ -732,26 +866,56 @@ mod tests {
         assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput);
     }
 
-    /// `delta = Some(0)` is a typed `InvalidInput` at all three entry
-    /// points, never a panic inside the kernel.
-    #[test]
-    fn zero_delta_is_invalid_input_at_every_entry_point() {
-        let g = gnp(64, 0.1, WeightRange::default(), 1);
-        let opts = JohnsonOptions {
+    fn zero_delta() -> JohnsonOptions {
+        JohnsonOptions {
             delta: Some(0),
             ..Default::default()
-        };
+        }
+    }
+
+    #[test]
+    fn zero_delta_run_is_invalid_input() {
+        let g = gnp(64, 0.1, WeightRange::default(), 1);
+        let mut dev = GpuDevice::new(DeviceProfile::v100());
+        let mut store = TileStore::new(64, &StorageBackend::Memory).unwrap();
+        let err = run(&mut dev, &g, &mut store, &zero_delta(), &RunCtx::default()).unwrap_err();
+        assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput, "{err}");
+    }
+
+    #[test]
+    fn zero_delta_with_parents_is_invalid_input() {
+        let g = gnp(64, 0.1, WeightRange::default(), 1);
         let mut dev = GpuDevice::new(DeviceProfile::v100());
         let mut store = TileStore::new(64, &StorageBackend::Memory).unwrap();
         let mut parents = TileStore::new(64, &StorageBackend::Memory).unwrap();
-        let errs = [
-            run(&mut dev, &g, &mut store, &opts, &RunCtx::default()).unwrap_err(),
-            ooc_johnson_with_parents(&mut dev, &g, &mut store, &mut parents, &opts).unwrap_err(),
-            ooc_johnson_sources(&mut dev, &g, &[3], &opts, &Supervisor::unarmed()).unwrap_err(),
-        ];
-        for err in errs {
-            assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput, "{err}");
-        }
+        let err = ooc_johnson_with_parents(&mut dev, &g, &mut store, &mut parents, &zero_delta())
+            .unwrap_err();
+        assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput, "{err}");
+    }
+
+    #[test]
+    fn partial_sources_reject_zero_delta() {
+        let g = gnp(64, 0.1, WeightRange::default(), 1);
+        let mut dev = GpuDevice::new(DeviceProfile::v100());
+        let err = ooc_johnson_sources(&mut dev, &g, &[3], &zero_delta(), &Supervisor::unarmed())
+            .unwrap_err();
+        assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput, "{err}");
+    }
+
+    #[test]
+    fn partial_sources_empty_inputs() {
+        let g = gnp(30, 0.1, WeightRange::default(), 2);
+        let mut dev = GpuDevice::new(DeviceProfile::v100());
+        let (rows, stats) = ooc_johnson_sources(
+            &mut dev,
+            &g,
+            &[],
+            &JohnsonOptions::default(),
+            &Supervisor::unarmed(),
+        )
+        .unwrap();
+        assert!(rows.is_empty());
+        assert_eq!(stats.num_batches, 0);
     }
 
     #[test]

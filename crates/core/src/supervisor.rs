@@ -667,4 +667,35 @@ mod tests {
             .unwrap_err();
         assert_eq!(exhausted.kind(), ApspErrorKind::OutOfDeviceMemory);
     }
+
+    #[test]
+    fn retry_events_are_a_pure_function_of_the_seed() {
+        let oom = || OutOfDeviceMemory {
+            requested: 64,
+            available: 0,
+            capacity: 64,
+        };
+        let run = || {
+            let sup = Supervisor::unarmed();
+            let mut rs = RetryState::new(&RetryPolicy::default(), "test");
+            for _ in 0..5 {
+                rs.next_step(ApspError::OutOfDeviceMemory(oom()), &sup)
+                    .unwrap();
+            }
+            sup.events()
+        };
+        let a = run();
+        let b = run();
+        assert_eq!(a, b);
+        assert_eq!(a.len(), 5);
+        // Backoffs grow (exponential base dominates the jitter).
+        let backs: Vec<u64> = a
+            .iter()
+            .map(|e| match e {
+                SupervisionEvent::Retry { backoff_ms, .. } => *backoff_ms,
+                other => panic!("unexpected event {other:?}"),
+            })
+            .collect();
+        assert!(backs.windows(2).all(|w| w[0] < w[1]), "{backs:?}");
+    }
 }
