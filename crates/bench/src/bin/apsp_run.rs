@@ -33,10 +33,9 @@
 //!                            stdout before the nonzero exit, so harnesses
 //!                            can distinguish SilentCorruption from, e.g.,
 //!                            DeadlineExceeded without scraping stderr
-//!   --backend scalar|parallel|simd   host execution backend  (default:
-//!                            the library's, simd on AVX2 hosts and
-//!                            parallel elsewhere)
-//!   --threads <n>            thread count for the parallel/simd backends
+//!   --backend scalar|simd    host execution backend (default: simd, the
+//!                            library's, on every host)
+//!   --threads <n>            thread count for the simd backend
 //!                            (default: RAYON_NUM_THREADS or all cores)
 //!   --sources <i,j,k>        partial query: compute only these source rows
 //!                            through the Johnson batch driver instead of
@@ -225,7 +224,6 @@ fn parse_args() -> Result<Args, String> {
             "--backend" => {
                 args.backend = Some(match it.next().ok_or("--backend needs a value")?.as_str() {
                     "scalar" => ExecBackend::scalar(),
-                    "parallel" => ExecBackend::parallel(),
                     "simd" => ExecBackend::simd(),
                     other => return Err(format!("unknown backend '{other}'")),
                 })
@@ -285,7 +283,7 @@ fn parse_args() -> Result<Args, String> {
         return Err("--resume needs --checkpoint-dir".into());
     }
     if args.backend == Some(ExecBackend::Scalar) && args.threads.is_some() {
-        return Err("--threads only applies to --backend parallel|simd".into());
+        return Err("--threads only applies to --backend simd".into());
     }
     if args.calibration_report && args.calibration_dir.is_none() {
         return Err("--calibration-report needs --calibration-dir".into());
@@ -329,11 +327,11 @@ impl Args {
     /// The host execution backend: `--backend`, or the library default
     /// without it, running on `--threads` workers when given.
     fn exec(&self) -> ExecBackend {
-        let threads = self.threads;
         match self.backend.unwrap_or_default() {
             ExecBackend::Scalar => ExecBackend::Scalar,
-            ExecBackend::Parallel { .. } => ExecBackend::Parallel { threads },
-            ExecBackend::Simd { .. } => ExecBackend::Simd { threads },
+            ExecBackend::Simd { .. } => ExecBackend::Simd {
+                threads: self.threads,
+            },
         }
     }
 }
@@ -371,7 +369,7 @@ fn main() {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}\nusage: apsp-run <graph.mtx|graph.gr> [--device v100|k80] [--devices n] [--fleet p1,p2,...] [--memory-mib n] [--algorithm fw|johnson|boundary] [--spill dir] [--checkpoint-dir dir] [--resume] [--scale s] [--deadline-ms n] [--progress-budget-ms n] [--fallback] [--sdc-guard off|checksum|full] [--error-json] [--backend scalar|parallel|simd] [--threads n] [--sample n] [--trace|--gantt] [--metrics-out path] [--calibration-dir dir] [--calibration-report]");
+            eprintln!("error: {e}\nusage: apsp-run <graph.mtx|graph.gr> [--device v100|k80] [--devices n] [--fleet p1,p2,...] [--memory-mib n] [--algorithm fw|johnson|boundary] [--spill dir] [--checkpoint-dir dir] [--resume] [--scale s] [--deadline-ms n] [--progress-budget-ms n] [--fallback] [--sdc-guard off|checksum|full] [--error-json] [--backend scalar|simd] [--threads n] [--sample n] [--trace|--gantt] [--metrics-out path] [--calibration-dir dir] [--calibration-report]");
             std::process::exit(2);
         }
     };

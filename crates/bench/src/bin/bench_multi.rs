@@ -4,8 +4,9 @@
 //! bench_multi [options]
 //!
 //!   --smoke        reduced graph size + the same gates (CI's multi-device job)
-//!   --out <path>   where to write the JSON report
-//!                  (default BENCH_multi.json in the current directory)
+//!   --out <path>   where to write the JSON report (default
+//!                  BENCH_multi.json in the current directory; a --smoke
+//!                  run writes one only when --out is given)
 //!   --sizes <a,b,...>   homogeneous fleet sizes to sweep (default from
 //!                  APSP_FLEET_SIZES, else 1,2,4,8)
 //!   --n <vertices> grid side is derived from this vertex budget
@@ -81,8 +82,15 @@ fn run_fleet(g: &CsrGraph, case: &FleetCase, opts: &BoundaryOptions) -> FleetRow
     }
 }
 
+/// Where the JSON report goes: `--out` when given, else the committed
+/// `BENCH_multi.json` for a full run. A smoke run without `--out`
+/// writes none, so it cannot overwrite the committed full-mode numbers.
+fn report_path(smoke: bool, out: Option<String>) -> Option<String> {
+    out.or_else(|| (!smoke).then(|| "BENCH_multi.json".to_string()))
+}
+
 fn main() {
-    let mut out = "BENCH_multi.json".to_string();
+    let mut out: Option<String> = None;
     let mut smoke = false;
     let mut sizes_spec: Option<String> = None;
     let mut n_budget: Option<usize> = None;
@@ -90,7 +98,7 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--smoke" => smoke = true,
-            "--out" => out = it.next().expect("--out needs a value"),
+            "--out" => out = Some(it.next().expect("--out needs a value")),
             "--sizes" => sizes_spec = Some(it.next().expect("--sizes needs a value")),
             "--n" => {
                 n_budget = Some(
@@ -241,9 +249,25 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    std::fs::write(&out, &json).unwrap_or_else(|e| panic!("failed to write {out}: {e}"));
-    println!("report written to {out}");
+    if let Some(out) = report_path(smoke, out) {
+        std::fs::write(&out, &json).unwrap_or_else(|e| panic!("failed to write {out}: {e}"));
+        println!("report written to {out}");
+    }
     if failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::report_path;
+
+    #[test]
+    fn a_smoke_run_writes_a_report_only_where_out_names_one() {
+        let out = Some("x.json".to_string());
+        assert_eq!(report_path(true, None), None);
+        assert_eq!(report_path(true, out.clone()), out);
+        assert_eq!(report_path(false, None).unwrap(), "BENCH_multi.json");
+        assert_eq!(report_path(false, out.clone()), out);
     }
 }

@@ -43,3 +43,21 @@ fn calibration_report_reads_the_store_the_run_wrote() {
     assert!(report.ends_with(", 1 runs)"), "{report}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// `parallel` is not a backend: it is refused as a usage error, and the
+/// usage line offers the two there are.
+#[test]
+fn backend_parallel_is_refused() {
+    let out = Command::new(env!("CARGO_BIN_EXE_apsp-run"))
+        .args(["graph.gr", "--backend", "parallel"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("unknown backend 'parallel'"), "{stderr}");
+    let usage = stderr
+        .lines()
+        .find(|l| l.starts_with("usage: apsp-run"))
+        .unwrap_or_else(|| panic!("no usage line in:\n{stderr}"));
+    assert!(usage.contains("[--backend scalar|simd]"), "{usage}");
+}

@@ -1,9 +1,8 @@
-//! Backend parity: the `Scalar`, `Parallel`, and `Simd` execution
-//! backends must produce bit-identical matrices everywhere they are
-//! offered.
+//! Backend parity: the `Scalar` and `Simd` execution backends must
+//! produce bit-identical matrices everywhere they are offered.
 //!
-//! The optimized backends' claim is not "close enough" but *exact*: the
-//! branchless lowering computes the same `min`/saturating-add lattice
+//! The optimized backend's claim is not "close enough" but *exact*: the
+//! branchless rows compute the same `min`/saturating-add lattice
 //! operations, the register-tiled SIMD micro-kernel clamps into the
 //! same lattice before its vector adds, and every band split is placed
 //! on a loop whose iterations are independent. These tests hold that
@@ -17,6 +16,7 @@ use apsp_core::options::{Algorithm, ExecBackend};
 use apsp_core::{apsp, ApspOptions, StorageBackend};
 use apsp_cpu::DistMatrix;
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
+use apsp_graph::CsrGraph;
 
 const ALGORITHMS: [Algorithm; 3] = [
     Algorithm::FloydWarshall,
@@ -24,7 +24,7 @@ const ALGORITHMS: [Algorithm; 3] = [
     Algorithm::Boundary,
 ];
 
-fn run_with(case: &Case, algorithm: Algorithm, disk: bool, exec: ExecBackend) -> DistMatrix {
+fn run_with(graph: &CsrGraph, algorithm: Algorithm, disk: bool, exec: ExecBackend) -> DistMatrix {
     let cfg = RunnerConfig::default();
     let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(cfg.device_bytes));
     let opts = ApspOptions {
@@ -37,8 +37,12 @@ fn run_with(case: &Case, algorithm: Algorithm, disk: bool, exec: ExecBackend) ->
         exec,
         ..Default::default()
     };
-    let result = apsp(&case.graph, &mut dev, &opts)
-        .unwrap_or_else(|e| panic!("{algorithm:?}/{exec} failed on {}: {e}", case.name));
+    let result = apsp(graph, &mut dev, &opts).unwrap_or_else(|e| {
+        panic!(
+            "{algorithm:?}/{exec} failed at n = {}: {e}",
+            graph.num_vertices()
+        )
+    });
     result
         .store
         .to_dist_matrix()
@@ -79,9 +83,6 @@ fn optimized_backends_agree_bitwise_across_the_matrix() {
     // that really split across 2 and 3 workers. The simd backend shifts
     // every register-tile boundary as n varies across families.
     let optimized_execs = [
-        ExecBackend::parallel(),
-        ExecBackend::Parallel { threads: Some(1) },
-        ExecBackend::Parallel { threads: Some(3) },
         ExecBackend::simd(),
         ExecBackend::Simd { threads: Some(1) },
         ExecBackend::Simd { threads: Some(3) },
@@ -89,9 +90,9 @@ fn optimized_backends_agree_bitwise_across_the_matrix() {
     for case in &cases {
         for algorithm in ALGORITHMS {
             for disk in [false, true] {
-                let scalar = run_with(case, algorithm, disk, ExecBackend::scalar());
+                let scalar = run_with(&case.graph, algorithm, disk, ExecBackend::scalar());
                 for exec in optimized_execs {
-                    let got = run_with(case, algorithm, disk, exec);
+                    let got = run_with(&case.graph, algorithm, disk, exec);
                     assert_bitwise(
                         &scalar,
                         &got,
@@ -111,46 +112,42 @@ fn optimized_backends_agree_bitwise_across_the_matrix() {
 fn optimized_backends_survive_kill_resume_bit_identically() {
     // `run_kill_resume` checks the interrupted-and-resumed matrix
     // bitwise against the CPU reference, so running its three-step
-    // differential with each optimized backend in every per-algorithm
+    // differential with the optimized backend in every per-algorithm
     // option block proves the backend through checkpoint commit,
     // crash, and replay — not just through a clean run.
     let case = Case::generate(Family::ErdosRenyi, 0x9D5E);
-    for exec in [
-        ExecBackend::Parallel { threads: Some(3) },
-        ExecBackend::Simd { threads: Some(3) },
-    ] {
-        let mut cell = CrashCellOptions::default();
-        cell.fw.exec = exec;
-        cell.johnson.exec = exec;
-        cell.boundary.exec = exec;
-        // Same provisioning trick as `crash_resume`: Floyd-Warshall and
-        // Johnson get a tiny device so the 90-vertex run crosses several
-        // commit barriers (Johnson fits in one batch otherwise); the
-        // boundary algorithm keeps the default device and gets a fixed
-        // component count with per-component flushes.
-        cell.boundary.num_components = Some(6);
-        cell.boundary.batch_transfers = false;
-        for algorithm in ALGORITHMS {
-            let cfg = RunnerConfig {
-                device_bytes: match algorithm {
-                    Algorithm::Boundary => RunnerConfig::default().device_bytes,
-                    _ => 32 << 10,
-                },
-                ..Default::default()
-            };
-            for disk in [false, true] {
-                let report = run_kill_resume(&case, algorithm, disk, 0x51EE7, &cfg, &cell)
-                    .unwrap_or_else(|e| {
-                        panic!(
-                            "kill–resume under the {exec} backend broke for {algorithm:?}/{}: {e}",
-                            if disk { "disk" } else { "memory" }
-                        )
-                    });
-                assert!(
-                    report.crash_after_ops < report.total_ops,
-                    "crash point must interrupt the run"
-                );
-            }
+    let exec = ExecBackend::Simd { threads: Some(3) };
+    let mut cell = CrashCellOptions::default();
+    cell.fw.exec = exec;
+    cell.johnson.exec = exec;
+    cell.boundary.exec = exec;
+    // Same provisioning trick as `crash_resume`: Floyd-Warshall and
+    // Johnson get a tiny device so the 90-vertex run crosses several
+    // commit barriers (Johnson fits in one batch otherwise); the
+    // boundary algorithm keeps the default device and gets a fixed
+    // component count with per-component flushes.
+    cell.boundary.num_components = Some(6);
+    cell.boundary.batch_transfers = false;
+    for algorithm in ALGORITHMS {
+        let cfg = RunnerConfig {
+            device_bytes: match algorithm {
+                Algorithm::Boundary => RunnerConfig::default().device_bytes,
+                _ => 32 << 10,
+            },
+            ..Default::default()
+        };
+        for disk in [false, true] {
+            let report = run_kill_resume(&case, algorithm, disk, 0x51EE7, &cfg, &cell)
+                .unwrap_or_else(|e| {
+                    panic!(
+                        "kill–resume under the {exec} backend broke for {algorithm:?}/{}: {e}",
+                        if disk { "disk" } else { "memory" }
+                    )
+                });
+            assert!(
+                report.crash_after_ops < report.total_ops,
+                "crash point must interrupt the run"
+            );
         }
     }
 }
@@ -169,27 +166,6 @@ mod simd_properties {
     use apsp_graph::INF;
     use proptest::prelude::*;
 
-    fn run_graph(
-        graph: &apsp_graph::CsrGraph,
-        algorithm: Algorithm,
-        exec: ExecBackend,
-    ) -> DistMatrix {
-        let cfg = RunnerConfig::default();
-        let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(cfg.device_bytes));
-        let opts = ApspOptions {
-            algorithm: Some(algorithm),
-            storage: StorageBackend::Memory,
-            exec,
-            ..Default::default()
-        };
-        let result = apsp(graph, &mut dev, &opts)
-            .unwrap_or_else(|e| panic!("{algorithm:?}/{exec} failed: {e}"));
-        result
-            .store
-            .to_dist_matrix()
-            .unwrap_or_else(|e| panic!("store unreadable after {algorithm:?}/{exec}: {e}"))
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -206,8 +182,8 @@ mod simd_properties {
             let p = if dense == 1 { 0.3 } else { 0.05 };
             let g = gnp(n, p, WeightRange::new(INF / 2, INF - 1), seed);
             for algorithm in ALGORITHMS {
-                let scalar = run_graph(&g, algorithm, ExecBackend::scalar());
-                let simd = run_graph(&g, algorithm, ExecBackend::simd());
+                let scalar = run_with(&g, algorithm, false, ExecBackend::scalar());
+                let simd = run_with(&g, algorithm, false, ExecBackend::simd());
                 prop_assert_eq!(
                     scalar.as_slice(),
                     simd.as_slice(),
@@ -232,8 +208,8 @@ mod simd_properties {
             let n = base * 8 + offset;
             let g = gnp(n, 0.1, WeightRange::default(), seed);
             for algorithm in ALGORITHMS {
-                let scalar = run_graph(&g, algorithm, ExecBackend::scalar());
-                let simd = run_graph(&g, algorithm, ExecBackend::simd());
+                let scalar = run_with(&g, algorithm, false, ExecBackend::scalar());
+                let simd = run_with(&g, algorithm, false, ExecBackend::simd());
                 prop_assert_eq!(
                     scalar.as_slice(),
                     simd.as_slice(),

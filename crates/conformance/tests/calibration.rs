@@ -14,7 +14,7 @@
 //!    graph + profile (measured by forcing each algorithm in turn).
 //! 3. **Neutrality** — calibration never perturbs a run it rides along
 //!    with: every round's matrix is bit-identical to an uncalibrated
-//!    baseline, the simulated clock matches, and the scalar/parallel
+//!    baseline, the simulated clock matches, and the scalar and simd
 //!    backends agree bit-for-bit with calibration on.
 //!
 //! The store itself is exercised separately: distinct profiles get
@@ -173,11 +173,7 @@ fn calibration_is_inert_within_a_single_run_across_backends() {
     let g = replay_graph();
     let [v100, _] = profiles();
     let mut matrices = Vec::new();
-    for exec in [
-        ExecBackend::Scalar,
-        ExecBackend::Parallel { threads: Some(2) },
-        ExecBackend::Simd { threads: Some(2) },
-    ] {
+    for exec in [ExecBackend::Scalar, ExecBackend::Simd { threads: Some(2) }] {
         let run = |calibration_dir: Option<PathBuf>| {
             let mut dev = GpuDevice::new(v100.clone());
             let opts = ApspOptions {

@@ -5,8 +5,8 @@
 //! oracle (itself verified against the CPU reference before use):
 //!
 //! * **bit-identity** — 1/2/4 devices × all-V100 and V100+K80 fleets ×
-//!   Memory/Disk/sharded-Disk storage × all three exec backends produce
-//!   the exact same matrix;
+//!   Memory/Disk/sharded-Disk storage × both exec backends produce the
+//!   exact same matrix;
 //! * **makespan monotonicity** — on a homogeneous fleet, more devices
 //!   never make the simulated timeline slower (`APSP_FLEET_SIZES`
 //!   widens the sweep in nightly CI);
@@ -51,11 +51,7 @@ fn fleet_sizes() -> Vec<usize> {
 #[test]
 fn every_fleet_shape_matches_the_single_device_oracle_bitwise() {
     let cfg = RunnerConfig::default();
-    let backends = [
-        ExecBackend::Scalar,
-        ExecBackend::Parallel { threads: Some(2) },
-        ExecBackend::Simd { threads: Some(2) },
-    ];
+    let backends = [ExecBackend::Scalar, ExecBackend::Simd { threads: Some(2) }];
     for case in [
         Case::generate(Family::ErdosRenyi, 0xF1EE0),
         Case::generate(Family::Grid, 0xF1EE1),
@@ -125,7 +121,7 @@ fn multi_device_telemetry_has_per_device_spans_and_validates_against_the_schema(
     let report = telemetry
         .build_report(
             "boundary",
-            "parallel",
+            "simd",
             stats.sim_seconds,
             &devs[0].report(),
             &[],

@@ -24,12 +24,9 @@ const ALGORITHMS: [Algorithm; 3] = [
     Algorithm::Boundary,
 ];
 
-/// The reference backend and both fast ones, each on two threads.
-const EXEC_BACKENDS: [ExecBackend; 3] = [
-    ExecBackend::Scalar,
-    ExecBackend::Parallel { threads: Some(2) },
-    ExecBackend::Simd { threads: Some(2) },
-];
+/// The reference backend and the fast one, on two threads.
+const EXEC_BACKENDS: [ExecBackend; 2] =
+    [ExecBackend::Scalar, ExecBackend::Simd { threads: Some(2) }];
 
 /// The fixed bit-flip-matrix seed; widened sites derive from it.
 const BITFLIP_SEED: u64 = 0xB17F;

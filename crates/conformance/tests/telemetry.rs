@@ -4,7 +4,7 @@
 //! `opts.telemetry` on, every distance matrix must stay bit-identical to
 //! the telemetry-off run, and the JSONL report must be byte-identical
 //! across reruns of the same configuration. This file pins both, across
-//! all three algorithms × {Memory, Disk} storage × {scalar, parallel}
+//! all three algorithms × {Memory, Disk} storage × {scalar, simd}
 //! backends, and additionally checks the report's content: per-phase
 //! spans, transfer byte counters, overlap efficiency, and a calibration
 //! record carrying predicted + realized seconds for every non-filtered
@@ -142,12 +142,12 @@ fn telemetry_is_pure_observation_and_its_report_is_deterministic() {
                 let tag = format!(
                     "{algorithm}-{}-{}",
                     if disk { "disk" } else { "memory" },
-                    if scalar { "scalar" } else { "parallel" }
+                    if scalar { "scalar" } else { "simd" }
                 );
                 let exec = if scalar {
                     ExecBackend::scalar()
                 } else {
-                    ExecBackend::Parallel { threads: Some(2) }
+                    ExecBackend::Simd { threads: Some(2) }
                 };
                 let storage = |suffix: &str| {
                     if disk {

@@ -257,15 +257,15 @@ pub struct CalibrationStore {
 impl CalibrationStore {
     /// Open (or initialize) the store for `profile` under `dir`, keyed
     /// to the backend a run gets when it names none,
-    /// `ExecBackend::default()`: `"simd"` on AVX2 hosts, `"parallel"`
-    /// elsewhere. See [`CalibrationStore::open_for`].
+    /// `ExecBackend::default()`, which is `"simd"` on every host. See
+    /// [`CalibrationStore::open_for`].
     pub fn open<P: AsRef<Path>>(dir: P, profile: &DeviceProfile) -> Result<Self, ApspError> {
         CalibrationStore::open_for(dir, profile, ExecBackend::default().name())
     }
 
     /// Open (or initialize) the store for `profile` under `dir`, keyed
-    /// to one host execution `backend` (`"scalar"`, `"parallel"`,
-    /// `"simd"`). Observations made under one backend never steer
+    /// to one host execution `backend` (`"scalar"` or `"simd"`).
+    /// Observations made under one backend never steer
     /// selections made under another — realized timings can shift with
     /// the host kernel even when the modeled device time does not.
     ///
@@ -302,17 +302,13 @@ impl CalibrationStore {
 
     /// A fresh (identity) store for `profile` under `dir` keyed to
     /// `backend`, ignoring any file already there. Nothing touches the
-    /// disk until [`CalibrationStore::commit`]. The `"parallel"` key
-    /// keeps the legacy unsuffixed file name: stores persisted before
-    /// backend keying existed were learned under it and keep loading
-    /// for it, on every host.
+    /// disk until [`CalibrationStore::commit`]. The file is always
+    /// `profile-<fingerprint>-<backend>.cal`; an unsuffixed
+    /// `profile-<fingerprint>.cal` from before backend keying belongs
+    /// to no backend and is neither read nor written.
     pub fn fresh_for<P: AsRef<Path>>(dir: P, profile: &DeviceProfile, backend: &str) -> Self {
         let fingerprint = profile_fingerprint(profile);
-        let file = if backend == ExecBackend::parallel().name() {
-            format!("profile-{fingerprint:016x}.cal")
-        } else {
-            format!("profile-{fingerprint:016x}-{backend}.cal")
-        };
+        let file = format!("profile-{fingerprint:016x}-{backend}.cal");
         CalibrationStore {
             path: dir.as_ref().join(file),
             fingerprint,
@@ -614,6 +610,37 @@ mod tests {
         let other = CalibrationStore::open(&dir, &DeviceProfile::k80()).unwrap();
         assert_ne!(other.path(), store.path());
         assert_eq!(other.runs(), 0);
+    }
+
+    #[test]
+    fn the_unsuffixed_legacy_file_is_ignored() {
+        let (dir, profile) = (tmp_dir("legacy"), DeviceProfile::v100());
+        let fp = profile_fingerprint(&profile);
+        // A valid store under the name stores had before backend keying.
+        let mut store = CalibrationStore::open_for(&dir, &profile, "simd").unwrap();
+        let parts = EstimateParts {
+            key: CoeffKey::FwT0,
+            compute_seed: 1.0e-4,
+            transfer: 0.0,
+        };
+        store.observe_run(&parts, 2.0e-4);
+        store.commit().unwrap();
+        let legacy = dir.join(format!("profile-{fp:016x}.cal"));
+        std::fs::rename(store.path(), &legacy).unwrap();
+        let bytes = std::fs::read(&legacy).unwrap();
+        assert!(parse_store(&bytes, fp).is_ok());
+        // `parallel` is the key that read it while that backend existed.
+        for backend in ["simd", "scalar", "parallel"] {
+            let opened = CalibrationStore::open_for(&dir, &profile, backend).unwrap();
+            assert_eq!(opened.runs(), 0, "{backend} read the legacy file");
+            opened.commit().unwrap();
+            assert_eq!(
+                opened.path(),
+                dir.join(format!("profile-{fp:016x}-{backend}.cal"))
+            );
+            assert!(opened.path().exists());
+        }
+        assert_eq!(std::fs::read(&legacy).unwrap(), bytes);
     }
 
     #[test]

@@ -479,11 +479,7 @@ mod tests {
         // `_exec` kernels, so every backend computes identical bits.
         let g = grid_2d(11, 9, GridOptions::default(), WeightRange::default(), 13);
         let reference = bgl_plus_apsp(&g);
-        for exec in [
-            ExecBackend::Scalar,
-            ExecBackend::Parallel { threads: Some(2) },
-            ExecBackend::Simd { threads: Some(2) },
-        ] {
+        for exec in [ExecBackend::Scalar, ExecBackend::Simd { threads: Some(2) }] {
             let mut devs = devices(3);
             let mut store = TileStore::new(g.num_vertices(), &StorageBackend::Memory).unwrap();
             let opts = BoundaryOptions {

@@ -295,7 +295,7 @@ pub struct CacheKey {
 /// requested sources (order-sensitive — row `i` is `sources[i]`).
 ///
 /// Deliberately *excluded*: the execution backend and the storage
-/// backend. Backend parity (scalar vs parallel, RAM vs disk) is a
+/// backend. Backend parity (scalar vs simd, RAM vs disk) is a
 /// repo-wide bit-identity contract enforced by the conformance suite,
 /// so results computed under either are interchangeable — excluding
 /// them is what makes the cache useful across heterogeneous replicas.
@@ -1521,10 +1521,7 @@ mod tests {
             assert_eq!(graph_fingerprint(&g), fp, "backend {backend:?}");
         }
         let _ = std::fs::remove_dir_all(&dir);
-        for exec in [
-            ExecBackend::Scalar,
-            ExecBackend::Parallel { threads: Some(2) },
-        ] {
+        for exec in [ExecBackend::Scalar, ExecBackend::Simd { threads: Some(2) }] {
             let opts = ApspOptions {
                 exec,
                 ..ApspOptions::default()

@@ -245,8 +245,8 @@ impl Telemetry {
     /// Assemble the final [`RunReport`]. Returns `None` when disabled.
     ///
     /// `algorithm` is the algorithm that produced the result, `backend`
-    /// the host execution backend it ran under (`"scalar"`,
-    /// `"parallel"`, `"simd"`), `sim_seconds` its realized driver time,
+    /// the host execution backend it ran under (`"scalar"` or
+    /// `"simd"`), `sim_seconds` its realized driver time,
     /// `report`/`trace` the device's profiling snapshot and event log,
     /// `events` the supervision log, and `retries`/`checkpoint_commits`
     /// the driver stats.
@@ -320,8 +320,7 @@ impl Telemetry {
 pub struct RunReport {
     /// Display name of the algorithm that produced the result.
     pub algorithm: String,
-    /// Host execution backend the run used (`"scalar"`, `"parallel"`,
-    /// `"simd"`).
+    /// Host execution backend the run used (`"scalar"` or `"simd"`).
     pub backend: String,
     /// Realized simulated seconds of the successful attempt.
     pub sim_seconds: f64,
@@ -907,7 +906,7 @@ mod tests {
         tel.record_calibration(vec![]);
         tel.set_realized(1.0);
         assert!(tel
-            .build_report("fw", "parallel", 0.0, &SimReport::default(), &[], &[], 0, 0)
+            .build_report("fw", "simd", 0.0, &SimReport::default(), &[], &[], 0, 0)
             .is_none());
     }
 
@@ -929,7 +928,7 @@ mod tests {
         let dur = tel.phase_end(&dev, ph, "p1").unwrap();
         assert!(dur > 0.0);
         let report = tel
-            .build_report("fw", "parallel", dur, &dev.report(), dev.trace(), &[], 0, 0)
+            .build_report("fw", "simd", dur, &dev.report(), dev.trace(), &[], 0, 0)
             .unwrap();
         assert_eq!(report.spans.len(), 1);
         let span = &report.spans[0];
@@ -956,7 +955,7 @@ mod tests {
         tel.record_calibration(vec![rec("fw", false), rec("boundary", true)]);
         tel.set_realized(3.0);
         let report = tel
-            .build_report("fw", "parallel", 3.0, &SimReport::default(), &[], &[], 0, 0)
+            .build_report("fw", "simd", 3.0, &SimReport::default(), &[], &[], 0, 0)
             .unwrap();
         let realized: Vec<Option<f64>> = report.calibration.iter().map(|c| c.realized_s).collect();
         assert_eq!(realized, vec![Some(2.0), Some(2.0), Some(3.0), None]);
@@ -966,7 +965,7 @@ mod tests {
     fn jsonl_is_deterministic_and_marks_empty_timelines() {
         let tel = Telemetry::enabled();
         let report = tel
-            .build_report("fw", "parallel", 0.0, &SimReport::default(), &[], &[], 0, 0)
+            .build_report("fw", "simd", 0.0, &SimReport::default(), &[], &[], 0, 0)
             .unwrap();
         let a = report.to_jsonl();
         let b = report.to_jsonl();

@@ -1958,7 +1958,7 @@ mod tests {
                 0.0,
                 tel.clone(),
             ));
-            s.set_exec_backend(apsp_cpu::ExecBackend::Parallel { threads: Some(1) });
+            s.set_exec_backend(apsp_cpu::ExecBackend::Simd { threads: Some(1) });
             s.arm_bit_flip(2, 0);
             let target = out.join(format!("{name}.bin"));
             for (op, memory, disk) in table {

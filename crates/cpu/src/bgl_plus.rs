@@ -19,7 +19,7 @@ pub fn bgl_plus_apsp(g: &CsrGraph) -> DistMatrix {
     // Each source owns one row: disjoint rows parallelize without
     // synchronization, mirroring the OpenMP loop of the original.
     let mut rows: Vec<&mut [Dist]> = m.as_mut_slice().chunks_mut(n.max(1)).collect();
-    let threads = ExecBackend::parallel().resolved_threads();
+    let threads = ExecBackend::default().resolved_threads();
     par_claim(&mut rows, threads, sssp_work(n, g.num_edges()), |claims| {
         for (source, row) in claims {
             dijkstra_sssp_into(g, source as VertexId, row);
@@ -33,7 +33,7 @@ pub fn bgl_plus_apsp(g: &CsrGraph) -> DistMatrix {
 /// tests that spot-check huge matrices.
 pub fn bgl_plus_rows(g: &CsrGraph, sources: &[VertexId]) -> Vec<Vec<Dist>> {
     let mut rows = vec![Vec::new(); sources.len()];
-    let threads = ExecBackend::parallel().resolved_threads();
+    let threads = ExecBackend::default().resolved_threads();
     let work = sssp_work(g.num_vertices(), g.num_edges());
     par_claim(&mut rows, threads, work, |claims| {
         for (i, row) in claims {

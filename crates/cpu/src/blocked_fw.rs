@@ -91,23 +91,22 @@ pub fn blocked_floyd_warshall(m: &mut DistMatrix, block: usize) {
 
 /// [`blocked_floyd_warshall`] under an explicit execution backend.
 ///
-/// Scalar runs the reference loops one tile at a time. Parallel and
-/// Simd share one loop nest that claims stage-2 tile pairs and stage-3
-/// block-rows across threads, with branchless rows in stages 1 and 2
-/// and the backend's tile in stage 3. Both are bit-identical to scalar
-/// because with a fixed pivot order each stage-2 tile depends only on
-/// itself plus the (finalized, unwritten) diagonal tile, and each
-/// stage-3 tile depends only on itself plus the stage-2 pivot row and
-/// column panels — so tile results cannot observe each other.
+/// Scalar runs the reference loops one tile at a time. Simd claims
+/// stage-2 tile pairs and stage-3 block-rows across threads, with
+/// branchless rows in stages 1 and 2 and the register-tiled kernel in
+/// stage 3. It is bit-identical to scalar because with a fixed pivot
+/// order each stage-2 tile depends only on itself plus the (finalized,
+/// unwritten) diagonal tile, and each stage-3 tile depends only on
+/// itself plus the stage-2 pivot row and column panels — so tile
+/// results cannot observe each other. A matrix of one block is stage 1
+/// alone, in both loop nests.
 pub fn blocked_floyd_warshall_exec(m: &mut DistMatrix, block: usize, exec: ExecBackend) {
     let n = m.n();
     if n == 0 {
         return;
     }
     let block = block.max(1).min(n);
-    if n.div_ceil(block) == 1 {
-        crate::parallel::floyd_warshall_exec(m, exec);
-    } else if exec.is_scalar() {
+    if exec.is_scalar() {
         blocked_scalar(m.as_mut_slice(), n, block);
     } else {
         blocked_rows(m.as_mut_slice(), n, block, exec);
@@ -145,8 +144,8 @@ fn blocked_scalar(data: &mut [Dist], n: usize, block: usize) {
     }
 }
 
-/// The Parallel/Simd rounds. Each round splits the matrix around the
-/// pivot block-row; every stage hands workers `&mut` row segments.
+/// The Simd rounds. Each round splits the matrix around the pivot
+/// block-row; every stage hands workers `&mut` row segments.
 fn blocked_rows(data: &mut [Dist], n: usize, block: usize, exec: ExecBackend) {
     let num_b = n.div_ceil(block);
     let threads = exec.resolved_threads();
@@ -399,8 +398,6 @@ mod tests {
             let mut scalar = DistMatrix::from_graph(&g);
             blocked_floyd_warshall_exec(&mut scalar, block, ExecBackend::Scalar);
             for exec in [
-                ExecBackend::Parallel { threads: Some(1) },
-                ExecBackend::Parallel { threads: Some(3) },
                 ExecBackend::Simd { threads: Some(1) },
                 ExecBackend::Simd { threads: Some(3) },
             ] {
@@ -439,18 +436,12 @@ mod tests {
                 let mut scalar = input.clone();
                 blocked_floyd_warshall_exec(&mut scalar, 64, ExecBackend::Scalar);
                 for threads in [2, 3] {
-                    for exec in [
-                        ExecBackend::Parallel {
-                            threads: Some(threads),
-                        },
-                        ExecBackend::Simd {
-                            threads: Some(threads),
-                        },
-                    ] {
-                        let mut fast = input.clone();
-                        blocked_floyd_warshall_exec(&mut fast, 64, exec);
-                        assert!(fast == scalar, "n = {n}, {exec}");
-                    }
+                    let exec = ExecBackend::Simd {
+                        threads: Some(threads),
+                    };
+                    let mut fast = input.clone();
+                    blocked_floyd_warshall_exec(&mut fast, 64, exec);
+                    assert!(fast == scalar, "n = {n}, {exec}");
                 }
             }
         }
@@ -488,7 +479,7 @@ mod tests {
         ];
         for exec in [
             ExecBackend::Scalar,
-            ExecBackend::Parallel { threads: Some(1) },
+            ExecBackend::Simd { threads: Some(1) },
             ExecBackend::Simd { threads: Some(2) },
         ] {
             let mut m = DistMatrix::from_raw(4, input.clone());
@@ -498,10 +489,15 @@ mod tests {
     }
 
     #[test]
-    fn empty_matrix() {
-        let mut m = DistMatrix::new(0);
-        blocked_floyd_warshall(&mut m, 8);
-        assert_eq!(m.n(), 0);
+    fn empty_and_trivial_matrices() {
+        for exec in [ExecBackend::Scalar, ExecBackend::simd()] {
+            let mut m = DistMatrix::new(0);
+            blocked_floyd_warshall_exec(&mut m, 8, exec);
+            assert_eq!(m.n(), 0);
+            let mut one = DistMatrix::new(1);
+            blocked_floyd_warshall_exec(&mut one, 8, exec);
+            assert_eq!(one.get(0, 0), 0, "{exec}");
+        }
     }
 
     #[test]

@@ -93,7 +93,7 @@ pub fn galois_apsp(g: &CsrGraph, delta: Dist) -> DistMatrix {
     let n = g.num_vertices();
     let mut m = DistMatrix::new(n);
     let mut rows: Vec<&mut [Dist]> = m.as_mut_slice().chunks_mut(n.max(1)).collect();
-    let threads = ExecBackend::parallel().resolved_threads();
+    let threads = ExecBackend::default().resolved_threads();
     par_claim(&mut rows, threads, sssp_work(n, g.num_edges()), |claims| {
         for (source, row) in claims {
             row.copy_from_slice(&delta_stepping_sssp(g, source as VertexId, delta));

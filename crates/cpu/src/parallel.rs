@@ -20,10 +20,11 @@
 //! share cache lines, and the SIMD tile packs its B operand once per
 //! band).
 //!
-//! The branchless inner loops exploit the same fixed order: the scalar
-//! reference guards every relaxation with `if via < c[j]` (an
-//! unpredictable branch on random distance data) and skips `INF` rows
-//! with an early `continue`. The backend lowers the relaxation to
+//! The branchless rows that Floyd-Warshall's rank-1 stages and the SIMD
+//! tile's tails run exploit the same fixed order: the scalar reference
+//! guards every relaxation with `if via < c[j]` (an unpredictable branch
+//! on random distance data) and skips `INF` rows with an early
+//! `continue`. [`relax_row_branchless`] lowers the relaxation to
 //! `c[j] = min(c[j], sat_add(aik, b[j]).min(INF))`, which rustc
 //! autovectorizes; [`branchless_add`] is proven equal to
 //! [`apsp_graph::dist_add`] for **all** `u32` inputs (property-tested at
@@ -31,11 +32,10 @@
 //!
 //! Threads come from `std::thread::scope` (the vendored `rayon` shim in
 //! this workspace is sequential and no longer used). Thread counts
-//! resolve, in order, from an explicit [`ExecBackend::Parallel`]
+//! resolve, in order, from an explicit `ExecBackend::Simd { threads }`
 //! setting, the `RAYON_NUM_THREADS` environment variable (the knob CI
 //! pins for reproducibility), and `std::thread::available_parallelism`.
 
-use crate::dense::DistMatrix;
 use apsp_graph::{Dist, INF};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -46,32 +46,24 @@ pub enum ExecBackend {
     /// The original single-threaded reference loops, kept verbatim as
     /// the differential baseline.
     Scalar,
-    /// Row-band threading with branchless loops. `threads: None`
-    /// resolves from `RAYON_NUM_THREADS`, then `available_parallelism`.
-    Parallel {
-        /// Worker thread count; `None` auto-detects.
-        threads: Option<usize>,
-    },
     /// Row-band threading with register-tiled SIMD micro-kernels
-    /// ([`crate::simd`]); threads resolve like `Parallel`.
+    /// ([`crate::simd`]). `threads: None` resolves from
+    /// `RAYON_NUM_THREADS`, then `available_parallelism`.
     Simd {
         /// Worker thread count; `None` auto-detects.
         threads: Option<usize>,
     },
 }
 
-/// The backend a run gets when it names none: `Simd` where
-/// [`crate::simd::active_isa`] reports `"avx2"`, `Parallel` everywhere
-/// else (nobody has measured the portable micro-kernel against the
-/// branchless rows). Both auto-detect their thread count, and both are
-/// bit-identical to `Scalar`, so the host decides speed, never results.
+/// The backend a run gets when it names none: `Simd` with an
+/// auto-detected thread count, on every host. Where
+/// [`crate::simd::active_isa`] reports `"portable"` (no AVX2, or a
+/// `--no-default-features` build) it runs the portable micro-kernel.
+/// It is bit-identical to `Scalar`, so the host decides speed, never
+/// results.
 impl Default for ExecBackend {
     fn default() -> Self {
-        if crate::simd::active_isa() == "avx2" {
-            ExecBackend::simd()
-        } else {
-            ExecBackend::parallel()
-        }
+        ExecBackend::simd()
     }
 }
 
@@ -79,8 +71,6 @@ impl std::fmt::Display for ExecBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecBackend::Scalar => f.write_str("scalar"),
-            ExecBackend::Parallel { threads: None } => f.write_str("parallel"),
-            ExecBackend::Parallel { threads: Some(t) } => write!(f, "parallel({t})"),
             ExecBackend::Simd { threads: None } => f.write_str("simd"),
             ExecBackend::Simd { threads: Some(t) } => write!(f, "simd({t})"),
         }
@@ -91,11 +81,6 @@ impl ExecBackend {
     /// The scalar reference backend.
     pub fn scalar() -> Self {
         ExecBackend::Scalar
-    }
-
-    /// The parallel backend with auto-detected thread count.
-    pub fn parallel() -> Self {
-        ExecBackend::Parallel { threads: None }
     }
 
     /// The SIMD backend with auto-detected thread count.
@@ -114,7 +99,6 @@ impl ExecBackend {
     pub fn name(&self) -> &'static str {
         match self {
             ExecBackend::Scalar => "scalar",
-            ExecBackend::Parallel { .. } => "parallel",
             ExecBackend::Simd { .. } => "simd",
         }
     }
@@ -123,12 +107,8 @@ impl ExecBackend {
     pub fn resolved_threads(&self) -> usize {
         match self {
             ExecBackend::Scalar => 1,
-            ExecBackend::Parallel { threads: Some(t) } | ExecBackend::Simd { threads: Some(t) } => {
-                (*t).max(1)
-            }
-            ExecBackend::Parallel { threads: None } | ExecBackend::Simd { threads: None } => {
-                default_threads()
-            }
+            ExecBackend::Simd { threads: Some(t) } => (*t).max(1),
+            ExecBackend::Simd { threads: None } => default_threads(),
         }
     }
 
@@ -136,10 +116,10 @@ impl ExecBackend {
     /// `C[i][j] = min(C[i][j], min_k A[i][k] ⊕ B[k][j])`, operands
     /// row-major with per-operand strides as in
     /// [`crate::blocked_fw::minplus_tile`]; `c` must not alias `a` or
-    /// `b`. Scalar runs the guarded reference loops, Parallel the
-    /// branchless rows, Simd the register-tiled micro-kernel — all
-    /// bit-identical. Threaded callers split rows first and call this
-    /// once per band, so backend threading never nests.
+    /// `b`. Scalar runs the guarded reference loops, Simd the
+    /// register-tiled micro-kernel — bit-identical. Threaded callers
+    /// split rows first and call this once per band, so backend
+    /// threading never nests.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn minplus_tile(
         &self,
@@ -155,7 +135,6 @@ impl ExecBackend {
     ) {
         let tile = match self {
             ExecBackend::Scalar => crate::blocked_fw::minplus_tile,
-            ExecBackend::Parallel { .. } => minplus_rows_branchless,
             ExecBackend::Simd { .. } => crate::simd::minplus_tile_simd,
         };
         tile(c, c_stride, a, a_stride, b, b_stride, rows, inner, cols);
@@ -360,36 +339,6 @@ pub fn par_row_bands<T, F>(
     });
 }
 
-/// Branchless min-plus rows: `C[i][j] = min(C[i][j], A[i][k] ⊕ B[k][j])`
-/// for `i < rows`, with operands addressed exactly as in
-/// [`crate::blocked_fw::minplus_tile`]. `c` must not alias `a` or `b`.
-#[allow(clippy::too_many_arguments)]
-fn minplus_rows_branchless(
-    c: &mut [Dist],
-    c_stride: usize,
-    a: &[Dist],
-    a_stride: usize,
-    b: &[Dist],
-    b_stride: usize,
-    rows: usize,
-    inner: usize,
-    cols: usize,
-) {
-    for i in 0..rows {
-        let c_row = &mut c[i * c_stride..i * c_stride + cols];
-        for k in 0..inner {
-            let aik = a[i * a_stride + k];
-            // The row-level INF skip is kept (it prunes whole rows of
-            // work and is per-(i, k), not per-j); the *j* loop below is
-            // the branchless, vectorizable part.
-            if aik >= INF {
-                continue;
-            }
-            relax_row_branchless(c_row, &b[k * b_stride..k * b_stride + cols], aik);
-        }
-    }
-}
-
 /// [`crate::blocked_fw::minplus_tile`] under an execution backend:
 /// output rows split into [`par_row_bands`], each band run through the
 /// backend's single-threaded tile. `c` must not alias `a` or `b`.
@@ -414,59 +363,12 @@ pub fn minplus_tile_exec(
     });
 }
 
-/// [`crate::blocked_fw::floyd_warshall`] under an execution backend.
-///
-/// Parallel and Simd split each pivot round's rows into bands (FW's
-/// pivot round is a rank-1 update — no `k` loop to register-tile, so
-/// the branchless banded sweep is the kernel for both). Determinism:
-/// for a fixed pivot `k`, row `k` is never written during round `k`
-/// (the `i == k` update is skipped as a no-op), so a per-round copy of
-/// it equals the row the scalar loop reads, and each band writes only
-/// its own rows — the result is bit-identical to scalar.
-pub fn floyd_warshall_exec(m: &mut DistMatrix, exec: ExecBackend) {
-    if exec.is_scalar() {
-        crate::blocked_fw::floyd_warshall(m);
-        return;
-    }
-    let n = m.n();
-    let threads = exec.resolved_threads();
-    let data = m.as_mut_slice();
-    let mut pivot = vec![0 as Dist; n];
-    for k in 0..n {
-        pivot.copy_from_slice(&data[k * n..(k + 1) * n]);
-        par_row_bands(data, n, n, threads, n, |band, rows| {
-            for (i, row) in band.zip(rows.chunks_mut(n)) {
-                if i == k {
-                    continue;
-                }
-                let dik = row[k];
-                if dik >= INF {
-                    continue;
-                }
-                relax_row_branchless(row, &pivot, dik);
-            }
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::blocked_fw::{floyd_warshall, minplus_tile};
+    use crate::blocked_fw::minplus_tile;
     use apsp_graph::dist_add;
-    use apsp_graph::generators::{gnp, WeightRange};
     use proptest::prelude::*;
-
-    fn backends() -> Vec<ExecBackend> {
-        vec![
-            ExecBackend::Parallel { threads: Some(1) },
-            ExecBackend::Parallel { threads: Some(2) },
-            ExecBackend::Parallel { threads: Some(3) },
-            ExecBackend::parallel(),
-            ExecBackend::Simd { threads: Some(2) },
-            ExecBackend::Simd { threads: Some(3) },
-        ]
-    }
 
     #[test]
     fn branchless_add_equals_dist_add_at_boundaries() {
@@ -519,36 +421,19 @@ mod tests {
     #[test]
     fn resolved_threads_orders_sources() {
         assert_eq!(ExecBackend::Scalar.resolved_threads(), 1);
-        assert_eq!(
-            ExecBackend::Parallel { threads: Some(7) }.resolved_threads(),
-            7
-        );
-        assert_eq!(ExecBackend::Simd { threads: Some(2) }.resolved_threads(), 2);
-        assert!(ExecBackend::parallel().resolved_threads() >= 1);
-        let names = [
-            ExecBackend::Scalar,
-            ExecBackend::parallel(),
-            ExecBackend::simd(),
-        ]
-        .map(|e| (e.name(), e.is_scalar()));
-        assert_eq!(
-            names,
-            [("scalar", true), ("parallel", false), ("simd", false)]
-        );
+        assert_eq!(ExecBackend::Simd { threads: Some(7) }.resolved_threads(), 7);
+        assert!(ExecBackend::simd().resolved_threads() >= 1);
+        let names = [ExecBackend::Scalar, ExecBackend::simd()].map(|e| (e.name(), e.is_scalar()));
+        assert_eq!(names, [("scalar", true), ("simd", false)]);
     }
 
     #[test]
-    fn default_follows_active_isa() {
+    fn default_is_simd_on_every_isa() {
         let isa = crate::simd::active_isa();
         if cfg!(not(feature = "simd")) {
             assert_eq!(isa, "portable");
         }
-        let want = if isa == "avx2" {
-            ExecBackend::simd()
-        } else {
-            ExecBackend::parallel()
-        };
-        assert_eq!(ExecBackend::default(), want, "isa {isa}");
+        assert_eq!(ExecBackend::default(), ExecBackend::simd(), "isa {isa}");
     }
 
     #[test]
@@ -620,17 +505,21 @@ mod tests {
         assert_eq!(claim_workers(64, 4, half), 4);
     }
 
-    #[test]
-    fn minplus_tile_exec_matches_scalar_bitwise() {
-        // Random tiles at ragged sizes, including strides wider than the
-        // column count and INF-heavy operands with cells above INF.
-        let mut state = 0x1234_5678_9abc_def0u64;
-        let mut rng = move || {
+    /// A xorshift64 stream.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state
-        };
+        }
+    }
+
+    #[test]
+    fn minplus_tile_exec_matches_scalar_bitwise() {
+        // Random tiles at ragged sizes, including strides wider than the
+        // column count and INF-heavy operands with cells above INF.
+        let mut rng = xorshift(0x1234_5678_9abc_def0);
         for &(rows, inner, cols) in &[
             (1usize, 1usize, 1usize),
             (5, 7, 3),
@@ -670,7 +559,8 @@ mod tests {
                 inner,
                 cols,
             );
-            for exec in backends() {
+            for threads in [Some(1), Some(2), Some(3), None] {
+                let exec = ExecBackend::Simd { threads };
                 let mut fast = c0.clone();
                 minplus_tile_exec(
                     &mut fast, c_stride, &a, a_stride, &b, b_stride, rows, inner, cols, exec,
@@ -680,27 +570,41 @@ mod tests {
         }
     }
 
+    /// The Simd floor where no accelerated ISA runs: `minplus_tile_exec`
+    /// at n = 192, best of 9, against Scalar, on operands drawn like
+    /// `bench_kernels`' (one cell in eight `INF`). Timed, so ignored by
+    /// default; CI's `--no-default-features` leg runs it alone, on the
+    /// portable micro-kernel (`bench_kernels --smoke` holds AVX2 to 3x).
     #[test]
-    fn floyd_warshall_exec_matches_scalar_bitwise() {
-        for seed in [3u64, 21, 77] {
-            let g = gnp(61, 0.07, WeightRange::default(), seed);
-            let mut scalar = DistMatrix::from_graph(&g);
-            floyd_warshall(&mut scalar);
-            for exec in backends() {
-                let mut fast = DistMatrix::from_graph(&g);
-                floyd_warshall_exec(&mut fast, exec);
-                assert_eq!(fast, scalar, "{exec} seed {seed}");
+    #[ignore = "timed gate: run alone, with --release"]
+    fn simd_minplus_beats_scalar_by_1_5x() {
+        let n = 192;
+        let mut next = xorshift(0x1234_5678_9abc_def0);
+        let mut cells = || -> Vec<Dist> {
+            (0..n * n)
+                .map(|_| match next() % 10_000 {
+                    v if v.is_multiple_of(8) => INF,
+                    v => v as Dist,
+                })
+                .collect()
+        };
+        let (a, b, c0) = (cells(), cells(), cells());
+        let best_of_9 = |exec: ExecBackend| {
+            let mut c = c0.clone();
+            let mut best = f64::INFINITY;
+            for _ in 0..9 {
+                c.copy_from_slice(&c0);
+                let t = std::time::Instant::now();
+                minplus_tile_exec(&mut c, n, &a, n, &b, n, n, n, n, exec);
+                best = best.min(t.elapsed().as_secs_f64());
             }
-        }
-    }
-
-    #[test]
-    fn empty_and_trivial_matrices() {
-        let mut m = DistMatrix::new(0);
-        floyd_warshall_exec(&mut m, ExecBackend::parallel());
-        assert_eq!(m.n(), 0);
-        let mut one = DistMatrix::new(1);
-        floyd_warshall_exec(&mut one, ExecBackend::parallel());
-        assert_eq!(one.get(0, 0), 0);
+            (best, c)
+        };
+        let (scalar_s, scalar) = best_of_9(ExecBackend::Scalar);
+        let (simd_s, simd) = best_of_9(ExecBackend::simd());
+        assert!(simd == scalar, "simd diverged from scalar");
+        let (speedup, isa) = (scalar_s / simd_s, crate::simd::active_isa());
+        eprintln!("minplus-{n}: simd ({isa}) at {speedup:.2}x scalar");
+        assert!(speedup >= 1.5, "simd ({isa}) at {speedup:.2}x < 1.5x");
     }
 }

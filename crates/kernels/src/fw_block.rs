@@ -25,8 +25,8 @@ pub const FW_TILE: usize = 64;
 /// Run APSP over the whole square matrix `m` in device memory, charging
 /// the kernel schedule of the blocked GPU formulation: per round, one
 /// diagonal-tile kernel, two pivot-panel kernels, one remainder kernel.
-/// The execution backend only changes host wall-clock (band-parallel
-/// branchless tiles vs. the scalar reference); results and charged
+/// The execution backend only changes host wall-clock (Simd's threaded,
+/// register-tiled loops vs. the scalar reference); results and charged
 /// device time are identical.
 pub fn fw_device_exec(
     dev: &mut GpuDevice,
@@ -137,7 +137,6 @@ mod tests {
         };
         let scalar = run(ExecBackend::Scalar);
         for exec in [
-            ExecBackend::Parallel { threads: Some(2) },
             ExecBackend::Simd { threads: Some(1) },
             ExecBackend::Simd { threads: Some(2) },
         ] {

@@ -36,8 +36,8 @@ pub fn minplus_launch(rows: usize, cols: usize) -> LaunchConfig {
 
 /// `C = min(C, A ⊗ B)` between three distinct device matrices, under an
 /// explicit execution backend. Because the operands are distinct
-/// allocations, the parallel backend bands output rows freely; results
-/// are bit-identical across backends. A pure product `C = A ⊗ B` is this
+/// allocations, the Simd backend bands output rows freely; results are
+/// bit-identical across backends. A pure product `C = A ⊗ B` is this
 /// kernel on an all-`INF` C.
 ///
 /// # Panics
@@ -83,8 +83,8 @@ pub fn minplus_kernel_exec(
 /// it (`A[i][k] ⊕ A[k][l] ≥ A[i][l]` for every finite `A[i][k]`).
 ///
 /// Scalar runs the in-place `(i, k, j)` reference loop, whose row `i`
-/// reads rows `k` already improved in the same call. Parallel and Simd
-/// run the out-of-place product on a copy of C through
+/// reads rows `k` already improved in the same call. Simd runs the
+/// out-of-place product on a copy of C through
 /// [`minplus_tile_exec`], the register-tiled kernel stage 3 uses. An
 /// improved row the loop reads only adds a path through two pivot
 /// steps, `A[i][k] ⊕ A[k][l]`, which the closure makes no shorter than
@@ -115,8 +115,8 @@ pub fn minplus_left_inplace_exec(
 ///
 /// **Precondition:** `B` is a Floyd-Warshall closure, as stage 1 leaves
 /// it. Scalar runs the in-place reference loop, whose row `i` reads its
-/// own cells already improved in the same call; Parallel and Simd run
-/// the out-of-place product on a copy of C. They agree bit for bit under
+/// own cells already improved in the same call; Simd runs the
+/// out-of-place product on a copy of C. They agree bit for bit under
 /// the precondition, for the reason [`minplus_left_inplace_exec`] gives.
 pub fn minplus_right_inplace_exec(
     dev: &mut GpuDevice,
@@ -141,8 +141,8 @@ pub fn minplus_right_inplace_exec(
 /// `C = min(C, P ⊗ C)` (P square of side `rows`); otherwise
 /// `C = min(C, C ⊗ P)` (P square of side `cols`).
 ///
-/// P must be a Floyd-Warshall closure: only then does the Parallel and
-/// Simd product on a copy `c0` of C equal the scalar in-place loops.
+/// P must be a Floyd-Warshall closure: only then does the Simd product
+/// on a copy `c0` of C equal the scalar in-place loops.
 ///
 /// - Left masks P's diagonal to `INF`, mirroring the loop's `k == i`
 ///   skip: the `P[i][i] = 0` term would otherwise clamp a cell of C
@@ -216,10 +216,7 @@ mod tests {
     use proptest::prelude::*;
 
     /// The backends that must match `Scalar` bit for bit.
-    const FAST: [ExecBackend; 6] = [
-        ExecBackend::Parallel { threads: Some(1) },
-        ExecBackend::Parallel { threads: Some(2) },
-        ExecBackend::Parallel { threads: Some(3) },
+    const FAST: [ExecBackend; 3] = [
         ExecBackend::Simd { threads: Some(1) },
         ExecBackend::Simd { threads: Some(2) },
         ExecBackend::Simd { threads: Some(3) },

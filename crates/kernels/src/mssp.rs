@@ -28,8 +28,8 @@ pub struct MsspOptions {
     /// child kernel (ignored unless `dynamic_parallelism`).
     pub heavy_degree_threshold: usize,
     /// Host execution backend: the per-source SSSP instances are
-    /// independent, so the parallel backend runs them across threads
-    /// (each writes its own output row) — bit-identical to sequential.
+    /// independent, so the Simd backend runs them across threads (each
+    /// writes its own output row) — bit-identical to sequential.
     pub exec: ExecBackend,
 }
 
@@ -426,10 +426,6 @@ mod tests {
                         let at = format!(
                             "n {n}, {threads} threads, parents {with_parents}, dynpar {dynamic_parallelism}"
                         );
-                        let fast = run(ExecBackend::Parallel {
-                            threads: Some(threads),
-                        });
-                        assert!(fast == scalar, "parallel: {at}");
                         let simd = run(ExecBackend::Simd {
                             threads: Some(threads),
                         });
