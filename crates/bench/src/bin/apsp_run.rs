@@ -703,7 +703,7 @@ fn run_multi(graph: &CsrGraph, base_profile: &DeviceProfile, args: &Args) {
     println!("algorithm: boundary ({} device(s))", stats.num_devices);
     println!("backend: {exec} ({} thread(s))", exec.resolved_threads());
     println!(
-        "partition: {} component(s), {} boundary vertices; dist2 placement {:?}, {} dist4 panel(s) stolen",
+        "partition: {} component(s), {} boundary vertices; dist2 placement {:?}, {} dist4 panel(s) on another device",
         stats.num_components, stats.total_boundary, stats.placement, stats.stolen_panels
     );
     println!(

@@ -34,10 +34,13 @@
 //! checksum of the result — which must be bit-identical across both
 //! backends or the binary exits non-zero.
 //!
-//! `--smoke` additionally gates the silent-corruption guard's overhead:
-//! a representative out-of-core run with `--sdc-guard checksum` may cost
-//! at most 5% wall-clock over the unguarded run (plus a 10 ms floor so
-//! timer noise at smoke sizes cannot flake the gate).
+//! `--smoke` additionally gates the silent-corruption guard's overhead,
+//! and prints it as a ratio: a representative out-of-core run with
+//! `--sdc-guard checksum` may cost at most 5% wall-clock over the
+//! unguarded run, plus a 10 ms floor so timer noise at smoke sizes
+//! cannot flake the gate. The guard's real cost is above 5%: on a 2-vCPU
+//! VM it measured 1.15–1.38× the unguarded time at n = 96–320 (see
+//! `SdcGuardMode::Checksum`), so the gate passes through its floor.
 
 use apsp_core::options::{Algorithm, SdcGuardMode};
 use apsp_core::{apsp, ApspOptions, RunReport, StorageBackend};
@@ -506,16 +509,17 @@ fn main() {
         let off = time_guarded(SdcGuardMode::Off);
         let checksum = time_guarded(SdcGuardMode::Checksum);
         let budget = (off * 1.05).max(off + 0.010);
+        let ratio = checksum / off;
         if checksum > budget {
             eprintln!(
                 "FAIL: sdc checksum guard costs {checksum:.4}s vs {off:.4}s unguarded \
-                 (budget {budget:.4}s)"
+                 ({ratio:.2}×, budget {budget:.4}s)"
             );
             std::process::exit(1);
         }
         println!(
             "sdc overhead gate passed: checksum {checksum:.4}s vs off {off:.4}s \
-             (budget {budget:.4}s)"
+             ({ratio:.2}×, budget {budget:.4}s)"
         );
 
         // CI gate: the register-tiled micro-kernel's floor on the

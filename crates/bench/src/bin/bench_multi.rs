@@ -12,17 +12,20 @@
 //!   --n <vertices> grid side is derived from this vertex budget
 //! ```
 //!
-//! Sweeps the sharded boundary executor over homogeneous V100 fleets of
+//! Sweeps the boundary driver over homogeneous V100 fleets of
 //! increasing size plus two heterogeneous V100/K80 mixes, on one fixed
 //! partition (`k = max(sizes)`, at least 8) so every run schedules the
 //! same components and only the fleet varies. Records the simulated
-//! makespan, per-phase seconds, work-stealing migrations, and an FNV-1a
+//! makespan, per-phase seconds, the dist₄ panels planned onto another
+//! device than their dist₂ block (`stolen_panels`), and an FNV-1a
 //! checksum of the result matrix per fleet.
 //!
-//! Two gates, exit 1 on violation:
+//! Three gates, exit 1 on violation:
 //!
 //! * every fleet's matrix is bit-identical (equal checksums);
-//! * the homogeneous makespan curve never rises as devices are added.
+//! * the homogeneous makespan curve never rises as devices are added;
+//! * every homogeneous fleet of several devices finishes dist₄ sooner
+//!   than the one-device fleet.
 
 use apsp_core::options::BoundaryOptions;
 use apsp_core::{ooc_boundary_multi, MultiGpuStats, StorageBackend, TileStore};
@@ -182,7 +185,7 @@ fn main() {
     for r in &rows {
         println!(
             "  {:<12} {} device(s): makespan {:.6} s (dist2 {:.6} / dist3 {:.6} / dist4 {:.6}), \
-             {} stolen, wall {:.3} s, checksum {:#018x}",
+             {} dist4 panel(s) on another device, wall {:.3} s, checksum {:#018x}",
             r.label,
             r.devices,
             r.stats.sim_seconds,
@@ -209,6 +212,19 @@ fn main() {
                 pair[0].label, pair[0].stats.sim_seconds, pair[1].label, pair[1].stats.sim_seconds
             );
             failed = true;
+        }
+    }
+    // dist₄ spreads: several devices finish it sooner than one, by more
+    // than rounding.
+    if let Some(one) = homogeneous.iter().find(|r| r.devices == 1) {
+        for r in homogeneous.iter().filter(|r| r.devices > 1) {
+            if r.stats.phase_seconds[2] >= one.stats.phase_seconds[2] * (1.0 - 1e-9) {
+                eprintln!(
+                    "GATE FAILED: dist4 of {} ({:.6} s) is no faster than one device's ({:.6} s)",
+                    r.label, r.stats.phase_seconds[2], one.stats.phase_seconds[2]
+                );
+                failed = true;
+            }
         }
     }
 

@@ -70,7 +70,7 @@ pub struct MultiCellReport {
     pub num_devices: usize,
     /// Barrier-synchronized makespan of the multi run.
     pub makespan_s: f64,
-    /// dist₄ panels migrated off their dist₂ owner.
+    /// dist₄ panels placed on another device than their dist₂ block.
     pub stolen_panels: u32,
 }
 

@@ -68,7 +68,8 @@ fn every_fleet_shape_matches_the_single_device_oracle_bitwise() {
                     let report = run_multi_cell(&case, &fleet, store_kind, &opts, &oracle, &cfg)
                         .unwrap_or_else(|e| panic!("{e}"));
                     eprintln!(
-                        "{}: [{}] {store_kind}/{exec:?} makespan {:.3}s, {} stolen",
+                        "{}: [{}] {store_kind}/{exec:?} makespan {:.3}s, \
+                         {} dist4 panel(s) on another device",
                         case.name, report.fleet, report.makespan_s, report.stolen_panels
                     );
                 }
@@ -131,14 +132,14 @@ fn multi_device_telemetry_has_per_device_spans_and_validates_against_the_schema(
         )
         .unwrap();
 
-    // Every multi phase span names its device, and both devices appear.
+    // Every boundary phase span names its device, and both devices appear.
     let devices: Vec<Option<usize>> = report
         .spans
         .iter()
-        .filter(|s| s.name.starts_with("multi."))
+        .filter(|s| s.name.starts_with("boundary."))
         .map(|s| s.device)
         .collect();
-    assert!(!devices.is_empty(), "no multi.* spans in the report");
+    assert!(!devices.is_empty(), "no boundary.* spans in the report");
     assert!(devices.iter().all(|d| d.is_some()));
     assert!(devices.contains(&Some(0)) && devices.contains(&Some(1)));
 

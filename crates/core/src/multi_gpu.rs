@@ -1,51 +1,28 @@
 //! Multi-device boundary algorithm — the distributed heritage of
-//! Algorithm 3, rebuilt as a sharded executor.
+//! Algorithm 3.
 //!
 //! Djidjev et al. designed the boundary algorithm for multi-node
-//! clusters; the paper specializes it to one GPU. This module scales it
-//! back out across a fleet of (simulated) devices, which may mix
-//! profiles (a V100 next to a K80):
-//!
-//! 1. **dist₂** — components are placed per-device by the selector's
-//!    fleet scheduler ([`crate::selector::placement`]): LPT greedy over
-//!    the `sz³` cost model, normalized by each profile's throughput;
-//!    each device runs blocked FW on its own diagonal blocks.
-//! 2. **dist₃** — the boundary graph is assembled on the host, solved on
-//!    the *fastest* device in the fleet, and broadcast to the others.
-//! 3. **dist₄** — row-panels are *re-planned* at the phase boundary with
-//!    each device's realized elapsed time as its initial load — the
-//!    deterministic form of tile-panel work stealing. Panels whose dist₂
-//!    owner fell behind migrate to devices that finished early
-//!    ([`MultiGpuStats::stolen_panels`] counts them).
-//!
-//! Every device has an independent timeline; phases are barrier-
-//! synchronized, so the reported time is `Σ_phases max_devices(phase)` —
-//! the makespan a lock-step multi-GPU driver loop would see. Supervision
-//! (deadline / stall / cancel) is checked at every phase barrier and at
-//! every panel-flush barrier; telemetry records one span per device per
-//! phase, tagged with the device index. The panel math itself is
-//! device-independent, so the output is bit-identical to the
+//! clusters; the paper specializes it to one GPU. [`run`] hands a fleet
+//! of simulated devices, which may mix profiles (a V100 next to a K80),
+//! to the one boundary driver in [`crate::ooc_boundary`], which runs a
+//! single device as a fleet of one. The selector's fleet plan
+//! ([`crate::selector::placement`]) places each component's dist₂ block
+//! and dist₄ panel by LPT over the profiles' throughput, and solves
+//! dist₃ on the fastest device, which broadcasts it. Every device is
+//! charged as a lone device is; each phase starts at a barrier where
+//! every device waits for the slowest, so the reported time is the
+//! makespan a lock-step multi-GPU driver loop would see. The panel math
+//! is device-independent, so the output is bit-identical to the
 //! single-device [`crate::ooc_boundary::ooc_boundary`] run for any fleet
 //! shape.
 
-use crate::checkpoint::Progress;
 use crate::error::ApspError;
-use crate::ooc_boundary::{
-    adjacency_block, boundary_graph, component_rows, extract_block, partition, run_boundary,
-    upload_panel, working_set_fits, write_panel, BoundaryRun, BOUNDARY_KERNEL_EFFICIENCY_DIVISOR,
-};
+use crate::ooc_boundary::run_boundary;
 use crate::options::BoundaryOptions;
 use crate::run_ctx::RunCtx;
-use crate::sdc::SdcGuard;
-use crate::selector::placement::FleetPlan;
-use crate::supervisor::Supervisor;
 use crate::tile_store::TileStore;
-use apsp_gpu_sim::{DeviceProfile, GpuDevice, Pinning};
-use apsp_graph::{CsrGraph, Dist, INF};
-use apsp_kernels::fw_block::fw_device_exec;
-use apsp_kernels::minplus::minplus_kernel_exec;
-use apsp_kernels::DeviceMatrix;
-use apsp_partition::PartitionLayout;
+use apsp_gpu_sim::{DeviceProfile, GpuDevice};
+use apsp_graph::CsrGraph;
 
 /// Statistics from a multi-device boundary run.
 #[derive(Debug, Clone, Default)]
@@ -63,8 +40,8 @@ pub struct MultiGpuStats {
     /// Component → device assignment of the dist₂ phase (the cost-model
     /// placement).
     pub placement: Vec<usize>,
-    /// dist₄ panels that ran on a different device than their dist₂
-    /// owner — the work-stealing migrations.
+    /// dist₄ panels the fleet plan placed on a different device from
+    /// their component's dist₂ block.
     pub stolen_panels: u32,
     /// Restarts forced by mid-run device allocation failures.
     pub retries: u32,
@@ -91,13 +68,12 @@ pub fn ooc_boundary_multi(
 /// [`ApspError::DeviceTooSmall`] when no feasible partition fits the
 /// smallest device — never panics on bad input.
 ///
-/// `ctx.supervisor` is checked at every phase barrier and panel-flush
-/// barrier and sets the retry policy. `ctx.checkpoint` arms the same
-/// durability as the single-device [`crate::ooc_boundary::run`], with
-/// the same manifest shape, so a run killed on one fleet resumes on
-/// another (or on a single device) bit-exactly: the committed cursor
-/// counts flushed components in partition order, which is
-/// device-count-independent.
+/// `ctx.supervisor` is checked at every panel-flush barrier and sets
+/// the retry policy. `ctx.checkpoint` arms the same durability as the
+/// single-device [`crate::ooc_boundary::run`], with the same manifest
+/// shape, so a run killed on one fleet resumes on another (or on a
+/// single device) bit-exactly: the committed cursor counts flushed
+/// components in partition order, which is device-count-independent.
 pub fn run(
     devs: &mut [GpuDevice],
     g: &CsrGraph,
@@ -111,13 +87,18 @@ pub fn run(
         ));
     }
     let num_devices = devs.len();
-    let (stats, c) = run_boundary(devs, g, store, opts, ctx, true, multi_inner)?;
+    let (outcome, c) = run_boundary(devs, g, store, opts, ctx, true)?;
     ctx.finish(MultiGpuStats {
         num_devices,
+        num_components: outcome.stats.num_components,
+        total_boundary: outcome.stats.total_boundary,
+        sim_seconds: outcome.stats.sim_seconds,
+        phase_seconds: outcome.phase_seconds,
+        placement: outcome.placement,
+        stolen_panels: outcome.stolen_panels,
         retries: c.retries,
         checkpoint_commits: c.checkpoint_commits,
         sdc_round_recoveries: c.sdc_round_recoveries,
-        ..stats
     })
 }
 
@@ -146,235 +127,12 @@ pub fn parse_fleet(spec: &str) -> Result<Vec<DeviceProfile>, String> {
     Ok(fleet)
 }
 
-fn multi_inner(
-    run: &mut BoundaryRun<MultiGpuStats>,
-    sup: &Supervisor,
-    guard: &mut SdcGuard,
-    commits: &mut u32,
-) -> Result<MultiGpuStats, ApspError> {
-    let (g, opts, ckpt) = (run.g, &run.opts, run.ckpt);
-    let (devs, store) = (&mut *run.devs, &mut *run.store);
-    let n = g.num_vertices();
-    let num_devs = devs.len();
-    let tel = sup.telemetry().clone();
-
-    // ---- Step 1: partition, at least one component per device when
-    // the graph allows it. Each device holds the full boundary matrix
-    // during dist₄, so the working set must fit *every* device: the
-    // smallest bounds feasibility.
-    let fits_fleet = |layout: &PartitionLayout| devs.iter().all(|d| working_set_fits(d, layout));
-    let (layout, start_component) = partition(g, opts, run.resume, num_devs, fits_fleet);
-    let pg = layout.permute_graph(g);
-    let k = layout.num_components();
-    let nb_total = layout.total_boundary();
-    if !fits_fleet(&layout) {
-        let smallest = devs.iter().map(|d| d.free_memory()).min().unwrap_or(0);
-        return Err(ApspError::DeviceTooSmall {
-            algorithm: "multi-device boundary",
-            detail: format!(
-                "no feasible partition: the minimum working set (boundary graph of \
-                 {nb_total} nodes plus one block's panels) exceeds the smallest \
-                 device's free memory ({smallest} bytes) even at k = {k}"
-            ),
-        });
-    }
-
-    // ---- Fleet plan: cost-model placement, not round-robin.
-    let profiles: Vec<DeviceProfile> = devs.iter().map(|d| d.profile().clone()).collect();
-    let profile_refs: Vec<&DeviceProfile> = profiles.iter().collect();
-    let plan = FleetPlan::new(&layout, &profile_refs)?;
-
-    for dev in devs.iter_mut() {
-        dev.set_kernel_efficiency_divisor(BOUNDARY_KERNEL_EFFICIENCY_DIVISOR);
-    }
-    let mut phase_start: Vec<f64> = devs.iter().map(|d| d.elapsed().seconds()).collect();
-    let mut phase_seconds = [0.0f64; 3];
-
-    // ---- Phase 1: dist₂, components placed by the cost model.
-    let mut spans: Vec<_> = devs.iter().map(|d| tel.phase_start(d)).collect();
-    let mut dist2: Vec<Vec<Dist>> = Vec::with_capacity(k);
-    for i in 0..k {
-        let dev = &mut devs[plan.dist2_owner[i]];
-        let range = layout.component_range(i);
-        let sz = range.len();
-        let mut block = adjacency_block(&pg, range);
-        if sz > 0 {
-            let s = dev.default_stream();
-            let mut tile = DeviceMatrix::alloc_inf(dev, sz, sz)?;
-            tile.upload_rows(dev, s, 0, &block, Pinning::Pinned);
-            fw_device_exec(dev, s, &mut tile, opts.exec);
-            tile.download_rows(dev, s, 0..sz, &mut block, Pinning::Pinned);
-        }
-        dist2.push(block);
-    }
-    for (d, (dev, span)) in devs.iter().zip(spans.drain(..)).enumerate() {
-        tel.phase_end_on_device(dev, span, "multi.dist2", Some(d));
-    }
-    barrier(devs, &mut phase_start, &mut phase_seconds[0]);
-    sup.check_barrier(max_elapsed(devs), "multi-device dist2 phase barrier")?;
-
-    // ---- Phase 2: boundary graph solved on the fastest device,
-    // broadcast to the rest.
-    let mut spans: Vec<_> = devs.iter().map(|d| tel.phase_start(d)).collect();
-    let (bofs, mut bound_host) = boundary_graph(&layout, &pg, &dist2);
-    if nb_total > 0 {
-        // Solve on the fastest profile: every other device waits on this
-        // serial phase, so it belongs on the strongest device.
-        let solver = plan.dist3_solver;
-        {
-            let dev = &mut devs[solver];
-            let s = dev.default_stream();
-            let mut bound = DeviceMatrix::alloc_inf(dev, nb_total, nb_total)?;
-            bound.upload_rows(dev, s, 0, &bound_host, Pinning::Pinned);
-            fw_device_exec(dev, s, &mut bound, opts.exec);
-            bound.download_rows(dev, s, 0..nb_total, &mut bound_host, Pinning::Pinned);
-        }
-        // Broadcast: every other device pays one H2D of the full matrix.
-        // The replica's lifetime is phase 3; dropping it here releases
-        // simulated memory while the host copy carries the data — the
-        // transfer charge is what matters.
-        for (d, dev) in devs.iter_mut().enumerate() {
-            if d == solver {
-                continue;
-            }
-            let s = dev.default_stream();
-            let copy = upload_panel(dev, s, nb_total, nb_total, &bound_host)?;
-            drop(copy);
-        }
-    }
-    for (d, (dev, span)) in devs.iter().zip(spans.drain(..)).enumerate() {
-        tel.phase_end_on_device(dev, span, "multi.dist3", Some(d));
-    }
-    barrier(devs, &mut phase_start, &mut phase_seconds[1]);
-    sup.check_barrier(max_elapsed(devs), "multi-device dist3 phase barrier")?;
-
-    // ---- Phase 3: dist₄ row-panels, work-stealing re-plan, streamed to
-    // the host in partition order (so checkpoint cursors stay contiguous
-    // and the store write order matches the single-device run).
-    let elapsed: Vec<f64> = devs.iter().map(|d| d.elapsed().seconds()).collect();
-    let dist4_owner = plan.dist4_owners(&profile_refs, &elapsed)?;
-    let stolen_panels = dist4_owner
-        .iter()
-        .zip(plan.dist2_owner.iter())
-        .filter(|(a, b)| a != b)
-        .count() as u32;
-    let mut spans: Vec<_> = devs.iter().map(|d| tel.phase_start(d)).collect();
-    let mut scatter_row = vec![0 as Dist; n];
-    // Store rows whose dist₄ panels are final, restored or flushed: the
-    // rows the guard checks at each flush barrier.
-    let mut guard_rows: Vec<usize> = (0..start_component)
-        .flat_map(|c| component_rows(&layout, c))
-        .collect();
-    for i in start_component..k {
-        store.set_sdc_round(i);
-        let owner = dist4_owner[i];
-        let dev = &mut devs[owner];
-        let s = dev.default_stream();
-        let irange = layout.component_range(i);
-        let sz_i = irange.len();
-        let nb_i = layout.boundary_count(i);
-        let c2b_host = extract_block(&dist2[i], sz_i, 0..sz_i, 0..nb_i);
-        let c2b = upload_panel(dev, s, sz_i, nb_i, &c2b_host)?;
-        let mut panel = vec![INF; sz_i * n];
-        for j in 0..k {
-            let jrange = layout.component_range(j);
-            let (sz_j, nb_j) = (jrange.len(), layout.boundary_count(j));
-            let bound_ij = extract_block(
-                &bound_host,
-                nb_total,
-                bofs[i]..bofs[i] + nb_i,
-                bofs[j]..bofs[j] + nb_j,
-            );
-            let bound_ij = upload_panel(dev, s, nb_i, nb_j, &bound_ij)?;
-            let b2c = upload_panel(dev, s, nb_j, sz_j, &dist2[j][..nb_j * sz_j])?;
-            let mut tmp1 = DeviceMatrix::alloc_inf(dev, sz_i, nb_j)?;
-            minplus_kernel_exec(dev, s, &mut tmp1, &c2b, &bound_ij, opts.exec);
-            let mut block = DeviceMatrix::alloc_inf(dev, sz_i, sz_j)?;
-            minplus_kernel_exec(dev, s, &mut block, &tmp1, &b2c, opts.exec);
-            for r in 0..sz_i {
-                for c in 0..sz_j {
-                    let mut v = block.get(r, c);
-                    if i == j {
-                        v = v.min(dist2[i][r * sz_j + c]);
-                    }
-                    panel[r * n + jrange.start + c] = v;
-                }
-            }
-        }
-        // One pinned D2H per panel (panel == flush on the multi path;
-        // the parallelism win comes from sharding, not staging).
-        let mut staging = DeviceMatrix::alloc_inf(dev, sz_i, n)?;
-        staging.as_mut_slice().copy_from_slice(&panel);
-        let mut host_panel = vec![0 as Dist; sz_i * n];
-        staging.download_rows(dev, s, 0..sz_i, &mut host_panel, Pinning::Pinned);
-        write_panel(store, &layout, i, &host_panel, &mut scatter_row)?;
-        guard_rows.extend(component_rows(&layout, i));
-        // Flushed panel = unit of progress: supervision check, then the
-        // guard, then the checkpoint cursor advances (never past the
-        // final flush — completion clears the checkpoint instead). The
-        // guard runs BEFORE the commit, so a committed snapshot is never
-        // taken across undetected corruption.
-        sup.check_barrier(
-            max_elapsed(devs),
-            &format!("multi-device component {i} flush barrier"),
-        )?;
-        guard.check_completed_rows(store, i, &guard_rows)?;
-        if let Some(ck) = ckpt {
-            if i + 1 < k {
-                ck.commit(
-                    store,
-                    &Progress::Boundary {
-                        components: k,
-                        partition_seed: opts.partition_seed,
-                        next_component: i + 1,
-                    },
-                )?;
-                *commits += 1;
-            }
-        }
-    }
-    for (d, (dev, span)) in devs.iter().zip(spans.drain(..)).enumerate() {
-        tel.phase_end_on_device(dev, span, "multi.dist4", Some(d));
-    }
-    barrier(devs, &mut phase_start, &mut phase_seconds[2]);
-
-    Ok(MultiGpuStats {
-        num_devices: num_devs,
-        num_components: k,
-        total_boundary: nb_total,
-        sim_seconds: phase_seconds.iter().sum(),
-        phase_seconds,
-        placement: plan.dist2_owner,
-        stolen_panels,
-        ..Default::default()
-    })
-}
-
-/// Barrier: record each device's phase duration, advance `phase_start`,
-/// and accumulate the slowest device into `out`.
-fn barrier(devs: &mut [GpuDevice], phase_start: &mut [f64], out: &mut f64) {
-    let mut slowest = 0.0f64;
-    for (dev, start) in devs.iter_mut().zip(phase_start.iter_mut()) {
-        let now = dev.synchronize().seconds();
-        slowest = slowest.max(now - *start);
-        *start = now;
-    }
-    *out += slowest;
-}
-
-/// The fleet's makespan clock: the furthest-ahead device timeline.
-fn max_elapsed(devs: &[GpuDevice]) -> f64 {
-    devs.iter()
-        .map(|d| d.elapsed().seconds())
-        .fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checkpoint::Checkpoint;
+    use crate::checkpoint::{Checkpoint, Progress};
     use crate::run_ctx::durable;
-    use crate::supervisor::{CancelToken, SupervisionOptions};
+    use crate::supervisor::{CancelToken, SupervisionOptions, Supervisor};
     use crate::tile_store::StorageBackend;
     use apsp_cpu::{bgl_plus_apsp, ExecBackend};
     use apsp_graph::generators::{grid_2d, GridOptions, WeightRange};
@@ -552,6 +310,7 @@ mod tests {
         let ckpt = Checkpoint::new(&dir, &g).unwrap();
         let opts = BoundaryOptions {
             num_components: Some(6),
+            batch_transfers: false, // per-component flushes and commits
             ..Default::default()
         };
         // First attempt is cancelled mid-run, after some flush barriers.
@@ -622,6 +381,197 @@ mod tests {
         }
     }
 
+    /// What a fleet of one must share with `ooc_boundary` to the bit:
+    /// simulated seconds, bytes and transfers each way, kernel launches
+    /// and the matrix.
+    type Fingerprint = (u64, [u64; 5], apsp_cpu::DistMatrix);
+
+    fn fingerprint(dev: &GpuDevice, sim_seconds: f64, store: &TileStore) -> Fingerprint {
+        let c = dev.counters();
+        let counts = [
+            c.bytes_h2d,
+            c.bytes_d2h,
+            c.transfers_h2d,
+            c.transfers_d2h,
+            c.kernel_launches,
+        ];
+        (
+            sim_seconds.to_bits(),
+            counts,
+            store.to_dist_matrix().unwrap(),
+        )
+    }
+
+    /// Run `g` on one `bytes`-sized V100 through either entry point, with
+    /// an allocation failure armed at `oom` and under `ctx`. Returns the
+    /// fingerprint, the retries and (single-device only) `N_row`.
+    fn one_device(
+        fleet: bool,
+        g: &CsrGraph,
+        opts: &BoundaryOptions,
+        bytes: u64,
+        oom: Option<u64>,
+        ctx: &RunCtx,
+    ) -> Result<(Fingerprint, u32, usize), ApspError> {
+        let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(bytes));
+        if let Some(k) = oom {
+            dev.inject_alloc_failure(k);
+        }
+        let mut store = TileStore::new(g.num_vertices(), &StorageBackend::Memory).unwrap();
+        let (sim, retries, n_row) = if fleet {
+            let s = run(std::slice::from_mut(&mut dev), g, &mut store, opts, ctx)?;
+            (s.sim_seconds, s.retries, 0)
+        } else {
+            let s = crate::ooc_boundary::run(&mut dev, g, &mut store, opts, ctx)?;
+            (s.sim_seconds, s.retries, s.n_row)
+        };
+        Ok((fingerprint(&dev, sim, &store), retries, n_row))
+    }
+
+    /// A fleet of one is `ooc_boundary` to the bit, over four graphs ×
+    /// batching × overlap × three device sizes (the smallest forces the
+    /// per-block fallback), an OOM retry, and a run resumed from a
+    /// commit.
+    #[test]
+    fn a_fleet_of_one_is_ooc_boundary_to_the_bit() {
+        use apsp_graph::generators::random_geometric;
+        let w = WeightRange::default();
+        let mut two_grids = apsp_graph::GraphBuilder::new(110);
+        for e in grid_2d(5, 11, GridOptions::default(), w, 5).edges() {
+            two_grids.add_edge(e.src, e.dst, e.weight);
+            two_grids.add_edge(e.src + 55, e.dst + 55, e.weight);
+        }
+        let graphs = [
+            grid_2d(10, 10, GridOptions::default(), w, 3),
+            random_geometric(100, 0.16, w, 7),
+            grid_2d(
+                9,
+                11,
+                GridOptions {
+                    diagonals: true,
+                    deletion_prob: 0.2,
+                },
+                w,
+                11,
+            ),
+            two_grids.build(),
+        ];
+        let plain = RunCtx::default();
+        // All panels staged; a few per flush; not one staging panel beside
+        // the working set, so batching falls back to per-block copies.
+        const SIZES: [u64; 3] = [16 << 20, 40 << 10, 19 << 10];
+        for (gi, g) in graphs.iter().enumerate() {
+            for overlap in [false, true] {
+                for bytes in SIZES {
+                    let mut unbatched_d2h = 0;
+                    for batch in [false, true] {
+                        let opts = BoundaryOptions {
+                            num_components: Some(6),
+                            batch_transfers: batch,
+                            overlap_transfers: overlap,
+                            ..Default::default()
+                        };
+                        let cell =
+                            format!("graph {gi}, batch {batch}, overlap {overlap}, {bytes} B");
+                        let (single, _, n_row) = one_device(false, g, &opts, bytes, None, &plain)
+                            .unwrap_or_else(|e| panic!("{cell}: {e}"));
+                        let (fleet, ..) = one_device(true, g, &opts, bytes, None, &plain).unwrap();
+                        assert_eq!(fleet, single, "{cell}");
+                        let d2h = single.1[3];
+                        let per_block = n_row == 1 && d2h == unbatched_d2h;
+                        assert_eq!(per_block, batch && bytes == SIZES[2], "{cell}: {n_row}");
+                        unbatched_d2h = d2h;
+                    }
+                }
+            }
+        }
+        // An OOM in dist₄ restarts both the same way.
+        let g = &graphs[0];
+        let opts = BoundaryOptions {
+            num_components: Some(6),
+            ..Default::default()
+        };
+        let retried = |fleet| {
+            let (run, retries, _) =
+                one_device(fleet, g, &opts, 16 << 20, Some(40), &plain).unwrap();
+            assert_eq!(retries, 1);
+            run
+        };
+        assert_eq!(retried(true), retried(false));
+        // A run killed after a commit resumes from it the same way.
+        let opts = BoundaryOptions {
+            batch_transfers: false,
+            ..opts
+        };
+        let resumed = |fleet: bool| {
+            let dir = crate::run_ctx::test_dir(&format!("fleet_of_one_resume_{fleet}"));
+            let ckpt = Checkpoint::new(&dir, g).unwrap();
+            let mut dev = GpuDevice::new(DeviceProfile::v100());
+            let mut store = TileStore::new(g.num_vertices(), &StorageBackend::Memory).unwrap();
+            store.arm_crash(300);
+            let ctx = durable(&ckpt);
+            let err = if fleet {
+                run(std::slice::from_mut(&mut dev), g, &mut store, &opts, &ctx).unwrap_err()
+            } else {
+                crate::ooc_boundary::run(&mut dev, g, &mut store, &opts, &ctx).unwrap_err()
+            };
+            assert_eq!(err.kind(), crate::error::ApspErrorKind::Storage);
+            let manifest = ckpt
+                .load()
+                .unwrap()
+                .expect("a commit landed before the kill");
+            assert!(matches!(
+                manifest.progress,
+                Progress::Boundary { next_component, .. } if next_component >= 1
+            ));
+            one_device(fleet, g, &opts, 16 << 20, None, &ctx).unwrap()
+        };
+        assert_eq!(resumed(true).0, resumed(false).0);
+    }
+
+    /// dist₄ spreads over a homogeneous fleet: on bench_multi's grid, two
+    /// V100s each own panels and finish dist₄ well before one V100 does.
+    #[test]
+    fn dist4_spreads_over_a_homogeneous_fleet() {
+        use crate::telemetry::Telemetry;
+        let g = grid_2d(
+            24,
+            24,
+            GridOptions::default(),
+            WeightRange::default(),
+            0xB41C,
+        );
+        let opts = BoundaryOptions {
+            num_components: Some(8),
+            ..Default::default()
+        };
+        let dist4 = |count: usize| {
+            let mut devs = devices(count);
+            let mut store = TileStore::new(g.num_vertices(), &StorageBackend::Memory).unwrap();
+            let sup = Supervisor::with_telemetry(&Default::default(), 0.0, Telemetry::enabled());
+            let ctx = RunCtx {
+                supervisor: Some(&sup),
+                ..Default::default()
+            };
+            let stats = run(&mut devs, &g, &mut store, &opts, &ctx).unwrap();
+            let report =
+                sup.telemetry()
+                    .build_report("", "", 0.0, &devs[0].report(), &[], &[], 0, 0);
+            let spans = report.unwrap().spans;
+            let panels = spans.iter().filter(|s| s.name == "boundary.dist4");
+            let mut owned = vec![0; count];
+            panels.for_each(|s| owned[s.device.unwrap()] += 1);
+            (stats.phase_seconds[2], owned)
+        };
+        let (one, _) = dist4(1);
+        let (two, owned) = dist4(2);
+        assert!(two < 0.6 * one, "two V100s {two} s against one {one} s");
+        assert!(
+            owned.iter().all(|&p| p >= 1),
+            "dist4 panels per device {owned:?}"
+        );
+    }
+
     #[test]
     fn fleet_specs_parse_or_reject() {
         let fleet = parse_fleet("v100, K80 ,v100").unwrap();
@@ -633,11 +583,11 @@ mod tests {
         assert!(parse_fleet("a100").is_err());
     }
 
+    /// `stolen_panels` counts the dist₄ panels that ran on another device
+    /// than their component's dist₂ block.
     #[test]
-    fn work_stealing_counts_migrated_panels() {
-        // A heterogeneous fleet guarantees dist₂ finish-time skew, so the
-        // dist₄ re-plan has something to rebalance; the count is just
-        // recorded — zero is legal on perfectly balanced fleets.
+    fn stolen_panels_count_panels_off_their_dist2_device() {
+        use crate::telemetry::Telemetry;
         let g = grid_2d(16, 16, GridOptions::default(), WeightRange::default(), 29);
         let mut devs = vec![
             GpuDevice::new(DeviceProfile::v100()),
@@ -648,8 +598,24 @@ mod tests {
             num_components: Some(7),
             ..Default::default()
         };
-        let stats = ooc_boundary_multi(&mut devs, &g, &mut store, &opts).unwrap();
-        assert!(stats.stolen_panels as usize <= stats.num_components);
+        let sup = Supervisor::with_telemetry(&Default::default(), 0.0, Telemetry::enabled());
+        let ctx = RunCtx {
+            supervisor: Some(&sup),
+            ..Default::default()
+        };
+        let stats = run(&mut devs, &g, &mut store, &opts, &ctx).unwrap();
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
+        let report = sup
+            .telemetry()
+            .build_report("", "", 0.0, &devs[0].report(), &[], &[], 0, 0);
+        let spans = report.unwrap().spans;
+        let dist4: Vec<_> = spans
+            .iter()
+            .filter(|s| s.name == "boundary.dist4")
+            .collect();
+        assert_eq!(dist4.len(), stats.num_components);
+        let off = dist4.iter().zip(&stats.placement);
+        let off = off.filter(|(s, &d)| s.device != Some(d)).count();
+        assert_eq!(stats.stolen_panels as usize, off);
     }
 }

@@ -15,16 +15,23 @@
 //! accumulates `N_row = S_rem / (N_max · n · W)` component row-panels in a
 //! device staging buffer per transfer, and **overlap** double-buffers the
 //! staging so D2H copies hide behind the next components' compute.
+//!
+//! One driver runs every boundary solve on a fleet of devices: [`run`]
+//! passes a fleet of one, [`crate::multi_gpu::run`] a fleet of several,
+//! and each device is charged as a lone device is.
 
 use crate::checkpoint::{Checkpoint, Progress};
 use crate::error::ApspError;
 use crate::options::BoundaryOptions;
 use crate::run_ctx::{check_store, climb, Counters, RunCtx, Rungs};
 use crate::sdc::SdcGuard;
+use crate::selector::placement::FleetPlan;
 use crate::supervisor::Supervisor;
+use crate::telemetry::{PhaseStart, Telemetry};
 use crate::tile_store::TileStore;
 use apsp_gpu_sim::{
-    DeviceBuffer, GpuDevice, KernelCost, LaunchConfig, OutOfDeviceMemory, Pinning, StreamId,
+    DeviceProfile, DeviceReservation, GpuDevice, KernelCost, LaunchConfig, OutOfDeviceMemory,
+    Pinning, StreamId,
 };
 use apsp_graph::{CsrGraph, Dist, VertexId, INF};
 use apsp_kernels::fw_block::fw_device_exec;
@@ -114,32 +121,41 @@ pub fn run(
     ctx: &RunCtx,
 ) -> Result<BoundaryRunStats, ApspError> {
     let devs = std::slice::from_mut(dev);
-    let (stats, c) = run_boundary(devs, g, store, opts, ctx, false, ooc_boundary_inner)?;
+    let (outcome, c) = run_boundary(devs, g, store, opts, ctx, false)?;
     ctx.finish(BoundaryRunStats {
         retries: c.retries,
         checkpoint_commits: c.checkpoint_commits,
         sdc_round_recoveries: c.sdc_round_recoveries,
-        ..stats
+        ..outcome.stats
     })
 }
 
-/// One attempt of a boundary driver, on the run as the ladder left it.
-type Attempt<S> =
-    fn(&mut BoundaryRun<S>, &Supervisor, &mut SdcGuard, &mut u32) -> Result<S, ApspError>;
+/// What one attempt of the boundary driver reports; each entry point
+/// keeps its part.
+#[derive(Debug, Default)]
+pub(crate) struct Outcome {
+    pub(crate) stats: BoundaryRunStats,
+    /// Fleet-clock seconds of dist₂, of dist₃ with its broadcast, and of
+    /// dist₄.
+    pub(crate) phase_seconds: [f64; 3],
+    /// Component → device of the dist₂ phase.
+    pub(crate) placement: Vec<usize>,
+    /// dist₄ panels placed on another device than their dist₂ block.
+    pub(crate) stolen_panels: u32,
+}
 
-/// Both boundary drivers' `run`: the resume preamble (the two commit
-/// the same manifest shape), then `attempt` under the recovery ladder.
-/// The single-device driver passes one device, the fleet driver its
-/// fleet (`fleet`, whose recovery spans carry device index 0).
-pub(crate) fn run_boundary<S: Default>(
+/// Both entry points' `run`: the resume preamble, then the driver's
+/// attempt under the recovery ladder. [`run`] passes a fleet of one,
+/// `multi_gpu::run` its fleet (`fleet`, which names the algorithm and
+/// puts recovery spans on device 0).
+pub(crate) fn run_boundary(
     devs: &mut [GpuDevice],
     g: &CsrGraph,
     store: &mut TileStore,
     opts: &BoundaryOptions,
     ctx: &RunCtx,
     fleet: bool,
-    attempt: Attempt<S>,
-) -> Result<(S, Counters), ApspError> {
+) -> Result<(Outcome, Counters), ApspError> {
     let n = g.num_vertices();
     check_store(store, n)?;
     // A committed checkpoint must have been written under
@@ -177,28 +193,26 @@ pub(crate) fn run_boundary<S: Default>(
         resume: resume.map(|(components, _, next_component)| (components, next_component)),
         ckpt: ctx.checkpoint,
         fleet,
-        attempt,
     };
     climb(&mut run, n, opts.sdc_guard, &ctx.supervisor())
 }
 
-/// A boundary driver under the recovery ladder: its devices, the
+/// The boundary driver under the recovery ladder: its devices, the
 /// component count the last shrink left, and the resume cursor until a
 /// restart drops it.
-pub(crate) struct BoundaryRun<'a, S> {
-    pub(crate) devs: &'a mut [GpuDevice],
-    pub(crate) g: &'a CsrGraph,
-    pub(crate) store: &'a mut TileStore,
-    pub(crate) opts: BoundaryOptions,
+pub(crate) struct BoundaryRun<'a> {
+    devs: &'a mut [GpuDevice],
+    g: &'a CsrGraph,
+    store: &'a mut TileStore,
+    opts: BoundaryOptions,
     /// `(components, next_component)` of a restored manifest.
-    pub(crate) resume: Option<(usize, usize)>,
-    pub(crate) ckpt: Option<&'a Checkpoint>,
+    resume: Option<(usize, usize)>,
+    ckpt: Option<&'a Checkpoint>,
     fleet: bool,
-    attempt: Attempt<S>,
 }
 
-impl<S: Default> Rungs for BoundaryRun<'_, S> {
-    type Stats = S;
+impl Rungs for BoundaryRun<'_> {
+    type Stats = Outcome;
     const PANEL_RUNG: bool = false;
 
     fn algorithm(&self) -> &'static str {
@@ -222,8 +236,8 @@ impl<S: Default> Rungs for BoundaryRun<'_, S> {
         sup: &Supervisor,
         guard: &mut SdcGuard,
         commits: &mut u32,
-    ) -> Result<S, ApspError> {
-        let result = (self.attempt)(self, sup, guard, commits);
+    ) -> Result<Outcome, ApspError> {
+        let result = attempt(self, sup, guard, commits);
         // Restore every device's efficiency context on every exit path.
         for dev in self.devs.iter_mut() {
             dev.set_kernel_efficiency_divisor(1.0);
@@ -266,29 +280,28 @@ impl<S: Default> Rungs for BoundaryRun<'_, S> {
     }
 }
 
-/// Step 1 of both boundary drivers (host CPU, as in the paper): the
-/// partition and the first component to stream.
+/// Step 1 (host CPU, as in the paper): the partition and the first
+/// component to stream.
 ///
 /// A resume must reproduce the committed partition exactly, or the
 /// already-written panels would describe the wrong vertex sets. If it
 /// cannot (device shrank, partitioner merged components), fall back to
 /// a fresh start — exact, every panel is recomputed. A fresh start asks
-/// for the configured `k`, at least `min_k`, and shrinks it until the
-/// boundary matrix and working set `fits`; fewer components ⇒ fewer
-/// boundary nodes (at higher dist₂ cost), mirroring the paper's
-/// observation that non-small-separator graphs only admit a small
-/// number of components.
-pub(crate) fn partition(
+/// for the configured `k`, at least one component per device, and
+/// shrinks it until the boundary matrix and working set fit every
+/// device; fewer components ⇒ fewer boundary nodes (at higher dist₂
+/// cost), mirroring the paper's observation that non-small-separator
+/// graphs only admit a small number of components.
+fn partition(
     g: &CsrGraph,
     opts: &BoundaryOptions,
     resume: Option<(usize, usize)>,
-    min_k: usize,
-    fits: impl Fn(&PartitionLayout) -> bool,
+    devs: &[GpuDevice],
 ) -> (PartitionLayout, usize) {
     let n = g.num_vertices();
     if let Some((rk, next)) = resume {
         let candidate = kway_layout(g, opts, rk.clamp(1, n));
-        if candidate.num_components() == rk && fits(&candidate) {
+        if candidate.num_components() == rk && fits(devs, &candidate, 0) {
             return (candidate, next.min(rk));
         }
     }
@@ -296,10 +309,10 @@ pub(crate) fn partition(
         .num_components
         .unwrap_or_else(|| default_num_components(n))
         .clamp(1, n)
-        .max(min_k.min(n));
+        .max(devs.len().min(n));
     loop {
         let candidate = kway_layout(g, opts, k);
-        if fits(&candidate) || k <= 2 {
+        if fits(devs, &candidate, 0) || k <= 2 {
             return (candidate, 0);
         }
         k = (k / 2).max(2);
@@ -315,30 +328,148 @@ fn kway_layout(g: &CsrGraph, opts: &BoundaryOptions, k: usize) -> PartitionLayou
     PartitionLayout::new(g, &kway_partition(g, k, &pcfg))
 }
 
-fn ooc_boundary_inner(
-    run: &mut BoundaryRun<BoundaryRunStats>,
+/// The fleet's clock. Each device keeps its own timeline; at a barrier
+/// every device idles until the slowest arrives, and that idle time is
+/// kept here as a wait per device instead of moving its timeline. On a
+/// fleet of one every wait is zero, so the clock is the device's.
+struct FleetClock {
+    waits: Vec<f64>,
+}
+
+impl FleetClock {
+    /// The latest device, counting the waits each has accrued.
+    fn now(&self, devs: &[GpuDevice]) -> f64 {
+        let clocks = devs.iter().zip(&self.waits);
+        clocks.fold(0.0, |t, (d, w)| t.max(d.elapsed().seconds() + w))
+    }
+
+    /// Every device waits for the latest; returns the barrier's time.
+    fn barrier(&mut self, devs: &[GpuDevice]) -> f64 {
+        let t = self.now(devs);
+        for (d, w) in devs.iter().zip(&mut self.waits) {
+            *w = t - d.elapsed().seconds();
+        }
+        t
+    }
+}
+
+/// One device's dist₄ output staging: the paper's `N_row` row-panels per
+/// transfer (Fig 8), in two buffers when overlapping so the D2H of one
+/// hides behind compute into the other.
+struct Staging {
+    /// Panels per flush (`N_row`; 1 without batching).
+    n_row: usize,
+    /// Device memory of each buffer, held for its footprint only: a
+    /// finished panel goes straight to the store, and a flush charges
+    /// the D2H of the staged bytes. Empty without batching.
+    buffers: Vec<DeviceReservation>,
+    /// The stream of each buffer (the same one without overlap).
+    streams: [StreamId; 2],
+    active: usize,
+    /// Components in the active buffer.
+    staged: Vec<usize>,
+    /// Panels the device has yet to stage in this attempt.
+    left: usize,
+}
+
+impl Staging {
+    /// Size the staging beside the resident boundary matrix and the
+    /// peak per-block working set: the rest of the device (the paper's
+    /// `S_rem`) holds `N_row = S_rem / (N_max · n · W)` panels per
+    /// buffer, at most the `owned` panels the plan gives the device.
+    /// If two buffers don't fit, sacrifice overlap before batching; with
+    /// no room at all, fall back to per-block transfers (still correct).
+    fn new(
+        dev: &GpuDevice,
+        opts: &BoundaryOptions,
+        streams: [StreamId; 2],
+        per_block_working: u64,
+        panel_words: usize,
+        owned: usize,
+        left: usize,
+    ) -> Result<Staging, ApspError> {
+        let w = std::mem::size_of::<Dist>() as u64;
+        let s_rem = dev.free_memory().saturating_sub(per_block_working);
+        let mut buffers = if opts.overlap_transfers { 2usize } else { 1 };
+        let mut n_row_budget = (s_rem / w) as usize / panel_words / buffers;
+        if n_row_budget == 0 && buffers == 2 {
+            buffers = 1;
+            n_row_budget = (s_rem / w) as usize / panel_words;
+        }
+        let batching = opts.batch_transfers && n_row_budget >= 1 && owned > 0;
+        let n_row = if batching { n_row_budget.min(owned) } else { 1 };
+        let count = if batching { buffers } else { 0 };
+        let bytes = (n_row * panel_words) as u64 * w;
+        let buffers = (0..count)
+            .map(|_| dev.reserve(bytes))
+            .collect::<Result<_, _>>()?;
+        Ok(Staging {
+            n_row,
+            buffers,
+            streams,
+            active: 0,
+            staged: Vec::new(),
+            left,
+        })
+    }
+
+    /// The stream of the active buffer.
+    fn stream(&self) -> StreamId {
+        self.streams[self.active]
+    }
+
+    /// Stage component `c`'s finished panel, and flush when the staging
+    /// is full or holds the device's last panel. A batched flush charges
+    /// one D2H of `panel_bytes` per staged panel and switches buffers.
+    /// Returns the flushed components.
+    fn stage(&mut self, dev: &mut GpuDevice, c: usize, panel_bytes: u64) -> Option<Vec<usize>> {
+        self.staged.push(c);
+        self.left -= 1;
+        if self.staged.len() < self.n_row && self.left > 0 {
+            return None;
+        }
+        if !self.buffers.is_empty() {
+            let bytes = self.staged.len() as u64 * panel_bytes;
+            dev.charge_d2h(self.stream(), bytes, Pinning::Pinned);
+            self.active = (self.active + 1) % self.buffers.len();
+        }
+        Some(std::mem::take(&mut self.staged))
+    }
+}
+
+/// One attempt of the boundary driver on its fleet — one device for
+/// [`run`]. Every device is charged as a lone device is; the fleet only
+/// decides which device runs each component's work ([`FleetPlan`]), and
+/// puts a barrier before each phase.
+fn attempt(
+    run: &mut BoundaryRun,
     sup: &Supervisor,
     guard: &mut SdcGuard,
     commits: &mut u32,
-) -> Result<BoundaryRunStats, ApspError> {
+) -> Result<Outcome, ApspError> {
+    let (algorithm, fleet) = (run.algorithm(), run.fleet);
     let (g, opts, ckpt) = (run.g, &run.opts, run.ckpt);
-    let (dev, store) = (&mut run.devs[0], &mut *run.store);
+    let (devs, store) = (&mut *run.devs, &mut *run.store);
     let n = g.num_vertices();
-    let (mut layout, start_component) =
-        partition(g, opts, run.resume, 1, |l| working_set_fits(dev, l));
+    // Each device holds the full boundary matrix during dist₄, so the
+    // working set must fit every device: the smallest bounds feasibility.
+    let (mut layout, start_component) = partition(g, opts, run.resume, devs);
     // If transfer batching is on but not even one staging row-panel fits
-    // alongside the working set, try doubling k once: smaller components
-    // mean smaller `N_max · n` panels (at somewhat more boundary). Going
-    // further multiplies the k² per-block overheads past any transfer
-    // win, so a candidate is adopted only if it actually restores
-    // batching; otherwise the per-block pinned fallback is cheaper.
-    // Never mid-resume: a different partition would orphan the committed
-    // panels.
-    if start_component == 0 && opts.batch_transfers && !staging_fits(dev, opts, &layout) {
+    // alongside the working set on some device, try doubling k once:
+    // smaller components mean smaller `N_max · n` panels (at somewhat
+    // more boundary). Going further multiplies the k² per-block overheads
+    // past any transfer win, so a candidate is adopted only if it
+    // actually restores batching on every device; otherwise the
+    // per-block pinned fallback is cheaper. Never mid-resume: a
+    // different partition would orphan the committed panels.
+    let w = std::mem::size_of::<Dist>() as u64;
+    let buffers = if opts.overlap_transfers { 2 } else { 1 };
+    let staging = |l: &PartitionLayout| buffers * (l.max_component_size() * n) as u64 * w;
+    if start_component == 0 && opts.batch_transfers && !fits(devs, &layout, staging(&layout)) {
         let k2 = (layout.num_components() * 2).min(n / 2).max(2);
         if k2 > layout.num_components() {
             let candidate = kway_layout(g, opts, k2);
-            if working_set_fits(dev, &candidate) && staging_fits(dev, opts, &candidate) {
+            if fits(devs, &candidate, staging(&candidate)) {
                 layout = candidate;
             }
         }
@@ -347,36 +478,53 @@ fn ooc_boundary_inner(
     let k = layout.num_components();
     let nb_total = layout.total_boundary();
     let n_max = layout.max_component_size();
-    let nb_max = (0..k).map(|i| layout.boundary_count(i)).max().unwrap_or(0);
-    let w = std::mem::size_of::<Dist>() as u64;
-    if !working_set_fits(dev, &layout) {
-        return Err(ApspError::DeviceTooSmall {
-            algorithm: "out-of-core boundary",
-            detail: format!(
-                "minimum working set ({} bytes: boundary graph of {nb_total} nodes, {n_max}² block) exceeds free device memory ({} bytes) even at k = {k}",
-                working_set_bytes(nb_total, n_max, nb_max),
-                dev.free_memory()
-            ),
-        });
+    let nb_max = max_boundary(&layout);
+    if !fits(devs, &layout, 0) {
+        let free = devs.iter().map(GpuDevice::free_memory).min().unwrap_or(0);
+        let detail = if fleet {
+            format!(
+                "no feasible partition: the minimum working set (boundary graph of \
+                 {nb_total} nodes plus one block's panels) exceeds the smallest \
+                 device's free memory ({free} bytes) even at k = {k}"
+            )
+        } else {
+            format!(
+                "minimum working set ({} bytes: boundary graph of {nb_total} nodes, {n_max}² block) exceeds free device memory ({free} bytes) even at k = {k}",
+                working_set_bytes(&layout),
+            )
+        };
+        return Err(ApspError::DeviceTooSmall { algorithm, detail });
+    }
+    let profiles: Vec<&DeviceProfile> = devs.iter().map(GpuDevice::profile).collect();
+    let plan = FleetPlan::new(&layout, &profiles)?;
+    let tag = |d: usize| fleet.then_some(d);
+
+    let mut clock = FleetClock {
+        waits: vec![0.0; devs.len()],
+    };
+    let start = clock.barrier(devs);
+    let mut streams = Vec::with_capacity(devs.len());
+    for dev in devs.iter_mut() {
+        dev.set_kernel_efficiency_divisor(BOUNDARY_KERNEL_EFFICIENCY_DIVISOR);
+        let s0 = dev.default_stream();
+        let s1 = if opts.overlap_transfers {
+            dev.create_stream()
+        } else {
+            s0
+        };
+        streams.push([s0, s1]);
     }
 
-    let start = dev.elapsed().seconds();
-    dev.set_kernel_efficiency_divisor(BOUNDARY_KERNEL_EFFICIENCY_DIVISOR);
-    let s0 = dev.default_stream();
-    let s1 = if opts.overlap_transfers {
-        dev.create_stream()
-    } else {
-        s0
-    };
-
-    // ---- Step 2: dist₂ on each diagonal block.
+    // ---- Step 2: dist₂ on each diagonal block, on its planned device.
     let tel = sup.telemetry().clone();
-    let ph = tel.phase_start(dev);
+    let spans = open_spans(&tel, devs);
     let mut dist2: Vec<Vec<Dist>> = Vec::with_capacity(k);
     for i in 0..k {
+        let dev = &mut devs[plan.dist2_owner[i]];
+        let s0 = dev.default_stream();
         let range = layout.component_range(i);
         let sz = range.len();
-        let mut block = adjacency_block(&pg, range.clone());
+        let mut block = adjacency_block(&pg, range);
         let mut tile = DeviceMatrix::alloc_inf(dev, sz, sz)?;
         if sz > 0 {
             tile.upload_rows(dev, s0, 0, &block, Pinning::Pinned);
@@ -385,69 +533,78 @@ fn ooc_boundary_inner(
         }
         dist2.push(block);
     }
-    tel.phase_end(dev, ph, "boundary.dist2");
+    close_spans(&tel, devs, spans, "boundary.dist2", fleet);
+    let dist2_end = clock.barrier(devs);
 
-    // ---- Step 3: the boundary graph and dist₃.
-    let ph = tel.phase_start(dev);
-    let (bofs, bound_host) = boundary_graph(&layout, &pg, &dist2);
-    let mut bound = DeviceMatrix::alloc_inf(dev, nb_total, nb_total)?;
+    // ---- Step 3: the boundary graph and dist₃, solved on the fastest
+    // device and broadcast to the rest, which wait for the solve. Every
+    // device keeps the matrix resident for dist₄.
+    let spans = open_spans(&tel, devs);
+    let (bofs, mut bound_host) = boundary_graph(&layout, &pg, &dist2);
+    let solver = plan.dist3_solver;
+    let broadcast = devs.len() > 1;
+    let dev = &mut devs[solver];
+    let s0 = dev.default_stream();
+    let mut solved = DeviceMatrix::alloc_inf(dev, nb_total, nb_total)?;
     if nb_total > 0 {
-        bound.upload_rows(dev, s0, 0, &bound_host, Pinning::Pinned);
-        fw_device_exec(dev, s0, &mut bound, opts.exec);
-    }
-    drop(bound_host);
-    tel.phase_end(dev, ph, "boundary.dist3");
-
-    // ---- Step 4: dist₄, streamed to the host.
-    // Staging capacity: after the resident boundary matrix and the peak
-    // per-block working set, the rest of the device is the output buffer
-    // (the paper's `S_rem`), split across two buffers when overlapping.
-    let per_block_working = ((n_max * nb_max) * 3 + nb_max * nb_max + n_max * n_max) as u64 * w;
-    let s_rem = dev.free_memory().saturating_sub(per_block_working);
-    let panel_words = (n_max * n).max(1);
-    // `N_row = S_rem / (N_max · n · W)` per buffer. If two buffers don't
-    // fit, sacrifice staging overlap before sacrificing batching; with no
-    // room at all, fall back to per-block transfers (still correct).
-    let mut staging_buffers = if opts.overlap_transfers { 2usize } else { 1 };
-    let mut n_row_budget = (s_rem / w) as usize / panel_words / staging_buffers;
-    if n_row_budget == 0 && staging_buffers == 2 {
-        staging_buffers = 1;
-        n_row_budget = (s_rem / w) as usize / panel_words;
-    }
-    let batching = opts.batch_transfers && n_row_budget >= 1;
-    let n_row = if batching {
-        n_row_budget.clamp(1, k)
-    } else {
-        1
-    };
-    // One panel row-group per staged component; two staging buffers when
-    // overlapping so the D2H of one hides behind compute into the other.
-    let staging_len = n_row * n_max * n;
-    let mut stagings: Vec<DeviceBuffer<Dist>> = Vec::new();
-    if batching {
-        for _ in 0..staging_buffers {
-            stagings.push(dev.alloc(staging_len)?);
+        solved.upload_rows(dev, s0, 0, &bound_host, Pinning::Pinned);
+        fw_device_exec(dev, s0, &mut solved, opts.exec);
+        if broadcast {
+            solved.download_rows(dev, s0, 0..nb_total, &mut bound_host, Pinning::Pinned);
         }
     }
-    let mut staged: Vec<usize> = Vec::new(); // component ids in the active staging
-    let mut active = 0usize; // which staging buffer / stream
+    clock.barrier(devs);
+    let mut bound = Vec::with_capacity(devs.len());
+    for (d, dev) in devs.iter_mut().enumerate() {
+        if d != solver {
+            let s0 = dev.default_stream();
+            bound.push(upload_panel(dev, s0, nb_total, nb_total, &bound_host)?);
+        }
+    }
+    bound.insert(solver, solved);
+    drop(bound_host);
+    close_spans(&tel, devs, spans, "boundary.dist3", fleet);
+    let dist3_end = clock.barrier(devs);
+
+    // ---- Step 4: dist₄, each panel on its planned device, streamed to
+    // the host through that device's staging.
+    let per_block_working = ((n_max * nb_max) * 3 + nb_max * nb_max + n_max * n_max) as u64 * w;
+    let panel_words = (n_max * n).max(1);
+    let mut stagings = Vec::with_capacity(devs.len());
+    for (d, dev) in devs.iter().enumerate() {
+        let owns = |from: usize| plan.dist4_owner[from..].iter().filter(|&&o| o == d).count();
+        stagings.push(Staging::new(
+            dev,
+            opts,
+            streams[d],
+            per_block_working,
+            panel_words,
+            owns(0),
+            owns(start_component),
+        )?);
+    }
     let mut host_panel = vec![0 as Dist; n_max * n];
     let mut scatter_row = vec![0 as Dist; n];
-
-    // Store rows (original vertex ids) whose dist₄ panels are flushed —
-    // final metric-closure rows, the candidates the invariant guard
-    // probes. Components restored from a checkpoint are already final.
+    // Components whose panels are flushed; those restored from a
+    // checkpoint are already final. The commit cursor is the contiguous
+    // prefix of them.
+    let mut flushed: Vec<bool> = (0..k).map(|c| c < start_component).collect();
+    let mut cursor = start_component;
+    // Store rows (original vertex ids) of the flushed components — final
+    // metric-closure rows, the candidates the invariant guard probes.
     let mut guard_rows: Vec<usize> = (0..start_component)
         .flat_map(|c| component_rows(&layout, c))
         .collect();
 
     for i in start_component..k {
         store.set_sdc_round(i);
+        let owner = plan.dist4_owner[i];
+        let (dev, staging) = (&mut devs[owner], &mut stagings[owner]);
         let ph = tel.phase_start(dev);
         let irange = layout.component_range(i);
         let sz_i = irange.len();
         let nb_i = layout.boundary_count(i);
-        let stream = pick_stream(opts, active, s0, s1);
+        let stream = staging.stream();
         // C2B[i]: all rows × boundary columns of dist₂(i) (device-side
         // extraction; charged as a copy kernel).
         let c2b_host = extract_block(&dist2[i], sz_i, 0..sz_i, 0..nb_i);
@@ -459,7 +616,8 @@ fn ooc_boundary_inner(
             let sz_j = jrange.len();
             let nb_j = layout.boundary_count(j);
             // bound(i, j): resident dist₃ panel (device-side extraction).
-            let bound_ij_host = bound.submatrix(bofs[i]..bofs[i] + nb_i, bofs[j]..bofs[j] + nb_j);
+            let (rows, cols) = (bofs[i]..bofs[i] + nb_i, bofs[j]..bofs[j] + nb_j);
+            let bound_ij_host = extract_block(bound[owner].as_slice(), nb_total, rows, cols);
             let bound_ij = upload_panel_free(dev, nb_i, nb_j, &bound_ij_host)?;
             charge_extract(dev, stream, nb_i * nb_j);
             // B2C[j]: boundary rows × all columns of dist₂(j).
@@ -479,171 +637,132 @@ fn ooc_boundary_inner(
                 elementwise_min(dev, stream, &mut block, &dist2[i]);
             }
 
-            if batching {
-                // The second multiply writes straight into the staging
-                // buffer region in the real kernel; mirror the data.
-                let slot = staged.len();
-                let base = slot * n_max * n + jrange.start;
-                let staging = &mut stagings[active];
-                for r in 0..sz_i {
-                    staging.as_mut_slice()[base + r * n..base + r * n + sz_j]
-                        .copy_from_slice(&block.as_slice()[r * sz_j..(r + 1) * sz_j]);
-                }
-            } else {
-                // Per-block path: one D2H per block — the k² small
-                // transfers the paper measures at 70–84% of runtime. The
-                // true naive baseline (batching off) copies out of
-                // pageable memory; when batching was requested but could
-                // not be staged, at least keep the pinned buffers.
+            // The block's rows join component i's host panel. Batched,
+            // the second multiply writes into the staging buffer and the
+            // flush pays the copy. Per block, one D2H each — the k² small
+            // transfers the paper measures at 70–84% of runtime. The true
+            // naive baseline (batching off) copies out of pageable memory;
+            // when batching was requested but could not be staged, at
+            // least keep the pinned buffers.
+            for (r, row) in block.as_slice().chunks_exact(sz_j.max(1)).enumerate() {
+                host_panel[r * n + jrange.start..][..sz_j].copy_from_slice(row);
+            }
+            if staging.buffers.is_empty() {
                 let pinning = if opts.batch_transfers {
                     Pinning::Pinned
                 } else {
                     Pinning::Pageable
                 };
-                let mut host_block = vec![0 as Dist; sz_i * sz_j];
-                block.download_rows(dev, stream, 0..sz_i, &mut host_block, pinning);
-                for r in 0..sz_i {
-                    host_panel[r * n + jrange.start..r * n + jrange.start + sz_j]
-                        .copy_from_slice(&host_block[r * sz_j..(r + 1) * sz_j]);
-                }
+                dev.charge_d2h(stream, (sz_i * sz_j) as u64 * w, pinning);
             }
         }
+        tel.phase_end_on_device(dev, ph, "boundary.dist4", tag(owner));
+        write_panel(store, &layout, i, &host_panel, &mut scatter_row)?;
 
-        tel.phase_end(dev, ph, "boundary.dist4");
-
-        let mut flushed = false;
         let ph = tel.phase_start(dev);
-        if batching {
-            staged.push(i);
-            let last = i + 1 == k;
-            if staged.len() == n_row || last {
-                flush_staging(
-                    dev,
-                    pick_stream(opts, active, s0, s1),
-                    &stagings[active],
-                    &staged,
-                    &layout,
-                    n_max,
-                    store,
-                    &mut scatter_row,
-                )?;
-                guard_rows.extend(staged.iter().flat_map(|&c| component_rows(&layout, c)));
-                staged.clear();
-                flushed = true;
-                if stagings.len() == 2 {
-                    active = 1 - active;
-                }
-            }
-        } else {
-            // Unbatched: the host panel for component i is complete.
-            write_panel(store, &layout, i, &host_panel, &mut scatter_row)?;
-            guard_rows.extend(component_rows(&layout, i));
-            flushed = true;
-        }
-        if flushed {
-            tel.phase_end(dev, ph, "boundary.flush");
+        let Some(group) = staging.stage(dev, i, panel_words as u64 * w) else {
+            continue;
+        };
+        tel.phase_end_on_device(dev, ph, "boundary.flush", tag(owner));
+        for c in group {
+            flushed[c] = true;
+            guard_rows.extend(component_rows(&layout, c));
         }
         // Supervision check at the natural barrier: a flushed panel
-        // group is a unit of progress. Reads the makespan clock
-        // (`elapsed`) — a `synchronize` here would serialize the
-        // overlap streams.
-        if flushed {
-            sup.check_barrier(
-                dev.elapsed().seconds(),
-                &format!("boundary component {i} flush barrier"),
-            )?;
-            // Invariant guard BEFORE the commit, so a committed snapshot
-            // is never taken across undetected corruption.
-            guard.check_completed_rows(store, i, &guard_rows)?;
-        }
+        // group is a unit of progress. Reads the fleet clock — a
+        // `synchronize` here would serialize the overlap streams.
+        let driver = if fleet { "multi-device" } else { "boundary" };
+        let what = format!("{driver} component {i} flush barrier");
+        sup.check_barrier(clock.now(devs), &what)?;
+        // Invariant guard BEFORE the commit, so a committed snapshot
+        // is never taken across undetected corruption.
+        guard.check_completed_rows(store, i, &guard_rows)?;
         // Natural commit point: every component below the cursor has its
         // dist₄ panel in the store. The final flush is not committed —
         // completion clears the checkpoint, and a crash after it replays
         // the last panel group (exact: panels are recomputed).
-        if let Some(ck) = ckpt {
-            if flushed && i + 1 < k {
-                ck.commit(
-                    store,
-                    &Progress::Boundary {
-                        components: k,
-                        partition_seed: opts.partition_seed,
-                        next_component: i + 1,
-                    },
-                )?;
-                *commits += 1;
-            }
+        let committed = cursor;
+        while cursor < k && flushed[cursor] {
+            cursor += 1;
+        }
+        if let Some(ck) = ckpt.filter(|_| committed < cursor && cursor < k) {
+            ck.commit(
+                store,
+                &Progress::Boundary {
+                    components: k,
+                    partition_seed: opts.partition_seed,
+                    next_component: cursor,
+                },
+            )?;
+            *commits += 1;
         }
     }
 
-    let sim_seconds = dev.synchronize().seconds() - start;
-    Ok(BoundaryRunStats {
-        num_components: k,
-        total_boundary: nb_total,
-        max_component: n_max,
-        n_row,
-        sim_seconds,
-        ..Default::default()
+    for dev in devs.iter_mut() {
+        dev.synchronize();
+    }
+    let end = clock.now(devs);
+    let moved = plan.dist4_owner.iter().zip(&plan.dist2_owner);
+    Ok(Outcome {
+        stats: BoundaryRunStats {
+            num_components: k,
+            total_boundary: nb_total,
+            max_component: n_max,
+            n_row: stagings[0].n_row,
+            sim_seconds: end - start,
+            ..Default::default()
+        },
+        phase_seconds: [dist2_end - start, dist3_end - dist2_end, end - dist3_end],
+        stolen_panels: moved.filter(|(a, b)| a != b).count() as u32,
+        placement: plan.dist2_owner,
     })
 }
 
-/// Whether at least one staging row-panel (two when overlapping) fits
-/// beside the working set — the precondition for transfer batching.
-fn staging_fits(dev: &GpuDevice, opts: &BoundaryOptions, layout: &PartitionLayout) -> bool {
-    let w = std::mem::size_of::<Dist>() as u64;
-    let n = layout.num_vertices() as u64;
-    let nb_max = (0..layout.num_components())
+/// Open a phase span on every device.
+fn open_spans(tel: &Telemetry, devs: &[GpuDevice]) -> Vec<Option<PhaseStart>> {
+    devs.iter().map(|d| tel.phase_start(d)).collect()
+}
+
+/// Close the spans [`open_spans`] opened, tagged with each device's
+/// fleet index on a fleet.
+fn close_spans(
+    tel: &Telemetry,
+    devs: &[GpuDevice],
+    spans: Vec<Option<PhaseStart>>,
+    name: &str,
+    fleet: bool,
+) {
+    for (d, (dev, span)) in devs.iter().zip(spans).enumerate() {
+        tel.phase_end_on_device(dev, span, name, fleet.then_some(d));
+    }
+}
+
+/// The most boundary nodes of any component.
+fn max_boundary(layout: &PartitionLayout) -> usize {
+    (0..layout.num_components())
         .map(|i| layout.boundary_count(i))
         .max()
-        .unwrap_or(0);
-    let buffers = if opts.overlap_transfers { 2u64 } else { 1 };
-    let panel = layout.max_component_size() as u64 * n * w;
-    working_set_bytes(layout.total_boundary(), layout.max_component_size(), nb_max)
-        + buffers * panel
-        <= dev.free_memory()
+        .unwrap_or(0)
 }
 
-/// Quick feasibility estimate used while shrinking `k`.
-pub(crate) fn working_set_fits(dev: &GpuDevice, layout: &PartitionLayout) -> bool {
-    let nb_max = (0..layout.num_components())
-        .map(|i| layout.boundary_count(i))
-        .max()
-        .unwrap_or(0);
-    working_set_fits_bytes(
-        dev.free_memory(),
-        layout.total_boundary(),
-        layout.max_component_size(),
-        nb_max,
-    )
+/// Whether the minimum working set plus `extra` bytes fits every device.
+fn fits(devs: &[GpuDevice], layout: &PartitionLayout, extra: u64) -> bool {
+    let bytes = working_set_bytes(layout) + extra;
+    devs.iter().all(|d| bytes <= d.free_memory())
 }
 
-/// Whether the boundary algorithm's *minimum* resident working set — the
-/// boundary distance matrix plus one block's operand panels
-/// (C2B, B2C, tmp₁, bound(i,j), output block) — fits in `free_bytes`.
-/// The staging buffers are extra and degrade gracefully (batching falls
-/// back to per-block transfers), so they are not part of feasibility.
-/// Shared with the selector's boundary cost model so the model's
-/// feasibility reasoning matches the runtime's.
-pub fn working_set_fits_bytes(
-    free_bytes: u64,
-    total_boundary: usize,
-    max_component: usize,
-    max_boundary_per_component: usize,
-) -> bool {
-    working_set_bytes(total_boundary, max_component, max_boundary_per_component) <= free_bytes
-}
-
-fn working_set_bytes(
-    total_boundary: usize,
-    max_component: usize,
-    max_boundary_per_component: usize,
-) -> u64 {
+/// The boundary algorithm's *minimum* resident working set in bytes: the
+/// boundary distance matrix plus one block's operand panels (C2B, B2C,
+/// tmp₁, bound(i,j), output block). The staging buffers are extra and
+/// degrade gracefully (batching falls back to per-block transfers), so
+/// they are not part of feasibility. Shared with the selector's boundary
+/// cost model so the model's feasibility reasoning matches the runtime's.
+pub fn working_set_bytes(layout: &PartitionLayout) -> u64 {
     let w = std::mem::size_of::<Dist>() as u64;
-    let nb = total_boundary as u64;
-    let n_max = max_component as u64;
-    let nb_max = max_boundary_per_component as u64;
-    let bound_bytes = nb * nb * w;
-    let per_block = (3 * n_max * nb_max + nb_max * nb_max + n_max * n_max) * w;
-    bound_bytes + per_block
+    let nb = layout.total_boundary() as u64;
+    let n_max = layout.max_component_size() as u64;
+    let nb_max = max_boundary(layout) as u64;
+    (nb * nb + 3 * n_max * nb_max + nb_max * nb_max + n_max * n_max) * w
 }
 
 /// Assemble the boundary graph on the host as a dense `NB × NB` matrix
@@ -652,7 +771,7 @@ fn working_set_bytes(
 /// first rows and columns — plus the original cross-component edges,
 /// both of whose endpoints are boundary nodes by definition. Returns
 /// each component's offset into it (`k + 1` entries) with the matrix.
-pub(crate) fn boundary_graph(
+fn boundary_graph(
     layout: &PartitionLayout,
     pg: &CsrGraph,
     dist2: &[Vec<Dist>],
@@ -704,10 +823,7 @@ pub(crate) fn boundary_graph(
 }
 
 /// The store rows (original vertex ids) of component `c`.
-pub(crate) fn component_rows(
-    layout: &PartitionLayout,
-    c: usize,
-) -> impl Iterator<Item = usize> + '_ {
+fn component_rows(layout: &PartitionLayout, c: usize) -> impl Iterator<Item = usize> + '_ {
     layout
         .component_range(c)
         .map(|v| layout.old_of(v as VertexId) as usize)
@@ -725,7 +841,7 @@ fn component_index(layout: &PartitionLayout) -> Vec<usize> {
 }
 
 /// Dense adjacency block of `range × range` from the permuted graph.
-pub(crate) fn adjacency_block(pg: &CsrGraph, range: std::ops::Range<usize>) -> Vec<Dist> {
+fn adjacency_block(pg: &CsrGraph, range: std::ops::Range<usize>) -> Vec<Dist> {
     let sz = range.len();
     let mut block = vec![INF; sz * sz];
     for r in 0..sz {
@@ -746,7 +862,7 @@ pub(crate) fn adjacency_block(pg: &CsrGraph, range: std::ops::Range<usize>) -> V
 }
 
 /// The `rows × cols` block of a row-major matrix with rows of `stride`.
-pub(crate) fn extract_block(
+fn extract_block(
     m: &[Dist],
     stride: usize,
     rows: std::ops::Range<usize>,
@@ -760,7 +876,7 @@ pub(crate) fn extract_block(
 }
 
 /// Upload a host panel into a fresh device matrix, charging the H2D.
-pub(crate) fn upload_panel(
+fn upload_panel(
     dev: &mut GpuDevice,
     stream: StreamId,
     rows: usize,
@@ -818,33 +934,9 @@ fn elementwise_min(
     );
 }
 
-/// One batched D2H of every staged component panel, then scatter the rows
-/// into the store in original vertex order.
-#[allow(clippy::too_many_arguments)]
-fn flush_staging(
-    dev: &mut GpuDevice,
-    stream: StreamId,
-    staging: &DeviceBuffer<Dist>,
-    staged: &[usize],
-    layout: &PartitionLayout,
-    n_max: usize,
-    store: &mut TileStore,
-    scatter_row: &mut [Dist],
-) -> Result<(), ApspError> {
-    let n = layout.num_vertices();
-    let used = staged.len() * n_max * n;
-    let mut host = vec![0 as Dist; used];
-    dev.d2h(stream, staging, 0..used, &mut host, Pinning::Pinned);
-    for (slot, &comp) in staged.iter().enumerate() {
-        let panel = &host[slot * n_max * n..slot * n_max * n + n_max * n];
-        write_panel(store, layout, comp, panel, scatter_row)?;
-    }
-    Ok(())
-}
-
 /// Scatter component `comp`'s row panel (permuted order, width `n`) into
 /// the store under original vertex ids.
-pub(crate) fn write_panel(
+fn write_panel(
     store: &mut TileStore,
     layout: &PartitionLayout,
     comp: usize,
@@ -864,14 +956,6 @@ pub(crate) fn write_panel(
         store.write_row(old_row, scatter_row)?;
     }
     Ok(())
-}
-
-fn pick_stream(opts: &BoundaryOptions, active: usize, s0: StreamId, s1: StreamId) -> StreamId {
-    if opts.overlap_transfers && active == 1 {
-        s1
-    } else {
-        s0
-    }
 }
 
 #[cfg(test)]

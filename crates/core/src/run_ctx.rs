@@ -532,9 +532,9 @@ mod tests {
             "Boundary Oom([3]) off 2/1: BoundaryRunStats { num_components: 6, total_boundary: 52, max_component: 18, n_row: 6, sim_seconds: 0.007968571276555212, retries: 1, checkpoint_commits: 0, sdc_round_recoveries: 0 } | out-of-core boundary 1/11 | sdc 0/0/0 | 9 spans",
             "Boundary Oom([3, 6]) off 2/1: BoundaryRunStats { num_components: 3, total_boundary: 24, max_component: 70, n_row: 3, sim_seconds: 0.0034233186993973515, retries: 2, checkpoint_commits: 0, sdc_round_recoveries: 0 } | out-of-core boundary 1/11 2/29s | sdc 0/0/0 | 6 spans",
             "Boundary OomToFloor off 2/1: DeviceTooSmall: device too small for out-of-core boundary: allocation kept failing even at a single component: out of device memory: requested 40000 bytes, 0 free of 17179869184 total | out-of-core boundary 1/11 2/29s 3/40 4/88s 5/162 6/322s | sdc 0/0/0 | 0 spans",
-            "Fleet Clean off 2/1: MultiGpuStats { num_devices: 2, num_components: 6, total_boundary: 52, sim_seconds: 0.00512383984255319, phase_seconds: [0.00024147432421479231, 0.00020637772968591688, 0.004675987788652481], placement: [0, 0, 0, 1, 1, 1], stolen_panels: 3, retries: 0, checkpoint_commits: 0, sdc_round_recoveries: 0 } | no retries | sdc 0/0/0 | 6 spans",
-            "Fleet Oom([3]) off 2/1: MultiGpuStats { num_devices: 2, num_components: 6, total_boundary: 52, sim_seconds: 0.00512383984255319, phase_seconds: [0.00024147432421479231, 0.00020637772968591693, 0.004675987788652481], placement: [0, 0, 0, 1, 1, 1], stolen_panels: 3, retries: 1, checkpoint_commits: 0, sdc_round_recoveries: 0 } | multi-device boundary 1/11 | sdc 0/0/0 | 6 spans",
-            "Fleet Oom([3, 6]) off 2/1: MultiGpuStats { num_devices: 2, num_components: 3, total_boundary: 24, sim_seconds: 0.002516617012480768, phase_seconds: [0.001198162218439716, 8.902717082066858e-5, 0.0012294276232203832], placement: [1, 1, 0], stolen_panels: 1, retries: 2, checkpoint_commits: 0, sdc_round_recoveries: 0 } | multi-device boundary 1/11 2/29s | sdc 0/0/0 | 6 spans",
+            "Fleet Clean off 2/1: MultiGpuStats { num_devices: 2, num_components: 6, total_boundary: 52, sim_seconds: 0.0041248878984397165, phase_seconds: [0.00024147432421479231, 0.0002252790630192502, 0.003658134511205674], placement: [0, 0, 0, 1, 1, 1], stolen_panels: 2, retries: 0, checkpoint_commits: 0, sdc_round_recoveries: 0 } | no retries | sdc 0/0/0 | 12 spans",
+            "Fleet Oom([3]) off 2/1: MultiGpuStats { num_devices: 2, num_components: 6, total_boundary: 52, sim_seconds: 0.004124887898439715, phase_seconds: [0.00024147432421479231, 0.0002252790630192503, 0.003658134511205673], placement: [0, 0, 0, 1, 1, 1], stolen_panels: 2, retries: 1, checkpoint_commits: 0, sdc_round_recoveries: 0 } | multi-device boundary 1/11 | sdc 0/0/0 | 12 spans",
+            "Fleet Oom([3, 6]) off 2/1: MultiGpuStats { num_devices: 2, num_components: 3, total_boundary: 24, sim_seconds: 0.002634072321522008, phase_seconds: [0.001198162218439716, 0.00010721917082066857, 0.0013286909322616236], placement: [1, 1, 0], stolen_panels: 0, retries: 2, checkpoint_commits: 0, sdc_round_recoveries: 0 } | multi-device boundary 1/11 2/29s | sdc 0/0/0 | 9 spans",
             "Fleet OomToFloor off 2/1: DeviceTooSmall: device too small for multi-device boundary: allocation kept failing even at a single component: out of device memory: requested 10000 bytes, 0 free of 17179869184 total | multi-device boundary 1/11 2/29s 3/40 4/88s 5/162 6/322s | sdc 0/0/0 | 0 spans",
             "Fw StoreFlip(260, 7) checksum 2/1: FwRunStats { block: 57, n_d: 2, sim_seconds: 0.00046315456575481264, retries: 0, checkpoint_commits: 0, sdc_panel_recoveries: 1, sdc_round_recoveries: 0 } | no retries | sdc 1/1/0 | 10 spans, sdc.recover_panel at 3",
             "Fw StoreFlip(260, 7) checksum 0/1: FwRunStats { block: 57, n_d: 2, sim_seconds: 0.00046315456575481264, retries: 0, checkpoint_commits: 0, sdc_panel_recoveries: 0, sdc_round_recoveries: 1 } | no retries | sdc 1/0/1 | 10 spans, sdc.recover_round at 3",

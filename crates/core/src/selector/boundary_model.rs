@@ -175,14 +175,8 @@ fn feasible_plan(g: &CsrGraph, free_bytes: u64) -> Option<(usize, usize)> {
     loop {
         let p = kway_partition(g, k, &PartitionConfig::default());
         let layout = PartitionLayout::new(g, &p);
-        let nb = layout.total_boundary();
-        let n_max = layout.max_component_size();
-        let nb_max = (0..layout.num_components())
-            .map(|i| layout.boundary_count(i))
-            .max()
-            .unwrap_or(0);
-        if crate::ooc_boundary::working_set_fits_bytes(free_bytes, nb, n_max, nb_max) {
-            return Some((nb, layout.num_components()));
+        if crate::ooc_boundary::working_set_bytes(&layout) <= free_bytes {
+            return Some((layout.total_boundary(), layout.num_components()));
         }
         if k <= 2 {
             return None;

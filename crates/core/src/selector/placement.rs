@@ -1,20 +1,17 @@
 //! Fleet scheduling: the selector extended from "which algorithm" to
 //! "which (algorithm, shard) pair runs on which device".
 //!
-//! The multi-device boundary executor (`core::multi_gpu`) partitions the
-//! graph into `k` components and must place each component's work on one
-//! of several — possibly heterogeneous — simulated devices. Two phases
-//! need placement decisions:
+//! The boundary driver (`core::ooc_boundary`) partitions the graph into
+//! `k` components and places each component's work on one of the
+//! fleet's — possibly heterogeneous — simulated devices. A single device
+//! is a fleet of one. The plan is made once, before dist₂:
 //!
-//! * **dist₂** (per-component Floyd-Warshall): placed once up front by
-//!   longest-processing-time (LPT) greedy scheduling over the component
-//!   cost model, normalized by each profile's compute throughput.
-//! * **dist₄** (per-component row-panel multiplies): re-planned at the
-//!   phase boundary with each device's *actual* elapsed time as its
-//!   initial load — the deterministic equivalent of tile-panel work
-//!   stealing. A device that finished dist₂ early starts dist₄ with a
-//!   smaller load and therefore "steals" panels a slower device would
-//!   otherwise own.
+//! * **dist₂** (per-component Floyd-Warshall) and **dist₄**
+//!   (per-component row-panel multiplies): each by
+//!   longest-processing-time (LPT) greedy scheduling over its cost
+//!   model, normalized by each profile's compute throughput. Every
+//!   phase starts at a barrier, so both plans start from zero loads.
+//! * **dist₃** (the boundary graph): the fastest device.
 //!
 //! Every decision is a pure function of the layout and the profiles, so
 //! a run is exactly reproducible — and because the panel math itself is
@@ -63,37 +60,23 @@ impl ShardCosts {
 }
 
 /// A device's relative speed for placement purposes: its peak compute
-/// throughput. (All boundary-phase kernels are compute-shaped; transfer
-/// terms are near-uniform across the fleet and cancel out of the
-/// ranking.)
+/// throughput. Placement ranks devices by compute alone, although PCIe
+/// differs between profiles (11.75 GB/s on a V100, 7.23 GB/s on a K80);
+/// pricing transfers per profile is ROADMAP item 3.
 pub fn device_speed(profile: &DeviceProfile) -> f64 {
     profile.compute_ops_per_sec
 }
 
-/// Deterministic LPT greedy list scheduling: tasks in descending cost
-/// order (ties by lower index) are each assigned to the device with the
-/// earliest finish time `load_d + cost / speed_d` (ties by lower device
-/// index). `initial_load` seeds each device's clock — zeros for an
-/// up-front placement, actual elapsed seconds for a phase-boundary
-/// re-plan. Returns the owner of every task, or
-/// [`ApspError::InvalidInput`] for an empty fleet or an `initial_load`
-/// that does not give one clock per device.
-pub fn place_lpt(
-    costs: &[f64],
-    speeds: &[f64],
-    initial_load: &[f64],
-) -> Result<Vec<usize>, ApspError> {
+/// Deterministic LPT greedy list scheduling from zero loads: tasks in
+/// descending cost order (ties by lower index) are each assigned to the
+/// device with the earliest finish time `load_d + cost / speed_d` (ties
+/// by lower device index). Returns the owner of every task, or
+/// [`ApspError::InvalidInput`] for an empty fleet.
+pub fn place_lpt(costs: &[f64], speeds: &[f64]) -> Result<Vec<usize>, ApspError> {
     if speeds.is_empty() {
         return Err(ApspError::InvalidInput(
             "placement needs at least one device".into(),
         ));
-    }
-    if speeds.len() != initial_load.len() {
-        return Err(ApspError::InvalidInput(format!(
-            "placement got {} device speeds but {} initial loads",
-            speeds.len(),
-            initial_load.len()
-        )));
     }
     let mut order: Vec<usize> = (0..costs.len()).collect();
     order.sort_by(|&a, &b| {
@@ -102,7 +85,7 @@ pub fn place_lpt(
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.cmp(&b))
     });
-    let mut load = initial_load.to_vec();
+    let mut load = vec![0.0; speeds.len()];
     let mut owner = vec![0usize; costs.len()];
     for t in order {
         let mut best = 0usize;
@@ -133,19 +116,16 @@ pub fn dist3_solver(profiles: &[&DeviceProfile]) -> usize {
     best
 }
 
-/// The up-front fleet plan for one multi-device boundary run: dist₂
-/// ownership from the cost model and the dist₃ solver. (The dist₄ plan
-/// is made later, at the phase boundary, from realized loads — see
-/// [`place_lpt`].)
+/// The fleet plan for one boundary run: the device of each component's
+/// dist₂ block and dist₄ panel, and the dist₃ solver.
 #[derive(Debug, Clone)]
 pub struct FleetPlan {
     /// Component → device for the dist₂ phase.
     pub dist2_owner: Vec<usize>,
     /// Device index that solves dist₃.
     pub dist3_solver: usize,
-    /// The cost model the plan was made from, kept for the dist₄
-    /// re-plan.
-    pub costs: ShardCosts,
+    /// Component → device for the dist₄ phase.
+    pub dist4_owner: Vec<usize>,
 }
 
 impl FleetPlan {
@@ -157,25 +137,11 @@ impl FleetPlan {
     ) -> Result<FleetPlan, ApspError> {
         let costs = ShardCosts::of(layout);
         let speeds: Vec<f64> = profiles.iter().map(|p| device_speed(p)).collect();
-        let zeros = vec![0.0; speeds.len()];
         Ok(FleetPlan {
-            dist2_owner: place_lpt(&costs.dist2_ops, &speeds, &zeros)?,
+            dist2_owner: place_lpt(&costs.dist2_ops, &speeds)?,
             dist3_solver: dist3_solver(profiles),
-            costs,
+            dist4_owner: place_lpt(&costs.dist4_ops, &speeds)?,
         })
-    }
-
-    /// Re-plan the dist₄ panels given each device's elapsed seconds at
-    /// the phase boundary — the work-stealing step. `elapsed` must give
-    /// one clock per profile, or the call is
-    /// [`ApspError::InvalidInput`].
-    pub fn dist4_owners(
-        &self,
-        profiles: &[&DeviceProfile],
-        elapsed: &[f64],
-    ) -> Result<Vec<usize>, ApspError> {
-        let speeds: Vec<f64> = profiles.iter().map(|p| device_speed(p)).collect();
-        place_lpt(&self.costs.dist4_ops, &speeds, elapsed)
     }
 }
 
@@ -196,8 +162,7 @@ mod tests {
         // round-robin makespan (it provably does better or equal).
         let costs = [8.0, 8.0, 8.0, 8.0, 2.0, 2.0, 2.0, 2.0];
         let speeds = [4.0, 1.0];
-        let zeros = [0.0, 0.0];
-        let owner = place_lpt(&costs, &speeds, &zeros).unwrap();
+        let owner = place_lpt(&costs, &speeds).unwrap();
         let makespan = |owner: &[usize]| {
             let mut load = [0.0f64; 2];
             for (t, &d) in owner.iter().enumerate() {
@@ -221,21 +186,12 @@ mod tests {
     fn placement_is_deterministic_and_tie_breaks_low_index() {
         let costs = [1.0, 1.0, 1.0];
         let speeds = [1.0, 1.0, 1.0];
-        let zeros = [0.0, 0.0, 0.0];
-        let a = place_lpt(&costs, &speeds, &zeros).unwrap();
-        let b = place_lpt(&costs, &speeds, &zeros).unwrap();
+        let a = place_lpt(&costs, &speeds).unwrap();
+        let b = place_lpt(&costs, &speeds).unwrap();
         assert_eq!(a, b);
         // Equal costs, equal speeds: tasks spread one per device in
         // index order.
         assert_eq!(a, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn initial_load_steers_work_away_from_busy_devices() {
-        // Device 0 is still busy from the previous phase; the single
-        // task must be stolen by the idle device 1.
-        let owner = place_lpt(&[5.0], &[1.0, 1.0], &[100.0, 0.0]).unwrap();
-        assert_eq!(owner, vec![1]);
     }
 
     #[test]
@@ -253,31 +209,22 @@ mod tests {
         let v100 = DeviceProfile::v100();
         let k80 = DeviceProfile::k80();
         let plan = FleetPlan::new(&layout, &[&v100, &k80]).unwrap();
-        assert_eq!(plan.dist2_owner.len(), layout.num_components());
-        assert!(plan.dist2_owner.iter().all(|&d| d < 2));
-        assert_eq!(plan.costs.dist2_ops.len(), layout.num_components());
-        // Re-planning with device 0 very busy shifts panels to device 1.
-        let hot = plan.dist4_owners(&[&v100, &k80], &[1e9, 0.0]).unwrap();
-        assert!(hot.iter().all(|&d| d == 1));
+        for owner in [&plan.dist2_owner, &plan.dist4_owner] {
+            assert_eq!(owner.len(), layout.num_components());
+            assert!(owner.iter().all(|&d| d < 2));
+        }
     }
 
-    /// An empty fleet, or loads that do not match the fleet, are typed
-    /// errors, not panics.
+    /// An empty fleet is a typed error, not a panic.
     #[test]
     fn misuse_is_invalid_input() {
         let invalid = |r: Result<Vec<usize>, ApspError>| {
             assert_eq!(r.unwrap_err().kind(), crate::ApspErrorKind::InvalidInput);
         };
-        invalid(place_lpt(&[1.0, 2.0], &[], &[]));
-        invalid(place_lpt(&[], &[], &[]));
-        invalid(place_lpt(&[1.0], &[1.0, 2.0], &[0.0]));
-        invalid(place_lpt(&[1.0], &[1.0], &[0.0, 0.0]));
+        invalid(place_lpt(&[1.0, 2.0], &[]));
+        invalid(place_lpt(&[], &[]));
         let layout = layout(4);
         let err = FleetPlan::new(&layout, &[]).unwrap_err();
         assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput);
-        let v100 = DeviceProfile::v100();
-        let plan = FleetPlan::new(&layout, &[&v100, &v100]).unwrap();
-        invalid(plan.dist4_owners(&[&v100, &v100], &[0.0]));
-        invalid(plan.dist4_owners(&[], &[]));
     }
 }

@@ -2,7 +2,7 @@
 //! events and profiling.
 
 use crate::kernel::{KernelCost, LaunchConfig};
-use crate::memory::{DeviceBuffer, MemoryPool, OutOfDeviceMemory, Pinning};
+use crate::memory::{DeviceBuffer, DeviceReservation, MemoryPool, OutOfDeviceMemory, Pinning};
 use crate::profile::DeviceProfile;
 use crate::timeline::{Engine, Event, SimTime, StreamId, Timeline};
 use std::collections::BTreeMap;
@@ -313,6 +313,12 @@ impl GpuDevice {
         DeviceBuffer::new(len, self.pool.clone())
     }
 
+    /// Reserve `bytes` of device memory with no host storage behind it.
+    /// Counts as an allocation, fault injection included.
+    pub fn reserve(&self, bytes: u64) -> Result<DeviceReservation, OutOfDeviceMemory> {
+        DeviceReservation::new(bytes, self.pool.clone())
+    }
+
     /// Copy `src` into `dst[offset .. offset + src.len()]` (host→device)
     /// on `stream`, charging `latency + bytes / rate(pinning)`.
     pub fn h2d<T: Copy>(
@@ -357,7 +363,13 @@ impl GpuDevice {
         assert!(range.end <= src.len(), "d2h range out of bounds");
         assert_eq!(range.len(), dst.len(), "d2h destination size mismatch");
         dst.copy_from_slice(&src.as_slice()[range]);
-        let bytes = std::mem::size_of_val(dst) as u64;
+        self.charge_d2h(stream, std::mem::size_of_val(dst) as u64, pinning);
+    }
+
+    /// Charge a device→host copy of `bytes` on `stream` without moving
+    /// data, for output the host already holds: one transfer, priced as
+    /// [`Self::d2h`] prices it.
+    pub fn charge_d2h(&mut self, stream: StreamId, bytes: u64, pinning: Pinning) {
         let rate = self
             .profile
             .transfer_rate(false, pinning == Pinning::Pinned);
@@ -549,6 +561,18 @@ mod tests {
         assert_eq!(r.bytes_d2h, 8);
         assert_eq!(r.transfers_h2d, 1);
         assert_eq!(r.transfers_d2h, 1);
+    }
+
+    #[test]
+    fn a_charged_d2h_costs_what_a_copy_costs() {
+        let (mut copied, mut charged) = (dev(), dev());
+        let s = copied.default_stream();
+        let buf: DeviceBuffer<u32> = copied.alloc(1000).unwrap();
+        let mut out = vec![0u32; 1000];
+        copied.d2h(s, &buf, 0..1000, &mut out, Pinning::Pageable);
+        charged.charge_d2h(s, 4000, Pinning::Pageable);
+        assert_eq!(copied.counters(), charged.counters());
+        assert_eq!(copied.elapsed(), charged.elapsed());
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod trace;
 
 pub use device::{DeviceCounters, GpuDevice, SimReport};
 pub use kernel::{KernelCost, LaunchConfig};
-pub use memory::{DeviceBuffer, OutOfDeviceMemory, Pinning};
+pub use memory::{DeviceBuffer, DeviceReservation, OutOfDeviceMemory, Pinning};
 pub use profile::DeviceProfile;
 pub use timeline::{Engine, Event, SimTime, StreamId, Timeline};
 pub use trace::TraceEvent;

@@ -149,6 +149,28 @@ impl MemoryPool {
     }
 }
 
+/// A lease on device memory with no host storage behind it. Dropping it
+/// frees the bytes. Stands for device buffers whose contents the host
+/// never reads back, such as staging that only sizes a batched copy.
+#[derive(Debug)]
+pub struct DeviceReservation {
+    bytes: u64,
+    pool: MemoryPool,
+}
+
+impl DeviceReservation {
+    pub(crate) fn new(bytes: u64, pool: MemoryPool) -> Result<Self, OutOfDeviceMemory> {
+        pool.reserve(bytes)?;
+        Ok(DeviceReservation { bytes, pool })
+    }
+}
+
+impl Drop for DeviceReservation {
+    fn drop(&mut self) {
+        self.pool.release(self.bytes);
+    }
+}
+
 /// A typed allocation in simulated device memory.
 ///
 /// Holds real host storage (so kernels can compute on it) plus a lease on
@@ -156,18 +178,15 @@ impl MemoryPool {
 #[derive(Debug)]
 pub struct DeviceBuffer<T> {
     data: Vec<T>,
-    bytes: u64,
-    pool: MemoryPool,
+    lease: DeviceReservation,
 }
 
 impl<T: Copy + Default> DeviceBuffer<T> {
     pub(crate) fn new(len: usize, pool: MemoryPool) -> Result<Self, OutOfDeviceMemory> {
-        let bytes = (len * std::mem::size_of::<T>()) as u64;
-        pool.reserve(bytes)?;
+        let lease = DeviceReservation::new((len * std::mem::size_of::<T>()) as u64, pool)?;
         Ok(DeviceBuffer {
             data: vec![T::default(); len],
-            bytes,
-            pool,
+            lease,
         })
     }
 }
@@ -188,7 +207,7 @@ impl<T> DeviceBuffer<T> {
     /// Byte footprint charged to the device.
     #[inline]
     pub fn bytes(&self) -> u64 {
-        self.bytes
+        self.lease.bytes
     }
 
     /// Read access to the device data (host emulation).
@@ -224,12 +243,6 @@ impl<T: Copy> DeviceBuffer<T> {
             unsafe { std::slice::from_raw_parts_mut(elems.as_mut_ptr() as *mut u8, n_bytes) };
         let b = (bit % (n_bytes as u64 * 8)) as usize;
         bytes[b / 8] ^= 1 << (b % 8);
-    }
-}
-
-impl<T> Drop for DeviceBuffer<T> {
-    fn drop(&mut self) {
-        self.pool.release(self.bytes);
     }
 }
 
@@ -275,6 +288,16 @@ mod tests {
         drop(ok);
         // Space comes back.
         assert!(DeviceBuffer::<u8>::new(100, pool).is_ok());
+    }
+
+    #[test]
+    fn a_reservation_holds_bytes_without_storage() {
+        let pool = MemoryPool::new(1024);
+        let held = DeviceReservation::new(600, pool.clone()).unwrap();
+        assert_eq!((pool.in_use(), pool.alloc_count()), (600, 1));
+        assert!(DeviceReservation::new(600, pool.clone()).is_err());
+        drop(held);
+        assert_eq!((pool.in_use(), pool.peak()), (0, 600));
     }
 
     #[test]

@@ -103,23 +103,6 @@ impl DeviceMatrix {
             pinning,
         );
     }
-
-    /// Extract a rectangular sub-matrix as a host vector (no transfer
-    /// charged — used for device-side shuffles whose cost the caller
-    /// models as part of a kernel).
-    pub fn submatrix(
-        &self,
-        rows: std::ops::Range<usize>,
-        cols: std::ops::Range<usize>,
-    ) -> Vec<Dist> {
-        let mut out = Vec::with_capacity(rows.len() * cols.len());
-        for i in rows {
-            out.extend_from_slice(
-                &self.buf.as_slice()[i * self.cols + cols.start..i * self.cols + cols.end],
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -164,18 +147,6 @@ mod tests {
         let r = d.report();
         assert_eq!(r.transfers_h2d, 1);
         assert_eq!(r.transfers_d2h, 1);
-    }
-
-    #[test]
-    fn submatrix_extracts_panel() {
-        let d = dev();
-        let mut m = DeviceMatrix::alloc(&d, 3, 3).unwrap();
-        for i in 0..3 {
-            for j in 0..3 {
-                m.set(i, j, (i * 10 + j) as Dist);
-            }
-        }
-        assert_eq!(m.submatrix(1..3, 0..2), vec![10, 11, 20, 21]);
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! Components are placed per-device by an LPT cost model over the
 //! partition (not round-robin); the boundary graph (dist₃) is solved
 //! once on the fastest device and broadcast — the serial fraction that
-//! Amdahl's law turns into the scaling ceiling shown in the output. At
-//! the dist₄ phase boundary the panels are re-planned against each
-//! device's realized elapsed time, so a device that finished dist₂
-//! early steals panels from a slower one ("stolen" column).
+//! Amdahl's law turns into the scaling ceiling shown in the output. The
+//! dist₄ panels get a second LPT plan over their own cost, so a panel
+//! may run on another device than its component's dist₂ block ("moved"
+//! column).
 //!
 //! The component count is pinned so every fleet schedules the *same*
 //! partition — a finer partition has more boundary work, which would
@@ -69,7 +69,7 @@ fn main() {
     );
     println!(
         "{:>14} {:>12} {:>10} {:>8} {:>28}",
-        "fleet", "sim time", "speedup", "stolen", "phases (dist2 / dist3 / dist4)"
+        "fleet", "sim time", "speedup", "moved", "phases (dist2 / dist3 / dist4)"
     );
 
     let mut baseline = None;
