@@ -19,11 +19,15 @@
 //!                  silent-corruption guard at this level (default off)
 //! ```
 //!
-//! Two families of cases:
+//! Three families of cases:
 //!
 //! * **min-plus GEMM** on square shapes — the tile kernel every
 //!   out-of-core driver spends its time in, timed directly against both
 //!   backends on identical operands;
+//! * **in-device blocked FW** at the in-device tile side of 64 — the host
+//!   loop of `fw_device_exec`, at the shapes the benchmark workloads
+//!   hand it: n = 114 (`dense-fw-durable`'s diagonal tile), 288
+//!   (`fleet-hetero`'s components) and 368 (its boundary graph);
 //! * **full out-of-core runs** — the three algorithms crossed with
 //!   `Memory`/`Disk` storage on a deliberately small simulated device,
 //!   so the host-side tile loops (what the backend accelerates)
@@ -38,17 +42,19 @@
 //! and prints it as a ratio: a representative out-of-core run with
 //! `--sdc-guard checksum` may cost at most 5% wall-clock over the
 //! unguarded run, plus a 10 ms floor so timer noise at smoke sizes
-//! cannot flake the gate. The guard's real cost is above 5%: on a 2-vCPU
-//! VM it measured 1.15–1.38× the unguarded time at n = 96–320 (see
-//! `SdcGuardMode::Checksum`), so the gate passes through its floor.
+//! cannot flake the gate. The guard's real cost is about 5%: on a 2-vCPU
+//! VM it measured a median 1.04–1.06× the unguarded time at n = 96–320,
+//! quartiles 1.02–1.10× (see `SdcGuardMode::Checksum`), so at smoke
+//! sizes the gate still passes through its floor.
 
 use apsp_core::options::{Algorithm, SdcGuardMode};
 use apsp_core::{apsp, ApspOptions, RunReport, StorageBackend};
 use apsp_cpu::parallel::minplus_tile_exec;
-use apsp_cpu::ExecBackend;
+use apsp_cpu::{blocked_floyd_warshall_exec, DistMatrix, ExecBackend};
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
 use apsp_graph::generators::{gnp, WeightRange};
 use apsp_graph::{CsrGraph, Dist, INF};
+use apsp_kernels::fw_block::FW_TILE;
 use std::time::Instant;
 
 const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -154,6 +160,31 @@ fn bench_minplus(n: usize, reps: usize) -> CaseResult {
         simd_secs,
         checksum: fnv1a_u32s(&c_scalar, FNV_OFFSET_BASIS),
         bit_identical: c_scalar == c_simd,
+        telemetry: None,
+    }
+}
+
+fn bench_fw(n: usize, reps: usize) -> CaseResult {
+    let input = random_matrix(n, 0x5EED_F10D ^ n as u64);
+    let time = |exec: ExecBackend| {
+        let mut m = DistMatrix::from_raw(n, input.clone());
+        let secs = time_best(reps, || {
+            m.as_mut_slice().copy_from_slice(&input);
+            blocked_floyd_warshall_exec(&mut m, FW_TILE, exec);
+        });
+        (secs, m)
+    };
+    let (scalar_secs, m_scalar) = time(ExecBackend::scalar());
+    let (simd_secs, m_simd) = time(ExecBackend::simd());
+
+    CaseResult {
+        kind: "fw",
+        name: format!("blocked-fw-{n}"),
+        n,
+        scalar_secs,
+        simd_secs,
+        checksum: fnv1a_u32s(m_scalar.as_slice(), FNV_OFFSET_BASIS),
+        bit_identical: m_scalar == m_simd,
         telemetry: None,
     }
 }
@@ -436,6 +467,11 @@ fn main() {
     let mut cases = Vec::new();
     for &n in minplus_shapes {
         let c = bench_minplus(n, reps);
+        println!("{}", c.summary());
+        cases.push(c);
+    }
+    for n in [114, 288, 368] {
+        let c = bench_fw(n, reps);
         println!("{}", c.summary());
         cases.push(c);
     }

@@ -40,8 +40,9 @@ pub enum SdcGuardMode {
     /// every read and re-verified in full at each barrier and at run
     /// end. Catches at-rest corruption of host-resident tiles
     /// deterministically. Measured on a 2-vCPU VM (Floyd-Warshall, Memory
-    /// store, Simd, `gnp(n, 0.06)`, 256 KiB V100, best of 9), it cost
-    /// 1.15–1.38× the unguarded wall-clock at n = 96–320.
+    /// store, Simd, `gnp(n, 0.06)`, 256 KiB V100, best of 9 per mode in
+    /// 12 interleaved rounds), it cost a median 1.04–1.06× the unguarded
+    /// wall-clock at n = 96–320 (quartiles 1.02–1.10×).
     Checksum,
     /// [`SdcGuardMode::Checksum`] plus semantic (ABFT) invariants at
     /// every barrier: per-row distance sums must not increase across a

@@ -116,8 +116,9 @@ pub(crate) const FNV_OFFSET_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
 /// The FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// FNV-1a chains [`fnv1a_lanes`] steps in lockstep. One chain waits a
-/// multiply's latency per byte; independent chains overlap those waits.
+/// FNV chains [`fnv1a_lanes`] and [`row_hash_lanes`] step in lockstep.
+/// One chain waits a multiply's latency per step; independent chains
+/// overlap those waits.
 const LANES: usize = 4;
 
 /// [`fnv1a`] of LANES byte strings at once: lane `l` continues from
@@ -165,19 +166,46 @@ fn fnv1a_each<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> Vec<u64> {
     out
 }
 
-/// FNV-1a of one row: the checksum the SDC registry records.
-#[cfg(test)]
-fn row_fnv(row: &[Dist]) -> u64 {
-    fnv1a(cast_bytes(row), FNV_OFFSET_BASIS)
+/// The row checksum of LANES rows of one width at once: FNV-1a's
+/// xor-multiply step over 64-bit words instead of bytes, two cells to a
+/// word (the first in the low half), an odd last cell alone. The
+/// multiply by the odd FNV prime is a bijection of `u64`, so two rows
+/// that differ in one word always hash apart: every single-bit flip
+/// changes the checksum.
+fn row_hash_lanes(rows: [&[Dist]; LANES]) -> [u64; LANES] {
+    let width = rows[0].len();
+    let rows = rows.map(|row| &row[..width]);
+    let step = |hash: u64, word: u64| (hash ^ word).wrapping_mul(FNV_PRIME);
+    let mut out = [FNV_OFFSET_BASIS; LANES];
+    for j in (1..width).step_by(2) {
+        for (hash, row) in out.iter_mut().zip(&rows) {
+            *hash = step(*hash, row[j - 1] as u64 | (row[j] as u64) << 32);
+        }
+    }
+    if width % 2 == 1 {
+        for (hash, row) in out.iter_mut().zip(&rows) {
+            *hash = step(*hash, row[width - 1] as u64);
+        }
+    }
+    out
 }
 
-/// The FNV-1a of each of the `count` equal-width rows in `cells`, in
-/// order, hashed LANES rows at a time.
+/// The checksum the SDC registry records for each of the `count`
+/// equal-width rows in `cells`, in order, LANES rows in lockstep (a
+/// short last group repeats a row to fill its lanes). The registry
+/// lives only in memory, so this hash is word-wise for speed; what is
+/// persisted or compared across processes uses [`panel_fnvs`].
 fn row_fnvs(cells: &[Dist], count: usize) -> Vec<u64> {
-    match cells.len().checked_div(count) {
-        Some(width) if width > 0 => fnv1a_each(cells.chunks_exact(width).map(cast_bytes)),
-        _ => vec![FNV_OFFSET_BASIS; count],
+    let Some(width) = cells.len().checked_div(count).filter(|&w| w > 0) else {
+        return vec![FNV_OFFSET_BASIS; count];
+    };
+    let mut out = Vec::with_capacity(count);
+    for group in cells[..count * width].chunks(LANES * width) {
+        let k = group.len() / width;
+        let rows = std::array::from_fn(|l| &group[l % k * width..][..width]);
+        out.extend_from_slice(&row_hash_lanes(rows)[..k]);
     }
+    out
 }
 
 /// FNV-1a of each panel of `panel_rows` consecutive `row_len`-wide rows
@@ -2027,25 +2055,37 @@ mod tests {
             .collect()
     }
 
+    /// The registry's checksum of one row, one 64-bit word at a time.
+    fn row_hash(row: &[Dist]) -> u64 {
+        row.chunks(2).fold(FNV_OFFSET_BASIS, |hash, pair| {
+            let word = pair.iter().rev().fold(0, |w, &c| w << 32 | c as u64);
+            (hash ^ word).wrapping_mul(FNV_PRIME)
+        })
+    }
+
     #[test]
-    fn lane_row_hashes_equal_the_serial_hash() {
-        for width in [0, 1, 5, 768] {
+    fn lockstep_row_hashes_equal_the_one_row_hash() {
+        for width in [1, 2, 3, 7, 64] {
             for count in 0..=9 {
                 let cells = patterned(width * count, width as u32);
-                let serial: Vec<u64> = (0..count)
-                    .map(|r| row_fnv(&cells[r * width..(r + 1) * width]))
-                    .collect();
-                assert_eq!(row_fnvs(&cells, count), serial, "{count} rows of {width}");
+                let want: Vec<u64> = cells.chunks(width).map(row_hash).collect();
+                assert_eq!(row_fnvs(&cells, count), want, "{count} rows of {width}");
             }
         }
-        // Lanes of unequal length, empty ones included, each continue
-        // their own chain.
-        let bytes = patterned(64, 7);
-        let bytes = cast_bytes(&bytes);
-        let lanes = [&bytes[..0], &bytes[..9], &bytes[3..200], &bytes[..9]];
-        let seeds = [1, 2, 3, FNV_OFFSET_BASIS];
-        let want: Vec<u64> = (0..LANES).map(|l| fnv1a(lanes[l], seeds[l])).collect();
-        assert_eq!(fnv1a_lanes(seeds, lanes).to_vec(), want);
+        assert_eq!(row_fnvs(&[], 3), [FNV_OFFSET_BASIS; 3]);
+    }
+
+    #[test]
+    fn every_single_bit_flip_changes_a_row_hash() {
+        for width in [1, 2, 3, 7] {
+            let row = patterned(width, 3);
+            let clean = row_fnvs(&row, 1);
+            for bit in 0..width * 32 {
+                let mut flipped = row.clone();
+                flipped[bit / 32] ^= 1 << (bit % 32);
+                assert_ne!(row_fnvs(&flipped, 1), clean, "bit {bit} of {width} cells");
+            }
+        }
     }
 
     /// The footer is the serial FNV-1a of each panel's bytes, and it
@@ -2076,6 +2116,14 @@ mod tests {
             assert!(reopened.verify_persisted(&other).is_err(), "n = {n}");
         }
         std::fs::remove_file(&target).unwrap();
+        // Byte lanes of unequal length, empty ones included, each
+        // continue their own chain.
+        let bytes = patterned(64, 7);
+        let bytes = cast_bytes(&bytes);
+        let lanes = [&bytes[..0], &bytes[..9], &bytes[3..200], &bytes[..9]];
+        let seeds = [1, 2, 3, FNV_OFFSET_BASIS];
+        let want: Vec<u64> = (0..LANES).map(|l| fnv1a(lanes[l], seeds[l])).collect();
+        assert_eq!(fnv1a_lanes(seeds, lanes).to_vec(), want);
     }
 
     /// At n = 13 the guard hashes rows in groups 0–3, 4–7, 8–11 and a

@@ -2,7 +2,7 @@
 //! reference the out-of-core variants are checked against.
 
 use crate::dense::DistMatrix;
-use crate::parallel::{branchless_add, par_claim, relax_row_branchless, ExecBackend};
+use crate::parallel::{par_claim, relax_row_branchless, ExecBackend};
 use apsp_graph::{dist_add, Dist, INF};
 
 /// Textbook Floyd-Warshall, `O(n³)`, in place.
@@ -93,13 +93,16 @@ pub fn blocked_floyd_warshall(m: &mut DistMatrix, block: usize) {
 ///
 /// Scalar runs the reference loops one tile at a time. Simd claims
 /// stage-2 tile pairs and stage-3 block-rows across threads, with
-/// branchless rows in stages 1 and 2 and the register-tiled kernel in
-/// stage 3. It is bit-identical to scalar because with a fixed pivot
+/// branchless rows in stage 1 and the register-tiled kernel in stages 2
+/// and 3. It is bit-identical to scalar because with a fixed pivot
 /// order each stage-2 tile depends only on itself plus the (finalized,
 /// unwritten) diagonal tile, and each stage-3 tile depends only on
 /// itself plus the stage-2 pivot row and column panels — so tile
-/// results cannot observe each other. A matrix of one block is stage 1
-/// alone, in both loop nests.
+/// results cannot observe each other. Scalar updates a stage-2 tile in
+/// place and Simd out of place, on a copy; the two agree because stage
+/// 1 leaves the diagonal tile a Floyd-Warshall closure (DESIGN.md §10,
+/// invariant 3). A matrix of one block is stage 1 alone, in both loop
+/// nests.
 pub fn blocked_floyd_warshall_exec(m: &mut DistMatrix, block: usize, exec: ExecBackend) {
     let n = m.n();
     if n == 0 {
@@ -161,13 +164,15 @@ fn blocked_rows(data: &mut [Dist], n: usize, block: usize, exec: ExecBackend) {
                 tiles[jb].push(seg);
             }
         }
-        // Stage 1: the diagonal tile.
+        // Stage 1: the diagonal tile, then D, a packed copy of it.
         let mut diag = std::mem::take(&mut tiles[kb]);
         fw_rows(&mut diag);
-        let diag = &diag[..];
+        let d = diag.concat();
         // Stage 2: item `ib` pairs pivot-row tile (kb, ib) with
         // pivot-column tile (ib, kb); item `kb` stays empty, so the
-        // worker count matches one item per block-row.
+        // worker count matches one item per block-row. D is closed, so
+        // the scalar in-place updates equal these out-of-place products
+        // on a copy C₀ of each tile (DESIGN.md §10, invariant 3).
         let mut pairs: Vec<_> = tiles.into_iter().map(|t| (t, Vec::new())).collect();
         let block_rows = above
             .chunks_mut(block * n)
@@ -176,9 +181,16 @@ fn blocked_rows(data: &mut [Dist], n: usize, block: usize, exec: ExecBackend) {
             pairs[ib].1 = rows.chunks_mut(n).map(|r| &mut r[ks..ks + kl]).collect();
         }
         par_claim(&mut pairs, threads, 2 * kl * kl * block, |claims| {
+            let mut bufs = Default::default();
             for (_, (row_tile, col_tile)) in claims {
-                left_update(row_tile, diag);
-                right_update(col_tile, diag);
+                // C = min(C₀, D ⊗ C₀)
+                out_of_place(row_tile, &mut bufs, |c, c0, _, cols| {
+                    exec.minplus_tile(c, cols, &d, kl, c0, cols, kl, kl, cols)
+                });
+                // C = min(C₀, C₀ ⊗ D)
+                out_of_place(col_tile, &mut bufs, |c, c0, rows, _| {
+                    exec.minplus_tile(c, kl, c0, kl, &d, kl, rows, kl, kl)
+                });
             }
         });
         // Stage 3: claim block-rows; the pivot block-row is a no-op
@@ -240,41 +252,26 @@ fn fw_rows(rows: &mut [&mut [Dist]]) {
     }
 }
 
-/// Stage 2's pivot-row tile `C = min(C, D ⊗ C)`, the branchless twin of
-/// the scalar in-place [`minplus_tile_raw`]: same rows, same order. The
-/// `k == i` step relaxes a row against itself. For cells ≤ `INF` it
-/// changes nothing, but it clamps a cell above `INF` back to `INF`, as
-/// the scalar loop does.
-fn left_update(c: &mut [&mut [Dist]], diag: &[&mut [Dist]]) {
-    for i in 0..c.len() {
-        for (k, &dik) in diag[i].iter().enumerate() {
-            if dik >= INF {
-                continue;
-            }
-            if i == k {
-                for cj in c[i].iter_mut() {
-                    *cj = (*cj).min(branchless_add(dik, *cj));
-                }
-            } else {
-                let (row_i, row_k) = row_pair(c, i, k);
-                relax_row_branchless(row_i, row_k, dik);
-            }
-        }
+/// Stage 2's update of one `rows × cols` tile held as row segments, out
+/// of place: `mul(c, c0, rows, cols)` reads `c0`, a packed copy of the
+/// tile, and lowers `c`, a second copy, which is then written back. An
+/// empty tile (the pivot block-row's own item) is left alone.
+fn out_of_place(
+    tile: &mut [&mut [Dist]],
+    [c0, c]: &mut [Vec<Dist>; 2],
+    mul: impl Fn(&mut [Dist], &[Dist], usize, usize),
+) {
+    let Some(cols) = tile.first().map(|row| row.len()) else {
+        return;
+    };
+    c0.clear();
+    for row in tile.iter() {
+        c0.extend_from_slice(row);
     }
-}
-
-/// Stage 2's pivot-column tile `C = min(C, C ⊗ D)`: each row reads its
-/// own cell `k` just before relaxing against diagonal row `k`, as the
-/// scalar in-place [`minplus_tile_raw`] does.
-fn right_update(c: &mut [&mut [Dist]], diag: &[&mut [Dist]]) {
-    for row in c.iter_mut() {
-        for (k, diag_k) in diag.iter().enumerate() {
-            let cik = row[k];
-            if cik >= INF {
-                continue;
-            }
-            relax_row_branchless(row, diag_k, cik);
-        }
+    c.clone_from(c0);
+    mul(c, c0, tile.len(), cols);
+    for (row, out) in tile.iter_mut().zip(c.chunks(cols)) {
+        row.copy_from_slice(out);
     }
 }
 
@@ -339,6 +336,7 @@ mod tests {
     use crate::parallel::claim_workers;
     use apsp_graph::generators::{gnp, grid_2d, GridOptions, WeightRange};
     use apsp_graph::GraphBuilder;
+    use proptest::prelude::*;
 
     #[test]
     fn plain_fw_matches_dijkstra() {
@@ -485,6 +483,52 @@ mod tests {
             let mut m = DistMatrix::from_raw(4, input.clone());
             blocked_floyd_warshall_exec(&mut m, 2, exec);
             assert_eq!(m.as_slice(), &expected[..], "{exec}");
+        }
+    }
+
+    /// A cell drawn from {0, small, `INF − 1`, `INF`, `INF + k`,
+    /// `u32::MAX`}, small three times in eight.
+    fn boundary_cell() -> impl Strategy<Value = Dist> {
+        (0u32..8, 1u32..1000).prop_map(|(kind, v)| match kind {
+            0 => 0,
+            1 => INF - 1,
+            2 => INF,
+            3 => INF + v,
+            4 => u32::MAX,
+            _ => v,
+        })
+    }
+
+    proptest! {
+        /// Stage 2 on the tile kernel, out of place: Simd at 1, 2 and 3
+        /// threads equals the scalar in-place rounds bit for bit, with
+        /// ragged last blocks, blocks of n or more, and cells at the
+        /// `INF` boundary on and off the diagonal. About one row in four
+        /// is dead, every cell but its diagonal at or above `INF`: only
+        /// the diagonal's `k == i` term clamps such a row's cells above
+        /// `INF`, so the test sees whether D keeps its diagonal.
+        #[test]
+        fn simd_stage_two_matches_scalar_on_boundary_cells(
+            n in 1usize..=200,
+            block in 1usize..=70,
+            cells in proptest::collection::vec(boundary_cell(), 200 * 200),
+            dead in proptest::collection::vec(0u32..4, 200),
+        ) {
+            let mut cells = cells[..n * n].to_vec();
+            for (i, row) in cells.chunks_mut(n).enumerate().filter(|(i, _)| dead[*i] == 0) {
+                for (_, cell) in row.iter_mut().enumerate().filter(|(j, c)| *j != i && **c < INF) {
+                    *cell = INF + *cell % 64;
+                }
+            }
+            let input = DistMatrix::from_raw(n, cells);
+            let mut scalar = input.clone();
+            blocked_floyd_warshall_exec(&mut scalar, block, ExecBackend::Scalar);
+            for threads in 1..=3 {
+                let exec = ExecBackend::Simd { threads: Some(threads) };
+                let mut fast = input.clone();
+                blocked_floyd_warshall_exec(&mut fast, block, exec);
+                prop_assert!(fast == scalar, "n = {}, block = {}, {}", n, block, exec);
+            }
         }
     }
 

@@ -20,7 +20,7 @@
 //! share cache lines, and the SIMD tile packs its B operand once per
 //! band).
 //!
-//! The branchless rows that Floyd-Warshall's rank-1 stages and the SIMD
+//! The branchless rows that Floyd-Warshall's diagonal tile and the SIMD
 //! tile's tails run exploit the same fixed order: the scalar reference
 //! guards every relaxation with `if via < c[j]` (an unpredictable branch
 //! on random distance data) and skips `INF` rows with an early
