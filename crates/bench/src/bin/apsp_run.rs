@@ -85,12 +85,14 @@
 //! profiler report.
 
 use apsp_core::options::{Algorithm, ExecBackend, SdcGuardMode};
-use apsp_core::{apsp, ApspOptions, CheckpointOptions, StorageBackend, SupervisionOptions};
-use apsp_gpu_sim::{DeviceProfile, GpuDevice};
+use apsp_core::telemetry::json_escape;
+use apsp_core::{apsp, ApspError, ApspOptions, CheckpointOptions, StorageBackend};
+use apsp_core::{SupervisionOptions, TileStore};
+use apsp_gpu_sim::{DeviceProfile, GpuDevice, SimReport};
 use apsp_graph::io::{read_matrix_market, WeightMode};
 use apsp_graph::io_dimacs::read_dimacs;
 use apsp_graph::CsrGraph;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 struct Args {
     path: PathBuf,
@@ -336,20 +338,103 @@ impl Args {
     }
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// `--error-json`'s one machine-readable stdout line: the typed kind
+/// (e.g. "SilentCorruption" vs "DeadlineExceeded" vs "Corruption") and
+/// the human detail, JSON-escaped.
+fn print_error_json(kind: &str, detail: &str) {
+    println!(
+        "{{\"error\":\"{kind}\",\"detail\":\"{}\"}}",
+        json_escape(detail)
+    );
+}
+
+/// Report a failed computation and exit 1, with `--error-json`'s line
+/// when asked for.
+fn compute_fail(what: &str, e: &ApspError, error_json: bool) -> ! {
+    eprintln!("{what} failed: {e}");
+    if error_json {
+        print_error_json(e.kind().as_str(), &e.to_string());
+    }
+    std::process::exit(1);
+}
+
+/// The run's setup lines: guard level, calibration store, checkpoint.
+fn print_setup(args: &Args) {
+    if args.sdc_guard.is_on() {
+        println!("sdc guard: {}", args.sdc_guard);
+    }
+    if let Some(dir) = &args.calibration_dir {
+        println!("calibrating selector against {}", dir.display());
+    }
+    if let Some(dir) = &args.checkpoint_dir {
+        println!(
+            "checkpointing to {} ({})",
+            dir.display(),
+            if args.resume {
+                "resuming if a run is in flight"
+            } else {
+                "starting fresh"
+            }
+        );
+    }
+}
+
+/// A run's transfer totals and peak device memory.
+fn print_transfers(r: &SimReport) {
+    println!(
+        "transfers: {:.1} MiB D2H in {} calls, {:.1} MiB H2D in {} calls; peak device memory {:.1} MiB",
+        r.bytes_d2h as f64 / (1 << 20) as f64,
+        r.transfers_d2h,
+        r.bytes_h2d as f64 / (1 << 20) as f64,
+        r.transfers_h2d,
+        r.peak_memory as f64 / (1 << 20) as f64,
+    );
+}
+
+/// `--sample`'s deterministic pseudo-random distances, then `--verify`'s
+/// rows re-derived with Dijkstra (exit 1 on a mismatch).
+fn sample_and_verify(graph: &CsrGraph, store: &TileStore, args: &Args) {
+    let n = graph.num_vertices();
+    let mut state = 0x5EEDu64;
+    for _ in 0..args.sample {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let i = (state as usize) % n;
+        let j = (state >> 32) as usize % n;
+        match store.get(i, j) {
+            Ok(d) if d < apsp_graph::INF => println!("dist({i}, {j}) = {d}"),
+            Ok(_) => println!("dist({i}, {j}) = unreachable"),
+            Err(e) => println!("dist({i}, {j}) read failed: {e}"),
         }
     }
-    out
+    if args.verify > 0 {
+        match apsp_core::verify::verify_rows(graph, store, args.verify, 0xC0FFEE) {
+            Ok(v) if v.is_verified() => println!("verification: {v:?}"),
+            Ok(v) => {
+                eprintln!("VERIFICATION FAILED: {v:?}");
+                std::process::exit(1);
+            }
+            Err(e) => {
+                eprintln!("verification read error: {e}");
+                std::process::exit(1);
+            }
+        }
+    }
+}
+
+/// Write a telemetry JSONL report to `--metrics-out`'s path (exit 1 on
+/// an I/O error) and say how many records it holds.
+fn write_metrics(path: &Path, jsonl: &str) {
+    if let Err(e) = std::fs::write(path, jsonl) {
+        eprintln!("failed to write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+    println!(
+        "metrics: {} record(s) written to {}",
+        jsonl.lines().count(),
+        path.display()
+    );
 }
 
 fn load(path: &PathBuf) -> Result<CsrGraph, String> {
@@ -439,44 +524,13 @@ fn main() {
         sdc_guard: args.sdc_guard,
         ..Default::default()
     };
-    if args.sdc_guard.is_on() {
-        println!("sdc guard: {}", args.sdc_guard);
-    }
-    if let Some(dir) = &args.calibration_dir {
-        println!("calibrating selector against {}", dir.display());
-    }
-    if let Some(dir) = &args.checkpoint_dir {
-        println!(
-            "checkpointing to {} ({})",
-            dir.display(),
-            if args.resume {
-                "resuming if a run is in flight"
-            } else {
-                "starting fresh"
-            }
-        );
-    }
+    print_setup(&args);
     if let Some(srcs) = &args.sources {
         run_partial_query(&graph, &mut dev, &opts, srcs, &args);
         return;
     }
-    let result = match apsp(&graph, &mut dev, &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("apsp failed: {e}");
-            if args.error_json {
-                // One machine-readable line on stdout: the typed kind
-                // (e.g. "SilentCorruption" vs "DeadlineExceeded" vs
-                // "Corruption") plus the human detail, JSON-escaped.
-                println!(
-                    "{{\"error\":\"{}\",\"detail\":\"{}\"}}",
-                    e.kind().as_str(),
-                    json_escape(&e.to_string())
-                );
-            }
-            std::process::exit(1);
-        }
-    };
+    let result =
+        apsp(&graph, &mut dev, &opts).unwrap_or_else(|e| compute_fail("apsp", &e, args.error_json));
     println!("algorithm: {}", result.algorithm);
     println!("backend: {exec} ({} thread(s))", exec.resolved_threads());
     if let Some(sel) = &result.selection {
@@ -495,58 +549,14 @@ fn main() {
         );
     }
     println!("simulated time: {:.6} s", result.sim_seconds);
-    let r = &result.report;
-    println!(
-        "transfers: {:.1} MiB D2H in {} calls, {:.1} MiB H2D in {} calls; peak device memory {:.1} MiB",
-        r.bytes_d2h as f64 / (1 << 20) as f64,
-        r.transfers_d2h,
-        r.bytes_h2d as f64 / (1 << 20) as f64,
-        r.transfers_h2d,
-        r.peak_memory as f64 / (1 << 20) as f64,
-    );
-
-    // Deterministic pseudo-random distance samples.
-    let n = graph.num_vertices();
-    let mut state = 0x5EEDu64;
-    for _ in 0..args.sample {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        let i = (state as usize) % n;
-        let j = (state >> 32) as usize % n;
-        match result.store.get(i, j) {
-            Ok(d) if d < apsp_graph::INF => println!("dist({i}, {j}) = {d}"),
-            Ok(_) => println!("dist({i}, {j}) = unreachable"),
-            Err(e) => println!("dist({i}, {j}) read failed: {e}"),
-        }
-    }
-    if args.verify > 0 {
-        match apsp_core::verify::verify_rows(&graph, &result.store, args.verify, 0xC0FFEE) {
-            Ok(v) if v.is_verified() => println!("verification: {v:?}"),
-            Ok(v) => {
-                eprintln!("VERIFICATION FAILED: {v:?}");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("verification read error: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    print_transfers(&result.report);
+    sample_and_verify(&graph, &result.store, &args);
     if let Some(path) = &args.metrics_out {
         let report = result
             .telemetry
             .as_ref()
             .expect("telemetry was enabled for --metrics-out");
-        if let Err(e) = std::fs::write(path, report.to_jsonl()) {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!(
-            "metrics: {} record(s) written to {}",
-            report.to_jsonl().lines().count(),
-            path.display()
-        );
+        write_metrics(path, &report.to_jsonl());
     }
     if args.calibration_report {
         let dir = args.calibration_dir.as_ref().unwrap();
@@ -569,8 +579,7 @@ fn main() {
 /// same checkpoint, supervision, spill, telemetry, sampling, and
 /// verification plumbing as the single-device run.
 fn run_multi(graph: &CsrGraph, base_profile: &DeviceProfile, args: &Args) {
-    use apsp_core::{multi_gpu, parse_fleet, BoundaryOptions, Checkpoint, RunCtx};
-    use apsp_core::{Supervisor, TileStore};
+    use apsp_core::{multi_gpu, parse_fleet, BoundaryOptions, Checkpoint, RunCtx, Supervisor};
 
     let profiles: Vec<DeviceProfile> = match &args.fleet {
         Some(spec) => {
@@ -649,21 +658,10 @@ fn run_multi(graph: &CsrGraph, base_profile: &DeviceProfile, args: &Args) {
         sdc_guard: args.sdc_guard,
         ..Default::default()
     };
-    if args.sdc_guard.is_on() {
-        println!("sdc guard: {}", args.sdc_guard);
-    }
+    print_setup(args);
 
     let ckpt = match &args.checkpoint_dir {
         Some(dir) => {
-            println!(
-                "checkpointing to {} ({})",
-                dir.display(),
-                if args.resume {
-                    "resuming if a run is in flight"
-                } else {
-                    "starting fresh"
-                }
-            );
             let ckpt = match Checkpoint::new(dir, graph) {
                 Ok(c) => c,
                 Err(e) => {
@@ -685,20 +683,8 @@ fn run_multi(graph: &CsrGraph, base_profile: &DeviceProfile, args: &Args) {
         supervisor: Some(&sup),
         checkpoint: ckpt.as_ref(),
     };
-    let stats = match multi_gpu::run(&mut devs, graph, &mut store, &opts, &ctx) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("apsp failed: {e}");
-            if args.error_json {
-                println!(
-                    "{{\"error\":\"{}\",\"detail\":\"{}\"}}",
-                    e.kind().as_str(),
-                    json_escape(&e.to_string())
-                );
-            }
-            std::process::exit(1);
-        }
-    };
+    let stats = multi_gpu::run(&mut devs, graph, &mut store, &opts, &ctx)
+        .unwrap_or_else(|e| compute_fail("apsp", &e, args.error_json));
 
     println!("algorithm: boundary ({} device(s))", stats.num_devices);
     println!("backend: {exec} ({} thread(s))", exec.resolved_threads());
@@ -735,41 +721,8 @@ fn run_multi(graph: &CsrGraph, base_profile: &DeviceProfile, args: &Args) {
                 acc.allocations += r.allocations;
                 acc
             });
-    println!(
-        "transfers: {:.1} MiB D2H in {} calls, {:.1} MiB H2D in {} calls; peak device memory {:.1} MiB",
-        merged.bytes_d2h as f64 / (1 << 20) as f64,
-        merged.transfers_d2h,
-        merged.bytes_h2d as f64 / (1 << 20) as f64,
-        merged.transfers_h2d,
-        merged.peak_memory as f64 / (1 << 20) as f64,
-    );
-
-    let mut state = 0x5EEDu64;
-    for _ in 0..args.sample {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        let i = (state as usize) % n;
-        let j = (state >> 32) as usize % n;
-        match store.get(i, j) {
-            Ok(d) if d < apsp_graph::INF => println!("dist({i}, {j}) = {d}"),
-            Ok(_) => println!("dist({i}, {j}) = unreachable"),
-            Err(e) => println!("dist({i}, {j}) read failed: {e}"),
-        }
-    }
-    if args.verify > 0 {
-        match apsp_core::verify::verify_rows(graph, &store, args.verify, 0xC0FFEE) {
-            Ok(v) if v.is_verified() => println!("verification: {v:?}"),
-            Ok(v) => {
-                eprintln!("VERIFICATION FAILED: {v:?}");
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("verification read error: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
+    print_transfers(&merged);
+    sample_and_verify(graph, &store, args);
     if let Some(path) = &args.metrics_out {
         let report = telemetry
             .build_report(
@@ -783,15 +736,7 @@ fn run_multi(graph: &CsrGraph, base_profile: &DeviceProfile, args: &Args) {
                 stats.checkpoint_commits as u64,
             )
             .expect("telemetry was enabled for --metrics-out");
-        if let Err(e) = std::fs::write(path, report.to_jsonl()) {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!(
-            "metrics: {} record(s) written to {}",
-            report.to_jsonl().lines().count(),
-            path.display()
-        );
+        write_metrics(path, &report.to_jsonl());
     }
     if args.trace {
         for (d, dev) in devs.iter().enumerate() {
@@ -824,20 +769,8 @@ fn run_partial_query(
     };
     let sup = apsp_core::Supervisor::new(&opts.supervision, dev.elapsed().seconds());
     let (rows, stats) =
-        match apsp_core::ooc_johnson::ooc_johnson_sources(dev, graph, &sources, &jopts, &sup) {
-            Ok(out) => out,
-            Err(e) => {
-                eprintln!("partial query failed: {e}");
-                if args.error_json {
-                    println!(
-                        "{{\"error\":\"{}\",\"detail\":\"{}\"}}",
-                        e.kind().as_str(),
-                        json_escape(&e.to_string())
-                    );
-                }
-                std::process::exit(1);
-            }
-        };
+        apsp_core::ooc_johnson::ooc_johnson_sources(dev, graph, &sources, &jopts, &sup)
+            .unwrap_or_else(|e| compute_fail("partial query", &e, args.error_json));
     println!(
         "partial query: {} source row(s) in {} Johnson batch(es) of {} — \
          moved O(k·n), not O(n²)",
@@ -940,11 +873,7 @@ fn parse_serve_args() -> Result<ServeArgs, String> {
 fn serve_fail(kind: apsp_core::ServiceErrorKind, detail: &str, error_json: bool) -> ! {
     eprintln!("serve: {detail}");
     if error_json {
-        println!(
-            "{{\"error\":\"{}\",\"detail\":\"{}\"}}",
-            kind.as_str(),
-            json_escape(detail)
-        );
+        print_error_json(kind.as_str(), detail);
     }
     std::process::exit(kind.exit_code());
 }
@@ -993,7 +922,6 @@ fn serve_main() {
         queue_capacity: args.queue_capacity,
         cache_capacity: args.cache_capacity,
         checkpoint_root: args.checkpoint_root.clone(),
-        admission_control: true,
     });
     println!(
         "serving {} job(s) (seed {:#x}) over {} × {} ({} KiB), queue bound {}, cache {}",
@@ -1116,15 +1044,6 @@ fn serve_main() {
         svc.now_s(),
     );
     if let Some(path) = &args.metrics_out {
-        let jsonl = svc.to_jsonl();
-        if let Err(e) = std::fs::write(path, &jsonl) {
-            eprintln!("failed to write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-        println!(
-            "metrics: {} record(s) written to {}",
-            jsonl.lines().count(),
-            path.display()
-        );
+        write_metrics(path, &svc.to_jsonl());
     }
 }

@@ -48,26 +48,21 @@
 //! sizes the gate still passes through its floor.
 
 use apsp_core::options::{Algorithm, SdcGuardMode};
+use apsp_core::telemetry::json_escape;
 use apsp_core::{apsp, ApspOptions, RunReport, StorageBackend};
 use apsp_cpu::parallel::minplus_tile_exec;
 use apsp_cpu::{blocked_floyd_warshall_exec, DistMatrix, ExecBackend};
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
 use apsp_graph::generators::{gnp, WeightRange};
-use apsp_graph::{CsrGraph, Dist, INF};
+use apsp_graph::{fnv1a, CsrGraph, Dist, FNV_OFFSET_BASIS, INF};
 use apsp_kernels::fw_block::FW_TILE;
 use std::time::Instant;
 
-const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a_u32s(values: &[Dist], mut hash: u64) -> u64 {
-    for v in values {
-        for b in v.to_le_bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    }
-    hash
+/// FNV-1a over the little-endian bytes of `values`.
+fn fnv1a_dists(values: &[Dist]) -> u64 {
+    values
+        .iter()
+        .fold(FNV_OFFSET_BASIS, |h, v| fnv1a(&v.to_le_bytes(), h))
 }
 
 /// Deterministic operand matrix: mostly finite weights with INF holes,
@@ -158,7 +153,7 @@ fn bench_minplus(n: usize, reps: usize) -> CaseResult {
         n,
         scalar_secs,
         simd_secs,
-        checksum: fnv1a_u32s(&c_scalar, FNV_OFFSET_BASIS),
+        checksum: fnv1a_dists(&c_scalar),
         bit_identical: c_scalar == c_simd,
         telemetry: None,
     }
@@ -183,7 +178,7 @@ fn bench_fw(n: usize, reps: usize) -> CaseResult {
         n,
         scalar_secs,
         simd_secs,
-        checksum: fnv1a_u32s(m_scalar.as_slice(), FNV_OFFSET_BASIS),
+        checksum: fnv1a_dists(m_scalar.as_slice()),
         bit_identical: m_scalar == m_simd,
         telemetry: None,
     }
@@ -242,11 +237,7 @@ fn bench_ooc(
     calibration_dir: Option<&std::path::Path>,
     sdc_guard: SdcGuardMode,
 ) -> CaseResult {
-    let alg_name = match algorithm {
-        Algorithm::FloydWarshall => "fw",
-        Algorithm::Johnson => "johnson",
-        Algorithm::Boundary => "boundary",
-    };
+    let alg_name = algorithm.tag();
     let scratch = std::env::temp_dir().join("apsp-bench-kernels");
     let storage = if disk {
         StorageBackend::Disk(scratch)
@@ -303,10 +294,6 @@ fn bench_ooc(
         bit_identical: scalar_sum == simd_sum,
         telemetry,
     }
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn json_opt_secs(v: Option<f64>) -> String {

@@ -31,22 +31,8 @@ use apsp_core::options::BoundaryOptions;
 use apsp_core::{ooc_boundary_multi, MultiGpuStats, StorageBackend, TileStore};
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
 use apsp_graph::generators::{grid_2d, GridOptions, WeightRange};
-use apsp_graph::{CsrGraph, Dist};
+use apsp_graph::{fnv1a, CsrGraph, FNV_OFFSET_BASIS};
 use std::time::Instant;
-
-const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(values: &[Dist]) -> u64 {
-    let mut hash = FNV_OFFSET_BASIS;
-    for v in values {
-        for b in v.to_le_bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    }
-    hash
-}
 
 struct FleetCase {
     label: String,
@@ -79,7 +65,10 @@ fn run_fleet(g: &CsrGraph, case: &FleetCase, opts: &BoundaryOptions) -> FleetRow
         label: case.label.clone(),
         devices: case.profiles.len(),
         stats,
-        checksum: fnv1a(matrix.as_slice()),
+        checksum: matrix
+            .as_slice()
+            .iter()
+            .fold(FNV_OFFSET_BASIS, |h, v| fnv1a(&v.to_le_bytes(), h)),
         wall_secs,
         homogeneous: case.homogeneous,
     }

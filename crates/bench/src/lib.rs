@@ -17,7 +17,7 @@
 
 pub mod experiments;
 
-use apsp_core::options::{ApspOptions, JohnsonOptions};
+use apsp_core::options::JohnsonOptions;
 use apsp_core::SelectorConfig;
 use apsp_gpu_sim::DeviceProfile;
 use apsp_graph::suite::{SuiteConfig, SuiteEntry};
@@ -75,15 +75,6 @@ pub fn scaled_johnson(scale: usize) -> JohnsonOptions {
 /// Selector configuration adjusted for scale.
 pub fn scaled_selector(scale: usize) -> SelectorConfig {
     SelectorConfig::scaled(scale)
-}
-
-/// Full options bundle for a scaled run.
-pub fn scaled_options(scale: usize) -> ApspOptions {
-    ApspOptions {
-        johnson: scaled_johnson(scale),
-        selector: scaled_selector(scale),
-        ..Default::default()
-    }
 }
 
 /// Suite generation config at a scale.

@@ -138,11 +138,7 @@ pub fn run_kill_resume(
     let g = &case.graph;
     let n = g.num_vertices();
     let reference = bgl_plus_apsp(g);
-    let tag = match algorithm {
-        Algorithm::FloydWarshall => "fw",
-        Algorithm::Johnson => "johnson",
-        Algorithm::Boundary => "boundary",
-    };
+    let tag = algorithm.tag();
     // The checkpoint lives in its own subdirectory: `TileStore::persist`
     // refuses to write snapshots into a `Disk` store's spill directory.
     let ckpt_dir = cfg.scratch_dir.join(format!(

@@ -165,17 +165,6 @@ impl FaultPlan {
             }
         }
     }
-
-    /// Arm the silent-corruption half of the plan on a store. Only
-    /// meaningful when an SDC guard is (or will be) active on `store`;
-    /// [`crate::sdc::run_under_bit_flip`] is the harness that does both.
-    pub fn arm_store(&self, store: &mut TileStore) {
-        for f in &self.faults {
-            if let Fault::BitFlip { ordinal, bit } = f {
-                store.arm_bit_flip(*ordinal, *bit);
-            }
-        }
-    }
 }
 
 /// How one algorithm behaved under a fault plan.

@@ -57,14 +57,10 @@ pub struct Variant {
 
 impl std::fmt::Display for Variant {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let alg = match self.algorithm {
-            Algorithm::FloydWarshall => "fw",
-            Algorithm::Johnson => "johnson",
-            Algorithm::Boundary => "boundary",
-        };
         write!(
             f,
-            "{alg}/{}/{}",
+            "{}/{}/{}",
+            self.algorithm.tag(),
             if self.disk { "disk" } else { "memory" },
             if self.overlap { "overlap" } else { "serial" }
         )

@@ -167,7 +167,6 @@ fn service_for(cfg: &ChaosConfig) -> ApspService {
         queue_capacity: cfg.queue_capacity,
         cache_capacity: cfg.cache_capacity,
         checkpoint_root: Some(cfg.scratch_dir.clone()),
-        admission_control: true,
     })
 }
 

@@ -36,14 +36,6 @@ const HANG_SECONDS: f64 = 1e6;
 /// tiny against [`HANG_SECONDS`].
 const STALL_BUDGET_MS: u64 = 60_000;
 
-fn algo_tag(algorithm: Algorithm) -> &'static str {
-    match algorithm {
-        Algorithm::FloydWarshall => "fw",
-        Algorithm::Johnson => "johnson",
-        Algorithm::Boundary => "boundary",
-    }
-}
-
 fn backend_for(disk: bool, cfg: &RunnerConfig) -> StorageBackend {
     if disk {
         StorageBackend::Disk(cfg.scratch_dir.clone())
@@ -102,9 +94,9 @@ impl std::fmt::Display for StallFallbackReport {
         write!(
             f,
             "{} stalled at launch {} → fell back to {} ({} supervision events) → exact",
-            algo_tag(self.from),
+            self.from.tag(),
             self.stalled_launch,
-            algo_tag(self.to),
+            self.to.tag(),
             self.events.len(),
         )
     }
@@ -264,7 +256,7 @@ pub fn run_cancel_resume(
     let ckpt_dir = cfg.scratch_dir.join(format!(
         "supervise-{}-{}-{}-{seed:x}",
         case.name,
-        algo_tag(algorithm),
+        algorithm.tag(),
         if disk { "disk" } else { "memory" },
     ));
     let _ = std::fs::remove_dir_all(&ckpt_dir);

@@ -9,7 +9,7 @@ use apsp_conformance::{run_corrupt_cache_check, run_queued_cancel_residue};
 use apsp_core::service::trace::TraceConfig;
 
 /// Job count for the soak: `APSP_SERVICE_JOBS` (nightly widens it),
-/// floored at the acceptance criterion's ≥ 8 concurrent jobs.
+/// floored at the soak's minimum of 8 concurrent jobs.
 fn jobs_from_env() -> usize {
     std::env::var("APSP_SERVICE_JOBS")
         .ok()
@@ -42,7 +42,7 @@ fn chaos_soak_never_wrong_never_hung_and_deterministic() {
     );
     // Re-running the identical config must replay the identical verdict
     // sequence, counters, and simulated clock — the determinism half of
-    // the acceptance criterion.
+    // the soak's contract.
     let b = run_chaos(&cfg).expect("repeat of the same soak must hold");
     assert_eq!(a, b, "same seed must replay the same soak");
     println!("soak: {a}");

@@ -1,7 +1,7 @@
 //! Unified front-end: select (or accept) an algorithm and run it.
 
 use crate::calibration::{CalibrationStore, RefitCoefficients};
-use crate::checkpoint::{Checkpoint, Progress};
+use crate::checkpoint::Checkpoint;
 use crate::error::{ApspError, ApspErrorKind};
 use crate::ooc_boundary::{self, BoundaryRunStats};
 use crate::ooc_fw::{self, FwRunStats};
@@ -53,22 +53,13 @@ pub struct ApspResult {
     pub telemetry: Option<RunReport>,
 }
 
-/// The short tag telemetry artifacts use for an algorithm.
-fn algorithm_tag(a: Algorithm) -> &'static str {
-    match a {
-        Algorithm::FloydWarshall => "fw",
-        Algorithm::Johnson => "johnson",
-        Algorithm::Boundary => "boundary",
-    }
-}
-
 /// One calibration batch from a selection: every candidate, costed or
 /// filtered, with `chosen` marked as the one that will run.
 fn calibration_records(sel: &Selection, chosen: Algorithm) -> Vec<CalibrationRecord> {
     sel.candidates
         .iter()
         .map(|c| CalibrationRecord {
-            algorithm: algorithm_tag(c.algorithm),
+            algorithm: c.algorithm.tag(),
             predicted_s: c.estimate,
             seed_predicted_s: c.seed_estimate,
             filter_reason: c.filter_reason.clone(),
@@ -143,11 +134,7 @@ pub fn apsp(
         None => None,
     };
     let resumed_algorithm = match &ckpt {
-        Some(c) => c.load()?.map(|m| match m.progress {
-            Progress::FloydWarshall { .. } => Algorithm::FloydWarshall,
-            Progress::Johnson { .. } => Algorithm::Johnson,
-            Progress::Boundary { .. } => Algorithm::Boundary,
-        }),
+        Some(c) => c.load()?.map(|m| m.progress.algorithm()),
         None => None,
     };
     // Calibration: open (or initialize) the profile's persisted store,
@@ -228,7 +215,7 @@ pub fn apsp(
         let attempt = run_one(algorithm, g, dev, &mut store, opts, ckpt.as_ref(), &sup);
         let err = match attempt {
             Ok(ok) => {
-                telemetry.phase_end(dev, span, &format!("attempt.{}", algorithm_tag(algorithm)));
+                telemetry.phase_end(dev, span, &format!("attempt.{}", algorithm.tag()));
                 // The realized time the cost model is judged by is the
                 // driver's own measure, matching what it predicted.
                 telemetry.set_realized(ok.0);
@@ -237,11 +224,9 @@ pub fn apsp(
             Err(e) => {
                 // A failed attempt has no driver stats — its span
                 // duration is the realized cost of having tried it.
-                if let Some(wasted) = telemetry.phase_end(
-                    dev,
-                    span,
-                    &format!("attempt.{}.failed", algorithm_tag(algorithm)),
-                ) {
+                if let Some(wasted) =
+                    telemetry.phase_end(dev, span, &format!("attempt.{}.failed", algorithm.tag()))
+                {
                     telemetry.set_realized(wasted);
                 }
                 e
@@ -325,7 +310,7 @@ pub fn apsp(
     let report = dev.report();
     let supervision_events = sup.events();
     let telemetry = telemetry.build_report(
-        algorithm_tag(algorithm),
+        algorithm.tag(),
         opts.exec.name(),
         sim_seconds,
         &report,
@@ -381,6 +366,7 @@ fn run_one(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::Progress;
     use crate::options::ApspOptions;
     use crate::selector::SelectorConfig;
     use apsp_cpu::bgl_plus_apsp;

@@ -29,16 +29,19 @@
 //! **Persistence.** [`CalibrationStore`] keeps one file per device
 //! profile, named by a structural fingerprint of every profile constant,
 //! written with the same atomic discipline as the checkpoint manifest
-//! (temp sibling + `sync_all` + rename) and the same failure policy: a
-//! *missing* file is a fresh start (identity corrections); a
-//! *present-and-invalid* one — truncated, bit-flipped, or from another
-//! format version — is a typed [`ApspError::Corruption`], and the
-//! front-end falls back to the seed constants rather than trusting it.
+//! (temp sibling + `sync_all` + rename + directory sync) and the same
+//! failure policy: a *missing* file is a fresh start (identity
+//! corrections); a *present-and-invalid* one — truncated, bit-flipped,
+//! or from another format version — is a typed
+//! [`ApspError::Corruption`], and the front-end falls back to the seed
+//! constants rather than trusting it.
 
+use crate::checkpoint::{seal, unseal};
 use crate::error::ApspError;
 use crate::options::ExecBackend;
-use crate::tile_store::{fnv1a, FNV_OFFSET_BASIS};
+use crate::tile_store::write_atomic;
 use apsp_gpu_sim::DeviceProfile;
+use apsp_graph::{fnv1a, FNV_OFFSET_BASIS};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -341,60 +344,22 @@ impl CalibrationStore {
         self.runs += 1;
     }
 
-    /// Durably write the store: serialize to a temp sibling, `sync_all`,
-    /// rename into place. A crash at any point leaves either the
-    /// previous version or the new one — never a torn file.
+    /// Durably write the store as checkpoint commits are written: a temp
+    /// sibling, `sync_all`, a rename into place, then a directory sync. A
+    /// crash at any point leaves either the previous version or the new
+    /// one — never a torn file — and a committed rename survives a power
+    /// loss.
     pub fn commit(&self) -> Result<(), ApspError> {
-        self.commit_with_kill(None).map_err(Into::into)
-    }
-
-    /// [`CalibrationStore::commit`] with crash injection for the
-    /// conformance suite: when `kill_after_ops` is `Some(k)`, the commit
-    /// aborts (returning `Interrupted`) after `k` file operations
-    /// (create, write, sync, rename), leaving whatever the real crash
-    /// would leave.
-    pub fn commit_with_kill(&self, kill_after_ops: Option<u32>) -> io::Result<()> {
+        use std::io::Write;
         std::fs::create_dir_all(self.path.parent().unwrap_or_else(|| Path::new(".")))?;
-        let body = self.serialize();
-        let tmp = self
-            .path
-            .with_file_name(format!(".cal.tmp.{}", std::process::id()));
-        let mut ops = 0u32;
-        let op = |ops: &mut u32| -> io::Result<()> {
-            if let Some(k) = kill_after_ops {
-                if *ops >= k {
-                    return Err(io::Error::new(
-                        io::ErrorKind::Interrupted,
-                        "injected crash point",
-                    ));
-                }
-            }
-            *ops += 1;
-            Ok(())
-        };
-        let result = (|| -> io::Result<()> {
-            use std::io::Write;
-            op(&mut ops)?;
-            let mut f = std::fs::File::create(&tmp)?;
-            op(&mut ops)?;
-            f.write_all(body.as_bytes())?;
-            op(&mut ops)?;
-            f.sync_all()?;
-            op(&mut ops)?;
-            std::fs::rename(&tmp, &self.path)
-        })();
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        result
+        write_atomic(&self.path, |mut f| f.write_all(self.serialize().as_bytes()))?;
+        Ok(())
     }
 
-    /// Line-oriented text encoding, self-checksummed like the checkpoint
-    /// manifest: the trailing `end <hex>` line carries the FNV-1a of
-    /// every preceding byte.
+    /// Line-oriented text encoding, sealed like the checkpoint manifest
+    /// (see [`seal`]).
     fn serialize(&self) -> String {
         let mut s = String::new();
-        s.push_str(&format!("apsp-calibration {CALIBRATION_VERSION}\n"));
         s.push_str(&format!(
             "profile {:016x} {}\n",
             self.fingerprint, self.profile_name
@@ -409,9 +374,7 @@ impl CalibrationStore {
                 st.sum_micro
             ));
         }
-        let sum = fnv1a(s.as_bytes(), FNV_OFFSET_BASIS);
-        s.push_str(&format!("end {sum:016x}\n"));
-        s
+        seal("apsp-calibration", CALIBRATION_VERSION, &s)
     }
 
     /// Human-readable summary for `--calibration-report`: one line per
@@ -445,36 +408,7 @@ fn parse_store(
     bytes: &[u8],
     expected_fingerprint: u64,
 ) -> Result<(u64, RefitCoefficients), String> {
-    let text = std::str::from_utf8(bytes).map_err(|_| "store is not UTF-8".to_string())?;
-    let trimmed = text.strip_suffix('\n').unwrap_or(text);
-    let (body_end, end_line) = match trimmed.rfind('\n') {
-        Some(i) => (i + 1, &trimmed[i + 1..]),
-        None => (0, trimmed),
-    };
-    let declared = end_line
-        .strip_prefix("end ")
-        .ok_or("store is truncated (no `end` checksum line)")?;
-    let declared =
-        u64::from_str_radix(declared.trim(), 16).map_err(|_| "unparseable `end` checksum")?;
-    let actual = fnv1a(&text.as_bytes()[..body_end], FNV_OFFSET_BASIS);
-    if actual != declared {
-        return Err(format!(
-            "self-checksum mismatch (recorded {declared:016x}, content hashes to {actual:016x}) — truncated or bit-rotted"
-        ));
-    }
-
-    let mut lines = text[..body_end].lines();
-    let header = lines.next().ok_or("empty store")?;
-    let version: u32 = header
-        .strip_prefix("apsp-calibration ")
-        .and_then(|v| v.trim().parse().ok())
-        .ok_or("missing `apsp-calibration <version>` header")?;
-    if version != CALIBRATION_VERSION {
-        return Err(format!(
-            "store version {version} is not supported (this build writes {CALIBRATION_VERSION})"
-        ));
-    }
-
+    let lines = unseal(bytes, "apsp-calibration", CALIBRATION_VERSION, "store")?;
     let mut runs = None;
     let mut coeffs = RefitCoefficients::identity();
     let mut seen = [false; 4];
@@ -794,6 +728,7 @@ mod tests {
 
         // A second observation, killed at every file-op boundary of its
         // commit: the store on disk must stay exactly the committed one.
+        let kill = |at| crate::tile_store::KILL_AT.set(at);
         for kill_at in 0..4 {
             let mut next = committed.clone();
             next.observe_run(
@@ -804,8 +739,13 @@ mod tests {
                 },
                 8.0,
             );
-            let err = next.commit_with_kill(Some(kill_at)).unwrap_err();
-            assert_eq!(err.kind(), io::ErrorKind::Interrupted);
+            kill(Some(kill_at));
+            let err = next.commit().unwrap_err();
+            kill(None);
+            assert!(
+                matches!(&err, ApspError::Storage(e) if e.kind() == io::ErrorKind::Interrupted),
+                "{err}"
+            );
             let on_disk = CalibrationStore::open(&dir, &profile).unwrap();
             assert_eq!(on_disk, committed, "kill point {kill_at} tore the store");
         }
@@ -819,7 +759,9 @@ mod tests {
             },
             8.0,
         );
-        next.commit_with_kill(Some(4)).unwrap();
+        kill(Some(4));
+        next.commit().unwrap();
+        kill(None);
         let on_disk = CalibrationStore::open(&dir, &profile).unwrap();
         assert_eq!(on_disk, next);
     }

@@ -32,8 +32,9 @@
 //! [`ApspError::Corruption`]. Wrong distances are never an outcome.
 
 use crate::error::ApspError;
-use crate::tile_store::{fnv1a, write_atomic, TileStore, FNV_OFFSET_BASIS, SDC_PANEL_ROWS};
-use apsp_graph::{CsrGraph, VertexId};
+use crate::options::Algorithm;
+use crate::tile_store::{write_atomic, TileStore, SDC_PANEL_ROWS};
+use apsp_graph::{fnv1a, CsrGraph, VertexId, FNV_OFFSET_BASIS};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -87,13 +88,12 @@ pub enum Progress {
 }
 
 impl Progress {
-    /// Short algorithm tag used in the manifest (`fw`, `johnson`,
-    /// `boundary`).
-    pub fn algorithm_tag(&self) -> &'static str {
+    /// The algorithm that committed this progress.
+    pub fn algorithm(&self) -> Algorithm {
         match self {
-            Progress::FloydWarshall { .. } => "fw",
-            Progress::Johnson { .. } => "johnson",
-            Progress::Boundary { .. } => "boundary",
+            Progress::FloydWarshall { .. } => Algorithm::FloydWarshall,
+            Progress::Johnson { .. } => Algorithm::Johnson,
+            Progress::Boundary { .. } => Algorithm::Boundary,
         }
     }
 }
@@ -271,7 +271,7 @@ impl Checkpoint {
                 "checkpoint in {} belongs to the `{}` algorithm, not {algorithm} — \
                  delete it to start over",
                 ckpt.dir.display(),
-                m.progress.algorithm_tag()
+                m.progress.algorithm().tag()
             )));
         };
         validate(&resume)?;
@@ -386,12 +386,62 @@ fn write_manifest_atomic(path: &Path, m: &Manifest) -> io::Result<()> {
     write_atomic(path, |mut f| f.write_all(serialize_manifest(m).as_bytes()))
 }
 
-/// Line-oriented text encoding; the final `end <hex>` line carries the
-/// FNV-1a of every preceding byte so truncation and bit-rot are caught
-/// before any field is trusted.
+/// A self-checksummed text file: the `<tag> <version>` header line,
+/// `body`, and an `end <hex>` line carrying the FNV-1a of every byte
+/// before it, so truncation and bit-rot are caught before any field is
+/// trusted. Checkpoint manifests and calibration stores are sealed so.
+pub(crate) fn seal(tag: &str, version: u32, body: &str) -> String {
+    let mut s = format!("{tag} {version}\n{body}");
+    let sum = fnv1a(s.as_bytes(), FNV_OFFSET_BASIS);
+    s.push_str(&format!("end {sum:016x}\n"));
+    s
+}
+
+/// Inverse of [`seal`]: verify the `end` self-checksum over everything
+/// before it, then the `<tag> <version>` header, and return the body's
+/// lines. Each failure is a detail string naming the file as `noun`.
+pub(crate) fn unseal<'a>(
+    bytes: &'a [u8],
+    tag: &str,
+    version: u32,
+    noun: &str,
+) -> Result<std::str::Lines<'a>, String> {
+    let text = std::str::from_utf8(bytes).map_err(|_| format!("{noun} is not UTF-8"))?;
+    let trimmed = text.strip_suffix('\n').unwrap_or(text);
+    let (body_end, end_line) = match trimmed.rfind('\n') {
+        Some(i) => (i + 1, &trimmed[i + 1..]),
+        None => (0, trimmed),
+    };
+    let declared = end_line
+        .strip_prefix("end ")
+        .ok_or_else(|| format!("{noun} is truncated (no `end` checksum line)"))?;
+    let declared =
+        u64::from_str_radix(declared.trim(), 16).map_err(|_| "unparseable `end` checksum")?;
+    let actual = fnv1a(&text.as_bytes()[..body_end], FNV_OFFSET_BASIS);
+    if actual != declared {
+        return Err(format!(
+            "self-checksum mismatch (recorded {declared:016x}, content hashes to {actual:016x}) — truncated or bit-rotted"
+        ));
+    }
+
+    let mut lines = text[..body_end].lines();
+    let header = lines.next().ok_or_else(|| format!("empty {noun}"))?;
+    let found: u32 = header
+        .strip_prefix(tag)
+        .and_then(|v| v.strip_prefix(' '))
+        .and_then(|v| v.trim().parse().ok())
+        .ok_or_else(|| format!("missing `{tag} <version>` header"))?;
+    if found != version {
+        return Err(format!(
+            "{noun} version {found} is not supported (this build writes {version})"
+        ));
+    }
+    Ok(lines)
+}
+
+/// Line-oriented text encoding, sealed with [`seal`].
 fn serialize_manifest(m: &Manifest) -> String {
     let mut s = String::new();
-    s.push_str(&format!("apsp-checkpoint {}\n", m.version));
     s.push_str(&format!("fingerprint {:016x}\n", m.fingerprint));
     s.push_str(&format!("n {}\n", m.n));
     s.push_str(&format!("state {}\n", m.state_file));
@@ -421,47 +471,14 @@ fn serialize_manifest(m: &Manifest) -> String {
             ));
         }
     }
-    let sum = fnv1a(s.as_bytes(), FNV_OFFSET_BASIS);
-    s.push_str(&format!("end {sum:016x}\n"));
-    s
+    seal("apsp-checkpoint", m.version, &s)
 }
 
 /// Inverse of [`serialize_manifest`]. Every failure mode returns a
 /// human-readable detail string; the caller wraps it in
 /// [`ApspError::Corruption`].
 fn parse_manifest(bytes: &[u8]) -> Result<Manifest, String> {
-    let text = std::str::from_utf8(bytes).map_err(|_| "manifest is not UTF-8".to_string())?;
-    // Locate the trailing `end <hex>` line and verify the self-checksum
-    // over everything before it.
-    let trimmed = text.strip_suffix('\n').unwrap_or(text);
-    let (body_end, end_line) = match trimmed.rfind('\n') {
-        Some(i) => (i + 1, &trimmed[i + 1..]),
-        None => (0, trimmed),
-    };
-    let declared = end_line
-        .strip_prefix("end ")
-        .ok_or("manifest is truncated (no `end` checksum line)")?;
-    let declared =
-        u64::from_str_radix(declared.trim(), 16).map_err(|_| "unparseable `end` checksum")?;
-    let actual = fnv1a(&text.as_bytes()[..body_end], FNV_OFFSET_BASIS);
-    if actual != declared {
-        return Err(format!(
-            "self-checksum mismatch (recorded {declared:016x}, content hashes to {actual:016x}) — truncated or bit-rotted"
-        ));
-    }
-
-    let mut lines = text[..body_end].lines();
-    let header = lines.next().ok_or("empty manifest")?;
-    let version: u32 = header
-        .strip_prefix("apsp-checkpoint ")
-        .and_then(|v| v.trim().parse().ok())
-        .ok_or("missing `apsp-checkpoint <version>` header")?;
-    if version != MANIFEST_VERSION {
-        return Err(format!(
-            "manifest version {version} is not supported (this build writes {MANIFEST_VERSION})"
-        ));
-    }
-
+    let lines = unseal(bytes, "apsp-checkpoint", MANIFEST_VERSION, "manifest")?;
     let mut fingerprint = None;
     let mut n = None;
     let mut state_file = None;
@@ -511,7 +528,7 @@ fn parse_manifest(bytes: &[u8]) -> Result<Manifest, String> {
         ));
     }
     Ok(Manifest {
-        version,
+        version: MANIFEST_VERSION,
         fingerprint: fingerprint.ok_or("missing fingerprint")?,
         n,
         state_file: state_file.ok_or("missing state")?,
@@ -979,9 +996,10 @@ mod tests {
         assert!(std::fs::read(dir.join("state-b.bin")).unwrap() == FIXTURE_STATE);
     }
 
-    /// Each commit and each persist syncs its directory once, after the
-    /// rename, so the rename and a newly created slot survive a power
-    /// loss; a write that fails syncs nothing.
+    /// Each commit, each persist and each calibration-store commit syncs
+    /// its directory once, after the rename, so the rename and a newly
+    /// created slot survive a power loss; a write that fails syncs
+    /// nothing.
     #[test]
     fn commits_and_persists_sync_their_directory_once() {
         let syncs = || crate::tile_store::DIR_SYNCS.get();
@@ -1000,6 +1018,11 @@ mod tests {
             .persist(dir.join("missing").join("snapshot.bin"))
             .unwrap_err();
         assert_eq!(syncs() - before, 1, "a failed persist synced");
+        let v100 = apsp_gpu_sim::DeviceProfile::v100();
+        let cal = crate::CalibrationStore::open(dir.join("cal"), &v100).unwrap();
+        let before = syncs();
+        cal.commit().unwrap();
+        assert_eq!(syncs() - before, 1, "calibration commit");
     }
 
     /// A crash inside the third commit's export leaves `state-a.bin`

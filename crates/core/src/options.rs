@@ -17,6 +17,18 @@ pub enum Algorithm {
     Boundary,
 }
 
+impl Algorithm {
+    /// The short tag checkpoints, telemetry and case labels use (`fw`,
+    /// `johnson`, `boundary`).
+    pub fn tag(self) -> &'static str {
+        match self {
+            Algorithm::FloydWarshall => "fw",
+            Algorithm::Johnson => "johnson",
+            Algorithm::Boundary => "boundary",
+        }
+    }
+}
+
 impl std::fmt::Display for Algorithm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {

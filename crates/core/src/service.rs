@@ -9,11 +9,11 @@
 //!   [`ServiceConfig::queue_capacity`] are rejected with a typed
 //!   [`ServiceError::QueueFull`] carrying a retry-after hint, never
 //!   silently dropped or unboundedly buffered.
-//! * **Admission control** — once the service has observed at least one
-//!   completion it predicts each deadline-carrying job's queue wait from
-//!   the learned per-row rate; a job predicted to expire before a device
-//!   frees up is turned away immediately as [`ServiceError::Busy`]
-//!   rather than admitted to die in the queue.
+//! * **Admission control** (always on) — once the service has observed
+//!   at least one completion it predicts each deadline-carrying job's
+//!   queue wait from the learned per-row rate; a job predicted to expire
+//!   before a device frees up is turned away immediately as
+//!   [`ServiceError::Busy`] rather than admitted to die in the queue.
 //! * **Per-job supervision budgets** — each job's deadline (minus the
 //!   queue wait it already paid) and retry budget arm a
 //!   [`Supervisor`], so budgets are enforced at every driver barrier.
@@ -50,9 +50,9 @@ use crate::error::{ApspError, ApspErrorKind};
 use crate::ooc_johnson::ooc_johnson_sources;
 use crate::options::{Algorithm, ApspOptions, CheckpointOptions};
 use crate::supervisor::{splitmix64, Supervisor};
-use crate::tile_store::{fnv1a, panel_fnvs, FNV_OFFSET_BASIS, SDC_PANEL_ROWS};
+use crate::tile_store::{panel_fnvs, SDC_PANEL_ROWS};
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
-use apsp_graph::{CsrGraph, Dist, VertexId};
+use apsp_graph::{fnv1a, CsrGraph, Dist, VertexId, FNV_OFFSET_BASIS};
 
 /// Opaque job handle returned by [`ApspService::submit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -450,7 +450,9 @@ impl ResultCache {
     }
 }
 
-/// Service configuration.
+/// Service configuration. Load is shed by the queue bound and by
+/// predictive admission control, which is always on (see
+/// [`ApspService::submit`]).
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// The simulated fleet: one entry per device slot. Every job runs on
@@ -465,9 +467,6 @@ pub struct ServiceConfig {
     /// `<root>/<key>/`; deadline- or cancel-killed jobs keep theirs for
     /// warm resubmission. `None` disables service-managed durability.
     pub checkpoint_root: Option<PathBuf>,
-    /// Predictive admission control (the `Busy` rung). Off, only the
-    /// queue bound sheds load.
-    pub admission_control: bool,
 }
 
 impl Default for ServiceConfig {
@@ -477,7 +476,6 @@ impl Default for ServiceConfig {
             queue_capacity: 32,
             cache_capacity: 16,
             checkpoint_root: None,
-            admission_control: true,
         }
     }
 }
@@ -654,11 +652,6 @@ impl ApspService {
         self.jobs.get(&id.0).map(|j| &j.state)
     }
 
-    /// Ids of every job the service accepted, in submission order.
-    pub fn job_ids(&self) -> Vec<JobId> {
-        self.jobs.keys().map(|&id| JobId(id)).collect()
-    }
-
     /// Predicted simulated seconds of queue wait for a newly admitted
     /// job, from the learned per-row rate and the current backlog.
     /// `None` until the first completion taught the service a rate.
@@ -729,14 +722,12 @@ impl ApspService {
                 retry_after_ms: (hint_s * 1e3).ceil() as u64,
             });
         }
-        if self.cfg.admission_control {
-            if let (Some(deadline_ms), Some(wait_s)) = (req.deadline_ms, self.predicted_wait_s()) {
-                if wait_s * 1e3 >= deadline_ms as f64 {
-                    self.counters.rejected_busy += 1;
-                    return Err(ServiceError::Busy {
-                        retry_after_ms: (wait_s * 1e3).ceil() as u64,
-                    });
-                }
+        if let (Some(deadline_ms), Some(wait_s)) = (req.deadline_ms, self.predicted_wait_s()) {
+            if wait_s * 1e3 >= deadline_ms as f64 {
+                self.counters.rejected_busy += 1;
+                return Err(ServiceError::Busy {
+                    retry_after_ms: (wait_s * 1e3).ceil() as u64,
+                });
             }
         }
         self.counters.admitted += 1;

@@ -379,7 +379,9 @@ pub struct RunReport {
     pub sdc_recovered_round: u64,
 }
 
-fn json_escape(s: &str) -> String {
+/// `s` as the body of a JSON string literal: quotes, backslashes and
+/// control characters escaped.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

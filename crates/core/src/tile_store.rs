@@ -33,7 +33,7 @@ use crate::error::CorruptionMark;
 use crate::options::SdcGuardMode;
 use crate::supervisor::Supervisor;
 use apsp_cpu::ExecBackend;
-use apsp_graph::Dist;
+use apsp_graph::{fnv1a, Dist, FNV_OFFSET_BASIS, FNV_PRIME};
 use inject::{Injection, Io};
 use parking_lot::Mutex;
 use registry::SdcRegistry;
@@ -98,23 +98,6 @@ pub enum StorageBackend {
         shard_bytes: u64,
     },
 }
-
-/// FNV-1a over `bytes`, continuing from `hash` (seed with
-/// [`FNV_OFFSET_BASIS`]). Shared with the checkpoint manifest's
-/// self-checksum so one implementation guards both layers.
-pub(crate) fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-/// The FNV-1a 64-bit offset basis — the seed for [`fnv1a`].
-pub(crate) const FNV_OFFSET_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
-
-/// The FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// FNV chains [`fnv1a_lanes`] and [`row_hash_lanes`] step in lockstep.
 /// One chain waits a multiply's latency per step; independent chains
@@ -1077,7 +1060,8 @@ fn parent_dir(path: &Path) -> &Path {
 /// `.<name>.tmp.<pid>`, which is `sync_all`ed and renamed over `path`,
 /// and then the directory is `sync_all`ed too, so after a power loss the
 /// rename (and a file newly created beside it) is not lost. On error the
-/// temp file is removed and `path` keeps what it held.
+/// temp file is removed and `path` keeps what it held. Under test,
+/// `KILL_AT` fails a chosen file op as a crash there would.
 pub(crate) fn write_atomic<T>(
     path: &Path,
     write: impl FnOnce(&File) -> io::Result<T>,
@@ -1095,9 +1079,13 @@ pub(crate) fn write_atomic<T>(
         std::process::id()
     ));
     let result = (|| {
+        kill_point(0)?;
         let file = File::create(&tmp)?;
+        kill_point(1)?;
         let out = write(&file)?;
+        kill_point(2)?;
         file.sync_all()?;
+        kill_point(3)?;
         std::fs::rename(&tmp, path)?;
         #[cfg(test)]
         DIR_SYNCS.set(DIR_SYNCS.get() + 1);
@@ -1115,6 +1103,27 @@ thread_local! {
     /// Directory syncs [`write_atomic`] issued on this thread, for the
     /// tests that pin them.
     pub(crate) static DIR_SYNCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// [`write_atomic`]'s crash hook on this thread: `Some(k)` fails file
+    /// op `k` (0 create, 1 write, 2 sync, 3 rename) with `Interrupted`
+    /// before it runs.
+    pub(crate) static KILL_AT: std::cell::Cell<Option<u32>> = const { std::cell::Cell::new(None) };
+}
+
+#[cfg(test)]
+fn kill_point(op: u32) -> io::Result<()> {
+    match KILL_AT.get() {
+        Some(k) if k <= op => Err(io::Error::new(
+            io::ErrorKind::Interrupted,
+            "injected crash point",
+        )),
+        _ => Ok(()),
+    }
+}
+
+#[cfg(not(test))]
+#[inline(always)]
+fn kill_point(_op: u32) -> io::Result<()> {
+    Ok(())
 }
 
 /// Whether two directory paths name the same directory, resolving

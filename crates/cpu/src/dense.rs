@@ -76,12 +76,6 @@ impl DistMatrix {
         &self.data[i * self.n..(i + 1) * self.n]
     }
 
-    /// Row `i` as a mutable slice.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [Dist] {
-        &mut self.data[i * self.n..(i + 1) * self.n]
-    }
-
     /// The whole backing buffer.
     #[inline]
     pub fn as_slice(&self) -> &[Dist] {

@@ -11,10 +11,9 @@
 //! * **Galois** — parallel delta-stepping; reproduced as
 //!   [`delta_stepping::delta_stepping_sssp`].
 //!
-//! [`dijkstra`] and [`bellman_ford`] provide the reference SSSP
-//! implementations every other algorithm in the suite is validated
-//! against, and [`dense::DistMatrix`] is the shared dense distance-matrix
-//! container.
+//! [`dijkstra`] provides the reference SSSP implementation every other
+//! algorithm in the suite is validated against, and [`dense::DistMatrix`]
+//! is the shared dense distance-matrix container.
 //!
 //! [`cost::CpuCostModel`] models the paper's 28-thread Xeon so that the
 //! benchmark harness can report GPU-vs-CPU speedup *shapes* at paper
@@ -26,7 +25,6 @@
 
 #![deny(unsafe_code)]
 
-pub mod bellman_ford;
 pub mod bgl_plus;
 pub mod blocked_fw;
 pub mod cost;

@@ -188,11 +188,6 @@ impl GpuDevice {
         self.efficiency_divisor = divisor;
     }
 
-    /// Current kernel-efficiency divisor.
-    pub fn kernel_efficiency_divisor(&self) -> f64 {
-        self.efficiency_divisor
-    }
-
     /// The device's profile.
     pub fn profile(&self) -> &DeviceProfile {
         &self.profile
@@ -232,11 +227,6 @@ impl GpuDevice {
         assert!(kth >= 1, "kth is 1-based");
         assert!(extra_seconds >= 0.0, "a stall cannot shorten a kernel");
         self.kernel_stall = Some((kth, extra_seconds));
-    }
-
-    /// Disarm a pending [`Self::inject_kernel_stall`] fault.
-    pub fn clear_kernel_stall(&mut self) {
-        self.kernel_stall = None;
     }
 
     /// Seconds of injected stall owed by the current launch (one-shot).

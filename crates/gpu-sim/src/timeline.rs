@@ -113,11 +113,6 @@ impl Timeline {
         StreamId(self.stream_free.len() - 1)
     }
 
-    /// Number of streams.
-    pub fn num_streams(&self) -> usize {
-        self.stream_free.len()
-    }
-
     /// Schedule an operation of `duration` seconds on `stream` using
     /// `engine`. Returns the operation's `(start, end)` times.
     pub fn schedule(

@@ -54,6 +54,25 @@ pub fn dist_add(a: Dist, b: Dist) -> Dist {
     }
 }
 
+/// The FNV-1a 64-bit offset basis, the seed for [`fnv1a`].
+pub const FNV_OFFSET_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// The FNV-1a 64-bit prime.
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// FNV-1a over `bytes`, continuing from `hash` (seed with
+/// [`FNV_OFFSET_BASIS`]). The one implementation behind checkpoint
+/// manifests, snapshot footers, graph and profile fingerprints, the
+/// suite's per-entry seeds and the benches' result checksums.
+#[inline]
+pub fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
+    for &b in bytes {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
 /// An edge of a weighted directed graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Edge {
@@ -91,6 +110,13 @@ mod tests {
         // Even the largest representable operands must not wrap around.
         assert_eq!(dist_add(u32::MAX, u32::MAX), INF);
         assert!(dist_add(INF, u32::MAX) >= INF);
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_64_bit_vectors() {
+        assert_eq!(fnv1a(b"", FNV_OFFSET_BASIS), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a", FNV_OFFSET_BASIS), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar", FNV_OFFSET_BASIS), 0x8594_4171_f739_67e8);
     }
 
     #[test]

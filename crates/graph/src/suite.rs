@@ -21,7 +21,7 @@ use crate::generators::{
     banded, gnm_expected, grid_2d, radius_for_avg_degree, random_geometric, rmat, GridOptions,
     RmatParams, WeightRange,
 };
-use crate::CsrGraph;
+use crate::{fnv1a, CsrGraph, FNV_OFFSET_BASIS};
 
 /// Structural family used to synthesize an analog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,7 +179,7 @@ impl SuiteEntry {
         let n = self.scaled_n(cfg);
         let m = self.scaled_m(cfg);
         let avg_deg = m as f64 / n as f64;
-        let seed = cfg.seed ^ fxhash(self.name);
+        let seed = cfg.seed ^ fnv1a(self.name.as_bytes(), FNV_OFFSET_BASIS);
         match self.family {
             Family::Geometric => {
                 let r = radius_for_avg_degree(n, avg_deg.max(3.0));
@@ -237,15 +237,6 @@ pub fn table3_other_sparse() -> Vec<&'static SuiteEntry> {
 /// Look up an entry by name across both tables.
 pub fn find(name: &str) -> Option<&'static SuiteEntry> {
     TABLE3.iter().chain(TABLE4.iter()).find(|e| e.name == name)
-}
-
-/// Stable tiny string hash for per-entry seeds (FxHash-style fold).
-fn fxhash(s: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in s.bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]

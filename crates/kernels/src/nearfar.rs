@@ -412,7 +412,7 @@ mod tests {
     use super::*;
     use apsp_cpu::dijkstra_sssp;
     use apsp_graph::generators::{gnp, grid_2d, rmat, GridOptions, RmatParams, WeightRange};
-    use apsp_graph::GraphBuilder;
+    use apsp_graph::{fnv1a, GraphBuilder, FNV_OFFSET_BASIS};
 
     #[test]
     fn matches_dijkstra_on_random_graphs() {
@@ -595,30 +595,25 @@ mod tests {
     }
 
     /// FNV-1a over the little-endian bytes of `values`, continuing `hash`.
-    fn fnv1a(values: &[u32], mut hash: u64) -> u64 {
-        for byte in values.iter().flat_map(|v| v.to_le_bytes()) {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+    fn fnv1a_le(values: &[u32], hash: u64) -> u64 {
+        values.iter().fold(hash, |h, v| fnv1a(&v.to_le_bytes(), h))
     }
 
     /// Run every source of one pinned case on one reused scratch: the
     /// summed counters, the FNV-1a of the distance rows in source order,
     /// and that of the parents rows (0 when `track_parents` is off).
     fn pinned_run(name: &str, track_parents: bool) -> ([u64; 5], u64, u64) {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         let (g, sources, delta, heavy) = pinned_case(name);
         let mut scratch = NearFarScratch::new(g.num_vertices());
         let mut total = NearFarStats::default();
-        let mut dist_fnv = FNV_OFFSET;
-        let mut parents_fnv = if track_parents { FNV_OFFSET } else { 0 };
+        let mut dist_fnv = FNV_OFFSET_BASIS;
+        let mut parents_fnv = if track_parents { FNV_OFFSET_BASIS } else { 0 };
         for &s in &sources {
             let st = near_far_sssp_scratch(&g, s, delta, heavy, &mut scratch, track_parents);
             total.merge(&st);
-            dist_fnv = fnv1a(scratch.dist(), dist_fnv);
+            dist_fnv = fnv1a_le(scratch.dist(), dist_fnv);
             if track_parents {
-                parents_fnv = fnv1a(scratch.parents(), parents_fnv);
+                parents_fnv = fnv1a_le(scratch.parents(), parents_fnv);
             }
         }
         let NearFarStats {

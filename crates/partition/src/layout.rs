@@ -113,13 +113,6 @@ impl PartitionLayout {
         self.comp_boundary[i]
     }
 
-    /// Index range (new numbering) of component `i`'s boundary nodes.
-    #[inline]
-    pub fn boundary_range(&self, i: usize) -> std::ops::Range<usize> {
-        let start = self.comp_offset[i];
-        start..start + self.comp_boundary[i]
-    }
-
     /// Total boundary nodes across all components (the paper's `NB`).
     pub fn total_boundary(&self) -> usize {
         self.comp_boundary.iter().sum()
