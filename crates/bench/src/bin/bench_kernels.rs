@@ -21,9 +21,11 @@
 //!
 //! Three families of cases:
 //!
-//! * **min-plus GEMM** on square shapes — the tile kernel every
-//!   out-of-core driver spends its time in, timed directly against both
-//!   backends on identical operands;
+//! * **min-plus GEMM** on square shapes and on the ragged shapes the
+//!   benchmark workloads run (`dense-fw-durable`'s FW tile and its edge,
+//!   `fleet-hetero`'s dist₄ products), named `minplus-<rows>x<inner>x<cols>`
+//!   — the tile kernel every out-of-core driver spends its time in,
+//!   timed directly against both backends on identical operands;
 //! * **in-device blocked FW** at the in-device tile side of 64 — the host
 //!   loop of `fw_device_exec`, at the shapes the benchmark workloads
 //!   hand it: n = 114 (`dense-fw-durable`'s diagonal tile), 288
@@ -36,7 +38,8 @@
 //! Every case records wall-clock seconds for each backend, the simd
 //! speedup over scalar, the resolved thread count, and an FNV-1a
 //! checksum of the result — which must be bit-identical across both
-//! backends or the binary exits non-zero.
+//! backends or the binary exits non-zero. Each console line ends in
+//! that checksum, so a diff of two runs' output shows bit-identity.
 //!
 //! `--smoke` additionally gates the silent-corruption guard's overhead,
 //! and prints it as a ratio: a representative out-of-core run with
@@ -65,12 +68,12 @@ fn fnv1a_dists(values: &[Dist]) -> u64 {
         .fold(FNV_OFFSET_BASIS, |h, v| fnv1a(&v.to_le_bytes(), h))
 }
 
-/// Deterministic operand matrix: mostly finite weights with INF holes,
+/// Deterministic operand cells: mostly finite weights with INF holes,
 /// so the scalar kernel's INF fast path stays exercised.
-fn random_matrix(n: usize, seed: u64) -> Vec<Dist> {
+fn random_cells(len: usize, seed: u64) -> Vec<Dist> {
     let mut state = seed | 1;
-    let mut out = Vec::with_capacity(n * n);
-    for _ in 0..n * n {
+    let mut out = Vec::with_capacity(len);
+    for _ in 0..len {
         state ^= state << 13;
         state ^= state >> 7;
         state ^= state << 17;
@@ -114,10 +117,11 @@ impl CaseResult {
         }
     }
 
-    /// One console line: both times, the speedup and the parity verdict.
+    /// One console line: both times, the speedup, the parity verdict
+    /// and the checksum.
     fn summary(&self) -> String {
         format!(
-            "  {:<16} scalar {:>9.4}s  simd {:>9.4}s ({:>5.2}x)  {}",
+            "  {:<20} scalar {:>9.4}s  simd {:>9.4}s ({:>5.2}x)  {}  {:#018x}",
             self.name,
             self.scalar_secs,
             self.simd_secs,
@@ -126,21 +130,28 @@ impl CaseResult {
                 "exact"
             } else {
                 "MISMATCH"
-            }
+            },
+            self.checksum,
         )
     }
 }
 
-fn bench_minplus(n: usize, reps: usize) -> CaseResult {
-    let a = random_matrix(n, 0x1234_5678 ^ n as u64);
-    let b = random_matrix(n, 0x9ABC_DEF0 ^ n as u64);
-    let c0 = random_matrix(n, 0x0F1E_2D3C ^ n as u64);
+/// `C = min(C, A ⊗ B)` with C `rows × cols`, A `rows × inner` and B
+/// `inner × cols`.
+fn bench_minplus(
+    name: String,
+    (rows, inner, cols): (usize, usize, usize),
+    reps: usize,
+) -> CaseResult {
+    let a = random_cells(rows * inner, 0x1234_5678 ^ rows as u64);
+    let b = random_cells(inner * cols, 0x9ABC_DEF0 ^ cols as u64);
+    let c0 = random_cells(rows * cols, 0x0F1E_2D3C ^ inner as u64);
 
     let time = |exec: ExecBackend| {
         let mut c = c0.clone();
         let secs = time_best(reps, || {
             c.copy_from_slice(&c0);
-            minplus_tile_exec(&mut c, n, &a, n, &b, n, n, n, n, exec);
+            minplus_tile_exec(&mut c, cols, &a, inner, &b, cols, rows, inner, cols, exec);
         });
         (secs, c)
     };
@@ -149,8 +160,8 @@ fn bench_minplus(n: usize, reps: usize) -> CaseResult {
 
     CaseResult {
         kind: "minplus",
-        name: format!("minplus-{n}"),
-        n,
+        name,
+        n: rows,
         scalar_secs,
         simd_secs,
         checksum: fnv1a_dists(&c_scalar),
@@ -160,7 +171,7 @@ fn bench_minplus(n: usize, reps: usize) -> CaseResult {
 }
 
 fn bench_fw(n: usize, reps: usize) -> CaseResult {
-    let input = random_matrix(n, 0x5EED_F10D ^ n as u64);
+    let input = random_cells(n * n, 0x5EED_F10D ^ n as u64);
     let time = |exec: ExecBackend| {
         let mut m = DistMatrix::from_raw(n, input.clone());
         let secs = time_best(reps, || {
@@ -451,9 +462,24 @@ fn main() {
     // 1.0 +- timer noise; at n=320 the cubic kernel work decides them.
     let ooc_n = if smoke { 96 } else { 320 };
 
+    // The ragged shapes the drivers run: dense-fw-durable's 114-wide FW
+    // tile and its 84-wide edge (768 = 6 × 114 + 84), and fleet-hetero's
+    // two dist₄ products, component × its boundary × another's boundary
+    // and component × boundary × component.
+    let ragged_shapes = [
+        (114, 114, 114),
+        (114, 114, 84),
+        (316, 63, 34),
+        (283, 46, 283),
+    ];
+
     let mut cases = Vec::new();
-    for &n in minplus_shapes {
-        let c = bench_minplus(n, reps);
+    let square = minplus_shapes
+        .iter()
+        .map(|&n| (format!("minplus-{n}"), (n, n, n)));
+    let ragged = ragged_shapes.map(|(r, k, c)| (format!("minplus-{r}x{k}x{c}"), (r, k, c)));
+    for (name, shape) in square.chain(ragged) {
+        let c = bench_minplus(name, shape, reps);
         println!("{}", c.summary());
         cases.push(c);
     }
@@ -546,10 +572,9 @@ fn main() {
         );
 
         // CI gate: the register-tiled micro-kernel's floor on the
-        // largest smoke min-plus shape, the smallest whose work clears
-        // the inline-dispatch floor, so threads genuinely engage (the
-        // smaller shapes run inline by design). Only enforceable when an
-        // accelerated ISA is running: the portable micro-kernel's floor,
+        // largest square smoke min-plus shape, whose bands run long
+        // enough that the pool's hand-off is noise. Only enforceable
+        // when an accelerated ISA is running: the portable micro-kernel's floor,
         // 1.5x, is apsp-cpu's ignored `simd_minplus_beats_scalar_by_1_5x`,
         // which CI's no-simd leg runs alone.
         if simd_isa == "portable" {
@@ -560,8 +585,9 @@ fn main() {
         // two short measurements, and on noisy (virtualized) runners a
         // single unlucky rep can swing the ratio by 2-3x. Best-of-9
         // keeps the gate about the kernels, not the scheduler.
-        let gate_shape = *minplus_shapes.last().expect("no minplus shapes");
-        let gate_case = bench_minplus(gate_shape, reps.max(9));
+        let gate_side = *minplus_shapes.last().expect("no minplus shapes");
+        let gate_name = format!("minplus-{gate_side}");
+        let gate_case = bench_minplus(gate_name, (gate_side, gate_side, gate_side), reps.max(9));
         if gate_case.simd_speedup() < 3.0 {
             eprintln!(
                 "FAIL: {} simd speedup {:.2}x < 3.0x gate (isa {simd_isa})",

@@ -76,11 +76,10 @@ fn optimized_backends_agree_bitwise_across_the_matrix() {
         Case::generate(Family::Disconnected, 0xBACC),
     ];
     // Auto-sized, single-threaded, and an odd explicit count. At corpus
-    // sizes (n of 90 to 96) every kernel call stays under the 2²¹-op
-    // dispatch floor and runs inline whatever the count, so these runs
-    // check the optimized loops, not band splits; the unit parity tests
-    // of `parallel`, `blocked_fw`, `minplus` and `tile_store` pin shapes
-    // that really split across 2 and 3 workers. The simd backend shifts
+    // sizes (n of 90 to 96) the larger kernel calls clear the 2¹⁶-op
+    // dispatch floor, but helpers join only when the pool is free, so
+    // the unit parity tests of `parallel`, `blocked_fw`, `minplus` and
+    // `tile_store` pin shapes that split across 2 and 3 workers. The simd backend shifts
     // every register-tile boundary as n varies across families.
     let optimized_execs = [
         ExecBackend::simd(),
@@ -156,7 +155,7 @@ fn optimized_backends_survive_kill_resume_bit_identically() {
 // saturation (paths whose tropical sums clamp at INF must clamp
 // identically in the vector and scalar lowering) and ragged geometry
 // (vertex counts that are not multiples of the register-tile lane
-// width, so the masked tail path runs on every row). The micro-kernel
+// width, so every product ends in a padded edge tile). The micro-kernel
 // has its own tile-level property in `apsp-cpu`; this one drives whole
 // `apsp` runs so tile dispatch, panel packing, and the OOC drivers sit
 // between the property and the kernel.

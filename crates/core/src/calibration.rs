@@ -39,7 +39,7 @@
 use crate::checkpoint::{seal, unseal};
 use crate::error::ApspError;
 use crate::options::ExecBackend;
-use crate::tile_store::write_atomic;
+use crate::tile_store::{create_dir_durable, write_atomic};
 use apsp_gpu_sim::DeviceProfile;
 use apsp_graph::{fnv1a, FNV_OFFSET_BASIS};
 use std::io;
@@ -344,14 +344,15 @@ impl CalibrationStore {
         self.runs += 1;
     }
 
-    /// Durably write the store as checkpoint commits are written: a temp
-    /// sibling, `sync_all`, a rename into place, then a directory sync. A
+    /// Durably write the store as checkpoint commits are written: its
+    /// directory created durably if missing, a temp sibling, `sync_all`,
+    /// a rename into place, then a directory sync. A
     /// crash at any point leaves either the previous version or the new
     /// one — never a torn file — and a committed rename survives a power
     /// loss.
     pub fn commit(&self) -> Result<(), ApspError> {
         use std::io::Write;
-        std::fs::create_dir_all(self.path.parent().unwrap_or_else(|| Path::new(".")))?;
+        create_dir_durable(self.path.parent().unwrap_or_else(|| Path::new(".")))?;
         write_atomic(&self.path, |mut f| f.write_all(self.serialize().as_bytes()))?;
         Ok(())
     }

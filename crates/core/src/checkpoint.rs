@@ -33,7 +33,7 @@
 
 use crate::error::ApspError;
 use crate::options::Algorithm;
-use crate::tile_store::{write_atomic, TileStore, SDC_PANEL_ROWS};
+use crate::tile_store::{create_dir_durable, write_atomic, TileStore, SDC_PANEL_ROWS};
 use apsp_graph::{fnv1a, CsrGraph, VertexId, FNV_OFFSET_BASIS};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -150,10 +150,11 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Bind a checkpoint directory (created if missing) to graph `g`.
+    /// Bind a checkpoint directory (created durably if missing) to
+    /// graph `g`.
     pub fn new<P: AsRef<Path>>(dir: P, g: &CsrGraph) -> io::Result<Self> {
         let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
+        create_dir_durable(&dir)?;
         Ok(Checkpoint {
             dir,
             fingerprint: graph_fingerprint(g),
@@ -999,13 +1000,20 @@ mod tests {
     /// Each commit, each persist and each calibration-store commit syncs
     /// its directory once, after the rename, so the rename and a newly
     /// created slot survive a power loss; a write that fails syncs
-    /// nothing.
+    /// nothing. Creating a checkpoint or calibration directory syncs its
+    /// parent once, and finding it there syncs nothing.
     #[test]
     fn commits_and_persists_sync_their_directory_once() {
         let syncs = || crate::tile_store::DIR_SYNCS.get();
         let (g, store) = fixture_store();
         let dir = tmp("dir_sync");
+        std::fs::create_dir_all(dir.parent().unwrap()).unwrap();
+        let before = syncs();
         let ckpt = Checkpoint::new(&dir, &g).unwrap();
+        assert_eq!(syncs() - before, 1, "a new checkpoint directory");
+        let before = syncs();
+        Checkpoint::new(&dir, &g).unwrap();
+        assert_eq!(syncs() - before, 0, "an existing checkpoint directory");
         for commit in 1..=3 {
             let before = syncs();
             ckpt.commit(&store, &FIXTURE_PROGRESS).unwrap();
@@ -1022,7 +1030,10 @@ mod tests {
         let cal = crate::CalibrationStore::open(dir.join("cal"), &v100).unwrap();
         let before = syncs();
         cal.commit().unwrap();
-        assert_eq!(syncs() - before, 1, "calibration commit");
+        assert_eq!(syncs() - before, 2, "first calibration commit");
+        let before = syncs();
+        cal.commit().unwrap();
+        assert_eq!(syncs() - before, 1, "second calibration commit");
     }
 
     /// A crash inside the third commit's export leaves `state-a.bin`

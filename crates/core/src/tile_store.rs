@@ -1098,10 +1098,32 @@ pub(crate) fn write_atomic<T>(
     result
 }
 
+/// Create `dir` and any missing ancestors, durably: the parent of each
+/// directory this call creates is `sync_all`ed, so after a power loss
+/// the new directory, and what a later [`write_atomic`] syncs inside it,
+/// is not lost. Does nothing when `dir` exists or is empty.
+pub(crate) fn create_dir_durable(dir: &Path) -> io::Result<()> {
+    if dir.as_os_str().is_empty() || dir.is_dir() {
+        return Ok(());
+    }
+    let parent = parent_dir(dir);
+    create_dir_durable(parent)?;
+    match std::fs::create_dir(dir) {
+        // Another process created it meanwhile, and syncs its parent.
+        Err(e) if e.kind() == io::ErrorKind::AlreadyExists && dir.is_dir() => Ok(()),
+        Err(e) => Err(e),
+        Ok(()) => {
+            #[cfg(test)]
+            DIR_SYNCS.set(DIR_SYNCS.get() + 1);
+            File::open(parent)?.sync_all()
+        }
+    }
+}
+
 #[cfg(test)]
 thread_local! {
-    /// Directory syncs [`write_atomic`] issued on this thread, for the
-    /// tests that pin them.
+    /// Directory syncs [`write_atomic`] and [`create_dir_durable`]
+    /// issued on this thread, for the tests that pin them.
     pub(crate) static DIR_SYNCS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     /// [`write_atomic`]'s crash hook on this thread: `Some(k)` fails file
     /// op `k` (0 create, 1 write, 2 sync, 3 rename) with `Interrupted`

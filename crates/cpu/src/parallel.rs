@@ -20,25 +20,38 @@
 //! share cache lines, and the SIMD tile packs its B operand once per
 //! band).
 //!
-//! The branchless rows that Floyd-Warshall's diagonal tile and the SIMD
-//! tile's tails run exploit the same fixed order: the scalar reference
-//! guards every relaxation with `if via < c[j]` (an unpredictable branch
-//! on random distance data) and skips `INF` rows with an early
-//! `continue`. [`relax_row_branchless`] lowers the relaxation to
+//! The workers besides the caller come from a process-wide pool: helper
+//! threads started on first use, grown to the largest count a call asks
+//! for, that poll for the next job for about a millisecond after each
+//! one and then park. A call publishes its job, runs its own share,
+//! closes the job to late helpers and waits only for the helpers already
+//! inside it, so no call waits for a helper to wake. A call made while
+//! another holds the pool (from inside a claimed item, or from another
+//! thread) runs on its caller alone, and a helper's panic resumes on the
+//! caller. DESIGN.md §10 has the hand-off costs.
+//!
+//! The branchless rows that Floyd-Warshall's diagonal tile runs exploit
+//! the same fixed order: the scalar reference guards every relaxation
+//! with `if via < c[j]` (an unpredictable branch on random distance
+//! data) and skips `INF` rows with an early `continue`.
+//! [`relax_row_branchless`] lowers the relaxation to
 //! `c[j] = min(c[j], sat_add(aik, b[j]).min(INF))`, which rustc
 //! autovectorizes; [`branchless_add`] is proven equal to
 //! [`apsp_graph::dist_add`] for **all** `u32` inputs (property-tested at
 //! the `INF` boundaries), so the lowering cannot diverge.
 //!
-//! Threads come from `std::thread::scope` (the vendored `rayon` shim in
-//! this workspace is sequential and no longer used). Thread counts
-//! resolve, in order, from an explicit `ExecBackend::Simd { threads }`
-//! setting, the `RAYON_NUM_THREADS` environment variable (the knob CI
-//! pins for reproducibility), and `std::thread::available_parallelism`.
+//! The vendored `rayon` shim in this workspace is sequential and no
+//! longer used. Thread counts resolve, in order, from an explicit
+//! `ExecBackend::Simd { threads }` setting, the `RAYON_NUM_THREADS`
+//! environment variable (the knob CI pins for reproducibility), and
+//! `std::thread::available_parallelism`.
 
 use apsp_graph::{Dist, INF};
+use std::any::Any;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// How the kernels execute on the host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,17 +202,16 @@ pub fn relax_row_branchless(c: &mut [Dist], b: &[Dist], aik: Dist) {
     }
 }
 
-/// Minimum elementary operations a dispatch must carry before spawning
-/// threads is worth the scoped-spawn overhead (there is no persistent
-/// pool, so every parallel dispatch pays thread creation, typically a
-/// few hundred µs on a loaded small-core box). Below this, [`par_claim`]
-/// runs the whole call inline: on small shapes the spawn cost had been
-/// *losing* to scalar (fw-disk 0.985×, johnson-memory 0.935× in the PR 4
-/// bench; far worse once spawns actually fire), and an inline fallback
-/// restores those to ≥1.0× while leaving large shapes untouched. 2²¹
-/// u32 relaxations ≈ 1–2 ms of inner-loop time — the break-even point
-/// against one scoped spawn, measured on the bench host.
-pub const MIN_WORK_PER_DISPATCH: usize = 1 << 21;
+/// Minimum elementary operations each worker of a dispatch must carry
+/// before [`par_claim`] hands part of it to the pool; below this it runs
+/// the whole call inline. A hand-off costs the caller about 1 µs when a
+/// helper is polling and about 8 µs when it has parked (the wake-up
+/// call), against 16–22 µs for the scoped spawn and join that each
+/// dispatch paid before the pool (DESIGN.md §10). 2¹⁶ ops are 3–5 µs of
+/// register-tiled min-plus at 13–25 Gop/s, and 46 µs of branchless
+/// relaxations at 0.7 ns each, so a split pays for a polling helper's
+/// hand-off at every shape that clears the floor.
+pub const MIN_WORK_PER_DISPATCH: usize = 1 << 16;
 
 /// Elementary-operation weight of one single-source shortest-path run
 /// over a graph of `n` vertices and `m` edges, in the unit of
@@ -223,11 +235,19 @@ pub fn claim_workers(items: usize, threads: usize, work_per_item: usize) -> usiz
     threads.clamp(1, items.div_ceil(min_per_worker).max(1))
 }
 
-/// Run `f` once on each of [`claim_workers`] workers (the first on the
-/// calling thread); each worker's [`Claims`] pulls the next unclaimed
-/// element of `items` from a shared cursor until none is left. Items of
-/// uneven cost balance themselves across workers, and per-worker setup
-/// inside `f` still runs once per worker.
+/// Run `f` once on the calling thread and once on each pool helper that
+/// joins in time, up to [`claim_workers`] workers in all; each worker's
+/// [`Claims`] pulls the next unclaimed element of `items` from a shared
+/// cursor until none is left. Items of uneven cost balance themselves
+/// across workers, and per-worker setup inside `f` still runs once per
+/// worker.
+///
+/// Helpers are opportunistic: the caller claims items until none is
+/// left and then waits only for the helpers already inside the call, so
+/// a helper that is slow to wake costs nothing. A call made while
+/// another one holds the pool, from a claimed item or from another
+/// thread, runs on its caller alone. A panic on a helper resumes on the
+/// caller once every worker has left.
 ///
 /// Every element is handed out exactly once, as a `&mut` to that
 /// element alone, so workers that write only through their claims are
@@ -238,47 +258,213 @@ where
     T: Send,
     F: Fn(Claims<'_, T>) + Sync,
 {
-    let (base, len) = (items.as_mut_ptr(), items.len());
-    let workers = claim_workers(len, threads, work_per_item);
-    let cursor = AtomicUsize::new(0);
+    let workers = claim_workers(items.len(), threads, work_per_item);
     // `items` stays mutably borrowed, and untouched, for the whole call.
-    let claims = || Claims {
-        items: base,
-        len,
-        cursor: &cursor,
+    let shared = Shared {
+        items: items.as_mut_ptr(),
+        len: items.len(),
+        cursor: AtomicUsize::new(0),
         _items: PhantomData,
     };
+    let claims = || Claims { shared: &shared };
     if workers <= 1 {
         f(claims());
         return;
     }
-    std::thread::scope(|scope| {
-        let f = &f;
-        for _ in 1..workers {
-            let mine = claims();
-            scope.spawn(move || f(mine));
+    POOL.run(workers - 1, &|| f(claims()));
+}
+
+/// One unit of the gate's helper-admission count.
+const SLOT: u64 = 1 << 32;
+/// The gate's count of helpers inside the published job.
+const INSIDE: u64 = SLOT - 1;
+/// Gate polls a helper makes after its last job before it parks, with
+/// a `yield_now` between polls: about 1 ms on a 2-vCPU VM. A helper
+/// that spins with `spin_loop` instead was descheduled for 4 ms at a
+/// time there (DESIGN.md §10 has the measurements).
+const POLLS: u32 = 1 << 12;
+
+/// The process-wide helpers behind [`par_claim`], started on first use
+/// and grown to the largest helper count a call asks for. One call at a
+/// time owns the pool and publishes its job through `job` and `gate`.
+struct Pool {
+    /// Held by the call whose job the pool runs.
+    owner: AtomicBool,
+    /// Helpers started so far; only the owner changes it.
+    helpers: AtomicUsize,
+    /// The owner's job, valid while `gate` admits or counts a helper.
+    job: AtomicPtr<Job<'static>>,
+    /// Helpers the job still admits, in units of [`SLOT`], plus the
+    /// helpers inside it ([`INSIDE`]).
+    gate: AtomicU64,
+    /// Helpers parked, or about to park, on `wake`.
+    parked: AtomicUsize,
+    sleep: Mutex<()>,
+    wake: Condvar,
+}
+
+/// A published job: each worker calls `run` once.
+struct Job<'a> {
+    run: &'a (dyn Fn() + Sync),
+    /// The first panic a helper caught, resumed on the owner.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+static POOL: Pool = Pool {
+    owner: AtomicBool::new(false),
+    helpers: AtomicUsize::new(0),
+    job: AtomicPtr::new(std::ptr::null_mut()),
+    gate: AtomicU64::new(0),
+    parked: AtomicUsize::new(0),
+    sleep: Mutex::new(()),
+    wake: Condvar::new(),
+};
+
+impl Pool {
+    /// Run `run` on the calling thread and on up to `helpers` helpers.
+    fn run(&'static self, helpers: usize, run: &(dyn Fn() + Sync)) {
+        if self
+            .owner
+            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            run();
+            return;
         }
-        f(claims());
-    });
+        self.grow(helpers);
+        let job = Job {
+            run,
+            panic: Mutex::new(None),
+        };
+        // Release (via SeqCst) publishes `job`, and what the caller wrote
+        // before the call, to each helper's Acquire entry. SeqCst on the
+        // gate and on `parked`, here and in `park`, makes sure that a
+        // helper about to park either sees the open gate or is counted.
+        self.job.store(
+            &job as *const Job<'_> as *mut Job<'static>,
+            Ordering::Relaxed,
+        );
+        self.gate.store(helpers as u64 * SLOT, Ordering::SeqCst);
+        if self.parked.load(Ordering::SeqCst) > 0 {
+            let _held = self.sleep.lock().unwrap_or_else(PoisonError::into_inner);
+            self.wake.notify_all();
+        }
+        let mine = catch_unwind(AssertUnwindSafe(run));
+        // Admit no one else, then wait for the helpers inside: their
+        // Release exits pair with this Acquire, so their writes through
+        // their claims are visible once the count reads zero.
+        self.gate.fetch_and(INSIDE, Ordering::Acquire);
+        while self.gate.load(Ordering::Acquire) != 0 {
+            std::thread::yield_now();
+        }
+        self.owner.store(false, Ordering::Release);
+        let helper = job
+            .panic
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(payload) = mine.err().or(helper) {
+            resume_unwind(payload);
+        }
+    }
+
+    /// Start helpers until there are `helpers`; a failed start leaves
+    /// the pool smaller, which only means fewer helpers join.
+    fn grow(&'static self, helpers: usize) {
+        while self.helpers.load(Ordering::Relaxed) < helpers {
+            let started = std::thread::Builder::new()
+                .name("apsp-pool".into())
+                .spawn(move || self.serve());
+            if started.is_err() {
+                return;
+            }
+            self.helpers.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// A helper's life: join each job the gate admits it to, polling
+    /// for the next one for a while and then parking. It catches every
+    /// panic and hands it to the job's owner, so it never exits.
+    fn serve(&self) {
+        loop {
+            if !self.poll() {
+                self.park();
+                continue;
+            }
+            // SAFETY: `enter` admitted this helper, so the owner has
+            // published `job` before opening the gate (the Acquire entry
+            // makes the store visible) and cannot return, which would
+            // free the job, until this helper leaves below.
+            let job = unsafe { &*self.job.load(Ordering::Relaxed) };
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(job.run)) {
+                let mut first = job.panic.lock().unwrap_or_else(PoisonError::into_inner);
+                first.get_or_insert(payload);
+            }
+            self.gate.fetch_sub(1, Ordering::Release);
+        }
+    }
+
+    /// Poll the gate [`POLLS`] times; whether this helper entered a job.
+    fn poll(&self) -> bool {
+        for _ in 0..POLLS {
+            if self.enter() {
+                return true;
+            }
+            std::thread::yield_now();
+        }
+        false
+    }
+
+    /// Take one of the published job's helper slots, if one is left.
+    fn enter(&self) -> bool {
+        let mut gate = self.gate.load(Ordering::Relaxed);
+        while gate >= SLOT {
+            match self.gate.compare_exchange_weak(
+                gate,
+                gate - SLOT + 1,
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return true,
+                Err(now) => gate = now,
+            }
+        }
+        false
+    }
+
+    /// Sleep until a job admits helpers.
+    fn park(&self) {
+        let mut held = self.sleep.lock().unwrap_or_else(PoisonError::into_inner);
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        while self.gate.load(Ordering::SeqCst) < SLOT {
+            held = self.wake.wait(held).unwrap_or_else(PoisonError::into_inner);
+        }
+        self.parked.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 /// One worker's share of a [`par_claim`] call: an iterator over
 /// `(index, &mut item)` pairs, each claimed from the cursor it shares
 /// with the call's other workers.
 pub struct Claims<'a, T> {
+    shared: &'a Shared<'a, T>,
+}
+
+/// What a [`par_claim`] call's workers share: its items and the cursor
+/// they claim them from.
+struct Shared<'a, T> {
     items: *mut T,
     len: usize,
-    cursor: &'a AtomicUsize,
+    cursor: AtomicUsize,
     _items: PhantomData<&'a mut [T]>,
 }
 
 // SAFETY: `items` points into the slice `par_claim` holds mutably
-// borrowed for its whole call, which outlives `'a`, and `next` turns it
-// only into `&mut T`s to elements no other claimer receives; moving a
-// `Claims` to another thread therefore moves `&mut T`s, which is sound
-// for `T: Send`. `len` is plain data and `cursor` is a shared reference
-// to a `Sync` atomic.
-unsafe impl<T: Send> Send for Claims<'_, T> {}
+// borrowed for its whole call, which outlives `'a`, and `Claims::next`
+// turns it only into `&mut T`s to elements no other claimer receives;
+// sharing a `Shared` between threads therefore hands each of them
+// `&mut T`s to distinct elements, which is sound for `T: Send`. `len`
+// is plain data and `cursor` an atomic.
+unsafe impl<T: Send> Sync for Shared<'_, T> {}
 
 impl<'a, T> Iterator for Claims<'a, T> {
     type Item = (usize, &'a mut T);
@@ -286,17 +472,19 @@ impl<'a, T> Iterator for Claims<'a, T> {
     fn next(&mut self) -> Option<Self::Item> {
         // Relaxed: the cursor publishes no other data. Each `fetch_add`
         // is one read-modify-write of the same atomic, so every index
-        // is returned to exactly one claimer; what a worker writes
-        // reaches the caller through the scope's join.
-        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-        if i >= self.len {
+        // is returned to exactly one claimer; what a helper writes
+        // reaches the caller through its Release exit from the pool's
+        // gate.
+        let shared = self.shared;
+        let i = shared.cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= shared.len {
             return None;
         }
         // SAFETY: `i < len` lies inside the slice, which stays borrowed
         // for longer than `'a`, and the cursor only grows (wrapping would
         // take 2⁶⁴ claims), so no other claimer ever holds a reference to
         // element `i`.
-        Some((i, unsafe { &mut *self.items.add(i) }))
+        Some((i, unsafe { &mut *shared.items.add(i) }))
     }
 }
 
@@ -369,6 +557,7 @@ mod tests {
     use crate::blocked_fw::minplus_tile;
     use apsp_graph::dist_add;
     use proptest::prelude::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn branchless_add_equals_dist_add_at_boundaries() {
@@ -475,8 +664,9 @@ mod tests {
     fn par_claim_claims_every_index_exactly_once() {
         use std::sync::Mutex;
         let caller = std::thread::current().id();
-        // One item alone meets the floor, so the worker count is
-        // min(threads, items): covers items < threads and items = 0.
+        // One item alone meets the floor, so each call asks for
+        // min(threads, items) workers: covers items < threads and
+        // items = 0.
         for (items, threads) in [(0, 4), (1, 4), (3, 8), (7, 3), (100, 4), (100, 1), (33, 64)] {
             let mut claimed: Vec<Option<usize>> = vec![None; items];
             let workers = Mutex::new(Vec::new());
@@ -489,16 +679,109 @@ mod tests {
             for (i, slot) in claimed.iter().enumerate() {
                 assert_eq!(*slot, Some(i), "{items} items on {threads} threads");
             }
+            // Helpers join when they can: the caller, plus at most
+            // min(threads, items) − 1 of them.
             let workers = workers.into_inner().unwrap();
-            assert_eq!(workers.len(), threads.min(items).max(1));
-            assert!(workers.contains(&caller), "first worker runs inline");
+            assert!(workers.len() <= threads.min(items).max(1));
+            assert!(workers.contains(&caller), "the caller is a worker");
         }
+    }
+
+    #[test]
+    fn concurrent_callers_each_claim_every_index_once() {
+        use std::sync::{Arc, Barrier};
+        let start = Arc::new(Barrier::new(4));
+        let callers: Vec<_> = (0..4)
+            .map(|caller| {
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    for round in 0..50 {
+                        let items = 1 + (caller * 50 + round) % 97;
+                        let mut claimed: Vec<Option<usize>> = vec![None; items];
+                        par_claim(&mut claimed, 3, MIN_WORK_PER_DISPATCH, |claims| {
+                            for (i, slot) in claims {
+                                assert_eq!(slot.replace(i), None, "index {i} claimed twice");
+                            }
+                        });
+                        for (i, slot) in claimed.iter().enumerate() {
+                            assert_eq!(*slot, Some(i), "caller {caller}, {items} items");
+                        }
+                    }
+                })
+            })
+            .collect();
+        for caller in callers {
+            caller.join().expect("a caller panicked");
+        }
+    }
+
+    #[test]
+    fn a_par_claim_inside_a_claimed_item_completes() {
+        let mut outer = vec![Vec::new(); 8];
+        par_claim(&mut outer, 2, MIN_WORK_PER_DISPATCH, |claims| {
+            for (_, inner) in claims {
+                inner.resize(16, None);
+                par_claim(inner, 2, MIN_WORK_PER_DISPATCH, |claims| {
+                    for (j, slot) in claims {
+                        *slot = Some(j);
+                    }
+                });
+            }
+        });
+        for inner in &outer {
+            assert!(inner.iter().enumerate().all(|(j, s)| *s == Some(j)));
+        }
+    }
+
+    /// Runs a two-item job on two workers: an item the caller claims
+    /// waits, for at most `bound`, until another thread claims the other
+    /// one, and a helper's item runs `on_helper`. Whether a helper
+    /// joined; it cannot while another call, say another test's, holds
+    /// the pool, so callers retry.
+    fn two_item_job(bound: Duration, on_helper: impl Fn() + Sync) -> bool {
+        let caller = std::thread::current().id();
+        let joined = AtomicBool::new(false);
+        par_claim(&mut [(); 2], 2, MIN_WORK_PER_DISPATCH, |claims| {
+            for _ in claims {
+                if std::thread::current().id() != caller {
+                    joined.store(true, Ordering::SeqCst);
+                    on_helper();
+                }
+                let waited = Instant::now();
+                while !joined.load(Ordering::SeqCst) && waited.elapsed() < bound {
+                    std::thread::yield_now();
+                }
+            }
+        });
+        joined.into_inner()
+    }
+
+    const BOUND: Duration = Duration::from_millis(200);
+
+    #[test]
+    fn a_helper_joins_a_waiting_job() {
+        assert!((0..50).any(|_| two_item_job(BOUND, || {})));
+    }
+
+    #[test]
+    fn a_helpers_panic_resumes_on_the_caller() {
+        let caught = (0..50).find_map(|_| {
+            let job = AssertUnwindSafe(|| two_item_job(BOUND, || panic!("helper item")));
+            catch_unwind(job).err()
+        });
+        let payload = caught.expect("no helper joined");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"helper item"));
+        // The helper survived its panic.
+        assert!((0..50).any(|_| two_item_job(BOUND, || {})));
     }
 
     #[test]
     fn claim_workers_keeps_small_dispatches_inline() {
         assert_eq!(claim_workers(0, 4, 1), 1);
-        assert_eq!(claim_workers(100, 4, 1000), 1);
+        assert_eq!(claim_workers(65, 4, 1000), 1);
+        assert_eq!(claim_workers(66, 4, 1000), 1);
+        assert_eq!(claim_workers(67, 4, 1000), 2);
         let half = MIN_WORK_PER_DISPATCH / 2;
         assert_eq!(claim_workers(2, 4, half), 1);
         assert_eq!(claim_workers(3, 4, half), 2);

@@ -25,12 +25,15 @@
 //!   [`apsp_graph::dist_add`] for every input pair (see the
 //!   `clamped_add_equals_dist_add` test below) — the inner loop is
 //!   exactly one add and two unsigned mins per lane;
-//! * a **scalar-equivalent tail**: rows beyond the last full `MR` panel
-//!   and columns beyond the last full 16-wide panel run through the
-//!   branchless row kernel ([`crate::parallel::relax_row_branchless`]),
-//!   which is property-proven equal to the guarded scalar loop.
+//! * **padded edges**: every tile, ragged or not, runs through the
+//!   micro-kernel. A last A panel short of `MR` rows is packed with
+//!   all-`INF` rows whose fold is gated off, a last B panel short of 16
+//!   columns with `INF` columns, and a tile on either edge folds into an
+//!   `MR × TILE_COLS` staging tile of which only the real cells are
+//!   copied back, so padded lanes are never stored. Full panels keep
+//!   their unpadded packing loops.
 //!
-//! The outer loop (packing, panel walk, tails) is shared; only the
+//! The outer loop (packing, panel walk, edges) is shared; only the
 //! per-tile micro-kernel is ISA-specific. Under the `simd` cargo feature
 //! on x86-64 the hot micro-kernel is written in explicit stable
 //! `std::arch` AVX2 intrinsics (`_mm256_add_epi32` + `_mm256_min_epu32`
@@ -59,7 +62,6 @@
 //! So `(a' + b').min(INF) = dist_add(a, b)` for **all** `u32` inputs,
 //! not just in-domain distances.
 
-use crate::parallel::relax_row_branchless;
 use apsp_graph::{Dist, INF};
 
 /// Accumulator tile rows held in registers by the micro-kernel.
@@ -271,9 +273,16 @@ unsafe fn micro_portable(
 }
 
 /// Register-tiled engine: one shared outer loop (packing, panel walk,
-/// tails) with the per-tile micro-kernel dispatched on `isa`. Keeping
+/// edges) with the per-tile micro-kernel dispatched on `isa`. Keeping
 /// the outer loop shared means the two ISA paths can only differ inside
 /// the micro-kernel, whose elementary ops are proven identical.
+///
+/// Every tile runs through the micro-kernel. A last A panel short of
+/// `MR` rows is padded with all-`INF` rows whose `afinite` flag is
+/// false, so their fold never runs; a last B panel short of
+/// `TILE_COLS` columns is padded with `INF` columns. A tile with either
+/// edge folds into a staging tile, of which only the real cells are
+/// copied back, so padded lanes are never stored.
 ///
 /// # Safety
 ///
@@ -293,37 +302,42 @@ unsafe fn engine(
     cols: usize,
     isa: Isa,
 ) {
-    let full_rows = rows - rows % MR;
-    let full_cols = cols - cols % TILE_COLS;
-    if full_rows > 0 && full_cols > 0 {
-        // Pack A once for the whole call: panel-major, k-major inside a
-        // panel, clamped. apack[p][k*MR + r] = clamp(A[p*MR + r][k]).
-        // `afinite` records whether each row has *any* finite entry: the
-        // guarded scalar loop skips `aik >= INF` entirely, so a row of
-        // all-INF A contributes nothing — folding its (INF-valued)
-        // accumulator into C would still clamp an out-of-domain C cell
-        // (> INF) that scalar leaves untouched. Gating the fold on the
-        // flag restores exact equality on those rows too.
-        let panels = full_rows / MR;
-        let mut apack = vec![0 as Dist; panels * inner * MR];
-        let mut afinite = vec![false; full_rows];
-        for p in 0..panels {
-            let dst = &mut apack[p * inner * MR..(p + 1) * inner * MR];
-            for r in 0..MR {
-                let row = a.add((p * MR + r) * a_stride);
-                let mut finite = false;
+    // Pack A once for the whole call: panel-major, k-major inside a
+    // panel, clamped. apack[p][k*MR + r] = clamp(A[p*MR + r][k]).
+    // `afinite` records whether each row has *any* finite entry: the
+    // guarded scalar loop skips `aik >= INF` entirely, so a row of
+    // all-INF A contributes nothing — folding its (INF-valued)
+    // accumulator into C would still clamp an out-of-domain C cell
+    // (> INF) that scalar leaves untouched. Gating the fold on the
+    // flag restores exact equality on those rows too, and keeps the
+    // padding rows of a short last panel out of C.
+    let panels = rows.div_ceil(MR);
+    let mut apack = vec![0 as Dist; panels * inner * MR];
+    let mut afinite = vec![false; panels * MR];
+    for p in 0..panels {
+        let dst = &mut apack[p * inner * MR..(p + 1) * inner * MR];
+        for r in 0..MR {
+            if p * MR + r >= rows {
                 for k in 0..inner {
-                    let v = *row.add(k);
-                    finite |= v < INF;
-                    dst[k * MR + r] = clamp(v);
+                    dst[k * MR + r] = INF;
                 }
-                afinite[p * MR + r] = finite;
+                continue;
             }
+            let row = a.add((p * MR + r) * a_stride);
+            let mut finite = false;
+            for k in 0..inner {
+                let v = *row.add(k);
+                finite |= v < INF;
+                dst[k * MR + r] = clamp(v);
+            }
+            afinite[p * MR + r] = finite;
         }
-        // One packed 16-wide B panel at a time, reused by every A panel.
-        let mut bpack = vec![0 as Dist; inner * TILE_COLS];
-        let mut j0 = 0;
-        while j0 < full_cols {
+    }
+    // One packed 16-wide B panel at a time, reused by every A panel.
+    let mut bpack = vec![0 as Dist; inner * TILE_COLS];
+    for j0 in (0..cols).step_by(TILE_COLS) {
+        let width = TILE_COLS.min(cols - j0);
+        if width == TILE_COLS {
             for k in 0..inner {
                 let src = b.add(k * b_stride + j0);
                 let dst = &mut bpack[k * TILE_COLS..(k + 1) * TILE_COLS];
@@ -331,81 +345,97 @@ unsafe fn engine(
                     *d = clamp(*src.add(jj));
                 }
             }
-            for p in 0..panels {
-                let apanel = &apack[p * inner * MR..(p + 1) * inner * MR];
-                let flags = &afinite[p * MR..(p + 1) * MR];
-                let ctile = c.add(p * MR * c_stride + j0);
-                // The register tile: min-reduces the whole k loop before
-                // touching C. INF is the identity of min, so starting at
-                // INF and folding into C afterwards equals the scalar
-                // min-update order for order-independent reductions
-                // (with the all-INF-row fold gate carried by `flags`).
-                match isa {
-                    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-                    Isa::Avx2 => micro_avx2(
-                        apanel.as_ptr(),
-                        bpack.as_ptr(),
-                        inner,
-                        ctile,
-                        c_stride,
-                        flags,
-                    ),
-                    Isa::Portable => micro_portable(apanel, &bpack, inner, ctile, c_stride, flags),
+        } else {
+            for k in 0..inner {
+                let src = b.add(k * b_stride + j0);
+                let (real, pad) = bpack[k * TILE_COLS..(k + 1) * TILE_COLS].split_at_mut(width);
+                for (jj, d) in real.iter_mut().enumerate() {
+                    *d = clamp(*src.add(jj));
                 }
+                pad.fill(INF);
             }
-            j0 += TILE_COLS;
         }
-    }
-    // Column tail: rows covered by full panels, columns past the last
-    // 16-wide panel — branchless rows on the unpacked operands.
-    if full_cols < cols {
-        tail_rows(
-            c, c_stride, a, a_stride, b, b_stride, 0, full_rows, inner, full_cols, cols,
-        );
-    }
-    // Row tail: everything below the last full MR panel, all columns.
-    if full_rows < rows {
-        tail_rows(
-            c, c_stride, a, a_stride, b, b_stride, full_rows, rows, inner, 0, cols,
-        );
+        for p in 0..panels {
+            let apanel = &apack[p * inner * MR..(p + 1) * inner * MR];
+            let flags = &afinite[p * MR..(p + 1) * MR];
+            let ctile = c.add(p * MR * c_stride + j0);
+            let height = MR.min(rows - p * MR);
+            // The register tile: min-reduces the whole k loop before
+            // touching C. INF is the identity of min, so starting at
+            // INF and folding into C afterwards equals the scalar
+            // min-update order for order-independent reductions
+            // (with the all-INF-row fold gate carried by `flags`).
+            if height == MR && width == TILE_COLS {
+                micro(isa, apanel, &bpack, inner, ctile, c_stride, flags);
+            } else {
+                edge_tile(
+                    isa, apanel, &bpack, inner, ctile, c_stride, flags, height, width,
+                );
+            }
+        }
     }
 }
 
-/// The scalar-equivalent tail: the branchless row kernel over a row and
-/// column sub-range of the same operands.
+/// One micro-kernel tile on `isa`.
 ///
 /// # Safety
 ///
-/// Same contract as [`engine`].
+/// As [`micro_avx2`], with `isa` from [`pick_isa`].
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn tail_rows(
+unsafe fn micro(
+    isa: Isa,
+    apanel: &[Dist],
+    bpack: &[Dist],
+    inner: usize,
     c: *mut Dist,
     c_stride: usize,
-    a: *const Dist,
-    a_stride: usize,
-    b: *const Dist,
-    b_stride: usize,
-    row_start: usize,
-    row_end: usize,
-    inner: usize,
-    col_start: usize,
-    col_end: usize,
+    flags: &[bool],
 ) {
-    let width = col_end - col_start;
-    if width == 0 {
-        return;
+    match isa {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        Isa::Avx2 => micro_avx2(apanel.as_ptr(), bpack.as_ptr(), inner, c, c_stride, flags),
+        Isa::Portable => micro_portable(apanel, bpack, inner, c, c_stride, flags),
     }
-    for i in row_start..row_end {
-        let c_row = std::slice::from_raw_parts_mut(c.add(i * c_stride + col_start), width);
-        for k in 0..inner {
-            let aik = *a.add(i * a_stride + k);
-            if aik >= INF {
-                continue;
-            }
-            let b_row = std::slice::from_raw_parts(b.add(k * b_stride + col_start), width);
-            relax_row_branchless(c_row, b_row, aik);
-        }
+}
+
+/// A tile with a padded edge: its `height × width` real cells of `c`
+/// are staged in an `MR × TILE_COLS` tile, folded there, and copied
+/// back, so padded lanes are never stored.
+///
+/// Kept out of line: inlined into the panel walk, it slowed full tiles
+/// of aligned shapes by 8–20% in a probe.
+///
+/// # Safety
+///
+/// As [`micro`], with `c` addressing `height × width` cells.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn edge_tile(
+    isa: Isa,
+    apanel: &[Dist],
+    bpack: &[Dist],
+    inner: usize,
+    c: *mut Dist,
+    c_stride: usize,
+    flags: &[bool],
+    height: usize,
+    width: usize,
+) {
+    let mut stage = [[INF; TILE_COLS]; MR];
+    for (r, srow) in stage.iter_mut().enumerate().take(height) {
+        srow[..width].copy_from_slice(std::slice::from_raw_parts(c.add(r * c_stride), width));
+    }
+    micro(
+        isa,
+        apanel,
+        bpack,
+        inner,
+        stage.as_mut_ptr().cast(),
+        TILE_COLS,
+        flags,
+    );
+    for (r, srow) in stage.iter().enumerate().take(height) {
+        std::slice::from_raw_parts_mut(c.add(r * c_stride), width).copy_from_slice(&srow[..width]);
     }
 }
 
@@ -490,11 +520,18 @@ mod tests {
         }
     }
 
+    /// Every residue of rows mod `MR` and cols mod `TILE_COLS`, so every
+    /// kind of edge tile, on each micro-kernel this build has: strides
+    /// wider than the extents, C cells above `INF`, and all-`INF` A rows
+    /// (every third row), against the guarded scalar kernel. The cells
+    /// between the extents and the strides must come back untouched.
     #[test]
-    fn exact_lane_multiples_and_off_by_ones() {
-        // Deterministic sweep across the boundary dimensions the
-        // proptest may not pin: exact MR/TILE_COLS multiples and their
-        // neighbours, so both empty tails and full tails are exercised.
+    fn every_edge_residue_matches_scalar_on_each_micro_kernel() {
+        let isas = match pick_isa() {
+            Isa::Portable => vec![Isa::Portable],
+            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+            Isa::Avx2 => vec![Isa::Portable, Isa::Avx2],
+        };
         let mut state = 0x5eed_cafe_f00d_1234u64;
         let mut next = move || {
             state ^= state << 13;
@@ -502,29 +539,59 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for &rows in &[MR - 1, MR, MR + 1, 2 * MR, 17] {
-            for &cols in &[TILE_COLS - 1, TILE_COLS, TILE_COLS + 1, 2 * TILE_COLS, 33] {
-                for &inner in &[1usize, 2, 7, 16] {
-                    let gen = |len: usize, next: &mut dyn FnMut() -> u64| -> Vec<Dist> {
-                        (0..len)
-                            .map(|_| {
-                                let v = next();
-                                if v.is_multiple_of(5) {
-                                    INF
-                                } else {
-                                    (v % 1000) as u32
-                                }
-                            })
-                            .collect()
-                    };
-                    let a = gen(rows * inner, &mut next);
-                    let b = gen(inner * cols, &mut next);
-                    let c0 = gen(rows * cols, &mut next);
+        let mut cell = move || match next() % 8 {
+            0 => INF,
+            1 => INF + 1 + (next() % 64) as Dist,
+            _ => (next() % 1000) as Dist,
+        };
+        for rows in 1..=2 * MR + 1 {
+            for cols in 1..=2 * TILE_COLS + 1 {
+                for inner in [1, 2, 17] {
+                    let (a_stride, b_stride, c_stride) = (inner + 3, cols + 5, cols + 2);
+                    let a: Vec<Dist> = (0..rows * a_stride)
+                        .map(|e| if e / a_stride % 3 == 1 { INF } else { cell() })
+                        .collect();
+                    let b: Vec<Dist> = (0..inner * b_stride).map(|_| cell()).collect();
+                    let c0: Vec<Dist> = (0..rows * c_stride).map(|_| cell()).collect();
                     let mut scalar = c0.clone();
-                    minplus_tile(&mut scalar, cols, &a, inner, &b, cols, rows, inner, cols);
-                    let mut fast = c0;
-                    minplus_tile_simd(&mut fast, cols, &a, inner, &b, cols, rows, inner, cols);
-                    assert_eq!(fast, scalar, "{rows}x{inner}x{cols}");
+                    minplus_tile(
+                        &mut scalar,
+                        c_stride,
+                        &a,
+                        a_stride,
+                        &b,
+                        b_stride,
+                        rows,
+                        inner,
+                        cols,
+                    );
+                    for &isa in &isas {
+                        let mut fast = c0.clone();
+                        // SAFETY: the operands hold `rows × a_stride`,
+                        // `inner × b_stride` and `rows × c_stride` cells,
+                        // `fast` is a separate allocation, and `isas`
+                        // holds Avx2 only where `pick_isa` returned it.
+                        unsafe {
+                            engine(
+                                fast.as_mut_ptr(),
+                                c_stride,
+                                a.as_ptr(),
+                                a_stride,
+                                b.as_ptr(),
+                                b_stride,
+                                rows,
+                                inner,
+                                cols,
+                                isa,
+                            )
+                        };
+                        let name = match isa {
+                            Isa::Portable => "portable",
+                            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+                            Isa::Avx2 => "avx2",
+                        };
+                        assert_eq!(fast, scalar, "{name} {rows}x{inner}x{cols}");
+                    }
                 }
             }
         }

@@ -125,8 +125,8 @@ mod tests {
 
     #[test]
     fn exec_backends_bit_identical_on_device_fw() {
-        // Ragged n so the simd backend exercises both the register tiles
-        // and the scalar-equivalent tails inside stage 3.
+        // Ragged n so the simd backend exercises both full and padded
+        // edge register tiles inside stage 3.
         let g = gnp(FW_TILE + 29, 0.08, WeightRange::default(), 23);
         let run = |exec: ExecBackend| {
             let mut d = dev();
