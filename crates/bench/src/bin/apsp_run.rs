@@ -762,11 +762,7 @@ fn run_partial_query(
     }
     let sources: Vec<apsp_graph::VertexId> =
         srcs.iter().map(|&s| s as apsp_graph::VertexId).collect();
-    let jopts = apsp_core::JohnsonOptions {
-        exec: opts.exec,
-        sdc_guard: opts.sdc_guard,
-        ..Default::default()
-    };
+    let jopts = opts.resolved().johnson;
     let sup = apsp_core::Supervisor::new(&opts.supervision, dev.elapsed().seconds());
     let (rows, stats) =
         apsp_core::ooc_johnson::ooc_johnson_sources(dev, graph, &sources, &jopts, &sup)
@@ -922,7 +918,8 @@ fn serve_main() {
         queue_capacity: args.queue_capacity,
         cache_capacity: args.cache_capacity,
         checkpoint_root: args.checkpoint_root.clone(),
-    });
+    })
+    .unwrap_or_else(|e| compute_fail("serve", &e, args.error_json));
     println!(
         "serving {} job(s) (seed {:#x}) over {} × {} ({} KiB), queue bound {}, cache {}",
         jobs.len(),

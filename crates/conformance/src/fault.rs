@@ -7,21 +7,19 @@
 //! under a plan and classifies the outcome:
 //!
 //! * the run degrades gracefully and the matrix is **exact**, or
-//! * the run fails with a typed [`ApspError`] and the store is **not
+//! * the run fails with a typed [`apsp_core::ApspError`] and the store is **not
 //!   corrupted** — every cell is still an upper bound of the true
 //!   distance (`INF`, the zero diagonal, or a real path weight), and
 //!   re-running after the fault clears converges to the exact matrix —
 //! * anything else is [`FaultRunOutcome::Corrupted`], a harness failure.
 
 use crate::corpus::{splitmix64, Case};
-use crate::runner::RunnerConfig;
-use apsp_core::ooc_boundary::ooc_boundary;
-use apsp_core::ooc_fw::ooc_floyd_warshall;
-use apsp_core::ooc_johnson::ooc_johnson;
-use apsp_core::options::{Algorithm, BoundaryOptions, FwOptions, JohnsonOptions};
-use apsp_core::{ApspError, ApspErrorKind, DiskFault, DiskFaultPlan, StorageBackend, TileStore};
+use crate::crash::CrashCellOptions;
+use crate::runner::{check_exact, RunnerConfig, StoreKind};
+use apsp_core::options::Algorithm;
+use apsp_core::{ApspErrorKind, DiskFault, DiskFaultPlan, RunCtx, TileStore};
 use apsp_cpu::bgl_plus_apsp;
-use apsp_gpu_sim::{DeviceProfile, GpuDevice};
+use apsp_gpu_sim::GpuDevice;
 
 /// One injectable fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,23 +197,6 @@ impl FaultRunOutcome {
     }
 }
 
-fn run_algorithm(
-    algorithm: Algorithm,
-    dev: &mut GpuDevice,
-    g: &apsp_graph::CsrGraph,
-    store: &mut TileStore,
-) -> Result<u32, ApspError> {
-    match algorithm {
-        Algorithm::FloydWarshall => {
-            Ok(ooc_floyd_warshall(dev, g, store, &FwOptions::default())?.retries)
-        }
-        Algorithm::Johnson => Ok(ooc_johnson(dev, g, store, &JohnsonOptions::default())?.retries),
-        Algorithm::Boundary => {
-            Ok(ooc_boundary(dev, g, store, &BoundaryOptions::default())?.retries)
-        }
-    }
-}
-
 /// Run `algorithm` on `case` with `plan` armed, classify the outcome, and
 /// verify the no-corruption contract either way.
 pub fn run_under_faults(
@@ -227,12 +208,8 @@ pub fn run_under_faults(
     let g = &case.graph;
     let n = g.num_vertices();
     let reference = bgl_plus_apsp(g);
-    let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(cfg.device_bytes));
-    let backend = if plan.has_disk_faults() {
-        StorageBackend::Disk(cfg.scratch_dir.clone())
-    } else {
-        StorageBackend::Memory
-    };
+    let mut dev = cfg.device();
+    let backend = cfg.backend(StoreKind::of(plan.has_disk_faults()));
     let mut store = match TileStore::new(n, &backend) {
         Ok(s) => s,
         Err(e) => {
@@ -244,12 +221,14 @@ pub fn run_under_faults(
     store.arm_faults(plan.disk_plan());
     plan.arm_device(&dev);
 
-    let first = run_algorithm(algorithm, &mut dev, g, &mut store);
+    let cell = CrashCellOptions::default();
+    let ctx = RunCtx::default();
+    let first = cell.run(algorithm, &mut dev, g, &mut store, &ctx);
     store.disarm_faults();
     dev.clear_alloc_failure();
 
     match first {
-        Ok(retries) => match check_exact(&store, &reference) {
+        Ok((retries, _, _)) => match check_exact(&store, &reference) {
             Ok(()) => FaultRunOutcome::Exact { retries },
             Err(detail) => FaultRunOutcome::Corrupted { detail },
         },
@@ -278,7 +257,7 @@ pub fn run_under_faults(
                 }
             }
             // The faults are gone; the same store must now converge.
-            match run_algorithm(algorithm, &mut dev, g, &mut store) {
+            match cell.run(algorithm, &mut dev, g, &mut store, &ctx) {
                 Ok(_) => match check_exact(&store, &reference) {
                     Ok(()) => FaultRunOutcome::FailedThenRecovered { kind },
                     Err(detail) => FaultRunOutcome::Corrupted { detail },
@@ -289,26 +268,6 @@ pub fn run_under_faults(
             }
         }
     }
-}
-
-fn check_exact(store: &TileStore, reference: &apsp_cpu::DistMatrix) -> Result<(), String> {
-    let got = store
-        .to_dist_matrix()
-        .map_err(|e| format!("store unreadable: {e}"))?;
-    if &got == reference {
-        return Ok(());
-    }
-    let n = reference.n();
-    let idx = (0..n * n)
-        .find(|&i| got.as_slice()[i] != reference.as_slice()[i])
-        .unwrap();
-    Err(format!(
-        "cell ({}, {}) = {}, expected {}",
-        idx / n,
-        idx % n,
-        got.as_slice()[idx],
-        reference.as_slice()[idx]
-    ))
 }
 
 #[cfg(test)]

@@ -20,12 +20,13 @@
 //! * [`crash`] — the kill–resume differential: every checkpointed
 //!   algorithm killed at a seed-chosen store operation and resumed in a
 //!   fresh device/store must reproduce the uninterrupted run's matrix
-//!   bit-for-bit;
+//!   bit-for-bit. One protocol (baseline, kill, resume) serves every
+//!   cell; callers pass in only the run;
 //! * [`multi`] — the fleet differential: the sharded multi-device
 //!   executor across device counts, V100/K80 mixes, and storage
 //!   backends must reproduce the single-device oracle bit-for-bit, stay
 //!   makespan-monotone as devices are added, and survive kill–resume
-//!   across *different* fleet shapes;
+//!   across *different* fleet shapes, through [`crash`]'s protocol;
 //! * [`calibration`] — the selector-calibration replay: the same graph
 //!   run repeatedly against a persisted per-profile calibration store,
 //!   asserting the selector's prediction error converges onto the
@@ -68,9 +69,10 @@ pub use crash::{run_kill_resume, CrashCellOptions, CrashReport};
 pub use fault::{run_under_faults, Fault, FaultPlan, FaultRunOutcome};
 pub use multi::{
     makespan_curve, run_multi_cell, run_multi_kill_resume, single_device_oracle, MultiCellReport,
-    StoreKind,
 };
-pub use runner::{all_variants, run_case, CaseReport, Divergence, RunnerConfig, Variant};
+pub use runner::{
+    all_variants, run_case, CaseReport, Divergence, RunnerConfig, StoreKind, Variant,
+};
 pub use sdc::{run_under_bit_flip, FlipSite, SdcOutcome, SdcVerdict};
 pub use service::{
     run_chaos, run_corrupt_cache_check, run_queued_cancel_residue, ChaosConfig, ChaosReport,

@@ -13,53 +13,19 @@
 //! * **Kill–resume** — [`run_multi_kill_resume`]: a checkpointed
 //!   multi-device run killed at a seed-chosen store operation and
 //!   resumed on a *different* fleet shape must still produce the exact
-//!   matrix — the commit cursor is device-count-independent.
+//!   matrix — the commit cursor is device-count-independent. It runs
+//!   [`crate::crash`]'s protocol with a kill fleet and a resume fleet.
 
-use crate::corpus::{splitmix64, Case};
-use crate::runner::RunnerConfig;
+use crate::corpus::Case;
+use crate::crash::{kill_resume, CrashReport};
+pub use crate::runner::StoreKind;
+use crate::runner::{check_exact, RunnerConfig};
 use apsp_core::multi_gpu::{self, ooc_boundary_multi};
 use apsp_core::ooc_boundary::ooc_boundary;
 use apsp_core::options::BoundaryOptions;
-use apsp_core::{ApspErrorKind, Checkpoint, RunCtx, StorageBackend, TileStore};
+use apsp_core::{StorageBackend, TileStore};
 use apsp_cpu::{bgl_plus_apsp, DistMatrix};
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
-
-/// Where a fleet cell's tile store lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreKind {
-    /// Host RAM.
-    Memory,
-    /// Single spill directory, default shard threshold — one file at
-    /// conformance sizes.
-    Disk,
-    /// Spill directory with a tiny shard threshold, forcing the store
-    /// across many files.
-    DiskSharded,
-}
-
-impl StoreKind {
-    fn backend(self, cfg: &RunnerConfig) -> StorageBackend {
-        match self {
-            StoreKind::Memory => StorageBackend::Memory,
-            StoreKind::Disk => StorageBackend::Disk(cfg.scratch_dir.clone()),
-            StoreKind::DiskSharded => StorageBackend::DiskSharded {
-                dir: cfg.scratch_dir.clone(),
-                // A few rows per shard at corpus sizes; still row-aligned.
-                shard_bytes: 2048,
-            },
-        }
-    }
-}
-
-impl std::fmt::Display for StoreKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            StoreKind::Memory => "memory",
-            StoreKind::Disk => "disk",
-            StoreKind::DiskSharded => "disk-sharded",
-        })
-    }
-}
 
 /// One fleet cell's outcome.
 #[derive(Debug)]
@@ -82,10 +48,6 @@ fn fleet_label(fleet: &[DeviceProfile]) -> String {
         .join("+")
 }
 
-fn sized(profile: &DeviceProfile, bytes: u64) -> DeviceProfile {
-    profile.with_memory_bytes(bytes)
-}
-
 /// The single-device oracle: `ooc_boundary` on a V100 with the same
 /// device budget, checked against the CPU reference before use.
 pub fn single_device_oracle(
@@ -93,22 +55,18 @@ pub fn single_device_oracle(
     opts: &BoundaryOptions,
     cfg: &RunnerConfig,
 ) -> Result<DistMatrix, String> {
-    let mut dev = GpuDevice::new(sized(&DeviceProfile::v100(), cfg.device_bytes));
     let mut store = TileStore::new(case.graph.num_vertices(), &StorageBackend::Memory)
         .map_err(|e| format!("oracle store: {e}"))?;
-    ooc_boundary(&mut dev, &case.graph, &mut store, opts)
+    ooc_boundary(&mut cfg.device(), &case.graph, &mut store, opts)
         .map_err(|e| format!("single-device oracle failed on {}: {e}", case.name))?;
-    let got = store
-        .to_dist_matrix()
-        .map_err(|e| format!("oracle store unreadable: {e}"))?;
     let reference = bgl_plus_apsp(&case.graph);
-    if got != reference {
-        return Err(format!(
-            "single-device oracle diverges from the CPU reference on {} (seed {:#x})",
+    check_exact(&store, &reference).map_err(|e| {
+        format!(
+            "single-device oracle diverges from the CPU reference on {} at {e} (seed {:#x})",
             case.name, case.seed
-        ));
-    }
-    Ok(got)
+        )
+    })?;
+    Ok(reference)
 }
 
 /// Run one fleet cell and diff it against `oracle` bit-for-bit.
@@ -122,11 +80,8 @@ pub fn run_multi_cell(
 ) -> Result<MultiCellReport, String> {
     let label = fleet_label(fleet);
     let exec = opts.exec;
-    let mut devs: Vec<GpuDevice> = fleet
-        .iter()
-        .map(|p| GpuDevice::new(sized(p, cfg.device_bytes)))
-        .collect();
-    let mut store = TileStore::new(case.graph.num_vertices(), &store_kind.backend(cfg))
+    let mut devs: Vec<GpuDevice> = fleet.iter().map(|p| cfg.device_of(p)).collect();
+    let mut store = TileStore::new(case.graph.num_vertices(), &cfg.backend(store_kind))
         .map_err(|e| format!("store ({store_kind}): {e}"))?;
     let stats = ooc_boundary_multi(&mut devs, &case.graph, &mut store, opts).map_err(|e| {
         format!(
@@ -134,25 +89,13 @@ pub fn run_multi_cell(
             case.name
         )
     })?;
-    let got = store
-        .to_dist_matrix()
-        .map_err(|e| format!("multi store unreadable: {e}"))?;
-    if &got != oracle {
-        let n = oracle.n();
-        let idx = (0..n * n)
-            .find(|&i| got.as_slice()[i] != oracle.as_slice()[i])
-            .unwrap();
-        return Err(format!(
+    check_exact(&store, oracle).map_err(|e| {
+        format!(
             "multi run [{label}/{store_kind}/{exec:?}] diverges from the single-device \
-             oracle on {} at cell ({}, {}): {} vs {} (seed {:#x})",
-            case.name,
-            idx / n,
-            idx % n,
-            got.as_slice()[idx],
-            oracle.as_slice()[idx],
-            case.seed
-        ));
-    }
+             oracle on {} at {e} (seed {:#x})",
+            case.name, case.seed
+        )
+    })?;
     Ok(MultiCellReport {
         fleet: label,
         num_devices: stats.num_devices,
@@ -189,11 +132,12 @@ pub fn makespan_curve(
     Ok(curve)
 }
 
-/// Kill–resume across fleet shapes: a checkpointed multi-device run on
-/// `kill_devices` devices is killed at a store operation drawn from
-/// `crash_seed`, then resumed on `resume_devices` devices. The resumed
-/// matrix must equal the uninterrupted run's bit-for-bit and the
-/// checkpoint must be cleared.
+/// Kill–resume across fleet shapes: the protocol of
+/// [`crate::crash::run_kill_resume`], run checkpointed on
+/// `kill_devices` V100s for the baseline and the kill (at a store
+/// operation drawn from `crash_seed`) and resumed on `resume_devices`.
+/// The resumed matrix must equal the uninterrupted run's bit-for-bit
+/// and the checkpoint must be cleared.
 pub fn run_multi_kill_resume(
     case: &Case,
     kill_devices: usize,
@@ -201,107 +145,28 @@ pub fn run_multi_kill_resume(
     store_kind: StoreKind,
     crash_seed: u64,
     cfg: &RunnerConfig,
-) -> Result<crate::crash::CrashReport, String> {
-    let g = &case.graph;
-    let n = g.num_vertices();
-    let reference = bgl_plus_apsp(g);
+) -> Result<CrashReport, String> {
     let opts = BoundaryOptions {
         // Enough components that several commit barriers land.
         num_components: Some(6),
         ..Default::default()
     };
-    let ckpt_dir = cfg.scratch_dir.join(format!(
-        "multi-crash-{}-{}to{}-{:x}",
-        case.name, kill_devices, resume_devices, crash_seed
-    ));
-    let backend = store_kind.backend(cfg);
-    let new_fleet = |count: usize| -> Vec<GpuDevice> {
-        (0..count)
-            .map(|_| GpuDevice::new(sized(&DeviceProfile::v100(), cfg.device_bytes)))
-            .collect()
-    };
-    let new_store = || TileStore::new(n, &backend).map_err(|e| format!("store: {e}"));
-    let ckpt = Checkpoint::new(&ckpt_dir, g).map_err(|e| format!("checkpoint dir: {e}"))?;
-    ckpt.clear().map_err(|e| format!("stale checkpoint: {e}"))?;
-    let durable = RunCtx {
-        checkpoint: Some(&ckpt),
-        ..Default::default()
-    };
-
-    // Step 1: uninterrupted run — matrix A and the op budget.
-    let mut devs = new_fleet(kill_devices);
-    let mut store = new_store()?;
-    store.arm_crash(u64::MAX);
-    multi_gpu::run(&mut devs, g, &mut store, &opts, &durable)
-        .map_err(|e| format!("uninterrupted multi run failed: {e}"))?;
-    let total_ops = store.crash_ops();
-    store.disarm_crash();
-    let baseline = store
-        .to_dist_matrix()
-        .map_err(|e| format!("baseline store unreadable: {e}"))?;
-    if baseline != reference {
-        return Err(format!(
-            "uninterrupted multi run diverges from the reference on {}",
-            case.name
-        ));
-    }
-    if ckpt.load().map_err(|e| e.to_string())?.is_some() {
-        return Err("the uninterrupted run left its checkpoint behind".into());
-    }
-    if total_ops < 2 {
-        return Err(format!(
-            "run too small to interrupt ({total_ops} store ops)"
-        ));
-    }
-
-    // Step 2: the kill.
-    let mut s = crash_seed;
-    let crash_after = 1 + splitmix64(&mut s) % (total_ops - 1);
-    let mut devs = new_fleet(kill_devices);
-    let mut store = new_store()?;
-    store.arm_crash(crash_after);
-    let interrupted_kind = match multi_gpu::run(&mut devs, g, &mut store, &opts, &durable) {
-        Err(e) => e.kind(),
-        Ok(_) => {
-            return Err(format!(
-                "armed crash after {crash_after}/{total_ops} ops never fired"
-            ))
-        }
-    };
-    if interrupted_kind != ApspErrorKind::Storage {
-        return Err(format!(
-            "kill surfaced as {interrupted_kind:?}, expected Storage"
-        ));
-    }
-    drop(store);
-    let resumed_from_manifest = ckpt.load().map_err(|e| e.to_string())?.is_some();
-
-    // Step 3: resume on a different fleet shape.
-    let mut devs = new_fleet(resume_devices);
-    let mut store = new_store()?;
-    multi_gpu::run(&mut devs, g, &mut store, &opts, &durable)
-        .map_err(|e| format!("resume on {resume_devices} devices failed: {e}"))?;
-    let resumed = store
-        .to_dist_matrix()
-        .map_err(|e| format!("resumed store unreadable: {e}"))?;
-    if resumed != baseline {
-        return Err(format!(
-            "resume on {resume_devices} devices after a kill at op \
-             {crash_after}/{total_ops} on {kill_devices} devices is not bit-identical \
-             (case {}, seed {:#x})",
-            case.name, case.seed
-        ));
-    }
-    if ckpt.load().map_err(|e| e.to_string())?.is_some() {
-        return Err("the resumed run left its checkpoint behind".into());
-    }
-    let _ = std::fs::remove_dir_all(&ckpt_dir);
-    Ok(crate::crash::CrashReport {
-        total_ops,
-        crash_after_ops: crash_after,
-        interrupted_kind,
-        resumed_from_manifest,
-    })
+    let name = format!(
+        "multi-crash-{}-{kill_devices}to{resume_devices}-{crash_seed:x}",
+        case.name
+    );
+    kill_resume(
+        case,
+        &name,
+        store_kind,
+        crash_seed,
+        cfg,
+        |resume, store, ctx| {
+            let count = if resume { resume_devices } else { kill_devices };
+            let mut devs: Vec<GpuDevice> = (0..count).map(|_| cfg.device()).collect();
+            multi_gpu::run(&mut devs, &case.graph, store, &opts, ctx).map(drop)
+        },
+    )
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use crate::corpus::Case;
 use apsp_core::api::RunDetails;
 use apsp_core::in_core::in_core_fw;
 use apsp_core::options::{Algorithm, ApspOptions, FwOptions};
-use apsp_core::{apsp, ApspError, StorageBackend};
+use apsp_core::{apsp, ApspError, StorageBackend, TileStore};
 use apsp_cpu::{bgl_plus_apsp, DistMatrix};
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
 use apsp_graph::CsrGraph;
@@ -44,6 +44,86 @@ impl Default for RunnerConfig {
     }
 }
 
+impl RunnerConfig {
+    /// A `profile` device with [`RunnerConfig::device_bytes`] of memory.
+    pub(crate) fn device_of(&self, profile: &DeviceProfile) -> GpuDevice {
+        GpuDevice::new(profile.with_memory_bytes(self.device_bytes))
+    }
+
+    /// A V100 with [`RunnerConfig::device_bytes`] of memory.
+    pub(crate) fn device(&self) -> GpuDevice {
+        self.device_of(&DeviceProfile::v100())
+    }
+
+    /// The backend of a `kind` store, spilling under
+    /// [`RunnerConfig::scratch_dir`].
+    pub(crate) fn backend(&self, kind: StoreKind) -> StorageBackend {
+        let dir = self.scratch_dir.clone();
+        match kind {
+            StoreKind::Memory => StorageBackend::Memory,
+            StoreKind::Disk => StorageBackend::Disk(dir),
+            // A few rows per shard at corpus sizes; still row-aligned.
+            StoreKind::DiskSharded => StorageBackend::DiskSharded {
+                dir,
+                shard_bytes: 2048,
+            },
+        }
+    }
+}
+
+/// Where a run's tile store lives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StoreKind {
+    /// Host RAM.
+    Memory,
+    /// Single spill directory, default shard threshold — one file at
+    /// conformance sizes.
+    Disk,
+    /// Spill directory with a tiny shard threshold, forcing the store
+    /// across many files.
+    DiskSharded,
+}
+
+impl StoreKind {
+    /// `Disk` when `disk` is set, `Memory` otherwise.
+    pub(crate) fn of(disk: bool) -> StoreKind {
+        if disk {
+            StoreKind::Disk
+        } else {
+            StoreKind::Memory
+        }
+    }
+}
+
+impl std::fmt::Display for StoreKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            StoreKind::Memory => "memory",
+            StoreKind::Disk => "disk",
+            StoreKind::DiskSharded => "disk-sharded",
+        })
+    }
+}
+
+/// `Err` naming the first cell, in row-major order, where `store`
+/// differs from `want`, or why `store` could not be read.
+pub(crate) fn check_exact(store: &TileStore, want: &DistMatrix) -> Result<(), String> {
+    let got = store
+        .to_dist_matrix()
+        .map_err(|e| format!("store unreadable: {e}"))?;
+    let (g, w, n) = (got.as_slice(), want.as_slice(), want.n());
+    match g.iter().zip(w).position(|(a, b)| a != b) {
+        None => Ok(()),
+        Some(i) => Err(format!(
+            "cell ({}, {}) = {}, expected {}",
+            i / n,
+            i % n,
+            g[i],
+            w[i]
+        )),
+    }
+}
+
 /// One out-of-core configuration under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Variant {
@@ -61,7 +141,7 @@ impl std::fmt::Display for Variant {
             f,
             "{}/{}/{}",
             self.algorithm.tag(),
-            if self.disk { "disk" } else { "memory" },
+            StoreKind::of(self.disk),
             if self.overlap { "overlap" } else { "serial" }
         )
     }
@@ -232,14 +312,10 @@ pub fn run_case(case: &Case, cfg: &RunnerConfig) -> Result<CaseReport, ApspError
     ));
 
     for variant in all_variants() {
-        let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(cfg.device_bytes));
+        let mut dev = cfg.device();
         let mut opts = ApspOptions {
             algorithm: Some(variant.algorithm),
-            storage: if variant.disk {
-                StorageBackend::Disk(cfg.scratch_dir.clone())
-            } else {
-                StorageBackend::Memory
-            },
+            storage: cfg.backend(StoreKind::of(variant.disk)),
             fw: FwOptions {
                 overlap_transfers: variant.overlap,
                 ..Default::default()

@@ -21,14 +21,11 @@
 //! [`ApspError::SilentCorruption`]: apsp_core::ApspError::SilentCorruption
 
 use crate::corpus::Case;
-use crate::runner::RunnerConfig;
-use apsp_core::ooc_boundary::ooc_boundary;
-use apsp_core::ooc_fw::ooc_floyd_warshall;
-use apsp_core::ooc_johnson::ooc_johnson;
-use apsp_core::options::{Algorithm, BoundaryOptions, FwOptions, JohnsonOptions, SdcGuardMode};
-use apsp_core::{ApspErrorKind, StorageBackend, TileStore};
+use crate::crash::CrashCellOptions;
+use crate::runner::{check_exact, RunnerConfig, StoreKind};
+use apsp_core::options::{Algorithm, SdcGuardMode};
+use apsp_core::{ApspErrorKind, RunCtx, TileStore};
 use apsp_cpu::bgl_plus_apsp;
-use apsp_gpu_sim::{DeviceProfile, GpuDevice};
 
 /// Where the injected flip lands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,24 +146,16 @@ pub fn run_under_bit_flip(
     cfg: &RunnerConfig,
 ) -> SdcOutcome {
     let g = &case.graph;
-    let n = g.num_vertices();
     let reference = bgl_plus_apsp(g);
-    let label = format!(
-        "{algorithm:?}/{}/{site}",
-        if disk { "disk" } else { "memory" }
-    );
+    let kind = StoreKind::of(disk);
+    let label = format!("{algorithm:?}/{kind}/{site}");
     let unacceptable = |detail: String| SdcOutcome {
         label: label.clone(),
         verdict: SdcVerdict::Unacceptable { detail },
     };
 
-    let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(cfg.device_bytes));
-    let backend = if disk {
-        StorageBackend::Disk(cfg.scratch_dir.clone())
-    } else {
-        StorageBackend::Memory
-    };
-    let mut store = match TileStore::new(n, &backend) {
+    let mut dev = cfg.device();
+    let mut store = match TileStore::new(g.num_vertices(), &cfg.backend(kind)) {
         Ok(s) => s,
         Err(e) => return unacceptable(format!("store creation failed before any flip: {e}")),
     };
@@ -181,64 +170,21 @@ pub fn run_under_bit_flip(
         FlipSite::Device { transfer, bit } => dev.inject_bit_flip(transfer, bit),
     }
 
-    // (panel, round) recovery counts, per driver.
-    let run = match algorithm {
-        Algorithm::FloydWarshall => {
-            let opts = FwOptions {
-                sdc_guard: mode,
-                ..Default::default()
-            };
-            ooc_floyd_warshall(&mut dev, g, &mut store, &opts)
-                .map(|s| (s.sdc_panel_recoveries, s.sdc_round_recoveries))
-        }
-        Algorithm::Johnson => {
-            let opts = JohnsonOptions {
-                sdc_guard: mode,
-                ..Default::default()
-            };
-            ooc_johnson(&mut dev, g, &mut store, &opts)
-                .map(|s| (s.sdc_panel_recoveries, s.sdc_round_recoveries))
-        }
-        Algorithm::Boundary => {
-            let opts = BoundaryOptions {
-                sdc_guard: mode,
-                ..Default::default()
-            };
-            // Boundary never reads the store, so its one exact rung is a
-            // full recomputation — there is no panel-scoped count.
-            ooc_boundary(&mut dev, g, &mut store, &opts).map(|s| (0, s.sdc_round_recoveries))
-        }
-    };
+    let mut cell = CrashCellOptions::default();
+    cell.fw.sdc_guard = mode;
+    cell.johnson.sdc_guard = mode;
+    cell.boundary.sdc_guard = mode;
+    let run = cell.run(algorithm, &mut dev, g, &mut store, &RunCtx::default());
     dev.clear_bit_flips();
 
     let verdict = match run {
-        Ok((panel, round)) => {
-            let got = match store.to_dist_matrix() {
-                Ok(m) => m,
-                Err(e) => {
-                    return unacceptable(format!("store unreadable after an Ok run: {e}"));
-                }
-            };
-            if got != reference {
-                let idx = (0..n * n)
-                    .find(|&i| got.as_slice()[i] != reference.as_slice()[i])
-                    .unwrap();
-                SdcVerdict::Unacceptable {
-                    detail: format!(
-                        "SILENTLY WRONG: cell ({}, {}) = {}, expected {} \
-                         (recoveries panel {panel} / round {round})",
-                        idx / n,
-                        idx % n,
-                        got.as_slice()[idx],
-                        reference.as_slice()[idx]
-                    ),
-                }
-            } else if panel + round > 0 {
-                SdcVerdict::RecoveredExact { panel, round }
-            } else {
-                SdcVerdict::AbsorbedExact
-            }
-        }
+        Ok((_, panel, round)) => match check_exact(&store, &reference) {
+            Err(e) => SdcVerdict::Unacceptable {
+                detail: format!("SILENTLY WRONG: {e} (recoveries panel {panel} / round {round})"),
+            },
+            Ok(()) if panel + round > 0 => SdcVerdict::RecoveredExact { panel, round },
+            Ok(()) => SdcVerdict::AbsorbedExact,
+        },
         Err(e) if e.kind() == ApspErrorKind::SilentCorruption => SdcVerdict::TypedSilentCorruption,
         Err(e) => SdcVerdict::Unacceptable {
             detail: format!("wrong error kind {:?}: {e}", e.kind()),

@@ -145,7 +145,7 @@ fn spec_tag(spec: &JobSpec) -> &'static str {
     }
 }
 
-fn service_for(cfg: &ChaosConfig) -> ApspService {
+fn service_for(cfg: &ChaosConfig) -> Result<ApspService, String> {
     let profile = if cfg.slow_fleet {
         // 1000× slower and 32 KiB of memory: trace-pool runs land in
         // the seconds regime, across several batch commits, where the
@@ -168,6 +168,7 @@ fn service_for(cfg: &ChaosConfig) -> ApspService {
         cache_capacity: cfg.cache_capacity,
         checkpoint_root: Some(cfg.scratch_dir.clone()),
     })
+    .map_err(|e| format!("service: {e}"))
 }
 
 /// Verify a completed job's bits against the memoized serial oracle.
@@ -222,7 +223,7 @@ fn verify_bits(
 pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
     let _ = std::fs::remove_dir_all(&cfg.scratch_dir);
     let jobs = trace::seeded_jobs(&cfg.trace);
-    let mut svc = service_for(cfg);
+    let mut svc = service_for(cfg)?;
     let mut oracles: BTreeMap<u64, DistMatrix> = BTreeMap::new();
     let mut handles: Vec<(Option<JobId>, Vec<ServiceErrorKind>)> = Vec::with_capacity(jobs.len());
 
@@ -332,7 +333,7 @@ pub fn run_queued_cancel_residue(scratch_dir: &std::path::Path) -> Result<(), St
     let pool = trace::graph_pool(&cfg.trace);
     let (ga, gb) = (pool[0].clone(), pool[1 % pool.len()].clone());
 
-    let mut svc = service_for(&cfg);
+    let mut svc = service_for(&cfg)?;
     let a = svc
         .submit(JobRequest::full(ga.clone()))
         .map_err(|e| format!("sibling A rejected: {e}"))?;
@@ -374,7 +375,7 @@ pub fn run_queued_cancel_residue(scratch_dir: &std::path::Path) -> Result<(), St
     let mut control = service_for(&ChaosConfig {
         scratch_dir: control_dir.clone(),
         ..cfg.clone()
-    });
+    })?;
     let ca = control
         .submit(JobRequest::full(ga.clone()))
         .map_err(|e| format!("control A rejected: {e}"))?;
@@ -408,7 +409,7 @@ pub fn run_corrupt_cache_check(scratch_dir: &std::path::Path) -> Result<(), Stri
     };
     let _ = std::fs::remove_dir_all(&cfg.scratch_dir);
     let g = trace::graph_pool(&cfg.trace)[0].clone();
-    let mut svc = service_for(&cfg);
+    let mut svc = service_for(&cfg)?;
 
     let first = svc
         .submit(JobRequest::full(g.clone()))

@@ -18,14 +18,13 @@
 //!    [`StallFallbackReport`]s compare equal across repeats.
 
 use crate::corpus::{splitmix64, Case};
-use crate::runner::RunnerConfig;
+use crate::runner::{check_exact, RunnerConfig, StoreKind};
 use apsp_core::options::Algorithm;
 use apsp_core::{
     apsp, ApspErrorKind, ApspOptions, CancelToken, Checkpoint, CheckpointOptions, FallbackEvent,
-    StorageBackend, SupervisionEvent, SupervisionOptions,
+    SupervisionEvent, SupervisionOptions,
 };
 use apsp_cpu::bgl_plus_apsp;
-use apsp_gpu_sim::{DeviceProfile, GpuDevice};
 
 /// Simulated seconds a hung kernel is stretched by — far beyond any
 /// sensible progress budget, so the watchdog always notices.
@@ -35,42 +34,6 @@ const HANG_SECONDS: f64 = 1e6;
 /// Generous against real barrier gaps (sub-second at corpus scale) and
 /// tiny against [`HANG_SECONDS`].
 const STALL_BUDGET_MS: u64 = 60_000;
-
-fn backend_for(disk: bool, cfg: &RunnerConfig) -> StorageBackend {
-    if disk {
-        StorageBackend::Disk(cfg.scratch_dir.clone())
-    } else {
-        StorageBackend::Memory
-    }
-}
-
-fn new_dev(cfg: &RunnerConfig) -> GpuDevice {
-    GpuDevice::new(DeviceProfile::v100().with_memory_bytes(cfg.device_bytes))
-}
-
-fn check_exact(
-    store: &apsp_core::TileStore,
-    reference: &apsp_cpu::DistMatrix,
-    when: &str,
-) -> Result<(), String> {
-    let got = store
-        .to_dist_matrix()
-        .map_err(|e| format!("store unreadable {when}: {e}"))?;
-    if &got == reference {
-        return Ok(());
-    }
-    let n = reference.n();
-    let idx = (0..n * n)
-        .find(|&i| got.as_slice()[i] != reference.as_slice()[i])
-        .unwrap();
-    Err(format!(
-        "{when}: cell ({}, {}) = {}, expected {}",
-        idx / n,
-        idx % n,
-        got.as_slice()[idx],
-        reference.as_slice()[idx]
-    ))
-}
 
 /// What one stall–fallback cell did. Two runs of the same cell must
 /// produce equal reports (the determinism contract), so everything in
@@ -119,11 +82,11 @@ pub fn run_stall_fallback(
 ) -> Result<StallFallbackReport, String> {
     let g = &case.graph;
     let reference = bgl_plus_apsp(g);
-    let backend = backend_for(disk, cfg);
+    let backend = cfg.backend(StoreKind::of(disk));
 
     // Measure the clean run's launch count so the hang can be placed at
     // any real launch, not just the first.
-    let mut dev = new_dev(cfg);
+    let mut dev = cfg.device();
     let clean_opts = ApspOptions {
         algorithm: Some(algorithm),
         storage: backend.clone(),
@@ -131,7 +94,7 @@ pub fn run_stall_fallback(
     };
     let clean = apsp(g, &mut dev, &clean_opts)
         .map_err(|e| format!("clean {algorithm} run failed before any injection: {e}"))?;
-    check_exact(&clean.store, &reference, "after the clean run")?;
+    check_exact(&clean.store, &reference).map_err(|e| format!("after the clean run: {e}"))?;
     let total_launches: u64 = clean.report.kernels.values().map(|k| k.launches).sum();
     if total_launches == 0 {
         return Err(format!(
@@ -142,7 +105,7 @@ pub fn run_stall_fallback(
     // The stalled run: same forced algorithm, watchdog armed, fallback on.
     let mut s = seed;
     let stalled_launch = 1 + splitmix64(&mut s) % total_launches;
-    let mut dev = new_dev(cfg);
+    let mut dev = cfg.device();
     dev.inject_kernel_stall(stalled_launch, HANG_SECONDS);
     let opts = ApspOptions {
         algorithm: Some(algorithm),
@@ -179,7 +142,7 @@ pub fn run_stall_fallback(
     // The differential half: a clean, unsupervised run of the fallback
     // algorithm must produce the identical matrix.
     let to = fb.to;
-    let mut dev = new_dev(cfg);
+    let mut dev = cfg.device();
     let fallback_clean_opts = ApspOptions {
         algorithm: Some(to),
         storage: backend,
@@ -201,7 +164,7 @@ pub fn run_stall_fallback(
              {stalled_launch}/{total_launches})"
         ));
     }
-    check_exact(&result.store, &reference, "after the fallback run")?;
+    check_exact(&result.store, &reference).map_err(|e| format!("after the fallback run: {e}"))?;
 
     Ok(StallFallbackReport {
         from: algorithm,
@@ -252,12 +215,12 @@ pub fn run_cancel_resume(
 ) -> Result<CancelReport, String> {
     let g = &case.graph;
     let reference = bgl_plus_apsp(g);
-    let backend = backend_for(disk, cfg);
+    let kind = StoreKind::of(disk);
+    let backend = cfg.backend(kind);
     let ckpt_dir = cfg.scratch_dir.join(format!(
-        "supervise-{}-{}-{}-{seed:x}",
+        "supervise-{}-{}-{kind}-{seed:x}",
         case.name,
         algorithm.tag(),
-        if disk { "disk" } else { "memory" },
     ));
     let _ = std::fs::remove_dir_all(&ckpt_dir);
 
@@ -266,7 +229,7 @@ pub fn run_cancel_resume(
     // mid-run.
     let mut s = seed;
     let cancel_after = 1 + splitmix64(&mut s) % 64;
-    let mut dev = new_dev(cfg);
+    let mut dev = cfg.device();
     let opts = ApspOptions {
         algorithm: Some(algorithm),
         storage: backend.clone(),
@@ -299,7 +262,7 @@ pub fn run_cancel_resume(
         .is_some();
 
     // Resume in a fresh "process" without the token.
-    let mut dev = new_dev(cfg);
+    let mut dev = cfg.device();
     let resume_opts = ApspOptions {
         algorithm: Some(algorithm),
         storage: backend,
@@ -311,11 +274,8 @@ pub fn run_cancel_resume(
     };
     let result = apsp(g, &mut dev, &resume_opts)
         .map_err(|e| format!("resume after a cancel at check {cancel_after} failed: {e}"))?;
-    check_exact(
-        &result.store,
-        &reference,
-        &format!("after resuming a cancel at check {cancel_after}"),
-    )?;
+    check_exact(&result.store, &reference)
+        .map_err(|e| format!("after resuming a cancel at check {cancel_after}: {e}"))?;
     if ckpt
         .load()
         .map_err(|e| format!("manifest unreadable after the resume: {e}"))?
@@ -341,8 +301,8 @@ pub fn run_deadline_abort(
 ) -> Result<(), String> {
     let g = &case.graph;
     let reference = bgl_plus_apsp(g);
-    let backend = backend_for(disk, cfg);
-    let mut dev = new_dev(cfg);
+    let backend = cfg.backend(StoreKind::of(disk));
+    let mut dev = cfg.device();
     let opts = ApspOptions {
         algorithm: Some(algorithm),
         storage: backend.clone(),
@@ -357,7 +317,7 @@ pub fn run_deadline_abort(
         Err(e) if e.kind() == ApspErrorKind::DeadlineExceeded => {}
         Err(e) => return Err(format!("expected a typed deadline abort, got: {e}")),
     }
-    let mut dev = new_dev(cfg);
+    let mut dev = cfg.device();
     let clean_opts = ApspOptions {
         algorithm: Some(algorithm),
         storage: backend,
@@ -365,7 +325,8 @@ pub fn run_deadline_abort(
     };
     let result = apsp(g, &mut dev, &clean_opts)
         .map_err(|e| format!("rerun without the deadline failed: {e}"))?;
-    check_exact(&result.store, &reference, "after the deadline-free rerun")
+    check_exact(&result.store, &reference)
+        .map_err(|e| format!("after the deadline-free rerun: {e}"))
 }
 
 #[cfg(test)]

@@ -104,22 +104,10 @@ pub fn apsp(
         // is untouched, so the distances stay bit-identical.
         dev.enable_trace();
     }
-    // The front-end's `exec` is authoritative: push it into every
-    // per-algorithm option block so whatever the selector (or the
-    // fallback chain) ends up running uses the same backend.
-    let opts = {
-        let mut o = opts.clone();
-        o.fw.exec = o.exec;
-        o.johnson.exec = o.exec;
-        o.boundary.exec = o.exec;
-        // Same for the silent-corruption guard level: one front-end
-        // switch governs every algorithm the run might end up on.
-        o.fw.sdc_guard = o.sdc_guard;
-        o.johnson.sdc_guard = o.sdc_guard;
-        o.boundary.sdc_guard = o.sdc_guard;
-        o
-    };
-    let opts = &opts;
+    // The front-end's `exec` and `sdc_guard` are authoritative, so
+    // whatever the selector (or the fallback chain) ends up running uses
+    // the same backend and guard level.
+    let opts = &opts.resolved();
     // Durability first: with `resume`, an existing checkpoint pins the
     // algorithm (its committed state is algorithm-specific); without it,
     // any stale checkpoint is cleared before fresh work begins.

@@ -491,7 +491,7 @@ mod tests {
     use super::*;
     use crate::run_ctx::{durable, test_dir};
     use crate::tile_store::StorageBackend;
-    use apsp_cpu::bgl_plus_apsp;
+    use apsp_cpu::{bgl_plus_apsp, ExecBackend};
     use apsp_gpu_sim::DeviceProfile;
     use apsp_graph::generators::{gnp, rmat, RmatParams, WeightRange};
 
@@ -504,6 +504,67 @@ mod tests {
         let stats = ooc_johnson(dev, g, &mut store, opts).unwrap();
         assert!(stats.num_batches >= 1);
         store.to_dist_matrix().unwrap()
+    }
+
+    /// FNV-1a over every trace event (name, engine, stream, and the bits
+    /// of its start and end) and the device's allocation count.
+    fn call_digest(dev: &GpuDevice) -> u64 {
+        let mut h = apsp_graph::FNV_OFFSET_BASIS;
+        for e in dev.trace() {
+            h = apsp_graph::fnv1a(e.name.as_bytes(), h);
+            h = apsp_graph::fnv1a(&[e.engine as u8], h);
+            h = apsp_graph::fnv1a(&(e.stream as u64).to_le_bytes(), h);
+            h = apsp_graph::fnv1a(&e.start.to_bits().to_le_bytes(), h);
+            h = apsp_graph::fnv1a(&e.end.to_bits().to_le_bytes(), h);
+        }
+        apsp_graph::fnv1a(&dev.report().allocations.to_le_bytes(), h)
+    }
+
+    #[test]
+    fn device_call_order_is_pinned_per_entry_point() {
+        // 128 KiB fits 29 sources per batch: six batches for `run`,
+        // eleven with parents, two for the 40 sources, on two streams.
+        let g = gnp(150, 0.04, WeightRange::default(), 19);
+        let n = g.num_vertices();
+        // Forty distinct sources, then the last one repeats the sixth.
+        let mut sources: Vec<VertexId> = (0..40).map(|i| (i * 37 % 150) as VertexId).collect();
+        sources[39] = sources[5];
+        let digests = |exec: ExecBackend| {
+            let opts = JohnsonOptions {
+                exec,
+                overlap_transfers: true,
+                ..Default::default()
+            };
+            let traced = || {
+                let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(128 << 10));
+                dev.enable_trace();
+                dev
+            };
+            let store = || TileStore::new(n, &StorageBackend::Memory).unwrap();
+            let mut dev = traced();
+            let stats = ooc_johnson(&mut dev, &g, &mut store(), &opts).unwrap();
+            assert_eq!(stats.num_batches, 6);
+            let full = call_digest(&dev);
+            let mut dev = traced();
+            let stats =
+                ooc_johnson_with_parents(&mut dev, &g, &mut store(), &mut store(), &opts).unwrap();
+            assert_eq!(stats.num_batches, 11);
+            let parents = call_digest(&dev);
+            let mut dev = traced();
+            let (_, stats) =
+                ooc_johnson_sources(&mut dev, &g, &sources, &opts, &Supervisor::unarmed()).unwrap();
+            assert_eq!(stats.num_batches, 2);
+            [full, parents, call_digest(&dev)]
+        };
+        let pinned = [0x2f13840db6ef3a61, 0xf19fddae36aa862a, 0x95164023f14d6395];
+        for exec in [
+            ExecBackend::Scalar,
+            ExecBackend::Simd { threads: Some(1) },
+            ExecBackend::Simd { threads: Some(2) },
+        ] {
+            let got = digests(exec);
+            assert_eq!(got, pinned, "{exec:?}");
+        }
     }
 
     #[test]

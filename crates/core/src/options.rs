@@ -240,8 +240,8 @@ pub struct ApspOptions {
     /// retry policy, and the algorithm fallback chain.
     pub supervision: SupervisionOptions,
     /// Host execution backend, applied to every algorithm and the tile
-    /// store (overrides the per-algorithm `exec` fields when set through
-    /// [`crate::api::apsp`]).
+    /// store: [`ApspOptions::resolved`] overrides the per-algorithm
+    /// `exec` fields with it.
     pub exec: ExecBackend,
     /// Record run telemetry (phase spans, calibration records, byte and
     /// launch counters) and attach a [`crate::telemetry::RunReport`] to
@@ -259,8 +259,8 @@ pub struct ApspOptions {
     /// overwritten by the next commit. `None` disables persistence.
     pub calibration_dir: Option<std::path::PathBuf>,
     /// Silent-corruption guard level, applied to every algorithm and
-    /// the tile store (overrides the per-algorithm `sdc_guard` fields
-    /// when set through [`crate::api::apsp`]). Off by default; with
+    /// the tile store: [`ApspOptions::resolved`] overrides the
+    /// per-algorithm `sdc_guard` fields with it. Off by default; with
     /// guards on, a clean run computes bit-identical distances — the
     /// guards only ever *read* live data.
     pub sdc_guard: SdcGuardMode,
@@ -282,6 +282,23 @@ impl Default for ApspOptions {
             calibration_dir: None,
             sdc_guard: SdcGuardMode::default(),
         }
+    }
+}
+
+impl ApspOptions {
+    /// These options as a run applies them: the front-end's `exec` and
+    /// `sdc_guard` written into the `fw`, `johnson` and `boundary`
+    /// blocks, so whichever algorithm runs uses the same backend and
+    /// guard level.
+    pub fn resolved(&self) -> ApspOptions {
+        let mut o = self.clone();
+        o.fw.exec = o.exec;
+        o.johnson.exec = o.exec;
+        o.boundary.exec = o.exec;
+        o.fw.sdc_guard = o.sdc_guard;
+        o.johnson.sdc_guard = o.sdc_guard;
+        o.boundary.sdc_guard = o.sdc_guard;
+        o
     }
 }
 

@@ -609,9 +609,14 @@ pub struct ApspService {
 }
 
 impl ApspService {
-    /// A service over `cfg`'s fleet. Panics if the fleet is empty.
-    pub fn new(cfg: ServiceConfig) -> ApspService {
-        assert!(!cfg.devices.is_empty(), "service needs at least one device");
+    /// A service over `cfg`'s fleet. An empty fleet is
+    /// [`ApspError::InvalidInput`].
+    pub fn new(cfg: ServiceConfig) -> Result<ApspService, ApspError> {
+        if cfg.devices.is_empty() {
+            return Err(ApspError::InvalidInput(
+                "the service needs at least one device".into(),
+            ));
+        }
         let fleet = cfg
             .devices
             .iter()
@@ -621,7 +626,7 @@ impl ApspService {
             })
             .collect();
         let cache = ResultCache::new(cfg.cache_capacity);
-        ApspService {
+        Ok(ApspService {
             cfg,
             fleet,
             queue: VecDeque::new(),
@@ -630,7 +635,7 @@ impl ApspService {
             counters: ServiceCounters::default(),
             next_id: 1,
             secs_per_row: None,
-        }
+        })
     }
 
     /// Current simulated service time: the earliest moment any fleet
@@ -1011,9 +1016,7 @@ fn run_job(
             Ok((ResultRows::new(n, None, data), Some(result.algorithm)))
         }
         JobSpec::Sources(srcs) => {
-            let mut jopts = opts.johnson;
-            jopts.exec = opts.exec;
-            jopts.sdc_guard = opts.sdc_guard;
+            let jopts = opts.resolved().johnson;
             let sup = Supervisor::new(&opts.supervision, dev.elapsed().seconds());
             let (data, _stats) = ooc_johnson_sources(dev, graph, srcs, &jopts, &sup)?;
             Ok((
@@ -1106,16 +1109,13 @@ pub mod trace {
             } else {
                 JobSpec::Full
             };
-            let mut opts = ApspOptions {
+            let opts = ApspOptions {
                 // Chaos jobs run fully guarded: an injected flip must be
                 // recovered bit-identical or surfaced typed, never
                 // silently wrong.
                 sdc_guard: crate::options::SdcGuardMode::Full,
                 ..ApspOptions::default()
             };
-            opts.johnson.sdc_guard = opts.sdc_guard;
-            opts.boundary.sdc_guard = opts.sdc_guard;
-            opts.fw.sdc_guard = opts.sdc_guard;
             let deadline_ms = if splitmix64(&mut state) % 100 < cfg.tight_deadline_pct {
                 // Tight but not degenerate: some expire, some squeak by.
                 Some(1 + splitmix64(&mut state) % 50)
@@ -1172,6 +1172,18 @@ mod tests {
             devices: vec![DeviceProfile::v100().with_memory_bytes(512 << 10)],
             ..ServiceConfig::default()
         })
+        .unwrap()
+    }
+
+    #[test]
+    fn an_empty_fleet_is_invalid_input() {
+        let err = ApspService::new(ServiceConfig {
+            devices: Vec::new(),
+            ..ServiceConfig::default()
+        })
+        .err()
+        .expect("an empty fleet must be refused");
+        assert_eq!(err.kind(), ApspErrorKind::InvalidInput, "{err}");
     }
 
     #[test]
@@ -1258,7 +1270,8 @@ mod tests {
             devices: vec![DeviceProfile::v100().with_memory_bytes(512 << 10)],
             queue_capacity: 2,
             ..ServiceConfig::default()
-        });
+        })
+        .unwrap();
         // Warm the cache with one completed job.
         let warm = JobRequest::full(Arc::clone(&g));
         svc.submit(warm.clone()).unwrap();
@@ -1287,7 +1300,8 @@ mod tests {
             devices: vec![DeviceProfile::v100().with_memory_bytes(512 << 10)],
             queue_capacity: 64,
             ..ServiceConfig::default()
-        });
+        })
+        .unwrap();
         // Teach the predictor a rate.
         svc.submit(JobRequest::full(Arc::clone(&g))).unwrap();
         svc.run_until_idle();
@@ -1316,7 +1330,8 @@ mod tests {
             devices: vec![DeviceProfile::v100().with_memory_bytes(512 << 10)],
             checkpoint_root: Some(root.clone()),
             ..ServiceConfig::default()
-        });
+        })
+        .unwrap();
         let sibling = svc.submit(JobRequest::full(Arc::clone(&g))).unwrap();
         let victim = svc.submit(JobRequest::full(small_graph(77))).unwrap();
         assert_eq!(svc.cancel(victim).unwrap(), CancelOutcome::Dequeued);
@@ -1407,7 +1422,8 @@ mod tests {
             checkpoint_root: Some(root.clone()),
             cache_capacity: 0, // force the resubmit to actually run
             ..ServiceConfig::default()
-        });
+        })
+        .unwrap();
         // Force Johnson so progress commits per batch, with a budget too
         // small to finish but big enough to commit some batches.
         let mut req = JobRequest::full(Arc::clone(&g));
@@ -1449,7 +1465,8 @@ mod tests {
             ],
             cache_capacity: 0,
             ..ServiceConfig::default()
-        });
+        })
+        .unwrap();
         let mut slots = Vec::new();
         for seed in 0..4 {
             let id = svc.submit(JobRequest::full(small_graph(seed))).unwrap();

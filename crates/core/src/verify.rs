@@ -39,7 +39,9 @@ impl Verification {
 }
 
 /// Compare `sample` deterministic pseudo-random rows of `store` against
-/// Dijkstra on `g`. `seed` fixes the row choice.
+/// Dijkstra on `g`. `seed` fixes the row choice. A store whose dimension
+/// is not `g`'s vertex count is an [`std::io::ErrorKind::InvalidInput`]
+/// error.
 pub fn verify_rows(
     g: &CsrGraph,
     store: &TileStore,
@@ -47,7 +49,15 @@ pub fn verify_rows(
     seed: u64,
 ) -> std::io::Result<Verification> {
     let n = g.num_vertices();
-    assert_eq!(store.n(), n, "store dimension mismatch");
+    if store.n() != n {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "store dimension {} does not match the graph's {n} vertices",
+                store.n()
+            ),
+        ));
+    }
     if n == 0 {
         return Ok(Verification::Verified { rows_checked: 0 });
     }
@@ -127,6 +137,14 @@ mod tests {
             Verification::Mismatch { row, .. } => assert_eq!(row, 30),
             other => panic!("corruption not caught: {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_store_of_another_dimension_is_invalid_input() {
+        let g = gnp(20, 0.1, WeightRange::default(), 5);
+        let store = TileStore::new(21, &StorageBackend::Memory).unwrap();
+        let err = verify_rows(&g, &store, 5, 9).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
     }
 
     #[test]

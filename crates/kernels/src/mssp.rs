@@ -12,7 +12,7 @@ use crate::matrix::DeviceMatrix;
 use crate::model::{
     BYTES_PER_RELAXATION, FRONTIER_IRREGULARITY, OPS_PER_RELAXATION, THREADS_PER_BLOCK,
 };
-use crate::nearfar::{near_far_sssp, NearFarStats};
+use crate::nearfar::{near_far_sssp_scratch, NearFarScratch, NearFarStats};
 use apsp_cpu::parallel::{par_claim, sssp_work, ExecBackend};
 use apsp_gpu_sim::{GpuDevice, KernelCost, LaunchConfig, StreamId};
 use apsp_graph::{CsrGraph, Dist, VertexId};
@@ -115,69 +115,47 @@ fn mssp_kernel_impl(
     } else {
         usize::MAX
     };
+    // The SSSP instances are independent and uneven in cost, so workers
+    // claim sources one at a time. Each writes only its own rows of
+    // `out`/`parents` and its own stats slot, and the stats merge in
+    // source order below, so the aggregate does not depend on which
+    // worker ran which source. One worker (Scalar, one thread, a
+    // one-source batch, or a batch under the dispatch floor) runs inline.
+    let track_parents = parents.is_some();
+    let mut parent_rows = parents
+        .as_deref_mut()
+        .map(|p| p.as_mut_slice().chunks_mut(n));
+    let mut slots: Vec<_> = out
+        .as_mut_slice()
+        .chunks_mut(n)
+        .map(|row| {
+            let par = parent_rows.as_mut().and_then(Iterator::next);
+            (row, par, NearFarStats::default())
+        })
+        .collect();
     let threads = opts.exec.resolved_threads();
-    if opts.exec.is_scalar() {
-        for (i, &src) in sources.iter().enumerate() {
-            if let Some(pm) = parents.as_deref_mut() {
-                let (dist, par, s) =
-                    crate::nearfar::near_far_sssp_with_parents(g, src, opts.delta, heavy_threshold);
-                max_iterations = max_iterations.max(s.near_iterations);
-                stats.merge(&s);
-                out.as_mut_slice()[i * n..(i + 1) * n].copy_from_slice(&dist);
-                pm.as_mut_slice()[i * n..(i + 1) * n].copy_from_slice(&par);
-            } else {
-                let (dist, s) = near_far_sssp(g, src, opts.delta, heavy_threshold);
-                max_iterations = max_iterations.max(s.near_iterations);
-                stats.merge(&s);
-                out.as_mut_slice()[i * n..(i + 1) * n].copy_from_slice(&dist);
+    par_claim(&mut slots, threads, sssp_work(n, g.num_edges()), |claims| {
+        // One scratch per worker, reset between its sources (see
+        // [`NearFarScratch`]).
+        let mut scratch = NearFarScratch::new(n);
+        for (i, (row, par, s)) in claims {
+            *s = near_far_sssp_scratch(
+                g,
+                sources[i],
+                opts.delta,
+                heavy_threshold,
+                &mut scratch,
+                track_parents,
+            );
+            row.copy_from_slice(scratch.dist());
+            if let Some(par) = par {
+                par.copy_from_slice(scratch.parents());
             }
         }
-    } else {
-        // The SSSP instances are independent and uneven in cost, so
-        // workers claim sources one at a time. Each writes only its own
-        // rows of `out`/`parents` and its own stats slot, and the stats
-        // merge in source order below, so the aggregate matches the
-        // sequential loop exactly. One worker (one thread, a one-source
-        // batch, or a batch under the dispatch floor) runs inline on one
-        // scratch.
-        let track_parents = parents.is_some();
-        let mut parent_rows = parents
-            .as_deref_mut()
-            .map(|p| p.as_mut_slice().chunks_mut(n));
-        let mut slots: Vec<_> = out
-            .as_mut_slice()
-            .chunks_mut(n)
-            .map(|row| {
-                let par = parent_rows.as_mut().and_then(Iterator::next);
-                (row, par, NearFarStats::default())
-            })
-            .collect();
-        par_claim(&mut slots, threads, sssp_work(n, g.num_edges()), |claims| {
-            // One scratch per worker: the reference backend allocates
-            // per source, the optimized backends amortize the six
-            // working buffers across the worker's sources (identical
-            // traversal, bit-identical distances — see
-            // [`crate::nearfar::NearFarScratch`]).
-            let mut scratch = crate::nearfar::NearFarScratch::new(n);
-            for (i, (row, par, s)) in claims {
-                *s = crate::nearfar::near_far_sssp_scratch(
-                    g,
-                    sources[i],
-                    opts.delta,
-                    heavy_threshold,
-                    &mut scratch,
-                    track_parents,
-                );
-                row.copy_from_slice(scratch.dist());
-                if let Some(par) = par {
-                    par.copy_from_slice(scratch.parents());
-                }
-            }
-        });
-        for (_, _, s) in &slots {
-            max_iterations = max_iterations.max(s.near_iterations);
-            stats.merge(s);
-        }
+    });
+    for (_, _, s) in &slots {
+        max_iterations = max_iterations.max(s.near_iterations);
+        stats.merge(s);
     }
 
     // Device-time accounting. Frontier iterations serialize on memory

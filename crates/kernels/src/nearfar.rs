@@ -67,7 +67,7 @@ pub fn near_far_sssp(
     heavy_degree_threshold: usize,
 ) -> (Vec<Dist>, NearFarStats) {
     let mut scratch = NearFarScratch::new(g.num_vertices());
-    let stats = near_far_core(
+    let stats = near_far_sssp_scratch(
         g,
         source,
         delta,
@@ -90,7 +90,7 @@ pub fn near_far_sssp_with_parents(
     heavy_degree_threshold: usize,
 ) -> (Vec<Dist>, Vec<VertexId>, NearFarStats) {
     let mut scratch = NearFarScratch::new(g.num_vertices());
-    let stats = near_far_core(g, source, delta, heavy_degree_threshold, &mut scratch, true);
+    let stats = near_far_sssp_scratch(g, source, delta, heavy_degree_threshold, &mut scratch, true);
     (scratch.dist, scratch.parents, stats)
 }
 
@@ -101,8 +101,8 @@ pub fn near_far_sssp_with_parents(
 /// Allocating them fresh per source is fine for one-off calls, but a
 /// batched MSSP launch runs hundreds of instances back to back — there
 /// the per-source malloc/free churn is measurable against the
-/// ~tens-of-µs traversal itself, so the optimized backends hold one
-/// scratch per worker and reset it between sources. Resetting writes
+/// ~tens-of-µs traversal itself, so MSSP holds one scratch per worker
+/// on every backend and resets it between sources. Resetting writes
 /// exactly the values fresh allocation would (`INF` / `VertexId::MAX` /
 /// no state bits / empty queues), so a reused run is bit-identical to a
 /// fresh one by construction.
@@ -202,29 +202,10 @@ impl NearFarScratch {
     }
 }
 
-/// [`near_far_sssp`] into caller-provided scratch: identical traversal,
-/// identical stats, no per-call allocation. Distances land in
-/// `scratch.dist()` (and predecessors in `scratch.parents()` when
-/// `track_parents` is set).
+/// [`near_far_sssp`] into caller-provided scratch, with no per-call
+/// allocation. Distances land in `scratch.dist()` (and predecessors in
+/// `scratch.parents()` when `track_parents` is set).
 pub fn near_far_sssp_scratch(
-    g: &CsrGraph,
-    source: VertexId,
-    delta: Dist,
-    heavy_degree_threshold: usize,
-    scratch: &mut NearFarScratch,
-    track_parents: bool,
-) -> NearFarStats {
-    near_far_core(
-        g,
-        source,
-        delta,
-        heavy_degree_threshold,
-        scratch,
-        track_parents,
-    )
-}
-
-fn near_far_core(
     g: &CsrGraph,
     source: VertexId,
     delta: Dist,

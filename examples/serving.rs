@@ -26,7 +26,8 @@ fn main() {
         devices: vec![DeviceProfile::v100().with_memory_bytes(512 << 10); 2],
         queue_capacity: 2,
         ..ServiceConfig::default()
-    });
+    })
+    .expect("the fleet has two devices");
 
     // A full-matrix job and a partial query: 3 sources move O(k·n)
     // through the Johnson batch driver, not the full O(n²).
