@@ -19,7 +19,7 @@
 //!                  silent-corruption guard at this level (default off)
 //! ```
 //!
-//! Three families of cases:
+//! Four families of cases:
 //!
 //! * **min-plus GEMM** on square shapes and on the ragged shapes the
 //!   benchmark workloads run (`dense-fw-durable`'s FW tile and its edge,
@@ -33,13 +33,18 @@
 //! * **full out-of-core runs** — the three algorithms crossed with
 //!   `Memory`/`Disk` storage on a deliberately small simulated device,
 //!   so the host-side tile loops (what the backend accelerates)
-//!   dominate.
+//!   dominate;
+//! * **the k-way partition** the boundary algorithm starts from, on the
+//!   out-of-core cases' gnp graph at the `k` its boundary case
+//!   partitions with, and on `fleet-hetero`'s 48×48 grid at k = 8. It
+//!   has no backend, so its row records one best-of time.
 //!
 //! Every case records wall-clock seconds for each backend, the simd
 //! speedup over scalar, the resolved thread count, and an FNV-1a
 //! checksum of the result — which must be bit-identical across both
 //! backends or the binary exits non-zero. Each console line ends in
-//! that checksum, so a diff of two runs' output shows bit-identity.
+//! that checksum, so a diff of two runs' output shows bit-identity; a
+//! partition row's checksum is that of its assignment.
 //!
 //! `--smoke` additionally gates the silent-corruption guard's overhead,
 //! and prints it as a ratio: a representative out-of-core run with
@@ -50,18 +55,21 @@
 //! quartiles 1.02–1.10× (see `SdcGuardMode::Checksum`), so at smoke
 //! sizes the gate still passes through its floor.
 
+use apsp_core::api::RunDetails;
 use apsp_core::options::{Algorithm, SdcGuardMode};
 use apsp_core::telemetry::json_escape;
 use apsp_core::{apsp, ApspOptions, RunReport, StorageBackend};
 use apsp_cpu::parallel::minplus_tile_exec;
 use apsp_cpu::{blocked_floyd_warshall_exec, DistMatrix, ExecBackend};
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
-use apsp_graph::generators::{gnp, WeightRange};
+use apsp_graph::generators::{gnp, grid_2d, GridOptions, WeightRange};
 use apsp_graph::{fnv1a, CsrGraph, Dist, FNV_OFFSET_BASIS, INF};
 use apsp_kernels::fw_block::FW_TILE;
+use apsp_partition::{kway_partition, PartitionConfig};
 use std::time::Instant;
 
-/// FNV-1a over the little-endian bytes of `values`.
+/// FNV-1a over the little-endian bytes of `values` (distances, or a
+/// partition's `u32` assignment).
 fn fnv1a_dists(values: &[Dist]) -> u64 {
     values
         .iter()
@@ -195,6 +203,19 @@ fn bench_fw(n: usize, reps: usize) -> CaseResult {
     }
 }
 
+/// The simulated device of an out-of-core case. 256 KiB keeps every case
+/// genuinely out-of-core (the full matrix never fits). Boundary
+/// additionally needs its k-partition working set resident — at the
+/// full-mode n that minimum exceeds 256 KiB — so it gets 1 MiB and
+/// still streams per-pair block products.
+fn ooc_device(algorithm: Algorithm) -> GpuDevice {
+    let mem = match algorithm {
+        Algorithm::Boundary => 1 << 20,
+        _ => 256 << 10,
+    };
+    GpuDevice::new(DeviceProfile::v100().with_memory_bytes(mem))
+}
+
 fn run_ooc(
     graph: &CsrGraph,
     algorithm: Algorithm,
@@ -204,15 +225,7 @@ fn run_ooc(
     sdc_guard: SdcGuardMode,
     telemetry: bool,
 ) -> (f64, u64, Option<RunReport>) {
-    // 256 KiB keeps every case genuinely out-of-core (the full matrix
-    // never fits). Boundary additionally needs its k-partition working
-    // set resident — at the full-mode n that minimum exceeds 256 KiB —
-    // so it gets 1 MiB and still streams per-pair block products.
-    let mem = match algorithm {
-        Algorithm::Boundary => 1 << 20,
-        _ => 256 << 10,
-    };
-    let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(mem));
+    let mut dev = ooc_device(algorithm);
     let opts = ApspOptions {
         algorithm: Some(algorithm),
         storage: storage.clone(),
@@ -307,6 +320,55 @@ fn bench_ooc(
     }
 }
 
+/// One `kway_partition` shape: its best-of-reps wall time and the FNV-1a
+/// of its assignment's little-endian `u32` bytes.
+struct PartitionCase {
+    name: String,
+    n: usize,
+    k: usize,
+    secs: f64,
+    checksum: u64,
+}
+
+impl PartitionCase {
+    fn run(name: &str, g: &CsrGraph, k: usize, reps: usize) -> Self {
+        let mut assignment = Vec::new();
+        let secs = time_best(reps, || {
+            assignment = kway_partition(g, k, &PartitionConfig::default())
+                .assignment()
+                .to_vec();
+        });
+        PartitionCase {
+            name: format!("partition-{name}-k{k}"),
+            n: g.num_vertices(),
+            k,
+            secs,
+            checksum: fnv1a_dists(&assignment),
+        }
+    }
+
+    fn summary(&self) -> String {
+        format!(
+            "  {:<20} best {:>9.4}s  {:#018x}",
+            self.name, self.secs, self.checksum
+        )
+    }
+}
+
+/// The `k` the boundary case partitions `g` with: the driver's default,
+/// shrunk until the working set fits the case's device.
+fn boundary_k(g: &CsrGraph) -> usize {
+    let opts = ApspOptions {
+        algorithm: Some(Algorithm::Boundary),
+        ..Default::default()
+    };
+    let result = apsp(g, &mut ooc_device(Algorithm::Boundary), &opts);
+    match result.expect("boundary run failed").details {
+        RunDetails::Boundary(stats) => stats.num_components,
+        _ => unreachable!("a forced boundary run reports boundary details"),
+    }
+}
+
 fn json_opt_secs(v: Option<f64>) -> String {
     match v {
         Some(v) => format!("{v:.6}"),
@@ -357,6 +419,7 @@ fn write_report(
     reps: usize,
     threads: usize,
     cases: &[CaseResult],
+    partitions: &[PartitionCase],
 ) -> std::io::Result<()> {
     let mut out = String::new();
     out.push_str("{\n");
@@ -388,7 +451,23 @@ fn write_report(
             c.checksum,
             c.bit_identical,
             telemetry,
-            if i + 1 < cases.len() { "," } else { "" }
+            if i + 1 < cases.len() + partitions.len() {
+                ","
+            } else {
+                ""
+            }
+        ));
+    }
+    for (i, p) in partitions.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"kind\": \"partition\", \"name\": \"{}\", \"n\": {}, \"k\": {}, \
+             \"secs\": {:.6}, \"checksum\": \"{:#018x}\"}}{}\n",
+            json_escape(&p.name),
+            p.n,
+            p.k,
+            p.secs,
+            p.checksum,
+            if i + 1 < partitions.len() { "," } else { "" }
         ));
     }
     out.push_str("  ]\n}\n");
@@ -509,8 +588,25 @@ fn main() {
         }
     }
 
+    // After the out-of-core cases, so its run cannot move their reports.
+    let ooc_k = boundary_k(&graph);
+    let grid = grid_2d(
+        48,
+        48,
+        GridOptions::default(),
+        WeightRange::default(),
+        41001,
+    );
+    let partitions = [
+        PartitionCase::run(&format!("gnp{ooc_n}"), &graph, ooc_k, reps),
+        PartitionCase::run("grid48", &grid, 8, reps),
+    ];
+    for p in &partitions {
+        println!("{}", p.summary());
+    }
+
     if let Some(path) = report_path(smoke, out) {
-        if let Err(e) = write_report(&path, smoke, reps, threads, &cases) {
+        if let Err(e) = write_report(&path, smoke, reps, threads, &cases, &partitions) {
             eprintln!("failed to write {path}: {e}");
             std::process::exit(1);
         }

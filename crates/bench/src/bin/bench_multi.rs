@@ -10,6 +10,9 @@
 //!   --sizes <a,b,...>   homogeneous fleet sizes to sweep (default from
 //!                  APSP_FLEET_SIZES, else 1,2,4,8)
 //!   --n <vertices> grid side is derived from this vertex budget
+//!   --check <file> rerun the file's n, sizes and fleets once and fail
+//!                  unless every simulated field and checksum equals the
+//!                  file's (`wall_secs` is not compared); writes no report
 //! ```
 //!
 //! Sweeps the boundary driver over homogeneous V100 fleets of
@@ -26,8 +29,14 @@
 //! * the homogeneous makespan curve never rises as devices are added;
 //! * every homogeneous fleet of several devices finishes dist₄ sooner
 //!   than the one-device fleet.
+//!
+//! `--check` adds a fourth, which no timing noise can move: the run must
+//! reproduce a committed report's simulated seconds, stolen panels,
+//! component counts and checksums, so a change to the simulated clock
+//! has to regenerate the file.
 
 use apsp_core::options::BoundaryOptions;
+use apsp_core::telemetry::{parse_json, JsonValue};
 use apsp_core::{ooc_boundary_multi, MultiGpuStats, StorageBackend, TileStore};
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
 use apsp_graph::generators::{grid_2d, GridOptions, WeightRange};
@@ -74,6 +83,63 @@ fn run_fleet(g: &CsrGraph, case: &FleetCase, opts: &BoundaryOptions) -> FleetRow
     }
 }
 
+/// The fields `--check` compares, as the report writes them: every
+/// simulated number and the checksum, not `wall_secs`.
+fn checked_fields(r: &FleetRow) -> [(&'static str, JsonValue); 8] {
+    let num = JsonValue::Number;
+    [
+        ("fleet", JsonValue::String(r.label.clone())),
+        ("makespan_s", num(r.stats.sim_seconds)),
+        ("dist2_s", num(r.stats.phase_seconds[0])),
+        ("dist3_s", num(r.stats.phase_seconds[1])),
+        ("dist4_s", num(r.stats.phase_seconds[2])),
+        ("stolen_panels", num(r.stats.stolen_panels as f64)),
+        ("num_components", num(r.stats.num_components as f64)),
+        (
+            "checksum",
+            JsonValue::String(format!("{:#018x}", r.checksum)),
+        ),
+    ]
+}
+
+/// A checked value as the report prints it: numbers to the 9 decimals
+/// it writes.
+fn render(v: Option<&JsonValue>) -> String {
+    match v {
+        Some(JsonValue::Number(x)) => format!("{x:.9}"),
+        Some(JsonValue::String(s)) => s.clone(),
+        other => format!("{other:?}"),
+    }
+}
+
+/// Every difference between `rows` and the committed report's fleets.
+fn check_rows(committed: &JsonValue, rows: &[FleetRow]) -> Vec<String> {
+    let fleets = match committed.get("fleets") {
+        Some(JsonValue::Array(fleets)) => fleets.as_slice(),
+        _ => &[],
+    };
+    let mut diffs = Vec::new();
+    if fleets.len() != rows.len() {
+        diffs.push(format!(
+            "{} fleets against the file's {}",
+            rows.len(),
+            fleets.len()
+        ));
+    }
+    for (row, want) in rows.iter().zip(fleets) {
+        for (key, got) in checked_fields(row) {
+            let (got, want) = (render(Some(&got)), render(want.get(key)));
+            if got != want {
+                diffs.push(format!(
+                    "{} {key}: {got} against the file's {want}",
+                    row.label
+                ));
+            }
+        }
+    }
+    diffs
+}
+
 /// Where the JSON report goes: `--out` when given, else the committed
 /// `BENCH_multi.json` for a full run. A smoke run without `--out`
 /// writes none, so it cannot overwrite the committed full-mode numbers.
@@ -86,12 +152,14 @@ fn main() {
     let mut smoke = false;
     let mut sizes_spec: Option<String> = None;
     let mut n_budget: Option<usize> = None;
+    let mut check: Option<String> = None;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
             "--smoke" => smoke = true,
             "--out" => out = Some(it.next().expect("--out needs a value")),
             "--sizes" => sizes_spec = Some(it.next().expect("--sizes needs a value")),
+            "--check" => check = Some(it.next().expect("--check needs a value")),
             "--n" => {
                 n_budget = Some(
                     it.next()
@@ -103,11 +171,31 @@ fn main() {
             other => {
                 eprintln!("unexpected argument '{other}'");
                 eprintln!(
-                    "usage: bench_multi [--smoke] [--out path] [--sizes a,b,...] [--n vertices]"
+                    "usage: bench_multi [--smoke] [--out path] [--sizes a,b,...] [--n vertices] \
+                     [--check file]"
                 );
                 std::process::exit(2);
             }
         }
+    }
+    // A check reruns the committed report's graph and sweep.
+    let committed = check.as_ref().map(|path| {
+        let text =
+            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("failed to read {path}: {e}"));
+        parse_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+    });
+    if let Some(c) = &committed {
+        let count = |v: &JsonValue| v.as_f64().map(|x| x as usize);
+        n_budget = Some(c.get("n").and_then(count).expect("report has no n"));
+        let Some(JsonValue::Array(sizes)) = c.get("sizes") else {
+            panic!("report has no sizes")
+        };
+        let sizes: Vec<String> = sizes
+            .iter()
+            .filter_map(count)
+            .map(|s| s.to_string())
+            .collect();
+        sizes_spec = Some(sizes.join(","));
     }
     let sizes_spec = sizes_spec
         .or_else(|| std::env::var("APSP_FLEET_SIZES").ok())
@@ -188,6 +276,16 @@ fn main() {
     }
 
     let mut failed = false;
+    if let (Some(path), Some(c)) = (&check, &committed) {
+        let diffs = check_rows(c, &rows);
+        for d in &diffs {
+            eprintln!("CHECK FAILED: {d}");
+        }
+        if !diffs.is_empty() {
+            std::process::exit(1);
+        }
+        println!("check passed: {} fleets match {path}", rows.len());
+    }
     let reference = rows[0].checksum;
     if rows.iter().any(|r| r.checksum != reference) {
         eprintln!("GATE FAILED: fleets disagree on the result matrix");
@@ -254,7 +352,7 @@ fn main() {
         ));
     }
     json.push_str("  ]\n}\n");
-    if let Some(out) = report_path(smoke, out) {
+    if let Some(out) = report_path(smoke, out).filter(|_| check.is_none()) {
         std::fs::write(&out, &json).unwrap_or_else(|e| panic!("failed to write {out}: {e}"));
         println!("report written to {out}");
     }

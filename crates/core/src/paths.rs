@@ -42,7 +42,8 @@ impl ShortestPathTree {
     pub fn compute(g: &CsrGraph, source: VertexId) -> Result<Self, ApspError> {
         check_vertex(g, source, "source")?;
         let delta = apsp_kernels::nearfar::default_delta(g);
-        let (dist, parents, _) = near_far_sssp_with_parents(g, source, delta, usize::MAX);
+        let (dist, parents, _) = near_far_sssp_with_parents(g, source, delta, usize::MAX)
+            .map_err(|e| ApspError::InvalidInput(e.to_string()))?;
         Ok(ShortestPathTree {
             source,
             dist,

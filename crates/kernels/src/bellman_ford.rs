@@ -99,7 +99,7 @@ mod tests {
         let mut d = dev();
         let s = d.default_stream();
         let (_, bf) = bellman_ford_device(&mut d, s, &g, 0);
-        let (_, nf) = crate::near_far_sssp(&g, 0, 5, usize::MAX);
+        let (_, nf) = crate::near_far_sssp(&g, 0, 5, usize::MAX).unwrap();
         // BF relaxes all m edges per round for ~diameter rounds.
         assert!(
             bf.relaxations > 4 * nf.total_relaxations(),

@@ -30,7 +30,7 @@ pub mod nearfar;
 
 pub use matrix::DeviceMatrix;
 pub use mssp::{MsspOptions, MsspOutcome};
-pub use nearfar::{near_far_sssp, NearFarStats};
+pub use nearfar::{near_far_sssp, NearFarError, NearFarStats};
 
 /// Modeling constants shared by the kernels.
 pub mod model {

@@ -57,15 +57,59 @@ impl NearFarStats {
     }
 }
 
+/// Why a Near-Far entry point refused its input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NearFarError {
+    /// `source` is not a vertex of the graph; on an empty graph no source
+    /// is.
+    SourceOutOfRange {
+        /// The requested source.
+        source: VertexId,
+        /// The graph's vertex count.
+        n: usize,
+    },
+    /// The bucket width Δ is 0; it must be at least 1.
+    ZeroDelta,
+}
+
+impl std::fmt::Display for NearFarError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            NearFarError::SourceOutOfRange { source, n } => {
+                write!(f, "source {source} is not a vertex of a {n}-vertex graph")
+            }
+            NearFarError::ZeroDelta => write!(f, "delta must be at least 1"),
+        }
+    }
+}
+
+impl std::error::Error for NearFarError {}
+
+/// The public entry points' input checks. The traversal keeps them as
+/// asserts, and only MSSP, whose callers check once per launch, calls it
+/// directly.
+fn check_inputs(g: &CsrGraph, source: VertexId, delta: Dist) -> Result<(), NearFarError> {
+    let n = g.num_vertices();
+    if source as usize >= n {
+        Err(NearFarError::SourceOutOfRange { source, n })
+    } else if delta == 0 {
+        Err(NearFarError::ZeroDelta)
+    } else {
+        Ok(())
+    }
+}
+
 /// Near-Far SSSP from `source` with bucket width `delta`. Edges leaving a
 /// vertex with out-degree `> heavy_degree_threshold` are tallied as heavy
-/// relaxations (`u64::MAX` disables the distinction).
+/// relaxations (`u64::MAX` disables the distinction). A `source` that is
+/// not a vertex of `g`, or a `delta` of 0, is a [`NearFarError`].
 pub fn near_far_sssp(
     g: &CsrGraph,
     source: VertexId,
     delta: Dist,
     heavy_degree_threshold: usize,
-) -> (Vec<Dist>, NearFarStats) {
+) -> Result<(Vec<Dist>, NearFarStats), NearFarError> {
+    check_inputs(g, source, delta)?;
     let mut scratch = NearFarScratch::new(g.num_vertices());
     let stats = near_far_sssp_scratch(
         g,
@@ -75,7 +119,7 @@ pub fn near_far_sssp(
         &mut scratch,
         false,
     );
-    (scratch.dist, stats)
+    Ok((scratch.dist, stats))
 }
 
 /// [`near_far_sssp`] that additionally records the shortest-path tree:
@@ -88,10 +132,11 @@ pub fn near_far_sssp_with_parents(
     source: VertexId,
     delta: Dist,
     heavy_degree_threshold: usize,
-) -> (Vec<Dist>, Vec<VertexId>, NearFarStats) {
+) -> Result<(Vec<Dist>, Vec<VertexId>, NearFarStats), NearFarError> {
+    check_inputs(g, source, delta)?;
     let mut scratch = NearFarScratch::new(g.num_vertices());
     let stats = near_far_sssp_scratch(g, source, delta, heavy_degree_threshold, &mut scratch, true);
-    (scratch.dist, scratch.parents, stats)
+    Ok((scratch.dist, scratch.parents, stats))
 }
 
 /// Reusable working state for repeated Near-Far runs over one graph.
@@ -106,7 +151,7 @@ pub fn near_far_sssp_with_parents(
 /// exactly the values fresh allocation would (`INF` / `VertexId::MAX` /
 /// no state bits / empty queues), so a reused run is bit-identical to a
 /// fresh one by construction.
-pub struct NearFarScratch {
+pub(crate) struct NearFarScratch {
     dist: Vec<Dist>,
     parents: Vec<VertexId>,
     state: Vec<u8>,
@@ -167,7 +212,7 @@ impl Queue {
 
 impl NearFarScratch {
     /// Scratch for a graph of `n` vertices.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         NearFarScratch {
             dist: vec![INF; n],
             parents: vec![VertexId::MAX; n],
@@ -179,13 +224,13 @@ impl NearFarScratch {
     }
 
     /// The distance vector of the most recent run.
-    pub fn dist(&self) -> &[Dist] {
+    pub(crate) fn dist(&self) -> &[Dist] {
         &self.dist
     }
 
     /// The parents vector of the most recent run (all `VertexId::MAX`
     /// unless that run tracked parents).
-    pub fn parents(&self) -> &[VertexId] {
+    pub(crate) fn parents(&self) -> &[VertexId] {
         &self.parents
     }
 
@@ -205,7 +250,7 @@ impl NearFarScratch {
 /// [`near_far_sssp`] into caller-provided scratch, with no per-call
 /// allocation. Distances land in `scratch.dist()` (and predecessors in
 /// `scratch.parents()` when `track_parents` is set).
-pub fn near_far_sssp_scratch(
+pub(crate) fn near_far_sssp_scratch(
     g: &CsrGraph,
     source: VertexId,
     delta: Dist,
@@ -400,7 +445,7 @@ mod tests {
         for seed in 0..5 {
             let g = gnp(150, 0.04, WeightRange::new(1, 40), seed);
             for s in [0u32, 75, 149] {
-                let (d, _) = near_far_sssp(&g, s, 10, usize::MAX);
+                let (d, _) = near_far_sssp(&g, s, 10, usize::MAX).unwrap();
                 assert_eq!(d, dijkstra_sssp(&g, s), "seed {seed} src {s}");
             }
         }
@@ -411,7 +456,7 @@ mod tests {
         let g = grid_2d(8, 8, GridOptions::default(), WeightRange::new(1, 100), 2);
         let reference = dijkstra_sssp(&g, 0);
         for delta in [1, 7, 50, 101, 100_000] {
-            let (d, _) = near_far_sssp(&g, 0, delta, usize::MAX);
+            let (d, _) = near_far_sssp(&g, 0, delta, usize::MAX).unwrap();
             assert_eq!(d, reference, "delta {delta}");
         }
     }
@@ -419,7 +464,7 @@ mod tests {
     #[test]
     fn stats_count_real_work() {
         let g = gnp(100, 0.05, WeightRange::default(), 4);
-        let (_, st) = near_far_sssp(&g, 0, 25, usize::MAX);
+        let (_, st) = near_far_sssp(&g, 0, 25, usize::MAX).unwrap();
         // Reachable portion of a G(100, 0.05) is nearly everything, so at
         // least one relaxation per reachable edge endpoint.
         assert!(st.total_relaxations() > 100);
@@ -436,7 +481,7 @@ mod tests {
             WeightRange::default(),
             9,
         );
-        let (_, st) = near_far_sssp(&g, 0, 25, 32);
+        let (_, st) = near_far_sssp(&g, 0, 25, 32).unwrap();
         assert!(st.heavy_vertices > 0, "scale-free graphs have hubs");
         assert!(st.heavy_relaxations > 0);
         // Hubs are few but account for a disproportionate share of edges.
@@ -446,15 +491,15 @@ mod tests {
     #[test]
     fn small_delta_means_more_splits() {
         let g = grid_2d(10, 10, GridOptions::default(), WeightRange::new(1, 100), 7);
-        let (_, fine) = near_far_sssp(&g, 0, 1, usize::MAX);
-        let (_, coarse) = near_far_sssp(&g, 0, 10_000, usize::MAX);
+        let (_, fine) = near_far_sssp(&g, 0, 1, usize::MAX).unwrap();
+        let (_, coarse) = near_far_sssp(&g, 0, 10_000, usize::MAX).unwrap();
         assert!(fine.far_splits > coarse.far_splits);
     }
 
     #[test]
     fn disconnected_and_trivial() {
         let g = GraphBuilder::new(3).build();
-        let (d, st) = near_far_sssp(&g, 1, 5, usize::MAX);
+        let (d, st) = near_far_sssp(&g, 1, 5, usize::MAX).unwrap();
         assert_eq!(d, vec![INF, 0, INF]);
         assert_eq!(st.total_relaxations(), 0);
     }
@@ -465,14 +510,38 @@ mod tests {
         b.add_edge(0, 1, 0);
         b.add_edge(1, 2, 0);
         let g = b.build();
-        let (d, _) = near_far_sssp(&g, 0, 3, usize::MAX);
+        let (d, _) = near_far_sssp(&g, 0, 3, usize::MAX).unwrap();
         assert_eq!(d, vec![0, 0, 0]);
+    }
+
+    #[test]
+    fn a_source_outside_the_graph_is_an_error() {
+        let g = gnp(10, 0.2, WeightRange::default(), 3);
+        let out = NearFarError::SourceOutOfRange { source: 10, n: 10 };
+        assert_eq!(near_far_sssp(&g, 10, 5, usize::MAX), Err(out));
+        assert_eq!(near_far_sssp_with_parents(&g, 10, 5, usize::MAX), Err(out));
+        let empty = CsrGraph::empty(0);
+        let none = NearFarError::SourceOutOfRange { source: 0, n: 0 };
+        assert_eq!(near_far_sssp(&empty, 0, 5, usize::MAX), Err(none));
+        assert_eq!(
+            near_far_sssp_with_parents(&empty, 0, 5, usize::MAX),
+            Err(none)
+        );
+    }
+
+    #[test]
+    fn a_zero_delta_is_an_error() {
+        let g = gnp(10, 0.2, WeightRange::default(), 3);
+        let zero = NearFarError::ZeroDelta;
+        assert_eq!(near_far_sssp(&g, 0, 0, usize::MAX), Err(zero));
+        assert_eq!(near_far_sssp_with_parents(&g, 0, 0, usize::MAX), Err(zero));
+        assert_eq!(zero.to_string(), "delta must be at least 1");
     }
 
     #[test]
     fn parents_form_a_consistent_tree() {
         let g = gnp(200, 0.04, WeightRange::new(1, 30), 41);
-        let (dist, parents, _) = near_far_sssp_with_parents(&g, 5, 10, usize::MAX);
+        let (dist, parents, _) = near_far_sssp_with_parents(&g, 5, 10, usize::MAX).unwrap();
         assert_eq!(parents[5], u32::MAX, "source has no parent");
         for v in 0..200u32 {
             if v == 5 {
@@ -496,7 +565,7 @@ mod tests {
     #[test]
     fn parents_walk_back_to_source() {
         let g = grid_2d(9, 9, GridOptions::default(), WeightRange::new(1, 5), 6);
-        let (dist, parents, _) = near_far_sssp_with_parents(&g, 0, 3, usize::MAX);
+        let (dist, parents, _) = near_far_sssp_with_parents(&g, 0, 3, usize::MAX).unwrap();
         // Follow parents from the far corner; must reach the source in
         // fewer than n steps with strictly decreasing distance.
         let mut v = 80u32;

@@ -66,12 +66,15 @@ pub fn multilevel_bisect(g: &CoarseGraph, fraction0: f64, opts: &BisectOptions) 
     let target0 = (total as f64 * fraction0).round() as u64;
     let max0 = balance_bound(target0, opts.epsilon, total);
     let max1 = balance_bound(total - target0, opts.epsilon, total);
+    // FM takes one bound, so refine under the looser one; in practice
+    // region growing starts feasible and FM preserves feasibility under it.
+    let bound = max0.max(max1);
     let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0xC0A);
     let mut best: Option<(u64, Vec<u8>)> = None;
     for _ in 0..opts.initial_tries.max(1) {
         let side = grow_region(coarsest, target0, rng.gen());
         let mut bis = Bisection::new(side, coarsest);
-        refine_two_sided(coarsest, &mut bis, max0, max1, opts.refine_passes);
+        refine(coarsest, &mut bis, bound, opts.refine_passes);
         let cut = bis.cut(coarsest);
         if best.as_ref().is_none_or(|(bc, _)| cut < *bc) {
             best = Some((cut, bis.side));
@@ -88,17 +91,10 @@ pub fn multilevel_bisect(g: &CoarseGraph, fraction0: f64, opts: &BisectOptions) 
             fine_side[v] = side[cv as usize];
         }
         let mut bis = Bisection::new(fine_side, fine);
-        refine_two_sided(fine, &mut bis, max0, max1, opts.refine_passes);
+        refine(fine, &mut bis, bound, opts.refine_passes);
         side = bis.side;
     }
     side
-}
-
-/// FM with asymmetric bounds: the pass interface takes one bound, so run
-/// with the looser bound and post-check; in practice region growing starts
-/// feasible and FM preserves feasibility under `max(max0, max1)`.
-fn refine_two_sided(g: &CoarseGraph, bis: &mut Bisection, max0: u64, max1: u64, passes: usize) {
-    refine(g, bis, max0.max(max1), passes);
 }
 
 fn balance_bound(target: u64, epsilon: f64, total: u64) -> u64 {

@@ -33,28 +33,19 @@ impl CoarseGraph {
         let n = g.num_vertices();
         // Union of g and gᵀ with unit multiplicities summed.
         let t = g.transpose();
-        let mut deg = vec![0usize; n + 1];
-        for v in 0..n as VertexId {
-            // Merge two sorted lists counting unique neighbours ≠ v.
-            deg[v as usize + 1] = merged_unique_count(g, &t, v);
-        }
-        for i in 0..n {
-            deg[i + 1] += deg[i];
-        }
-        let m = deg[n];
-        let mut col_idx = vec![0 as VertexId; m];
-        let mut edge_weight = vec![0u64; m];
-        let mut cursor = deg.clone();
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        row_ptr.push(0);
+        let mut col_idx = Vec::new();
+        let mut edge_weight = Vec::new();
         for v in 0..n as VertexId {
             merge_rows(g, &t, v, &mut |u, w| {
-                let slot = cursor[v as usize];
-                cursor[v as usize] += 1;
-                col_idx[slot] = u;
-                edge_weight[slot] = w;
+                col_idx.push(u);
+                edge_weight.push(w);
             });
+            row_ptr.push(col_idx.len());
         }
         CoarseGraph {
-            row_ptr: deg,
+            row_ptr,
             col_idx,
             edge_weight,
             vertex_weight: vec![1; n],
@@ -112,99 +103,65 @@ impl CoarseGraph {
                 None => mate[v as usize] = v, // stays single
             }
         }
-        // Assign coarse ids.
+        // Assign coarse ids in order of each pair's smaller member.
         let mut map = vec![VertexId::MAX; n];
-        let mut next = 0 as VertexId;
+        let mut members: Vec<[VertexId; 2]> = Vec::with_capacity(n);
         for v in 0..n as VertexId {
             if map[v as usize] != VertexId::MAX {
                 continue;
             }
-            map[v as usize] = next;
             let m = mate[v as usize];
-            if m != v && m != VertexId::MAX {
-                map[m as usize] = next;
-            }
-            next += 1;
+            map[v as usize] = members.len() as VertexId;
+            map[m as usize] = members.len() as VertexId;
+            members.push([v, m]);
         }
-        let cn = next as usize;
-        // Build the coarse adjacency by accumulating into per-row hash-free
-        // scatter arrays (two passes).
-        let mut vertex_weight = vec![0u64; cn];
-        for v in 0..n {
-            vertex_weight[map[v] as usize] += self.vertex_weight[v];
-        }
-        // Gather edges: scatter-accumulate with a dense marker array.
-        let mut row_ptr = vec![0usize; cn + 1];
-        let mut entries: Vec<(VertexId, VertexId, u64)> = Vec::with_capacity(self.col_idx.len());
-        for v in 0..n as VertexId {
-            let cv = map[v as usize];
-            for (u, w) in self.neighbors(v) {
-                let cu = map[u as usize];
-                if cu != cv {
-                    entries.push((cv, cu, w));
+        let cn = members.len();
+        // Gather each coarse row from its one or two members' rows into
+        // hash-free scatter arrays: a dense marker array `slot` maps a
+        // coarse neighbour to its entry in `row`, which sums the weights;
+        // then only the row's few unique neighbours are sorted.
+        let mut vertex_weight = Vec::with_capacity(cn);
+        let mut row_ptr = Vec::with_capacity(cn + 1);
+        row_ptr.push(0usize);
+        let mut col_idx = Vec::with_capacity(self.col_idx.len());
+        let mut edge_weight = Vec::with_capacity(self.col_idx.len());
+        let mut slot = vec![usize::MAX; cn];
+        let mut row: Vec<(VertexId, u64)> = Vec::new();
+        for (cv, pair) in members.iter().enumerate() {
+            let pair = &pair[..1 + usize::from(pair[0] != pair[1])];
+            for &x in pair {
+                for (u, w) in self.neighbors(x) {
+                    let cu = map[u as usize];
+                    if cu as usize == cv {
+                        continue;
+                    }
+                    if slot[cu as usize] == usize::MAX {
+                        slot[cu as usize] = row.len();
+                        row.push((cu, 0));
+                    }
+                    row[slot[cu as usize]].1 += w;
                 }
             }
-        }
-        for &(cv, _, _) in &entries {
-            row_ptr[cv as usize + 1] += 1;
-        }
-        for i in 0..cn {
-            row_ptr[i + 1] += row_ptr[i];
-        }
-        let mut col_tmp = vec![0 as VertexId; entries.len()];
-        let mut w_tmp = vec![0u64; entries.len()];
-        let mut cursor = row_ptr.clone();
-        for &(cv, cu, w) in &entries {
-            let slot = cursor[cv as usize];
-            cursor[cv as usize] += 1;
-            col_tmp[slot] = cu;
-            w_tmp[slot] = w;
-        }
-        // Deduplicate within each row (sort + fold, summing weights).
-        let mut out_row = vec![0usize; cn + 1];
-        let mut out_col = Vec::with_capacity(entries.len());
-        let mut out_w = Vec::with_capacity(entries.len());
-        let mut scratch: Vec<(VertexId, u64)> = Vec::new();
-        for cv in 0..cn {
-            scratch.clear();
-            scratch.extend(
-                col_tmp[row_ptr[cv]..row_ptr[cv + 1]]
-                    .iter()
-                    .copied()
-                    .zip(w_tmp[row_ptr[cv]..row_ptr[cv + 1]].iter().copied()),
-            );
-            scratch.sort_unstable_by_key(|&(u, _)| u);
-            let mut last: Option<VertexId> = None;
-            for &(u, w) in scratch.iter() {
-                if last == Some(u) {
-                    let slot = out_w.len() - 1;
-                    out_w[slot] += w;
-                } else {
-                    out_col.push(u);
-                    out_w.push(w);
-                    last = Some(u);
-                }
+            row.sort_unstable_by_key(|&(cu, _)| cu);
+            for &(cu, w) in &row {
+                slot[cu as usize] = usize::MAX;
+                col_idx.push(cu);
+                edge_weight.push(w);
             }
-            out_row[cv + 1] = out_col.len();
+            row.clear();
+            row_ptr.push(col_idx.len());
+            vertex_weight.push(pair.iter().map(|&x| self.vertex_weight[x as usize]).sum());
         }
         (
             CoarseGraph {
-                row_ptr: out_row,
-                col_idx: out_col,
-                edge_weight: out_w,
+                row_ptr,
+                col_idx,
+                edge_weight,
                 vertex_weight,
             },
             map,
         )
     }
-}
-
-/// Count unique neighbours of `v` in the union of `g`'s and `t`'s rows,
-/// excluding `v` itself.
-fn merged_unique_count(g: &CsrGraph, t: &CsrGraph, v: VertexId) -> usize {
-    let mut count = 0usize;
-    merge_rows(g, t, v, &mut |_, _| count += 1);
-    count
 }
 
 /// Merge the sorted neighbour rows of `v` in `g` and `t`, calling `f` once

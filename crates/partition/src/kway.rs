@@ -172,7 +172,7 @@ pub fn default_num_components(n: usize) -> usize {
 mod tests {
     use super::*;
     use apsp_graph::generators::{
-        grid_2d, random_geometric, rmat, GridOptions, RmatParams, WeightRange,
+        banded, gnp, grid_2d, random_geometric, rmat, GridOptions, RmatParams, WeightRange,
     };
 
     #[test]
@@ -257,5 +257,69 @@ mod tests {
         // √10000 / 4 = 25.
         assert_eq!(default_num_components(10_000), 25);
         assert_eq!(default_num_components(4), 2);
+    }
+
+    /// FNV-1a over the assignment's little-endian `u32` bytes.
+    fn digest(p: &Partition) -> u64 {
+        p.assignment()
+            .iter()
+            .fold(apsp_graph::FNV_OFFSET_BASIS, |h, a| {
+                apsp_graph::fnv1a(&a.to_le_bytes(), h)
+            })
+    }
+
+    /// Every output check compares distance matrices, which do not depend
+    /// on the partition, so this pins the partitions themselves: the
+    /// callers' graphs (the benchmark's 48×48 grid, bench_kernels' gnp
+    /// graph, `BoundaryModel::calibrate`'s training graphs, the selector's
+    /// R-MAT) and two of this module's own. Recorded before the
+    /// incremental-gain FM pass and the sort-free coarsening.
+    #[test]
+    fn assignments_match_the_pinned_digests() {
+        let w = WeightRange::default;
+        let grid48 = grid_2d(48, 48, GridOptions::default(), w(), 41001);
+        let k576 = default_num_components(576);
+        let mut cases = vec![
+            (grid48.clone(), 8, 0xdba3bec65694c194),
+            (grid48, 12, 0x8b50a07eba7586b5),
+            (gnp(320, 0.06, w(), 0xBE7C), 4, 0xed465a29fdc1d665),
+            (
+                grid_2d(24, 24, GridOptions::default(), w(), 0xB0),
+                k576,
+                0x184ea96d058f91d5,
+            ),
+        ];
+        let banded_digests = [
+            0x1bc00b6a1e702ec1,
+            0x7d05d26a2d2d00d1,
+            0xcaf0cad382f02961,
+            0x2827eee164abaa87,
+        ];
+        for ((bw_mult, fill), want) in [(2usize, 0.1f64), (6, 0.3), (12, 0.5), (24, 0.8)]
+            .into_iter()
+            .zip(banded_digests)
+        {
+            cases.push((banded(576, bw_mult * 4, 4, fill, w(), 0xB1), k576, want));
+        }
+        cases.push((
+            rmat(2048, 16384, RmatParams::default(), w(), 3),
+            11,
+            0xc763da3c6bd02cff,
+        ));
+        cases.push((random_geometric(1024, 0.05, w(), 3), 8, 0x0dd70e83ea134ae1));
+        cases.push((
+            rmat(1024, 8192, RmatParams::scale_free(), w(), 3),
+            5,
+            0xc48a292186e79ff2,
+        ));
+        for (i, (g, k, want)) in cases.iter().enumerate() {
+            let p = kway_partition(g, *k, &PartitionConfig::default());
+            assert_eq!(
+                digest(&p),
+                *want,
+                "case {i}: n = {}, k = {k}",
+                g.num_vertices()
+            );
+        }
     }
 }

@@ -81,7 +81,7 @@ proptest! {
     ) {
         let n = g.num_vertices() as u32;
         let source = source_raw % n;
-        let (nf, _) = near_far_sssp(&g, source, delta, usize::MAX);
+        let (nf, _) = near_far_sssp(&g, source, delta, usize::MAX).unwrap();
         prop_assert_eq!(nf, dijkstra_sssp(&g, source));
     }
 
