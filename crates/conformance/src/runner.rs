@@ -46,18 +46,18 @@ impl Default for RunnerConfig {
 
 impl RunnerConfig {
     /// A `profile` device with [`RunnerConfig::device_bytes`] of memory.
-    pub(crate) fn device_of(&self, profile: &DeviceProfile) -> GpuDevice {
+    pub fn device_of(&self, profile: &DeviceProfile) -> GpuDevice {
         GpuDevice::new(profile.with_memory_bytes(self.device_bytes))
     }
 
     /// A V100 with [`RunnerConfig::device_bytes`] of memory.
-    pub(crate) fn device(&self) -> GpuDevice {
+    pub fn device(&self) -> GpuDevice {
         self.device_of(&DeviceProfile::v100())
     }
 
     /// The backend of a `kind` store, spilling under
     /// [`RunnerConfig::scratch_dir`].
-    pub(crate) fn backend(&self, kind: StoreKind) -> StorageBackend {
+    pub fn backend(&self, kind: StoreKind) -> StorageBackend {
         let dir = self.scratch_dir.clone();
         match kind {
             StoreKind::Memory => StorageBackend::Memory,
@@ -86,7 +86,7 @@ pub enum StoreKind {
 
 impl StoreKind {
     /// `Disk` when `disk` is set, `Memory` otherwise.
-    pub(crate) fn of(disk: bool) -> StoreKind {
+    pub fn of(disk: bool) -> StoreKind {
         if disk {
             StoreKind::Disk
         } else {

@@ -11,11 +11,10 @@
 //! kill–resume cycle, where a backend-dependent intermediate would
 //! surface as a divergent resumed matrix.
 
-use apsp_conformance::{run_kill_resume, Case, CrashCellOptions, Family, RunnerConfig};
+use apsp_conformance::{run_kill_resume, Case, CrashCellOptions, Family, RunnerConfig, StoreKind};
 use apsp_core::options::{Algorithm, ExecBackend};
-use apsp_core::{apsp, ApspOptions, StorageBackend};
+use apsp_core::{apsp, ApspOptions};
 use apsp_cpu::DistMatrix;
-use apsp_gpu_sim::{DeviceProfile, GpuDevice};
 use apsp_graph::CsrGraph;
 
 const ALGORITHMS: [Algorithm; 3] = [
@@ -26,14 +25,10 @@ const ALGORITHMS: [Algorithm; 3] = [
 
 fn run_with(graph: &CsrGraph, algorithm: Algorithm, disk: bool, exec: ExecBackend) -> DistMatrix {
     let cfg = RunnerConfig::default();
-    let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(cfg.device_bytes));
+    let mut dev = cfg.device();
     let opts = ApspOptions {
         algorithm: Some(algorithm),
-        storage: if disk {
-            StorageBackend::Disk(cfg.scratch_dir.clone())
-        } else {
-            StorageBackend::Memory
-        },
+        storage: cfg.backend(StoreKind::of(disk)),
         exec,
         ..Default::default()
     };

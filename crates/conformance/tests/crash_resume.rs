@@ -8,10 +8,9 @@
 //! points per cell around the same fixed seed; a failure there prints
 //! the crash seed that reproduces it in `run_kill_resume`.
 
-use apsp_conformance::{run_kill_resume, Case, CrashCellOptions, Family, RunnerConfig};
+use apsp_conformance::{run_kill_resume, Case, CrashCellOptions, Family, RunnerConfig, StoreKind};
 use apsp_core::options::Algorithm;
-use apsp_core::{apsp, ApspErrorKind, ApspOptions, Checkpoint, CheckpointOptions};
-use apsp_gpu_sim::{DeviceProfile, GpuDevice};
+use apsp_core::{apsp, ApspErrorKind, ApspOptions, Checkpoint, CheckpointOptions, TileStore};
 
 const ALGORITHMS: [Algorithm; 3] = [
     Algorithm::FloydWarshall,
@@ -88,9 +87,7 @@ fn resume_against_a_corrupted_checkpoint_is_rejected_typed() {
     let seed_checkpoint = || {
         let ckpt = Checkpoint::new(&dir, g).unwrap();
         ckpt.clear().unwrap();
-        let mut store =
-            apsp_core::TileStore::new(g.num_vertices(), &apsp_core::StorageBackend::Memory)
-                .unwrap();
+        let mut store = TileStore::new(g.num_vertices(), &cfg.backend(StoreKind::Memory)).unwrap();
         apsp_core::ooc_fw::init_store_from_graph(g, &mut store).unwrap();
         ckpt.commit(
             &store,
@@ -103,7 +100,7 @@ fn resume_against_a_corrupted_checkpoint_is_rejected_typed() {
         ckpt
     };
     let resume = |forced: Option<Algorithm>| {
-        let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(cfg.device_bytes));
+        let mut dev = cfg.device();
         let opts = ApspOptions {
             algorithm: forced,
             checkpoint: Some(CheckpointOptions {
@@ -136,7 +133,7 @@ fn resume_against_a_corrupted_checkpoint_is_rejected_typed() {
     // Manifest written for a different graph (fingerprint mismatch).
     seed_checkpoint();
     let other = Case::generate(Family::Grid, 0xC8A53);
-    let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(cfg.device_bytes));
+    let mut dev = cfg.device();
     let opts = ApspOptions {
         algorithm: None,
         checkpoint: Some(CheckpointOptions {

@@ -96,15 +96,16 @@ fn adding_devices_never_slows_the_simulated_makespan() {
 #[test]
 fn multi_device_telemetry_has_per_device_spans_and_validates_against_the_schema() {
     use apsp_core::telemetry::{parse_json, validate_jsonl, Telemetry};
-    use apsp_core::{multi_gpu, RunCtx, StorageBackend, SupervisionOptions, Supervisor, TileStore};
+    use apsp_core::{multi_gpu, RunCtx, SupervisionOptions, Supervisor, TileStore};
 
     let cfg = RunnerConfig::default();
     let case = Case::generate(Family::Grid, 0xF1EE5);
     let mut devs: Vec<GpuDevice> = [DeviceProfile::v100(), DeviceProfile::k80()]
         .iter()
-        .map(|p| GpuDevice::new(p.with_memory_bytes(cfg.device_bytes)))
+        .map(|p| cfg.device_of(p))
         .collect();
-    let mut store = TileStore::new(case.graph.num_vertices(), &StorageBackend::Memory).unwrap();
+    let mut store =
+        TileStore::new(case.graph.num_vertices(), &cfg.backend(StoreKind::Memory)).unwrap();
     let telemetry = Telemetry::enabled();
     let sup = Supervisor::with_telemetry(&SupervisionOptions::default(), 0.0, telemetry.clone());
     let ctx = RunCtx {

@@ -14,7 +14,6 @@ use apsp_conformance::{run_under_bit_flip, Case, Corpus, Family, FlipSite, Runne
 use apsp_core::options::{Algorithm, ExecBackend, SdcGuardMode};
 use apsp_core::{apsp, ApspOptions};
 use apsp_cpu::bgl_plus_apsp;
-use apsp_gpu_sim::{DeviceProfile, GpuDevice};
 use apsp_graph::generators::{gnp, WeightRange};
 use apsp_graph::INF;
 
@@ -139,11 +138,12 @@ fn clean_corpus_never_trips_the_guard_on_any_backend() {
     // run under the full guard must detect nothing, recover nothing, and
     // produce the exact matrix on every exec backend.
     let corpus = Corpus::standard(0x5DCC);
+    let cfg = RunnerConfig::default();
     for case in &corpus.cases {
         let reference = bgl_plus_apsp(&case.graph);
         for algorithm in ALGORITHMS {
             for exec in EXEC_BACKENDS {
-                let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(256 << 10));
+                let mut dev = cfg.device();
                 let opts = ApspOptions {
                     algorithm: Some(algorithm),
                     sdc_guard: SdcGuardMode::Full,
@@ -185,9 +185,10 @@ fn guard_invariants_hold_at_inf_and_saturation_boundaries() {
     let w = WeightRange::new(INF / 2, INF - 1);
     let g = gnp(64, 0.08, w, 0x5A7);
     let reference = bgl_plus_apsp(&g);
+    let cfg = RunnerConfig::default();
     for algorithm in ALGORITHMS {
         for exec in EXEC_BACKENDS {
-            let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(256 << 10));
+            let mut dev = cfg.device();
             let opts = ApspOptions {
                 algorithm: Some(algorithm),
                 sdc_guard: SdcGuardMode::Full,

@@ -14,11 +14,11 @@
 //! `schemas/telemetry.schema.json` — the same check CI performs on the
 //! artifact `bench_kernels --metrics-out` uploads.
 
+use apsp_conformance::{RunnerConfig, StoreKind};
 use apsp_core::options::{Algorithm, ExecBackend};
 use apsp_core::telemetry::{parse_json, validate_jsonl};
 use apsp_core::{apsp, ApspOptions, ApspResult, StorageBackend, SupervisionOptions};
 use apsp_core::{ApspErrorKind, RunReport};
-use apsp_gpu_sim::{DeviceProfile, GpuDevice};
 use apsp_graph::generators::{gnp, WeightRange};
 use apsp_graph::CsrGraph;
 use std::path::PathBuf;
@@ -43,12 +43,17 @@ fn required_phases(algorithm: Algorithm) -> &'static [&'static str] {
     }
 }
 
-fn scratch_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
+/// The harness defaults, spilling into this suite's emptied `tag`
+/// directory.
+fn config(tag: &str) -> RunnerConfig {
+    let scratch_dir = std::env::temp_dir()
         .join("apsp_conformance_telemetry")
         .join(tag);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+    let _ = std::fs::remove_dir_all(&scratch_dir);
+    RunnerConfig {
+        scratch_dir,
+        ..Default::default()
+    }
 }
 
 fn run(
@@ -58,7 +63,7 @@ fn run(
     exec: ExecBackend,
     telemetry: bool,
 ) -> ApspResult {
-    let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(256 << 10));
+    let mut dev = RunnerConfig::default().device();
     let opts = ApspOptions {
         algorithm: Some(algorithm),
         storage: storage.clone(),
@@ -149,13 +154,8 @@ fn telemetry_is_pure_observation_and_its_report_is_deterministic() {
                 } else {
                     ExecBackend::Simd { threads: Some(2) }
                 };
-                let storage = |suffix: &str| {
-                    if disk {
-                        StorageBackend::Disk(scratch_dir(&format!("{tag}-{suffix}")))
-                    } else {
-                        StorageBackend::Memory
-                    }
-                };
+                let storage =
+                    |suffix: &str| config(&format!("{tag}-{suffix}")).backend(StoreKind::of(disk));
                 let off = run(&g, algorithm, &storage("off"), exec, false);
                 let on = run(&g, algorithm, &storage("on"), exec, true);
                 assert!(off.telemetry.is_none());
@@ -197,7 +197,7 @@ fn emitted_jsonl_validates_against_the_checked_in_schema() {
         let result = run(
             &g,
             algorithm,
-            &StorageBackend::Memory,
+            &RunnerConfig::default().backend(StoreKind::Memory),
             ExecBackend::scalar(),
             true,
         );
@@ -205,7 +205,7 @@ fn emitted_jsonl_validates_against_the_checked_in_schema() {
         validate_jsonl(&jsonl, &schema)
             .unwrap_or_else(|e| panic!("{algorithm:?} report fails the schema: {e}"));
     }
-    let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(256 << 10));
+    let mut dev = RunnerConfig::default().device();
     let opts = ApspOptions {
         telemetry: true,
         ..Default::default()
@@ -223,7 +223,7 @@ fn sdc_counters_are_reported_and_their_record_is_deterministic() {
     // of the identical configuration.
     let g = gnp(90, 0.06, WeightRange::default(), 0x5DCD);
     let run_flipped = || {
-        let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(256 << 10));
+        let mut dev = RunnerConfig::default().device();
         dev.inject_bit_flip(1, 30);
         let opts = ApspOptions {
             algorithm: Some(Algorithm::FloydWarshall),
@@ -276,7 +276,11 @@ fn fallback_accounting_balances_to_the_total_simulated_time() {
     // the device's whole clock, and each fallback event's timestamp must
     // equal the failed span's end.
     let g = gnp(100, 0.05, WeightRange::default(), 3);
-    let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(128 << 10));
+    let mut dev = RunnerConfig {
+        device_bytes: 128 << 10,
+        ..Default::default()
+    }
+    .device();
     dev.inject_alloc_failure(1);
     dev.inject_alloc_failure(3);
     let opts = ApspOptions {

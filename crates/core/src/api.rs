@@ -12,7 +12,7 @@ use crate::selector::{CostModels, JohnsonModel, Selection};
 use crate::supervisor::{FallbackEvent, SupervisionEvent, Supervisor};
 use crate::telemetry::{CalibrationRecord, RunReport, Telemetry};
 use crate::tile_store::TileStore;
-use apsp_gpu_sim::{GpuDevice, SimReport};
+use apsp_gpu_sim::{DeviceProfile, GpuDevice, SimReport};
 use apsp_graph::CsrGraph;
 
 /// Per-algorithm detail statistics.
@@ -147,6 +147,8 @@ pub fn apsp(
         .as_ref()
         .map(|c| c.coeffs().clone())
         .unwrap_or_default();
+    // The one Johnson probe every selection of this call shares.
+    let mut probe = None;
     let (algorithm, selection) = match (resumed_algorithm, opts.algorithm) {
         (Some(resumed), Some(forced)) if resumed != forced => {
             return Err(ApspError::InvalidInput(format!(
@@ -157,11 +159,8 @@ pub fn apsp(
         (Some(resumed), _) => (resumed, None),
         (None, Some(forced)) => (forced, None),
         (None, None) => {
-            let models = CostModels::calibrate_cached(dev.profile());
-            let johnson = JohnsonModel::probe(dev.profile(), g, &opts.selector, &opts.johnson)?;
-            let selection = models
-                .with_refit(refit.clone())
-                .select(g, &opts.selector, &johnson);
+            let selection = select(dev.profile(), g, opts, &refit, &mut probe, &[])?
+                .expect("an empty mask always leaves a candidate");
             (selection.algorithm, Some(selection))
         }
     };
@@ -169,16 +168,14 @@ pub fn apsp(
     // calibration artifact and the refit observation still want every
     // candidate costed: shadow-select on scratch probes (the run's
     // device clock is untouched) without changing `result.selection`.
+    // A failed probe costs the artifacts their candidates, not the run;
+    // it stays in `probe` for a fallback to return.
     let shadow_selection =
         if selection.is_none() && (telemetry.is_enabled() || calib_store.is_some()) {
-            let models = CostModels::calibrate_cached(dev.profile());
-            JohnsonModel::probe(dev.profile(), g, &opts.selector, &opts.johnson)
-                .ok()
-                .and_then(|johnson| {
-                    models
-                        .with_refit(refit.clone())
-                        .select_masked(g, &opts.selector, &johnson, &[])
-                })
+            select(dev.profile(), g, opts, &refit, &mut probe, &[]).unwrap_or_else(|e| {
+                probe = Some(Err(e));
+                None
+            })
         } else {
             None
         };
@@ -239,13 +236,7 @@ pub fn apsp(
             return Err(err);
         }
         masked.push(algorithm);
-        let models = CostModels::calibrate_cached(dev.profile());
-        let johnson = JohnsonModel::probe(dev.profile(), g, &opts.selector, &opts.johnson)?;
-        let Some(next) =
-            models
-                .with_refit(refit.clone())
-                .select_masked(g, &opts.selector, &johnson, &masked)
-        else {
+        let Some(next) = select(dev.profile(), g, opts, &refit, &mut probe, &masked)? else {
             return Err(err); // every algorithm failed — surface the last error
         };
         // The failed attempt's checkpoint and partial matrix are that
@@ -318,6 +309,29 @@ pub fn apsp(
         supervision_events,
         telemetry,
     })
+}
+
+/// The selector's pick for `g` with `masked` excluded, `None` when that
+/// is every algorithm. The first call runs the Johnson probe into
+/// `probe` and later calls reuse it, so one [`apsp`] call probes at most
+/// once; a failed probe is taken out of `probe` and returned.
+fn select(
+    profile: &DeviceProfile,
+    g: &CsrGraph,
+    opts: &ApspOptions,
+    refit: &RefitCoefficients,
+    probe: &mut Option<Result<JohnsonModel, ApspError>>,
+    masked: &[Algorithm],
+) -> Result<Option<Selection>, ApspError> {
+    let johnson = match probe.take() {
+        Some(probed) => probed?,
+        None => JohnsonModel::probe(profile, g, &opts.selector, &opts.johnson)?,
+    };
+    let selection = CostModels::calibrate_cached(profile)
+        .with_refit(refit.clone())
+        .select_masked(g, &opts.selector, &johnson, masked);
+    *probe = Some(Ok(johnson));
+    Ok(selection)
 }
 
 /// One attempt of one algorithm (checkpointed when a checkpoint is

@@ -152,7 +152,7 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Bind a checkpoint directory (created durably if missing) to
     /// graph `g`.
-    pub fn new<P: AsRef<Path>>(dir: P, g: &CsrGraph) -> io::Result<Self> {
+    pub fn new<P: AsRef<Path>>(dir: P, g: &CsrGraph) -> Result<Self, ApspError> {
         let dir = dir.as_ref().to_path_buf();
         create_dir_durable(&dir)?;
         Ok(Checkpoint {
@@ -281,10 +281,11 @@ impl Checkpoint {
     }
 
     /// Verify the snapshot named by `manifest` against its recorded
-    /// checksums and copy it into `store`, reading a checksum panel at a
-    /// time and writing row by row. Checksum or size
-    /// mismatch is [`ApspError::Corruption`]; a store of the wrong
-    /// dimension is [`ApspError::InvalidInput`].
+    /// checksums, with the read-back a commit runs, and copy it into
+    /// `store`, reading a checksum panel at a time and writing row by
+    /// row. A missing, malformed or mismatched snapshot is
+    /// [`ApspError::Corruption`]; a store of the wrong dimension is
+    /// [`ApspError::InvalidInput`].
     pub fn restore_into(
         &self,
         manifest: &Manifest,
@@ -292,34 +293,15 @@ impl Checkpoint {
     ) -> Result<(), ApspError> {
         crate::run_ctx::check_store(store, manifest.n)?;
         let state_path = self.dir.join(&manifest.state_file);
-        let snapshot = TileStore::open(&state_path, manifest.n).map_err(|e| {
-            if matches!(
-                e.kind(),
-                io::ErrorKind::InvalidData | io::ErrorKind::NotFound
-            ) {
-                ApspError::Corruption {
+        let snapshot = match TileStore::open(&state_path, manifest.n) {
+            Err(ApspError::Storage(e)) if e.kind() == io::ErrorKind::NotFound => {
+                return Err(ApspError::Corruption {
                     detail: format!("snapshot {}: {e}", state_path.display()),
-                }
-            } else {
-                e.into()
+                })
             }
-        })?;
-        let actual = snapshot.panel_checksums(manifest.panel_rows)?;
-        if actual != manifest.checksums {
-            let first_bad = actual
-                .iter()
-                .zip(&manifest.checksums)
-                .position(|(a, b)| a != b)
-                .unwrap_or(0);
-            return Err(ApspError::Corruption {
-                detail: format!(
-                    "snapshot {} fails its checksums starting at row panel {first_bad} \
-                     (rows {}..): the matrix on disk is not the one the manifest committed",
-                    state_path.display(),
-                    first_bad * manifest.panel_rows
-                ),
-            });
-        }
+            opened => opened?,
+        };
+        snapshot.verify_persisted(&manifest.checksums)?;
         let n = manifest.n;
         for first in (0..n).step_by(SDC_PANEL_ROWS) {
             let rows = snapshot.read_block(first..(first + SDC_PANEL_ROWS).min(n), 0..n)?;
@@ -335,7 +317,7 @@ impl Checkpoint {
     /// pointing at a deleted snapshot. Then the slots go, and last any
     /// temp file a killed commit left before its rename, whatever pid
     /// wrote it.
-    pub fn clear(&self) -> io::Result<()> {
+    pub fn clear(&self) -> Result<(), ApspError> {
         remove_if_present(&self.manifest_path())?;
         remove_if_present(&self.dir.join(Self::slot_name(0)))?;
         remove_if_present(&self.dir.join(Self::slot_name(1)))?;
@@ -382,7 +364,7 @@ fn remove_if_present(path: &Path) -> io::Result<()> {
 /// Serialize `m` and write it into place with [`write_atomic`], the
 /// discipline [`TileStore::persist`] uses too. The rename is the commit
 /// point.
-fn write_manifest_atomic(path: &Path, m: &Manifest) -> io::Result<()> {
+fn write_manifest_atomic(path: &Path, m: &Manifest) -> Result<(), ApspError> {
     use std::io::Write;
     write_atomic(path, |mut f| f.write_all(serialize_manifest(m).as_bytes()))
 }
@@ -913,7 +895,7 @@ mod tests {
             let mut bytes = clean.clone();
             bytes[16 + (row * n + 3) * 4] ^= 0x20;
             std::fs::write(&path, &bytes).unwrap();
-            match ApspError::from(read_back().unwrap_err()) {
+            match read_back().unwrap_err() {
                 ApspError::Corruption { detail } => {
                     assert!(detail.contains(&format!("panel {panel} (rows")), "{detail}")
                 }
@@ -1069,7 +1051,7 @@ mod tests {
         // Rows 100..200 changed since the first commit and reached the
         // slot; its footer is still the first commit's.
         let torn = TileStore::open(dir.join("state-a.bin"), n).unwrap();
-        let err = ApspError::from(torn.read_row(150).unwrap_err());
+        let err = torn.read_row(150).unwrap_err();
         assert_eq!(err.kind(), crate::ApspErrorKind::Corruption, "{err}");
 
         let ckpt = Checkpoint::new(&dir, &g).unwrap();

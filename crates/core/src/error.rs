@@ -15,7 +15,8 @@ pub enum ApspError {
     },
     /// A device allocation failed unexpectedly mid-run.
     OutOfDeviceMemory(OutOfDeviceMemory),
-    /// The host-side tile store failed (disk-backed stores only).
+    /// The OS, or a fault injected into the tile store, failed a file
+    /// operation: the `io::Error` it reported.
     Storage(std::io::Error),
     /// The input graph is unusable (e.g. zero vertices where the
     /// algorithm needs at least one).
@@ -201,74 +202,11 @@ impl From<OutOfDeviceMemory> for ApspError {
     }
 }
 
-/// Marker payload carried inside an `io::Error` when a tile-store SDC
-/// guard trips. Like [`crate::supervisor::CancelledMark`], it lets the
-/// detection surface through the store's `io::Result` plumbing and
-/// re-type itself into [`ApspError::SilentCorruption`] at the `?`
-/// boundary instead of being misfiled as a storage failure.
-#[derive(Debug)]
-pub(crate) struct SdcMark {
-    pub panel: usize,
-    pub round: usize,
-    pub detail: String,
-}
-
-impl std::fmt::Display for SdcMark {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "sdc guard tripped: {}", self.detail)
-    }
-}
-
-impl std::error::Error for SdcMark {}
-
-/// Marker payload for durable-state corruption detected inside the tile
-/// store's `io::Result` paths (e.g. a persisted spill file whose panel
-/// checksums no longer match on first read). Re-typed into
-/// [`ApspError::Corruption`] at the `?` boundary.
-#[derive(Debug)]
-pub(crate) struct CorruptionMark {
-    pub detail: String,
-}
-
-impl std::fmt::Display for CorruptionMark {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.detail)
-    }
-}
-
-impl std::error::Error for CorruptionMark {}
-
+/// What the OS or an injected fault reported enters [`ApspError`] here,
+/// and only here, as [`ApspError::Storage`]. Every other kind is typed
+/// where it is detected.
 impl From<std::io::Error> for ApspError {
     fn from(e: std::io::Error) -> Self {
-        // Cancellation observed inside the store's I/O loops travels as an
-        // `io::Error` wrapping a marker so it can surface through the same
-        // `?` plumbing as real storage failures, but typed correctly. SDC
-        // and durable-corruption detections use the same trick.
-        if e.get_ref()
-            .is_some_and(|inner| inner.is::<crate::supervisor::CancelledMark>())
-        {
-            return ApspError::Cancelled {
-                detail: e.to_string(),
-            };
-        }
-        if let Some(mark) = e
-            .get_ref()
-            .and_then(|inner| inner.downcast_ref::<SdcMark>())
-        {
-            return ApspError::SilentCorruption {
-                panel: mark.panel,
-                round: mark.round,
-                detail: mark.detail.clone(),
-            };
-        }
-        if let Some(mark) = e
-            .get_ref()
-            .and_then(|inner| inner.downcast_ref::<CorruptionMark>())
-        {
-            return ApspError::Corruption {
-                detail: mark.detail.clone(),
-            };
-        }
         ApspError::Storage(e)
     }
 }
@@ -276,7 +214,6 @@ impl From<std::io::Error> for ApspError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::supervisor::CancelledMark;
 
     #[test]
     fn display_is_informative() {
@@ -315,41 +252,6 @@ mod tests {
         };
         assert!(!unlocated.to_string().contains("panel"));
         assert_eq!(ApspErrorKind::SilentCorruption.as_str(), "SilentCorruption");
-    }
-
-    #[test]
-    fn cancelled_marker_io_errors_become_typed_cancellations() {
-        let io = std::io::Error::other(CancelledMark);
-        let e = ApspError::from(io);
-        assert_eq!(e.kind(), ApspErrorKind::Cancelled);
-        let plain = ApspError::from(std::io::Error::other("short write"));
-        assert_eq!(plain.kind(), ApspErrorKind::Storage);
-    }
-
-    #[test]
-    fn marker_io_errors_become_typed_sdc_and_corruption() {
-        let io = std::io::Error::other(SdcMark {
-            panel: 2,
-            round: 5,
-            detail: "row 130 checksum mismatch".into(),
-        });
-        match ApspError::from(io) {
-            ApspError::SilentCorruption {
-                panel,
-                round,
-                detail,
-            } => {
-                assert_eq!((panel, round), (2, 5));
-                assert!(detail.contains("row 130"));
-            }
-            other => panic!("wrong re-typing: {other:?}"),
-        }
-        let io = std::io::Error::other(CorruptionMark {
-            detail: "panel 1 of spill file fails its checksum".into(),
-        });
-        let e = ApspError::from(io);
-        assert_eq!(e.kind(), ApspErrorKind::Corruption);
-        assert!(e.to_string().contains("panel 1"));
     }
 
     /// Every variant maps to exactly one kind and one transient/fatal

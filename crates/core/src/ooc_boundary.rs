@@ -323,7 +323,6 @@ fn partition(
 fn kway_layout(g: &CsrGraph, opts: &BoundaryOptions, k: usize) -> PartitionLayout {
     let pcfg = PartitionConfig {
         seed: opts.partition_seed,
-        ..Default::default()
     };
     PartitionLayout::new(g, &kway_partition(g, k, &pcfg))
 }

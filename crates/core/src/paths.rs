@@ -127,13 +127,12 @@ pub fn path_from_parent_store(
     parents: &crate::tile_store::TileStore,
     source: VertexId,
     target: VertexId,
-) -> std::io::Result<Option<Vec<VertexId>>> {
+) -> Result<Option<Vec<VertexId>>, ApspError> {
     let n = parents.n();
     if source as usize >= n || target as usize >= n {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("({source}, {target}) is not a pair of vertices of a {n}-vertex matrix"),
-        ));
+        return Err(ApspError::InvalidInput(format!(
+            "({source}, {target}) is not a pair of vertices of a {n}-vertex matrix"
+        )));
     }
     if source == target {
         return Ok(Some(vec![source]));
@@ -154,10 +153,9 @@ pub fn path_from_parent_store(
         }
         steps += 1;
         if steps > n {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "parent chain does not terminate — corrupt predecessor matrix",
-            ));
+            return Err(ApspError::Corruption {
+                detail: "parent chain does not terminate — corrupt predecessor matrix".into(),
+            });
         }
     }
 }
@@ -273,7 +271,7 @@ mod tests {
         let store = TileStore::new(4, &StorageBackend::Memory).unwrap();
         for (source, target) in [(4, 0), (0, 4), (4, 4), (u32::MAX, u32::MAX)] {
             let err = path_from_parent_store(&store, source, target).unwrap_err();
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+            assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput, "{err}");
         }
     }
 }

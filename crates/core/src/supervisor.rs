@@ -35,24 +35,6 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Marker payload for cancellations observed inside store I/O loops.
-///
-/// The store's read/write paths speak `std::io::Error`, so a trip of the
-/// [`CancelToken`] mid-loop travels as an `io::Error` wrapping this
-/// marker; `From<io::Error> for ApspError` unwraps it back into a typed
-/// [`ApspError::Cancelled`] instead of misclassifying it as storage
-/// failure.
-#[derive(Debug)]
-pub struct CancelledMark;
-
-impl std::fmt::Display for CancelledMark {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("cancelled during a tile store operation")
-    }
-}
-
-impl std::error::Error for CancelledMark {}
-
 /// Sentinel for "no countdown armed" in [`CancelToken`].
 const NO_COUNTDOWN: u64 = u64::MAX;
 
@@ -475,14 +457,14 @@ impl Supervisor {
 
     /// Cancellation check for the tile store's read/write loops; counts
     /// as `ops` row-granular token checks (a block access of `r` rows is
-    /// `r` checks, matching the store's crash-op accounting). A trip
-    /// surfaces as an `io::Error` wrapping [`CancelledMark`] so it flows
-    /// through the store's existing error plumbing and lands as
+    /// `r` checks, matching the store's crash-op accounting). A trip is
     /// [`ApspError::Cancelled`].
-    pub fn io_tick(&self, ops: u64) -> std::io::Result<()> {
+    pub fn io_tick(&self, ops: u64) -> Result<(), ApspError> {
         if let Some(tok) = &self.inner.cancel {
             if tok.tick(ops) {
-                return Err(std::io::Error::other(CancelledMark));
+                return Err(ApspError::Cancelled {
+                    detail: "cancelled during a tile store operation".into(),
+                });
             }
         }
         Ok(())
@@ -600,18 +582,6 @@ mod tests {
         let err = sup.check_barrier(0.0, "b2").unwrap_err();
         assert_eq!(err.kind(), ApspErrorKind::Cancelled);
         assert!(tok.is_cancelled());
-    }
-
-    #[test]
-    fn cancelled_io_tick_round_trips_through_apsp_error() {
-        let opts = SupervisionOptions {
-            cancel: Some(CancelToken::cancel_after_checks(1)),
-            ..Default::default()
-        };
-        let sup = Supervisor::new(&opts, 0.0);
-        let io = sup.io_tick(1).unwrap_err();
-        let e = ApspError::from(io);
-        assert_eq!(e.kind(), ApspErrorKind::Cancelled);
     }
 
     #[test]

@@ -22,6 +22,14 @@
 //! Counting stays per row whatever the layout: a block op of `r` rows
 //! is `r` crash ticks and `r` fault ordinals, however few storage calls
 //! carry it.
+//!
+//! Every public op fails with an [`ApspError`] typed where the failure
+//! is found: a rejected argument is `InvalidInput`, a persisted file
+//! that fails its header, length, footer or first-read check is
+//! `Corruption`, a registry mismatch is `SilentCorruption` and a tripped
+//! cancel token is `Cancelled`. Only `storage` and `inject` speak
+//! `io::Error`, what the OS or an injected fault reported, and it
+//! enters as `Storage` through `ApspError`'s one `From<io::Error>`.
 
 mod inject;
 mod registry;
@@ -29,7 +37,7 @@ mod storage;
 
 pub use inject::{DiskFault, DiskFaultPlan};
 
-use crate::error::CorruptionMark;
+use crate::error::ApspError;
 use crate::options::SdcGuardMode;
 use crate::supervisor::Supervisor;
 use apsp_cpu::ExecBackend;
@@ -257,7 +265,7 @@ impl std::fmt::Debug for TileStore {
 impl TileStore {
     /// Create a store for an `n × n` matrix, initialized to `INF` with a
     /// zero diagonal (the convention every algorithm writes over).
-    pub fn new(n: usize, backend: &StorageBackend) -> io::Result<Self> {
+    pub fn new(n: usize, backend: &StorageBackend) -> Result<Self, ApspError> {
         Ok(Self::with_storage(n, Backing::new(n, backend)?))
     }
 
@@ -292,8 +300,8 @@ impl TileStore {
     /// for that moment the disk holds two copies of the matrix. A no-op
     /// on `Memory`, on a file opened with [`Self::open`], and at the
     /// current side.
-    pub(crate) fn set_tile_side(&mut self, side: usize) -> io::Result<()> {
-        self.storage.set_tile_side(side)
+    pub(crate) fn set_tile_side(&mut self, side: usize) -> Result<(), ApspError> {
+        Ok(self.storage.set_tile_side(side)?)
     }
 
     /// Arm a deterministic [`DiskFaultPlan`]. Positional-I/O ordinals
@@ -311,10 +319,9 @@ impl TileStore {
     }
 
     /// Attach a [`Supervisor`]: every row-granular operation checks its
-    /// cancellation token (a trip surfaces as a typed
-    /// [`crate::ApspError::Cancelled`] through the store's error
-    /// plumbing), and [`DiskFault::HangMicros`] faults charge their
-    /// simulated stall to its disk-stall clock.
+    /// cancellation token (a trip is [`ApspError::Cancelled`]), and
+    /// [`DiskFault::HangMicros`] faults charge their simulated stall to
+    /// its disk-stall clock.
     pub fn set_supervision(&mut self, sup: Supervisor) {
         self.supervision = Some(sup);
     }
@@ -332,7 +339,7 @@ impl TileStore {
     /// The one accounting call of every public op: crash ticks, then
     /// the supervisor's cancellation check, then telemetry. A rejected
     /// call never gets here, so it moves no ordinal.
-    fn account(&self, charge: Charge) -> io::Result<()> {
+    fn account(&self, charge: Charge) -> Result<(), ApspError> {
         let (rows, ticks, reads, writes) = match charge {
             Charge::Read(r) => (r, r, r, 0),
             Charge::Write(r) => (r, r, 0, r),
@@ -385,12 +392,12 @@ impl TileStore {
     /// silent-corruption guard: a per-row FNV checksum registry seeded
     /// from the store's *current* contents. Full-row reads verify
     /// against the registry; [`Self::verify_checksums`] sweeps the whole
-    /// registry at barriers and run end. A mismatch surfaces as a typed
-    /// [`crate::ApspError::SilentCorruption`] through the store's error
-    /// plumbing. Guard reads bypass fault plans, crash points,
-    /// supervision ticks, and telemetry counters, so arming the guard
-    /// never perturbs injected-fault ordinals or the simulated clock.
-    pub fn set_sdc_guard(&mut self, mode: SdcGuardMode) -> io::Result<()> {
+    /// registry at barriers and run end. A mismatch is
+    /// [`ApspError::SilentCorruption`]. Guard reads bypass fault plans,
+    /// crash points, supervision ticks, and telemetry counters, so arming
+    /// the guard never perturbs injected-fault ordinals or the simulated
+    /// clock.
+    pub fn set_sdc_guard(&mut self, mode: SdcGuardMode) -> Result<(), ApspError> {
         if !mode.is_on() {
             self.sdc = None;
             return Ok(());
@@ -444,7 +451,7 @@ impl TileStore {
     /// marked dirty by partial writes are re-hashed (their change was
     /// legitimate); clean rows must still match their recorded checksum.
     /// A no-op when the guard is off.
-    pub fn verify_checksums(&self) -> io::Result<()> {
+    pub fn verify_checksums(&self) -> Result<(), ApspError> {
         let Some(sdc) = &self.sdc else {
             return Ok(());
         };
@@ -467,7 +474,7 @@ impl TileStore {
     /// intermediate barrier ahead of the rewrite reaching the corrupt
     /// row. Never call it on rows that will not be rewritten — that
     /// would absorb real corruption into the registry.
-    pub fn sdc_rebaseline(&self, rows: Range<usize>) -> io::Result<()> {
+    pub fn sdc_rebaseline(&self, rows: Range<usize>) -> Result<(), ApspError> {
         let Some(sdc) = &self.sdc else {
             return Ok(());
         };
@@ -483,13 +490,13 @@ impl TileStore {
     /// crash points, supervision ticks, and telemetry counters, so the
     /// invariant checks never perturb injected-fault ordinals or the
     /// simulated clock.
-    pub(crate) fn guard_read_row(&self, i: usize) -> io::Result<Vec<Dist>> {
+    pub(crate) fn guard_read_row(&self, i: usize) -> Result<Vec<Dist>, ApspError> {
         self.guard_read_rows(i..i + 1)
     }
 
     /// [`Self::guard_read_row`] of consecutive full rows, in one storage
     /// read, concatenated.
-    pub(crate) fn guard_read_rows(&self, rows: Range<usize>) -> io::Result<Vec<Dist>> {
+    pub(crate) fn guard_read_rows(&self, rows: Range<usize>) -> Result<Vec<Dist>, ApspError> {
         let mut cells = vec![0; rows.len() * self.n];
         self.storage
             .read(rows, 0..self.n, cast_bytes_mut(&mut cells))?;
@@ -502,8 +509,8 @@ impl TileStore {
     fn stored_row_fnvs(
         &self,
         rows: impl IntoIterator<Item = usize>,
-        mut f: impl FnMut(usize, u64) -> io::Result<()>,
-    ) -> io::Result<()> {
+        mut f: impl FnMut(usize, u64) -> Result<(), ApspError>,
+    ) -> Result<(), ApspError> {
         let mut buf = Vec::new();
         let mut rows = rows.into_iter().peekable();
         while let Some(first) = rows.next() {
@@ -525,7 +532,7 @@ impl TileStore {
     /// The FNV-1a of each of the consecutive checksum panels `panels`
     /// as stored: their rows are read unaccounted in one storage read and
     /// hashed whole panels in lockstep.
-    fn stored_panel_fnvs(&self, panels: Range<usize>) -> io::Result<Vec<u64>> {
+    fn stored_panel_fnvs(&self, panels: Range<usize>) -> Result<Vec<u64>, ApspError> {
         let n = self.n;
         let rows = (panels.start * SDC_PANEL_ROWS).min(n)..(panels.end * SDC_PANEL_ROWS).min(n);
         Ok(panel_fnvs(&self.guard_read_rows(rows)?, n, SDC_PANEL_ROWS))
@@ -538,7 +545,7 @@ impl TileStore {
     /// corruption as a legitimate change. Costs one unaccounted
     /// full-row read per clean→dirty transition (at most one per row
     /// per barrier interval).
-    fn check_before_dirty(&self, rows: Range<usize>) -> io::Result<()> {
+    fn check_before_dirty(&self, rows: Range<usize>) -> Result<(), ApspError> {
         let Some(sdc) = &self.sdc else {
             return Ok(());
         };
@@ -557,7 +564,7 @@ impl TileStore {
     /// registry recorded the clean data; a flip landing on a dirty row
     /// first finalizes that row's checksum from the clean storage, so
     /// the sweep can never absorb the flip as a legitimate change.
-    fn written(&mut self, rows: Range<usize>, full: Option<&[Dist]>) -> io::Result<()> {
+    fn written(&mut self, rows: Range<usize>, full: Option<&[Dist]>) -> Result<(), ApspError> {
         if let Some(ov) = self.open_verify.take() {
             ov.file.write_all_at(&[0u8; 8], ov.footer_at)?;
         }
@@ -591,9 +598,9 @@ impl TileStore {
     /// First-read verification of persisted panel checksums for stores
     /// opened from a footer-carrying file: every not-yet-verified panel
     /// overlapping `rows` is checked in panel order, up to LANES
-    /// consecutive panels per read and lockstep hash, surfacing a typed
-    /// [`crate::ApspError::Corruption`] on mismatch.
-    fn open_verify_panels(&self, rows: Range<usize>) -> io::Result<()> {
+    /// consecutive panels per read and lockstep hash, failing with
+    /// [`ApspError::Corruption`] on a mismatch.
+    fn open_verify_panels(&self, rows: Range<usize>) -> Result<(), ApspError> {
         let Some(ov) = &self.open_verify else {
             return Ok(());
         };
@@ -612,12 +619,12 @@ impl TileStore {
             for (&(p, expect), sum) in group.iter().zip(sums) {
                 if sum != expect {
                     let (start, end) = (p * SDC_PANEL_ROWS, ((p + 1) * SDC_PANEL_ROWS).min(self.n));
-                    return Err(io::Error::other(CorruptionMark {
+                    return Err(ApspError::Corruption {
                         detail: format!(
                             "persisted matrix panel {p} (rows {start}..{end}) fails its recorded \
                              checksum on first read"
                         ),
-                    }));
+                    });
                 }
                 ov.pending.lock()[p] = None;
             }
@@ -637,7 +644,7 @@ impl TileStore {
         rows: Range<usize>,
         cols: Range<usize>,
         out: &mut [Dist],
-    ) -> io::Result<()> {
+    ) -> Result<(), ApspError> {
         self.open_verify_panels(rows.clone())?;
         let row_len = cols.len() * CELL;
         let bytes = cast_bytes_mut(out);
@@ -662,7 +669,7 @@ impl TileStore {
     }
 
     /// [`Self::read_cells_into`] a fresh buffer.
-    fn read_cells(&self, rows: Range<usize>, cols: Range<usize>) -> io::Result<Vec<Dist>> {
+    fn read_cells(&self, rows: Range<usize>, cols: Range<usize>) -> Result<Vec<Dist>, ApspError> {
         let mut out = vec![0; rows.len() * cols.len()];
         self.read_cells_into(rows, cols, &mut out)?;
         Ok(out)
@@ -670,17 +677,17 @@ impl TileStore {
 
     /// Storage write of whole rows from `row_start`, as one positional
     /// op of the armed fault plan.
-    fn put_rows(&mut self, row_start: usize, cells: &[Dist]) -> io::Result<()> {
+    fn put_rows(&mut self, row_start: usize, cells: &[Dist]) -> Result<(), ApspError> {
         let (storage, bytes) = (&mut self.storage, cast_bytes(cells));
         let rows = row_start..row_start + cells.len() / self.n.max(1);
         let (n, sup) = (self.n, self.supervision.as_ref());
-        self.inject.positional(Io::Write, bytes.len(), sup, |k| {
+        Ok(self.inject.positional(Io::Write, bytes.len(), sup, |k| {
             storage.write(rows, 0..n, &bytes[..k])
-        })
+        })?)
     }
 
     /// Overwrite full row `i`.
-    pub fn write_row(&mut self, i: usize, row: &[Dist]) -> io::Result<()> {
+    pub fn write_row(&mut self, i: usize, row: &[Dist]) -> Result<(), ApspError> {
         check_input(row.len() == self.n, "row width mismatch")?;
         check_input(i < self.n, "row index out of range")?;
         self.account(Charge::Write(1))?;
@@ -689,7 +696,7 @@ impl TileStore {
     }
 
     /// Overwrite `rows.len() / n` consecutive rows starting at `row_start`.
-    pub fn write_rows(&mut self, row_start: usize, rows: &[Dist]) -> io::Result<()> {
+    pub fn write_rows(&mut self, row_start: usize, rows: &[Dist]) -> Result<(), ApspError> {
         let count = rows.len().checked_div(self.n).unwrap_or(0);
         check_input(count * self.n == rows.len(), "partial rows in write_rows")?;
         check_input(
@@ -710,7 +717,7 @@ impl TileStore {
         row_range: Range<usize>,
         col_range: Range<usize>,
         data: &[Dist],
-    ) -> io::Result<()> {
+    ) -> Result<(), ApspError> {
         check_input(
             self.in_range(&row_range) && self.in_range(&col_range),
             "block out of range",
@@ -743,7 +750,7 @@ impl TileStore {
         &self,
         row_range: Range<usize>,
         col_range: Range<usize>,
-    ) -> io::Result<Vec<Dist>> {
+    ) -> Result<Vec<Dist>, ApspError> {
         check_input(
             self.in_range(&row_range) && self.in_range(&col_range),
             "block out of range",
@@ -753,7 +760,7 @@ impl TileStore {
     }
 
     /// Read full row `i`.
-    pub fn read_row(&self, i: usize) -> io::Result<Vec<Dist>> {
+    pub fn read_row(&self, i: usize) -> Result<Vec<Dist>, ApspError> {
         check_input(i < self.n, "row index out of range")?;
         self.account(Charge::Read(1))?;
         self.read_cells(i..i + 1, 0..self.n)
@@ -761,7 +768,7 @@ impl TileStore {
 
     /// Read one element — convenience for spot checks; row-granular I/O
     /// for bulk access.
-    pub fn get(&self, i: usize, j: usize) -> io::Result<Dist> {
+    pub fn get(&self, i: usize, j: usize) -> Result<Dist, ApspError> {
         check_input(i < self.n && j < self.n, "cell out of range")?;
         self.account(Charge::Read(1))?;
         Ok(self.read_cells(i..i + 1, j..j + 1)?[0])
@@ -775,12 +782,12 @@ impl TileStore {
     /// block, like [`Self::read_block`], while a `Memory` store copies
     /// them out unaccounted (a persist charges one [`Charge::Bulk`]
     /// first).
-    fn export_rows(&self, rows: Range<usize>, out: &mut [Dist]) -> io::Result<()> {
+    fn export_rows(&self, rows: Range<usize>, out: &mut [Dist]) -> Result<(), ApspError> {
         if self.storage.is_disk() {
             self.account(Charge::Read(rows.len()))?;
             self.read_cells_into(rows, 0..self.n, out)
         } else {
-            self.storage.read(rows, 0..self.n, cast_bytes_mut(out))
+            Ok(self.storage.read(rows, 0..self.n, cast_bytes_mut(out))?)
         }
     }
 
@@ -797,7 +804,7 @@ impl TileStore {
     /// writes, unsynced. The rows go LANES checksum panels at a
     /// time: one export read, one lockstep hash of those panels' footer
     /// entries, one write. Returns the footer.
-    fn write_snapshot(&self, file: &File) -> io::Result<Vec<u64>> {
+    fn write_snapshot(&self, file: &File) -> Result<Vec<u64>, ApspError> {
         let n = self.n;
         if !self.storage.is_disk() {
             self.account(Charge::Bulk(n))?;
@@ -832,16 +839,13 @@ impl TileStore {
     /// directory: the target could collide with (or be cleaned up
     /// alongside) live spill files, destroying the matrix it was meant
     /// to save.
-    fn check_persist_target(&self, path: &Path) -> io::Result<()> {
+    fn check_persist_target(&self, path: &Path) -> Result<(), ApspError> {
         if let Some(own_dir) = self.storage.spill_dir() {
             if same_dir(own_dir, parent_dir(path)) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "refusing to persist into the store's own spill directory {}",
-                        own_dir.display()
-                    ),
-                ));
+                return Err(ApspError::InvalidInput(format!(
+                    "refusing to persist into the store's own spill directory {}",
+                    own_dir.display()
+                )));
             }
         }
         Ok(())
@@ -865,7 +869,7 @@ impl TileStore {
     ///
     /// A `Disk`-backed store refuses to persist into its own spill
     /// directory.
-    pub fn persist<P: AsRef<Path>>(&self, path: P) -> io::Result<Vec<u64>> {
+    pub fn persist<P: AsRef<Path>>(&self, path: P) -> Result<Vec<u64>, ApspError> {
         let path = path.as_ref();
         self.check_persist_target(path)?;
         write_atomic(path, |file| self.write_snapshot(file))
@@ -876,7 +880,7 @@ impl TileStore {
     /// it torn, so only a checkpoint commit calls it, on the slot its
     /// manifest does not name; the manifest rename stays the commit
     /// point.
-    pub(crate) fn overwrite(&self, path: &Path) -> io::Result<Vec<u64>> {
+    pub(crate) fn overwrite(&self, path: &Path) -> Result<Vec<u64>, ApspError> {
         self.check_persist_target(path)?;
         let file = OpenOptions::new()
             .write(true)
@@ -889,13 +893,13 @@ impl TileStore {
         Ok(footer)
     }
 
-    /// The read-back check of a checkpoint commit, on a store
-    /// [`Self::open`]ed from the file [`Self::persist`] just wrote:
-    /// the file must record `footer`, the checksums `persist` returned,
-    /// and every panel must hash to its entry. One pass over the payload
-    /// verifies LANES panels in lockstep; a mismatch is a typed
-    /// [`crate::ApspError::Corruption`] naming the first failing panel.
-    pub(crate) fn verify_persisted(&self, footer: &[u64]) -> io::Result<()> {
+    /// The read-back check of a checkpoint commit and of a resume, on a
+    /// store [`Self::open`]ed from a persisted file: the file must
+    /// record `footer` (the checksums `persist` returned, or a manifest
+    /// recorded), and every panel must hash to its entry. One pass over
+    /// the payload verifies LANES panels in lockstep; a mismatch is
+    /// [`ApspError::Corruption`] naming the first failing panel.
+    pub(crate) fn verify_persisted(&self, footer: &[u64]) -> Result<(), ApspError> {
         let recorded = self
             .open_verify
             .as_ref()
@@ -905,11 +909,11 @@ impl TileStore {
             .copied()
             .eq(footer.iter().copied().map(Some))
         {
-            return Err(io::Error::other(CorruptionMark {
+            return Err(ApspError::Corruption {
                 detail: "persisted matrix does not record the checksum footer its writer \
                          computed"
                     .into(),
-            }));
+            });
         }
         self.open_verify_panels(0..self.n)
     }
@@ -919,7 +923,7 @@ impl TileStore {
     /// through the accounted path of [`Self::read_block`]. On a `Disk`
     /// backing the checksums therefore attest to what is actually on
     /// disk, not what was last handed to `write_*`.
-    pub fn panel_checksums(&self, panel_rows: usize) -> io::Result<Vec<u64>> {
+    pub fn panel_checksums(&self, panel_rows: usize) -> Result<Vec<u64>, ApspError> {
         check_input(panel_rows >= 1, "panel_rows must be positive")?;
         let n = self.n;
         let group = panel_rows.saturating_mul(LANES).min(n);
@@ -941,10 +945,10 @@ impl TileStore {
     /// The persisted header (magic + dimension) is validated against
     /// the requested `n`, so a file persisted at a different dimension
     /// is rejected even when its byte length happens to match.
-    pub fn open<P: AsRef<Path>>(path: P, n: usize) -> io::Result<Self> {
+    pub fn open<P: AsRef<Path>>(path: P, n: usize) -> Result<Self, ApspError> {
         let file = OpenOptions::new().read(true).write(true).open(&path)?;
         let actual = file.metadata()?.len();
-        let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+        let bad = |detail: String| ApspError::Corruption { detail };
         if actual < PERSIST_HEADER_BYTES {
             return Err(bad(format!(
                 "{} holds {actual} bytes, too short for even the {PERSIST_HEADER_BYTES}-byte \
@@ -1026,7 +1030,7 @@ impl TileStore {
     /// Materialize the whole matrix (tests and small-n tooling only).
     /// The rows are read [`SDC_PANEL_ROWS`] at a time straight into the
     /// matrix returned, so no second buffer is held next to it.
-    pub fn to_dist_matrix(&self) -> io::Result<apsp_cpu::DistMatrix> {
+    pub fn to_dist_matrix(&self) -> Result<apsp_cpu::DistMatrix, ApspError> {
         // The materialized matrix is the run's final answer: sweep the
         // guard registry first so at-rest damage never leaves the store.
         self.verify_checksums()?;
@@ -1062,23 +1066,23 @@ fn parent_dir(path: &Path) -> &Path {
 /// rename (and a file newly created beside it) is not lost. On error the
 /// temp file is removed and `path` keeps what it held. Under test,
 /// `KILL_AT` fails a chosen file op as a crash there would.
-pub(crate) fn write_atomic<T>(
+pub(crate) fn write_atomic<T, E>(
     path: &Path,
-    write: impl FnOnce(&File) -> io::Result<T>,
-) -> io::Result<T> {
-    let file_name = path.file_name().ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "persist target has no file name",
-        )
-    })?;
+    write: impl FnOnce(&File) -> Result<T, E>,
+) -> Result<T, ApspError>
+where
+    ApspError: From<E>,
+{
+    let file_name = path
+        .file_name()
+        .ok_or_else(|| ApspError::InvalidInput("persist target has no file name".into()))?;
     let dir = parent_dir(path);
     let tmp = dir.join(format!(
         ".{}.tmp.{}",
         file_name.to_string_lossy(),
         std::process::id()
     ));
-    let result = (|| {
+    let result = (|| -> Result<T, ApspError> {
         kill_point(0)?;
         let file = File::create(&tmp)?;
         kill_point(1)?;
@@ -1162,18 +1166,27 @@ fn same_dir(a: &Path, b: &Path) -> bool {
 
 /// `InvalidInput` unless `ok`. Callers check their arguments before
 /// charging any tick, so a rejected call moves no fault ordinal.
-fn check_input(ok: bool, msg: &str) -> io::Result<()> {
+fn check_input(ok: bool, msg: &str) -> Result<(), ApspError> {
     if ok {
         Ok(())
     } else {
-        Err(io::Error::new(io::ErrorKind::InvalidInput, msg))
+        Err(ApspError::InvalidInput(msg.into()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ApspErrorKind;
     use apsp_graph::INF;
+
+    /// The OS or injected error inside a [`ApspError::Storage`].
+    fn io_error(e: ApspError) -> io::Error {
+        match e {
+            ApspError::Storage(e) => e,
+            other => panic!("expected Storage, got {other:?}"),
+        }
+    }
 
     fn tmp_dir() -> PathBuf {
         std::env::temp_dir().join("apsp_tile_store_tests")
@@ -1334,13 +1347,13 @@ mod tests {
         bytes[8..16].copy_from_slice(&5u64.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         let err = TileStore::open(&path, 4).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.kind(), ApspErrorKind::Corruption);
         assert!(err.to_string().contains("5×5"), "{err}");
         // A file without the magic is rejected too, at any length.
         let raw = vec![0u8; PERSIST_HEADER_BYTES as usize + 4 * 4 * 4];
         std::fs::write(&path, &raw).unwrap();
         let err = TileStore::open(&path, 4).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(err.kind(), ApspErrorKind::Corruption);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1391,8 +1404,8 @@ mod tests {
 
     /// `r` is a typed `InvalidInput`, and the call charged no tick, so
     /// seeded fault ordinals stay where they were.
-    fn assert_rejected<T: std::fmt::Debug>(s: &TileStore, r: io::Result<T>) {
-        assert_eq!(r.unwrap_err().kind(), io::ErrorKind::InvalidInput);
+    fn assert_rejected<T: std::fmt::Debug>(s: &TileStore, r: Result<T, ApspError>) {
+        assert_eq!(r.unwrap_err().kind(), ApspErrorKind::InvalidInput);
         assert_eq!(s.crash_ops(), 0, "a rejected call charged a tick");
     }
 
@@ -1510,7 +1523,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::set_permissions(&dir, std::fs::Permissions::from_mode(0o555)).unwrap();
         let err = TileStore::new(4, &StorageBackend::Disk(dir.clone())).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
+        assert_eq!(io_error(err).kind(), io::ErrorKind::PermissionDenied);
         std::fs::set_permissions(&dir, std::fs::Permissions::from_mode(0o755)).unwrap();
         std::fs::remove_dir(&dir).unwrap();
     }
@@ -1538,7 +1551,7 @@ mod tests {
         });
         s.write_row(0, &[1, 2, 3]).unwrap(); // op 0: clean
         let err = s.write_row(1, &[4, 5, 6]).unwrap_err(); // op 1: ENOSPC
-        assert_eq!(err.raw_os_error(), Some(inject::ENOSPC_ERRNO));
+        assert_eq!(io_error(err).raw_os_error(), Some(inject::ENOSPC_ERRNO));
         // Nothing from the failed write landed.
         assert_eq!(s.read_row(1).unwrap(), vec![INF, 0, INF]);
         // Subsequent ops are clean again.
@@ -1555,7 +1568,7 @@ mod tests {
             read_faults: vec![],
         });
         let err = s.write_row(2, &[9, 9, 9, 9]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+        assert_eq!(io_error(err).kind(), io::ErrorKind::WriteZero);
         // The dangerous part: half the row (2 of 4 u32s) did land.
         assert_eq!(s.read_row(2).unwrap(), vec![9, 9, 0, INF]);
     }
@@ -1569,7 +1582,7 @@ mod tests {
             read_faults: vec![(0, DiskFault::ShortRead), (1, DiskFault::LatencyMicros(50))],
         });
         let err = s.read_row(1).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(io_error(err).kind(), io::ErrorKind::UnexpectedEof);
         // Latency faults delay but succeed, on both directions.
         assert_eq!(s.read_row(1).unwrap(), vec![5, 6, 7, 8]);
         s.write_row(0, &[1, 1, 1, 1]).unwrap();
@@ -1599,7 +1612,7 @@ mod tests {
         let dir = tmp_dir().join("own_dir_guard");
         let s = TileStore::new(3, &StorageBackend::Disk(dir.clone())).unwrap();
         let err = s.persist(dir.join("snapshot.bin")).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(err.kind(), ApspErrorKind::InvalidInput);
         // A sibling directory is fine.
         let out = tmp_dir().join("own_dir_guard_out");
         std::fs::create_dir_all(&out).unwrap();
@@ -1704,10 +1717,8 @@ mod tests {
             s.write_row(0, &[0, 1, 2, 3]).unwrap(); // write op 0: clean
             s.arm_bit_flip(0, 5); // next write op flips bit 5 of its row
             s.write_row(2, &[9, 9, 9, 9]).unwrap();
-            let err = s.read_row(2).unwrap_err();
-            let typed = crate::ApspError::from(err);
-            match typed {
-                crate::ApspError::SilentCorruption { panel, round, .. } => {
+            match s.read_row(2).unwrap_err() {
+                ApspError::SilentCorruption { panel, round, .. } => {
                     assert_eq!(panel, 0); // row 2 lives in panel 0
                     assert_eq!(round, 3);
                 }
@@ -1746,9 +1757,8 @@ mod tests {
             s.write_block(1..3, 0..2, &[8, 8, 8, 8]).unwrap();
             // The flip finalizes the row's checksum from the clean
             // backing before striking, so the sweep cannot absorb it.
-            let err = s.verify_checksums().unwrap_err();
-            match crate::ApspError::from(err) {
-                crate::ApspError::SilentCorruption { panel, .. } => assert_eq!(panel, 0),
+            match s.verify_checksums().unwrap_err() {
+                ApspError::SilentCorruption { panel, .. } => assert_eq!(panel, 0),
                 other => panic!("expected SilentCorruption, got {other:?}"),
             }
         }
@@ -1788,9 +1798,8 @@ mod tests {
         bytes[victim] ^= 0x10;
         std::fs::write(&target, &bytes).unwrap();
         let damaged = TileStore::open(&target, 5).unwrap();
-        let err = damaged.read_row(3).unwrap_err();
-        match crate::ApspError::from(err) {
-            crate::ApspError::Corruption { detail } => {
+        match damaged.read_row(3).unwrap_err() {
+            ApspError::Corruption { detail } => {
                 assert!(detail.contains("panel 0"), "{detail}");
             }
             other => panic!("expected Corruption, got {other:?}"),
@@ -1946,7 +1955,7 @@ mod tests {
             read_faults: vec![],
         });
         let err = s.write_rows(0, &[9; 8]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
+        assert_eq!(io_error(err).kind(), io::ErrorKind::WriteZero);
         assert_eq!(s.read_row(0).unwrap(), vec![9, 9, 9, 9]);
         assert_eq!(s.read_row(1).unwrap(), vec![INF, 0, INF, INF]);
         assert_eq!(s.io_ops().0, 1, "a spanning write is one ordinal");
@@ -2196,8 +2205,8 @@ mod tests {
                     ];
                     for (op, err) in errs {
                         let case = format!("{backend:?} row {row} consumed {consumed}: {op}");
-                        match crate::ApspError::from(err) {
-                            crate::ApspError::SilentCorruption {
+                        match err {
+                            ApspError::SilentCorruption {
                                 panel: got,
                                 round,
                                 detail,
@@ -2352,7 +2361,7 @@ mod tests {
         let (kind, a, b, c, d) = op;
         let (rows, cols) = (cut(n, a, b), cut(n, c, d));
         let data = |len: usize| patterned(len, step as u32 + 1);
-        let out: io::Result<Vec<Dist>> = match kind {
+        let out: Result<Vec<Dist>, ApspError> = match kind {
             0 => s.write_row(a % n, &data(n)).map(|_| vec![]),
             1 => s
                 .write_rows(rows.start, &data(rows.len() * n))

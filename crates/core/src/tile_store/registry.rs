@@ -6,9 +6,8 @@
 //! checksum was recorded.
 
 use super::SDC_PANEL_ROWS;
-use crate::error::SdcMark;
+use crate::error::ApspError;
 use crate::options::SdcGuardMode;
-use std::io;
 use std::ops::Range;
 
 #[derive(Debug)]
@@ -57,7 +56,7 @@ impl SdcRegistry {
 
     /// `Ok` unless clean row `i` no longer hashes to its record. A dirty
     /// row always passes: its record is legitimately stale.
-    pub(super) fn check(&self, i: usize, hash: u64, round: usize) -> io::Result<()> {
+    pub(super) fn check(&self, i: usize, hash: u64, round: usize) -> Result<(), ApspError> {
         if self.dirty[i] || hash == self.hashes[i] {
             return Ok(());
         }
@@ -65,7 +64,7 @@ impl SdcRegistry {
         // Consumed rows report unlocalized (`usize::MAX`): the corrupt
         // content was already read, so panel-scoped repair cannot undo
         // what may have propagated.
-        Err(io::Error::other(SdcMark {
+        Err(ApspError::SilentCorruption {
             panel: if consumed {
                 usize::MAX
             } else {
@@ -80,6 +79,6 @@ impl SdcRegistry {
                     ""
                 }
             ),
-        }))
+        })
     }
 }

@@ -6,6 +6,8 @@
 //! the CPU reference and compare exactly. Used by `apsp-run --verify`
 //! and the integration tests.
 
+use crate::error::ApspError;
+use crate::run_ctx::check_store;
 use crate::tile_store::TileStore;
 use apsp_cpu::dijkstra_sssp;
 use apsp_graph::{CsrGraph, VertexId};
@@ -40,24 +42,15 @@ impl Verification {
 
 /// Compare `sample` deterministic pseudo-random rows of `store` against
 /// Dijkstra on `g`. `seed` fixes the row choice. A store whose dimension
-/// is not `g`'s vertex count is an [`std::io::ErrorKind::InvalidInput`]
-/// error.
+/// is not `g`'s vertex count is [`ApspError::InvalidInput`].
 pub fn verify_rows(
     g: &CsrGraph,
     store: &TileStore,
     sample: usize,
     seed: u64,
-) -> std::io::Result<Verification> {
+) -> Result<Verification, ApspError> {
     let n = g.num_vertices();
-    if store.n() != n {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!(
-                "store dimension {} does not match the graph's {n} vertices",
-                store.n()
-            ),
-        ));
-    }
+    check_store(store, n)?;
     if n == 0 {
         return Ok(Verification::Verified { rows_checked: 0 });
     }
@@ -144,7 +137,7 @@ mod tests {
         let g = gnp(20, 0.1, WeightRange::default(), 5);
         let store = TileStore::new(21, &StorageBackend::Memory).unwrap();
         let err = verify_rows(&g, &store, 5, 9).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{err}");
+        assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput, "{err}");
     }
 
     #[test]

@@ -6,37 +6,22 @@ use apsp_graph::VertexId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// Options controlling one multilevel bisection.
-#[derive(Debug, Clone, Copy)]
-pub struct BisectOptions {
-    /// Stop coarsening below this many vertices.
-    pub coarsest_size: usize,
-    /// Allowed imbalance: each side may hold up to
-    /// `(its proportional share) · (1 + epsilon)` of the vertex weight.
-    pub epsilon: f64,
-    /// Number of random seeds tried for the initial partition.
-    pub initial_tries: usize,
-    /// FM passes per uncoarsening level.
-    pub refine_passes: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
+/// Coarsening stops at this many vertices.
+const COARSEST_SIZE: usize = 64;
 
-impl Default for BisectOptions {
-    fn default() -> Self {
-        BisectOptions {
-            coarsest_size: 64,
-            epsilon: 0.05,
-            initial_tries: 4,
-            refine_passes: 4,
-            seed: 0x5EED,
-        }
-    }
-}
+/// Allowed imbalance: each side may hold up to
+/// `(its proportional share) · (1 + EPSILON)` of the vertex weight.
+const EPSILON: f64 = 0.05;
+
+/// Random seeds tried for the initial partition.
+const INITIAL_TRIES: usize = 4;
+
+/// FM passes per uncoarsening level.
+const REFINE_PASSES: usize = 4;
 
 /// Bisect `g` so side 0 receives roughly `fraction0` of the total vertex
-/// weight. Returns the per-vertex side array.
-pub fn multilevel_bisect(g: &CoarseGraph, fraction0: f64, opts: &BisectOptions) -> Vec<u8> {
+/// weight, with RNG seed `seed`. Returns the per-vertex side array.
+pub fn multilevel_bisect(g: &CoarseGraph, fraction0: f64, seed: u64) -> Vec<u8> {
     assert!((0.0..=1.0).contains(&fraction0));
     let total = g.total_vertex_weight();
     if g.num_vertices() <= 1 || fraction0 == 0.0 || fraction0 == 1.0 {
@@ -48,9 +33,9 @@ pub fn multilevel_bisect(g: &CoarseGraph, fraction0: f64, opts: &BisectOptions) 
     let mut levels: Vec<CoarseGraph> = vec![g.clone()];
     let mut maps: Vec<Vec<VertexId>> = Vec::new();
     let mut round = 0u64;
-    while levels.last().unwrap().num_vertices() > opts.coarsest_size {
+    while levels.last().unwrap().num_vertices() > COARSEST_SIZE {
         let cur = levels.last().unwrap();
-        let (next, map) = cur.coarsen(opts.seed ^ round);
+        let (next, map) = cur.coarsen(seed ^ round);
         round += 1;
         // Matching stalled (e.g. star graphs): stop coarsening.
         if next.num_vertices() as f64 > 0.95 * cur.num_vertices() as f64 {
@@ -64,17 +49,17 @@ pub fn multilevel_bisect(g: &CoarseGraph, fraction0: f64, opts: &BisectOptions) 
     // BFS growths.
     let coarsest = levels.last().unwrap();
     let target0 = (total as f64 * fraction0).round() as u64;
-    let max0 = balance_bound(target0, opts.epsilon, total);
-    let max1 = balance_bound(total - target0, opts.epsilon, total);
+    let max0 = balance_bound(target0, total);
+    let max1 = balance_bound(total - target0, total);
     // FM takes one bound, so refine under the looser one; in practice
     // region growing starts feasible and FM preserves feasibility under it.
     let bound = max0.max(max1);
-    let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0xC0A);
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xC0A);
     let mut best: Option<(u64, Vec<u8>)> = None;
-    for _ in 0..opts.initial_tries.max(1) {
+    for _ in 0..INITIAL_TRIES {
         let side = grow_region(coarsest, target0, rng.gen());
         let mut bis = Bisection::new(side, coarsest);
-        refine(coarsest, &mut bis, bound, opts.refine_passes);
+        refine(coarsest, &mut bis, bound, REFINE_PASSES);
         let cut = bis.cut(coarsest);
         if best.as_ref().is_none_or(|(bc, _)| cut < *bc) {
             best = Some((cut, bis.side));
@@ -91,14 +76,14 @@ pub fn multilevel_bisect(g: &CoarseGraph, fraction0: f64, opts: &BisectOptions) 
             fine_side[v] = side[cv as usize];
         }
         let mut bis = Bisection::new(fine_side, fine);
-        refine(fine, &mut bis, bound, opts.refine_passes);
+        refine(fine, &mut bis, bound, REFINE_PASSES);
         side = bis.side;
     }
     side
 }
 
-fn balance_bound(target: u64, epsilon: f64, total: u64) -> u64 {
-    (((target as f64) * (1.0 + epsilon)).ceil() as u64).min(total)
+fn balance_bound(target: u64, total: u64) -> u64 {
+    (((target as f64) * (1.0 + EPSILON)).ceil() as u64).min(total)
 }
 
 /// Greedy BFS region growing: start from a random vertex, absorb the BFS
@@ -146,6 +131,8 @@ mod tests {
     use super::*;
     use apsp_graph::generators::{grid_2d, GridOptions, WeightRange};
 
+    const SEED: u64 = 0x5EED;
+
     fn grid_coarse(side: usize) -> CoarseGraph {
         CoarseGraph::from_graph(&grid_2d(
             side,
@@ -159,7 +146,7 @@ mod tests {
     #[test]
     fn bisects_grid_near_optimally() {
         let g = grid_coarse(16); // 256 vertices
-        let side = multilevel_bisect(&g, 0.5, &BisectOptions::default());
+        let side = multilevel_bisect(&g, 0.5, SEED);
         let bis = Bisection::new(side, &g);
         // Balance within epsilon-ish.
         assert!(
@@ -175,7 +162,7 @@ mod tests {
     #[test]
     fn respects_fraction() {
         let g = grid_coarse(12);
-        let side = multilevel_bisect(&g, 0.25, &BisectOptions::default());
+        let side = multilevel_bisect(&g, 0.25, SEED);
         let w0: u64 = side
             .iter()
             .enumerate()
@@ -189,27 +176,22 @@ mod tests {
     #[test]
     fn degenerate_fractions() {
         let g = grid_coarse(4);
-        assert!(multilevel_bisect(&g, 0.0, &BisectOptions::default())
-            .iter()
-            .all(|&s| s == 1));
-        assert!(multilevel_bisect(&g, 1.0, &BisectOptions::default())
-            .iter()
-            .all(|&s| s == 0));
+        assert!(multilevel_bisect(&g, 0.0, SEED).iter().all(|&s| s == 1));
+        assert!(multilevel_bisect(&g, 1.0, SEED).iter().all(|&s| s == 0));
     }
 
     #[test]
     fn single_vertex() {
         let g = CoarseGraph::from_graph(&apsp_graph::CsrGraph::empty(1));
-        let side = multilevel_bisect(&g, 0.5, &BisectOptions::default());
+        let side = multilevel_bisect(&g, 0.5, SEED);
         assert_eq!(side.len(), 1);
     }
 
     #[test]
     fn deterministic_with_seed() {
         let g = grid_coarse(10);
-        let opts = BisectOptions::default();
-        let a = multilevel_bisect(&g, 0.5, &opts);
-        let b = multilevel_bisect(&g, 0.5, &opts);
+        let a = multilevel_bisect(&g, 0.5, SEED);
+        let b = multilevel_bisect(&g, 0.5, SEED);
         assert_eq!(a, b);
     }
 }

@@ -1,6 +1,6 @@
 //! k-way partitioning via recursive multilevel bisection.
 
-use crate::bisect::{multilevel_bisect, BisectOptions};
+use crate::bisect::multilevel_bisect;
 use crate::coarse::CoarseGraph;
 use crate::partition::Partition;
 use apsp_graph::{CsrGraph, VertexId};
@@ -8,24 +8,13 @@ use apsp_graph::{CsrGraph, VertexId};
 /// Configuration for [`kway_partition`].
 #[derive(Debug, Clone, Copy)]
 pub struct PartitionConfig {
-    /// Allowed imbalance (see [`BisectOptions::epsilon`]).
-    pub epsilon: f64,
-    /// Random seeds tried per bisection.
-    pub initial_tries: usize,
-    /// FM passes per uncoarsening level.
-    pub refine_passes: usize,
     /// Base RNG seed.
     pub seed: u64,
 }
 
 impl Default for PartitionConfig {
     fn default() -> Self {
-        PartitionConfig {
-            epsilon: 0.05,
-            initial_tries: 4,
-            refine_passes: 4,
-            seed: 0x9A17,
-        }
+        PartitionConfig { seed: 0x9A17 }
     }
 }
 
@@ -53,7 +42,7 @@ pub fn kway_partition(g: &CsrGraph, k: usize, cfg: &PartitionConfig) -> Partitio
     let coarse = CoarseGraph::from_graph(g);
     let vertices: Vec<VertexId> = (0..n as VertexId).collect();
     let mut assignment = vec![0u32; n];
-    split(&coarse, &vertices, k, 0, cfg, cfg.seed, &mut assignment);
+    split(&coarse, &vertices, k, 0, cfg.seed, &mut assignment);
     Partition::new(assignment, k)
 }
 
@@ -64,7 +53,6 @@ fn split(
     vertices: &[VertexId],
     k: usize,
     first_part: u32,
-    cfg: &PartitionConfig,
     seed: u64,
     assignment: &mut [u32],
 ) {
@@ -78,14 +66,7 @@ fn split(
     let k1 = k - k0;
     let fraction0 = k0 as f64 / k as f64;
     let sub = induce(root, vertices);
-    let opts = BisectOptions {
-        coarsest_size: 64,
-        epsilon: cfg.epsilon,
-        initial_tries: cfg.initial_tries,
-        refine_passes: cfg.refine_passes,
-        seed,
-    };
-    let side = multilevel_bisect(&sub, fraction0, &opts);
+    let side = multilevel_bisect(&sub, fraction0, seed);
     let mut left = Vec::new();
     let mut right = Vec::new();
     for (i, &v) in vertices.iter().enumerate() {
@@ -104,7 +85,6 @@ fn split(
         &left,
         k0,
         first_part,
-        cfg,
         seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1),
         assignment,
     );
@@ -113,7 +93,6 @@ fn split(
         &right,
         k1,
         first_part + k0 as u32,
-        cfg,
         seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(2),
         assignment,
     );
